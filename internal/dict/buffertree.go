@@ -74,8 +74,11 @@ type BufferTree struct {
 	// only full blocks are appended to the root chain. stageFree marks a
 	// flush section that has already spilled the stage and released its
 	// reservation, so nested staged sections don't double spill.
-	stage     []aem.Item
-	stageFree bool
+	// stageShared marks a stage array a snapshot holds a prefix of, which a
+	// spill must replace rather than refill (see spillStage).
+	stage       []aem.Item
+	stageFree   bool
+	stageShared bool
 
 	// debt is the queue of overfull nodes awaiting a flush, in the exact
 	// breadth-first order the old run-to-completion cascade visited them.
@@ -161,7 +164,18 @@ func (t *BufferTree) refitFanout() {
 // the root buffer's full contents in external memory.
 func (t *BufferTree) flushStage() {
 	if len(t.stage) > 0 {
-		t.top.buf.appendBlock(t.ma, t.stage)
+		t.spillStage()
+	}
+}
+
+// spillStage appends the staged items to the root chain as one block and
+// empties the stage. A stage array shared with a snapshot is left to the
+// snapshot and replaced by a fresh one.
+func (t *BufferTree) spillStage() {
+	t.top.buf.appendBlock(t.ma, t.stage)
+	if t.stageShared {
+		t.stage, t.stageShared = make([]aem.Item, 0, t.cfg.B), false
+	} else {
 		t.stage = t.stage[:0]
 	}
 }
@@ -219,10 +233,11 @@ type btnode struct {
 	sepBase   aem.Addr // separator blocks (internal only)
 	sepBlocks int
 
-	buf    chain // pending updates, unordered
-	run    chain // leaf only: entries sorted by key, unique keys, incl. tombstones
-	liveN  int   // leaf only: non-tombstone entries in run
-	inDebt bool  // queued on the tree's debt queue (dedup flag)
+	buf    chain     // pending updates, unordered
+	run    chain     // leaf only: entries sorted by key, unique keys, incl. tombstones
+	liveN  int       // leaf only: non-tombstone entries in run
+	inDebt bool      // queued on the tree's debt queue (dedup flag)
+	snap   *snapNode // last capture of this node, reused while unchanged
 }
 
 func (nd *btnode) isLeaf() bool { return nd.kids == nil }
@@ -375,8 +390,7 @@ func (t *BufferTree) appendUpdates(ops []Op) {
 			}
 			t.stage = append(t.stage, aem.Item{Key: op.Key, Aux: packEntry(t.seq, op.Kind, op.Value)})
 			if len(t.stage) == t.cfg.B {
-				t.top.buf.appendBlock(t.ma, t.stage)
-				t.stage = t.stage[:0]
+				t.spillStage()
 			}
 		}
 		t.ma.SetPhase(prev)
@@ -1119,4 +1133,3 @@ func rangeOverlaps(rq *rangeQ, seps []int64, ci int) bool {
 	}
 	return rq.hi > lo || ci == 0
 }
-

@@ -138,9 +138,17 @@ func isUpdate(op Op) bool { return op.Kind == Insert || op.Kind == Delete }
 // ⌈n/B⌉ + (number of partial append tails) blocks. Chains back both node
 // buffers (unordered bags of updates) and leaf runs (key-sorted entries);
 // order is the writer's business, the chain just stores blocks.
+//
+// Snapshots share the address array instead of copying it (see
+// snapshot.go): a capture holds addrs[:len:len], and appending only ever
+// writes past that length, so the captured entries stay intact. The one
+// mutation that would overwrite them is reusing the array from index 0,
+// so once a capture has shared it (shared is set), reset drops the array
+// and the next append starts a fresh one.
 type chain struct {
-	addrs []aem.Addr
-	n     int
+	addrs  []aem.Addr
+	n      int
+	shared bool
 }
 
 // appendBlock writes items (≤ B of them) as one fresh block of the chain.
@@ -152,9 +160,14 @@ func (c *chain) appendBlock(ma *aem.Machine, items []aem.Item) {
 }
 
 // reset empties the chain. The old blocks are abandoned (external memory
-// is unbounded in the model; addresses are never reused).
+// is unbounded in the model; addresses are never reused). An array a
+// snapshot shares is dropped rather than reused.
 func (c *chain) reset() {
-	c.addrs = c.addrs[:0]
+	if c.shared {
+		c.addrs, c.shared = nil, false
+	} else {
+		c.addrs = c.addrs[:0]
+	}
 	c.n = 0
 }
 

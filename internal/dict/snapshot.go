@@ -2,7 +2,7 @@ package dict
 
 import (
 	"fmt"
-	"sort"
+	"sync"
 
 	"repro/internal/aem"
 )
@@ -15,11 +15,20 @@ import (
 //
 // The capture is cheap and I/O-free because the tree's chains are
 // append-only: blocks are written whole at freshly allocated addresses and
-// never rewritten in place, so a deep copy of every chain's address slice
-// (plus the node topology and separator-block addresses, which are program
-// knowledge) pins the exact state of the tree at capture time. Later
-// updates only append blocks at new addresses or abandon old ones — they
-// can never change the contents behind a captured address.
+// never rewritten in place, and addresses are never reused. A chain's
+// address list therefore only grows at its end, loses a prefix, or is
+// replaced outright, so a capture can share the live list instead of
+// copying it: it holds the clipped slice addrs[:len:len], and the live
+// chain drops (rather than reuses) an array a capture shares when it is
+// reset. The staged root tail is shared the same way. Sharing is
+// path-copying persistence (Driscoll, Sarnak, Sleator and Tarjan, 1989):
+// each node keeps its last capture, and a new capture reuses it unless the
+// node's chains or some child's capture changed since, so a publish
+// allocates only for the nodes the updates since the last one touched.
+// The node topology and separator-block addresses are program knowledge
+// and never change for a live node; later updates only append blocks at
+// new addresses or abandon old ones — they can never change the contents
+// behind a captured address.
 //
 // Snapshot queries do not run on the tree's machine: the machine's
 // accounting and storage access are single-threaded by design. Instead the
@@ -38,13 +47,34 @@ type BlockReader interface {
 	ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item
 }
 
-// snapChain is one captured chain: the block addresses as of capture.
+// snapChain is one captured chain: the block addresses as of capture,
+// sharing the live chain's array (clipped, so it can never grow into it).
 type snapChain struct {
 	addrs []aem.Addr
 	n     int
 }
 
-// snapNode is one captured tree node.
+// capture returns the chain's current state and marks its array shared.
+func (c *chain) capture() snapChain {
+	if len(c.addrs) == 0 {
+		return snapChain{}
+	}
+	c.shared = true
+	return snapChain{addrs: c.addrs[:len(c.addrs):len(c.addrs)], n: c.n}
+}
+
+// same reports whether the live chain still holds exactly the captured
+// blocks. Addresses are never reused, so a chain's first address names
+// one append-only stretch of its life (a reset, a prefix detach or a
+// replaced run all change it); within that stretch the block count and
+// item count pin the contents.
+func (sc *snapChain) same(c *chain) bool {
+	return sc.n == c.n && len(sc.addrs) == len(c.addrs) &&
+		(len(c.addrs) == 0 || sc.addrs[0] == c.addrs[0])
+}
+
+// snapNode is one captured tree node. It is immutable once built, so
+// successive snapshots share every node whose subtree did not change.
 type snapNode struct {
 	kids      []*snapNode
 	sepBase   aem.Addr
@@ -62,36 +92,58 @@ type TreeSnapshot struct {
 	b     int   // block size of the capturing machine
 	seq   int64 // update sequence watermark at capture
 	root  *snapNode
-	stage []aem.Item // copy of the staged root tail (EnableTailStaging)
+	stage []aem.Item // the staged root tail, shared with the tree (EnableTailStaging)
 }
 
-// Snapshot captures the tree's current state. The capture walks the node
-// structure and deep-copies every chain's address slice — no I/O, no locks
-// — so it must be called from the same goroutine that applies updates
-// (the tree is not internally synchronized). The returned snapshot
-// reflects exactly the updates applied before the call.
+// Snapshot captures the tree's current state — no I/O, no locks. Only the
+// nodes whose chains changed since the previous capture (and their
+// ancestors) get a new snapNode; the rest are reused, and chains and the
+// staged tail are shared with the live tree rather than copied. Capturing
+// writes the nodes' cached captures and the chains' sharing marks, so it
+// must be called from the same goroutine that applies updates (the tree
+// is not internally synchronized). The returned snapshot reflects exactly
+// the updates applied before the call.
 func (t *BufferTree) Snapshot() *TreeSnapshot {
-	var capture func(nd *btnode) *snapNode
-	capture = func(nd *btnode) *snapNode {
-		sn := &snapNode{
-			sepBase:   nd.sepBase,
-			sepBlocks: nd.sepBlocks,
-			buf:       snapChain{addrs: append([]aem.Addr(nil), nd.buf.addrs...), n: nd.buf.n},
-			run:       snapChain{addrs: append([]aem.Addr(nil), nd.run.addrs...), n: nd.run.n},
-		}
-		if !nd.isLeaf() {
-			sn.kids = make([]*snapNode, len(nd.kids))
-			for i, kid := range nd.kids {
-				sn.kids[i] = capture(kid)
-			}
-		}
-		return sn
-	}
-	s := &TreeSnapshot{b: t.cfg.B, seq: t.seq, root: capture(t.top)}
-	if len(t.stage) > 0 {
-		s.stage = append([]aem.Item(nil), t.stage...)
+	s := &TreeSnapshot{b: t.cfg.B, seq: t.seq, root: t.capture(t.top)}
+	if n := len(t.stage); n > 0 {
+		s.stage = t.stage[:n:n]
+		t.stageShared = true
 	}
 	return s
+}
+
+// capture returns the node's capture, reusing the cached one when the
+// node's chains and every child's capture are unchanged. A reuse
+// allocates nothing.
+func (t *BufferTree) capture(nd *btnode) *snapNode {
+	prev := nd.snap
+	reuse := prev != nil && prev.buf.same(&nd.buf) && prev.run.same(&nd.run)
+	var kids []*snapNode
+	if !reuse && !nd.isLeaf() {
+		kids = make([]*snapNode, len(nd.kids))
+	}
+	for i, kid := range nd.kids {
+		k := t.capture(kid)
+		if reuse && k != prev.kids[i] {
+			kids = make([]*snapNode, len(nd.kids))
+			copy(kids, prev.kids[:i])
+			reuse = false
+		}
+		if kids != nil {
+			kids[i] = k
+		}
+	}
+	if reuse {
+		return prev
+	}
+	nd.snap = &snapNode{
+		kids:      kids,
+		sepBase:   nd.sepBase,
+		sepBlocks: nd.sepBlocks,
+		buf:       nd.buf.capture(),
+		run:       nd.run.capture(),
+	}
+	return nd.snap
 }
 
 // Seq returns the tree's update-sequence watermark at capture time.
@@ -111,8 +163,8 @@ func NewGetScratch(b int) *GetScratch {
 	return &GetScratch{frame: make([]aem.Item, b), seps: make([]int64, 0, 64)}
 }
 
-// readSeps decodes a captured node's separator keys into sc.seps.
-func (s *TreeSnapshot) readSeps(r BlockReader, nd *snapNode, sc *GetScratch) ([]int64, int64) {
+// readSnapSeps decodes a captured node's separator keys into sc.seps.
+func readSnapSeps(r BlockReader, nd *snapNode, sc *GetScratch) ([]int64, int64) {
 	seps := sc.seps[:0]
 	var reads int64
 	for b := 0; b < nd.sepBlocks; b++ {
@@ -186,7 +238,7 @@ func (s *TreeSnapshot) Get(r BlockReader, key int64, sc *GetScratch) (value int6
 		if best != 0 || nd.isLeaf() {
 			break
 		}
-		seps, n := s.readSeps(r, nd, sc)
+		seps, n := readSnapSeps(r, nd, sc)
 		reads += n
 		nd = nd.kids[routeSeps(seps, key)]
 	}
@@ -198,61 +250,128 @@ func (s *TreeSnapshot) Get(r BlockReader, key int64, sc *GetScratch) (value int6
 
 // Range answers one range scan [lo, hi) against the snapshot: every live
 // (key, value) pair in ascending key order, plus the number of blocks
-// read. Unlike Get it allocates (a winners map and the result slice) —
-// range answers are inherently sized by the data.
+// read. Its working memory is pooled, so a call allocates only its answer.
+//
+// Leaf runs hold one entry per key and are visited left to right, so
+// their in-range entries arrive already in key order. Buffered and staged
+// entries are collected separately and sorted by key; one merge of the two
+// lists then picks each key's highest-sequence entry and drops tombstones.
 func (s *TreeSnapshot) Range(r BlockReader, lo, hi int64) (hits []Found, reads int64) {
 	if hi <= lo {
 		return nil, 0
 	}
-	sc := NewGetScratch(s.b)
-	cands := make(map[int64]int64) // key → packed Aux of the winner
-	for _, it := range s.stage {
-		if lo <= it.Key && it.Key < hi && entrySeq(it.Aux) > entrySeq(cands[it.Key]) {
-			cands[it.Key] = it.Aux
-		}
+	rs := rangePool.Get().(*rangeScan)
+	defer rangePool.Put(rs)
+	if len(rs.sc.frame) < s.b {
+		rs.sc = *NewGetScratch(s.b)
 	}
-	var walk func(nd *snapNode)
-	walk = func(nd *snapNode) {
-		for _, c := range [2]*snapChain{&nd.buf, &nd.run} {
-			for _, a := range c.addrs {
-				blk := r.ReadBlock(a, sc.frame)
-				reads++
-				for _, it := range blk {
-					if lo <= it.Key && it.Key < hi {
-						if entrySeq(it.Aux) > entrySeq(cands[it.Key]) {
-							cands[it.Key] = it.Aux
-						}
-					}
-				}
+	rs.r, rs.lo, rs.hi, rs.reads = r, lo, hi, 0
+	rs.pend = rs.keep(rs.pend[:0], s.stage)
+	rs.run = rs.run[:0]
+	rs.walk(s.root)
+	// Key order is enough: the merge below picks the highest sequence
+	// among equal keys itself.
+	rs.pend, rs.tmp = sortByKey(rs.pend, rs.tmp, lo, uint64(hi)-uint64(lo))
+
+	pend, run, out := rs.pend, rs.run, rs.out[:0]
+	for len(pend) > 0 || len(run) > 0 {
+		var win int64 // packed Aux of the winner
+		var k int64
+		if len(run) > 0 && (len(pend) == 0 || run[0].Key <= pend[0].Key) {
+			k, win = run[0].Key, run[0].Aux
+			run = run[1:]
+		} else {
+			k = pend[0].Key
+		}
+		for ; len(pend) > 0 && pend[0].Key == k; pend = pend[1:] {
+			if entrySeq(pend[0].Aux) > entrySeq(win) {
+				win = pend[0].Aux
 			}
 		}
-		if nd.isLeaf() {
-			return
-		}
-		seps, n := s.readSeps(r, nd, sc)
-		reads += n
-		// Recurse into every child whose interval intersects [lo, hi).
-		// Separator keys live in sc.seps, which the recursion reuses, so
-		// the child indexes are resolved before descending.
-		first := routeSeps(seps, lo)
-		last := routeSeps(seps, hi-1)
-		kids := nd.kids[first : last+1]
-		for _, kid := range kids {
-			walk(kid)
+		if entryKind(win) == Insert {
+			out = append(out, Found{Key: k, Value: entryValue(win)})
 		}
 	}
-	walk(s.root)
+	rs.out, rs.r = out, nil
+	return append(make([]Found, 0, len(out)), out...), rs.reads
+}
 
-	keys := make([]int64, 0, len(cands))
-	for k, aux := range cands {
-		if entryKind(aux) == Insert {
-			keys = append(keys, k)
+// rangeScan is the working state of one Range call: the in-range buffered
+// entries (pend, unordered until sorted, with tmp as the sort's second
+// buffer), the in-range leaf-run entries (run, in key order) and the
+// answer being merged (out). Calls recycle it through rangePool.
+type rangeScan struct {
+	r         BlockReader
+	lo, hi    int64
+	sc        GetScratch
+	pend, run []aem.Item
+	tmp       []aem.Item
+	out       []Found
+	reads     int64
+}
+
+var rangePool = sync.Pool{New: func() any { return new(rangeScan) }}
+
+// keep appends the items of blk that fall in [lo, hi) to dst.
+func (rs *rangeScan) keep(dst, blk []aem.Item) []aem.Item {
+	for _, it := range blk {
+		if rs.lo <= it.Key && it.Key < rs.hi {
+			dst = append(dst, it)
 		}
 	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	hits = make([]Found, 0, len(keys))
-	for _, k := range keys {
-		hits = append(hits, Found{Key: k, Value: entryValue(cands[k])})
+	return dst
+}
+
+// scan reads every block of c, keeping its in-range items in dst.
+func (rs *rangeScan) scan(dst []aem.Item, c *snapChain) []aem.Item {
+	for _, a := range c.addrs {
+		dst = rs.keep(dst, rs.r.ReadBlock(a, rs.sc.frame))
+		rs.reads++
 	}
-	return hits, reads
+	return dst
+}
+
+func (rs *rangeScan) walk(nd *snapNode) {
+	rs.pend = rs.scan(rs.pend, &nd.buf)
+	rs.run = rs.scan(rs.run, &nd.run)
+	if nd.isLeaf() {
+		return
+	}
+	seps, n := readSnapSeps(rs.r, nd, &rs.sc)
+	rs.reads += n
+	// Recurse into every child whose interval intersects [lo, hi).
+	// Separator keys live in sc.seps, which the recursion reuses, so
+	// the child indexes are resolved before descending.
+	first := routeSeps(seps, rs.lo)
+	last := routeSeps(seps, rs.hi-1)
+	for _, kid := range nd.kids[first : last+1] {
+		rs.walk(kid)
+	}
+}
+
+// sortByKey orders items, whose keys all lie in [lo, lo+span), by key: an
+// LSD radix sort on the key's offset from lo, one byte per pass and only
+// as many passes as span needs. It returns the sorted items and the other
+// buffer, to be passed back as tmp next time.
+func sortByKey(items, tmp []aem.Item, lo int64, span uint64) (sorted, spare []aem.Item) {
+	if cap(tmp) < len(items) {
+		tmp = make([]aem.Item, len(items))
+	}
+	tmp = tmp[:len(items)]
+	for shift := uint(0); shift < 64 && (span-1)>>shift > 0; shift += 8 {
+		var count [257]int
+		for _, it := range items {
+			count[(uint64(it.Key)-uint64(lo))>>shift&0xff+1]++
+		}
+		for i := 1; i < len(count); i++ {
+			count[i] += count[i-1]
+		}
+		for _, it := range items {
+			b := (uint64(it.Key) - uint64(lo)) >> shift & 0xff
+			tmp[count[b]] = it
+			count[b]++
+		}
+		items, tmp = tmp, items
+	}
+	return items, tmp
 }
