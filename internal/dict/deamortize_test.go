@@ -1,6 +1,7 @@
 package dict
 
 import (
+	"fmt"
 	"testing"
 	"time"
 
@@ -203,4 +204,114 @@ func TestDeamortizeGuards(t *testing.T) {
 		}
 	}()
 	tree.Deamortize()
+}
+
+// flushFingerprint is everything a flush-path refactor must leave
+// unchanged: the I/O accounting, the blocks allocated, the node-flush
+// count, the tree's shape, and a checksum of every query answer.
+type flushFingerprint struct {
+	reads, writes, cost int64
+	blocks              int
+	nodeFlushes         int64
+	fanout, height, n   int
+	answers             uint64
+}
+
+// runFlushFingerprint drives one serving-style stream through a tree in the
+// given mode: batches of 1–12 ops, one FlushStep(1) per batch when
+// deamortized, an idle drain plus Compact every 40th batch, a Flush
+// barrier every 997th and at the end.
+// It also returns the metered internal-memory peak, which is not pinned:
+// it may only fall, and must stay within M.
+func runFlushFingerprint(cfg aem.Config, staged, deam bool) (flushFingerprint, int) {
+	ma := aem.New(cfg)
+	tree := NewBufferTree(ma)
+	if staged {
+		tree.EnableTailStaging()
+	}
+	if deam {
+		tree.Deamortize()
+	}
+	r := rng.New(7)
+	ops := diffStream(99, 60000, 8192)
+	var answers uint64 = 14695981039346656037 // FNV-1a over every answer
+	mix := func(v int64) {
+		answers ^= uint64(v)
+		answers *= 1099511628211
+	}
+	for i, step := 0, 0; i < len(ops); step++ {
+		j := min(len(ops), i+1+r.Intn(12))
+		for _, res := range tree.Apply(ops[i:j]) {
+			if res.OK {
+				mix(res.Value)
+			}
+			mix(int64(len(res.Hits)))
+			for _, h := range res.Hits {
+				mix(h.Key)
+				mix(h.Value)
+			}
+		}
+		i = j
+		if deam {
+			tree.FlushStep(1)
+			if step%40 == 39 {
+				for tree.Debt() > 0 {
+					tree.FlushStep(1)
+				}
+				tree.Compact()
+			}
+		}
+		if step%997 == 996 {
+			tree.Flush()
+		}
+	}
+	tree.Flush()
+	st := ma.Stats()
+	return flushFingerprint{
+		reads: st.Reads, writes: st.Writes, cost: ma.Cost(),
+		blocks: ma.NumBlocks(), nodeFlushes: tree.NodeFlushes(),
+		fanout: tree.Fanout(), height: tree.Height(), n: tree.Len(),
+		answers: answers,
+	}, ma.MemPeak()
+}
+
+// TestFlushAccountingFingerprint pins the exact accounting of all four
+// flush configurations (amortized/deamortized × staged/unstaged). The
+// aembench goldens run only the unstaged amortized tree, so this is the
+// oracle for the staged and deamortized paths: any change to the order,
+// granularity or memory layout of node-flushes moves a number here.
+func TestFlushAccountingFingerprint(t *testing.T) {
+	// Captured before the flush engines were merged into one.
+	want := map[string]flushFingerprint{
+		"256-16-2/unstaged-amortized":   {2296207, 32305, 2360817, 32305, 909, 14, 3, 5432, 0x5e6e717bd7c70e7},
+		"256-16-2/staged-amortized":     {591003, 16814, 624631, 16814, 909, 14, 3, 5432, 0x5e6e717bd7c70e7},
+		"256-16-2/unstaged-deamortized": {2649830, 38358, 2726546, 38358, 3061, 14, 3, 5432, 0x5e6e717bd7c70e7},
+		"256-16-2/staged-deamortized":   {663258, 17677, 698612, 17677, 1212, 13, 3, 5432, 0x5e6e717bd7c70e7},
+		"128-8-4/unstaged-amortized":    {2353621, 47340, 2542981, 47340, 1761, 13, 3, 5432, 0x5e6e717bd7c70e7},
+		"128-8-4/staged-amortized":      {889952, 34056, 1026176, 34056, 1761, 13, 3, 5432, 0x5e6e717bd7c70e7},
+		"128-8-4/unstaged-deamortized":  {2732341, 57396, 2961925, 57396, 4120, 13, 3, 5432, 0x5e6e717bd7c70e7},
+		"128-8-4/staged-deamortized":    {981054, 36398, 1126646, 36398, 2395, 12, 3, 5432, 0x5e6e717bd7c70e7},
+	}
+	for _, cfg := range []aem.Config{{M: 256, B: 16, Omega: 2}, {M: 128, B: 8, Omega: 4}} {
+		for _, mode := range []struct {
+			name         string
+			staged, deam bool
+		}{
+			{"unstaged-amortized", false, false},
+			{"staged-amortized", true, false},
+			{"unstaged-deamortized", false, true},
+			{"staged-deamortized", true, true},
+		} {
+			name := fmt.Sprintf("%d-%d-%d/%s", cfg.M, cfg.B, cfg.Omega, mode.name)
+			t.Run(name, func(t *testing.T) {
+				got, peak := runFlushFingerprint(cfg, mode.staged, mode.deam)
+				if peak > cfg.M {
+					t.Errorf("MemPeak %d exceeds M=%d", peak, cfg.M)
+				}
+				if got != want[name] {
+					t.Errorf("fingerprint moved:\n got %+v\nwant %+v", got, want[name])
+				}
+			})
+		}
+	}
 }
