@@ -17,10 +17,6 @@
 //	aem sort     sorting workloads vs the paper's bounds
 //	aem spmxv    sparse matrix × dense vector, both Section 5 algorithms
 //	aem trace    record and analyze an algorithm's I/O trace
-//
-// The historical standalone binaries (aembench, aemdict, aemsort,
-// aemspmxv, aemtrace) remain as deprecated wrappers over the same
-// subcommand implementations.
 package main
 
 import (

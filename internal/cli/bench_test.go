@@ -110,8 +110,9 @@ func TestBenchCmdWritesProfiles(t *testing.T) {
 	}
 }
 
-// TestDeprecatedWrappersCoverEverySubcommand: each historical binary name
-// resolves to a live subcommand.
+// TestDeprecatedWrappersCoverEverySubcommand: every subcommand the retired
+// standalone binaries (aembench, aemdict, …) used to run is still
+// registered, and Main dispatches known and unknown names correctly.
 func TestDeprecatedWrappersCoverEverySubcommand(t *testing.T) {
 	for _, sub := range []string{"bench", "dict", "sort", "spmxv", "trace"} {
 		found := false

@@ -1,9 +1,7 @@
 // Package cli implements the aem multitool: one binary, thirteen
 // subcommands (bench, merge, serve, work, gate, stallgate, profdiff,
 // engines, dict, dictload, sort, spmxv, trace) sharing flag parsing,
-// machine validation and output plumbing. The historical
-// standalone binaries (aembench, aemdict, …) are thin deprecated wrappers
-// over the same implementations via RunDeprecated.
+// machine validation and output plumbing.
 package cli
 
 import (
@@ -68,19 +66,6 @@ func Main(args []string) int {
 	fmt.Fprintf(os.Stderr, "aem: unknown command %q\n\n", args[0])
 	usage(os.Stderr)
 	return 2
-}
-
-// RunDeprecated runs a subcommand under its historical standalone name
-// (aembench, aemdict, …), printing a one-line deprecation pointer to the
-// multitool. Flags and output are unchanged.
-func RunDeprecated(oldName, sub string, args []string) int {
-	fmt.Fprintf(os.Stderr, "%s: deprecated, use `aem %s` (same flags)\n", oldName, sub)
-	for _, c := range Commands() {
-		if c.Name == sub {
-			return c.Run(oldName, args)
-		}
-	}
-	panic("cli: unknown subcommand " + sub)
 }
 
 // fail prints a prog-prefixed error line to stderr.

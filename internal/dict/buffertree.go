@@ -48,7 +48,6 @@ type BufferTree struct {
 	ma  *aem.Machine
 	cfg aem.Config
 
-	fanout     int // d: children per internal node
 	rootCap    int // root buffer flush threshold, Θ(ω·M)
 	intCap     int // internal node buffer flush threshold, M/2
 	leafBufCap int // leaf buffer apply threshold, M/4
@@ -80,11 +79,11 @@ type BufferTree struct {
 	stageFree   bool
 	stageShared bool
 
-	// debt is the queue of overfull nodes awaiting a flush, in the exact
-	// breadth-first order the old run-to-completion cascade visited them.
-	// In the default (amortized) mode the queue is drained to empty the
-	// moment the root buffer crosses its threshold; in deamortized mode
-	// (see Deamortize) the caller retires it incrementally via FlushStep.
+	// debt is the queue of overfull nodes awaiting a flush, in the
+	// breadth-first order of the run-to-completion cascade (see payDebt).
+	// In the default (amortized) mode it is paid to empty the moment the
+	// root buffer crosses its threshold; in deamortized mode (see
+	// Deamortize) the caller retires it incrementally via FlushStep.
 	debt        []*btnode
 	deamortized bool
 	nodeFlushes int64 // cumulative node-flushes (partition or leaf apply)
@@ -115,18 +114,19 @@ func (t *BufferTree) EnableTailStaging() {
 	}
 	t.ma.Reserve(t.cfg.B)
 	t.stage = make([]aem.Item, 0, t.cfg.B)
-	t.refitFanout()
 }
 
 // Deamortize switches the tree to incremental flushing: crossing the root
 // threshold enqueues the root on the debt queue instead of running the
 // cascade to completion, and the caller retires debt with FlushStep — at
 // most `budget` node-flushes per call — so the worst write-path stall is
-// one node-flush, not a full cascade. Total I/O accounting is unchanged:
-// the same node-flushes happen in the same order, just spread across
-// calls. Only the root-occupancy backstop differs: if debt is never
-// retired, the root buffer is force-flushed (one node-flush) at 2× its
-// threshold. Rebuilds never run on the incremental path; callers trigger
+// one node-flush, not a full cascade. The amortized cascade is the same
+// engine run to empty, FlushStep(∞), except that the root is paid whole
+// there and in bounded installments here (see rootStep); that, and the
+// narrower fan-out beside a resident stage (see Fanout), changes the I/O
+// accounting by a constant factor, not asymptotically. If debt is never
+// retired, the root buffer is flushed one installment at a time at 2×
+// its threshold. Rebuilds never run on the incremental path; callers trigger
 // them at idle via Compact, and Flush keeps its drain-everything barrier
 // semantics. Must be called before the first Apply.
 func (t *BufferTree) Deamortize() {
@@ -137,41 +137,17 @@ func (t *BufferTree) Deamortize() {
 		panic("dict: Deamortize after updates were applied")
 	}
 	t.deamortized = true
-	t.refitFanout()
 }
 
-// refitFanout shrinks the fan-out when deamortized flushing and tail
-// staging are both on: an incremental non-root partition then runs with
-// the stage's B slots still reserved (spilling the stage on every step
-// would re-fragment the root chain), so the scan frame, d output frames
-// and d separator keys must fit beside it: d + (d+1)·B + B ≤ M.
-func (t *BufferTree) refitFanout() {
-	if !t.deamortized || t.stage == nil {
-		return
-	}
-	d := (t.cfg.M - 2*t.cfg.B) / (t.cfg.B + 1)
-	if m := t.cfg.BlocksInMemory(); d > m {
-		d = m
-	}
-	if d < 2 {
-		d = 2
-	}
-	t.fanout = d
-}
-
-// flushStage writes the staged tail (if any) to the root chain as one
-// partial block, emptying the stage. Called before any flush that needs
-// the root buffer's full contents in external memory.
-func (t *BufferTree) flushStage() {
-	if len(t.stage) > 0 {
-		t.spillStage()
-	}
-}
-
-// spillStage appends the staged items to the root chain as one block and
-// empties the stage. A stage array shared with a snapshot is left to the
+// spillStage appends the staged items (if any) to the root chain as one
+// block and empties the stage: appends spill a full stage, and a flush
+// that needs the root buffer's full contents in external memory spills
+// the partial tail. A stage array shared with a snapshot is left to the
 // snapshot and replaced by a fresh one.
 func (t *BufferTree) spillStage() {
+	if len(t.stage) == 0 {
+		return
+	}
 	t.top.buf.appendBlock(t.ma, t.stage)
 	if t.stageShared {
 		t.stage, t.stageShared = make([]aem.Item, 0, t.cfg.B), false
@@ -180,19 +156,24 @@ func (t *BufferTree) spillStage() {
 	}
 }
 
-// stagedSection runs a flush section f with the stage emptied and its
-// internal-memory reservation released for the duration: the cascade and
-// rebuild paths size their streaming frames to use all of M, and the
-// stage's B slots are genuinely free while it is empty.
-func (t *BufferTree) stagedSection(f func()) {
+// releaseStage spills the stage and releases its internal-memory
+// reservation until reclaimStage: the cascade, rebuild and external
+// leaf-apply paths size their streaming frames to use all of M, and the
+// stage's B slots are genuinely free while it is empty. It reports false,
+// leaving nothing to reclaim, when there is no stage or an enclosing
+// section already released it.
+func (t *BufferTree) releaseStage() bool {
 	if t.stage == nil || t.stageFree {
-		f()
-		return
+		return false
 	}
-	t.flushStage()
+	t.spillStage()
 	t.ma.Release(t.cfg.B)
 	t.stageFree = true
-	f()
+	return true
+}
+
+// reclaimStage re-reserves the stage's slots after releaseStage.
+func (t *BufferTree) reclaimStage() {
 	t.stageFree = false
 	t.ma.Reserve(t.cfg.B)
 }
@@ -210,19 +191,30 @@ func (t *BufferTree) rootPending() int { return t.top.buf.n + len(t.stage) }
 // measures. A nil fn removes the hook.
 func (t *BufferTree) SetFlushHook(fn func(time.Duration)) { t.flushHook = fn }
 
-// timeFlush runs f, reporting its wall-clock to the flush hook when f is
-// the outermost flush section.
-func (t *BufferTree) timeFlush(f func()) {
-	if t.flushHook == nil || t.flushDepth > 0 {
-		f()
-		return
+// flushSection runs f as one flush section: its I/O is charged to the
+// "dict-flush" phase, and its wall-clock — stage spill included — goes to
+// the flush hook unless it is nested in another section. With spill set,
+// the stage is spilled (that write stays with the caller's phase) and
+// released for the duration; sections that may flush the root whole or
+// rebuild must spill, while a deamortized step leaves the stage resident.
+func (t *BufferTree) flushSection(spill bool, f func()) {
+	timed := t.flushHook != nil && t.flushDepth == 0
+	var start time.Time
+	if timed {
+		start = time.Now()
 	}
 	t.flushDepth++
-	start := time.Now()
+	released := spill && t.releaseStage()
+	prev := t.ma.SetPhase("dict-flush")
 	f()
-	d := time.Since(start)
+	t.ma.SetPhase(prev)
+	if released {
+		t.reclaimStage()
+	}
 	t.flushDepth--
-	t.flushHook(d)
+	if timed {
+		t.flushHook(time.Since(start))
+	}
 }
 
 // btnode is one tree node. Internal nodes have children and externally
@@ -250,20 +242,9 @@ func NewBufferTree(ma *aem.Machine) *BufferTree {
 	if cfg.M < 8*cfg.B {
 		panic(fmt.Sprintf("dict: BufferTree needs M ≥ 8B, got M=%d B=%d", cfg.M, cfg.B))
 	}
-	m := cfg.BlocksInMemory()
-	// The fan-out is ~m, capped so one streaming partition — a scan frame,
-	// d output frames and d separator keys — fits in internal memory.
-	d := (cfg.M - cfg.B) / (cfg.B + 1)
-	if d > m {
-		d = m
-	}
-	if d < 2 {
-		d = 2
-	}
 	t := &BufferTree{
 		ma:         ma,
 		cfg:        cfg,
-		fanout:     d,
 		rootCap:    cfg.Omega * cfg.M,
 		intCap:     cfg.M / 2,
 		leafBufCap: cfg.M / 4,
@@ -275,8 +256,19 @@ func NewBufferTree(ma *aem.Machine) *BufferTree {
 	return t
 }
 
-// Fanout returns the tree's fan-out d.
-func (t *BufferTree) Fanout() int { return t.fanout }
+// Fanout returns the tree's fan-out d: ~m, capped so one streaming
+// partition — a scan frame, d output frames and d separator keys — fits in
+// internal memory. When deamortized flushing and tail staging are both on,
+// a non-root partition runs with the stage's B slots still reserved
+// (spilling the stage on every step would re-fragment the root chain), so
+// d must fit beside it: d + (d+1)·B + B ≤ M.
+func (t *BufferTree) Fanout() int {
+	free := t.cfg.M - t.cfg.B
+	if t.deamortized && t.stage != nil {
+		free -= t.cfg.B
+	}
+	return max(2, min(t.cfg.BlocksInMemory(), free/(t.cfg.B+1)))
+}
 
 // RootCap returns the ω-adaptive root buffer capacity in items.
 func (t *BufferTree) RootCap() int { return t.rootCap }
@@ -319,24 +311,20 @@ func (t *BufferTree) Apply(ops []Op) []Result {
 // Flush implements Dict: every buffered update is pushed into the leaf
 // runs, then the rebuild condition is checked once.
 func (t *BufferTree) Flush() {
-	t.timeFlush(func() {
-		t.stagedSection(func() {
-			prev := t.ma.SetPhase("dict-flush")
-			t.forceFlush()
-			t.ma.SetPhase(prev)
-			t.maybeRebuild()
-		})
+	t.flushSection(true, func() {
+		t.forceFlush()
+		t.maybeRebuild()
 	})
 }
 
 // update appends a run of Insert/Delete ops to the root buffer. Whenever
 // the buffer reaches the ω·M threshold — also mid-batch, so a single huge
 // batch behaves exactly like the same ops trickling in — the root joins
-// the debt queue. Amortized mode drains the queue to empty on the spot
-// (the classic run-to-completion cascade); deamortized mode leaves the
-// debt for FlushStep and only force-flushes the root itself (one
-// node-flush) if occupancy reaches 2× the threshold, preserving the
-// root-chain occupancy bound without a full cascade on the write path.
+// the debt queue. Amortized mode pays the queue to empty on the spot (the
+// classic run-to-completion cascade, FlushStep(∞)); deamortized mode
+// leaves the debt for FlushStep and only flushes root installments itself
+// if occupancy reaches 2× the threshold, preserving the root-chain
+// occupancy bound without a full cascade on the write path.
 func (t *BufferTree) update(ops []Op) {
 	for i := 0; i < len(ops); {
 		room := t.rootCap - t.rootPending()
@@ -346,30 +334,24 @@ func (t *BufferTree) update(ops []Op) {
 		j := min(len(ops), i+room)
 		t.appendUpdates(ops[i:j])
 		i = j
-		if t.rootPending() >= t.rootCap {
-			t.addDebt(t.top)
-			if t.deamortized {
-				// Backstop: occupancy must never outrun the debt queue's
-				// drain rate unboundedly. Each installment is a bounded
-				// O(chunkCap) root-prefix flush, so even a huge batch pays
-				// its excess in bounded stalls rather than one cascade.
-				for t.rootPending() >= 2*t.rootCap && t.top.buf.blocks() > 0 {
-					t.timeFlush(func() {
-						prev := t.ma.SetPhase("dict-flush")
-						t.flushRootStep()
-						t.ma.SetPhase(prev)
-					})
+		if t.rootPending() < t.rootCap {
+			continue
+		}
+		t.addDebt(t.top)
+		if !t.deamortized {
+			t.flushSection(true, func() {
+				for t.payDebt() {
 				}
-				continue
-			}
-			t.timeFlush(func() {
-				t.stagedSection(func() {
-					prev := t.ma.SetPhase("dict-flush")
-					t.drainDebt()
-					t.ma.SetPhase(prev)
-					t.maybeRebuild()
-				})
+				t.maybeRebuild()
 			})
+			continue
+		}
+		// Backstop: occupancy must never outrun the debt queue's drain
+		// rate unboundedly. Each installment is a bounded O(chunkCap)
+		// root-prefix flush, so even a huge batch pays its excess in
+		// bounded stalls rather than one cascade.
+		for t.rootPending() >= 2*t.rootCap && t.top.buf.blocks() > 0 {
+			t.flushSection(false, func() { t.flushNode(t.top, t.rootStep()) })
 		}
 	}
 }
@@ -433,11 +415,35 @@ func (t *BufferTree) Debt() int { return len(t.debt) }
 // the bounded-stall contract.
 func (t *BufferTree) NodeFlushes() int64 { return t.nodeFlushes }
 
-// drainDebt retires the whole debt queue: pop front, skip nodes whose
-// buffers emptied in the meantime, flush the rest. Seeded with the root,
-// this visits nodes in exactly the breadth-first order of the classic
-// run-to-completion cascade, so amortized-mode accounting is unchanged.
-func (t *BufferTree) drainDebt() {
+// wholeBuffer is the block count that flushes a node's entire buffer —
+// for the root, with the staged tail spilled into its chain first.
+const wholeBuffer = math.MaxInt
+
+// rootStep returns how many of the root chain's oldest blocks one debt
+// payment flushes. Amortized mode pays the root whole: installments would
+// each re-read the separators and close d partial child frames, changing
+// the cascade's I/O. Deamortized mode pays it in installments of
+// ⌈chunkCap/B⌉ blocks, O(M) work each, because the root's debt is Θ(ωM)
+// items — the size of a whole cascade.
+func (t *BufferTree) rootStep() int {
+	if t.deamortized {
+		return (t.chunkCap + t.cfg.B - 1) / t.cfg.B
+	}
+	return wholeBuffer
+}
+
+// payDebt pops the oldest debt entry with work and pays it, reporting
+// whether there was one; entries whose buffers emptied in the meantime (a
+// root backstop, a barrier) are discarded on the way. A non-root node is
+// flushed whole. The root is flushed by rootStep() blocks and rejoins the
+// back of the queue until its chain is empty; draining it to empty (not
+// merely below rootCap) matches the amortized mode's average occupancy
+// and keeps snapshot reads from scanning a permanently full root chain.
+// Any flush order is safe because every entry carries its sequence number
+// and winners are chosen by it. Seeded with the root and paid until the
+// queue is empty, this visits nodes in exactly the breadth-first order of
+// the classic run-to-completion cascade.
+func (t *BufferTree) payDebt() bool {
 	for len(t.debt) > 0 {
 		nd := t.debt[0]
 		t.debt = t.debt[1:]
@@ -445,181 +451,59 @@ func (t *BufferTree) drainDebt() {
 		if nd.buf.n == 0 {
 			continue
 		}
-		t.flushNode(nd)
+		k := wholeBuffer
+		if nd == t.top {
+			k = t.rootStep()
+		}
+		t.flushNode(nd, k)
+		if nd.buf.blocks() > 0 {
+			t.addDebt(nd) // a root installment left blocks behind
+		}
+		return true
 	}
+	return false
 }
 
-// FlushStep performs at most budget node-flushes from the debt queue and
-// returns how many it performed. Queue entries whose buffers are already
-// empty are discarded without counting toward the budget. Each step is
-// its own timed flush section, so a flush hook observes exactly the
-// bounded stall a caller pays. Children pushed over their threshold by a
-// step join the back of the queue; the caller keeps stepping (or calls
-// Flush) to retire them.
+// FlushStep pays at most budget node-flushes from the debt queue (see
+// payDebt) and returns how many it performed; discarded empty entries do
+// not count toward the budget. The steps are one timed flush section, so a
+// flush hook observes exactly the bounded stall a caller pays. Children
+// pushed over their threshold by a step join the back of the queue; the
+// caller keeps stepping (or calls Flush) to retire them.
 func (t *BufferTree) FlushStep(budget int) int {
 	if budget <= 0 || len(t.debt) == 0 {
 		return 0
 	}
 	done := 0
-	t.timeFlush(func() {
-		prev := t.ma.SetPhase("dict-flush")
-		for done < budget && len(t.debt) > 0 {
-			nd := t.debt[0]
-			t.debt = t.debt[1:]
-			nd.inDebt = false
-			if nd.buf.n == 0 {
-				continue
-			}
-			if nd == t.top {
-				// The root's debt is Θ(ωM) items — the size of a whole
-				// cascade — so it is paid in bounded installments: flush
-				// the oldest ~chunkCap items, then rejoin the back of the
-				// queue until the chain is empty. Draining to empty (not
-				// merely below rootCap) matters doubly: it matches the
-				// amortized mode's average occupancy, and it keeps
-				// snapshot reads from scanning a permanently full root
-				// chain. Any flush order is safe because every entry
-				// carries its sequence number and winners are chosen by
-				// it.
-				t.flushRootStep()
-				if t.top.buf.blocks() > 0 {
-					t.addDebt(nd)
-				}
-			} else {
-				t.flushNode(nd)
-			}
+	t.flushSection(false, func() {
+		for done < budget && t.payDebt() {
 			done++
 		}
-		t.ma.SetPhase(prev)
 	})
 	return done
 }
 
-// flushRootStep flushes one bounded installment of the root buffer: the
-// oldest ⌈chunkCap/B⌉ chain blocks are partitioned among the children (or
-// merge-applied, while the tree is a single leaf), leaving the rest of the
-// chain — and the staged tail, which holds the newest partial block and
-// need not ride down — in place. This is the deamortized counterpart of a
-// full root flush: O(M) work per call instead of Θ(ωM).
-func (t *BufferTree) flushRootStep() {
-	nd := t.top
-	if nd.buf.blocks() == 0 {
-		return
-	}
-	stepBlocks := (t.chunkCap + t.cfg.B - 1) / t.cfg.B
-	if nd.isLeaf() {
-		t.applyLeafPrefix(nd, stepBlocks)
-		return
-	}
-	t.partitionPrefix(nd, stepBlocks)
-	for _, kid := range nd.kids {
-		if kid.buf.n >= t.threshold(kid) {
-			t.addDebt(kid)
-		}
-	}
-}
-
-// partitionPrefix distributes the items of a node's oldest maxBlocks chain
-// blocks among its children and detaches those blocks from the buffer.
-// Unlike partition it runs with the stage resident: the staged tail holds
-// newer items than any chain block, and refitFanout sized the fan-out so
-// d separators + (d+1) frames fit beside the stage's reserved block.
-func (t *BufferTree) partitionPrefix(nd *btnode, maxBlocks int) {
-	t.nodeFlushes++
-	k := maxBlocks
-	if k > nd.buf.blocks() {
-		k = nd.buf.blocks()
-	}
-	seps := t.readSeps(nd) // holds len(kids) slots until released below
-	d := len(nd.kids)
-	t.ma.Reserve((d + 1) * t.cfg.B)
-	prefix := chain{addrs: nd.buf.addrs[:k]}
-	scan := newChainScanner(t.ma, &prefix, t.frame)
-	writers := make([]*chainWriter, d)
-	for i, kid := range nd.kids {
-		writers[i] = newChainWriter(t.ma, &kid.buf, make([]aem.Item, 0, t.cfg.B))
-	}
-	moved := 0
-	for {
-		it, ok := scan.next()
-		if !ok {
-			break
-		}
-		moved++
-		writers[route(seps, it.Key)].append(it)
-	}
-	for _, w := range writers {
-		w.close()
-	}
-	nd.buf.addrs = nd.buf.addrs[k:]
-	nd.buf.n -= moved
-	t.ma.Release((d + 1) * t.cfg.B)
-	t.ma.Release(d) // separators
-}
-
-// applyLeafPrefix merge-applies the items of a leaf's oldest maxBlocks
-// chain blocks into its run and detaches those blocks. The prefix is at
-// most chunkCap+B items, so it sorts in internal memory — the external
-// mergesort path of a full applyLeaf is never needed for an installment.
-func (t *BufferTree) applyLeafPrefix(leaf *btnode, maxBlocks int) {
-	t.nodeFlushes++
-	k := maxBlocks
-	if k > leaf.buf.blocks() {
-		k = leaf.buf.blocks()
-	}
-	t.ma.Reserve(k*t.cfg.B + t.cfg.B)
-	prefix := chain{addrs: leaf.buf.addrs[:k]}
-	chunk := make([]aem.Item, 0, k*t.cfg.B)
-	scan := newChainScanner(t.ma, &prefix, t.frame)
-	for {
-		it, ok := scan.next()
-		if !ok {
-			break
-		}
-		chunk = append(chunk, it)
-	}
-	sortEntries(chunk)
-	i := 0
-	t.mergeApply(leaf, func() (aem.Item, bool) {
-		if i < len(chunk) {
-			i++
-			return chunk[i-1], true
-		}
-		return aem.Item{}, false
-	})
-	leaf.buf.addrs = leaf.buf.addrs[k:]
-	leaf.buf.n -= len(chunk)
-	t.ma.Release(k*t.cfg.B + t.cfg.B)
-}
-
-// flushNode performs one node-flush: partition an internal node's buffer
-// among its children (enqueuing any child pushed over its threshold), or
-// merge-apply a leaf's buffer into its run. The staging interplay is
-// per-node: flushing the root spills the stage first (its items belong to
-// the root buffer and ride the partition down); a big leaf apply spills
-// it too, because the external mergesort sizes itself to all of M; every
-// other case runs with the stage resident — refitFanout guarantees a
-// non-root partition fits beside it, and spilling on every step would
-// re-fragment the chain staging exists to defragment. Inside a section
-// that already spilled (amortized drains, barriers) the nested sections
-// are no-ops.
-func (t *BufferTree) flushNode(nd *btnode) {
+// flushNode performs one node-flush of the oldest k blocks of nd's buffer
+// (wholeBuffer: all of it): partition them among an internal node's
+// children, enqueuing any child pushed over its threshold, or merge-apply
+// them into a leaf's run. It is the only node-flush: the cascade, the
+// deamortized steps, the root backstop and the barrier all come here.
+// Only a whole root flush spills the stage (its items belong to the root
+// buffer and ride the partition down), and only an external leaf apply
+// releases its reservation; every other flush runs with the stage
+// resident — Fanout guarantees a non-root partition fits beside it, and
+// spilling on every step would re-fragment the chain staging exists to
+// defragment.
+func (t *BufferTree) flushNode(nd *btnode, k int) {
 	if nd.buf.n == 0 {
 		return
 	}
+	t.nodeFlushes++
 	if nd.isLeaf() {
-		if nd == t.top || nd.buf.n > t.chunkCap {
-			t.stagedSection(func() { t.applyLeaf(nd) })
-		} else {
-			t.applyLeaf(nd)
-		}
+		t.applyLeaf(nd, k)
 		return
 	}
-	if nd == t.top {
-		t.stagedSection(func() { t.partition(nd) })
-	} else {
-		t.partition(nd)
-	}
+	t.partition(nd, k)
 	for _, kid := range nd.kids {
 		if kid.buf.n >= t.threshold(kid) {
 			t.addDebt(kid)
@@ -628,22 +512,14 @@ func (t *BufferTree) flushNode(nd *btnode) {
 }
 
 // forceFlush pushes every buffer in the tree down to the leaves regardless
-// of thresholds. Every buffer is empty afterwards, so any queued debt is
-// settled wholesale and the queue is cleared.
+// of thresholds, level by level. Every buffer is empty afterwards, so any
+// queued debt is settled wholesale and the queue is cleared.
 func (t *BufferTree) forceFlush() {
 	level := []*btnode{t.top}
 	for len(level) > 0 {
 		var next []*btnode
 		for _, nd := range level {
-			if nd.isLeaf() {
-				if nd.buf.n > 0 {
-					t.applyLeaf(nd)
-				}
-				continue
-			}
-			if nd.buf.n > 0 {
-				t.partition(nd)
-			}
+			t.flushNode(nd, wholeBuffer)
 			next = append(next, nd.kids...)
 		}
 		level = next
@@ -652,6 +528,15 @@ func (t *BufferTree) forceFlush() {
 		nd.inDebt = false
 	}
 	t.debt = t.debt[:0]
+}
+
+// prefix returns the oldest k blocks of nd's buffer as a chain to scan
+// (wholeBuffer: every block, after spilling the root's staged tail).
+func (t *BufferTree) prefix(nd *btnode, k int) chain {
+	if k == wholeBuffer && nd == t.top {
+		t.spillStage()
+	}
+	return chain{addrs: nd.buf.addrs[:min(k, nd.buf.blocks())]}
 }
 
 func (t *BufferTree) threshold(nd *btnode) int {
@@ -699,81 +584,101 @@ func (t *BufferTree) writeSeps(nd *btnode, seps []int64) {
 	t.ma.Release(t.cfg.B)
 }
 
-// route returns the index of the child covering key k.
+// route returns the index of the child covering key k: child i covers
+// [seps[i], seps[i+1]), with seps[0] acting as -∞ and the last interval
+// open-ended. A binary search without a closure, so the snapshot lookup
+// path stays allocation-free.
 func route(seps []int64, k int64) int {
-	// First child covers (-∞, seps[1]); seps[0] is its stored low bound
-	// but acts as -∞.
-	i := sort.Search(len(seps)-1, func(j int) bool { return k < seps[j+1] })
-	return i
+	lo, hi := 0, len(seps)-1
+	for lo < hi {
+		mid := int(uint(lo+hi) >> 1)
+		if k < seps[mid+1] {
+			hi = mid
+		} else {
+			lo = mid + 1
+		}
+	}
+	return lo
 }
 
-// partition streams an internal node's buffer once and distributes the
-// updates among the children's buffers: one scan frame in, d output frames
-// out, d separator keys resident.
-func (t *BufferTree) partition(nd *btnode) {
-	t.nodeFlushes++
+// partition streams the oldest k blocks of an internal node's buffer once
+// and distributes their updates among the children's buffers — one scan
+// frame in, d output frames out, d separator keys resident — then detaches
+// those blocks.
+func (t *BufferTree) partition(nd *btnode, k int) {
+	pre := t.prefix(nd, k)
 	seps := t.readSeps(nd) // holds len(kids) slots until released below
 	d := len(nd.kids)
 	t.ma.Reserve((d + 1) * t.cfg.B)
-	scan := newChainScanner(t.ma, &nd.buf, t.frame)
+	scan := newChainScanner(t.ma, &pre, t.frame)
 	writers := make([]*chainWriter, d)
 	for i, kid := range nd.kids {
 		writers[i] = newChainWriter(t.ma, &kid.buf, make([]aem.Item, 0, t.cfg.B))
 	}
+	moved := 0
 	for {
 		it, ok := scan.next()
 		if !ok {
 			break
 		}
+		moved++
 		writers[route(seps, it.Key)].append(it)
 	}
 	for _, w := range writers {
 		w.close()
 	}
-	nd.buf.reset()
+	nd.buf.dropPrefix(pre.blocks(), moved)
 	t.ma.Release((d + 1) * t.cfg.B)
 	t.ma.Release(d) // separators
 }
 
-// applyLeaf merges a leaf's buffered updates into its sorted run in ONE
-// streaming pass over the run, so the run is rewritten once per apply no
-// matter how many updates arrived. A buffer that fits in M/2 items is
-// sorted in internal memory (free computation); a bigger buffer — a root
-// cascade can dump up to ω·M updates on one leaf — is materialized and
-// sorted with the repository's own AEM mergesort, which converts the
-// would-be write amplification into cheap read passes, exactly the trade
-// the model rewards.
-func (t *BufferTree) applyLeaf(leaf *btnode) {
-	t.nodeFlushes++
-	if leaf.buf.n <= t.chunkCap {
-		t.ma.Reserve(t.chunkCap + t.cfg.B)
-		chunk := make([]aem.Item, 0, leaf.buf.n)
-		scan := newChainScanner(t.ma, &leaf.buf, t.frame)
-		for {
-			it, ok := scan.next()
-			if !ok {
-				break
-			}
-			chunk = append(chunk, it)
-		}
-		sortEntries(chunk)
-		i := 0
-		t.mergeApply(leaf, func() (aem.Item, bool) {
-			if i < len(chunk) {
-				i++
-				return chunk[i-1], true
-			}
-			return aem.Item{}, false
-		})
-		t.ma.Release(t.chunkCap + t.cfg.B)
-	} else {
+// applyLeaf merges the updates in the oldest k blocks of a leaf's buffer
+// into its sorted run in ONE streaming pass over the run, so the run is
+// rewritten once per apply no matter how many updates arrived, then
+// detaches those blocks. A whole buffer of up to M/2 items, or a bounded
+// prefix, is sorted in internal memory (free computation); a bigger whole
+// buffer — a root cascade can dump up to ω·M updates on one leaf — is
+// materialized and sorted with the repository's own AEM mergesort, which
+// converts the would-be write amplification into cheap read passes,
+// exactly the trade the model rewards. That external path sizes itself to
+// all of M, so it runs with the stage spilled.
+func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
+	pre := t.prefix(leaf, k)
+	if k == wholeBuffer && leaf.buf.n > t.chunkCap {
+		released := t.releaseStage()
 		v := t.materializeBuf(&leaf.buf)
 		sorted := sorting.MergeSort(t.ma, v)
 		sc := sorted.NewScanner()
 		t.mergeApply(leaf, sc.Next)
 		sc.Close()
+		if released {
+			t.reclaimStage()
+		}
+		leaf.buf.reset()
+		return
 	}
-	leaf.buf.reset()
+	room := min(leaf.buf.n, pre.blocks()*t.cfg.B) // items the prefix can hold
+	t.ma.Reserve(room + t.cfg.B)
+	chunk := make([]aem.Item, 0, room)
+	scan := newChainScanner(t.ma, &pre, t.frame)
+	for {
+		it, ok := scan.next()
+		if !ok {
+			break
+		}
+		chunk = append(chunk, it)
+	}
+	sortEntries(chunk)
+	i := 0
+	t.mergeApply(leaf, func() (aem.Item, bool) {
+		if i < len(chunk) {
+			i++
+			return chunk[i-1], true
+		}
+		return aem.Item{}, false
+	})
+	leaf.buf.dropPrefix(pre.blocks(), len(chunk))
+	t.ma.Release(room + t.cfg.B)
 }
 
 // materializeBuf copies a buffer chain into a fresh contiguous vector so
@@ -883,11 +788,7 @@ func (t *BufferTree) Compact() bool {
 	if len(t.debt) > 0 || !t.needRebuild() {
 		return false
 	}
-	t.timeFlush(func() {
-		t.stagedSection(func() {
-			t.maybeRebuild()
-		})
-	})
+	t.flushSection(true, t.maybeRebuild)
 	return true
 }
 
@@ -965,12 +866,12 @@ func (t *BufferTree) rebuild() {
 	t.runLen = live
 
 	// Erect internal levels, writing each node's separator keys.
-	level, lvLows := newLeaves, lows
+	level, lvLows, d := newLeaves, lows, t.Fanout()
 	for len(level) > 1 {
 		var parents []*btnode
 		var parentLows []int64
-		for lo := 0; lo < len(level); lo += t.fanout {
-			hi := min(lo+t.fanout, len(level))
+		for lo := 0; lo < len(level); lo += d {
+			hi := min(lo+d, len(level))
 			nd := &btnode{kids: append([]*btnode(nil), level[lo:hi]...)}
 			t.writeSeps(nd, lvLows[lo:hi])
 			parents = append(parents, nd)

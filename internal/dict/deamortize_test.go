@@ -281,7 +281,7 @@ func runFlushFingerprint(cfg aem.Config, staged, deam bool) (flushFingerprint, i
 // oracle for the staged and deamortized paths: any change to the order,
 // granularity or memory layout of node-flushes moves a number here.
 func TestFlushAccountingFingerprint(t *testing.T) {
-	// Captured before the flush engines were merged into one.
+	// Pinned values: a refactor of the flush path must reproduce them.
 	want := map[string]flushFingerprint{
 		"256-16-2/unstaged-amortized":   {2296207, 32305, 2360817, 32305, 909, 14, 3, 5432, 0x5e6e717bd7c70e7},
 		"256-16-2/staged-amortized":     {591003, 16814, 624631, 16814, 909, 14, 3, 5432, 0x5e6e717bd7c70e7},

@@ -171,6 +171,17 @@ func (c *chain) reset() {
 	c.n = 0
 }
 
+// dropPrefix detaches the chain's oldest k blocks, which hold n items
+// (a flush just moved them down). Dropping every block is a reset.
+func (c *chain) dropPrefix(k, n int) {
+	if k == len(c.addrs) {
+		c.reset()
+		return
+	}
+	c.addrs = c.addrs[k:]
+	c.n -= n
+}
+
 // blocks returns the number of blocks the chain occupies.
 func (c *chain) blocks() int { return len(c.addrs) }
 

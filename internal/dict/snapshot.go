@@ -181,17 +181,6 @@ func readSnapSeps(r BlockReader, nd *snapNode, sc *GetScratch) ([]int64, int64) 
 	return seps, reads
 }
 
-// routeSeps is route() without the sort.Search closure, so the lookup
-// path stays allocation-free. Child i covers [seps[i], seps[i+1]), with
-// seps[0] acting as -∞ and the last interval open-ended.
-func routeSeps(seps []int64, k int64) int {
-	i := 0
-	for i+1 < len(seps) && k >= seps[i+1] {
-		i++
-	}
-	return i
-}
-
 // Get answers one point lookup against the snapshot: the value associated
 // with key at capture time, whether it was present, and the number of
 // blocks read. sc may be nil (scratch is then allocated per call); pass a
@@ -240,7 +229,7 @@ func (s *TreeSnapshot) Get(r BlockReader, key int64, sc *GetScratch) (value int6
 		}
 		seps, n := readSnapSeps(r, nd, sc)
 		reads += n
-		nd = nd.kids[routeSeps(seps, key)]
+		nd = nd.kids[route(seps, key)]
 	}
 	if best != 0 && entryKind(best) == Insert {
 		return entryValue(best), true, reads
@@ -342,8 +331,8 @@ func (rs *rangeScan) walk(nd *snapNode) {
 	// Recurse into every child whose interval intersects [lo, hi).
 	// Separator keys live in sc.seps, which the recursion reuses, so
 	// the child indexes are resolved before descending.
-	first := routeSeps(seps, rs.lo)
-	last := routeSeps(seps, rs.hi-1)
+	first := route(seps, rs.lo)
+	last := route(seps, rs.hi-1)
 	for _, kid := range nd.kids[first : last+1] {
 		rs.walk(kid)
 	}

@@ -314,7 +314,7 @@ func shapeOf(tree *BufferTree) map[*btnode]nodeShape {
 // mutationSites classifies what a step did to the tree by diffing node
 // shapes. Addresses are never reused and appends never change a chain's
 // first block, so: a chain whose new first block was a later block of the
-// old chain lost a prefix (partitionPrefix / applyLeafPrefix); a non-root
+// old chain lost a prefix (a prefix partition or prefix apply); a non-root
 // internal buffer whose first block changed otherwise was reset (only
 // partition empties those); a leaf whose run changed got a fresh run from
 // mergeApply; a new top node means rebuild ran.
@@ -332,9 +332,9 @@ func mutationSites(before, after map[*btnode]nodeShape, oldTop, newTop *btnode, 
 			switch {
 			case len(a.buf) > 0 && slices.Contains(b.buf[1:], a.buf[0]):
 				if a.internal {
-					hit["partitionPrefix"]++
+					hit["prefix partition"]++
 				} else {
-					hit["applyLeafPrefix"]++
+					hit["prefix apply"]++
 				}
 			case a.internal && nd != newTop && (len(a.buf) == 0 || a.buf[0] != b.buf[0]):
 				hit["partition reset"]++
@@ -441,7 +441,7 @@ func TestSnapshotIsolationUnderSharing(t *testing.T) {
 			if mode.deam {
 				// Amortized cascades rebuild inline, so Compact only ever
 				// has work in deamortized mode.
-				want = append(want, "partitionPrefix", "applyLeafPrefix", "Compact")
+				want = append(want, "prefix partition", "prefix apply", "Compact")
 			}
 			for _, site := range want {
 				if hit[site] == 0 {

@@ -591,9 +591,10 @@ func (s *Service) Shards() int { return len(s.shards) }
 func (s *Service) ShardWatermark(i int) int64 { return s.shards[i].snap.Load().watermark }
 
 // Stats aggregates accounting across shards. Machine counters are only
-// coherent at quiescence (committers idle — every submitted op acked);
-// the atomics (SnapReads, Flushes, MaxFlushNS, Committed) are exact at
-// any time.
+// coherent at quiescence: amortized, once every submitted op is acked;
+// deamortized, only after Close, because an idle committer keeps retiring
+// debt and compacting after the last ack. The atomics (SnapReads,
+// Flushes, MaxFlushNS, Committed) are exact at any time.
 func (s *Service) Stats() Stats {
 	var out Stats
 	out.Shards = len(s.shards)

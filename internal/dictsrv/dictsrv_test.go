@@ -351,6 +351,10 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 	}
 	wg.Wait()
 
+	// Every op is acked, but a deamortized committer may still be retiring
+	// idle debt or compacting: Close joins the committers, and only then
+	// are the machine counters quiescent.
+	svc.Close()
 	st := svc.Stats()
 	if st.Flushes == 0 {
 		t.Fatal("hammer never flushed; shrink the machine or raise iters")
@@ -358,7 +362,6 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 	if st.MaxFlushNS <= 0 {
 		t.Fatal("flushes happened but no stall was recorded")
 	}
-	svc.Close()
 }
 
 // TestGetSteadyStateAllocs pins the zero-allocation claim of the serving

@@ -172,9 +172,9 @@ func specL3() *Spec {
 			}
 			omega, mode := p.Int("omega"), p.Str("mode")
 			cfg := dictsrv.Config{
-				Shards:     shards,
-				Machine:    aem.Config{M: 1024, B: 32, Omega: omega},
-				KeyLo:      0, KeyHi: keyspace,
+				Shards:  shards,
+				Machine: aem.Config{M: 1024, B: 32, Omega: omega},
+				KeyLo:   0, KeyHi: keyspace,
 				Deamortize: mode == "deamortized",
 			}
 			rep, st, lat := serveRow(cfg, sc, goroutines, nOps, Seed+42)

@@ -143,9 +143,9 @@ func TestDeamortizedStallAcceptance(t *testing.T) {
 	}
 	run := func(deam bool) (rep dictsrv.LoadReport, st dictsrv.Stats) {
 		cfg := dictsrv.Config{
-			Shards:     2,
-			Machine:    aem.Config{M: 1024, B: 32, Omega: 16},
-			KeyLo:      0, KeyHi: 65536,
+			Shards:  2,
+			Machine: aem.Config{M: 1024, B: 32, Omega: 16},
+			KeyLo:   0, KeyHi: 65536,
 			Deamortize: deam,
 		}
 		rep, st, _ = serveRow(cfg, workload.DriftOps, 1, 160000, Seed+42)
