@@ -3,6 +3,7 @@ package aem
 import (
 	"fmt"
 	"os"
+	"sync"
 	"unsafe"
 )
 
@@ -15,19 +16,23 @@ import (
 // bounds.FitOmega and the EXP-IO specs).
 //
 // Block a occupies the byte range [a·stride, (a+1)·stride) of the file;
-// live lengths are a RAM side table, exactly as in ArenaStorage. Two I/O
-// modes share the layout:
+// live lengths are a segmented RAM side table, exactly as in
+// ArenaStorage. Two I/O modes share the layout:
 //
-//   - FileMmap (default): the file is mapped read/write and transfers are
-//     memcpys against the mapping. The page cache absorbs traffic, so
-//     this measures a cached device — still real dirty-page writeback,
-//     but reads served from RAM after first touch.
+//   - FileMmap (default): one fixed window of mapWindow bytes is mapped
+//     read/write at construction and never remapped; growth extends the
+//     file under it with ftruncate alone, so blocks never move and
+//     transfers are memcpys against a stable mapping. The page cache
+//     absorbs traffic, so this measures a cached device — still real
+//     dirty-page writeback, but reads served from RAM after first touch.
 //   - FileDirect: transfers are ReadAt/WriteAt on a descriptor opened
 //     with O_DIRECT where the platform and filesystem support it, with
-//     stride, offsets and the transfer buffer aligned to directAlign so
-//     the kernel's direct-I/O constraints hold. Where O_DIRECT is
-//     unavailable (non-Linux, or tmpfs) the engine degrades to buffered
-//     positional I/O and reports Direct() == false.
+//     stride, offsets and transfer buffers aligned to directAlign so the
+//     kernel's direct-I/O constraints hold; each read takes its own
+//     aligned buffer from a pool, so concurrent readers never share one.
+//     Where O_DIRECT is unavailable (non-Linux, or tmpfs) the engine
+//     degrades to buffered positional I/O straight through the caller's
+//     items and reports Direct() == false.
 //
 // Storage I/O failures panic: the machine's Read/Write signatures are
 // error-free by design (an algorithm cannot meaningfully continue on a
@@ -74,13 +79,15 @@ type FileStorage struct {
 
 	b      int   // block capacity in items
 	stride int64 // bytes per block slot in the file
-	lens   []int32
+	n      int   // blocks allocated
+	lens   segDir[int32]
 
 	useMmap bool
-	direct  bool // O_DIRECT actually engaged
-	capBlk  int  // block slots the file is currently sized for
-	mm      []byte
-	xfer    []byte // aligned full-stride transfer buffer (non-mmap path)
+	direct  bool      // O_DIRECT actually engaged
+	capBlk  int       // block slots the file is currently sized for
+	mm      []byte    // the fixed mapping window (mmap mode)
+	wbuf    []byte    // Write's aligned transfer buffer (O_DIRECT)
+	rbufs   sync.Pool // *[]byte aligned buffers, one per concurrent ReadInto (O_DIRECT)
 	closed  bool
 }
 
@@ -120,14 +127,30 @@ func NewFileStorage(path string, blockSize int, mode FileMode) (*FileStorage, er
 	if err != nil {
 		return nil, fmt.Errorf("aem: NewFileStorage: %w", err)
 	}
-	if !s.useMmap {
-		// Aligned scratch buffer for the positional path: over-allocate
-		// and slice to a directAlign boundary so O_DIRECT accepts it.
-		raw := make([]byte, s.stride+directAlign)
-		off := directAlign - int(uintptr(unsafe.Pointer(&raw[0]))%directAlign)
-		s.xfer = raw[off : off+int(s.stride)]
+	if s.useMmap {
+		if s.mm, err = mmapFile(s.f, mapWindow); err != nil {
+			s.f.Close()
+			return nil, fmt.Errorf("aem: NewFileStorage: map %d bytes: %w", mapWindow, err)
+		}
+	}
+	if s.direct {
+		// Writes come from the owner alone, so one buffer serves them;
+		// reads may run concurrently, so each takes its own from a pool.
+		s.wbuf = alignedBuf(s.stride)
+		s.rbufs.New = func() any {
+			buf := alignedBuf(s.stride)
+			return &buf
+		}
 	}
 	return s, nil
+}
+
+// alignedBuf returns an n-byte buffer starting on a directAlign boundary,
+// as O_DIRECT transfers require: it over-allocates and slices.
+func alignedBuf(n int64) []byte {
+	raw := make([]byte, n+directAlign)
+	off := directAlign - int(uintptr(unsafe.Pointer(&raw[0]))%directAlign)
+	return raw[off : off+int(n)]
 }
 
 // NewTempFileStorage creates an engine over a fresh temp file in dir
@@ -171,80 +194,67 @@ func (s *FileStorage) BlockSize() int { return s.b }
 func (s *FileStorage) Stride() int64 { return s.stride }
 
 // Alloc implements Storage. Growing is an ftruncate (sparse, so untouched
-// slots cost no disk) plus, in mmap mode, a remap; capacity doubles so
-// steady-state allocation is amortized O(1) remaps.
+// slots cost no disk) under the fixed mapping; capacity doubles, so
+// steady-state allocation is amortized O(1) syscalls.
 func (s *FileStorage) Alloc(count int) Addr {
 	s.mustOpen("Alloc")
-	base := Addr(len(s.lens))
-	s.lens = append(s.lens, make([]int32, count)...)
-	if need := len(s.lens); need > s.capBlk {
-		capBlk := s.capBlk * 2
-		if capBlk < need {
-			capBlk = need
-		}
-		if capBlk < 16 {
-			capBlk = 16
-		}
-		s.grow(capBlk)
+	base := Addr(s.n)
+	if count <= 0 {
+		return base
 	}
+	need := s.n + count
+	if need > s.capBlk {
+		capBlk := max(2*s.capBlk, need, 16)
+		if s.useMmap {
+			window := int(int64(len(s.mm)) / s.stride)
+			if need > window {
+				panic(fmt.Sprintf("aem: file engine %s: %d blocks exceed the %d-block mapping window", s.path, need, window))
+			}
+			capBlk = min(capBlk, window)
+		}
+		if err := s.f.Truncate(int64(capBlk) * s.stride); err != nil {
+			panic(fmt.Sprintf("aem: file engine %s: grow to %d blocks: %v", s.path, capBlk, err))
+		}
+		s.capBlk = capBlk
+	}
+	s.lens.cover(need, 1)
+	s.n = need
 	return base
 }
 
-// grow resizes the file to capBlk slots and refreshes the mapping.
-func (s *FileStorage) grow(capBlk int) {
-	if err := s.unmap(); err != nil {
-		panic(fmt.Sprintf("aem: file engine %s: unmap before grow: %v", s.path, err))
-	}
-	if err := s.f.Truncate(int64(capBlk) * s.stride); err != nil {
-		panic(fmt.Sprintf("aem: file engine %s: grow to %d blocks: %v", s.path, capBlk, err))
-	}
-	s.capBlk = capBlk
-	if s.useMmap {
-		mm, err := mmapFile(s.f, int(int64(capBlk)*s.stride))
-		if err != nil {
-			panic(fmt.Sprintf("aem: file engine %s: map %d blocks: %v", s.path, capBlk, err))
-		}
-		s.mm = mm
-	}
-}
-
-// unmap drops the current mapping, if any.
-func (s *FileStorage) unmap() error {
-	if s.mm == nil {
-		return nil
-	}
-	mm := s.mm
-	s.mm = nil
-	return munmapFile(mm)
-}
-
 // NumBlocks implements Storage.
-func (s *FileStorage) NumBlocks() int { return len(s.lens) }
+func (s *FileStorage) NumBlocks() int { return s.n }
 
 // Len implements Storage.
-func (s *FileStorage) Len(a Addr) int { return int(s.lens[a]) }
+func (s *FileStorage) Len(a Addr) int {
+	seg, off := locate(a)
+	return int(s.lens[seg][off])
+}
 
 // ReadInto implements Storage.
 func (s *FileStorage) ReadInto(a Addr, dst []Item) []Item {
-	n := int(s.lens[a])
+	n := s.Len(a)
 	dst = sizedDst(dst, n)
 	if n == 0 {
 		return dst
 	}
 	off := int64(a) * s.stride
-	if s.useMmap {
+	switch {
+	case s.useMmap:
 		copy(itemBytes(dst), s.mm[off:off+int64(n*itemSize)])
-		return dst
+	case s.direct:
+		buf := s.rbufs.Get().(*[]byte) // O_DIRECT length must stay aligned
+		_, err := s.f.ReadAt(*buf, off)
+		copy(itemBytes(dst), *buf)
+		s.rbufs.Put(buf)
+		if err != nil {
+			panic(fmt.Sprintf("aem: file engine %s: read block %d: %v", s.path, a, err))
+		}
+	default:
+		if _, err := s.f.ReadAt(itemBytes(dst), off); err != nil {
+			panic(fmt.Sprintf("aem: file engine %s: read block %d: %v", s.path, a, err))
+		}
 	}
-	want := n * itemSize
-	span := want
-	if s.direct {
-		span = int(s.stride) // O_DIRECT length must stay aligned
-	}
-	if _, err := s.f.ReadAt(s.xfer[:span], off); err != nil {
-		panic(fmt.Sprintf("aem: file engine %s: read block %d: %v", s.path, a, err))
-	}
-	copy(itemBytes(dst), s.xfer[:want])
 	return dst
 }
 
@@ -255,42 +265,38 @@ func (s *FileStorage) Write(a Addr, items []Item) {
 		panic(fmt.Sprintf("aem: file Write(%d): %d items exceed block capacity %d", a, len(items), s.b))
 	}
 	off := int64(a) * s.stride
-	n := len(items) * itemSize
-	if s.useMmap {
+	var err error
+	switch {
+	case s.useMmap:
 		copy(s.mm[off:], itemBytes(items))
-	} else {
-		span := n
-		if s.direct {
-			// Full-slot transfer: pad the tail with zeros rather than
-			// leak whatever the scratch buffer last held to disk.
-			span = int(s.stride)
-			for i := n; i < span; i++ {
-				s.xfer[i] = 0
-			}
-		}
-		copy(s.xfer, itemBytes(items))
-		if _, err := s.f.WriteAt(s.xfer[:span], off); err != nil {
-			panic(fmt.Sprintf("aem: file engine %s: write block %d: %v", s.path, a, err))
-		}
+	case s.direct:
+		// Full-slot transfer: pad the tail with zeros rather than leak
+		// whatever the buffer last held to disk.
+		clear(s.wbuf[copy(s.wbuf, itemBytes(items)):])
+		_, err = s.f.WriteAt(s.wbuf, off)
+	default:
+		_, err = s.f.WriteAt(itemBytes(items), off)
 	}
-	s.lens[a] = int32(len(items))
+	if err != nil {
+		panic(fmt.Sprintf("aem: file engine %s: write block %d: %v", s.path, a, err))
+	}
+	seg, slot := locate(a)
+	s.lens[seg][slot] = int32(len(items))
 }
 
 // Reset implements Storage: the Reset contract for a stateful engine is
 // truncate, not leak — the file shrinks to zero bytes, so a recycled
 // engine cannot serve (or keep paying disk for) a previous run's blocks.
-// The next Alloc re-extends the file; newly extended regions read as
-// zeros, which is exactly the fresh-engine behavior the conformance suite
-// demands.
+// The mapping stays: the next Alloc re-extends the file under it, and
+// newly extended regions read as zeros, which is exactly the fresh-engine
+// behavior the conformance suite demands.
 func (s *FileStorage) Reset() {
 	s.mustOpen("Reset")
-	if err := s.unmap(); err != nil {
-		panic(fmt.Sprintf("aem: file engine %s: unmap on Reset: %v", s.path, err))
-	}
 	if err := s.f.Truncate(0); err != nil {
 		panic(fmt.Sprintf("aem: file engine %s: truncate on Reset: %v", s.path, err))
 	}
-	s.lens = s.lens[:0]
+	s.lens.clear(s.n, 1)
+	s.n = 0
 	s.capBlk = 0
 }
 
@@ -319,7 +325,11 @@ func (s *FileStorage) Close() error {
 		return nil
 	}
 	s.closed = true
-	err := s.unmap()
+	var err error
+	if s.mm != nil {
+		err = munmapFile(s.mm)
+		s.mm = nil
+	}
 	if cerr := s.f.Close(); err == nil {
 		err = cerr
 	}

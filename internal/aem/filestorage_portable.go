@@ -14,6 +14,8 @@ import (
 
 const mmapSupported = false
 
+const mapWindow = 0
+
 const directOpenFlag = 0
 
 func mmapFile(f *os.File, length int) ([]byte, error) {

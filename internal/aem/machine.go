@@ -465,13 +465,13 @@ func (ma *Machine) checkAddr(a Addr, op string) {
 // check runs on every I/O, so it must not pay interface dispatch either.
 func (ma *Machine) nblocks() int {
 	if ma.arena != nil {
-		return len(ma.arena.lens)
+		return ma.arena.n
 	}
 	if ma.counting != nil {
-		return len(ma.counting.lens)
+		return ma.counting.n
 	}
 	if ma.file != nil {
-		return len(ma.file.lens)
+		return ma.file.n
 	}
 	return ma.store.NumBlocks()
 }

@@ -45,7 +45,7 @@ var engineTable = []Engine{
 	},
 	{
 		Name:    "arena",
-		Summary: "one flat arena: costed reads are single copies, 0 allocs/op",
+		Summary: "segmented arena, blocks never move: costed reads are single copies, 0 allocs/op",
 		Caps:    StorageCaps{RetainsData: true},
 		New:     func(b int) (Storage, error) { return NewArenaStorage(b), nil },
 	},
@@ -57,7 +57,7 @@ var engineTable = []Engine{
 	},
 	{
 		Name:    "file",
-		Summary: "file-backed external memory via mmap (temp file under $" + FileDirEnv + ", removed on Close)",
+		Summary: "file-backed external memory via one fixed mmap window (temp file under $" + FileDirEnv + ", removed on Close)",
 		Caps:    fileCaps,
 		New: func(b int) (Storage, error) {
 			return NewTempFileStorage(os.Getenv(FileDirEnv), b, FileMmap)

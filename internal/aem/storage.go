@@ -25,7 +25,9 @@ import "fmt"
 // it (via Machine.Close) exactly like an os.File.
 type Storage interface {
 	// Alloc reserves count fresh, empty blocks and returns the address of
-	// the first. Blocks are never freed; addresses are dense and stable.
+	// the first. Blocks are never freed; addresses are dense and stable,
+	// and blocks never move: growth adds storage for the new blocks
+	// without copying or remapping the ones already allocated.
 	Alloc(count int) Addr
 
 	// NumBlocks returns the number of blocks allocated so far.
@@ -38,6 +40,11 @@ type Storage interface {
 	// ReadInto copies block a's contents into dst and returns the filled
 	// prefix dst[:Len(a)]. If cap(dst) < Len(a) a fresh slice is returned
 	// instead; callers that pass a capacity-B buffer never allocate.
+	//
+	// ReadInto of a written block is the one concurrent operation: it is
+	// safe while another goroutine calls Alloc, Write to other blocks, or
+	// ReadInto, provided the write of block a happens before the read.
+	// Every other method requires exclusive access.
 	ReadInto(a Addr, dst []Item) []Item
 
 	// Write replaces block a's contents with a copy of items; the caller
@@ -108,31 +115,38 @@ func sizedDst(dst []Item, n int) []Item {
 // keeps the implementation obviously correct — the arena backend is
 // checked against it by the conformance suite.
 type SliceStorage struct {
-	blocks [][]Item
+	n      int
+	blocks segDir[[]Item] // one slice header per block
 }
 
 // NewSliceStorage returns an empty reference engine.
 func NewSliceStorage() *SliceStorage { return &SliceStorage{} }
 
-// Alloc implements Storage. The single append mirrors the arena engine:
-// one capacity check (and at most one growth) per allocation instead of
-// one per block, and `append(s, make(...)...)` compiles to a grow+clear
-// with no intermediate slice.
+// Alloc implements Storage.
 func (s *SliceStorage) Alloc(count int) Addr {
-	base := Addr(len(s.blocks))
-	s.blocks = append(s.blocks, make([][]Item, count)...)
+	base := Addr(s.n)
+	if count > 0 {
+		s.blocks.cover(s.n+count, 1)
+		s.n += count
+	}
 	return base
 }
 
 // NumBlocks implements Storage.
-func (s *SliceStorage) NumBlocks() int { return len(s.blocks) }
+func (s *SliceStorage) NumBlocks() int { return s.n }
 
 // Len implements Storage.
-func (s *SliceStorage) Len(a Addr) int { return len(s.blocks[a]) }
+func (s *SliceStorage) Len(a Addr) int { return len(s.block(a)) }
+
+// block returns block a's slice.
+func (s *SliceStorage) block(a Addr) []Item {
+	seg, off := locate(a)
+	return s.blocks[seg][off]
+}
 
 // ReadInto implements Storage.
 func (s *SliceStorage) ReadInto(a Addr, dst []Item) []Item {
-	blk := s.blocks[a]
+	blk := s.block(a)
 	dst = sizedDst(dst, len(blk))
 	copy(dst, blk)
 	return dst
@@ -142,14 +156,16 @@ func (s *SliceStorage) ReadInto(a Addr, dst []Item) []Item {
 func (s *SliceStorage) Write(a Addr, items []Item) {
 	blk := make([]Item, len(items))
 	copy(blk, items)
-	s.blocks[a] = blk
+	seg, off := locate(a)
+	s.blocks[seg][off] = blk
 }
 
-// Reset implements Storage. Truncating keeps the block table's capacity;
-// the appended region of a later Alloc is cleared by append's grow+clear,
-// so recycled engines hand out nil blocks exactly like fresh ones.
+// Reset implements Storage. The block table's segments are kept and their
+// used prefix cleared, so recycled engines hand out nil blocks exactly
+// like fresh ones and the previous run's blocks become garbage.
 func (s *SliceStorage) Reset() {
-	s.blocks = s.blocks[:0]
+	s.blocks.clear(s.n, 1)
+	s.n = 0
 }
 
 // Caps implements Storage: data-bearing, RAM-resident.
@@ -161,16 +177,18 @@ func (s *SliceStorage) Sync() error { return nil }
 // Close implements Storage; RAM engines own no external resources.
 func (s *SliceStorage) Close() error { return nil }
 
-// ArenaStorage stores every block in one contiguous arena: block a
-// occupies the B-item stride data[a·B : (a+1)·B], with the live length in
-// a side table. Transfers are single copies into caller-owned buffers, so
-// the steady-state read and write paths perform zero allocations per I/O —
+// ArenaStorage stores blocks in segmented arenas: block a occupies a
+// B-item stride of its segment, with the live length in a segmented side
+// table. Transfers are single copies into caller-owned buffers, so the
+// steady-state read and write paths perform zero allocations per I/O —
 // the difference production-scale simulations feel, since the simulator's
-// hot loop is nothing but block transfers.
+// hot loop is nothing but block transfers — and growth allocates only the
+// new segment, never copying the blocks already stored.
 type ArenaStorage struct {
-	b    int     // block stride in items
-	data []Item  // len = NumBlocks()·b
-	lens []int32 // live item count per block
+	b    int // block stride in items
+	n    int // blocks allocated
+	data segDir[Item]
+	lens segDir[int32] // live item count per block
 }
 
 // NewArenaStorage returns an empty arena engine for blocks of at most
@@ -182,30 +200,36 @@ func NewArenaStorage(blockSize int) *ArenaStorage {
 	return &ArenaStorage{b: blockSize}
 }
 
-// Alloc implements Storage. Growing the arena is the only allocation the
-// engine ever performs, and it is amortized by append's doubling.
+// Alloc implements Storage. Covering new segments is the only allocation
+// the engine ever performs.
 func (s *ArenaStorage) Alloc(count int) Addr {
-	base := Addr(len(s.lens))
-	s.data = append(s.data, make([]Item, count*s.b)...)
-	s.lens = append(s.lens, make([]int32, count)...)
+	base := Addr(s.n)
+	if count > 0 {
+		s.data.cover(s.n+count, s.b)
+		s.lens.cover(s.n+count, 1)
+		s.n += count
+	}
 	return base
 }
 
 // NumBlocks implements Storage.
-func (s *ArenaStorage) NumBlocks() int { return len(s.lens) }
+func (s *ArenaStorage) NumBlocks() int { return s.n }
 
 // BlockSize returns the arena's fixed per-block stride. NewWithStorage
 // uses it to reject engines that cannot hold a full B-item block.
 func (s *ArenaStorage) BlockSize() int { return s.b }
 
 // Len implements Storage.
-func (s *ArenaStorage) Len(a Addr) int { return int(s.lens[a]) }
+func (s *ArenaStorage) Len(a Addr) int {
+	seg, off := locate(a)
+	return int(s.lens[seg][off])
+}
 
 // ReadInto implements Storage.
 func (s *ArenaStorage) ReadInto(a Addr, dst []Item) []Item {
-	n := int(s.lens[a])
-	dst = sizedDst(dst, n)
-	copy(dst, s.data[int(a)*s.b:int(a)*s.b+n])
+	seg, off := locate(a)
+	dst = sizedDst(dst, int(s.lens[seg][off]))
+	copy(dst, s.data[seg][off*s.b:]) // copies len(dst) = the block's length
 	return dst
 }
 
@@ -214,18 +238,18 @@ func (s *ArenaStorage) Write(a Addr, items []Item) {
 	if len(items) > s.b {
 		panic(fmt.Sprintf("aem: arena Write(%d): %d items exceed stride %d", a, len(items), s.b))
 	}
-	off := int(a) * s.b
-	copy(s.data[off:], items)
-	s.lens[a] = int32(len(items))
+	seg, off := locate(a)
+	copy(s.data[seg][off*s.b:], items)
+	s.lens[seg][off] = int32(len(items))
 }
 
-// Reset implements Storage. The arena and length table are truncated, not
-// freed: the next run's Allocs re-slice into the retained capacity, and
-// append's grow+clear zeroes the reused region, so a recycled arena is
-// indistinguishable from a fresh one at zero steady-state allocations.
+// Reset implements Storage. Both directories keep their segments; only
+// the lengths are cleared. Items beyond a block's length are never read,
+// so a recycled arena is indistinguishable from a fresh one without
+// zeroing its data, at zero steady-state allocations.
 func (s *ArenaStorage) Reset() {
-	s.data = s.data[:0]
-	s.lens = s.lens[:0]
+	s.lens.clear(s.n, 1)
+	s.n = 0
 }
 
 // Caps implements Storage: data-bearing, RAM-resident.
@@ -247,7 +271,8 @@ func (s *ArenaStorage) Close() error { return nil }
 // data-bearing ones; value-dependent algorithms such as the sorts branch
 // on block contents and must use SliceStorage or ArenaStorage.
 type CountingStorage struct {
-	lens []int32
+	n    int
+	lens segDir[int32]
 }
 
 // NewCountingStorage returns an empty counting-only engine.
@@ -255,36 +280,41 @@ func NewCountingStorage() *CountingStorage { return &CountingStorage{} }
 
 // Alloc implements Storage.
 func (s *CountingStorage) Alloc(count int) Addr {
-	base := Addr(len(s.lens))
-	s.lens = append(s.lens, make([]int32, count)...)
+	base := Addr(s.n)
+	if count > 0 {
+		s.lens.cover(s.n+count, 1)
+		s.n += count
+	}
 	return base
 }
 
 // NumBlocks implements Storage.
-func (s *CountingStorage) NumBlocks() int { return len(s.lens) }
+func (s *CountingStorage) NumBlocks() int { return s.n }
 
 // Len implements Storage.
-func (s *CountingStorage) Len(a Addr) int { return int(s.lens[a]) }
+func (s *CountingStorage) Len(a Addr) int {
+	seg, off := locate(a)
+	return int(s.lens[seg][off])
+}
 
 // ReadInto implements Storage. The returned prefix is zeroed rather than
 // left with stale buffer contents so that runs are deterministic.
 func (s *CountingStorage) ReadInto(a Addr, dst []Item) []Item {
-	n := int(s.lens[a])
-	dst = sizedDst(dst, n)
-	for i := range dst {
-		dst[i] = Item{}
-	}
+	dst = sizedDst(dst, s.Len(a))
+	clear(dst)
 	return dst
 }
 
 // Write implements Storage: only the length is recorded.
 func (s *CountingStorage) Write(a Addr, items []Item) {
-	s.lens[a] = int32(len(items))
+	seg, off := locate(a)
+	s.lens[seg][off] = int32(len(items))
 }
 
 // Reset implements Storage.
 func (s *CountingStorage) Reset() {
-	s.lens = s.lens[:0]
+	s.lens.clear(s.n, 1)
+	s.n = 0
 }
 
 // Caps implements Storage: no data plane at all — RetainsData is false,
@@ -302,9 +332,7 @@ func (s *CountingStorage) Close() error { return nil }
 // holds last — without going through the per-block Write path. It is the
 // counting engine's half of the machine's bulk ScanWrites fast path.
 func (s *CountingStorage) setLens(a Addr, blocks int, full, last int32) {
-	lens := s.lens[a : int(a)+blocks]
-	for i := range lens {
-		lens[i] = full
-	}
-	lens[blocks-1] = last
+	s.lens.fill(a, blocks-1, full)
+	seg, off := locate(a + Addr(blocks-1))
+	s.lens[seg][off] = last
 }

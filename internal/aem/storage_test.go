@@ -2,6 +2,10 @@ package aem
 
 import (
 	"fmt"
+	"runtime"
+	"slices"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -127,6 +131,88 @@ func TestStorageConformance(t *testing.T) {
 			}
 		})
 	}
+
+	// The concurrent half of the contract, on every data-retaining
+	// registry engine: blocks never move, so ReadInto of a written block
+	// is safe while the owner keeps allocating and writing.
+	t.Setenv(FileDirEnv, t.TempDir())
+	for _, e := range Engines() {
+		if !e.Caps.RetainsData {
+			continue
+		}
+		t.Run("concurrent/"+e.Name, func(t *testing.T) {
+			s, err := e.New(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			checkConcurrentReads(t, s, b)
+		})
+	}
+}
+
+// blockContents is the deterministic payload of block a in the concurrent
+// conformance case: a length that varies with a (empty blocks included)
+// and items naming their own address.
+func blockContents(a Addr, b int, dst []Item) []Item {
+	dst = dst[:int(a)%(b+1)]
+	for j := range dst {
+		dst[j] = Item{Key: int64(a), Aux: int64(j)}
+	}
+	return dst
+}
+
+// checkConcurrentReads has one goroutine Alloc and Write fresh blocks,
+// in uneven chunks, across several segment boundaries while readers
+// re-read blocks written earlier and compare contents. The writer
+// publishes its progress through an atomic, which is what orders each
+// block's Write before any read of it.
+func checkConcurrentReads(t *testing.T, s Storage, b int) {
+	const blocks, readers = 16 * segFirst, 4
+	var written atomic.Int64
+	errs := make(chan string, readers)
+	var wg sync.WaitGroup
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			buf, want := make([]Item, 0, b), make([]Item, b)
+			for i := uint64(rd); ; i++ {
+				n := written.Load()
+				if n == blocks {
+					return
+				}
+				if n == 0 {
+					runtime.Gosched()
+					continue
+				}
+				a := Addr((i * 0x9e3779b97f4a7c15 >> 20) % uint64(n))
+				got, exp := s.ReadInto(a, buf), blockContents(a, b, want)
+				if !slices.Equal(got, exp) {
+					errs <- fmt.Sprintf("block %d read %v, wrote %v", a, got, exp)
+					return
+				}
+			}
+		}(rd)
+	}
+	items := make([]Item, b)
+	for n := 0; n < blocks; {
+		count := min(1+n%7, blocks-n)
+		base := s.Alloc(count)
+		for a := base; a < base+Addr(count); a++ {
+			s.Write(a, blockContents(a, b, items))
+		}
+		n += count
+		written.Store(int64(n))
+		if n%64 == 0 {
+			runtime.Gosched() // let the readers in between segments
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
 }
 
 // TestMachineOnEveryBackend runs an identical costed I/O script on a
@@ -244,6 +330,27 @@ func TestArenaZeroAllocReadPath(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Errorf("arena ReadInto+Write path allocates %.1f times per I/O pair, want 0", allocs)
+	}
+}
+
+// TestArenaGrowthCopiesNothing: growing an arena from n to 2n blocks
+// allocates the new blocks' storage and nothing else — no copy of the
+// blocks already held. n is a power of two, where the segment directory's
+// capacity is exactly n blocks; the slack covers runtime bookkeeping.
+func TestArenaGrowthCopiesNothing(t *testing.T) {
+	const b, n, slack = 8, 64 * segFirst, 4 << 10
+	s := NewArenaStorage(b)
+	s.Alloc(n)
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < n; i++ {
+		s.Alloc(1)
+	}
+	runtime.ReadMemStats(&after)
+	perBlock := uint64(b)*uint64(itemSize) + 4 // items plus the int32 length
+	if got, limit := after.TotalAlloc-before.TotalAlloc, n*perBlock+slack; got > limit {
+		t.Errorf("growing %d → %d blocks allocated %d bytes, want ≤ %d (the new blocks plus %d)",
+			n, 2*n, got, limit, slack)
 	}
 }
 

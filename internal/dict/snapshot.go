@@ -41,8 +41,9 @@ import (
 // BlockReader fetches one external-memory block into dst, returning the
 // filled prefix (like aem.Storage.ReadInto). Implementations used by
 // concurrent readers must be safe to call while the tree's machine
-// allocates and writes new blocks; the dictsrv locked-storage wrapper is
-// the canonical implementation.
+// allocates and writes new blocks; reading straight from the machine's
+// storage engine is, by the aem.Storage contract (dictsrv's shard reader
+// does exactly that).
 type BlockReader interface {
 	ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item
 }

@@ -26,9 +26,11 @@
 //     publishes a dict.TreeSnapshot (an immutable structural capture —
 //     the tree's chains are append-only, so captured addresses can never
 //     change contents behind the snapshot). Readers load the current
-//     snapshot atomically and descend it through a lock-striped block
-//     reader, so a reader never waits on a multi-millisecond leaf rebuild
-//     — at most on the storage engine's short Alloc sections.
+//     snapshot atomically and read its blocks straight from the shard's
+//     storage engine, which the committer keeps allocating and writing
+//     underneath them: engines never move a block once allocated, so a
+//     reader takes no lock and never waits on commit, flush or rebuild
+//     work.
 //   - Every read carries the watermark (ops committed on its shard when
 //     its snapshot was published), and every write its commit position.
 //     Those two numbers make concurrent histories checkable: a read must
@@ -41,8 +43,8 @@
 // Cost accounting: the committer's writes flow through the machine's
 // normal metered path, so amortized Q is the same accounting every other
 // experiment uses. Snapshot reads bypass the (single-threaded) machine
-// and are counted per block into a shard atomic; Stats folds them back in
-// at read weight 1, the model's price for a read.
+// and each call adds its block count to a shard atomic; Stats folds them
+// back in at read weight 1, the model's price for a read.
 package dictsrv
 
 import (
@@ -149,40 +151,16 @@ type Stats struct {
 	Deamortized   bool
 }
 
-// lockedStorage wraps a shard's engine so snapshot readers and the
-// committer can share it: Alloc (the only operation that moves the
-// engine's containers — slice growth, arena regrowth, file remap) takes
-// the write lock, snapshot block reads take the read lock. Block
-// contents need no locking: chains write every block exactly once at a
-// fresh address, and a snapshot only references addresses allocated
-// before it was captured.
-type lockedStorage struct {
-	aem.Storage
-	mu sync.RWMutex
-}
-
-func (ls *lockedStorage) Alloc(count int) aem.Addr {
-	ls.mu.Lock()
-	defer ls.mu.Unlock()
-	return ls.Storage.Alloc(count)
-}
-
-// snapRead copies block a into dst under the read lock. Storage.ReadInto
-// copies (per its contract), so nothing aliases engine memory after the
-// lock drops.
-func (ls *lockedStorage) snapRead(a aem.Addr, dst []aem.Item) []aem.Item {
-	ls.mu.RLock()
-	defer ls.mu.RUnlock()
-	return ls.Storage.ReadInto(a, dst)
-}
-
-// shardReader implements dict.BlockReader over a shard's locked storage,
-// counting every block into the shard's snapshot-read meter.
+// shardReader implements dict.BlockReader straight over a shard's
+// storage engine. Block contents need no locking: chains write every
+// block exactly once at a fresh address, a snapshot only references
+// addresses written before it was published, and the Storage contract
+// makes ReadInto of such a block safe against the committer's concurrent
+// Allocs and Writes.
 type shardReader struct{ sh *shard }
 
 func (r shardReader) ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item {
-	r.sh.snapReads.Add(1)
-	return r.sh.store.snapRead(a, dst)
+	return r.sh.store.ReadInto(a, dst)
 }
 
 // snapState is one published snapshot with its commit watermark.
@@ -204,7 +182,7 @@ type shard struct {
 	idx   int
 	ma    *aem.Machine
 	tree  *dict.BufferTree
-	store *lockedStorage
+	store aem.Storage
 
 	reqs      chan *writeReq
 	snap      atomic.Pointer[snapState]
@@ -270,12 +248,11 @@ func New(cfg Config) (*Service, error) {
 
 	s := &Service{cfg: cfg}
 	for i := 0; i < cfg.Shards; i++ {
-		inner, err := aem.StorageByName(engine, cfg.Machine.B)
+		store, err := aem.StorageByName(engine, cfg.Machine.B)
 		if err != nil {
 			s.destroy()
 			return nil, fmt.Errorf("dictsrv: shard %d: %v", i, err)
 		}
-		store := &lockedStorage{Storage: inner}
 		ma := aem.NewWithStorage(cfg.Machine, store)
 		sh := &shard{idx: i, ma: ma, tree: dict.NewBufferTree(ma), store: store,
 			reqs: make(chan *writeReq, 4*cfg.MaxBatch)}
@@ -480,15 +457,16 @@ func (s *Service) Delete(key int64) Ack {
 }
 
 // Get answers a point lookup against the shard's current snapshot. It
-// never blocks on commit or flush work — only on the storage engine's
-// short Alloc sections — and is allocation-free in steady state.
+// takes no lock, never blocks on commit or flush work, and is
+// allocation-free in steady state.
 func (s *Service) Get(key int64) GetResult {
 	start := time.Now()
 	sh := s.shards[s.shardFor(key)]
 	st := sh.snap.Load()
 	sc := sh.scratch.Get().(*dict.GetScratch)
-	v, ok, _ := st.snap.Get(shardReader{sh}, key, sc)
+	v, ok, reads := st.snap.Get(shardReader{sh}, key, sc)
 	sh.scratch.Put(sc)
+	sh.snapReads.Add(reads)
 	return GetResult{OK: ok, Value: v, Shard: sh.idx, Watermark: st.watermark,
 		LatencyNS: time.Since(start).Nanoseconds()}
 }
@@ -522,7 +500,8 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 			shHi = hi
 		}
 		st := sh.snap.Load()
-		hits, _ := st.snap.Range(shardReader{sh}, shLo, shHi)
+		hits, reads := st.snap.Range(shardReader{sh}, shLo, shHi)
+		sh.snapReads.Add(reads)
 		out.Segments = append(out.Segments, Segment{Shard: i, Watermark: st.watermark, Hits: hits})
 		out.Hits = append(out.Hits, hits...)
 	}

@@ -1,6 +1,7 @@
 package dictsrv
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 
@@ -361,6 +362,66 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 	}
 	if st.MaxFlushNS <= 0 {
 		t.Fatal("flushes happened but no stall was recorded")
+	}
+}
+
+// TestFileDirectConcurrentReads runs snapshot readers against a
+// file-direct shard while its committer writes. Both sides move blocks
+// through the engine's positional transfer path at the same time, so a
+// transfer buffer shared between them corrupts reads, overflows the
+// committer's block vectors, or trips the race detector. Every key is
+// preloaded and never deleted, and every value written for key k is
+// congruent to k, so each Get must find its key with a value of that key.
+func TestFileDirectConcurrentReads(t *testing.T) {
+	t.Setenv(aem.FileDirEnv, t.TempDir())
+	cfg := testConfig(1)
+	cfg.Engine = "file-direct"
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+
+	const keys, readers = 256, 4
+	rounds := 40
+	if testing.Short() {
+		rounds = 10
+	}
+	for k := int64(0); k < keys; k++ {
+		svc.Put(k, k)
+	}
+	stop := make(chan struct{})
+	errs := make(chan string, readers)
+	var wg sync.WaitGroup
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			r := workload.NewRNG(uint64(3000 + rd))
+			for {
+				select {
+				case <-stop:
+					return
+				default:
+				}
+				k := int64(r.Intn(keys))
+				if g := svc.Get(k); !g.OK || g.Value%keys != k {
+					errs <- fmt.Sprintf("Get(%d) = (%d, %v) at watermark %d", k, g.Value, g.OK, g.Watermark)
+					return
+				}
+			}
+		}(rd)
+	}
+	for i := int64(1); i <= int64(rounds); i++ {
+		for k := int64(0); k < keys; k++ {
+			svc.Put(k, k+keys*i)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 

@@ -1,8 +1,9 @@
 package sorting
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"repro/internal/aem"
 )
@@ -289,6 +290,7 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 	scratch := make([]mergeEntry, 0, capM)
 	active := make([]activeRun, 0, capM/b+2)
 	frame := make([]aem.Item, 0, b) // reused data-block frame, one per merge
+	var changes []ptrChange         // pointer updates, reused across rounds
 	maxActive := capM/b + 1         // Lemma 3.1: at most ⌈capM/B⌉ runs stay active
 
 	runBlocks := func(r int) int { return cfg.BlocksOf(runs[r].Len()) }
@@ -386,14 +388,15 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 		// Advance the external pointers: for each contributing run the new
 		// b[i] is the block of its first unconsumed item. Group updates by
 		// run via an in-place re-sort of the round buffer (free internal
-		// computation, no extra memory).
-		sort.Slice(mbuf, func(x, y int) bool {
-			if mbuf[x].run != mbuf[y].run {
-				return mbuf[x].run < mbuf[y].run
+		// computation, no extra memory). The (run, idx) keys are unique,
+		// so the order is the same for any sort algorithm.
+		slices.SortFunc(mbuf, func(x, y mergeEntry) int {
+			if c := cmp.Compare(x.run, y.run); c != 0 {
+				return c
 			}
-			return mbuf[x].idx < mbuf[y].idx
+			return cmp.Compare(x.idx, y.idx)
 		})
-		changes := changesFromBuffer(mbuf, b)
+		changes = changesFromBuffer(changes[:0], mbuf, b)
 		ptrs.update(changes)
 	}
 
@@ -407,11 +410,10 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 	return out
 }
 
-// changesFromBuffer extracts, from a round buffer sorted by (run, idx),
-// the new block pointer for each contributing run: the block containing
-// the item after the run's largest consumed index.
-func changesFromBuffer(mbuf []mergeEntry, b int) []ptrChange {
-	var changes []ptrChange
+// changesFromBuffer appends to changes, from a round buffer sorted by
+// (run, idx), the new block pointer for each contributing run: the block
+// containing the item after the run's largest consumed index.
+func changesFromBuffer(changes []ptrChange, mbuf []mergeEntry, b int) []ptrChange {
 	for i := 0; i < len(mbuf); {
 		run := mbuf[i].run
 		maxIdx := mbuf[i].idx
