@@ -16,7 +16,6 @@ import (
 
 	"repro/internal/aem"
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/flash"
 	"repro/internal/program"
 	"repro/internal/workload"
@@ -24,20 +23,20 @@ import (
 
 func main() {
 	// --- The executable proof pipeline -------------------------------
-	cfg := core.Config{M: 32, B: 8, Omega: 4}
+	cfg := aem.Config{M: 32, B: 8, Omega: 4}
 	const n = 512
 	_, perm := workload.Permutation(workload.NewRNG(3), n)
 
-	p, err := core.ProgramFromPermutation(cfg, perm)
+	p, err := program.FromPermutation(cfg, perm)
 	check(err)
-	orig, err := core.RunProgram(p, program.RunOptions{})
+	orig, err := program.Run(p, program.RunOptions{})
 	check(err)
 	fmt.Printf("program P        : %4d ops, cost Q = %d on (M=%d,B=%d,ω=%d)\n",
 		len(p.Ops), p.Cost(), cfg.M, cfg.B, cfg.Omega)
 
-	rb, err := core.ToRoundBased(p)
+	rb, err := program.ConvertToRoundBased(p)
 	check(err)
-	conv, err := core.RunProgram(rb, program.RunOptions{})
+	conv, err := program.Run(rb, program.RunOptions{})
 	check(err)
 	fmt.Printf("Lemma 4.1  → P'  : %4d ops, cost %d (%.2f×), %d rounds, memory 2M=%d\n",
 		len(rb.Ops), rb.Cost(), float64(rb.Cost())/float64(p.Cost()),
@@ -46,9 +45,9 @@ func main() {
 		panic("conversion changed the permutation")
 	}
 
-	fp, err := core.ToFlash(rb)
+	fp, err := flash.SimulateAEM(rb)
 	check(err)
-	res, err := core.RunFlash(fp)
+	res, err := flash.Run(fp)
 	check(err)
 	budget := flash.VolumeBound(rb)
 	fmt.Printf("Lemma 4.3  → P_F : %4d ops, volume %d ≤ budget 2N+2QB/ω = %d (%.2f×)\n",
@@ -69,8 +68,8 @@ func main() {
 			pr := bounds.Params{N: nn, Cfg: c}
 			fmt.Printf("%10d %6d %6d  %14d %14.0f %14.0f\n",
 				nn, c.B, w,
-				core.CountingRounds(pr), core.CountingLowerBound(pr),
-				core.PermutingLowerBound(pr))
+				bounds.CountingRounds(pr), bounds.CountingLowerBound(pr),
+				bounds.PermutingLowerBoundClosed(pr))
 		}
 	}
 }

@@ -11,7 +11,6 @@ import (
 
 	"repro/internal/aem"
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/permute"
 	"repro/internal/workload"
 )
@@ -30,19 +29,19 @@ func main() {
 		{M: 256, B: 32, Omega: 2}, // big blocks, small ω: sort-term regime
 		{M: 256, B: 32, Omega: 64},
 	} {
-		maD := core.NewMachine(c)
-		permute.Direct(maD, core.Load(maD, items), perm)
-		maS := core.NewMachine(c)
-		permute.SortBased(maS, core.Load(maS, items))
+		maD := aem.New(c)
+		permute.Direct(maD, aem.Load(maD, items), perm)
+		maS := aem.New(c)
+		permute.SortBased(maS, aem.Load(maS, items))
 
-		maB := core.NewMachine(c)
-		v := core.Load(maB, items)
-		out, strat := core.Permute(maB, v, perm)
+		maB := aem.New(c)
+		v := aem.Load(maB, items)
+		out, strat := permute.Best(maB, v, perm)
 		if err := permute.Verify(v, out); err != nil {
 			panic(err)
 		}
 
-		lb := core.PermutingLowerBound(bounds.Params{N: n, Cfg: c})
+		lb := bounds.PermutingLowerBoundClosed(bounds.Params{N: n, Cfg: c})
 		fmt.Printf("%6d %6d  %10d %10d  %-8s  %12.0f %8.2f\n",
 			c.B, c.Omega, maD.Cost(), maS.Cost(), strat,
 			lb, float64(maB.Cost())/lb)

@@ -20,7 +20,7 @@ import (
 	"fmt"
 
 	"repro/internal/aem"
-	"repro/internal/core"
+	"repro/internal/pq"
 	"repro/internal/workload"
 )
 
@@ -63,13 +63,13 @@ func simulate(q interface {
 }
 
 func main() {
-	cfg := core.Config{M: 256, B: 16, Omega: 16}
+	cfg := aem.Config{M: 256, B: 16, Omega: 16}
 
-	maSeq := core.NewMachine(cfg)
-	processed := simulate(core.NewPriorityQueue(maSeq))
+	maSeq := aem.New(cfg)
+	processed := simulate(pq.New(maSeq))
 
-	maAd := core.NewMachine(cfg)
-	qa := core.NewAdaptivePriorityQueue(maAd)
+	maAd := aem.New(cfg)
+	qa := pq.NewAdaptive(maAd)
 	if p := simulate(qa); p != processed {
 		panic("queues processed different event counts")
 	}

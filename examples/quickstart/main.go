@@ -7,8 +7,9 @@ package main
 import (
 	"fmt"
 
+	"repro/internal/aem"
 	"repro/internal/bounds"
-	"repro/internal/core"
+	"repro/internal/sorting"
 	"repro/internal/workload"
 )
 
@@ -17,19 +18,19 @@ func main() {
 	// items, and writes 16× as expensive as reads — the regime of
 	// phase-change memory and other NVM technologies that motivate the
 	// model.
-	cfg := core.Config{M: 1024, B: 32, Omega: 16}
-	ma := core.NewMachine(cfg)
+	cfg := aem.Config{M: 1024, B: 32, Omega: 16}
+	ma := aem.New(cfg)
 
 	// The input lives in external memory at time zero (free), like any EM
 	// computation.
 	const n = 1 << 16
 	input := workload.Keys(workload.NewRNG(42), workload.Random, n)
-	vec := core.Load(ma, input)
+	vec := aem.Load(ma, input)
 
 	// Sort with the Section 3 mergesort: O(ω·n·log_ωm n) reads but only
 	// O(n·log_ωm n) writes — writes are what asymmetric memory makes
 	// precious.
-	sorted := core.Sort(ma, vec)
+	sorted := sorting.MergeSort(ma, vec)
 
 	st := ma.Stats()
 	fmt.Printf("sorted %d items on a (M=%d, B=%d, ω=%d)-AEM\n", sorted.Len(), cfg.M, cfg.B, cfg.Omega)
@@ -38,7 +39,7 @@ func main() {
 		st.Writes, 100*float64(st.Writes)/float64(st.Reads))
 	fmt.Printf("  cost Q %8d   (= reads + ω·writes)\n", ma.Cost())
 
-	lb := core.SortingLowerBound(bounds.Params{N: n, Cfg: cfg})
+	lb := bounds.SortingLowerBoundClosed(bounds.Params{N: n, Cfg: cfg})
 	fmt.Printf("  Theorem 4.5 lower bound: %.0f   measured/LB = %.2f\n",
 		lb, float64(ma.Cost())/lb)
 }

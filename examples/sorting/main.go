@@ -11,7 +11,6 @@ import (
 	"fmt"
 
 	"repro/internal/aem"
-	"repro/internal/core"
 	"repro/internal/sorting"
 	"repro/internal/workload"
 )
@@ -26,14 +25,14 @@ func main() {
 	for _, w := range []int{1, 4, 16, 64, 256} {
 		cfg := aem.Config{M: 128, B: 8, Omega: w}
 
-		ma := core.NewMachine(cfg)
-		out := core.Sort(ma, core.Load(ma, input))
+		ma := aem.New(cfg)
+		out := sorting.MergeSort(ma, aem.Load(ma, input))
 		if !sorting.IsSorted(out.Materialize()) {
 			panic("aem sort failed")
 		}
 
-		ma2 := core.NewMachine(cfg)
-		out2 := core.EMSort(ma2, core.Load(ma2, input))
+		ma2 := aem.New(cfg)
+		out2 := sorting.EMMergeSort(ma2, aem.Load(ma2, input))
 		if !sorting.IsSorted(out2.Materialize()) {
 			panic("em sort failed")
 		}

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/aem"
 	"repro/internal/bounds"
-	"repro/internal/core"
 	"repro/internal/spmxv"
 	"repro/internal/workload"
 )
@@ -41,9 +40,9 @@ func main() {
 
 	var totalCost int64
 	for it := 0; it < iters; it++ {
-		ma := core.NewMachine(cfg)
-		mat := core.NewSparseMatrix(ma, conf, values)
-		y, strat := core.SpMxV(ma, mat, core.LoadDenseVector(ma, x))
+		ma := aem.New(cfg)
+		mat := spmxv.NewMatrix(ma, conf, values)
+		y, strat := spmxv.Best(ma, mat, spmxv.LoadDense(ma, x))
 		if err := spmxv.VerifyProduct(conf, values, x, y); err != nil {
 			panic(err)
 		}
@@ -61,7 +60,7 @@ func main() {
 
 	p := bounds.SpMxVParams{Params: bounds.Params{N: n, Cfg: cfg}, Delta: delta}
 	fmt.Printf("\ntotal cost over %d iterations: %d\n", iters, totalCost)
-	fmt.Printf("per-iteration Theorem 5.1 lower bound: %.0f\n", core.SpMxVLowerBound(p))
+	fmt.Printf("per-iteration Theorem 5.1 lower bound: %.0f\n", bounds.SpMxVLowerBoundClosed(p))
 	fmt.Printf("naive predicted %.0f vs sort predicted %.0f — min decides the strategy\n",
 		bounds.SpMxVNaivePredicted(p).Cost(cfg.Omega),
 		bounds.SpMxVSortPredicted(p).Cost(cfg.Omega))

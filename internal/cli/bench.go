@@ -15,11 +15,14 @@ import (
 )
 
 // benchCmd regenerates the repository's experiments: one table per
-// theorem/lemma of the paper, run as declarative grid specs on a
-// pluggable executor — the in-process point-granular worker pool by
-// default, or one shard of a distributed run with -shard (see mergeCmd
-// for reassembly). Tables are always emitted in index order, so the
-// output is byte-identical at every parallelism level.
+// theorem/lemma of the paper, run as declarative grid specs on the
+// in-process point-granular worker pool. Tables are always emitted in
+// index order, so the output is byte-identical at every parallelism
+// level. With -shard i/m it instead streams point records for the
+// round-robin slice of the global point list whose index g has
+// g % m == i — the same stream `aem work -residual` writes — manifest
+// first, one record per point as it completes, so a killed shard job
+// keeps its finished points (see mergeCmd for reassembly and resume).
 //
 //	aem bench -list                 list experiment ids
 //	aem bench                       run every experiment, tables to stdout
@@ -28,7 +31,7 @@ import (
 //	aem bench -csv out/             additionally write one CSV per experiment
 //	aem bench -json                 JSON Lines to stdout, one record per row
 //	aem bench -timing               append per-point wall-clock columns
-//	aem bench -shard 0/2 -json      run shard 0 of 2, emit point records
+//	aem bench -shard 0/2 -json      run shard 0 of 2, stream point records
 func benchCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
@@ -77,8 +80,7 @@ func benchCmd(prog string, args []string) int {
 			fail(prog, "-csv and -timing apply at merge time, not to a shard run")
 			return 2
 		}
-		ex := &harness.ShardExecutor{Index: idx, Count: cnt, Par: *par, W: os.Stdout}
-		if err := ex.Execute(specs, nil); err != nil {
+		if err := harness.RunShard(specs, idx, cnt, *par, os.Stdout); err != nil {
 			fail(prog, "%v", err)
 			return 1
 		}

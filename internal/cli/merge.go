@@ -8,13 +8,14 @@ import (
 	"repro/internal/harness"
 )
 
-// mergeCmd reassembles a sharded or fleet `aem bench` run: given the
-// JSON Lines point-record files written by `aem bench -shard i/m -json`,
-// `aem serve` or `aem work -residual`, it verifies the shard set is
-// complete and consistent (no shard missing, duplicated or overlapping;
-// no grid point missing or duplicated), re-runs the derived/summary
-// columns over the merged grid, and renders output byte-identical to a
-// single-machine `aem bench` of the same selection.
+// mergeCmd reassembles a distributed `aem bench` run: given point
+// streams written by `aem bench -shard i/m -json`, `aem serve` or `aem
+// work -residual` — in any mix, since all three are the same stream — it
+// fills the grid point by point (every file on the same selection and
+// grid size, every record well-formed, no grid point duplicated or
+// missing), re-runs the derived/summary columns over the merged grid,
+// and renders output byte-identical to a single-machine `aem bench` of
+// the same selection.
 //
 //	aem merge shard0.jsonl shard1.jsonl           rendered tables to stdout
 //	aem merge -json shard*.jsonl                  JSON Lines, one record per row
@@ -23,10 +24,11 @@ import (
 //	aem merge -residual rest.json partial.jsonl   on missing points, write the
 //	                                              resume spec for `aem work`
 //
-// Points that panicked on a shard surface here exactly as an unsharded
+// Points that panicked in a stream surface here exactly as an unsharded
 // run reports them: aggregated per experiment, emission stopping at the
-// first failed experiment. An incomplete set (an interrupted fleet or a
-// lost shard job) reports every missing point across all experiments;
+// first failed experiment. An incomplete set (a lost or killed shard
+// job, an interrupted fleet) reports every missing point across all
+// experiments;
 // with -residual the same list is written as a machine-readable residual
 // spec, so the resume is `aem work -residual rest.json > rest.jsonl`
 // followed by re-merging with rest.jsonl added to the file list.
@@ -62,14 +64,10 @@ func mergeCmd(prog string, args []string) int {
 
 	// The manifest names the experiments the shards ran, in run order;
 	// resolve them against this binary's registry.
-	var specs []*harness.Spec
-	for _, id := range files[0].Manifest.Experiments {
-		s, ok := harness.ByID(id)
-		if !ok {
-			fail(prog, "shard file names unknown experiment %s (built from a different registry?)", id)
-			return 1
-		}
-		specs = append(specs, s)
+	specs, err := harness.Resolve(files[0].Manifest.Experiments)
+	if err != nil {
+		fail(prog, "shard file names %v (built from a different registry?)", err)
+		return 1
 	}
 
 	if *csvDir != "" {
@@ -80,7 +78,7 @@ func mergeCmd(prog string, args []string) int {
 	}
 
 	var firstErr error
-	err := harness.MergeShards(specs, files, *timing, func(tbl *harness.Table) {
+	err = harness.MergeShards(specs, files, *timing, func(tbl *harness.Table) {
 		if *jsonOut {
 			if err := tbl.JSON(os.Stdout); err != nil && firstErr == nil {
 				firstErr = err

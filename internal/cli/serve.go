@@ -18,8 +18,9 @@ import (
 // global point list, leases point batches to `aem work -connect` workers
 // over HTTP, ingests the PointRecords they stream back (first complete
 // record per point wins; speculative and post-expiry duplicates are
-// discarded), and writes the accepted records as a single 1-of-1 shard
-// stream that `aem merge` renders into the usual tables.
+// discarded), and writes the accepted records as one point stream — the
+// same format `aem bench -shard` and `aem work -residual` write — that
+// `aem merge` renders into the usual tables.
 //
 //	aem serve -addr 127.0.0.1:8377 -o fleet.jsonl     serve every experiment
 //	aem serve -exp EXP-D1,EXP-Q1 -o fleet.jsonl       serve a selection

@@ -14,15 +14,15 @@ import (
 //
 //	aem work -connect http://host:8377      lease points from a coordinator
 //	aem work -residual rest.json            run a residual spec's missing
-//	                                        points, shard stream to stdout
+//	                                        points, point stream to stdout
 //
 // A connected worker streams every record back over HTTP as it
 // completes, so a worker killed mid-lease loses only its unreported
 // points — the coordinator re-issues them when the lease expires. A
 // residual worker needs no coordinator: it reads the missing-point list
 // `aem merge -residual` wrote for an interrupted run, measures exactly
-// those points, and emits a residual shard stream that completes the
-// original partial outputs at the next `aem merge`.
+// those points, and emits a point stream that completes the original
+// partial outputs — lost shards included — at the next `aem merge`.
 func workCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (

@@ -75,9 +75,9 @@ type Coordinator struct {
 	fatalOnce sync.Once
 }
 
-// New enumerates the selection's grids, writes the shard manifest to
+// New enumerates the selection's grids, writes the stream manifest to
 // cfg.Out, and returns a coordinator ready to serve leases. The output
-// is a 1-of-1 shard stream: a completed run merges like any other shard
+// is one point stream: a completed run merges like any other stream
 // set, an interrupted one is the partial input to `aem merge -residual`.
 func New(cfg Config) (*Coordinator, error) {
 	if len(cfg.Specs) == 0 {
@@ -95,25 +95,18 @@ func New(cfg Config) (*Coordinator, error) {
 		chunk = defaultChunk
 	}
 	runner := harness.NewPointRunner(cfg.Specs)
-	ids := make([]string, len(cfg.Specs))
-	for i, s := range cfg.Specs {
-		ids[i] = s.ID
-	}
 	c := &Coordinator{
-		runner: runner,
-		manifest: harness.ShardManifest{
-			Type: "shard", Shard: 0, Of: 1,
-			Experiments: ids, GridPoints: runner.Total(),
-		},
-		ttl:    ttl,
-		chunk:  chunk,
-		log:    cfg.Log,
-		out:    bufio.NewWriter(cfg.Out),
-		queue:  runner.Refs(),
-		leases: map[int]*lease{},
-		filled: map[harness.GridRef]bool{},
-		done:   make(chan struct{}),
-		fatal:  make(chan struct{}),
+		runner:   runner,
+		manifest: runner.Manifest(),
+		ttl:      ttl,
+		chunk:    chunk,
+		log:      cfg.Log,
+		out:      bufio.NewWriter(cfg.Out),
+		queue:    runner.Refs(),
+		leases:   map[int]*lease{},
+		filled:   map[harness.GridRef]bool{},
+		done:     make(chan struct{}),
+		fatal:    make(chan struct{}),
 	}
 	c.enc = json.NewEncoder(c.out)
 	if err := c.enc.Encode(c.manifest); err != nil {

@@ -113,8 +113,9 @@ func TestCoordinatorLeaseIngestMerge(t *testing.T) {
 	if err != nil {
 		t.Fatalf("coordinator output is not a shard stream: %v", err)
 	}
-	if sf.Manifest.Of != 1 || sf.Manifest.Shard != 0 || sf.Manifest.Residual {
-		t.Fatalf("manifest %+v, want a plain 1-of-1 stream", sf.Manifest)
+	if got, want := sf.Manifest, harness.NewPointRunner(fleetSpecs()).Manifest(); got.GridPoints != want.GridPoints ||
+		strings.Join(got.Experiments, ",") != strings.Join(want.Experiments, ",") {
+		t.Fatalf("manifest %+v, want %+v", sf.Manifest, want)
 	}
 	specs := fleetSpecs()
 	got := render(t, func(emit func(*harness.Table)) {

@@ -1,10 +1,10 @@
 // Package fleet is the elastic remote executor: an HTTP coordinator
 // (`aem serve`) that leases grid points to workers (`aem work -connect`)
-// and ingests the PointRecords they stream back, writing a single
-// 1-of-1 shard stream that `aem merge` turns into the exact tables an
-// unsharded run emits.
+// and ingests the PointRecords they stream back, writing one point
+// stream that `aem merge` turns into the exact tables an unsharded run
+// emits.
 //
-// The design extends the executor split of the harness: the grid is
+// The design extends the harness's model/machine split: the grid is
 // still the model, and here the machine is a fleet whose membership can
 // change mid-run. Three production failure modes are handled in the
 // coordinator's lease table:
@@ -13,8 +13,7 @@
 //     unfinished points return to the queue for the next worker;
 //   - stragglers: once the queue drains, idle workers are speculatively
 //     re-leased the points still outstanding on live leases — the first
-//     complete record wins and later copies are discarded by the same
-//     filled-point bookkeeping MergeShards uses;
+//     complete record wins and later copies are discarded;
 //   - interrupts: the output stream is written record by record as
 //     results arrive, so an interrupted coordinator leaves a valid
 //     partial shard file behind; `aem merge -residual` distills the
@@ -22,8 +21,9 @@
 //     finishes them without a coordinator.
 //
 // The wire format is deliberately the harness's own: the payload of
-// every record POST is the same JSON Lines PointRecord a CI shard
-// writes, so the fleet cannot drift from the sharded path it replaces.
+// every record POST is the same JSON Lines PointRecord a static shard
+// writes, and both are measured and validated by harness.PointRunner,
+// so the fleet cannot drift from the sharded path.
 package fleet
 
 import "repro/internal/harness"

@@ -20,8 +20,8 @@ type WorkerConfig struct {
 	Name string // reported in lease requests; defaults to host:pid
 
 	// Resolve maps the coordinator's experiment IDs to specs. Nil means
-	// the binary's own registry (harness.ByID) — tests inject synthetic
-	// selections here.
+	// the binary's own registry (harness.Resolve) — tests inject
+	// synthetic selections here.
 	Resolve func(ids []string) ([]*harness.Spec, error)
 
 	Log io.Writer // optional progress log
@@ -47,7 +47,7 @@ func Work(ctx context.Context, cfg WorkerConfig) error {
 	}
 	resolve := cfg.Resolve
 	if resolve == nil {
-		resolve = registryResolve
+		resolve = harness.Resolve
 	}
 	client := &client{base: cfg.URL, http: &http.Client{Timeout: 60 * time.Second}}
 
@@ -59,7 +59,7 @@ func Work(ctx context.Context, cfg WorkerConfig) error {
 	}
 	specs, err := resolve(info.Experiments)
 	if err != nil {
-		return fmt.Errorf("fleet worker: %w", err)
+		return fmt.Errorf("fleet worker: coordinator serves %w (registry drift)", err)
 	}
 	runner := harness.NewPointRunner(specs)
 	if runner.Total() != info.GridPoints {
@@ -115,20 +115,6 @@ func Work(ctx context.Context, cfg WorkerConfig) error {
 			return nil
 		}
 	}
-}
-
-// registryResolve resolves experiment IDs against this binary's spec
-// registry.
-func registryResolve(ids []string) ([]*harness.Spec, error) {
-	specs := make([]*harness.Spec, len(ids))
-	for i, id := range ids {
-		s, ok := harness.ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("coordinator serves unknown experiment %s (registry drift)", id)
-		}
-		specs[i] = s
-	}
-	return specs, nil
 }
 
 func logf(w io.Writer, format string, args ...interface{}) {

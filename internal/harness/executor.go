@@ -9,33 +9,24 @@ import (
 )
 
 // This file is the execution substrate of the scenario engine. A Spec
-// describes *what* a grid point measures; an Executor decides *where and
-// how* the points run. The split mirrors the paper's own separation of
-// cost model from machine: the grid is the model, the executor is the
-// machine. Three implementations exist:
+// describes *what* a grid point measures; the substrate decides *where*
+// it runs. The split mirrors the paper's own separation of cost model
+// from machine: the grid is the model, the substrate is the machine.
+// There are two halves, sharing runJobs and specState so they cannot
+// measure a point differently:
 //
-//   - LocalPool     — the in-process point-granular shared worker pool
-//     (the substrate behind Run and `aem bench`);
-//   - ShardExecutor — runs a deterministic 1/m slice of the global point
-//     list and streams self-describing point records (record.go), for
-//     sharded CI jobs and remote workers;
-//   - MergeShards   — not an executor itself but the inverse of
-//     ShardExecutor: it reassembles shard outputs into the exact tables
-//     an unsharded run emits (merge.go).
-type Executor interface {
-	// Execute runs the specs' grids. Table-producing executors call emit
-	// exactly once per spec in spec order (see LocalPool); record-streaming
-	// executors never call emit. The returned error reports infrastructure
-	// failures (e.g. a record sink write error); experiment failures follow
-	// each executor's own contract.
-	Execute(specs []*Spec, emit func(*Table)) error
-}
+//   - LocalPool   — every point of the selection on one in-process,
+//     point-granular worker pool, emitting tables (Run, `aem bench`);
+//   - PointRunner — an explicit list of GridRefs, emitting a point
+//     stream (runner.go): a static `-shard i/m` slice, a fleet lease or
+//     a residual resume. MergeShards (merge.go) turns any set of point
+//     streams back into the tables LocalPool emits.
 
 // job addresses one grid point of one spec.
 type job struct{ si, pi int }
 
 // specState accumulates one spec's per-point results while its grid runs,
-// on whichever executor. The same state is rebuilt from point records at
+// on either half. The same state is rebuilt from point records at
 // merge time, so the assembly and failure-aggregation paths downstream of
 // it are shared — sharded and unsharded runs cannot drift apart.
 type specState struct {
@@ -105,8 +96,9 @@ func (st *specState) runPoint(s *Spec, pi int) {
 // runJobs measures the given grid points on a pool of at most par
 // goroutines (par ≥ 1), invoking onDone — if non-nil — on the worker
 // after each point completes. It returns without waiting; callers that
-// need a barrier Wait on the returned group. Both executors schedule
-// through here, so their point-level behavior cannot drift apart.
+// need a barrier Wait on the returned group. LocalPool and PointRunner
+// both schedule through here, so their point-level behavior cannot drift
+// apart.
 func runJobs(specs []*Spec, sts []*specState, jobs []job, par int, onDone func(job)) *sync.WaitGroup {
 	jobCh := make(chan job)
 	go func() {
@@ -201,8 +193,8 @@ func panicOnFailures(failures []string) {
 }
 
 // LocalPool runs every grid point of every spec on one shared in-process
-// worker pool of at most Par goroutines — the executor behind Run and the
-// default `aem bench` path. Scheduling is point-granular: a single slow
+// worker pool of at most Par goroutines — the substrate behind Run and
+// the default `aem bench` path. Scheduling is point-granular: a single slow
 // experiment spreads across the pool instead of pinning one worker. Every
 // point owns a private machine and fixed seeds, so the emitted tables are
 // byte-identical at every Par — parallelism changes wall-clock time,
@@ -220,8 +212,9 @@ type LocalPool struct {
 	Timing bool
 }
 
-// Execute implements Executor. It always returns nil: local execution has
-// no infrastructure failure mode, and experiment failures panic per the
+// Execute runs the specs' grids and calls emit exactly once per spec, in
+// spec order. It always returns nil: local execution has no
+// infrastructure failure mode, and experiment failures panic per the
 // harness contract.
 func (e *LocalPool) Execute(specs []*Spec, emit func(*Table)) error {
 	par := e.Par

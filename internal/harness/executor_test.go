@@ -3,6 +3,7 @@ package harness
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"strings"
 	"testing"
@@ -95,8 +96,7 @@ func shardAndMerge(t *testing.T, specs []*Spec, m, par int, timing bool) (text, 
 	files := make([]*ShardFile, m)
 	for i := 0; i < m; i++ {
 		var buf bytes.Buffer
-		ex := &ShardExecutor{Index: i, Count: m, Par: par, W: &buf}
-		err := ex.Execute(specs, nil)
+		err := RunShard(specs, i, m, par, &buf)
 		if err != nil && !strings.Contains(err.Error(), "panicked") {
 			t.Fatalf("shard %d/%d: %v", i, m, err)
 		}
@@ -190,22 +190,63 @@ func TestShardMergeEnumerationPanic(t *testing.T) {
 	}
 }
 
+// shardStream runs static shard i of m and returns the raw stream.
+func shardStream(t *testing.T, specs []*Spec, i, m int) []byte {
+	t.Helper()
+	var buf bytes.Buffer
+	if err := RunShard(specs, i, m, 2, &buf); err != nil {
+		t.Fatalf("shard %d/%d: %v", i, m, err)
+	}
+	return buf.Bytes()
+}
+
 // shardFiles runs the specs as m shards and returns the parsed files.
 func shardFiles(t *testing.T, specs []*Spec, m int) []*ShardFile {
 	t.Helper()
 	files := make([]*ShardFile, m)
 	for i := 0; i < m; i++ {
-		var buf bytes.Buffer
-		if err := (&ShardExecutor{Index: i, Count: m, Par: 2, W: &buf}).Execute(specs, nil); err != nil {
-			t.Fatalf("shard %d/%d: %v", i, m, err)
-		}
-		sf, err := ReadShardFile(&buf)
+		sf, err := ReadShardFile(bytes.NewReader(shardStream(t, specs, i, m)))
 		if err != nil {
 			t.Fatal(err)
 		}
 		files[i] = sf
 	}
 	return files
+}
+
+// expectIncomplete asserts MergeShards reports exactly the want points
+// missing, in global grid order, and returns the error.
+func expectIncomplete(t *testing.T, specs []*Spec, files []*ShardFile, want []GridRef) *IncompleteError {
+	t.Helper()
+	err := MergeShards(specs, files, false, func(*Table) {})
+	var inc *IncompleteError
+	if !errors.As(err, &inc) {
+		t.Fatalf("MergeShards error = %v, want *IncompleteError", err)
+	}
+	if fmt.Sprint(inc.Missing) != fmt.Sprint(want) {
+		t.Fatalf("Missing = %v, want exactly %v", inc.Missing, want)
+	}
+	return inc
+}
+
+// expectUnshardedOutput asserts that merging the files renders exactly
+// what an unsharded run of the specs renders, in every output form.
+func expectUnshardedOutput(t *testing.T, specs []*Spec, files []*ShardFile) {
+	t.Helper()
+	wantText, wantJSON, wantCSV, wantFail := renderForms(t, func(emit func(*Table)) {
+		(&LocalPool{Par: 1}).Execute(specs, emit)
+	})
+	text, jsonOut, csv, fail := renderForms(t, func(emit func(*Table)) {
+		if err := MergeShards(specs, files, false, emit); err != nil {
+			t.Fatalf("merge: %v", err)
+		}
+	})
+	if fail != wantFail {
+		t.Fatalf("merged failure %q != unsharded failure %q", fail, wantFail)
+	}
+	if !bytes.Equal(text, wantText) || !bytes.Equal(jsonOut, wantJSON) || !bytes.Equal(csv, wantCSV) {
+		t.Fatal("merged output diverged from the unsharded run")
+	}
 }
 
 // expectMergeError asserts MergeShards rejects the shard set with an
@@ -220,22 +261,24 @@ func expectMergeError(t *testing.T, specs []*Spec, files []*ShardFile, want stri
 
 // TestMergeShardValidation: torn, incomplete, duplicated, overlapping and
 // foreign shard sets are rejected with specific diagnostics instead of
-// producing a silently wrong table.
+// producing a silently wrong table. Merge checks points, not partition
+// shapes: a lost shard is an incomplete set naming exactly its points,
+// and a repeated or overlapping shard is a duplicated point.
 func TestMergeShardValidation(t *testing.T) {
 	specs := shardSpecs(false)
 
 	t.Run("missing shard", func(t *testing.T) {
 		files := shardFiles(t, specs, 3)
-		expectMergeError(t, specs, files[:2], "missing shard")
+		expectIncomplete(t, specs, files[:2], NewPointRunner(specs).ShardRefs(2, 3))
 	})
 	t.Run("duplicate shard", func(t *testing.T) {
 		files := shardFiles(t, specs, 2)
-		expectMergeError(t, specs, []*ShardFile{files[0], files[0]}, "duplicate shard")
+		expectMergeError(t, specs, []*ShardFile{files[0], files[0]}, "duplicated point")
 	})
 	t.Run("overlapping partitions", func(t *testing.T) {
 		two := shardFiles(t, specs, 2)
 		three := shardFiles(t, specs, 3)
-		expectMergeError(t, specs, []*ShardFile{two[0], three[1]}, "partitions mixed")
+		expectMergeError(t, specs, []*ShardFile{two[0], three[1]}, "duplicated point")
 	})
 	t.Run("missing point", func(t *testing.T) {
 		files := shardFiles(t, specs, 2)
@@ -248,11 +291,13 @@ func TestMergeShardValidation(t *testing.T) {
 		expectMergeError(t, specs, files, "duplicated point")
 	})
 	t.Run("point in the wrong shard", func(t *testing.T) {
+		// Every point still appears exactly once, so the set is whole:
+		// which file carries a record does not matter.
 		files := shardFiles(t, specs, 2)
 		stolen := files[0].Records[0]
 		files[1].Records = append(files[1].Records, stolen)
 		files[0].Records = files[0].Records[1:]
-		expectMergeError(t, specs, files, "overlapping")
+		expectUnshardedOutput(t, specs, files)
 	})
 	t.Run("selection mismatch", func(t *testing.T) {
 		files := shardFiles(t, specs, 2)
@@ -298,9 +343,10 @@ func TestReadShardFileRejectsGarbage(t *testing.T) {
 	}
 }
 
-// TestShardExecutorPartition: the global point list is partitioned
-// round-robin over grid order — every point appears in exactly one shard,
-// and consecutive global points land on consecutive shards.
+// TestShardExecutorPartition: a static shard's refs are the round-robin
+// slice of the global point list — every point appears in exactly one
+// shard, consecutive global points land on consecutive shards — and the
+// shard's stream carries exactly those points.
 func TestShardExecutorPartition(t *testing.T) {
 	specs := shardSpecs(false)
 	const m = 3
@@ -312,19 +358,33 @@ func TestShardExecutorPartition(t *testing.T) {
 		base[s.ID] = total
 		total += len(s.Points())
 	}
+	r := NewPointRunner(specs)
 	seen := make(map[int]int) // global index -> shard
-	for _, f := range files {
+	for i, f := range files {
 		if f.Manifest.GridPoints != total {
 			t.Fatalf("manifest grid_points = %d, want %d", f.Manifest.GridPoints, total)
 		}
-		for _, rec := range f.Records {
-			g := base[rec.Experiment] + rec.Index
+		refs := r.ShardRefs(i, m)
+		for _, ref := range refs {
+			g := base[ref.Experiment] + ref.Index
 			if prev, dup := seen[g]; dup {
-				t.Fatalf("global point %d in shards %d and %d", g, prev, f.Manifest.Shard)
+				t.Fatalf("global point %d in shards %d and %d", g, prev, i)
 			}
-			seen[g] = f.Manifest.Shard
-			if want := g % m; f.Manifest.Shard != want {
-				t.Fatalf("global point %d landed on shard %d, want %d (round-robin)", g, f.Manifest.Shard, want)
+			seen[g] = i
+			if want := g % m; i != want {
+				t.Fatalf("global point %d landed on shard %d, want %d (round-robin)", g, i, want)
+			}
+		}
+		streamed := map[GridRef]bool{}
+		for _, rec := range f.Records {
+			streamed[GridRef{Experiment: rec.Experiment, Index: rec.Index}] = true
+		}
+		if len(streamed) != len(refs) || len(f.Records) != len(refs) {
+			t.Fatalf("shard %d streamed %d records for %d refs", i, len(f.Records), len(refs))
+		}
+		for _, ref := range refs {
+			if !streamed[ref] {
+				t.Fatalf("shard %d did not stream its point %v", i, ref)
 			}
 		}
 	}

@@ -5,58 +5,39 @@ import (
 	"strings"
 )
 
-// MergeShards reassembles a sharded run: given the specs named by the
-// shard manifests (in manifest order — the caller resolves them, usually
-// via ByID) and every shard's parsed output, it verifies the shard set is
-// complete and consistent, verifies no grid point is missing or
-// duplicated, re-runs the derived/summary columns over the merged grid,
-// and emits tables byte-identical to a single-machine run of the same
-// selection — including the failure behavior: points that panicked on a
-// shard panic here with the same aggregated experiment IDs and messages
+// MergeShards reassembles a distributed run: given the specs named by the
+// stream manifests (in manifest order — the caller resolves them, usually
+// via Resolve) and every parsed point stream, it fills the grid point by
+// point, re-runs the derived/summary columns over the merged grid, and
+// emits tables byte-identical to a single-machine run of the same
+// selection — including the failure behavior: points that panicked in a
+// stream panic here with the same aggregated experiment IDs and messages
 // an unsharded Run produces.
 //
-// Two kinds of shard set merge. A pure round-robin set (every file from
-// `aem bench -shard i/m` or `aem serve`, which writes a 1-of-1 stream)
-// must form one complete partition: same shard count everywhere, every
-// shard present exactly once, every record in the shard that owns it. A
-// set containing residual files (`aem work -residual` output, marked in
-// the manifest) is a patchwork — partial outputs of any partition plus
-// the streams that complete them — so the partition-shape checks don't
-// apply; the point-level guarantees (nothing missing, nothing duplicated,
-// nothing torn, agreement on selection and grid size, and round-robin
-// files still owning their records) are enforced identically.
-//
-// The returned error covers integrity problems with the shard set itself
-// (missing/duplicate/overlapping shards, foreign or torn files, registry
-// drift); experiment failures panic, per the harness contract. When the
-// set is consistent but grid points are missing — an interrupted run —
-// the error is an *IncompleteError aggregating every missing point
-// across all specs, whose ResidualSpec method is the machine-readable
-// resume: run it with `aem work -residual` and merge the result into
-// this same set.
+// Where a stream came from does not matter: static shards, residual
+// resumes and fleet output are all lists of records. Every file must
+// agree on the selection and the grid size; every record passes
+// PointRunner.ValidateRecord and must fill a point no earlier record
+// filled. The returned error covers these integrity problems (foreign,
+// torn or overlapping files, registry drift); experiment failures panic,
+// per the harness contract. When the set is consistent but grid points
+// are missing — a lost shard, a killed job, an interrupted fleet — the
+// error is an *IncompleteError aggregating every missing point across all
+// specs, whose ResidualSpec method is the machine-readable resume: run it
+// with `aem work -residual` and merge the result into this same set.
 //
 // With timing set, each table carries the per-point wall-clock recorded
-// by the shards (Table.WallNS).
+// in the streams (Table.WallNS).
 func MergeShards(specs []*Spec, files []*ShardFile, timing bool, emit func(*Table)) error {
 	if len(files) == 0 {
 		return fmt.Errorf("no shard files to merge")
 	}
 
 	// The first manifest fixes the selection; every file must agree on it
-	// and on the global grid size, whatever partition it came from.
+	// and on the global grid size.
 	ref := files[0].Manifest
-	patchwork := false
 	for _, f := range files {
 		m := f.Manifest
-		if m.Of < 1 {
-			return fmt.Errorf("shard %d: invalid shard count %d", m.Shard, m.Of)
-		}
-		if m.Shard < 0 || m.Shard >= m.Of {
-			return fmt.Errorf("shard index %d out of range for a %d-way partition", m.Shard, m.Of)
-		}
-		if m.Residual {
-			patchwork = true
-		}
 		if len(m.Experiments) != len(ref.Experiments) {
 			return fmt.Errorf("shard files disagree on the experiment selection")
 		}
@@ -69,122 +50,30 @@ func MergeShards(specs []*Spec, files []*ShardFile, timing bool, emit func(*Tabl
 			return fmt.Errorf("shard files disagree on the grid size: %d vs %d points", m.GridPoints, ref.GridPoints)
 		}
 	}
-
-	// Partition-shape checks: only a pure round-robin set claims to be
-	// one complete partition. A patchwork set's completeness is decided
-	// point by point below.
-	if !patchwork {
-		seenShard := make(map[int]bool)
-		for _, f := range files {
-			m := f.Manifest
-			if m.Of != ref.Of {
-				return fmt.Errorf("shard files disagree: %d-way and %d-way partitions mixed", ref.Of, m.Of)
-			}
-			if seenShard[m.Shard] {
-				return fmt.Errorf("duplicate shard %d/%d: the same shard appears in two files", m.Shard, m.Of)
-			}
-			seenShard[m.Shard] = true
-		}
-		if len(seenShard) != ref.Of {
-			var missing []int
-			for i := 0; i < ref.Of; i++ {
-				if !seenShard[i] {
-					missing = append(missing, i)
-				}
-			}
-			return fmt.Errorf("incomplete shard set: missing shard(s) %v of %d", missing, ref.Of)
-		}
-	}
-
 	if len(specs) != len(ref.Experiments) {
 		return fmt.Errorf("merge given %d specs for %d experiments in the shard manifest", len(specs), len(ref.Experiments))
 	}
-	bySpec := make(map[string]int, len(specs))
 	for i, s := range specs {
 		if s.ID != ref.Experiments[i] {
 			return fmt.Errorf("merge spec %d is %s, shard manifest says %s", i, s.ID, ref.Experiments[i])
 		}
-		bySpec[s.ID] = i
 	}
 
 	// Re-enumerate the grids: the merge binary carries the same registry,
 	// so the expected point set — and any deterministic grid-enumeration
 	// failure — reproduces here without a record.
-	sts := newSpecStates(specs)
-	base := make([]int, len(specs)) // each spec's first global point index
-	total := 0
-	for si, st := range sts {
-		base[si] = total
-		total += len(st.pts)
+	r := NewPointRunner(specs)
+	if r.Total() != ref.GridPoints {
+		return fmt.Errorf("shards were produced from a different grid: %d points there, %d here (registry drift?)", ref.GridPoints, r.Total())
 	}
-	if total != ref.GridPoints {
-		return fmt.Errorf("shards were produced from a different grid: %d points there, %d here (registry drift?)", ref.GridPoints, total)
-	}
-
-	filled := make([][]bool, len(specs))
-	for si, st := range sts {
-		filled[si] = make([]bool, len(st.pts))
-	}
-	for _, f := range files {
-		for _, rec := range f.Records {
-			si, ok := bySpec[rec.Experiment]
-			if !ok {
-				return fmt.Errorf("shard %d: record for experiment %s, which is not in the manifest", f.Manifest.Shard, rec.Experiment)
-			}
-			st := sts[si]
-			if rec.Points != len(st.pts) {
-				return fmt.Errorf("shard %d: %s has %d grid points, record says %d (registry drift?)", f.Manifest.Shard, rec.Experiment, len(st.pts), rec.Points)
-			}
-			if rec.Index < 0 || rec.Index >= len(st.pts) {
-				return fmt.Errorf("shard %d: %s point %d out of range [0,%d)", f.Manifest.Shard, rec.Experiment, rec.Index, len(st.pts))
-			}
-			// A round-robin shard must own every record it carries, per its
-			// own manifest's partition — a residual file owns whatever its
-			// spec listed, which the fill bookkeeping checks instead.
-			if !f.Manifest.Residual {
-				if owner := (base[si] + rec.Index) % f.Manifest.Of; owner != f.Manifest.Shard {
-					return fmt.Errorf("overlapping shards: %s point %d belongs to shard %d but appears in shard %d", rec.Experiment, rec.Index, owner, f.Manifest.Shard)
-				}
-			}
-			if filled[si][rec.Index] {
-				return fmt.Errorf("duplicated point: %s point %d appears twice in the shard set", rec.Experiment, rec.Index)
-			}
-			filled[si][rec.Index] = true
-			if rec.Panic != "" {
-				st.panicAt[rec.Index] = rec.Panic
-				st.nfail++
-			} else {
-				// A healthy record carries exactly one raw value and one
-				// rendered cell per column; anything else is a torn or
-				// foreign file and must be rejected here, not crash the
-				// renderer or mis-align the merged table downstream.
-				ncols := len(specs[si].Columns)
-				if len(rec.Row) != ncols || len(rec.Cells) != ncols {
-					return fmt.Errorf("shard %d: torn record: %s point %d has %d row values and %d cells for %d columns",
-						f.Manifest.Shard, rec.Experiment, rec.Index, len(rec.Row), len(rec.Cells), ncols)
-				}
-				st.rows[rec.Index] = Row(rec.Row)
-				st.cells[rec.Index] = rec.Cells
-			}
-			st.wallNS[rec.Index] = rec.WallNS
-		}
-	}
-
-	// Completeness, aggregated across all specs: an interrupted run is
-	// usually missing points from several experiments at once, and the
-	// resume machinery needs the full list, not the first incomplete spec.
-	var missing []GridRef
-	for si, st := range sts {
-		if st.enumFailed() {
-			continue // reproduced locally; shards recorded nothing for it
-		}
-		for pi, ok := range filled[si] {
-			if !ok {
-				missing = append(missing, GridRef{Experiment: specs[si].ID, Index: pi})
+	for fi, f := range files {
+		for i := range f.Records {
+			if err := r.fill(&f.Records[i]); err != nil {
+				return fmt.Errorf("shard file %d: %w", fi+1, err)
 			}
 		}
 	}
-	if len(missing) > 0 {
+	if missing := r.unfilled(); len(missing) > 0 {
 		return &IncompleteError{Experiments: ref.Experiments, GridPoints: ref.GridPoints, Missing: missing}
 	}
 
@@ -193,13 +82,50 @@ func MergeShards(specs []*Spec, files []*ShardFile, timing bool, emit func(*Tabl
 	// aggregation LocalPool runs, fed from records instead of workers.
 	var failures []string
 	for si, s := range specs {
-		completeSpec(s, sts[si], &failures, timing, emit)
+		completeSpec(s, r.sts[si], &failures, timing, emit)
 	}
 	panicOnFailures(failures)
 	return nil
 }
 
-// IncompleteError reports a consistent but unfinished shard set: every
+// fill validates a record and stores it as the measured result of its
+// point, as if this runner had measured it. A point already filled — by
+// an earlier record or by Run — is a duplicate. fill is for the merge
+// side and must not run concurrently with Run.
+func (r *PointRunner) fill(rec *PointRecord) error {
+	if err := r.ValidateRecord(rec); err != nil {
+		return err
+	}
+	si := r.bySpec[rec.Experiment]
+	if r.done[si][rec.Index] {
+		return fmt.Errorf("duplicated point: %s point %d appears twice in the shard set", rec.Experiment, rec.Index)
+	}
+	r.done[si][rec.Index] = true
+	st := r.sts[si]
+	if rec.Panic != "" {
+		st.panicAt[rec.Index] = rec.Panic
+		st.nfail++
+	} else {
+		st.rows[rec.Index] = Row(rec.Row)
+		st.cells[rec.Index] = rec.Cells
+	}
+	st.wallNS[rec.Index] = rec.WallNS
+	return nil
+}
+
+// unfilled lists every point neither filled nor measured, in global grid
+// order. A spec whose enumeration panicked has no points to miss.
+func (r *PointRunner) unfilled() []GridRef {
+	var missing []GridRef
+	for _, ref := range r.Refs() {
+		if !r.done[r.bySpec[ref.Experiment]][ref.Index] {
+			missing = append(missing, ref)
+		}
+	}
+	return missing
+}
+
+// IncompleteError reports a consistent but unfinished stream set: every
 // grid point no file in the set carries, across all specs, in global
 // grid order. It is the error form of an interrupted run — convert it
 // with ResidualSpec to get the machine-readable remainder `aem work

@@ -7,47 +7,40 @@ import (
 	"io"
 )
 
-// This file is the wire format of sharded execution: one shard = one
-// JSON Lines stream, a manifest line followed by one self-describing
-// record per grid point the shard owns. The records carry everything the
-// merge path needs to reassemble the exact tables an unsharded run emits
-// — raw row values (for re-running derived/summary columns over the full
-// merged grid), pre-rendered cells (so value formatting happens exactly
-// once, on the worker that measured the point), panic info (so failure
-// aggregation survives the merge), and the point's wall-clock.
+// This file is the wire format of every point stream. A stream is one
+// JSON Lines file: a manifest line naming the run, then one
+// self-describing record per grid point, in whatever order the points
+// finished. The records carry everything the merge path needs to
+// reassemble the exact tables an unsharded run emits — raw row values
+// (for re-running derived/summary columns over the full merged grid),
+// pre-rendered cells (so value formatting happens exactly once, on the
+// worker that measured the point), panic info (so failure aggregation
+// survives the merge), and the point's wall-clock.
 //
-// The same PointRecord is also the fleet protocol payload: `aem work`
-// streams these records over HTTP to the `aem serve` coordinator, which
-// writes the accepted ones as a single 1-of-1 shard stream — so a fleet
-// run's output merges through exactly the code path a CI shard matrix
-// uses. A ResidualSpec names the points an interrupted run is missing;
-// RunResidual turns one into a residual shard stream that completes the
-// original partial outputs at merge time.
+// Every distributed path produces the same stream from a list of
+// GridRefs: `aem bench -shard i/m` streams the round-robin slice of the
+// global point list, `aem work -residual` streams a ResidualSpec's
+// missing points, and the `aem serve` coordinator streams whatever its
+// leased workers send back. MergeShards does not care which: it fills
+// the grid point by point and reports any hole as an IncompleteError,
+// whose ResidualSpec resumes a lost shard exactly like an interrupted
+// fleet.
 
-// ShardManifest is the first line of every shard file: which slice of
-// which run this file holds. Merge validation is built on it — shard
-// files from different partitions, selections or registry versions are
-// rejected instead of silently producing a wrong table.
+// ShardManifest is the first line of every point stream: which run the
+// stream belongs to. Merge checks every file against it — streams from
+// different selections or registry versions are rejected instead of
+// silently producing a wrong table. Older streams also carry
+// shard/of/residual fields; decoding ignores them.
 type ShardManifest struct {
 	Type        string   `json:"type"` // "shard"
-	Shard       int      `json:"shard"`
-	Of          int      `json:"of"`
 	Experiments []string `json:"experiments"`
 	GridPoints  int      `json:"grid_points"` // global point count across all experiments
-
-	// Residual marks a stream whose points were chosen by a ResidualSpec
-	// rather than by round-robin partition — the output of `aem work
-	// -residual`, produced to complete an interrupted run. MergeShards
-	// relaxes the shard-set checks that assume one partition (shard
-	// presence, ownership) when a residual file is in the mix; the
-	// point-level checks (missing, duplicated, torn) still apply.
-	Residual bool `json:"residual,omitempty"`
 }
 
 // GridRef names one grid point globally: an experiment ID plus the
 // point's index in that experiment's grid enumeration. It is the unit
-// the fleet coordinator leases to workers and the unit a ResidualSpec
-// lists as missing.
+// every point stream is built from: a static shard's slice, a fleet
+// lease, a ResidualSpec's missing list.
 type GridRef struct {
 	Experiment string `json:"experiment"`
 	Index      int    `json:"index"`
@@ -57,9 +50,9 @@ type GridRef struct {
 // every grid point the merged partial outputs are missing, across all
 // specs, plus enough of the original run's identity (selection and
 // global grid size) for the resume to detect registry drift. `aem merge
-// -residual` writes one when the shard set is incomplete; `aem work
-// -residual` runs exactly these points and emits a residual shard
-// stream, so resume is one command.
+// -residual` writes one when the stream set is incomplete; `aem work
+// -residual` runs exactly these points and emits one more point stream,
+// so resume is one command.
 type ResidualSpec struct {
 	Type        string    `json:"type"` // "residual"
 	Experiments []string  `json:"experiments"`
@@ -163,123 +156,4 @@ func ReadShardFile(r io.Reader) (*ShardFile, error) {
 		return nil, fmt.Errorf("not a shard file: no manifest record")
 	}
 	return sf, nil
-}
-
-// ShardExecutor runs shard Index of Count: the global point list — every
-// spec's grid in spec order, each grid in grid order — is partitioned
-// round-robin by global index, so the partition is deterministic, stable
-// across shards, and balanced even when one experiment dominates the
-// grid. Owned points run on a local pool of at most Par goroutines
-// (Par < 1 is treated as 1); results stream to W as JSON Lines point
-// records in grid order, preceded by the shard manifest.
-//
-// Unlike LocalPool, a panicking point is not fatal here: its panic
-// message travels in the point's record and surfaces — aggregated across
-// shards, exactly as an unsharded run would report it — when the shards
-// are merged. Execute still returns an error naming every kind of
-// failure — panicked points and panicked grid enumerations alike — so a
-// sharded CI job fails fast, but only after every record has been
-// written. emit is never called.
-type ShardExecutor struct {
-	Index, Count int
-	Par          int
-	W            io.Writer
-}
-
-// Execute implements Executor.
-func (e *ShardExecutor) Execute(specs []*Spec, emit func(*Table)) error {
-	if e.Count < 1 || e.Index < 0 || e.Index >= e.Count {
-		return fmt.Errorf("shard %d/%d out of range", e.Index, e.Count)
-	}
-	par := e.Par
-	if par < 1 {
-		par = 1
-	}
-
-	sts := newSpecStates(specs)
-	var jobs []job
-	owned := make([]map[int]bool, len(specs))
-	global, total := 0, 0
-	for si, st := range sts {
-		owned[si] = make(map[int]bool)
-		for pi := range st.pts {
-			if global%e.Count == e.Index {
-				owned[si][pi] = true
-				jobs = append(jobs, job{si, pi})
-			}
-			global++
-		}
-		total += len(st.pts)
-	}
-
-	runJobs(specs, sts, jobs, par, nil).Wait()
-
-	ids := make([]string, len(specs))
-	for i, s := range specs {
-		ids[i] = s.ID
-	}
-	enc := json.NewEncoder(e.W)
-	if err := enc.Encode(ShardManifest{
-		Type: "shard", Shard: e.Index, Of: e.Count,
-		Experiments: ids, GridPoints: total,
-	}); err != nil {
-		return err
-	}
-	failed, enumFailed := 0, 0
-	for si, s := range specs {
-		st := sts[si]
-		// A grid-enumeration panic produces no per-point slots; the merge
-		// binary re-enumerates the same deterministic grid and reports the
-		// identical failure itself, so nothing needs recording here — but
-		// it must still fail this shard's exit code below: the per-point
-		// counter never sees it.
-		if st.enumFailed() {
-			enumFailed++
-			continue
-		}
-		for pi := range st.pts {
-			if !owned[si][pi] {
-				continue
-			}
-			rec := st.record(s, pi)
-			if rec.Panic != "" {
-				failed++
-			}
-			if err := enc.Encode(rec); err != nil {
-				return err
-			}
-		}
-	}
-	return shardFailure(failed, enumFailed)
-}
-
-// record builds the wire record of one finished grid point.
-func (st *specState) record(s *Spec, pi int) PointRecord {
-	rec := PointRecord{
-		Type: "point", Experiment: s.ID, Index: pi, Points: len(st.pts),
-		WallNS: st.wallNS[pi],
-	}
-	if pm := st.panicAt[pi]; pm != "" {
-		rec.Panic = pm
-	} else {
-		rec.Row = st.rows[pi]
-		rec.Cells = st.cells[pi]
-	}
-	return rec
-}
-
-// shardFailure renders a record-streaming run's failure tally into its
-// exit error: nil only when nothing panicked. Grid-enumeration panics
-// carry no records (the merge binary reproduces them deterministically),
-// but they must still fail the producing job.
-func shardFailure(failed, enumFailed int) error {
-	switch {
-	case failed > 0 && enumFailed > 0:
-		return fmt.Errorf("%d point(s) and %d grid enumeration(s) panicked; the failures are recorded in the shard output and will surface at merge", failed, enumFailed)
-	case enumFailed > 0:
-		return fmt.Errorf("%d grid enumeration(s) panicked; the failure reproduces at merge from the registry, no record needed", enumFailed)
-	case failed > 0:
-		return fmt.Errorf("%d point(s) panicked; the failures are recorded in the shard output and will surface at merge", failed)
-	}
-	return nil
 }

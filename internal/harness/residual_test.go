@@ -21,14 +21,14 @@ func enumBombSpec(id string) *Spec {
 }
 
 // TestShardExecutorEnumFailureFailsExitCode pins the bugfix for silent
-// enum failures: a sharded job whose grid enumeration panics must return
-// a non-nil error even though no per-point record exists to count — the
-// old code only tallied per-point panics, so a sharded CI job exited 0
-// on a broken grid.
+// enum failures: a static shard job whose grid enumeration panics must
+// return a non-nil error even though no per-point record exists to
+// count — the old code only tallied per-point panics, so a sharded CI
+// job exited 0 on a broken grid.
 func TestShardExecutorEnumFailureFailsExitCode(t *testing.T) {
 	specs := []*Spec{sleepSpec("OK-1", 0, nil), enumBombSpec("BAD-GRID")}
 	var buf bytes.Buffer
-	err := (&ShardExecutor{Index: 0, Count: 1, Par: 2, W: &buf}).Execute(specs, nil)
+	err := RunShard(specs, 0, 1, 2, &buf)
 	if err == nil {
 		t.Fatal("enum-failing shard run returned nil — a sharded CI job would exit 0")
 	}
@@ -46,8 +46,7 @@ func TestShardExecutorEnumFailureFailsExitCode(t *testing.T) {
 		ID: "BOMB", Axes: []Axis{{Name: "i", Values: Ints(0, 1)}}, Columns: Cols("i"),
 		Point: func(p Point) Row { panic("point bomb") },
 	}
-	err = (&ShardExecutor{Index: 0, Count: 1, Par: 2, W: &bytes.Buffer{}}).Execute(
-		[]*Spec{bomb, enumBombSpec("BAD-GRID")}, nil)
+	err = RunShard([]*Spec{bomb, enumBombSpec("BAD-GRID")}, 0, 1, 2, &bytes.Buffer{})
 	if err == nil || !strings.Contains(err.Error(), "point(s)") || !strings.Contains(err.Error(), "grid enumeration") {
 		t.Fatalf("combined failure error %q must count both points and enumerations", err)
 	}
@@ -120,64 +119,89 @@ func TestIncompleteErrorCapsListing(t *testing.T) {
 }
 
 // TestResidualRoundTrip is the resume path end to end at the harness
-// level: drop records from both specs of a 2-shard set, distill the
-// IncompleteError into a ResidualSpec, run it, and merge the partial
-// shards plus the residual stream — the result must be byte-identical
-// to the unsharded run in every output form.
+// level: damage a shard set, distill the IncompleteError into a
+// ResidualSpec, run it, and merge the partial shards plus the residual
+// stream — the result must be byte-identical to the unsharded run in
+// every output form. A lost static shard and a killed shard job resume
+// exactly like scattered missing records.
 func TestResidualRoundTrip(t *testing.T) {
 	specs := shardSpecs(false)
-	wantText, wantJSON, wantCSV, wantFail := renderForms(t, func(emit func(*Table)) {
-		(&LocalPool{Par: 1}).Execute(specs, emit)
-	})
-	if wantFail != "" {
-		t.Fatalf("unsharded run failed: %s", wantFail)
-	}
+	for _, tc := range []struct {
+		name string
+		// damage returns the surviving files and, when it knows them, the
+		// points the merge must report missing.
+		damage func(t *testing.T) ([]*ShardFile, []GridRef)
+	}{
+		{"records dropped from both specs", func(t *testing.T) ([]*ShardFile, []GridRef) {
+			files := shardFiles(t, specs, 2)
+			dropRecord(t, files, "GRID")
+			dropRecord(t, files, "GRID")
+			dropRecord(t, files, "LABELS")
+			return files, nil
+		}},
+		{"whole shard of three lost", func(t *testing.T) ([]*ShardFile, []GridRef) {
+			files := shardFiles(t, specs, 3)
+			return []*ShardFile{files[0], files[2]}, NewPointRunner(specs).ShardRefs(1, 3)
+		}},
+		{"shard job killed after k records", func(t *testing.T) ([]*ShardFile, []GridRef) {
+			const k = 4
+			files := shardFiles(t, specs, 3)
+			// The manifest and the first k completed records reached the
+			// output before the job died.
+			lines := bytes.SplitAfter(shardStream(t, specs, 1, 3), []byte("\n"))
+			cut, err := ReadShardFile(bytes.NewReader(bytes.Join(lines[:1+k], nil)))
+			if err != nil {
+				t.Fatalf("cut stream unparseable: %v", err)
+			}
+			if len(cut.Records) != k {
+				t.Fatalf("cut stream holds %d records, want %d", len(cut.Records), k)
+			}
+			kept := map[GridRef]bool{}
+			for _, rec := range cut.Records {
+				kept[GridRef{Experiment: rec.Experiment, Index: rec.Index}] = true
+			}
+			var want []GridRef
+			for _, ref := range NewPointRunner(specs).ShardRefs(1, 3) {
+				if !kept[ref] {
+					want = append(want, ref)
+				}
+			}
+			return []*ShardFile{files[0], cut, files[2]}, want
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			files, wantMissing := tc.damage(t)
+			err := MergeShards(specs, files, false, func(*Table) {})
+			var inc *IncompleteError
+			if !errors.As(err, &inc) {
+				t.Fatalf("merge error %v is not *IncompleteError", err)
+			}
+			if wantMissing != nil && fmt.Sprint(inc.Missing) != fmt.Sprint(wantMissing) {
+				t.Fatalf("Missing = %v, want exactly %v", inc.Missing, wantMissing)
+			}
+			rs := inc.ResidualSpec()
 
-	files := shardFiles(t, specs, 2)
-	dropRecord(t, files, "GRID")
-	dropRecord(t, files, "GRID")
-	dropRecord(t, files, "LABELS")
+			// The spec survives its serialized form (what `aem merge
+			// -residual` writes and `aem work -residual` reads).
+			var disk bytes.Buffer
+			if err := rs.WriteResidual(&disk); err != nil {
+				t.Fatal(err)
+			}
+			rs, err = ReadResidualSpec(&disk)
+			if err != nil {
+				t.Fatal(err)
+			}
 
-	err := MergeShards(specs, files, false, func(*Table) {})
-	var inc *IncompleteError
-	if !errors.As(err, &inc) {
-		t.Fatalf("merge error %v is not *IncompleteError", err)
-	}
-	rs := inc.ResidualSpec()
-
-	// The spec survives its serialized form (what `aem merge -residual`
-	// writes and `aem work -residual` reads).
-	var disk bytes.Buffer
-	if err := rs.WriteResidual(&disk); err != nil {
-		t.Fatal(err)
-	}
-	rs, err = ReadResidualSpec(&disk)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	var rest bytes.Buffer
-	if err := RunResidualSpecs(shardSpecs(false), rs, 2, &rest); err != nil {
-		t.Fatalf("residual run: %v", err)
-	}
-	rf, err := ReadShardFile(&rest)
-	if err != nil {
-		t.Fatalf("residual stream unparseable: %v", err)
-	}
-	if !rf.Manifest.Residual {
-		t.Fatal("residual stream not marked residual in its manifest")
-	}
-
-	text, jsonOut, csv, fail := renderForms(t, func(emit func(*Table)) {
-		if err := MergeShards(specs, append(files, rf), false, emit); err != nil {
-			t.Fatalf("merge with residual: %v", err)
-		}
-	})
-	if fail != "" {
-		t.Fatalf("merged run failed: %s", fail)
-	}
-	if !bytes.Equal(text, wantText) || !bytes.Equal(jsonOut, wantJSON) || !bytes.Equal(csv, wantCSV) {
-		t.Fatal("partial shards + residual stream diverged from the unsharded run")
+			var rest bytes.Buffer
+			if err := RunResidualSpecs(shardSpecs(false), rs, 2, &rest); err != nil {
+				t.Fatalf("residual run: %v", err)
+			}
+			rf, err := ReadShardFile(&rest)
+			if err != nil {
+				t.Fatalf("residual stream unparseable: %v", err)
+			}
+			expectUnshardedOutput(t, specs, append(files, rf))
+		})
 	}
 }
 
@@ -210,9 +234,9 @@ func TestResidualSpecValidation(t *testing.T) {
 	}
 }
 
-// TestMergeResidualModeKeepsPointChecks: the relaxed patchwork
-// validation still rejects duplicated points and still reports missing
-// ones — only the partition-shape checks are waived.
+// TestMergeResidualModeKeepsPointChecks: a set mixing partial shards and
+// a residual stream still rejects duplicated points and still reports
+// missing ones.
 func TestMergeResidualModeKeepsPointChecks(t *testing.T) {
 	mkSet := func() ([]*Spec, []*ShardFile, *ShardFile) {
 		specs := shardSpecs(false)
@@ -254,20 +278,10 @@ func TestMergeResidualModeKeepsPointChecks(t *testing.T) {
 			t.Fatalf("Missing = %v, want the one LABELS hole", inc.Missing)
 		}
 	})
-	t.Run("round-robin files still own their records", func(t *testing.T) {
-		specs, files, rf := mkSet()
-		// Move a record between the two round-robin shards: ownership is
-		// per-manifest, so this stays an error even in patchwork mode.
-		stolen := files[0].Records[0]
-		files[0].Records = files[0].Records[1:]
-		files[1].Records = append(files[1].Records, stolen)
-		expectMergeError(t, specs, append(files, rf), "overlapping")
-	})
 }
 
 // TestPointRunner: explicit-point execution — global ref order,
-// validation, memoized re-runs, and record parity with ShardExecutor's
-// wire format.
+// validation, memoized re-runs, and the point-record wire form.
 func TestPointRunner(t *testing.T) {
 	var runs int64
 	mk := func() []*Spec {
@@ -317,7 +331,7 @@ func TestPointRunner(t *testing.T) {
 		t.Fatalf("memoized re-run delivered %d records, executed A %d times", len(recs), runs)
 	}
 	if recs[0].Type != "point" || recs[0].Experiment != "A" || recs[0].Index != 1 || recs[0].Points != 3 {
-		t.Fatalf("record %+v is not the wire form ShardExecutor emits", recs[0])
+		t.Fatalf("record %+v is not the point-record wire form", recs[0])
 	}
 
 	// Record validation mirrors the merge-side torn checks.

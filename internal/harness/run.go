@@ -1,8 +1,8 @@
 package harness
 
 // Run executes the specs' grids on one shared in-process worker pool of
-// at most par goroutines — it is shorthand for the LocalPool executor
-// (see executor.go for the pluggable execution layer). emit is called
+// at most par goroutines — it is shorthand for LocalPool (see executor.go
+// for how it relates to the point-stream path). emit is called
 // exactly once per spec, in the order of specs, as soon as each table and
 // all of its predecessors are assembled. Every point owns a private
 // machine and derives its inputs from fixed seeds, so points are

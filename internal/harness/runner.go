@@ -7,12 +7,13 @@ import (
 	"sync"
 )
 
-// This file runs explicitly-named grid points — the execution substrate
-// of the fleet. Where ShardExecutor owns a fixed round-robin slice of
-// the global point list, a PointRunner is handed arbitrary GridRefs (a
-// coordinator lease, a residual spec's missing list) and produces the
-// same self-describing PointRecords, through the same runJobs pool, so
-// a fleet worker and a CI shard cannot measure a point differently.
+// This file is the one execution path behind every point stream. A
+// PointRunner is handed GridRefs — a static shard's round-robin slice, a
+// coordinator lease, a residual spec's missing list — measures them on
+// the same runJobs pool LocalPool uses, and produces self-describing
+// PointRecords; MergeShards feeds records back into a PointRunner point
+// by point. A CI shard, a fleet worker and a resume job therefore cannot
+// measure, stream or validate a point differently.
 
 // PointRunner enumerates a selection's grids once and then runs any
 // subset of their points on demand, streaming one PointRecord per
@@ -32,9 +33,8 @@ type PointRunner struct {
 }
 
 // NewPointRunner enumerates every spec's grid. A spec whose enumeration
-// panics deterministically contributes no points — exactly as it does on
-// every other executor; the failure surfaces at merge time from the
-// registry.
+// panics deterministically contributes no points — exactly as it does in
+// LocalPool; the failure surfaces at merge time from the registry.
 func NewPointRunner(specs []*Spec) *PointRunner {
 	r := &PointRunner{
 		specs:  specs,
@@ -52,8 +52,17 @@ func NewPointRunner(specs []*Spec) *PointRunner {
 }
 
 // Total returns the global grid size across all specs — the number a
-// shard manifest carries as grid_points.
+// stream manifest carries as grid_points.
 func (r *PointRunner) Total() int { return r.total }
+
+// Manifest returns the header line of every point stream of this run.
+func (r *PointRunner) Manifest() ShardManifest {
+	ids := make([]string, len(r.specs))
+	for i, s := range r.specs {
+		ids[i] = s.ID
+	}
+	return ShardManifest{Type: "shard", Experiments: ids, GridPoints: r.total}
+}
 
 // Refs returns every grid point of the selection in global order: spec
 // order, grid order within each spec. This is the point list a fleet
@@ -63,6 +72,19 @@ func (r *PointRunner) Refs() []GridRef {
 	for si, s := range r.specs {
 		for pi := range r.sts[si].pts {
 			refs = append(refs, GridRef{Experiment: s.ID, Index: pi})
+		}
+	}
+	return refs
+}
+
+// ShardRefs returns static shard i of m: the refs whose global index g
+// has g % m == i. Round-robin over global order keeps the shards
+// balanced even when one experiment dominates the grid.
+func (r *PointRunner) ShardRefs(i, m int) []GridRef {
+	var refs []GridRef
+	for g, ref := range r.Refs() {
+		if g%m == i {
+			refs = append(refs, ref)
 		}
 	}
 	return refs
@@ -83,8 +105,8 @@ func (r *PointRunner) Check(ref GridRef) error {
 // ValidateRecord checks that an incoming record matches this runner's
 // grids: known experiment, consistent grid size, in-range index, and —
 // for a healthy record — exactly one raw value and one rendered cell per
-// column. The fleet coordinator runs every worker-delivered record
-// through this before accepting it.
+// column. The fleet coordinator and MergeShards run every incoming
+// record through this before accepting it.
 func (r *PointRunner) ValidateRecord(rec *PointRecord) error {
 	if err := r.Check(GridRef{Experiment: rec.Experiment, Index: rec.Index}); err != nil {
 		return err
@@ -155,13 +177,82 @@ func (r *PointRunner) Run(refs []GridRef, par int, deliver func(PointRecord) err
 	return deliverErr
 }
 
-// RunResidualSpecs runs a residual spec's missing points against an
-// already-resolved spec list (which must match rs.Experiments in order)
-// and writes a residual shard stream — manifest plus one record per
-// missing point — to w. The stream merges with the original partial
-// outputs through MergeShards' relaxed residual mode. Like
-// ShardExecutor, panics are not fatal: they travel in the records, and
-// the returned error tallies them so a resume job still fails fast.
+// record builds the wire record of one finished grid point.
+func (st *specState) record(s *Spec, pi int) PointRecord {
+	rec := PointRecord{
+		Type: "point", Experiment: s.ID, Index: pi, Points: len(st.pts),
+		WallNS: st.wallNS[pi],
+	}
+	if pm := st.panicAt[pi]; pm != "" {
+		rec.Panic = pm
+	} else {
+		rec.Row = st.rows[pi]
+		rec.Cells = st.cells[pi]
+	}
+	return rec
+}
+
+// Stream writes one point stream to w: the manifest first, then one
+// record per ref as each point completes, so a killed job keeps every
+// point it finished. It is the only writer of static-shard and residual
+// streams. Panics are not fatal: they travel in the records and surface,
+// aggregated as an unsharded run reports them, at merge. The returned
+// error still tallies them — panicked points and panicked grid
+// enumerations alike — so the producing job fails fast.
+func (r *PointRunner) Stream(refs []GridRef, par int, w io.Writer) error {
+	enc := json.NewEncoder(w)
+	if err := enc.Encode(r.Manifest()); err != nil {
+		return err
+	}
+	failed := 0
+	if err := r.Run(refs, par, func(rec PointRecord) error {
+		if rec.Panic != "" {
+			failed++
+		}
+		return enc.Encode(rec)
+	}); err != nil {
+		return err
+	}
+	// A grid-enumeration panic produces no records: the merge binary
+	// re-enumerates the same deterministic grid and reports the identical
+	// failure itself. It must still fail this job's exit code.
+	enumFailed := 0
+	for _, st := range r.sts {
+		if st.enumFailed() {
+			enumFailed++
+		}
+	}
+	return streamFailure(failed, enumFailed)
+}
+
+// streamFailure renders a stream's failure tally into its exit error:
+// nil only when nothing panicked.
+func streamFailure(failed, enumFailed int) error {
+	switch {
+	case failed > 0 && enumFailed > 0:
+		return fmt.Errorf("%d point(s) and %d grid enumeration(s) panicked; the failures are recorded in the shard output and will surface at merge", failed, enumFailed)
+	case enumFailed > 0:
+		return fmt.Errorf("%d grid enumeration(s) panicked; the failure reproduces at merge from the registry, no record needed", enumFailed)
+	case failed > 0:
+		return fmt.Errorf("%d point(s) panicked; the failures are recorded in the shard output and will surface at merge", failed)
+	}
+	return nil
+}
+
+// RunShard streams static shard index of count (see ShardRefs) — the
+// implementation behind `aem bench -shard i/m`. Points run on a pool of
+// at most par goroutines.
+func RunShard(specs []*Spec, index, count, par int, w io.Writer) error {
+	if count < 1 || index < 0 || index >= count {
+		return fmt.Errorf("shard %d/%d out of range", index, count)
+	}
+	r := NewPointRunner(specs)
+	return r.Stream(r.ShardRefs(index, count), par, w)
+}
+
+// RunResidualSpecs streams a residual spec's missing points against an
+// already-resolved spec list, which must match rs.Experiments in order
+// and enumerate rs.GridPoints points.
 func RunResidualSpecs(specs []*Spec, rs *ResidualSpec, par int, w io.Writer) error {
 	if len(specs) != len(rs.Experiments) {
 		return fmt.Errorf("residual spec names %d experiments, resolved %d", len(rs.Experiments), len(specs))
@@ -175,42 +266,16 @@ func RunResidualSpecs(specs []*Spec, rs *ResidualSpec, par int, w io.Writer) err
 	if r.Total() != rs.GridPoints {
 		return fmt.Errorf("residual spec was produced from a different grid: %d points there, %d here (registry drift?)", rs.GridPoints, r.Total())
 	}
-	enc := json.NewEncoder(w)
-	if err := enc.Encode(ShardManifest{
-		Type: "shard", Shard: 0, Of: 1, Residual: true,
-		Experiments: rs.Experiments, GridPoints: rs.GridPoints,
-	}); err != nil {
-		return err
-	}
-	failed := 0
-	if err := r.Run(rs.Missing, par, func(rec PointRecord) error {
-		if rec.Panic != "" {
-			failed++
-		}
-		return enc.Encode(rec)
-	}); err != nil {
-		return err
-	}
-	enumFailed := 0
-	for _, st := range r.sts {
-		if st.enumFailed() {
-			enumFailed++
-		}
-	}
-	return shardFailure(failed, enumFailed)
+	return r.Stream(rs.Missing, par, w)
 }
 
 // RunResidual resolves the residual spec's experiments against this
-// binary's registry and runs its missing points — the implementation
+// binary's registry and streams its missing points — the implementation
 // behind `aem work -residual`.
 func RunResidual(rs *ResidualSpec, par int, w io.Writer) error {
-	specs := make([]*Spec, len(rs.Experiments))
-	for i, id := range rs.Experiments {
-		s, ok := ByID(id)
-		if !ok {
-			return fmt.Errorf("residual spec names unknown experiment %s (produced by a different registry?)", id)
-		}
-		specs[i] = s
+	specs, err := Resolve(rs.Experiments)
+	if err != nil {
+		return fmt.Errorf("residual spec names %v (produced by a different registry?)", err)
 	}
 	return RunResidualSpecs(specs, rs, par, w)
 }

@@ -28,8 +28,7 @@ func TestShardMergeMatchesGolden(t *testing.T) {
 	files := make([]*harness.ShardFile, m)
 	for i := 0; i < m; i++ {
 		var buf bytes.Buffer
-		ex := &harness.ShardExecutor{Index: i, Count: m, Par: 8, W: &buf}
-		if err := ex.Execute(specs, nil); err != nil {
+		if err := harness.RunShard(specs, i, m, 8, &buf); err != nil {
 			t.Fatalf("shard %d/%d: %v", i, m, err)
 		}
 		sf, err := harness.ReadShardFile(&buf)
