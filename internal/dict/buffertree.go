@@ -87,6 +87,16 @@ type BufferTree struct {
 	debt        []*btnode
 	deamortized bool
 	nodeFlushes int64 // cumulative node-flushes (partition or leaf apply)
+
+	// oversized records that some leaf run has outgrown 2× the target leaf
+	// size since the last rebuild. mergeApply never shrinks a run (every
+	// key it held is emitted again), so the flag stays exact until rebuild
+	// replaces the leaves, and the rebuild check costs O(1).
+	oversized bool
+
+	// captureVisits counts the nodes capture has visited, cumulatively:
+	// the work of a publish, which tests pin.
+	captureVisits int64
 }
 
 // EnableTailStaging switches the root buffer to staged appends: incoming
@@ -149,6 +159,7 @@ func (t *BufferTree) spillStage() {
 		return
 	}
 	t.top.buf.appendBlock(t.ma, t.stage)
+	t.top.touch()
 	if t.stageShared {
 		t.stage, t.stageShared = make([]aem.Item, 0, t.cfg.B), false
 	} else {
@@ -219,8 +230,14 @@ func (t *BufferTree) flushSection(spill bool, f func()) {
 
 // btnode is one tree node. Internal nodes have children and externally
 // stored separator keys; leaves have a sorted run. Both have a buffer.
+//
+// dirty marks a node whose chains, or some descendant's, changed since its
+// last capture (see touch); a clean node's snap is current, so a capture
+// stops there.
 type btnode struct {
-	kids []*btnode // nil for a leaf
+	kids   []*btnode // nil for a leaf
+	parent *btnode   // nil for the root
+	dirty  bool
 
 	sepBase   aem.Addr // separator blocks (internal only)
 	sepBlocks int
@@ -233,6 +250,15 @@ type btnode struct {
 }
 
 func (nd *btnode) isLeaf() bool { return nd.kids == nil }
+
+// touch marks nd and its ancestors dirty. Every dirty node's parent is
+// dirty too (a capture cleans top-down along dirty paths only), so the
+// walk stops at the first node already marked.
+func (nd *btnode) touch() {
+	for ; nd != nil && !nd.dirty; nd = nd.parent {
+		nd.dirty = true
+	}
+}
 
 // NewBufferTree returns an empty dictionary on the machine. It requires
 // M ≥ 8B, the same minimum the repository's mergesort needs: below that
@@ -251,7 +277,7 @@ func NewBufferTree(ma *aem.Machine) *BufferTree {
 		leafCap:    cfg.M / 2,
 		chunkCap:   cfg.M / 2,
 		frame:      make([]aem.Item, cfg.B),
-		top:        &btnode{},
+		top:        &btnode{dirty: true},
 	}
 	return t
 }
@@ -391,6 +417,7 @@ func (t *BufferTree) appendUpdates(ops []Op) {
 		w.append(aem.Item{Key: op.Key, Aux: packEntry(t.seq, op.Kind, op.Value)})
 	}
 	w.close()
+	t.top.touch()
 	t.ma.Release(t.cfg.B)
 	t.ma.SetPhase(prev)
 }
@@ -499,6 +526,7 @@ func (t *BufferTree) flushNode(nd *btnode, k int) {
 		return
 	}
 	t.nodeFlushes++
+	nd.touch()
 	if nd.isLeaf() {
 		t.applyLeaf(nd, k)
 		return
@@ -622,7 +650,9 @@ func (t *BufferTree) partition(nd *btnode, k int) {
 			break
 		}
 		moved++
-		writers[route(seps, it.Key)].append(it)
+		i := route(seps, it.Key)
+		writers[i].append(it)
+		nd.kids[i].touch()
 	}
 	for _, w := range writers {
 		w.close()
@@ -741,6 +771,9 @@ func (t *BufferTree) mergeApply(leaf *btnode, next func() (aem.Item, bool)) {
 	w.close()
 	t.liveRun += liveN - leaf.liveN
 	t.runLen += out.n - leaf.run.n
+	if out.n > 2*t.leafCap {
+		t.oversized = true
+	}
 	leaf.run = out
 	leaf.liveN = liveN
 	t.ma.Release(2 * t.cfg.B)
@@ -754,17 +787,9 @@ func sortEntries(items []aem.Item) {
 
 // needRebuild reports whether the skeleton should be rebuilt: some leaf
 // run outgrew 2× the target leaf size, or tombstones and overwrites have
-// bloated the runs to 2× the live entry count. Structure walk, no I/O.
+// bloated the runs to 2× the live entry count. O(1), no I/O.
 func (t *BufferTree) needRebuild() bool {
-	if t.runLen > 2*max(t.liveRun, t.leafCap) {
-		return true
-	}
-	for _, leaf := range t.leaves() {
-		if leaf.run.n > 2*t.leafCap {
-			return true
-		}
-	}
-	return false
+	return t.oversized || t.runLen > 2*max(t.liveRun, t.leafCap)
 }
 
 // maybeRebuild rebuilds the skeleton when needRebuild says so.
@@ -793,29 +818,27 @@ func (t *BufferTree) Compact() bool {
 }
 
 // leaves returns the tree's leaves in key order (structure walk, no I/O).
+// Rebuild erects balanced levels, so every leaf is at the same depth.
 func (t *BufferTree) leaves() []*btnode {
-	var out []*btnode
-	var walk func(nd *btnode)
-	walk = func(nd *btnode) {
-		if nd.isLeaf() {
-			out = append(out, nd)
-			return
+	level := []*btnode{t.top}
+	for !level[0].isLeaf() {
+		var next []*btnode
+		for _, nd := range level {
+			next = append(next, nd.kids...)
 		}
-		for _, kid := range nd.kids {
-			walk(kid)
-		}
+		level = next
 	}
-	walk(t.top)
-	return out
+	return level
 }
 
 // rebuild streams every live entry (leaves are already in global key
 // order) into fresh leaf runs of ≤ leafCap entries, purging tombstones,
 // and erects a balanced fan-out-d skeleton above them. All buffers must be
 // empty (forceFlush). Cost: one read and one write per run block, plus the
-// separator blocks.
+// separator blocks. Every new node starts dirty: it has no capture yet.
 func (t *BufferTree) rebuild() {
 	old := t.leaves()
+	t.oversized = false
 	t.ma.Reserve(2 * t.cfg.B)
 	inFrame := make([]aem.Item, t.cfg.B)
 	var newLeaves []*btnode
@@ -842,7 +865,7 @@ func (t *BufferTree) rebuild() {
 				continue // purge tombstone
 			}
 			if cur == nil {
-				cur = &btnode{}
+				cur = &btnode{dirty: true}
 				w = newChainWriter(t.ma, &cur.run, outFrame)
 				lows = append(lows, it.Key)
 			}
@@ -858,7 +881,7 @@ func (t *BufferTree) rebuild() {
 	t.ma.Release(2 * t.cfg.B)
 
 	if len(newLeaves) == 0 {
-		t.top = &btnode{}
+		t.top = &btnode{dirty: true}
 		t.liveRun, t.runLen = 0, 0
 		return
 	}
@@ -872,7 +895,10 @@ func (t *BufferTree) rebuild() {
 		var parentLows []int64
 		for lo := 0; lo < len(level); lo += d {
 			hi := min(lo+d, len(level))
-			nd := &btnode{kids: append([]*btnode(nil), level[lo:hi]...)}
+			nd := &btnode{kids: append([]*btnode(nil), level[lo:hi]...), dirty: true}
+			for _, kid := range nd.kids {
+				kid.parent = nd
+			}
 			t.writeSeps(nd, lvLows[lo:hi])
 			parents = append(parents, nd)
 			parentLows = append(parentLows, lvLows[lo])

@@ -144,6 +144,80 @@ func TestDifferentialBufferTreeVsModel(t *testing.T) {
 	}
 }
 
+// TestDifferentialSnapshotMarks proves the dirty marks complete: the
+// differential streams run in all four commit modes (tail staging on and
+// off, amortized and deamortized), and a snapshot is published after
+// every Apply, FlushStep, Compact and Flush — rebuilds happen inside those
+// — and held to a capture that ignores every cache (checkPublish). A
+// mutation site that forgot to mark its node leaves a stale chain in the
+// published snapshot and fails here. Answers are held to the model too,
+// which the default-mode differential test does not cover for the other
+// modes.
+func TestDifferentialSnapshotMarks(t *testing.T) {
+	compacted := 0
+	for _, dc := range diffConfigs(!testing.Short()) {
+		for _, mode := range []struct {
+			name         string
+			staged, deam bool
+		}{
+			{"unstaged-amortized", false, false},
+			{"staged-amortized", true, false},
+			{"unstaged-deamortized", false, true},
+			{"staged-deamortized", true, true},
+		} {
+			t.Run(dc.name+"/"+mode.name, func(t *testing.T) {
+				ops := diffStream(3000+uint64(dc.cfg.Omega), dc.n/8, dc.keyspace)
+				want := newModel().apply(ops)
+				tree := NewBufferTree(aem.New(dc.cfg))
+				if mode.staged {
+					tree.EnableTailStaging()
+				}
+				if mode.deam {
+					tree.Deamortize()
+				}
+				publish := func(step int, after string) {
+					t.Helper()
+					if err := checkPublish(tree); err != nil {
+						t.Fatalf("step %d, after %s: %v", step, after, err)
+					}
+				}
+				r := rng.New(29)
+				var got []Result
+				for i, step := 0, 0; i < len(ops); step++ {
+					j := min(len(ops), i+1+r.Intn(8))
+					got = append(got, tree.Apply(ops[i:j])...)
+					i = j
+					publish(step, "Apply")
+					if mode.deam {
+						tree.FlushStep(1)
+						publish(step, "FlushStep")
+						if step%40 == 39 { // idle: retire the debt, then compact
+							for tree.Debt() > 0 {
+								tree.FlushStep(1)
+								publish(step, "idle FlushStep")
+							}
+							if tree.Compact() {
+								compacted++
+							}
+							publish(step, "Compact")
+						}
+					}
+					if step%997 == 996 {
+						tree.Flush()
+						publish(step, "Flush")
+					}
+				}
+				tree.Flush()
+				publish(-1, "final Flush")
+				sameResults(t, dc.name+"/"+mode.name, got, want)
+			})
+		}
+	}
+	if compacted == 0 {
+		t.Error("no deamortized stream ever compacted; the check never saw a Compact rebuild")
+	}
+}
+
 // TestDifferentialBTreeVsModel runs the same streams through the baseline
 // (where its B ≥ 4 requirement allows) so the two dictionaries are pinned
 // to each other as well as to the model.

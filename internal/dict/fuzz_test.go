@@ -4,7 +4,8 @@
 // in-memory model map (plus the B-tree baseline where its B ≥ 4 minimum
 // allows). The seed corpus comes from the workload generators, so fuzzing
 // starts from realistic uniform/zipf/burst/churn traffic and mutates from
-// there.
+// there. Each stream also runs in all four commit modes with a snapshot
+// published after every step, held to a capture that ignores every cache.
 //
 // The file lives in the external test package: the workload generators
 // import dict, so an in-package test importing workload would be an
@@ -143,6 +144,47 @@ func FuzzDictOps(f *testing.F) {
 				t.Fatalf("engines disagree on accounting: %+v cost %d vs %+v cost %d",
 					ma.Stats(), ma.Cost(), ref, refCost)
 			}
+		}
+
+		// Every commit mode, publishing after every Apply, FlushStep,
+		// Compact and Flush as a serving committer does. Batch sizes and
+		// idle points come from the ops themselves.
+		for _, mode := range []struct{ staged, deam bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+			d := dict.NewBufferTree(aem.New(cfg))
+			if mode.staged {
+				d.EnableTailStaging()
+			}
+			if mode.deam {
+				d.Deamortize()
+			}
+			publish := func(after string) {
+				if err := dict.CheckPublish(d); err != nil {
+					t.Fatalf("mode %+v, after %s: %v", mode, after, err)
+				}
+			}
+			var got []dict.Result
+			for i := 0; i < len(ops); {
+				j := min(len(ops), i+1+int(ops[i].Value%8))
+				got = append(got, d.Apply(ops[i:j])...)
+				i = j
+				publish("Apply")
+				if !mode.deam {
+					continue
+				}
+				d.FlushStep(1)
+				publish("FlushStep")
+				if ops[j-1].Key%5 == 0 { // idle: retire the debt, then compact
+					for d.Debt() > 0 {
+						d.FlushStep(1)
+					}
+					publish("idle FlushStep")
+					d.Compact()
+					publish("Compact")
+				}
+			}
+			d.Flush()
+			publish("Flush")
+			compareResults(t, got, want)
 		}
 
 		if cfg.B >= 4 {

@@ -22,9 +22,13 @@ import (
 // chain drops (rather than reuses) an array a capture shares when it is
 // reset. The staged root tail is shared the same way. Sharing is
 // path-copying persistence (Driscoll, Sarnak, Sleator and Tarjan, 1989):
-// each node keeps its last capture, and a new capture reuses it unless the
-// node's chains or some child's capture changed since, so a publish
-// allocates only for the nodes the updates since the last one touched.
+// each node keeps its last capture, and every site that changes a node's
+// chains marks the node and its ancestors dirty (btnode.touch). A capture
+// returns a clean node's cached snapNode without descending and recurses
+// only into dirty children, so a publish costs O(Δ) in work as well as in
+// allocation, where Δ is the set of nodes the updates since the last
+// publish touched: a staged Insert that stays in the stage visits only
+// the root, and a flush step that touched k nodes visits O(k·fanout).
 // The node topology and separator-block addresses are program knowledge
 // and never change for a live node; later updates only append blocks at
 // new addresses or abandon old ones — they can never change the contents
@@ -64,16 +68,6 @@ func (c *chain) capture() snapChain {
 	return snapChain{addrs: c.addrs[:len(c.addrs):len(c.addrs)], n: c.n}
 }
 
-// same reports whether the live chain still holds exactly the captured
-// blocks. Addresses are never reused, so a chain's first address names
-// one append-only stretch of its life (a reset, a prefix detach or a
-// replaced run all change it); within that stretch the block count and
-// item count pin the contents.
-func (sc *snapChain) same(c *chain) bool {
-	return sc.n == c.n && len(sc.addrs) == len(c.addrs) &&
-		(len(c.addrs) == 0 || sc.addrs[0] == c.addrs[0])
-}
-
 // snapNode is one captured tree node. It is immutable once built, so
 // successive snapshots share every node whose subtree did not change.
 type snapNode struct {
@@ -96,55 +90,68 @@ type TreeSnapshot struct {
 	stage []aem.Item // the staged root tail, shared with the tree (EnableTailStaging)
 }
 
-// Snapshot captures the tree's current state — no I/O, no locks. Only the
-// nodes whose chains changed since the previous capture (and their
-// ancestors) get a new snapNode; the rest are reused, and chains and the
-// staged tail are shared with the live tree rather than copied. Capturing
-// writes the nodes' cached captures and the chains' sharing marks, so it
-// must be called from the same goroutine that applies updates (the tree
-// is not internally synchronized). The returned snapshot reflects exactly
-// the updates applied before the call.
+// Snapshot captures the tree's current state into a new TreeSnapshot (see
+// SnapshotInto).
 func (t *BufferTree) Snapshot() *TreeSnapshot {
-	s := &TreeSnapshot{b: t.cfg.B, seq: t.seq, root: t.capture(t.top)}
+	s := new(TreeSnapshot)
+	t.SnapshotInto(s)
+	return s
+}
+
+// SnapshotInto captures the tree's current state into s, overwriting it —
+// no I/O, no locks, and no allocation beyond one snapNode per dirty node.
+// Clean nodes' captures are reused, and chains and the staged tail are
+// shared with the live tree rather than copied. Capturing writes the
+// nodes' cached captures and the chains' sharing marks, so it must be
+// called from the same goroutine that applies updates (the tree is not
+// internally synchronized), and s must not yet be visible to readers. The
+// snapshot reflects exactly the updates applied before the call.
+func (t *BufferTree) SnapshotInto(s *TreeSnapshot) {
+	*s = TreeSnapshot{b: t.cfg.B, seq: t.seq, root: t.capture(t.top)}
 	if n := len(t.stage); n > 0 {
 		s.stage = t.stage[:n:n]
 		t.stageShared = true
 	}
-	return s
 }
 
-// capture returns the node's capture, reusing the cached one when the
-// node's chains and every child's capture are unchanged. A reuse
-// allocates nothing.
+// capture returns the node's capture and leaves the node clean. A clean
+// node's cached capture is returned without descending. A dirty node gets
+// a new snapNode over its current chains; its children are recaptured
+// only if one of them is dirty, and otherwise share the cached capture's
+// child list.
 func (t *BufferTree) capture(nd *btnode) *snapNode {
-	prev := nd.snap
-	reuse := prev != nil && prev.buf.same(&nd.buf) && prev.run.same(&nd.run)
-	var kids []*snapNode
-	if !reuse && !nd.isLeaf() {
-		kids = make([]*snapNode, len(nd.kids))
+	t.captureVisits++
+	if !nd.dirty {
+		return nd.snap
 	}
-	for i, kid := range nd.kids {
-		k := t.capture(kid)
-		if reuse && k != prev.kids[i] {
-			kids = make([]*snapNode, len(nd.kids))
-			copy(kids, prev.kids[:i])
-			reuse = false
-		}
-		if kids != nil {
-			kids[i] = k
-		}
-	}
-	if reuse {
-		return prev
-	}
-	nd.snap = &snapNode{
-		kids:      kids,
+	nd.dirty = false
+	s := &snapNode{
 		sepBase:   nd.sepBase,
 		sepBlocks: nd.sepBlocks,
 		buf:       nd.buf.capture(),
 		run:       nd.run.capture(),
 	}
-	return nd.snap
+	if !nd.isLeaf() {
+		if nd.snap != nil && !anyDirty(nd.kids) {
+			s.kids = nd.snap.kids
+		} else {
+			s.kids = make([]*snapNode, len(nd.kids))
+			for i, kid := range nd.kids {
+				s.kids[i] = t.capture(kid)
+			}
+		}
+	}
+	nd.snap = s
+	return s
+}
+
+func anyDirty(nds []*btnode) bool {
+	for _, nd := range nds {
+		if nd.dirty {
+			return true
+		}
+	}
+	return false
 }
 
 // Seq returns the tree's update-sequence watermark at capture time.

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -487,10 +488,66 @@ func TestSnapshotIsolationUnderSharing(t *testing.T) {
 	}
 }
 
+// freshCapture captures nd's subtree from scratch, ignoring every cached
+// capture and dirty mark (and setting no sharing mark): the oracle the
+// dirty-path capture must reproduce node for node.
+func freshCapture(nd *btnode) *snapNode {
+	s := &snapNode{
+		sepBase:   nd.sepBase,
+		sepBlocks: nd.sepBlocks,
+		buf:       snapChain{addrs: nd.buf.addrs, n: nd.buf.n},
+		run:       snapChain{addrs: nd.run.addrs, n: nd.run.n},
+	}
+	for _, kid := range nd.kids {
+		s.kids = append(s.kids, freshCapture(kid))
+	}
+	return s
+}
+
+// checkPublish publishes a snapshot as a committer does and holds it to
+// freshCapture: the watermark, the staged tail, and every node's
+// separators and chains. It also checks that the capture left each live
+// node clean with the published snapNode cached, so the next publish
+// starts from a coherent cache.
+func checkPublish(tree *BufferTree) error {
+	s := tree.Snapshot()
+	if s.seq != tree.seq || !slices.Equal(s.stage, tree.stage) {
+		return fmt.Errorf("watermark %d and %d staged items, want %d and %d", s.seq, len(s.stage), tree.seq, len(tree.stage))
+	}
+	if err := sameCapture(tree.top, s.root, freshCapture(tree.top)); err != nil {
+		return fmt.Errorf("root: %w", err)
+	}
+	return nil
+}
+
+// sameCapture compares one captured node and its subtree; an error names
+// the path of child indexes from the root to the first difference.
+func sameCapture(nd *btnode, got, want *snapNode) error {
+	switch {
+	case nd.dirty || nd.snap != got:
+		return fmt.Errorf("node left dirty=%v with a different cached capture", nd.dirty)
+	case got.isLeaf() != want.isLeaf() || len(got.kids) != len(want.kids):
+		return fmt.Errorf("%d children captured, want %d", len(got.kids), len(want.kids))
+	case got.sepBase != want.sepBase || got.sepBlocks != want.sepBlocks:
+		return fmt.Errorf("separators %d+%d captured, want %d+%d", got.sepBase, got.sepBlocks, want.sepBase, want.sepBlocks)
+	case got.buf.n != want.buf.n || !slices.Equal(got.buf.addrs, want.buf.addrs):
+		return fmt.Errorf("buffer %v (%d items) captured, want %v (%d)", got.buf.addrs, got.buf.n, want.buf.addrs, want.buf.n)
+	case got.run.n != want.run.n || !slices.Equal(got.run.addrs, want.run.addrs):
+		return fmt.Errorf("run %v (%d items) captured, want %v (%d)", got.run.addrs, got.run.n, want.run.addrs, want.run.n)
+	}
+	for i, kid := range nd.kids {
+		if err := sameCapture(kid, got.kids[i], want.kids[i]); err != nil {
+			return fmt.Errorf("child %d: %w", i, err)
+		}
+	}
+	return nil
+}
+
 // TestSnapshotPublishAllocs pins the publish cost: a staged single-Insert
-// Apply plus Snapshot allocates a small constant that does not grow with
-// the tree, an unchanged tree republishes the same captured root, and a
-// publish after a root-buffer append copies only the root.
+// Apply plus Snapshot allocates only the TreeSnapshot and visits only the
+// clean root at any height, an unchanged tree republishes the same
+// captured root, and a publish after a root-buffer append visits and
+// copies only the root.
 func TestSnapshotPublishAllocs(t *testing.T) {
 	counts := map[int]float64{}
 	for _, n := range []int{1000, 6000} {
@@ -510,14 +567,20 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 			t.Fatalf("height %d: two publishes with no Apply between captured different roots", h)
 		}
 		// The stage is empty after Flush and holds B items, so these
-		// 1+8 inserts stay in the stage: no chain changes.
+		// 1+1+8 inserts stay in the stage: no chain changes.
 		one := []Op{{Kind: Insert, Key: 3, Value: 1}}
+		v := tree.captureVisits
+		tree.Apply(one)
+		tree.Snapshot()
+		if n := tree.captureVisits - v; n != 1 {
+			t.Fatalf("height %d: a staged Insert's publish visited %d nodes, want 1", h, n)
+		}
 		counts[h] = testing.AllocsPerRun(8, func() {
 			tree.Apply(one)
 			tree.Snapshot()
 		})
-		if counts[h] > 4 {
-			t.Fatalf("height %d: staged Insert + Snapshot = %.1f allocs, want ≤ 4", h, counts[h])
+		if counts[h] > 1 {
+			t.Fatalf("height %d: staged Insert + Snapshot = %.1f allocs, want ≤ 1", h, counts[h])
 		}
 
 		// Spill the stage: the root chain grows, every child is unchanged.
@@ -525,7 +588,11 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 		for len(tree.stage) > 0 {
 			tree.Apply(one)
 		}
+		v = tree.captureVisits
 		next := tree.Snapshot()
+		if n := tree.captureVisits - v; n != 1 {
+			t.Fatalf("height %d: publishing a root-buffer append visited %d nodes, want 1", h, n)
+		}
 		if next.root == prev.root {
 			t.Fatalf("height %d: root buffer grew but the captured root was reused", h)
 		}
@@ -539,6 +606,32 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 	if counts[2] != counts[3] || len(counts) != 2 {
 		t.Fatalf("publish allocs by height = %v, want heights 2 and 3 with equal counts", counts)
 	}
+}
+
+// BenchmarkSnapshotPublish measures a single-writer commit on a 2^17-key
+// tree: one staged Insert and one publish per iteration. nodes/op is the
+// capture's visited-node count, the publish's work.
+func BenchmarkSnapshotPublish(b *testing.B) {
+	const n = 1 << 17
+	tree := NewBufferTree(aem.New(aem.Config{M: 1024, B: 32, Omega: 16}))
+	tree.EnableTailStaging()
+	ops := make([]Op, n)
+	for i := range ops {
+		ops[i] = Op{Kind: Insert, Key: int64(i * 7919 % n), Value: int64(i)}
+	}
+	tree.Apply(ops)
+	tree.Flush()
+	tree.Snapshot()
+	one := []Op{{Kind: Insert}}
+	v := tree.captureVisits
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		one[0].Key, one[0].Value = int64(i*7919%n), int64(i)
+		tree.Apply(one)
+		tree.Snapshot()
+	}
+	b.ReportMetric(float64(tree.captureVisits-v)/float64(b.N), "nodes/op")
 }
 
 // TestSortByKey covers the radix sort behind snapshot Range on the spans

@@ -25,7 +25,14 @@
 //   - Reads are snapshot-isolated: after every commit batch the committer
 //     publishes a dict.TreeSnapshot (an immutable structural capture —
 //     the tree's chains are append-only, so captured addresses can never
-//     change contents behind the snapshot). Readers load the current
+//     change contents behind the snapshot). A publish costs what the
+//     batch changed, in work as well as allocation: the capture descends
+//     only the tree paths the batch marked dirty, so a staged write that
+//     changed no chain visits the root alone, and the snapshot is filled
+//     in place inside the one object a publish allocates. Write requests
+//     and flush barriers come from a pool and are signalled on a reusable
+//     channel, so a single-writer staged Put allocates at most that one
+//     object end to end. Readers load the current
 //     snapshot atomically and read its blocks straight from the shard's
 //     storage engine, which the committer keeps allocating and writing
 //     underneath them: engines never move a block once allocated, so a
@@ -118,7 +125,8 @@ type Segment struct {
 
 // ScanResult answers a range scan. Hits concatenate the segments' hits —
 // shards partition the keyspace contiguously, so the concatenation is
-// globally key-ordered.
+// globally key-ordered. A scan that touches one shard does not copy its
+// answer: Hits and Segments[0].Hits then share one backing array.
 type ScanResult struct {
 	Hits      []dict.Found
 	Segments  []Segment
@@ -163,20 +171,25 @@ func (r shardReader) ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item {
 	return r.sh.store.ReadInto(a, dst)
 }
 
-// snapState is one published snapshot with its commit watermark.
+// snapState is one published snapshot with its commit watermark, held
+// by value so a publish allocates this one object.
 type snapState struct {
-	snap      *dict.TreeSnapshot
+	snap      dict.TreeSnapshot
 	watermark int64
 }
 
 // writeReq is one enqueued write (or flush barrier) awaiting group
-// commit.
+// commit. Requests are pooled: the committer signals done exactly once
+// per submission and never touches the request after that signal, so the
+// waiter owns it again and returns it to reqPool.
 type writeReq struct {
 	op     dict.Op
 	flush  bool  // barrier: force the shard tree down to its runs
-	commit int64 // assigned by the committer before done closes
+	commit int64 // assigned by the committer before done is signalled
 	done   chan struct{}
 }
+
+var reqPool = sync.Pool{New: func() any { return &writeReq{done: make(chan struct{}, 1)} }}
 
 type shard struct {
 	idx   int
@@ -275,12 +288,21 @@ func New(cfg Config) (*Service, error) {
 				}
 			}
 		})
-		sh.snap.Store(&snapState{snap: sh.tree.Snapshot()})
+		sh.publish(0)
 		s.shards = append(s.shards, sh)
 		s.wg.Add(1)
 		go s.commitLoop(sh)
 	}
 	return s, nil
+}
+
+// publish captures the shard tree into a new snapState at watermark and
+// makes it current. Only the goroutine that owns the tree may call it:
+// New before the committer starts, the committer after.
+func (sh *shard) publish(watermark int64) {
+	st := &snapState{watermark: watermark}
+	sh.tree.SnapshotInto(&st.snap)
+	sh.snap.Store(st)
 }
 
 // destroy closes whatever shards were built (constructor failure path).
@@ -352,8 +374,7 @@ func (s *Service) commitLoop(sh *shard) {
 					// A rebuild compacted the runs; republish so readers
 					// descend the fresh structure (same watermark — the
 					// logical contents are unchanged).
-					st := sh.snap.Load()
-					sh.snap.Store(&snapState{snap: sh.tree.Snapshot(), watermark: st.watermark})
+					sh.publish(sh.snap.Load().watermark)
 					continue
 				}
 				first, ok = <-sh.reqs // debt settled, runs compact: block
@@ -420,10 +441,10 @@ func (s *Service) commitLoop(sh *shard) {
 			r.commit = base + int64(i) + 1
 		}
 		n := base + int64(len(writers))
-		sh.snap.Store(&snapState{snap: sh.tree.Snapshot(), watermark: n})
+		sh.publish(n)
 		sh.committed.Store(n)
 		for _, r := range batch {
-			close(r.done)
+			r.done <- struct{}{} // r belongs to its waiter from here on
 		}
 	}
 }
@@ -432,16 +453,30 @@ func (s *Service) commitLoop(sh *shard) {
 func (s *Service) submit(op dict.Op) Ack {
 	start := time.Now()
 	sh := s.shards[s.shardFor(op.Key)]
-	r := &writeReq{op: op, done: make(chan struct{})}
+	commit := s.roundTrip(sh, op, false)
+	return Ack{Shard: sh.idx, Commit: commit, LatencyNS: time.Since(start).Nanoseconds()}
+}
+
+// roundTrip queues a pooled request on sh's committer — a write of op, or
+// a flush barrier — waits for its signal and returns its commit position
+// (0 for a barrier).
+func (s *Service) roundTrip(sh *shard, op dict.Op, flush bool) int64 {
+	r := reqPool.Get().(*writeReq)
+	r.op, r.flush, r.commit = op, flush, 0
 	s.mu.RLock()
 	if s.closed {
 		s.mu.RUnlock()
+		if flush {
+			panic("dictsrv: Flush on a closed service")
+		}
 		panic("dictsrv: write on a closed service")
 	}
 	sh.reqs <- r
 	s.mu.RUnlock()
 	<-r.done
-	return Ack{Shard: sh.idx, Commit: r.commit, LatencyNS: time.Since(start).Nanoseconds()}
+	commit := r.commit
+	reqPool.Put(r)
+	return commit
 }
 
 // Put inserts (key, value), overwriting any previous value. It returns
@@ -484,6 +519,8 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 	}
 	first := s.shardFor(lo)
 	last := s.shardFor(hi - 1)
+	out.Segments = make([]Segment, 0, last-first+1)
+	n := 0
 	for i := first; i <= last; i++ {
 		sh := s.shards[i]
 		shLo, shHi := s.shardRange(i)
@@ -503,7 +540,18 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 		hits, reads := st.snap.Range(shardReader{sh}, shLo, shHi)
 		sh.snapReads.Add(reads)
 		out.Segments = append(out.Segments, Segment{Shard: i, Watermark: st.watermark, Hits: hits})
-		out.Hits = append(out.Hits, hits...)
+		n += len(hits)
+	}
+	// Range already copied each answer out of its pooled scan state, so
+	// one segment's hits are the answer; several are joined in one
+	// exact-size allocation.
+	if len(out.Segments) == 1 {
+		out.Hits = out.Segments[0].Hits
+	} else if n > 0 {
+		out.Hits = make([]dict.Found, 0, n)
+		for _, seg := range out.Segments {
+			out.Hits = append(out.Hits, seg.Hits...)
+		}
 	}
 	out.LatencyNS = time.Since(start).Nanoseconds()
 	return out
@@ -518,15 +566,7 @@ func (s *Service) Flush() {
 		wg.Add(1)
 		go func(sh *shard) {
 			defer wg.Done()
-			r := &writeReq{flush: true, done: make(chan struct{})}
-			s.mu.RLock()
-			if s.closed {
-				s.mu.RUnlock()
-				panic("dictsrv: Flush on a closed service")
-			}
-			sh.reqs <- r
-			s.mu.RUnlock()
-			<-r.done
+			s.roundTrip(sh, dict.Op{}, true)
 		}(sh)
 	}
 	wg.Wait()

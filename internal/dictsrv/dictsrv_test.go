@@ -461,6 +461,46 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
+// TestPutSteadyStateAllocs pins the write round trip: once the request
+// pool is warm, a single-writer staged Put allocates at most one object,
+// the snapState its publish fills. Requests and their done channels are
+// reused, and the capture of a batch that changed no chain allocates
+// nothing. A deamortized committer also runs its idle debt and rebuild
+// check after every batch, inside the measurement, so the same bound pins
+// that check at zero allocations when no debt is owed (the stream stays
+// below the root threshold, so none is).
+func TestPutSteadyStateAllocs(t *testing.T) {
+	for _, deam := range []bool{false, true} {
+		name := "amortized"
+		if deam {
+			name = "deamortized"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(1)
+			cfg.Deamortize = deam
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			for k := int64(0); k < 64; k++ {
+				svc.Put(k, k)
+			}
+			var k int64
+			avg := testing.AllocsPerRun(200, func() {
+				svc.Put(k%4096, k)
+				k += 37
+			})
+			if avg > 1 {
+				t.Fatalf("steady-state Put allocates %.1f per op, want ≤ 1", avg)
+			}
+			if st := svc.Stats(); st.Debt != 0 || st.Flushes != 0 {
+				t.Fatalf("the stream reached a flush (debt %d, %d flush sections); it must stay below the root threshold", st.Debt, st.Flushes)
+			}
+		})
+	}
+}
+
 // TestBoundedStallRegression is the deamortization contract at the
 // service level: with Deamortize on, no non-barrier commit batch performs
 // more than 2 node-flushes — the budgeted FlushStep(1) plus at most one
