@@ -26,7 +26,7 @@ import (
 // Scenarios: uniform | zipf | sortedburst | deleteheavy | drift (default:
 // drift — the migrating-hot-set shape that keeps invalidating buffered
 // locality) | flashcrowd. Engines: any data-retaining engine (see `aem
-// engines`). With -deamortize the committer pays flushes in bounded
+// engines`). With -deamortize each commit batch pays flushes in bounded
 // installments (debt queue + FlushStep) instead of run-to-completion
 // cascades; compare two runs with `aem stallgate`.
 func dictloadCmd(prog string, args []string) int {
@@ -40,7 +40,7 @@ func dictloadCmd(prog string, args []string) int {
 		scenario = fs.String("scenario", "drift", "workload: uniform | zipf | sortedburst | deleteheavy | drift | flashcrowd")
 		engine   = fs.String("engine", "slice", "storage engine: "+strings.Join(aem.EngineNames(), " | "))
 		seed     = fs.Uint64("seed", 1, "workload seed")
-		maxBatch = fs.Int("maxbatch", 0, "group-commit batch cap (0 = service default)")
+		maxBatch = fs.Int("maxbatch", 0, "most queued writes a leading writer commits in one batch (0 = service default, 1024)")
 		deam     = fs.Bool("deamortize", false, "bounded-stall commits: pay flushes in installments instead of cascades")
 		jsonOut  = fs.Bool("json", false, "emit one JSON report instead of the human summary")
 	)

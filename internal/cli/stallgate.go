@@ -49,7 +49,7 @@ type stallBaseline struct {
 
 // stallgateCmd compares an amortized and a deamortized `aem dictload
 // -json` run and enforces the deamortization contract: the debt-queue
-// committer must cut the worst commit-path stall by at least -ratio
+// commit path must cut the worst commit-path stall by at least -ratio
 // while keeping at least -throughput of the amortized ops/sec. With
 // -baseline it also caps the deamortized stall at -tol × the committed
 // value, so a regression that slows both modes equally still fails.

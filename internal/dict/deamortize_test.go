@@ -165,7 +165,7 @@ func TestDeamortizedMatchesAmortized(t *testing.T) {
 		resD := deamortized.Apply(ops[i:j])
 		deamortized.FlushStep(1)
 		if deamortized.Debt() == 0 {
-			// The committer compacts when the write channel idles; without
+			// The service's idle retirer compacts once the debt is paid; without
 			// it the deamortized tree would stay a single leaf and pay a
 			// full run rewrite per installment.
 			deamortized.Compact()

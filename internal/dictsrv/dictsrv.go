@@ -17,12 +17,16 @@
 //     contiguous ranges; each shard owns one machine and one BufferTree.
 //     Keys route by range, so a RangeScan touches exactly the shards its
 //     interval overlaps.
-//   - Writes are group-committed: concurrent writers enqueue onto the
-//     shard's channel and a per-shard committer goroutine drains them
-//     into one batched Apply call, assigning each op its position in the
-//     shard's commit order before waking its waiter. The tree (and its
-//     machine) is touched by the committer alone.
-//   - Reads are snapshot-isolated: after every commit batch the committer
+//   - Writes are group-committed on their callers, with no committer
+//     goroutine. A writer queues its request on the shard; if the tree is
+//     idle it leads: it takes up to MaxBatch queued requests into one
+//     batched Apply, assigns each op its position in the shard's commit
+//     order, publishes, wakes the other batch members and hands the tree
+//     to the next queued request, whose writer then leads the next batch
+//     (flat combining). A lone writer thus commits with no goroutine
+//     switch, and the tree (and its machine) is touched by one holder at
+//     a time.
+//   - Reads are snapshot-isolated: after every commit batch the leader
 //     publishes a dict.TreeSnapshot (an immutable structural capture —
 //     the tree's chains are append-only, so captured addresses can never
 //     change contents behind the snapshot). A publish costs what the
@@ -34,7 +38,7 @@
 //     channel, so a single-writer staged Put allocates at most that one
 //     object end to end. Readers load the current
 //     snapshot atomically and read its blocks straight from the shard's
-//     storage engine, which the committer keeps allocating and writing
+//     storage engine, which the tree holder keeps allocating and writing
 //     underneath them: engines never move a block once allocated, so a
 //     reader takes no lock and never waits on commit, flush or rebuild
 //     work.
@@ -46,8 +50,12 @@
 //     waiters wake, a session always observes its own completed writes.
 //     The linearizability-style differential test holds the service to
 //     precisely that contract under -race.
+//   - A commit that panics (a meter violation, an I/O error, an invalid
+//     value) fails its shard instead of hanging it: every batch member and
+//     queued writer, and every later write to that shard, panics with
+//     "dictsrv: shard N failed: <cause>". Other shards keep serving.
 //
-// Cost accounting: the committer's writes flow through the machine's
+// Cost accounting: the tree holder's writes flow through the machine's
 // normal metered path, so amortized Q is the same accounting every other
 // experiment uses. Snapshot reads bypass the (single-threaded) machine
 // and each call adds its block count to a shard atomic; Stats folds them
@@ -67,7 +75,7 @@ import (
 // Config shapes a Service.
 type Config struct {
 	// Shards is the number of keyspace partitions (≥ 1), each its own
-	// machine + tree + committer.
+	// machine + tree.
 	Shards int
 
 	// Machine is the per-shard AEM machine shape.
@@ -82,17 +90,22 @@ type Config struct {
 	// keys clamp to the edge shards).
 	KeyLo, KeyHi int64
 
-	// MaxBatch caps how many queued writes one commit batch drains
-	// (0 = 1024). Bigger batches amortize better; smaller bound the
+	// MaxBatch caps how many queued writes a leading writer takes into
+	// one commit batch (0 = 1024); writers queued beyond it wait for the
+	// next batch. Bigger batches amortize better; smaller bound the
 	// latency one batch can add to its waiters.
 	MaxBatch int
 
 	// Deamortize bounds the commit-path stall: each shard tree runs in
-	// incremental-flush mode (dict.BufferTree.Deamortize), the committer
-	// pays at most one FlushStep(1) — one node-flush — per batch, and
-	// remaining debt is retired opportunistically while the write channel
-	// is empty (with Compact's rebuild check once the queue drains). The
-	// same node-flushes happen either way; deamortizing spreads them so a
+	// incremental-flush mode (dict.BufferTree.Deamortize), each commit
+	// batch pays at most one FlushStep(1) — one node-flush — and the rest
+	// of the debt is retired at idle by the shard's one retirer goroutine.
+	// A commit that leaves debt or ran a node-flush passes the tree to the
+	// retirer once no writer is queued; each retirer turn pays one
+	// FlushStep(1), or once the debt is settled one Compact (the rebuild
+	// check) and a republish, and then yields to any queued writer, so an
+	// arriving writer waits behind at most one node-flush. The same
+	// node-flushes happen either way; deamortizing spreads them so a
 	// commit batch never stalls behind a full cascade.
 	Deamortize bool
 }
@@ -152,6 +165,7 @@ type Stats struct {
 	// deamortization headline: amortized mode pays whole cascades here,
 	// deamortized mode at most one node-flush plus the rare root backstop.
 	MaxStallNS    int64
+	MaxStallQ     int64 // the worst batch's tree work in model cost, reads + ω·writes
 	Stalls        Hist  // per-batch commit stalls, power-of-two ns buckets
 	Debt          int64 // queued node-flushes right now, summed over shards
 	DebtHighWater int64 // worst per-shard debt sampled after any batch
@@ -163,7 +177,7 @@ type Stats struct {
 // storage engine. Block contents need no locking: chains write every
 // block exactly once at a fresh address, a snapshot only references
 // addresses written before it was published, and the Storage contract
-// makes ReadInto of such a block safe against the committer's concurrent
+// makes ReadInto of such a block safe against the tree holder's concurrent
 // Allocs and Writes.
 type shardReader struct{ sh *shard }
 
@@ -178,14 +192,17 @@ type snapState struct {
 	watermark int64
 }
 
-// writeReq is one enqueued write (or flush barrier) awaiting group
-// commit. Requests are pooled: the committer signals done exactly once
-// per submission and never touches the request after that signal, so the
-// waiter owns it again and returns it to reqPool.
+// writeReq is one queued write (or flush barrier) awaiting group commit.
+// Requests are pooled: the tree holder signals done exactly once per
+// submission — committed, failed, or handed the tree — and never touches
+// the request after that signal, so the waiter owns it again and returns
+// it to reqPool.
 type writeReq struct {
 	op     dict.Op
 	flush  bool  // barrier: force the shard tree down to its runs
-	commit int64 // assigned by the committer before done is signalled
+	commit int64 // assigned by the leader before done is signalled
+	lead   bool  // signalled to take the tree and lead the next batch
+	err    error // the shard failed before this request committed
 	done   chan struct{}
 }
 
@@ -197,7 +214,24 @@ type shard struct {
 	tree  *dict.BufferTree
 	store aem.Storage
 
-	reqs      chan *writeReq
+	// mu guards the hand-off state. busy means a goroutine holds the
+	// tree: a leading writer or the retirer. Only the holder touches the
+	// tree, the machine and the batch scratch below, and it passes the
+	// tree on under mu (see release). busy is false only while the queue
+	// is empty.
+	mu     sync.Mutex
+	queue  []*writeReq
+	busy   bool
+	idle   bool // idle work (debt, a rebuild check) may be pending
+	closed bool
+	err    error // set once a commit panicked: the shard is failed
+
+	// wake passes the tree to the retirer (deamortized only, capacity 1).
+	wake chan struct{}
+
+	batch, writers []*writeReq // commit scratch, tree holder only
+	ops            []dict.Op
+
 	snap      atomic.Pointer[snapState]
 	committed atomic.Int64
 
@@ -205,9 +239,10 @@ type shard struct {
 	flushes    atomic.Int64
 	maxFlushNS atomic.Int64
 
-	// Committer-written, atomically readable stall/debt telemetry.
+	// Holder-written, atomically readable stall/debt telemetry.
 	stalls       stallHist
 	maxStallNS   atomic.Int64
+	maxStallQ    atomic.Int64
 	debt         atomic.Int64
 	debtHW       atomic.Int64
 	batchFlushes atomic.Int64 // worst node-flushes one non-barrier batch paid
@@ -221,13 +256,12 @@ type Service struct {
 	cfg    Config
 	shards []*shard
 
-	mu     sync.RWMutex // guards closed vs in-flight submits
-	closed bool
-	wg     sync.WaitGroup
+	closeOnce sync.Once
+	wg        sync.WaitGroup // retirers
 }
 
-// New builds the service: Shards machines and trees, one committer
-// goroutine each, and an initial (empty) snapshot per shard.
+// New builds the service: Shards machines and trees, an initial (empty)
+// snapshot per shard and, when deamortized, one idle retirer each.
 func New(cfg Config) (*Service, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("dictsrv: need ≥ 1 shard, got %d", cfg.Shards)
@@ -267,8 +301,7 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("dictsrv: shard %d: %v", i, err)
 		}
 		ma := aem.NewWithStorage(cfg.Machine, store)
-		sh := &shard{idx: i, ma: ma, tree: dict.NewBufferTree(ma), store: store,
-			reqs: make(chan *writeReq, 4*cfg.MaxBatch)}
+		sh := &shard{idx: i, ma: ma, tree: dict.NewBufferTree(ma), store: store}
 		// Group-commit batches are sized by writer concurrency, not by B;
 		// staging the root tail in memory keeps small batches from
 		// fragmenting the buffer chain into mostly-empty blocks that every
@@ -290,15 +323,20 @@ func New(cfg Config) (*Service, error) {
 		})
 		sh.publish(0)
 		s.shards = append(s.shards, sh)
-		s.wg.Add(1)
-		go s.commitLoop(sh)
+	}
+	if cfg.Deamortize {
+		for _, sh := range s.shards {
+			sh.wake = make(chan struct{}, 1)
+			s.wg.Add(1)
+			go s.retire(sh)
+		}
 	}
 	return s, nil
 }
 
 // publish captures the shard tree into a new snapState at watermark and
-// makes it current. Only the goroutine that owns the tree may call it:
-// New before the committer starts, the committer after.
+// makes it current. Only the tree holder may call it (or New, before the
+// shard serves).
 func (sh *shard) publish(watermark int64) {
 	st := &snapState{watermark: watermark}
 	sh.tree.SnapshotInto(&st.snap)
@@ -341,115 +379,7 @@ func (s *Service) shardRange(i int) (lo, hi int64) {
 	return lo, hi
 }
 
-// commitLoop is one shard's committer: drain queued writes into a batch,
-// Apply it, assign commit positions, publish the post-batch snapshot,
-// then wake every waiter. Publishing before waking is what gives
-// sessions read-your-own-writes through snapshots.
-//
-// In deamortized mode the batch additionally pays exactly one FlushStep —
-// one node-flush toward the tree's debt — and the loop retires the rest
-// while the channel is empty: each idle iteration flushes one more node,
-// re-checking the channel in between so an arriving writer waits behind
-// at most one node-flush, never a cascade. When the debt queue drains,
-// the rebuild check (Compact) runs in the same idle slot, and a fresh
-// snapshot is published so readers descend the compacted structure.
-func (s *Service) commitLoop(sh *shard) {
-	defer s.wg.Done()
-	batch := make([]*writeReq, 0, s.cfg.MaxBatch)
-	ops := make([]dict.Op, 0, s.cfg.MaxBatch)
-	writers := make([]*writeReq, 0, s.cfg.MaxBatch)
-	for {
-		var first *writeReq
-		var ok bool
-		if s.cfg.Deamortize {
-			select {
-			case first, ok = <-sh.reqs:
-			default:
-				if sh.tree.Debt() > 0 {
-					sh.tree.FlushStep(1)
-					sh.debt.Store(int64(sh.tree.Debt()))
-					continue
-				}
-				if sh.tree.Compact() {
-					// A rebuild compacted the runs; republish so readers
-					// descend the fresh structure (same watermark — the
-					// logical contents are unchanged).
-					sh.publish(sh.snap.Load().watermark)
-					continue
-				}
-				first, ok = <-sh.reqs // debt settled, runs compact: block
-			}
-		} else {
-			first, ok = <-sh.reqs
-		}
-		if !ok {
-			return
-		}
-		batch = append(batch[:0], first)
-	drain:
-		for len(batch) < s.cfg.MaxBatch {
-			select {
-			case r, ok := <-sh.reqs:
-				if !ok {
-					break drain
-				}
-				batch = append(batch, r)
-			default:
-				break drain
-			}
-		}
-		ops, writers = ops[:0], writers[:0]
-		doFlush := false
-		for _, r := range batch {
-			if r.flush {
-				doFlush = true
-				continue
-			}
-			ops = append(ops, r.op)
-			writers = append(writers, r)
-		}
-		if len(ops) > 0 {
-			// The commit-path stall: tree work the batch's waiters (and any
-			// writer queued behind them) cannot overtake. Explicit barriers
-			// below are priced separately (MaxFlushNS), they are not stalls
-			// the write path inflicts on its own.
-			nf := sh.tree.NodeFlushes()
-			start := time.Now()
-			sh.tree.Apply(ops)
-			if debt := int64(sh.tree.Debt()); debt > sh.debtHW.Load() {
-				sh.debtHW.Store(debt) // peak owed, before the step retires one
-			}
-			if s.cfg.Deamortize {
-				sh.tree.FlushStep(1)
-			}
-			stall := time.Since(start).Nanoseconds()
-			sh.stalls.record(stall)
-			if stall > sh.maxStallNS.Load() { // single writer
-				sh.maxStallNS.Store(stall)
-			}
-			if d := sh.tree.NodeFlushes() - nf; d > sh.batchFlushes.Load() {
-				sh.batchFlushes.Store(d)
-			}
-			sh.debt.Store(int64(sh.tree.Debt()))
-		}
-		if doFlush {
-			sh.tree.Flush()
-			sh.debt.Store(0)
-		}
-		base := sh.committed.Load()
-		for i, r := range writers {
-			r.commit = base + int64(i) + 1
-		}
-		n := base + int64(len(writers))
-		sh.publish(n)
-		sh.committed.Store(n)
-		for _, r := range batch {
-			r.done <- struct{}{} // r belongs to its waiter from here on
-		}
-	}
-}
-
-// submit enqueues one write and waits for its group commit.
+// submit commits one write and returns its ack.
 func (s *Service) submit(op dict.Op) Ack {
 	start := time.Now()
 	sh := s.shards[s.shardFor(op.Key)]
@@ -457,26 +387,209 @@ func (s *Service) submit(op dict.Op) Ack {
 	return Ack{Shard: sh.idx, Commit: commit, LatencyNS: time.Since(start).Nanoseconds()}
 }
 
-// roundTrip queues a pooled request on sh's committer — a write of op, or
-// a flush barrier — waits for its signal and returns its commit position
-// (0 for a barrier).
+// roundTrip queues a pooled request on sh — a write of op, or a flush
+// barrier — and returns its commit position (0 for a barrier) once it is
+// committed. The caller commits it itself, leading a batch, if the tree is
+// idle or a finishing holder hands the tree to it; otherwise it waits for
+// the leader whose batch takes it.
 func (s *Service) roundTrip(sh *shard, op dict.Op, flush bool) int64 {
 	r := reqPool.Get().(*writeReq)
-	r.op, r.flush, r.commit = op, flush, 0
-	s.mu.RLock()
-	if s.closed {
-		s.mu.RUnlock()
+	r.op, r.flush, r.commit, r.lead, r.err = op, flush, 0, false, nil
+	sh.mu.Lock()
+	if sh.closed {
+		sh.mu.Unlock()
 		if flush {
 			panic("dictsrv: Flush on a closed service")
 		}
 		panic("dictsrv: write on a closed service")
 	}
-	sh.reqs <- r
-	s.mu.RUnlock()
-	<-r.done
+	if err := sh.err; err != nil {
+		sh.mu.Unlock()
+		panic(err)
+	}
+	sh.queue = append(sh.queue, r)
+	if !sh.busy {
+		sh.busy = true
+		s.lead(sh) // the queue was empty: r is its head
+	} else {
+		sh.mu.Unlock()
+		<-r.done
+		if err := r.err; err != nil {
+			reqPool.Put(r)
+			panic(err)
+		}
+		if r.lead {
+			sh.mu.Lock()
+			s.lead(sh) // handed the tree as the queue head
+		}
+	}
 	commit := r.commit
 	reqPool.Put(r)
 	return commit
+}
+
+// lead runs one group commit as the tree holder. Called with sh.mu held
+// and the caller's request at the queue head, it takes up to MaxBatch
+// requests off the queue, commits them, wakes every batch member but
+// itself and passes the tree on. Publishing before waking is what gives
+// sessions read-your-own-writes through snapshots. A panic in the commit
+// fails the shard and re-panics on this caller with the failure.
+func (s *Service) lead(sh *shard) {
+	n := min(len(sh.queue), s.cfg.MaxBatch)
+	sh.batch = append(sh.batch[:0], sh.queue[:n]...)
+	rest := copy(sh.queue, sh.queue[n:])
+	clear(sh.queue[rest:])
+	sh.queue = sh.queue[:rest]
+	sh.mu.Unlock()
+
+	defer func() {
+		if p := recover(); p != nil {
+			panic(sh.fail(p, sh.batch[1:]))
+		}
+	}()
+	idle := s.commit(sh, sh.batch)
+	for _, r := range sh.batch[1:] {
+		r.done <- struct{}{} // r belongs to its waiter from here on
+	}
+	sh.release(idle)
+}
+
+// commit is the group-commit body: Apply the batch's writes, pay one
+// FlushStep(1) when deamortized, run any barrier Flush, assign commit
+// positions and publish the post-batch snapshot. It reports whether a
+// deamortized batch may have left idle work for the retirer: debt, or a
+// node-flush whose runs the rebuild check should look at.
+func (s *Service) commit(sh *shard, batch []*writeReq) bool {
+	ops, writers := sh.ops[:0], sh.writers[:0]
+	doFlush := false
+	for _, r := range batch {
+		if r.flush {
+			doFlush = true
+			continue
+		}
+		ops = append(ops, r.op)
+		writers = append(writers, r)
+	}
+	sh.ops, sh.writers = ops, writers
+	nf := sh.tree.NodeFlushes()
+	if len(ops) > 0 {
+		// The commit-path stall: tree work the batch's waiters (and any
+		// writer queued behind them) cannot overtake, timed and priced in
+		// model cost. Explicit barriers below are priced separately
+		// (MaxFlushNS), they are not stalls the write path inflicts on
+		// its own.
+		q := sh.ma.Cost()
+		start := time.Now()
+		sh.tree.Apply(ops)
+		if debt := int64(sh.tree.Debt()); debt > sh.debtHW.Load() {
+			sh.debtHW.Store(debt) // peak owed, before the step retires one
+		}
+		if s.cfg.Deamortize {
+			sh.tree.FlushStep(1)
+		}
+		stall := time.Since(start).Nanoseconds()
+		sh.stalls.record(stall)
+		if stall > sh.maxStallNS.Load() { // single holder
+			sh.maxStallNS.Store(stall)
+		}
+		if dq := sh.ma.Cost() - q; dq > sh.maxStallQ.Load() {
+			sh.maxStallQ.Store(dq)
+		}
+		if d := sh.tree.NodeFlushes() - nf; d > sh.batchFlushes.Load() {
+			sh.batchFlushes.Store(d)
+		}
+		sh.debt.Store(int64(sh.tree.Debt()))
+	}
+	if doFlush {
+		sh.tree.Flush()
+		sh.debt.Store(0)
+	}
+	base := sh.committed.Load()
+	for i, r := range writers {
+		r.commit = base + int64(i) + 1
+	}
+	n := base + int64(len(writers))
+	sh.publish(n)
+	sh.committed.Store(n)
+	return s.cfg.Deamortize && (sh.tree.Debt() > 0 || sh.tree.NodeFlushes() != nf)
+}
+
+// release passes the tree on at the end of a holder's turn — a commit or
+// a retirer turn: to the queue head, which then leads the next batch;
+// else, when idle work may be pending, to the retirer; else back to idle.
+// idle reports whether the turn may have left such work.
+func (sh *shard) release(idle bool) {
+	sh.mu.Lock()
+	sh.idle = sh.idle || idle
+	switch {
+	case len(sh.queue) > 0:
+		next := sh.queue[0]
+		next.lead = true
+		sh.mu.Unlock()
+		next.done <- struct{}{}
+		return
+	case sh.idle && !sh.closed:
+		// Only the holder sends, and the retirer takes the token before it
+		// touches the tree, so the channel is empty here.
+		sh.idle = false
+		sh.wake <- struct{}{}
+	default:
+		sh.busy = false
+	}
+	sh.mu.Unlock()
+}
+
+// fail marks sh failed by a commit that panicked with cause, releases the
+// tree and wakes every request still waiting on it — the batch members in
+// pending and the whole queue — with the failure, which it returns.
+func (sh *shard) fail(cause any, pending []*writeReq) error {
+	err := fmt.Errorf("dictsrv: shard %d failed: %v", sh.idx, cause)
+	sh.mu.Lock()
+	sh.err = err
+	queued := sh.queue
+	sh.queue = nil
+	sh.busy = false
+	sh.mu.Unlock()
+	for _, waiting := range [][]*writeReq{pending, queued} {
+		for _, r := range waiting {
+			r.err = err
+			r.done <- struct{}{}
+		}
+	}
+	return err
+}
+
+// retire is a deamortized shard's idle retirer. It holds the tree from
+// taking a token off wake, which release sends once no writer is queued
+// and idle work may be pending, until its turn passes the tree on.
+func (s *Service) retire(sh *shard) {
+	defer s.wg.Done()
+	for range sh.wake {
+		sh.retireTurn()
+	}
+}
+
+// retireTurn pays one FlushStep(1), or once the debt is settled runs the
+// rebuild check (Compact) and, if it rebuilt, republishes at the same
+// watermark so readers descend the compacted structure. It then passes the
+// tree on: to any queued writer first, back to the retirer while it finds
+// work, else to idle. A panic fails the shard, as in a commit.
+func (sh *shard) retireTurn() {
+	defer func() {
+		if p := recover(); p != nil {
+			sh.fail(p, nil)
+		}
+	}()
+	worked := true
+	if sh.tree.Debt() > 0 {
+		sh.tree.FlushStep(1)
+		sh.debt.Store(int64(sh.tree.Debt()))
+	} else if sh.tree.Compact() {
+		sh.publish(sh.snap.Load().watermark)
+	} else {
+		worked = false
+	}
+	sh.release(worked)
 }
 
 // Put inserts (key, value), overwriting any previous value. It returns
@@ -557,40 +670,36 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 	return out
 }
 
-// Flush forces every shard's buffered work down to the leaf runs. The
-// flush runs on each shard's committer, ordered after everything already
-// queued, so it acts as a committed write barrier per shard.
+// Flush forces every shard's buffered work down to the leaf runs. Each
+// shard's barrier is queued like a write, ordered after everything already
+// queued there, and committed from the caller one shard after another, so
+// it acts as a committed write barrier per shard.
 func (s *Service) Flush() {
-	var wg sync.WaitGroup
 	for _, sh := range s.shards {
-		wg.Add(1)
-		go func(sh *shard) {
-			defer wg.Done()
-			s.roundTrip(sh, dict.Op{}, true)
-		}(sh)
+		s.roundTrip(sh, dict.Op{}, true)
 	}
-	wg.Wait()
 }
 
-// Close stops the committers and closes every shard machine. The caller
-// must have no operations in flight; Close is not idempotent-safe against
-// concurrent writers by design (the differential layer owns lifecycle in
-// tests, the CLI in production).
+// Close marks every shard closed, stops the retirers and closes every
+// shard machine. The caller must have no operations in flight; Close is
+// not safe against concurrent writers by design (the differential layer
+// owns lifecycle in tests, the CLI in production). A second Close is a
+// no-op.
 func (s *Service) Close() {
-	s.mu.Lock()
-	if s.closed {
-		s.mu.Unlock()
-		return
-	}
-	s.closed = true
-	for _, sh := range s.shards {
-		close(sh.reqs)
-	}
-	s.mu.Unlock()
-	s.wg.Wait()
-	for _, sh := range s.shards {
-		sh.ma.Close()
-	}
+	s.closeOnce.Do(func() {
+		for _, sh := range s.shards {
+			sh.mu.Lock()
+			sh.closed = true
+			if sh.wake != nil {
+				close(sh.wake)
+			}
+			sh.mu.Unlock()
+		}
+		s.wg.Wait()
+		for _, sh := range s.shards {
+			sh.ma.Close()
+		}
+	})
 }
 
 // Committed returns the total write ops committed across shards.
@@ -611,7 +720,7 @@ func (s *Service) ShardWatermark(i int) int64 { return s.shards[i].snap.Load().w
 
 // Stats aggregates accounting across shards. Machine counters are only
 // coherent at quiescence: amortized, once every submitted op is acked;
-// deamortized, only after Close, because an idle committer keeps retiring
+// deamortized, only after Close, because the idle retirer keeps retiring
 // debt and compacting after the last ack. The atomics (SnapReads,
 // Flushes, MaxFlushNS, Committed) are exact at any time.
 func (s *Service) Stats() Stats {
@@ -631,6 +740,9 @@ func (s *Service) Stats() Stats {
 		}
 		if m := sh.maxStallNS.Load(); m > out.MaxStallNS {
 			out.MaxStallNS = m
+		}
+		if m := sh.maxStallQ.Load(); m > out.MaxStallQ {
+			out.MaxStallQ = m
 		}
 		out.Stalls.merge(sh.stalls.snapshot())
 		out.Debt += sh.debt.Load()

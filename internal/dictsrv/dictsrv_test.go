@@ -2,8 +2,10 @@ package dictsrv
 
 import (
 	"fmt"
+	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/aem"
 	"repro/internal/dict"
@@ -121,7 +123,7 @@ type opRecord struct {
 // exactly `watermark` ops — i.e. reads observe a prefix of the commit
 // order and writes are densely, uniquely ordered. Runs under -race in CI
 // (the repo race job runs all tests), which also holds the
-// snapshot-vs-committer memory claims.
+// snapshot-vs-tree-holder memory claims.
 func TestLinearizability(t *testing.T) {
 	for _, deam := range []bool{false, true} {
 		name := "amortized"
@@ -288,7 +290,7 @@ func sortByWatermark(recs []opRecord) {
 
 // TestLookupDuringFlushHammer is the -race hammer for the tentpole's
 // concurrency claim: readers descend published snapshots while the
-// committer cascades and rebuilds underneath them. A tiny machine at high
+// tree holder cascades and rebuilds underneath them. A tiny machine at high
 // ω maximizes flush frequency; any unsynchronized engine access or
 // snapshot instability trips the race detector or miscompares.
 func TestLookupDuringFlushHammer(t *testing.T) {
@@ -352,9 +354,9 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 	}
 	wg.Wait()
 
-	// Every op is acked, but a deamortized committer may still be retiring
-	// idle debt or compacting: Close joins the committers, and only then
-	// are the machine counters quiescent.
+	// Every op is acked, but a deamortized retirer may still be retiring
+	// idle debt or compacting: Close joins the retirers, and only then are
+	// the machine counters quiescent.
 	svc.Close()
 	st := svc.Stats()
 	if st.Flushes == 0 {
@@ -366,10 +368,10 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 }
 
 // TestFileDirectConcurrentReads runs snapshot readers against a
-// file-direct shard while its committer writes. Both sides move blocks
+// file-direct shard while its writer commits. Both sides move blocks
 // through the engine's positional transfer path at the same time, so a
 // transfer buffer shared between them corrupts reads, overflows the
-// committer's block vectors, or trips the race detector. Every key is
+// tree's block vectors, or trips the race detector. Every key is
 // preloaded and never deleted, and every value written for key k is
 // congruent to k, so each Get must find its key with a value of that key.
 func TestFileDirectConcurrentReads(t *testing.T) {
@@ -463,12 +465,11 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 
 // TestPutSteadyStateAllocs pins the write round trip: once the request
 // pool is warm, a single-writer staged Put allocates at most one object,
-// the snapState its publish fills. Requests and their done channels are
-// reused, and the capture of a batch that changed no chain allocates
-// nothing. A deamortized committer also runs its idle debt and rebuild
-// check after every batch, inside the measurement, so the same bound pins
-// that check at zero allocations when no debt is owed (the stream stays
-// below the root threshold, so none is).
+// the snapState its publish fills. The writer leads its own commit, so
+// no request waits on a channel; requests are reused, and the capture of
+// a batch that changed no chain allocates nothing. The stream stays below
+// the root threshold, so a deamortized batch leaves no debt and pays its
+// FlushStep(1) check inside the same bound.
 func TestPutSteadyStateAllocs(t *testing.T) {
 	for _, deam := range []bool{false, true} {
 		name := "amortized"
@@ -574,6 +575,162 @@ func TestRunLoadReport(t *testing.T) {
 	}
 	if got := svc.Committed(); got != rep.Updates {
 		t.Fatalf("service committed %d, report says %d updates", got, rep.Updates)
+	}
+}
+
+// TestPanickingCommitFailsShard pins the failure contract: a commit that
+// panics — here an out-of-range value tripping the tree's value check
+// inside Apply — fails its shard instead of hanging it. The test holds
+// shard 0's tree while four writes queue behind it, the second of them
+// the bad value, then passes the tree on as a finishing holder does. With
+// MaxBatch 2 the queue head leads a batch of itself and the bad write, so
+// the panic unwinds on a leader with one batch member to wake and two
+// writers still queued. All four writes, and every later write to that
+// shard, must panic with the shard's failure, while the other shard keeps
+// serving and Close returns.
+func TestPanickingCommitFailsShard(t *testing.T) {
+	for _, deam := range []bool{false, true} {
+		name := "amortized"
+		if deam {
+			name = "deamortized"
+		}
+		t.Run(name, func(t *testing.T) {
+			cfg := testConfig(2) // shard 0 serves [0, 2048), shard 1 [2048, 4096)
+			cfg.Deamortize = deam
+			cfg.MaxBatch = 2
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for k := int64(0); k < 4096; k += 3 {
+				svc.Put(k, k)
+			}
+
+			sh := svc.shards[0]
+			holdTree(t, sh)
+			values := []int64{1, -1, 2, 3}
+			failures := make(chan any, len(values))
+			for i, v := range values {
+				go func(k, v int64) { failures <- panicOf(func() { svc.Put(k, v) }) }(int64(10+i), v)
+				waitQueued(t, sh, i+1)
+			}
+			sh.release(false)
+			within(t, "writers on the failed shard", func() {
+				for range values {
+					if p := <-failures; !failedShard0(p) {
+						t.Errorf("a write on the failed shard panicked with %v, want the shard 0 failure", p)
+					}
+				}
+			})
+			within(t, "a write to the failed shard", func() {
+				if p := panicOf(func() { svc.Put(8, 8) }); !failedShard0(p) {
+					t.Errorf("Put to the failed shard panicked with %v, want the shard 0 failure", p)
+				}
+			})
+			within(t, "the healthy shard", func() {
+				ack := svc.Put(3000, 42)
+				if ack.Shard != 1 {
+					t.Errorf("key 3000 routed to shard %d", ack.Shard)
+				}
+				if g := svc.Get(3000); !g.OK || g.Value != 42 {
+					t.Errorf("Get(3000) = (%d, %v) after Put(3000, 42)", g.Value, g.OK)
+				}
+				if g := svc.Get(3); !g.OK || g.Value != 3 {
+					t.Errorf("Get(3) = (%d, %v): the failed shard's last snapshot stopped serving", g.Value, g.OK)
+				}
+			})
+			within(t, "Close", svc.Close)
+		})
+	}
+}
+
+// holdTree takes sh's tree as a holder would, once it is idle (a
+// deamortized retirer may still be retiring the preload's debt).
+func holdTree(t *testing.T, sh *shard) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		sh.mu.Lock()
+		if !sh.busy {
+			sh.busy = true
+			sh.mu.Unlock()
+			return
+		}
+		sh.mu.Unlock()
+	}
+	t.Fatal("the tree never went idle")
+}
+
+// waitQueued waits until n requests are queued on sh.
+func waitQueued(t *testing.T, sh *shard, n int) {
+	t.Helper()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Microsecond) {
+		sh.mu.Lock()
+		queued := len(sh.queue)
+		sh.mu.Unlock()
+		if queued == n {
+			return
+		}
+	}
+	t.Fatalf("%d requests never queued", n)
+}
+
+// panicOf runs f and returns what it panicked with, or nil.
+func panicOf(f func()) (p any) {
+	defer func() { p = recover() }()
+	f()
+	return nil
+}
+
+// failedShard0 reports whether p is shard 0's failure from the value check.
+func failedShard0(p any) bool {
+	err, ok := p.(error)
+	return ok && strings.HasPrefix(err.Error(), "dictsrv: shard 0 failed: dict: value -1 outside")
+}
+
+// within fails the test if f does not return within ten seconds.
+func within(t *testing.T, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		defer close(done)
+		f()
+	}()
+	select {
+	case <-done:
+	case <-time.After(10 * time.Second):
+		t.Fatalf("%s hung", what)
+	}
+}
+
+// BenchmarkPut measures the single-writer write round trip — a pooled
+// request, the writer's own commit (Apply, plus one FlushStep when
+// deamortized) and the publish — in both commit modes.
+func BenchmarkPut(b *testing.B) {
+	for _, deam := range []bool{false, true} {
+		name := "amortized"
+		if deam {
+			name = "deamortized"
+		}
+		b.Run(name, func(b *testing.B) {
+			cfg := Config{
+				Shards:  4,
+				Machine: aem.Config{M: 1024, B: 32, Omega: 8},
+				KeyLo:   0, KeyHi: 65536,
+				Deamortize: deam,
+			}
+			svc, err := New(cfg)
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer svc.Close()
+			b.ReportAllocs()
+			b.ResetTimer()
+			var k int64
+			for i := 0; i < b.N; i++ {
+				svc.Put(k, int64(i))
+				k = (k + 9973) % 65536
+			}
+		})
 	}
 }
 

@@ -65,7 +65,7 @@ func (h *Hist) merge(o Hist) {
 	}
 }
 
-// stallHist is the shard-side recorder: single writer (the committer),
+// stallHist is the shard-side recorder: single writer (the tree holder),
 // atomically readable at any time.
 type stallHist struct {
 	counts [histBuckets]atomic.Int64

@@ -147,7 +147,7 @@ func specL3() *Spec {
 	return &Spec{
 		ID:        "EXP-L3",
 		Index:     "deamortized flushing: bounded-stall commits vs run-to-completion cascades",
-		Statement: "the dictionary service in amortized mode (each commit batch pays whatever cascade its appends trigger, to completion) against deamortized mode (overfull nodes enter a debt queue; each batch pays at most one node-flush, and the committer retires remaining debt when the write channel is idle), swept over scenario and ω: worst and p99.9 commit-path stall, throughput, cost/op, and the debt high-water mark, next to the model's predicted worst-stall Q for each mode",
+		Statement: "the dictionary service in amortized mode (each commit batch pays whatever cascade its appends trigger, to completion) against deamortized mode (overfull nodes enter a debt queue; each batch pays at most one node-flush, and an idle retirer pays the remaining debt whenever no writer is queued), swept over scenario and ω: worst and p99.9 commit-path stall, throughput, cost/op, and the debt high-water mark, next to the model's predicted worst-stall Q for each mode",
 		Title:     "serving: amortized vs deamortized flush stalls across ω",
 		Claim:     "the debt queue converts the Θ(ωM)-deferral pause from one run-to-completion cascade into bounded per-batch installments: worst stall drops by an order of magnitude at large ω while throughput holds, because the same node-flushes happen — spread across batches and idle gaps instead of convoyed",
 		Axes: []Axis{
@@ -185,7 +185,7 @@ func specL3() *Spec {
 				st.DebtHighWater, nil}
 		},
 		Notes: []string{
-			fmt.Sprintf("single writer over %d shards at dictload scale (M=1024, B=32), %d ops per point, keyspace %d; both modes replay the identical stream — only the committer's flush policy differs", shards, nOps, keyspace),
+			fmt.Sprintf("single writer over %d shards at dictload scale (M=1024, B=32), %d ops per point, keyspace %d; both modes replay the identical stream — only the commit path's flush policy differs", shards, nOps, keyspace),
 			"at ω=64 the root buffer (ωM = 65536 items) can swallow a balanced shard's whole update stream — flashcrowd goes quiet in both modes — but drift's migrating hot set skews the key split enough to overflow one shard's root, and that lone run-to-completion cascade is the worst cell in the table (≈100ms vs ≈1ms deamortized)",
 			"stall columns time the commit path only (Apply + at most one budgeted flush step); explicit Flush barriers are excluded, and both modes drain fully before Stats are read — total cost accounting is mode-independent up to idle-time compaction",
 			"pred stall Q is the model's worst single pause in Q = Qr + ω·Qw units; measured wall-clock ratios exceed the predicted ratio because the amortized pause also pays model-free CPU work (partitioning, merging) across the whole cascade",

@@ -130,13 +130,14 @@ func TestServingFrontier(t *testing.T) {
 
 // TestDeamortizedStallAcceptance is the acceptance criterion for the
 // deamortization arc, run at EXP-L3's committed drift/ω=16 point: the
-// debt-queue committer must cut the worst commit-path stall by at least
+// debt-queue commit path must cut the worst commit-path stall by at least
 // an order of magnitude versus run-to-completion cascades, without giving
 // up throughput. The stall ratio is deterministic in structure (one
-// bounded node-flush vs a whole cascade) even though both cells are
-// wall-clock; the throughput bar uses a wide margin because absolute
-// ops/sec on a shared CI box is noisy — CI's stallgate holds the strict
-// equal-or-better line against a committed baseline.
+// bounded node-flush vs a whole cascade) even though both wall-clock
+// cells are not, so it is checked in model cost as well. The throughput
+// bar uses a wide margin because absolute ops/sec on a shared CI box is
+// noisy — CI's stallgate holds the strict equal-or-better line against a
+// committed baseline.
 func TestDeamortizedStallAcceptance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives two full EXP-L3 points")
@@ -156,9 +157,20 @@ func TestDeamortizedStallAcceptance(t *testing.T) {
 	if ast.MaxStallNS == 0 || dst.MaxStallNS == 0 {
 		t.Fatalf("stall telemetry missing: amortized %d ns, deamortized %d ns", ast.MaxStallNS, dst.MaxStallNS)
 	}
+	t.Logf("worst stall: amortized %.2fms, Q %d; deamortized %.2fms, Q %d",
+		float64(ast.MaxStallNS)/1e6, ast.MaxStallQ, float64(dst.MaxStallNS)/1e6, dst.MaxStallQ)
 	if dst.MaxStallNS*10 > ast.MaxStallNS {
 		t.Errorf("worst stall not reduced ≥10×: amortized %.2fms vs deamortized %.2fms",
 			float64(ast.MaxStallNS)/1e6, float64(dst.MaxStallNS)/1e6)
+	}
+	// The same claim in the paper's currency: the worst batch's tree work
+	// priced as Q = reads + ω·writes, which no scheduler or collector
+	// pause can inflate.
+	if ast.MaxStallQ == 0 || dst.MaxStallQ == 0 {
+		t.Fatalf("stall Q telemetry missing: amortized %d, deamortized %d", ast.MaxStallQ, dst.MaxStallQ)
+	}
+	if dst.MaxStallQ*10 > ast.MaxStallQ {
+		t.Errorf("worst stall Q not reduced ≥10×: amortized %d vs deamortized %d", ast.MaxStallQ, dst.MaxStallQ)
 	}
 	if drep.OpsPerSec() < 0.7*arep.OpsPerSec() {
 		t.Errorf("deamortized throughput collapsed: %.0f ops/sec vs amortized %.0f",
