@@ -125,6 +125,14 @@ func TestDeprecatedWrappersCoverEverySubcommand(t *testing.T) {
 			t.Errorf("subcommand %s missing from the registry", sub)
 		}
 	}
+	if n := len(Commands()); n != 11 {
+		t.Errorf("%d subcommands registered, want 11", n)
+	}
+	for _, retired := range []string{"stallgate", "profdiff"} {
+		if code := Main([]string{retired}); code != 2 {
+			t.Errorf("retired %s exit = %d, want 2 (unknown command)", retired, code)
+		}
+	}
 	if code := Main([]string{"definitely-not-a-command"}); code != 2 {
 		t.Errorf("unknown command exit = %d, want 2", code)
 	}

@@ -1,7 +1,7 @@
-// Package cli implements the aem multitool: one binary, thirteen
-// subcommands (bench, merge, serve, work, gate, stallgate, profdiff,
-// engines, dict, dictload, sort, spmxv, trace) sharing flag parsing,
-// machine validation and output plumbing.
+// Package cli implements the aem multitool: one binary, eleven
+// subcommands (bench, merge, serve, work, gate, engines, dict, dictload,
+// sort, spmxv, trace) sharing flag parsing, machine validation and output
+// plumbing.
 package cli
 
 import (
@@ -27,9 +27,7 @@ func Commands() []Command {
 		{"merge", "reassemble shard/fleet point records into the unsharded tables", mergeCmd},
 		{"serve", "coordinate an elastic fleet: lease grid points to `aem work` workers over HTTP", serveCmd},
 		{"work", "run grid points for an `aem serve` coordinator, or finish a residual spec", workCmd},
-		{"gate", "compare a timed bench run's points/sec against a committed baseline", gateCmd},
-		{"stallgate", "gate a -deamortize dictload run's worst stall against its amortized twin and a baseline", stallgateCmd},
-		{"profdiff", "diff a pprof -top summary against a committed baseline: fail on new heavy functions", profdiffCmd},
+		{"gate", "check timed runs, dictload stall legs and pprof -top summaries against one committed baseline", gateCmd},
 		{"engines", "list the storage-engine registry with capability flags", enginesCmd},
 		{"dict", "drive a dictionary op stream: buffer tree vs B-tree vs bounds", dictCmd},
 		{"dictload", "concurrent load against the sharded dictionary service: throughput, p50/p99/max, flush stalls", dictloadCmd},

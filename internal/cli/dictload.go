@@ -28,7 +28,8 @@ import (
 // locality) | flashcrowd. Engines: any data-retaining engine (see `aem
 // engines`). With -deamortize each commit batch pays flushes in bounded
 // installments (debt queue + FlushStep) instead of run-to-completion
-// cascades; compare two runs with `aem stallgate`.
+// cascades; `aem gate` judges an amortized and a deamortized record
+// together.
 func dictloadCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
@@ -60,6 +61,10 @@ func dictloadCmd(prog string, args []string) int {
 		fail(prog, "-gor must be ≥ 1, got %d", *gor)
 		return 2
 	}
+	if *nOps < 1 {
+		fail(prog, "-ops must be ≥ 1, got %d", *nOps)
+		return 2
+	}
 
 	svc, err := dictsrv.New(dictsrv.Config{
 		Shards:     *shards,
@@ -88,7 +93,7 @@ func dictloadCmd(prog string, args []string) int {
 			Shards: *shards, Goroutines: rep.Goroutines, Deamortize: *deam,
 			Ops: rep.Ops, WallNS: rep.WallNS, OpsPerSec: rep.OpsPerSec(),
 			P50NS: lat.P50NS, P99NS: lat.P99NS, P999NS: lat.P999NS, MaxNS: lat.MaxNS,
-			MaxStallNS: st.MaxStallNS, P999StallNS: st.Stalls.Quantile(0.999),
+			MaxStallNS: st.MaxStallNS, MaxStallQ: st.MaxStallQ, P999StallNS: st.Stalls.Quantile(0.999),
 			MaxFlushNS: st.MaxFlushNS, DebtHighWater: st.DebtHighWater,
 			Flushes: st.Flushes,
 			Reads:   st.Reads, Writes: st.Writes, SnapReads: st.SnapReads,
@@ -112,10 +117,40 @@ func dictloadCmd(prog string, args []string) int {
 	fmt.Printf("throughput   %.0f ops/sec (%s wall)\n", rep.OpsPerSec(), harness.FmtNS(rep.WallNS))
 	fmt.Printf("latency      p50 %s   p99 %s   p99.9 %s   max %s\n",
 		harness.FmtNS(lat.P50NS), harness.FmtNS(lat.P99NS), harness.FmtNS(lat.P999NS), harness.FmtNS(lat.MaxNS))
-	fmt.Printf("stalls       worst commit stall %s   p99.9 %s   debt high-water %d   (%d flush section(s), worst %s)\n",
-		harness.FmtNS(st.MaxStallNS), harness.FmtNS(st.Stalls.Quantile(0.999)),
+	fmt.Printf("stalls       worst commit stall %s (Q %d)   p99.9 %s   debt high-water %d   (%d flush section(s), worst %s)\n",
+		harness.FmtNS(st.MaxStallNS), st.MaxStallQ, harness.FmtNS(st.Stalls.Quantile(0.999)),
 		st.DebtHighWater, st.Flushes, harness.FmtNS(st.MaxFlushNS))
 	fmt.Printf("accounting   %d reads + %d snapshot reads + ω·%d writes = Q %d (%.2f per op)\n",
 		st.Reads, st.SnapReads, st.Writes, st.Cost, float64(st.Cost)/float64(rep.Ops))
 	return 0
+}
+
+// dictloadRecord is the JSON report of `aem dictload -json`, which `aem
+// gate` reads as a stall leg. One type in one place so the producer and
+// the gate cannot drift.
+type dictloadRecord struct {
+	Type          string  `json:"type"` // "dictload"
+	Scenario      string  `json:"scenario"`
+	Engine        string  `json:"engine"`
+	Shards        int     `json:"shards"`
+	Goroutines    int     `json:"goroutines"`
+	Deamortize    bool    `json:"deamortize"`
+	Ops           int64   `json:"ops"`
+	WallNS        int64   `json:"wall_ns"`
+	OpsPerSec     float64 `json:"ops_per_sec"`
+	P50NS         int64   `json:"p50_ns"`
+	P99NS         int64   `json:"p99_ns"`
+	P999NS        int64   `json:"p999_ns"`
+	MaxNS         int64   `json:"max_ns"`
+	MaxStallNS    int64   `json:"max_stall_ns"`
+	MaxStallQ     int64   `json:"max_stall_q"`
+	P999StallNS   int64   `json:"p999_stall_ns"`
+	MaxFlushNS    int64   `json:"max_flush_ns"`
+	DebtHighWater int64   `json:"debt_high_water"`
+	Flushes       int64   `json:"flushes"`
+	Reads         int64   `json:"reads"`
+	Writes        int64   `json:"writes"`
+	SnapReads     int64   `json:"snap_reads"`
+	Cost          int64   `json:"cost"`
+	CostPerOp     float64 `json:"cost_per_op"`
 }

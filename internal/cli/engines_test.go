@@ -109,3 +109,17 @@ func TestDictRunsOnFileEngine(t *testing.T) {
 		t.Errorf("%d backing files leaked after the run", len(entries))
 	}
 }
+
+// TestDictloadRejectsEmptyLoad: a load of no operations has no per-op
+// figures to report, so -ops below 1 is a usage error, like -gor.
+func TestDictloadRejectsEmptyLoad(t *testing.T) {
+	for _, ops := range []string{"0", "-5"} {
+		var code int
+		msg := string(captureStderr(t, func() {
+			code = dictloadCmd("aem dictload", []string{"-ops", ops, "-json"})
+		}))
+		if code != 2 || !strings.Contains(msg, "-ops") {
+			t.Errorf("-ops %s: exit %d, want 2 naming -ops; stderr:\n%s", ops, code, msg)
+		}
+	}
+}

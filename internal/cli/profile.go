@@ -43,9 +43,12 @@ func profileFlags(fs *flag.FlagSet) (start func() (stop func() error, err error)
 				if err != nil {
 					return fmt.Errorf("-memprofile: %w", err)
 				}
-				defer f.Close()
 				runtime.GC() // settle live-heap numbers before the snapshot
-				if err := pprof.Lookup("allocs").WriteTo(f, 0); err != nil {
+				err = pprof.Lookup("allocs").WriteTo(f, 0)
+				if cerr := f.Close(); err == nil {
+					err = cerr
+				}
+				if err != nil {
 					return fmt.Errorf("-memprofile: %w", err)
 				}
 			}

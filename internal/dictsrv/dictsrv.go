@@ -164,7 +164,7 @@ type Stats struct {
 	// excluding explicit Flush barriers. MaxStallNS and Stalls are the
 	// deamortization headline: amortized mode pays whole cascades here,
 	// deamortized mode at most one node-flush plus the rare root backstop.
-	MaxStallNS    int64
+	MaxStallNS    int64 // Stalls.MaxNS, the worst batch's stall
 	MaxStallQ     int64 // the worst batch's tree work in model cost, reads + ω·writes
 	Stalls        Hist  // per-batch commit stalls, power-of-two ns buckets
 	Debt          int64 // queued node-flushes right now, summed over shards
@@ -241,7 +241,6 @@ type shard struct {
 
 	// Holder-written, atomically readable stall/debt telemetry.
 	stalls       stallHist
-	maxStallNS   atomic.Int64
 	maxStallQ    atomic.Int64
 	debt         atomic.Int64
 	debtHW       atomic.Int64
@@ -489,9 +488,6 @@ func (s *Service) commit(sh *shard, batch []*writeReq) bool {
 		}
 		stall := time.Since(start).Nanoseconds()
 		sh.stalls.record(stall)
-		if stall > sh.maxStallNS.Load() { // single holder
-			sh.maxStallNS.Store(stall)
-		}
 		if dq := sh.ma.Cost() - q; dq > sh.maxStallQ.Load() {
 			sh.maxStallQ.Store(dq)
 		}
@@ -738,9 +734,6 @@ func (s *Service) Stats() Stats {
 		if m := sh.maxFlushNS.Load(); m > out.MaxFlushNS {
 			out.MaxFlushNS = m
 		}
-		if m := sh.maxStallNS.Load(); m > out.MaxStallNS {
-			out.MaxStallNS = m
-		}
 		if m := sh.maxStallQ.Load(); m > out.MaxStallQ {
 			out.MaxStallQ = m
 		}
@@ -754,5 +747,6 @@ func (s *Service) Stats() Stats {
 		}
 	}
 	out.Cost += out.SnapReads
+	out.MaxStallNS = out.Stalls.MaxNS
 	return out
 }

@@ -541,6 +541,11 @@ func TestBoundedStallRegression(t *testing.T) {
 	if deamortized.Stalls.N == 0 || deamortized.MaxStallNS <= 0 {
 		t.Fatalf("stall histogram empty: %+v", deamortized.Stalls)
 	}
+	for _, st := range []Stats{amortized, deamortized} {
+		if st.MaxStallNS != st.Stalls.MaxNS {
+			t.Fatalf("MaxStallNS %d != Stalls.MaxNS %d", st.MaxStallNS, st.Stalls.MaxNS)
+		}
+	}
 	if q := deamortized.Stalls.Quantile(0.999); q <= 0 || q > deamortized.MaxStallNS {
 		t.Fatalf("p99.9 stall %d outside (0, max=%d]", q, deamortized.MaxStallNS)
 	}

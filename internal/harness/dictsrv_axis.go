@@ -156,7 +156,7 @@ func specL3() *Spec {
 			{Name: "mode", Values: []interface{}{"amortized", "deamortized"}},
 		},
 		Columns: append(
-			Cols("scenario", "ω", "mode", "ops", "ops/sec", "cost/op", "p99.9", "max stall", "p99.9 stall", "debt hw"),
+			Cols("scenario", "ω", "mode", "ops", "ops/sec", "cost/op", "p99.9", "max stall", "p99.9 stall", "debt hw", "max stall Q"),
 			Column{Name: "pred stall Q", Pred: func(p Point) float64 {
 				dp := stallParams(p.Int("omega"))
 				if p.Str("mode") == "deamortized" {
@@ -182,13 +182,13 @@ func specL3() *Spec {
 				fmt.Sprintf("%.0f", rep.OpsPerSec()),
 				fmt.Sprintf("%.1f", float64(st.Cost)/float64(rep.Ops)),
 				FmtNS(lat.P999NS), FmtNS(st.MaxStallNS), FmtNS(st.Stalls.Quantile(0.999)),
-				st.DebtHighWater, nil}
+				st.DebtHighWater, st.MaxStallQ, nil}
 		},
 		Notes: []string{
 			fmt.Sprintf("single writer over %d shards at dictload scale (M=1024, B=32), %d ops per point, keyspace %d; both modes replay the identical stream — only the commit path's flush policy differs", shards, nOps, keyspace),
 			"at ω=64 the root buffer (ωM = 65536 items) can swallow a balanced shard's whole update stream — flashcrowd goes quiet in both modes — but drift's migrating hot set skews the key split enough to overflow one shard's root, and that lone run-to-completion cascade is the worst cell in the table (≈100ms vs ≈1ms deamortized)",
 			"stall columns time the commit path only (Apply + at most one budgeted flush step); explicit Flush barriers are excluded, and both modes drain fully before Stats are read — total cost accounting is mode-independent up to idle-time compaction",
-			"pred stall Q is the model's worst single pause in Q = Qr + ω·Qw units; measured wall-clock ratios exceed the predicted ratio because the amortized pause also pays model-free CPU work (partitioning, merging) across the whole cascade",
+			"max stall Q is the worst commit batch's measured tree work and pred stall Q the model's worst single pause, both in Q = Qr + ω·Qw units; measured wall-clock ratios exceed the predicted ratio because the amortized pause also pays model-free CPU work (partitioning, merging) across the whole cascade",
 			"debt hw is the worst per-shard debt-queue depth observed right after a commit batch, before its budgeted flush step",
 		},
 	}
