@@ -29,7 +29,11 @@ import (
 // engines`). With -deamortize each commit batch pays flushes in bounded
 // installments (debt queue + FlushStep) instead of run-to-completion
 // cascades; `aem gate` judges an amortized and a deamortized record
-// together.
+// together. A flush section is one call the shard's tree holder made that
+// flushed: a commit batch that ran a node-flush (timed as its stall), a
+// Flush barrier, an idle retirer step, or an idle rebuild. Latency
+// percentiles are nearest-rank, read from a histogram that overstates
+// them by less than 1/8; max is exact.
 func dictloadCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
@@ -41,7 +45,6 @@ func dictloadCmd(prog string, args []string) int {
 		scenario = fs.String("scenario", "drift", "workload: uniform | zipf | sortedburst | deleteheavy | drift | flashcrowd")
 		engine   = fs.String("engine", "slice", "storage engine: "+strings.Join(aem.EngineNames(), " | "))
 		seed     = fs.Uint64("seed", 1, "workload seed")
-		maxBatch = fs.Int("maxbatch", 0, "most queued writes a leading writer commits in one batch (0 = service default, 1024)")
 		deam     = fs.Bool("deamortize", false, "bounded-stall commits: pay flushes in installments instead of cascades")
 		jsonOut  = fs.Bool("json", false, "emit one JSON report instead of the human summary")
 	)
@@ -72,7 +75,6 @@ func dictloadCmd(prog string, args []string) int {
 		Engine:     *engine,
 		KeyLo:      0,
 		KeyHi:      *keyspace,
-		MaxBatch:   *maxBatch,
 		Deamortize: *deam,
 	})
 	if err != nil {
@@ -85,14 +87,15 @@ func dictloadCmd(prog string, args []string) int {
 	rep := dictsrv.RunLoad(svc, streams)
 	svc.Flush()
 	st := svc.Stats()
-	lat := harness.SummarizeLatencies(rep.LatencyNS)
+	lat := &rep.Latency
+	p50, p99, p999 := lat.Quantile(0.5), lat.Quantile(0.99), lat.Quantile(0.999)
 
 	if *jsonOut {
 		out := dictloadRecord{
 			Type: "dictload", Scenario: sc.String(), Engine: *engine,
 			Shards: *shards, Goroutines: rep.Goroutines, Deamortize: *deam,
 			Ops: rep.Ops, WallNS: rep.WallNS, OpsPerSec: rep.OpsPerSec(),
-			P50NS: lat.P50NS, P99NS: lat.P99NS, P999NS: lat.P999NS, MaxNS: lat.MaxNS,
+			P50NS: p50, P99NS: p99, P999NS: p999, MaxNS: lat.MaxNS,
 			MaxStallNS: st.MaxStallNS, MaxStallQ: st.MaxStallQ, P999StallNS: st.Stalls.Quantile(0.999),
 			MaxFlushNS: st.MaxFlushNS, DebtHighWater: st.DebtHighWater,
 			Flushes: st.Flushes,
@@ -116,7 +119,7 @@ func dictloadCmd(prog string, args []string) int {
 		rep.Ops, rep.Goroutines, sc, *seed, rep.Updates, rep.Lookups, rep.Hits, rep.Scans)
 	fmt.Printf("throughput   %.0f ops/sec (%s wall)\n", rep.OpsPerSec(), harness.FmtNS(rep.WallNS))
 	fmt.Printf("latency      p50 %s   p99 %s   p99.9 %s   max %s\n",
-		harness.FmtNS(lat.P50NS), harness.FmtNS(lat.P99NS), harness.FmtNS(lat.P999NS), harness.FmtNS(lat.MaxNS))
+		harness.FmtNS(p50), harness.FmtNS(p99), harness.FmtNS(p999), harness.FmtNS(lat.MaxNS))
 	fmt.Printf("stalls       worst commit stall %s (Q %d)   p99.9 %s   debt high-water %d   (%d flush section(s), worst %s)\n",
 		harness.FmtNS(st.MaxStallNS), st.MaxStallQ, harness.FmtNS(st.Stalls.Quantile(0.999)),
 		st.DebtHighWater, st.Flushes, harness.FmtNS(st.MaxFlushNS))

@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math"
 	"sort"
-	"time"
 
 	"repro/internal/aem"
 	"repro/internal/sorting"
@@ -59,14 +58,6 @@ type BufferTree struct {
 	top     *btnode
 	liveRun int // live (non-tombstone) entries across all leaf runs
 	runLen  int // total entries (incl. tombstones) across all leaf runs
-
-	// flushHook, when set, observes the wall-clock duration of every
-	// top-level flush section — a threshold cascade, a forced flush, or a
-	// rebuild, including the follow-on work each triggers. It exists for
-	// serving layers that track flush pauses as tail latency; flushDepth
-	// keeps nested sections (a rebuild inside a flush) from double firing.
-	flushHook  func(time.Duration)
-	flushDepth int
 
 	// stage, when non-nil, holds the root buffer's partial tail block in
 	// internal memory (see EnableTailStaging): updates accumulate here and
@@ -193,38 +184,18 @@ func (t *BufferTree) reclaimStage() {
 // items included.
 func (t *BufferTree) rootPending() int { return t.top.buf.n + len(t.stage) }
 
-// SetFlushHook registers fn to observe the wall-clock duration of every
-// top-level flush section (cascade, forced flush, rebuild — each with the
-// follow-on work it triggers). The longest such section is the worst
-// write-path stall the structure inflicts on a caller: the Θ(ωM) root
-// buffer defers restructuring, so a bigger ω means rarer but bigger
-// pauses, which is exactly the tail-latency axis internal/dictsrv
-// measures. A nil fn removes the hook.
-func (t *BufferTree) SetFlushHook(fn func(time.Duration)) { t.flushHook = fn }
-
 // flushSection runs f as one flush section: its I/O is charged to the
-// "dict-flush" phase, and its wall-clock — stage spill included — goes to
-// the flush hook unless it is nested in another section. With spill set,
-// the stage is spilled (that write stays with the caller's phase) and
-// released for the duration; sections that may flush the root whole or
-// rebuild must spill, while a deamortized step leaves the stage resident.
+// "dict-flush" phase. With spill set, the stage is spilled (that write
+// stays with the caller's phase) and released for the duration; sections
+// that may flush the root whole or rebuild must spill, while a
+// deamortized step leaves the stage resident.
 func (t *BufferTree) flushSection(spill bool, f func()) {
-	timed := t.flushHook != nil && t.flushDepth == 0
-	var start time.Time
-	if timed {
-		start = time.Now()
-	}
-	t.flushDepth++
 	released := spill && t.releaseStage()
 	prev := t.ma.SetPhase("dict-flush")
 	f()
 	t.ma.SetPhase(prev)
 	if released {
 		t.reclaimStage()
-	}
-	t.flushDepth--
-	if timed {
-		t.flushHook(time.Since(start))
 	}
 }
 
@@ -493,8 +464,7 @@ func (t *BufferTree) payDebt() bool {
 
 // FlushStep pays at most budget node-flushes from the debt queue (see
 // payDebt) and returns how many it performed; discarded empty entries do
-// not count toward the budget. The steps are one timed flush section, so a
-// flush hook observes exactly the bounded stall a caller pays. Children
+// not count toward the budget. The steps are one flush section. Children
 // pushed over their threshold by a step join the back of the queue; the
 // caller keeps stepping (or calls Flush) to retire them.
 func (t *BufferTree) FlushStep(budget int) int {

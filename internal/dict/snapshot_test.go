@@ -6,7 +6,6 @@ import (
 	"math"
 	"slices"
 	"testing"
-	"time"
 
 	"repro/internal/aem"
 	"repro/internal/rng"
@@ -251,41 +250,6 @@ func TestTailStagingGuards(t *testing.T) {
 		}
 	}()
 	tree.EnableTailStaging()
-}
-
-// TestFlushHookObservesStalls pins the hook contract: it fires once per
-// top-level flush section (no nested double fire), with a non-negative
-// duration, and a stream big enough to cascade fires it at least once.
-func TestFlushHookObservesStalls(t *testing.T) {
-	ma := aem.New(aem.Config{M: 64, B: 8, Omega: 2})
-	tree := NewBufferTree(ma)
-	var fired int
-	var total time.Duration
-	tree.SetFlushHook(func(d time.Duration) {
-		if d < 0 {
-			t.Fatalf("negative flush duration %v", d)
-		}
-		if tree.flushDepth != 0 {
-			t.Fatalf("hook fired at depth %d, want 0 (top level only, after unwind)", tree.flushDepth)
-		}
-		fired++
-		total += d
-	})
-	ops := diffStream(3, 4000, 256)
-	tree.Apply(ops)
-	if fired == 0 {
-		t.Fatal("no flush sections observed over a cascading stream")
-	}
-	before := fired
-	tree.Flush()
-	if fired != before+1 {
-		t.Fatalf("Flush fired the hook %d times, want exactly 1", fired-before)
-	}
-	tree.SetFlushHook(nil)
-	tree.Apply(ops)
-	if fired != before+1 {
-		t.Fatal("hook fired after removal")
-	}
 }
 
 // nodeShape is the structural state of one live node between two steps of

@@ -8,8 +8,9 @@
 // other side of that trade — the deferred work does not disappear, it
 // concentrates into flush stalls, and the bigger ω makes the buffer, the
 // rarer but bigger the stall. This package is where that axis becomes
-// measurable: every operation's latency is captured, and the worst flush
-// pause is tracked per shard via the tree's flush hook.
+// measurable: every operation's latency is captured, and the tree holder
+// times each call it makes into the tree, so every commit stall and every
+// flush is recorded per shard where it happens.
 //
 // Architecture:
 //
@@ -19,7 +20,7 @@
 //     interval overlaps.
 //   - Writes are group-committed on their callers, with no committer
 //     goroutine. A writer queues its request on the shard; if the tree is
-//     idle it leads: it takes up to MaxBatch queued requests into one
+//     idle it leads: it takes up to maxBatch queued requests into one
 //     batched Apply, assigns each op its position in the shard's commit
 //     order, publishes, wakes the other batch members and hands the tree
 //     to the next queued request, whose writer then leads the next batch
@@ -90,12 +91,6 @@ type Config struct {
 	// keys clamp to the edge shards).
 	KeyLo, KeyHi int64
 
-	// MaxBatch caps how many queued writes a leading writer takes into
-	// one commit batch (0 = 1024); writers queued beyond it wait for the
-	// next batch. Bigger batches amortize better; smaller bound the
-	// latency one batch can add to its waiters.
-	MaxBatch int
-
 	// Deamortize bounds the commit-path stall: each shard tree runs in
 	// incremental-flush mode (dict.BufferTree.Deamortize), each commit
 	// batch pays at most one FlushStep(1) — one node-flush — and the rest
@@ -146,18 +141,25 @@ type ScanResult struct {
 	LatencyNS int64
 }
 
+// maxBatch caps how many queued writes a leading writer takes into one
+// commit batch; writers queued beyond it wait for the next batch.
+const maxBatch = 1024
+
 // Stats aggregates the service's accounting. Reads/Writes/Cost come from
 // the shard machines (the group-committed write path); SnapReads counts
 // snapshot block reads, and Cost includes them at weight 1.
 type Stats struct {
-	Shards     int
-	Committed  int64 // total write ops committed
-	Reads      int64 // machine block reads (commit path)
-	Writes     int64 // machine block writes
-	SnapReads  int64 // snapshot block reads (serve path)
-	Cost       int64 // Σ machine (reads + ω·writes) + SnapReads
-	Flushes    int64 // top-level flush sections across all shards
-	MaxFlushNS int64 // the worst single flush section (barriers included)
+	Reads     int64 // machine block reads (commit path)
+	Writes    int64 // machine block writes
+	SnapReads int64 // snapshot block reads (serve path)
+	Cost      int64 // Σ machine (reads + ω·writes) + SnapReads
+
+	// Flushes counts the tree holder's calls that flushed, across all
+	// shards: a commit batch that ran a node-flush, a Flush barrier, a
+	// retirer step that paid one, or an idle Compact that rebuilt.
+	// MaxFlushNS is the slowest of them, a batch timed as its stall.
+	Flushes    int64
+	MaxFlushNS int64
 
 	// Commit-path stall accounting: how long each batch's waiters sat
 	// behind the tree work (Apply plus, when deamortized, one FlushStep),
@@ -166,11 +168,9 @@ type Stats struct {
 	// deamortized mode at most one node-flush plus the rare root backstop.
 	MaxStallNS    int64 // Stalls.MaxNS, the worst batch's stall
 	MaxStallQ     int64 // the worst batch's tree work in model cost, reads + ω·writes
-	Stalls        Hist  // per-batch commit stalls, power-of-two ns buckets
-	Debt          int64 // queued node-flushes right now, summed over shards
-	DebtHighWater int64 // worst per-shard debt sampled after any batch
+	Stalls        Hist  // per-batch commit stalls
+	DebtHighWater int64 // worst per-shard debt right after a batch's Apply
 	BatchFlushes  int64 // worst node-flush count any non-barrier batch paid
-	Deamortized   bool
 }
 
 // shardReader implements dict.BlockReader straight over a shard's
@@ -226,34 +226,81 @@ type shard struct {
 	closed bool
 	err    error // set once a commit panicked: the shard is failed
 
+	// stats is the shard's flush and stall record, guarded by mu. The
+	// holder measures its turn into turn and release folds it in.
+	stats telemetry
+
 	// wake passes the tree to the retirer (deamortized only, capacity 1).
 	wake chan struct{}
 
 	batch, writers []*writeReq // commit scratch, tree holder only
 	ops            []dict.Op
+	turn           turn // this turn's measurements, tree holder only
 
 	snap      atomic.Pointer[snapState]
 	committed atomic.Int64
-
-	snapReads  atomic.Int64
-	flushes    atomic.Int64
-	maxFlushNS atomic.Int64
-
-	// Holder-written, atomically readable stall/debt telemetry.
-	stalls       stallHist
-	maxStallQ    atomic.Int64
-	debt         atomic.Int64
-	debtHW       atomic.Int64
-	batchFlushes atomic.Int64 // worst node-flushes one non-barrier batch paid
+	snapReads atomic.Int64
 
 	scratch sync.Pool // *dict.GetScratch
+}
+
+// turn is what one holder turn measured.
+type turn struct {
+	flushes, flushNS int64 // calls that flushed, and the slowest
+	stalled          bool  // a commit batch applied writes
+	stallNS, stallQ  int64 // its stall, in wall clock and model cost
+	debt             int64 // debt right after its Apply
+	nodeFlushes      int64 // node-flushes it paid
+}
+
+// flushed records one holder call that flushed, taking ns.
+func (t *turn) flushed(ns int64) {
+	t.flushes++
+	t.flushNS = max(t.flushNS, ns)
+}
+
+// telemetry is a shard's flush and stall record, the per-shard form of
+// the matching Stats fields.
+type telemetry struct {
+	flushes, maxFlushNS             int64
+	maxStallQ, debtHW, batchFlushes int64
+	stalls                          *Hist // nil until the first commit batch
+}
+
+// mergeInto folds the record into the matching fields of out.
+func (t *telemetry) mergeInto(out *Stats) {
+	out.Flushes += t.flushes
+	out.MaxFlushNS = max(out.MaxFlushNS, t.maxFlushNS)
+	out.MaxStallQ = max(out.MaxStallQ, t.maxStallQ)
+	out.DebtHighWater = max(out.DebtHighWater, t.debtHW)
+	out.BatchFlushes = max(out.BatchFlushes, t.batchFlushes)
+	if t.stalls != nil {
+		out.Stalls.Merge(t.stalls)
+	}
+}
+
+// add folds one turn in.
+func (t *telemetry) add(u *turn) {
+	t.flushes += u.flushes
+	t.maxFlushNS = max(t.maxFlushNS, u.flushNS)
+	if !u.stalled {
+		return
+	}
+	if t.stalls == nil {
+		t.stalls = new(Hist)
+	}
+	t.stalls.Record(u.stallNS)
+	t.maxStallQ = max(t.maxStallQ, u.stallQ)
+	t.debtHW = max(t.debtHW, u.debt)
+	t.batchFlushes = max(t.batchFlushes, u.nodeFlushes)
 }
 
 // Service is the concurrent sharded dictionary. All methods are safe for
 // concurrent use; Stats and Close require quiescence (no ops in flight).
 type Service struct {
-	cfg    Config
-	shards []*shard
+	cfg      Config
+	shards   []*shard
+	maxBatch int // the maxBatch constant; tests shrink it for small batches
 
 	closeOnce sync.Once
 	wg        sync.WaitGroup // retirers
@@ -285,14 +332,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		return nil, fmt.Errorf("dictsrv: engine %q has no data plane and cannot serve a dictionary", engine)
 	}
-	if cfg.MaxBatch == 0 {
-		cfg.MaxBatch = 1024
-	}
-	if cfg.MaxBatch < 1 {
-		return nil, fmt.Errorf("dictsrv: MaxBatch must be ≥ 1, got %d", cfg.MaxBatch)
-	}
-
-	s := &Service{cfg: cfg}
+	s := &Service{cfg: cfg, maxBatch: maxBatch}
 	for i := 0; i < cfg.Shards; i++ {
 		store, err := aem.StorageByName(engine, cfg.Machine.B)
 		if err != nil {
@@ -310,16 +350,6 @@ func New(cfg Config) (*Service, error) {
 			sh.tree.Deamortize()
 		}
 		sh.scratch.New = func() interface{} { return dict.NewGetScratch(cfg.Machine.B) }
-		sh.tree.SetFlushHook(func(d time.Duration) {
-			sh.flushes.Add(1)
-			ns := d.Nanoseconds()
-			for {
-				cur := sh.maxFlushNS.Load()
-				if ns <= cur || sh.maxFlushNS.CompareAndSwap(cur, ns) {
-					break
-				}
-			}
-		})
 		sh.publish(0)
 		s.shards = append(s.shards, sh)
 	}
@@ -428,13 +458,13 @@ func (s *Service) roundTrip(sh *shard, op dict.Op, flush bool) int64 {
 }
 
 // lead runs one group commit as the tree holder. Called with sh.mu held
-// and the caller's request at the queue head, it takes up to MaxBatch
+// and the caller's request at the queue head, it takes up to maxBatch
 // requests off the queue, commits them, wakes every batch member but
 // itself and passes the tree on. Publishing before waking is what gives
 // sessions read-your-own-writes through snapshots. A panic in the commit
 // fails the shard and re-panics on this caller with the failure.
 func (s *Service) lead(sh *shard) {
-	n := min(len(sh.queue), s.cfg.MaxBatch)
+	n := min(len(sh.queue), s.maxBatch)
 	sh.batch = append(sh.batch[:0], sh.queue[:n]...)
 	rest := copy(sh.queue, sh.queue[n:])
 	clear(sh.queue[rest:])
@@ -455,9 +485,10 @@ func (s *Service) lead(sh *shard) {
 
 // commit is the group-commit body: Apply the batch's writes, pay one
 // FlushStep(1) when deamortized, run any barrier Flush, assign commit
-// positions and publish the post-batch snapshot. It reports whether a
-// deamortized batch may have left idle work for the retirer: debt, or a
-// node-flush whose runs the rebuild check should look at.
+// positions and publish the post-batch snapshot. It times the tree calls
+// into sh.turn and reports whether a deamortized batch may have left idle
+// work for the retirer: debt, or a node-flush whose runs the rebuild
+// check should look at.
 func (s *Service) commit(sh *shard, batch []*writeReq) bool {
 	ops, writers := sh.ops[:0], sh.writers[:0]
 	doFlush := false
@@ -474,31 +505,27 @@ func (s *Service) commit(sh *shard, batch []*writeReq) bool {
 	if len(ops) > 0 {
 		// The commit-path stall: tree work the batch's waiters (and any
 		// writer queued behind them) cannot overtake, timed and priced in
-		// model cost. Explicit barriers below are priced separately
-		// (MaxFlushNS), they are not stalls the write path inflicts on
+		// model cost. Explicit barriers below are timed separately, as
+		// flushes only: they are not stalls the write path inflicts on
 		// its own.
+		t := &sh.turn
 		q := sh.ma.Cost()
 		start := time.Now()
 		sh.tree.Apply(ops)
-		if debt := int64(sh.tree.Debt()); debt > sh.debtHW.Load() {
-			sh.debtHW.Store(debt) // peak owed, before the step retires one
-		}
+		t.debt = int64(sh.tree.Debt()) // peak owed, before the step retires one
 		if s.cfg.Deamortize {
 			sh.tree.FlushStep(1)
 		}
-		stall := time.Since(start).Nanoseconds()
-		sh.stalls.record(stall)
-		if dq := sh.ma.Cost() - q; dq > sh.maxStallQ.Load() {
-			sh.maxStallQ.Store(dq)
+		t.stalled, t.stallNS = true, time.Since(start).Nanoseconds()
+		t.stallQ = sh.ma.Cost() - q
+		if t.nodeFlushes = sh.tree.NodeFlushes() - nf; t.nodeFlushes > 0 {
+			t.flushed(t.stallNS)
 		}
-		if d := sh.tree.NodeFlushes() - nf; d > sh.batchFlushes.Load() {
-			sh.batchFlushes.Store(d)
-		}
-		sh.debt.Store(int64(sh.tree.Debt()))
 	}
 	if doFlush {
+		start := time.Now()
 		sh.tree.Flush()
-		sh.debt.Store(0)
+		sh.turn.flushed(time.Since(start).Nanoseconds())
 	}
 	base := sh.committed.Load()
 	for i, r := range writers {
@@ -513,9 +540,12 @@ func (s *Service) commit(sh *shard, batch []*writeReq) bool {
 // release passes the tree on at the end of a holder's turn — a commit or
 // a retirer turn: to the queue head, which then leads the next batch;
 // else, when idle work may be pending, to the retirer; else back to idle.
-// idle reports whether the turn may have left such work.
+// idle reports whether the turn may have left such work. It folds the
+// turn's measurements into the shard's telemetry on the way.
 func (sh *shard) release(idle bool) {
 	sh.mu.Lock()
+	sh.stats.add(&sh.turn)
+	sh.turn = turn{}
 	sh.idle = sh.idle || idle
 	switch {
 	case len(sh.queue) > 0:
@@ -577,10 +607,13 @@ func (sh *shard) retireTurn() {
 		}
 	}()
 	worked := true
+	start := time.Now()
 	if sh.tree.Debt() > 0 {
-		sh.tree.FlushStep(1)
-		sh.debt.Store(int64(sh.tree.Debt()))
+		if sh.tree.FlushStep(1) > 0 {
+			sh.turn.flushed(time.Since(start).Nanoseconds())
+		}
 	} else if sh.tree.Compact() {
+		sh.turn.flushed(time.Since(start).Nanoseconds())
 		sh.publish(sh.snap.Load().watermark)
 	} else {
 		worked = false
@@ -717,34 +750,20 @@ func (s *Service) ShardWatermark(i int) int64 { return s.shards[i].snap.Load().w
 // Stats aggregates accounting across shards. Machine counters are only
 // coherent at quiescence: amortized, once every submitted op is acked;
 // deamortized, only after Close, because the idle retirer keeps retiring
-// debt and compacting after the last ack. The atomics (SnapReads,
-// Flushes, MaxFlushNS, Committed) are exact at any time.
+// debt and compacting after the last ack. SnapReads is exact at any time,
+// and the flush and stall telemetry is read under each shard's lock, so
+// it holds every holder turn that has passed the tree on.
 func (s *Service) Stats() Stats {
 	var out Stats
-	out.Shards = len(s.shards)
-	out.Deamortized = s.cfg.Deamortize
 	for _, sh := range s.shards {
 		st := sh.ma.Stats()
-		out.Committed += sh.committed.Load()
 		out.Reads += st.Reads
 		out.Writes += st.Writes
 		out.SnapReads += sh.snapReads.Load()
 		out.Cost += sh.ma.Cost()
-		out.Flushes += sh.flushes.Load()
-		if m := sh.maxFlushNS.Load(); m > out.MaxFlushNS {
-			out.MaxFlushNS = m
-		}
-		if m := sh.maxStallQ.Load(); m > out.MaxStallQ {
-			out.MaxStallQ = m
-		}
-		out.Stalls.merge(sh.stalls.snapshot())
-		out.Debt += sh.debt.Load()
-		if d := sh.debtHW.Load(); d > out.DebtHighWater {
-			out.DebtHighWater = d
-		}
-		if f := sh.batchFlushes.Load(); f > out.BatchFlushes {
-			out.BatchFlushes = f
-		}
+		sh.mu.Lock()
+		sh.stats.mergeInto(&out)
+		sh.mu.Unlock()
 	}
 	out.Cost += out.SnapReads
 	out.MaxStallNS = out.Stalls.MaxNS

@@ -2,6 +2,7 @@ package dictsrv
 
 import (
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -73,10 +74,10 @@ func TestServiceBasic(t *testing.T) {
 		t.Fatalf("full scan found %d hits, shard-0 scan %d", len(full.Hits), len(res.Hits))
 	}
 
-	st := svc.Stats()
-	if st.Committed != 513 {
-		t.Fatalf("Stats.Committed = %d, want 513", st.Committed)
+	if got := svc.Committed(); got != 513 {
+		t.Fatalf("Committed() = %d, want 513", got)
 	}
+	st := svc.Stats()
 	if st.Writes == 0 || st.SnapReads == 0 {
 		t.Fatalf("Stats accounting empty: %+v", st)
 	}
@@ -95,7 +96,6 @@ func TestServiceConfigErrors(t *testing.T) {
 		{Shards: 1, Machine: aem.Config{M: 0, B: 16, Omega: 1}, KeyHi: 10},
 		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, Engine: "nope"},
 		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, Engine: "counting"},
-		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, MaxBatch: -3},
 	}
 	for i, cfg := range bad {
 		if svc, err := New(cfg); err == nil {
@@ -143,12 +143,12 @@ func runLinearizability(t *testing.T, deamortize bool) {
 	)
 	cfg := testConfig(shards)
 	cfg.KeyHi = keyspace
-	cfg.MaxBatch = 64 // small batches → many snapshot publishes → more schedules
 	cfg.Deamortize = deamortize
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.maxBatch = 64 // small batches → many snapshot publishes → more schedules
 
 	streams := workload.DictStreams(42, workload.DriftOps, goroutines, goroutines*perG, keyspace)
 	hist := make([][]opRecord, goroutines)
@@ -308,13 +308,13 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 		Shards:  2,
 		Machine: aem.Config{M: 64, B: 8, Omega: 16},
 		KeyLo:   0, KeyHi: 512,
-		MaxBatch:   32,
 		Deamortize: deamortize,
 	}
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
+	svc.maxBatch = 32
 
 	const writers, readers = 4, 4
 	iters := 4000
@@ -495,8 +495,8 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 			if avg > 1 {
 				t.Fatalf("steady-state Put allocates %.1f per op, want ≤ 1", avg)
 			}
-			if st := svc.Stats(); st.Debt != 0 || st.Flushes != 0 {
-				t.Fatalf("the stream reached a flush (debt %d, %d flush sections); it must stay below the root threshold", st.Debt, st.Flushes)
+			if st := svc.Stats(); st.Flushes != 0 {
+				t.Fatalf("the stream reached a flush (%d flush sections); it must stay below the root threshold", st.Flushes)
 			}
 		})
 	}
@@ -514,12 +514,12 @@ func TestBoundedStallRegression(t *testing.T) {
 		cfg := testConfig(2)
 		cfg.Machine = aem.Config{M: 128, B: 16, Omega: 16}
 		cfg.KeyHi = 1024
-		cfg.MaxBatch = 32
 		cfg.Deamortize = deam
 		svc, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
+		svc.maxBatch = 32
 		streams := workload.DictStreams(9, workload.DriftOps, 4, 40000, 1024)
 		RunLoad(svc, streams)
 		st := svc.Stats() // before the barrier: commit-path telemetry only
@@ -552,8 +552,57 @@ func TestBoundedStallRegression(t *testing.T) {
 	if deamortized.DebtHighWater == 0 {
 		t.Fatal("deamortized run accumulated no debt; the incremental path was not exercised")
 	}
-	if !deamortized.Deamortized || amortized.Deamortized {
-		t.Fatal("Stats.Deamortized mislabeled")
+}
+
+// TestFlushAccounting pins what Stats.Flushes counts: the tree holder's
+// calls that flushed. A cascading write stream flushes and times its
+// flushes, a Flush barrier is exactly one, and lookups are none. Each
+// Stats call follows a barrier, which retires all debt, so a deamortized
+// retirer may still take an idle turn but no longer touches the machine.
+func TestFlushAccounting(t *testing.T) {
+	for _, deam := range []bool{false, true} {
+		name := "amortized"
+		if deam {
+			name = "deamortized"
+		}
+		t.Run(name, func(t *testing.T) {
+			svc, err := New(Config{
+				Shards:  1,
+				Machine: aem.Config{M: 64, B: 8, Omega: 2},
+				KeyLo:   0, KeyHi: 256,
+				Deamortize: deam,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			r := workload.NewRNG(3)
+			for i := int64(0); i < 4000; i++ {
+				svc.Put(int64(r.Intn(256)), i)
+			}
+			svc.Flush()
+			st := svc.Stats()
+			if st.Flushes < 2 || st.MaxFlushNS <= 0 {
+				t.Fatalf("a cascading stream and a barrier recorded %d flushes, worst %d ns", st.Flushes, st.MaxFlushNS)
+			}
+			base := st.Flushes
+			// The barrier woke a deamortized retirer for an idle turn,
+			// which folds its telemetry in while Stats reads: yield so
+			// it runs between the read above and the next lock, where
+			// -race sees an unlocked read.
+			runtime.Gosched()
+			svc.Flush()
+			if got := svc.Stats().Flushes - base; got != 1 {
+				t.Fatalf("one Flush added %d flushes, want 1", got)
+			}
+			for k := int64(0); k < 256; k++ {
+				svc.Get(k)
+				svc.Scan(k, k+16)
+			}
+			if got := svc.Stats().Flushes - base; got != 1 {
+				t.Fatalf("lookups added %d flushes", got-1)
+			}
+		})
 	}
 }
 
@@ -572,8 +621,8 @@ func TestRunLoadReport(t *testing.T) {
 	if rep.Updates+rep.Lookups+rep.Scans != rep.Ops {
 		t.Fatalf("op classes don't sum: %+v", rep)
 	}
-	if int64(len(rep.LatencyNS)) != rep.Ops {
-		t.Fatalf("captured %d latencies for %d ops", len(rep.LatencyNS), rep.Ops)
+	if rep.Latency.N != rep.Ops {
+		t.Fatalf("captured %d latencies for %d ops", rep.Latency.N, rep.Ops)
 	}
 	if rep.WallNS <= 0 || rep.OpsPerSec() <= 0 {
 		t.Fatalf("degenerate wall time: %+v", rep)
@@ -588,7 +637,7 @@ func TestRunLoadReport(t *testing.T) {
 // inside Apply — fails its shard instead of hanging it. The test holds
 // shard 0's tree while four writes queue behind it, the second of them
 // the bad value, then passes the tree on as a finishing holder does. With
-// MaxBatch 2 the queue head leads a batch of itself and the bad write, so
+// maxBatch 2 the queue head leads a batch of itself and the bad write, so
 // the panic unwinds on a leader with one batch member to wake and two
 // writers still queued. All four writes, and every later write to that
 // shard, must panic with the shard's failure, while the other shard keeps
@@ -602,11 +651,11 @@ func TestPanickingCommitFailsShard(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			cfg := testConfig(2) // shard 0 serves [0, 2048), shard 1 [2048, 4096)
 			cfg.Deamortize = deam
-			cfg.MaxBatch = 2
 			svc, err := New(cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
+			svc.maxBatch = 2
 			for k := int64(0); k < 4096; k += 3 {
 				svc.Put(k, k)
 			}

@@ -8,8 +8,7 @@ import (
 )
 
 // LoadReport is what one concurrent load run measured: per-class op
-// counts, total wall time, and every operation's latency (owned by the
-// report; sorted lazily by the summary helpers in internal/harness).
+// counts, total wall time, and the latency histogram of every operation.
 type LoadReport struct {
 	Goroutines int
 	Ops        int64 // total operations driven
@@ -18,10 +17,7 @@ type LoadReport struct {
 	Scans      int64
 	Hits       int64 // lookups that found their key
 	WallNS     int64
-
-	// LatencyNS holds one entry per op across all goroutines, in no
-	// particular order.
-	LatencyNS []int64
+	Latency    Hist // every op's latency, across all goroutines
 }
 
 // OpsPerSec returns the run's aggregate throughput.
@@ -42,7 +38,7 @@ func RunLoad(svc *Service, streams [][]dict.Op) LoadReport {
 
 	type tally struct {
 		updates, lookups, scans, hits int64
-		lat                           []int64
+		lat                           Hist
 	}
 	tallies := make([]tally, len(streams))
 
@@ -53,28 +49,27 @@ func RunLoad(svc *Service, streams [][]dict.Op) LoadReport {
 		go func(g int, ops []dict.Op) {
 			defer wg.Done()
 			t := &tallies[g]
-			t.lat = make([]int64, 0, len(ops))
 			for _, op := range ops {
 				switch op.Kind {
 				case dict.Insert:
 					ack := svc.Put(op.Key, op.Value)
 					t.updates++
-					t.lat = append(t.lat, ack.LatencyNS)
+					t.lat.Record(ack.LatencyNS)
 				case dict.Delete:
 					ack := svc.Delete(op.Key)
 					t.updates++
-					t.lat = append(t.lat, ack.LatencyNS)
+					t.lat.Record(ack.LatencyNS)
 				case dict.Lookup:
 					res := svc.Get(op.Key)
 					t.lookups++
 					if res.OK {
 						t.hits++
 					}
-					t.lat = append(t.lat, res.LatencyNS)
+					t.lat.Record(res.LatencyNS)
 				case dict.RangeScan:
 					res := svc.Scan(op.Key, op.Hi)
 					t.scans++
-					t.lat = append(t.lat, res.LatencyNS)
+					t.lat.Record(res.LatencyNS)
 				}
 			}
 		}(g, ops)
@@ -88,7 +83,7 @@ func RunLoad(svc *Service, streams [][]dict.Op) LoadReport {
 		rep.Lookups += t.lookups
 		rep.Scans += t.scans
 		rep.Hits += t.hits
-		rep.LatencyNS = append(rep.LatencyNS, t.lat...)
+		rep.Latency.Merge(&t.lat)
 	}
 	rep.Ops = rep.Updates + rep.Lookups + rep.Scans
 	return rep

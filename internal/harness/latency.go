@@ -2,53 +2,8 @@ package harness
 
 import (
 	"fmt"
-	"sort"
 	"time"
 )
-
-// LatencySummary condenses a population of per-operation latencies into
-// the tail-aware shape the serving experiments report: median, p99,
-// p99.9 and worst case, in nanoseconds. Amortized Q tells you what an op
-// costs on average; these columns tell you what the unlucky op paid —
-// the two sides of the write-deferral tradeoff, side by side. p99.9 is
-// where flush convoys live: at serving batch sizes a cascade stalls far
-// fewer than 1% of ops, so p99 can look healthy while every thousandth
-// op eats a multi-millisecond pause.
-type LatencySummary struct {
-	Count  int64
-	P50NS  int64
-	P99NS  int64
-	P999NS int64
-	MaxNS  int64
-}
-
-// SummarizeLatencies computes the percentile summary of one latency
-// population (nanoseconds). The input is sorted in place; an empty
-// population summarizes to zeros. Percentiles use the nearest-rank
-// definition: p-th percentile = the value at rank ⌈p/100·n⌉.
-func SummarizeLatencies(ns []int64) LatencySummary {
-	var s LatencySummary
-	s.Count = int64(len(ns))
-	if len(ns) == 0 {
-		return s
-	}
-	sort.Slice(ns, func(i, j int) bool { return ns[i] < ns[j] })
-	rank := func(p float64) int64 {
-		i := int(p/100*float64(len(ns))+0.5) - 1
-		if i < 0 {
-			i = 0
-		}
-		if i >= len(ns) {
-			i = len(ns) - 1
-		}
-		return ns[i]
-	}
-	s.P50NS = rank(50)
-	s.P99NS = rank(99)
-	s.P999NS = rank(99.9)
-	s.MaxNS = ns[len(ns)-1]
-	return s
-}
 
 // FmtNS renders a nanosecond figure compactly for experiment tables
 // (e.g. "1.2µs", "3.4ms"): latency cells are read for their magnitude,
