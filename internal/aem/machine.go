@@ -49,10 +49,14 @@ type Machine struct {
 	phases    PhaseStats
 	phase     string
 	phaseSlot *Stats // phases slot for the current phase, kept hot
-	inUse     int
-	peak      int
-	sink      TraceSink
-	started   *MemorySink // sink installed by StartTrace, if any
+	// left is the phase SetPhase last left and leftSlot its slot (nil:
+	// none), so the SetPhase(prev) that restores it skips the map.
+	left     string
+	leftSlot *Stats
+	inUse    int
+	peak     int
+	sink     TraceSink
+	started  *MemorySink // sink installed by StartTrace, if any
 
 	// Concrete-engine fast paths, resolved by one type switch at
 	// construction so the per-I/O hot path never pays interface dispatch
@@ -123,6 +127,7 @@ func (ma *Machine) Recycle(cfg Config) {
 	ma.phases = PhaseStats{}
 	ma.phase = "main"
 	ma.phaseSlot = ma.phases.slot("main")
+	ma.leftSlot = nil
 	ma.inUse = 0
 	ma.peak = 0
 	ma.sink = nil
@@ -155,15 +160,21 @@ func (ma *Machine) ResetStats() {
 	ma.stats = Stats{}
 	ma.phases = PhaseStats{}
 	ma.phaseSlot = ma.phases.slot(ma.phase)
+	ma.leftSlot = nil
 }
 
 // SetPhase labels subsequent I/Os with the given phase name for per-stage
 // accounting and returns the previous label so callers can restore it.
 // The default phase is "main".
 func (ma *Machine) SetPhase(name string) (previous string) {
-	previous = ma.phase
+	previous, slot := ma.phase, ma.phaseSlot
+	if ma.leftSlot != nil && name == ma.left {
+		ma.phaseSlot = ma.leftSlot
+	} else {
+		ma.phaseSlot = ma.phases.slot(name)
+	}
 	ma.phase = name
-	ma.phaseSlot = ma.phases.slot(name)
+	ma.left, ma.leftSlot = previous, slot
 	return previous
 }
 

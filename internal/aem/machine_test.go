@@ -193,6 +193,46 @@ func TestPhaseAccounting(t *testing.T) {
 	}
 }
 
+// TestPhaseRestoreAccounting drives the prev := SetPhase(x) …
+// SetPhase(prev) pairs that SetPhase's one-entry memo serves, across a
+// ResetStats and a Recycle, which replace the phase table the memo points
+// into: every I/O must land in the current table under its phase.
+func TestPhaseRestoreAccounting(t *testing.T) {
+	ma := New(testConfig())
+	a := ma.Alloc(1)
+	ma.Write(a, []Item{{1, 0}})
+	pair := func() {
+		prev := ma.SetPhase("inner")
+		ma.Read(a)
+		ma.SetPhase(prev)
+		ma.Read(a)
+	}
+	check := func(when string, inner, outer int64) {
+		t.Helper()
+		p := ma.Phases()
+		if got := p.Phase("inner").Reads; got != inner {
+			t.Errorf("%s: phase inner has %d reads, want %d", when, got, inner)
+		}
+		if got := p.Phase("main").Reads; got != outer {
+			t.Errorf("%s: phase main has %d reads, want %d", when, got, outer)
+		}
+		if total := p.Total(); total != ma.Stats() {
+			t.Errorf("%s: phase total %+v != machine stats %+v", when, total, ma.Stats())
+		}
+	}
+	pair()
+	pair()
+	check("before reset", 2, 2)
+	ma.ResetStats()
+	pair()
+	check("after ResetStats", 1, 1)
+	ma.Recycle(testConfig())
+	a = ma.Alloc(1)
+	ma.Write(a, []Item{{1, 0}})
+	pair()
+	check("after Recycle", 1, 1)
+}
+
 func TestTraceRecording(t *testing.T) {
 	ma := New(testConfig())
 	a := ma.Alloc(2)

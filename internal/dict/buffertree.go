@@ -3,6 +3,7 @@ package dict
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 
 	"repro/internal/aem"
@@ -64,8 +65,8 @@ type BufferTree struct {
 	// only full blocks are appended to the root chain. stageFree marks a
 	// flush section that has already spilled the stage and released its
 	// reservation, so nested staged sections don't double spill.
-	// stageShared marks a stage array a snapshot holds a prefix of, which a
-	// spill must replace rather than refill (see spillStage).
+	// stageShared marks a stage array whose entries a snapshot can read,
+	// which a spill must replace rather than refill (see spillStage).
 	stage       []aem.Item
 	stageFree   bool
 	stageShared bool
@@ -752,7 +753,7 @@ func (t *BufferTree) mergeApply(leaf *btnode, next func() (aem.Item, bool)) {
 // sortEntries orders items by (Key, Aux); with packEntry's layout that is
 // (key, sequence) order. Internal computation is free in the model.
 func sortEntries(items []aem.Item) {
-	sort.Slice(items, func(i, j int) bool { return aem.Less(items[i], items[j]) })
+	slices.SortFunc(items, aem.Compare)
 }
 
 // needRebuild reports whether the skeleton should be rebuilt: some leaf

@@ -20,7 +20,11 @@ import (
 // replaced outright, so a capture can share the live list instead of
 // copying it: it holds the clipped slice addrs[:len:len], and the live
 // chain drops (rather than reuses) an array a capture shares when it is
-// reset. The staged root tail is shared the same way. Sharing is
+// reset. The staged root tail is shared the same way, and more: a capture
+// holds the live stage array itself, and the stage only ever appends past
+// what was captured, so a publish that merely staged more updates need not
+// capture at all — StagedSince reports how far a held snapshot's stage may
+// be extended, and Grown extends it. Sharing is
 // path-copying persistence (Driscoll, Sarnak, Sleator and Tarjan, 1989):
 // each node keeps its last capture, and every site that changes a node's
 // chains marks the node and its ancestors dirty (btnode.touch). A capture
@@ -87,7 +91,7 @@ type TreeSnapshot struct {
 	b     int   // block size of the capturing machine
 	seq   int64 // update sequence watermark at capture
 	root  *snapNode
-	stage []aem.Item // the staged root tail, shared with the tree (EnableTailStaging)
+	stage []aem.Item // the staged root tail: the tree's live stage array (EnableTailStaging)
 }
 
 // Snapshot captures the tree's current state into a new TreeSnapshot (see
@@ -106,12 +110,39 @@ func (t *BufferTree) Snapshot() *TreeSnapshot {
 // called from the same goroutine that applies updates (the tree is not
 // internally synchronized), and s must not yet be visible to readers. The
 // snapshot reflects exactly the updates applied before the call.
+//
+// The capture keeps the live stage array whole, empty or not: its first
+// len entries are the snapshot's, and the ones the stage appends after
+// them are what StagedSince and Grown may later extend it by.
 func (t *BufferTree) SnapshotInto(s *TreeSnapshot) {
-	*s = TreeSnapshot{b: t.cfg.B, seq: t.seq, root: t.capture(t.top)}
-	if n := len(t.stage); n > 0 {
-		s.stage = t.stage[:n:n]
+	*s = TreeSnapshot{b: t.cfg.B, seq: t.seq, root: t.capture(t.top), stage: t.stage}
+	if len(t.stage) > 0 {
 		t.stageShared = true
 	}
+}
+
+// StagedSince reports whether the tree differs from s, a capture of this
+// tree, only by k updates staged since: the root is clean and still
+// captured as s.root, the stage is the array s holds, and every update
+// applied since is one of the k staged past s's. Then s.Grown(k) is
+// exactly what SnapshotInto would capture now, at the cost of no
+// allocation. On ok a non-empty stage is marked shared, so a spill leaves
+// the array to the readers of the grown snapshot. Like SnapshotInto, it
+// must be called from the goroutine that applies updates; s itself is
+// only read, so it may already be visible to readers.
+func (t *BufferTree) StagedSince(s *TreeSnapshot) (k int, ok bool) {
+	if t.top.dirty || t.top.snap != s.root || cap(t.stage) == 0 || cap(s.stage) == 0 ||
+		&t.stage[:1][0] != &s.stage[:1][0] {
+		return 0, false
+	}
+	k = len(t.stage) - len(s.stage)
+	if t.seq-s.seq != int64(k) {
+		return 0, false
+	}
+	if len(t.stage) > 0 {
+		t.stageShared = true
+	}
+	return k, true
 }
 
 // capture returns the node's capture and leaves the node clean. A clean
@@ -156,6 +187,16 @@ func anyDirty(nds []*btnode) bool {
 
 // Seq returns the tree's update-sequence watermark at capture time.
 func (s *TreeSnapshot) Seq() int64 { return s.seq }
+
+// Grown returns s extended by the next k staged updates, as StagedSince
+// reported them: the same tree with k more stage entries and a watermark
+// k higher. Grown(0) is a copy of s.
+func (s *TreeSnapshot) Grown(k int) TreeSnapshot {
+	g := *s
+	g.stage = s.stage[:len(s.stage)+k]
+	g.seq += int64(k)
+	return g
+}
 
 // GetScratch is the reusable working memory of snapshot point lookups:
 // one block frame and one separator buffer. Callers that pool it (see

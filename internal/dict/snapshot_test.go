@@ -572,6 +572,101 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 	}
 }
 
+// TestStagedSince pins when a held capture may be grown instead of
+// recaptured: only across updates that all stayed in the stage. The grown
+// snapshot must equal a fresh capture and keep its stage entries through
+// the next spill. Every other change must be refused: a spill, a flush
+// step, a barrier, a rebuild, and any change to a tree without a stage.
+func TestStagedSince(t *testing.T) {
+	cfg := aem.Config{M: 128, B: 8, Omega: 2}
+	newTree := func(staged, deam bool) *BufferTree {
+		tree := NewBufferTree(aem.New(cfg))
+		if staged {
+			tree.EnableTailStaging()
+		}
+		if deam {
+			tree.Deamortize()
+		}
+		return tree
+	}
+	next := int64(0)
+	insert := func(tree *BufferTree, n int) {
+		ops := make([]Op, n)
+		for i := range ops {
+			ops[i] = Op{Kind: Insert, Key: next * 7919 % 4096, Value: next}
+			next++
+		}
+		tree.Apply(ops)
+	}
+
+	t.Run("grows", func(t *testing.T) {
+		tree := newTree(true, false)
+		insert(tree, 3*cfg.B) // three spills: the captured stage is empty
+		s := tree.Snapshot()
+		if k, ok := tree.StagedSince(s); !ok || k != 0 {
+			t.Fatalf("unchanged tree: StagedSince = (%d, %v), want (0, true)", k, ok)
+		}
+		insert(tree, cfg.B-1) // one slot short of a spill
+		k, ok := tree.StagedSince(s)
+		if !ok || k != cfg.B-1 {
+			t.Fatalf("StagedSince = (%d, %v), want (%d, true)", k, ok, cfg.B-1)
+		}
+		// What a fresh capture would hold, read without capturing, which
+		// would mark the stage shared itself.
+		g := s.Grown(k)
+		if g.seq != tree.seq || g.root != tree.top.snap || !slices.Equal(g.stage, tree.stage) {
+			t.Fatalf("grown snapshot (seq %d, %d staged) differs from the tree (seq %d, %d staged)",
+				g.seq, len(g.stage), tree.seq, len(tree.stage))
+		}
+		held := slices.Clone(g.stage)
+		insert(tree, 2*cfg.B) // spill the stage twice; a refilled array would overwrite g's
+		if !slices.Equal(g.stage, held) {
+			t.Fatal("a spill reused the stage array a grown snapshot reads")
+		}
+	})
+
+	refusals := []struct {
+		name          string
+		staged, deam  bool
+		setup, change func(*BufferTree)
+	}{
+		{"spill", true, false, nil, func(tree *BufferTree) { insert(tree, cfg.B) }},
+		{"flush step", true, true, func(tree *BufferTree) { insert(tree, tree.RootCap()) },
+			func(tree *BufferTree) {
+				if tree.FlushStep(1) != 1 {
+					t.Fatal("FlushStep(1) paid no node-flush")
+				}
+			}},
+		{"barrier", true, false, func(tree *BufferTree) { insert(tree, 2) }, (*BufferTree).Flush},
+		{"rebuild", true, true, func(tree *BufferTree) {
+			insert(tree, 3*tree.RootCap())
+			for tree.Debt() > 0 {
+				tree.FlushStep(1)
+			}
+		}, func(tree *BufferTree) {
+			if !tree.Compact() {
+				t.Fatal("Compact found nothing to rebuild")
+			}
+		}},
+		{"unstaged", false, false, nil, func(tree *BufferTree) { insert(tree, 1) }},
+		{"unstaged unchanged", false, false, nil, func(*BufferTree) {}},
+	}
+	for _, rc := range refusals {
+		t.Run(rc.name, func(t *testing.T) {
+			tree := newTree(rc.staged, rc.deam)
+			insert(tree, 3)
+			if rc.setup != nil {
+				rc.setup(tree)
+			}
+			s := tree.Snapshot()
+			rc.change(tree)
+			if k, ok := tree.StagedSince(s); ok {
+				t.Fatalf("StagedSince = (%d, true) after a %s, want a refusal", k, rc.name)
+			}
+		})
+	}
+}
+
 // BenchmarkSnapshotPublish measures a single-writer commit on a 2^17-key
 // tree: one staged Insert and one publish per iteration. nodes/op is the
 // capture's visited-node count, the publish's work.

@@ -31,18 +31,20 @@
 //     publishes a dict.TreeSnapshot (an immutable structural capture —
 //     the tree's chains are append-only, so captured addresses can never
 //     change contents behind the snapshot). A publish costs what the
-//     batch changed, in work as well as allocation: the capture descends
-//     only the tree paths the batch marked dirty, so a staged write that
-//     changed no chain visits the root alone, and the snapshot is filled
-//     in place inside the one object a publish allocates. Write requests
-//     and flush barriers come from a pool and are signalled on a reusable
-//     channel, so a single-writer staged Put allocates at most that one
-//     object end to end. Readers load the current
-//     snapshot atomically and read its blocks straight from the shard's
-//     storage engine, which the tree holder keeps allocating and writing
-//     underneath them: engines never move a block once allocated, so a
-//     reader takes no lock and never waits on commit, flush or rebuild
-//     work.
+//     batch changed, in work as well as allocation. A batch that only
+//     staged writes in the root's in-memory tail is published in place:
+//     the current snapshot already holds the live stage array, so one
+//     atomic store of how many more staged entries it covers
+//     (dict.BufferTree.StagedSince) publishes the batch. Any other batch
+//     captures a new snapshot, which descends only the tree paths the
+//     batch marked dirty. Write requests and flush barriers come from a
+//     pool and are signalled on a reusable channel, so a single-writer
+//     Put that does not spill the stage allocates nothing end to end.
+//     Readers load the current snapshot and its extension atomically and
+//     read its blocks straight from the shard's storage engine, which the
+//     tree holder keeps allocating and writing underneath them: engines
+//     never move a block once allocated, so a reader takes no lock and
+//     never waits on commit, flush or rebuild work.
 //   - Every read carries the watermark (ops committed on its shard when
 //     its snapshot was published), and every write its commit position.
 //     Those two numbers make concurrent histories checkable: a read must
@@ -185,11 +187,13 @@ func (r shardReader) ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item {
 	return r.sh.store.ReadInto(a, dst)
 }
 
-// snapState is one published snapshot with its commit watermark, held
-// by value so a publish allocates this one object.
+// snapState is one published snapshot with its commit watermark. ext
+// counts the writes published in place since (see publish): readers see
+// snap.Grown(ext) at watermark+ext, through shard.view.
 type snapState struct {
 	snap      dict.TreeSnapshot
 	watermark int64
+	ext       atomic.Int64
 }
 
 // writeReq is one queued write (or flush barrier) awaiting group commit.
@@ -302,6 +306,10 @@ type Service struct {
 	shards   []*shard
 	maxBatch int // the maxBatch constant; tests shrink it for small batches
 
+	// stallClock times the commit-path stall, in nanoseconds: now by
+	// default; a test reads the leading thread's CPU time instead.
+	stallClock func() int64
+
 	closeOnce sync.Once
 	wg        sync.WaitGroup // retirers
 }
@@ -332,7 +340,7 @@ func New(cfg Config) (*Service, error) {
 		}
 		return nil, fmt.Errorf("dictsrv: engine %q has no data plane and cannot serve a dictionary", engine)
 	}
-	s := &Service{cfg: cfg, maxBatch: maxBatch}
+	s := &Service{cfg: cfg, maxBatch: maxBatch, stallClock: now}
 	for i := 0; i < cfg.Shards; i++ {
 		store, err := aem.StorageByName(engine, cfg.Machine.B)
 		if err != nil {
@@ -363,14 +371,39 @@ func New(cfg Config) (*Service, error) {
 	return s, nil
 }
 
-// publish captures the shard tree into a new snapState at watermark and
-// makes it current. Only the tree holder may call it (or New, before the
-// shard serves).
+// publish makes the shard tree's state at watermark current. When the
+// tree changed only by staging the writes since the current snapshot, it
+// extends that snapshot in place, with no allocation; otherwise it
+// captures the tree into a new snapState. Only the tree holder may call
+// it (or New, before the shard serves).
 func (sh *shard) publish(watermark int64) {
+	if st := sh.snap.Load(); st != nil {
+		if k, ok := sh.tree.StagedSince(&st.snap); ok && st.watermark+int64(k) == watermark {
+			st.ext.Store(int64(k))
+			return
+		}
+	}
 	st := &snapState{watermark: watermark}
 	sh.tree.SnapshotInto(&st.snap)
 	sh.snap.Store(st)
 }
+
+// view returns the shard's current snapshot and its watermark. Both come
+// from one load of the state and one of its extension, so they always
+// match.
+func (sh *shard) view() (dict.TreeSnapshot, int64) {
+	st := sh.snap.Load()
+	k := st.ext.Load()
+	return st.snap.Grown(int(k)), st.watermark + k
+}
+
+// epoch anchors now.
+var epoch = time.Now()
+
+// now reads the monotonic clock in nanoseconds since epoch: the reading
+// time.Now carries, at half its cost, since no wall-clock time is read.
+// Latencies are differences of two readings.
+func now() int64 { return int64(time.Since(epoch)) }
 
 // destroy closes whatever shards were built (constructor failure path).
 func (s *Service) destroy() {
@@ -410,10 +443,10 @@ func (s *Service) shardRange(i int) (lo, hi int64) {
 
 // submit commits one write and returns its ack.
 func (s *Service) submit(op dict.Op) Ack {
-	start := time.Now()
+	start := now()
 	sh := s.shards[s.shardFor(op.Key)]
 	commit := s.roundTrip(sh, op, false)
-	return Ack{Shard: sh.idx, Commit: commit, LatencyNS: time.Since(start).Nanoseconds()}
+	return Ack{Shard: sh.idx, Commit: commit, LatencyNS: now() - start}
 }
 
 // roundTrip queues a pooled request on sh — a write of op, or a flush
@@ -510,22 +543,22 @@ func (s *Service) commit(sh *shard, batch []*writeReq) bool {
 		// its own.
 		t := &sh.turn
 		q := sh.ma.Cost()
-		start := time.Now()
+		start := s.stallClock()
 		sh.tree.Apply(ops)
 		t.debt = int64(sh.tree.Debt()) // peak owed, before the step retires one
 		if s.cfg.Deamortize {
 			sh.tree.FlushStep(1)
 		}
-		t.stalled, t.stallNS = true, time.Since(start).Nanoseconds()
+		t.stalled, t.stallNS = true, s.stallClock()-start
 		t.stallQ = sh.ma.Cost() - q
 		if t.nodeFlushes = sh.tree.NodeFlushes() - nf; t.nodeFlushes > 0 {
 			t.flushed(t.stallNS)
 		}
 	}
 	if doFlush {
-		start := time.Now()
+		start := now()
 		sh.tree.Flush()
-		sh.turn.flushed(time.Since(start).Nanoseconds())
+		sh.turn.flushed(now() - start)
 	}
 	base := sh.committed.Load()
 	for i, r := range writers {
@@ -607,14 +640,15 @@ func (sh *shard) retireTurn() {
 		}
 	}()
 	worked := true
-	start := time.Now()
+	start := now()
 	if sh.tree.Debt() > 0 {
 		if sh.tree.FlushStep(1) > 0 {
-			sh.turn.flushed(time.Since(start).Nanoseconds())
+			sh.turn.flushed(now() - start)
 		}
 	} else if sh.tree.Compact() {
-		sh.turn.flushed(time.Since(start).Nanoseconds())
-		sh.publish(sh.snap.Load().watermark)
+		sh.turn.flushed(now() - start)
+		_, watermark := sh.view()
+		sh.publish(watermark)
 	} else {
 		worked = false
 	}
@@ -637,15 +671,15 @@ func (s *Service) Delete(key int64) Ack {
 // takes no lock, never blocks on commit or flush work, and is
 // allocation-free in steady state.
 func (s *Service) Get(key int64) GetResult {
-	start := time.Now()
+	start := now()
 	sh := s.shards[s.shardFor(key)]
-	st := sh.snap.Load()
+	snap, watermark := sh.view()
 	sc := sh.scratch.Get().(*dict.GetScratch)
-	v, ok, reads := st.snap.Get(shardReader{sh}, key, sc)
+	v, ok, reads := snap.Get(shardReader{sh}, key, sc)
 	sh.scratch.Put(sc)
 	sh.snapReads.Add(reads)
-	return GetResult{OK: ok, Value: v, Shard: sh.idx, Watermark: st.watermark,
-		LatencyNS: time.Since(start).Nanoseconds()}
+	return GetResult{OK: ok, Value: v, Shard: sh.idx, Watermark: watermark,
+		LatencyNS: now() - start}
 }
 
 // Scan answers a range scan [lo, hi): each overlapping shard contributes
@@ -653,10 +687,10 @@ func (s *Service) Get(key int64) GetResult {
 // record the per-shard watermarks — a cross-shard scan is a union of
 // per-shard snapshots, not one global snapshot, and the result says so.
 func (s *Service) Scan(lo, hi int64) ScanResult {
-	start := time.Now()
+	start := now()
 	var out ScanResult
 	if hi <= lo {
-		out.LatencyNS = time.Since(start).Nanoseconds()
+		out.LatencyNS = now() - start
 		return out
 	}
 	first := s.shardFor(lo)
@@ -678,10 +712,10 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 		if i == len(s.shards)-1 && hi > s.cfg.KeyHi {
 			shHi = hi
 		}
-		st := sh.snap.Load()
-		hits, reads := st.snap.Range(shardReader{sh}, shLo, shHi)
+		snap, watermark := sh.view()
+		hits, reads := snap.Range(shardReader{sh}, shLo, shHi)
 		sh.snapReads.Add(reads)
-		out.Segments = append(out.Segments, Segment{Shard: i, Watermark: st.watermark, Hits: hits})
+		out.Segments = append(out.Segments, Segment{Shard: i, Watermark: watermark, Hits: hits})
 		n += len(hits)
 	}
 	// Range already copied each answer out of its pooled scan state, so
@@ -695,7 +729,7 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 			out.Hits = append(out.Hits, seg.Hits...)
 		}
 	}
-	out.LatencyNS = time.Since(start).Nanoseconds()
+	out.LatencyNS = now() - start
 	return out
 }
 
@@ -745,7 +779,10 @@ func (s *Service) Shards() int { return len(s.shards) }
 
 // ShardWatermark returns shard i's current snapshot watermark (ops
 // committed when its snapshot was published).
-func (s *Service) ShardWatermark(i int) int64 { return s.shards[i].snap.Load().watermark }
+func (s *Service) ShardWatermark(i int) int64 {
+	_, watermark := s.shards[i].view()
+	return watermark
+}
 
 // Stats aggregates accounting across shards. Machine counters are only
 // coherent at quiescence: amortized, once every submitted op is acked;

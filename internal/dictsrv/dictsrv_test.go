@@ -3,8 +3,10 @@ package dictsrv
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -427,6 +429,170 @@ func TestFileDirectConcurrentReads(t *testing.T) {
 	}
 }
 
+// TestHeldViewIsolation holds published views while the tree holder
+// moves on. Readers keep up to 16 views each, snapshot and watermark from
+// shard.view, and keep checking old ones while one writer stages, spills,
+// pays FlushSteps (deamortized), cascades, compacts and, in the second
+// half, runs barriers. Every answer must match the model at its view's
+// own watermark. A view extended in place reads the live stage array the
+// holder keeps appending to, so under -race this pins that the holder
+// writes only past what it published and never refills a shared array.
+func TestHeldViewIsolation(t *testing.T) {
+	for _, deam := range []bool{false, true} {
+		name := "amortized"
+		if deam {
+			name = "deamortized"
+		}
+		t.Run(name, func(t *testing.T) { runHeldViewIsolation(t, deam) })
+	}
+}
+
+func runHeldViewIsolation(t *testing.T, deamortize bool) {
+	const (
+		keys    = 256
+		nOps    = 40000
+		readers = 2
+		held    = 16
+	)
+	cfg := Config{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: keys, Deamortize: deamortize}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sh := svc.shards[0]
+
+	// One writer on one shard: op i commits at position i+1. versions[k]
+	// lists key k's writes in commit order, and valueAt reads the model
+	// after the first w of them.
+	type version struct {
+		commit, value int64
+		live          bool
+	}
+	r := workload.NewRNG(77)
+	ops := make([]dict.Op, nOps)
+	versions := make([][]version, keys)
+	for i := range ops {
+		k := int64(r.Intn(keys))
+		op := dict.Op{Kind: dict.Insert, Key: k, Value: int64(i)}
+		if r.Intn(10) < 3 {
+			op.Kind = dict.Delete
+		}
+		ops[i] = op
+		versions[k] = append(versions[k], version{int64(i + 1), op.Value, op.Kind == dict.Insert})
+	}
+	valueAt := func(k, w int64) (int64, bool) {
+		vs := versions[k]
+		i := sort.Search(len(vs), func(i int) bool { return vs[i].commit > w })
+		if i == 0 || !vs[i-1].live {
+			return 0, false
+		}
+		return vs[i-1].value, true
+	}
+
+	type heldView struct {
+		snap      dict.TreeSnapshot
+		watermark int64
+	}
+	var checks, grown atomic.Int64
+	check := func(v *heldView, sc *dict.GetScratch, r *workload.RNG) error {
+		k := int64(r.Intn(keys))
+		got, ok, _ := v.snap.Get(shardReader{sh}, k, sc)
+		if want, wantOK := valueAt(k, v.watermark); ok != wantOK || got != want {
+			return fmt.Errorf("view at watermark %d: Get(%d) = (%d, %v), model (%d, %v)", v.watermark, k, got, ok, want, wantOK)
+		}
+		lo := int64(r.Intn(keys))
+		hi := lo + 1 + int64(r.Intn(64))
+		hits, _ := v.snap.Range(shardReader{sh}, lo, hi)
+		for k := lo; k < min(hi, keys); k++ {
+			want, wantOK := valueAt(k, v.watermark)
+			if !wantOK {
+				continue
+			}
+			if len(hits) == 0 || hits[0].Key != k || hits[0].Value != want {
+				return fmt.Errorf("view at watermark %d: Range(%d, %d) lacks (%d, %d): %v", v.watermark, lo, hi, k, want, hits)
+			}
+			hits = hits[1:]
+		}
+		if len(hits) > 0 {
+			return fmt.Errorf("view at watermark %d: Range(%d, %d) holds extra hits %v", v.watermark, lo, hi, hits)
+		}
+		checks.Add(1)
+		return nil
+	}
+
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	defer func() { // also when the writer fails the test
+		select {
+		case <-stop:
+		default:
+			close(stop)
+		}
+		wg.Wait()
+		svc.Close()
+	}()
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			r := workload.NewRNG(uint64(500 + rd))
+			sc := dict.NewGetScratch(cfg.Machine.B)
+			var views []heldView
+			for done := false; !done; {
+				select {
+				case <-stop:
+					done = true // one last pass over every held view
+				default:
+				}
+				if sh.snap.Load().ext.Load() > 0 {
+					grown.Add(1)
+				}
+				snap, wm := sh.view()
+				if len(views) < held {
+					views = append(views, heldView{snap, wm})
+				} else {
+					views[r.Intn(held)] = heldView{snap, wm}
+				}
+				for i := range views {
+					if err := check(&views[i], sc, r); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+			}
+		}(rd)
+	}
+
+	rebuilt := false
+	for i, op := range ops {
+		if i >= nOps/2 && i%5000 == 0 {
+			if !rebuilt {
+				// Before the first barrier only a cascade (amortized) or an
+				// idle Compact (deamortized) can have rebuilt the tree.
+				holdTree(t, sh)
+				rebuilt = sh.tree.Height() > 1
+				sh.release(false)
+				if !rebuilt {
+					t.Fatal("the tree was not rebuilt before the first barrier")
+				}
+			}
+			svc.Flush()
+		}
+		if op.Kind == dict.Insert {
+			svc.Put(op.Key, op.Value)
+		} else {
+			svc.Delete(op.Key)
+		}
+	}
+	close(stop)
+	wg.Wait()
+	st := svc.Stats()
+	t.Logf("%d checks; %d views read while extended in place; %d flush sections", checks.Load(), grown.Load(), st.Flushes)
+	if checks.Load() == 0 || grown.Load() == 0 {
+		t.Fatalf("readers made %d checks over %d in-place extended views, want both > 0", checks.Load(), grown.Load())
+	}
+}
+
 // TestGetSteadyStateAllocs pins the zero-allocation claim of the serving
 // read path: once scratch is pooled and the snapshot is warm, Get must
 // not allocate.
@@ -463,14 +629,20 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 	}
 }
 
-// TestPutSteadyStateAllocs pins the write round trip: once the request
-// pool is warm, a single-writer staged Put allocates at most one object,
-// the snapState its publish fills. The writer leads its own commit, so
-// no request waits on a channel; requests are reused, and the capture of
-// a batch that changed no chain allocates nothing. The stream stays below
-// the root threshold, so a deamortized batch leaves no debt and pays its
-// FlushStep(1) check inside the same bound.
+// TestPutSteadyStateAllocs pins the write round trip of a single writer.
+// It leads its own commit, so no request waits on a channel, and requests
+// are reused. A Put that does not spill the stage is published in place
+// (dict.BufferTree.StagedSince) and allocates nothing. The Put that fills
+// the stage spills it and captures a new snapshot: the snapState, the
+// root's snapNode, a fresh stage array (readers share the full one), the
+// slice engine's new block and, now and then, a longer address array for
+// the root chain. The stream stays below the root threshold, so a
+// deamortized batch leaves no debt and its FlushStep(1) finds none.
 func TestPutSteadyStateAllocs(t *testing.T) {
+	const (
+		stages   = 40
+		perSpill = 5
+	)
 	for _, deam := range []bool{false, true} {
 		name := "amortized"
 		if deam {
@@ -484,16 +656,45 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 				t.Fatal(err)
 			}
 			defer svc.Close()
-			for k := int64(0); k < 64; k++ {
-				svc.Put(k, k)
-			}
+			b := cfg.Machine.B
 			var k int64
-			avg := testing.AllocsPerRun(200, func() {
+			put := func() {
 				svc.Put(k%4096, k)
 				k += 37
-			})
-			if avg > 1 {
-				t.Fatalf("steady-state Put allocates %.1f per op, want ≤ 1", avg)
+			}
+			// Warm the request pool; whole stages, so the stage ends empty.
+			for i := 0; i < 4*b; i++ {
+				put()
+			}
+			var ms runtime.MemStats
+			mallocs := func() uint64 {
+				runtime.ReadMemStats(&ms)
+				return ms.Mallocs
+			}
+			var staged, spilled uint64
+			for s := 0; s < stages; s++ {
+				m0 := mallocs()
+				for i := 0; i < b-1; i++ {
+					put()
+				}
+				m1 := mallocs()
+				put() // fills the stage, which spills
+				spilled += mallocs() - m1
+				staged += m1 - m0
+			}
+			t.Logf("%d staged Puts allocated %d objects; %d spilling Puts allocated %d",
+				stages*(b-1), staged, stages, spilled)
+			// Under -race each dropped request costs its re-allocation, the
+			// request and its channel, on about one Put in four.
+			stagedMax, spilledMax := uint64(0), uint64(stages*perSpill)
+			if raceEnabled {
+				stagedMax, spilledMax = uint64(stages*(b-1)), spilledMax+stages
+			}
+			if staged > stagedMax {
+				t.Errorf("%d Puts that did not spill allocated %d objects, want ≤ %d", stages*(b-1), staged, stagedMax)
+			}
+			if spilled > spilledMax {
+				t.Errorf("%d spilling Puts allocated %d objects, want ≤ %d", stages, spilled, spilledMax)
 			}
 			if st := svc.Stats(); st.Flushes != 0 {
 				t.Fatalf("the stream reached a flush (%d flush sections); it must stay below the root threshold", st.Flushes)

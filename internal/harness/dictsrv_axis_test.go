@@ -4,10 +4,6 @@ import (
 	"strconv"
 	"strings"
 	"testing"
-
-	"repro/internal/aem"
-	"repro/internal/dictsrv"
-	"repro/internal/workload"
 )
 
 func TestFmtNS(t *testing.T) {
@@ -105,75 +101,5 @@ func TestServingFrontier(t *testing.T) {
 	}
 	if strings.HasPrefix(tbl.Rows[0][col("max stall")], "-") {
 		t.Error("negative stall")
-	}
-}
-
-// TestDeamortizedStallAcceptance is the acceptance criterion for the
-// deamortization arc, run at EXP-L3's committed drift/ω=16 point: the
-// debt-queue commit path must cut the worst commit-path stall by at least
-// an order of magnitude versus run-to-completion cascades, without giving
-// up throughput. The stall ratio is deterministic in structure (one
-// bounded node-flush vs a whole cascade) even though both wall-clock
-// cells are not, so it is checked in model cost as well. The throughput
-// bar uses a wide margin because absolute ops/sec on a shared CI box is
-// noisy — CI's `aem gate` stall check holds the tighter 0.9× line next
-// to a committed stall ceiling.
-func TestDeamortizedStallAcceptance(t *testing.T) {
-	if testing.Short() {
-		t.Skip("drives two full EXP-L3 points")
-	}
-	run := func(deam bool) (dictsrv.LoadReport, dictsrv.Stats) {
-		cfg := dictsrv.Config{
-			Shards:  2,
-			Machine: aem.Config{M: 1024, B: 32, Omega: 16},
-			KeyLo:   0, KeyHi: 65536,
-			Deamortize: deam,
-		}
-		return serveRow(cfg, workload.DriftOps, 1, 160000, Seed+42)
-	}
-	arep, ast := run(false)
-	drep, dst := run(true)
-	if ast.MaxStallNS == 0 || dst.MaxStallNS == 0 {
-		t.Fatalf("stall telemetry missing: amortized %d ns, deamortized %d ns", ast.MaxStallNS, dst.MaxStallNS)
-	}
-	t.Logf("worst stall: amortized %.2fms, Q %d; deamortized %.2fms, Q %d",
-		float64(ast.MaxStallNS)/1e6, ast.MaxStallQ, float64(dst.MaxStallNS)/1e6, dst.MaxStallQ)
-	if dst.MaxStallNS*10 > ast.MaxStallNS {
-		t.Errorf("worst stall not reduced ≥10×: amortized %.2fms vs deamortized %.2fms",
-			float64(ast.MaxStallNS)/1e6, float64(dst.MaxStallNS)/1e6)
-	}
-	// The same claim in the paper's currency: the worst batch's tree work
-	// priced as Q = reads + ω·writes, which no scheduler or collector
-	// pause can inflate.
-	if ast.MaxStallQ == 0 || dst.MaxStallQ == 0 {
-		t.Fatalf("stall Q telemetry missing: amortized %d, deamortized %d", ast.MaxStallQ, dst.MaxStallQ)
-	}
-	if dst.MaxStallQ*10 > ast.MaxStallQ {
-		t.Errorf("worst stall Q not reduced ≥10×: amortized %d vs deamortized %d", ast.MaxStallQ, dst.MaxStallQ)
-	}
-	// Each mode's measured worst stall stays within EXP-L3's predicted
-	// worst pause at this point.
-	spec := specL3()
-	var pred func(Point) float64
-	for _, c := range spec.Columns {
-		if c.Name == "pred stall Q" {
-			pred = c.Pred
-		}
-	}
-	for _, m := range []struct {
-		mode string
-		q    int64
-	}{{"amortized", ast.MaxStallQ}, {"deamortized", dst.MaxStallQ}} {
-		want := pred(Point{axes: spec.Axes, vals: []interface{}{"drift", 16, m.mode}})
-		if float64(m.q) > want {
-			t.Errorf("%s worst stall Q %d exceeds the predicted %.0f", m.mode, m.q, want)
-		}
-	}
-	if drep.OpsPerSec() < 0.7*arep.OpsPerSec() {
-		t.Errorf("deamortized throughput collapsed: %.0f ops/sec vs amortized %.0f",
-			drep.OpsPerSec(), arep.OpsPerSec())
-	}
-	if dst.DebtHighWater == 0 {
-		t.Error("deamortized run recorded no debt high-water mark")
 	}
 }
