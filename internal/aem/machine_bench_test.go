@@ -24,9 +24,9 @@ func benchEngines(cfg Config) []struct {
 
 // BenchmarkMachineReadWrite measures the simulator's hot path — one costed
 // read plus one costed write per iteration — on every storage engine, with
-// allocs/op reported. The reference slice engine allocates on both sides
-// of the transfer; the arena and counting engines must not allocate at
-// all.
+// allocs/op reported. No engine allocates here: the read fills the
+// caller's buffer, and every write lands on a block the slice engine has
+// already carved, so it copies in place.
 func BenchmarkMachineReadWrite(b *testing.B) {
 	cfg := benchConfig()
 	const blocks = 1 << 12

@@ -110,14 +110,23 @@ func sizedDst(dst []Item, n int) []Item {
 }
 
 // SliceStorage is the reference engine: one Go slice per block, exactly
-// the machine's original representation. Reads and writes copy through
-// freshly allocated block slices, which makes aliasing bugs impossible and
-// keeps the implementation obviously correct — the arena backend is
-// checked against it by the conformance suite.
+// the machine's original representation, checked against the arena
+// backend by the conformance suite. Reads and writes copy, so no caller
+// ever aliases a stored block. A write copies in place when the block's
+// slice has room, and otherwise carves the block from a shared slab (a
+// slab allocator in Bonwick's sense) as slab[i:i+n:i+n]: the clipped
+// capacity keeps a block from ever growing into its neighbour, and the
+// engine allocates once per slab rather than once per block.
 type SliceStorage struct {
 	n      int
 	blocks segDir[[]Item] // one slice header per block
+	slab   []Item         // the current slab's uncarved rest
 }
+
+// slabItems is the slice engine's slab size: 32 KiB of 16-byte items, the
+// largest small-object size class, so a slab wastes nothing to rounding
+// and costs one allocation.
+const slabItems = 2048
 
 // NewSliceStorage returns an empty reference engine.
 func NewSliceStorage() *SliceStorage { return &SliceStorage{} }
@@ -152,17 +161,38 @@ func (s *SliceStorage) ReadInto(a Addr, dst []Item) []Item {
 	return dst
 }
 
-// Write implements Storage.
+// Write implements Storage. Only block a's own slice is written, so a
+// concurrent ReadInto of any other block is unaffected.
 func (s *SliceStorage) Write(a Addr, items []Item) {
-	blk := make([]Item, len(items))
-	copy(blk, items)
 	seg, off := locate(a)
+	blk := s.blocks[seg][off]
+	if cap(blk) < len(items) {
+		blk = s.carve(len(items))
+	}
+	blk = blk[:len(items)]
+	copy(blk, items)
 	s.blocks[seg][off] = blk
+}
+
+// carve returns n fresh items with capacity n, cut from the current slab
+// or, once its rest is too short, from a new one. A block larger than a
+// slab gets an allocation of its own.
+func (s *SliceStorage) carve(n int) []Item {
+	if n > slabItems {
+		return make([]Item, n)
+	}
+	if len(s.slab) < n {
+		s.slab = make([]Item, slabItems)
+	}
+	blk := s.slab[:n:n]
+	s.slab = s.slab[n:]
+	return blk
 }
 
 // Reset implements Storage. The block table's segments are kept and their
 // used prefix cleared, so recycled engines hand out nil blocks exactly
-// like fresh ones and the previous run's blocks become garbage.
+// like fresh ones and the previous run's blocks become garbage. The
+// slab's uncarved rest was never handed out, so carving continues there.
 func (s *SliceStorage) Reset() {
 	s.blocks.clear(s.n, 1)
 	s.n = 0

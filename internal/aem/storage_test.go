@@ -132,6 +132,16 @@ func TestStorageConformance(t *testing.T) {
 		})
 	}
 
+	// Neighbouring blocks, on every data-bearing engine.
+	for _, eng := range engines(t, b) {
+		if !eng.hasData {
+			continue
+		}
+		t.Run("neighbours/"+eng.name, func(t *testing.T) {
+			checkNeighbours(t, eng.make(), b)
+		})
+	}
+
 	// The concurrent half of the contract, on every data-retaining
 	// registry engine: blocks never move, so ReadInto of a written block
 	// is safe while the owner keeps allocating and writing.
@@ -148,6 +158,78 @@ func TestStorageConformance(t *testing.T) {
 			t.Cleanup(func() { s.Close() })
 			checkConcurrentReads(t, s, b)
 		})
+	}
+}
+
+// checkNeighbours writes blocks 0 and 1 back to back, shrinks block 0 and
+// then grows it past its first length: block 1 must stay intact. The
+// slice engine carves the two blocks side by side from one slab, so a
+// block that grew in place past its carve would overwrite its neighbour.
+// After Reset both blocks must read empty, and take writes again.
+func checkNeighbours(t *testing.T, s Storage, b int) {
+	fill := func(key int64, n int) []Item {
+		items := make([]Item, n)
+		for j := range items {
+			items[j] = Item{Key: key, Aux: int64(j)}
+		}
+		return items
+	}
+	expect := func(a Addr, want []Item) {
+		t.Helper()
+		if got := s.ReadInto(a, make([]Item, 0, b)); !slices.Equal(got, want) {
+			t.Fatalf("block %d read %v, want %v", a, got, want)
+		}
+	}
+	s.Alloc(2)
+	s.Write(0, fill(1, b/2))
+	s.Write(1, fill(2, b))
+	s.Write(0, fill(3, 1))
+	expect(1, fill(2, b))
+	s.Write(0, fill(4, b))
+	expect(0, fill(4, b))
+	expect(1, fill(2, b))
+
+	s.Reset()
+	s.Alloc(2)
+	for a := Addr(0); a < 2; a++ {
+		if s.Len(a) != 0 {
+			t.Fatalf("block %d has length %d after Reset, want 0", a, s.Len(a))
+		}
+		expect(a, []Item{})
+	}
+	s.Write(1, fill(5, b))
+	s.Write(0, fill(6, b))
+	expect(0, fill(6, b))
+	expect(1, fill(5, b))
+}
+
+// TestSliceWriteAllocs pins the slice engine's slab allocation: a write
+// to a block whose slice has room copies in place and allocates nothing,
+// and fresh blocks are carved from shared slabs, so writing a slab's
+// worth of them allocates at most once.
+func TestSliceWriteAllocs(t *testing.T) {
+	const b, runs = 64, 8
+	perSlab := slabItems / b
+	s := NewSliceStorage()
+	s.Alloc((runs + 1) * perSlab)
+	blk := make([]Item, b)
+	next := Addr(0)
+	fresh := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < perSlab; i++ {
+			s.Write(next, blk)
+			next++
+		}
+	})
+	if fresh > 1 {
+		t.Errorf("writing %d fresh blocks, a slab's worth, allocated %.0f objects, want ≤ 1", perSlab, fresh)
+	}
+	rewrite := testing.AllocsPerRun(runs, func() {
+		for a := Addr(0); a < next; a++ {
+			s.Write(a, blk[:int(a)%(b+1)])
+		}
+	})
+	if rewrite != 0 {
+		t.Errorf("rewriting %d blocks allocated %.0f objects, want 0", next, rewrite)
 	}
 }
 

@@ -66,10 +66,12 @@ type BufferTree struct {
 	// flush section that has already spilled the stage and released its
 	// reservation, so nested staged sections don't double spill.
 	// stageShared marks a stage array whose entries a snapshot can read,
-	// which a spill must replace rather than refill (see spillStage).
+	// which a spill must replace rather than refill (see spillStage);
+	// replacements are carved from stageSlab (see newStage).
 	stage       []aem.Item
 	stageFree   bool
 	stageShared bool
+	stageSlab   []aem.Item
 
 	// debt is the queue of overfull nodes awaiting a flush, in the
 	// breadth-first order of the run-to-completion cascade (see payDebt).
@@ -89,6 +91,16 @@ type BufferTree struct {
 	// captureVisits counts the nodes capture has visited, cumulatively:
 	// the work of a publish, which tests pin.
 	captureVisits int64
+
+	// Node-flush scratch, reused so a flush allocates nothing per child:
+	// partition's separator keys, its d writers and their d·B frame
+	// items (the first B of which are mergeApply's output frame), and
+	// applyLeaf's in-memory chunk. This is host memory only: the flush
+	// paths Reserve the model's internal memory for it where they use it.
+	seps    []int64
+	writers []chainWriter
+	frames  []aem.Item
+	chunk   []aem.Item
 }
 
 // EnableTailStaging switches the root buffer to staged appends: incoming
@@ -116,6 +128,24 @@ func (t *BufferTree) EnableTailStaging() {
 	}
 	t.ma.Reserve(t.cfg.B)
 	t.stage = make([]aem.Item, 0, t.cfg.B)
+}
+
+// stageSlabStages is how many stages one stageSlab allocation holds.
+const stageSlabStages = 64
+
+// newStage returns an empty stage of capacity B to replace a shared one,
+// carved from stageSlab and clipped so it can never grow into the next.
+// Every carved stage starts at a distinct element, which StagedSince's
+// identity check needs. The first stage is allocated on its own, so a
+// tree that never shares one never pays for a slab.
+func (t *BufferTree) newStage() []aem.Item {
+	b := t.cfg.B
+	if len(t.stageSlab) < b {
+		t.stageSlab = make([]aem.Item, stageSlabStages*b)
+	}
+	st := t.stageSlab[:0:b]
+	t.stageSlab = t.stageSlab[b:]
+	return st
 }
 
 // Deamortize switches the tree to incremental flushing: crossing the root
@@ -153,7 +183,7 @@ func (t *BufferTree) spillStage() {
 	t.top.buf.appendBlock(t.ma, t.stage)
 	t.top.touch()
 	if t.stageShared {
-		t.stage, t.stageShared = make([]aem.Item, 0, t.cfg.B), false
+		t.stage, t.stageShared = t.newStage(), false
 	} else {
 		t.stage = t.stage[:0]
 	}
@@ -445,7 +475,7 @@ func (t *BufferTree) rootStep() int {
 func (t *BufferTree) payDebt() bool {
 	for len(t.debt) > 0 {
 		nd := t.debt[0]
-		t.debt = t.debt[1:]
+		t.debt = slices.Delete(t.debt, 0, 1) // keeps the queue's capacity
 		nd.inDebt = false
 		if nd.buf.n == 0 {
 			continue
@@ -529,13 +559,13 @@ func (t *BufferTree) forceFlush() {
 	t.debt = t.debt[:0]
 }
 
-// prefix returns the oldest k blocks of nd's buffer as a chain to scan
-// (wholeBuffer: every block, after spilling the root's staged tail).
-func (t *BufferTree) prefix(nd *btnode, k int) chain {
+// prefix returns the addresses of the oldest k blocks of nd's buffer, to
+// scan (wholeBuffer: every block, after spilling the root's staged tail).
+func (t *BufferTree) prefix(nd *btnode, k int) []aem.Addr {
 	if k == wholeBuffer && nd == t.top {
 		t.spillStage()
 	}
-	return chain{addrs: nd.buf.addrs[:min(k, nd.buf.blocks())]}
+	return nd.buf.addrs[:min(k, nd.buf.blocks())]
 }
 
 func (t *BufferTree) threshold(nd *btnode) int {
@@ -548,10 +578,11 @@ func (t *BufferTree) threshold(nd *btnode) int {
 // readSeps loads an internal node's separator keys (the lower key bound of
 // each child; seps[0] is -∞). One costed read per separator block; the
 // keys occupy metered internal memory only while the caller holds them —
-// callers must Release len(kids) slots when done.
+// callers must Release len(kids) slots when done. The keys live in the
+// tree's scratch until the next readSeps.
 func (t *BufferTree) readSeps(nd *btnode) []int64 {
 	t.ma.Reserve(len(nd.kids) + t.cfg.B)
-	seps := make([]int64, 0, len(nd.kids))
+	seps := t.seps[:0]
 	for b := 0; b < nd.sepBlocks; b++ {
 		blk := t.ma.ReadInto(nd.sepBase+aem.Addr(b), t.frame[:0])
 		for _, it := range blk {
@@ -562,6 +593,7 @@ func (t *BufferTree) readSeps(nd *btnode) []int64 {
 	if len(seps) != len(nd.kids) {
 		panic(fmt.Sprintf("dict: node has %d separators for %d children", len(seps), len(nd.kids)))
 	}
+	t.seps = seps
 	return seps
 }
 
@@ -609,10 +641,14 @@ func (t *BufferTree) partition(nd *btnode, k int) {
 	seps := t.readSeps(nd) // holds len(kids) slots until released below
 	d := len(nd.kids)
 	t.ma.Reserve((d + 1) * t.cfg.B)
-	scan := newChainScanner(t.ma, &pre, t.frame)
-	writers := make([]*chainWriter, d)
+	scan := newChainScanner(t.ma, pre, t.frame)
+	frames, b := t.outFrames(d), t.cfg.B
+	if len(t.writers) < d {
+		t.writers = make([]chainWriter, d)
+	}
+	writers := t.writers[:d]
 	for i, kid := range nd.kids {
-		writers[i] = newChainWriter(t.ma, &kid.buf, make([]aem.Item, 0, t.cfg.B))
+		writers[i] = chainWriter{ma: t.ma, c: &kid.buf, frame: frames[i*b : i*b : (i+1)*b]}
 	}
 	moved := 0
 	for {
@@ -625,12 +661,23 @@ func (t *BufferTree) partition(nd *btnode, k int) {
 		writers[i].append(it)
 		nd.kids[i].touch()
 	}
-	for _, w := range writers {
-		w.close()
+	for i := range writers {
+		writers[i].close()
 	}
-	nd.buf.dropPrefix(pre.blocks(), moved)
+	clear(writers) // pin no child's chain
+	nd.buf.dropPrefix(len(pre), moved)
 	t.ma.Release((d + 1) * t.cfg.B)
 	t.ma.Release(d) // separators
+}
+
+// outFrames returns d block frames of tree scratch laid end to end,
+// clipped to d·B items.
+func (t *BufferTree) outFrames(d int) []aem.Item {
+	n := d * t.cfg.B
+	if len(t.frames) < n {
+		t.frames = make([]aem.Item, n)
+	}
+	return t.frames[:n:n]
 }
 
 // applyLeaf merges the updates in the oldest k blocks of a leaf's buffer
@@ -650,7 +697,7 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 		v := t.materializeBuf(&leaf.buf)
 		sorted := sorting.MergeSort(t.ma, v)
 		sc := sorted.NewScanner()
-		t.mergeApply(leaf, sc.Next)
+		t.mergeApply(leaf, leaf.buf.n, sc.Next)
 		sc.Close()
 		if released {
 			t.reclaimStage()
@@ -658,10 +705,10 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 		leaf.buf.reset()
 		return
 	}
-	room := min(leaf.buf.n, pre.blocks()*t.cfg.B) // items the prefix can hold
+	room := min(leaf.buf.n, len(pre)*t.cfg.B) // items the prefix can hold
 	t.ma.Reserve(room + t.cfg.B)
-	chunk := make([]aem.Item, 0, room)
-	scan := newChainScanner(t.ma, &pre, t.frame)
+	chunk := slices.Grow(t.chunk[:0], room)
+	scan := newChainScanner(t.ma, pre, t.frame)
 	for {
 		it, ok := scan.next()
 		if !ok {
@@ -671,15 +718,16 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 	}
 	sortEntries(chunk)
 	i := 0
-	t.mergeApply(leaf, func() (aem.Item, bool) {
+	t.mergeApply(leaf, len(chunk), func() (aem.Item, bool) {
 		if i < len(chunk) {
 			i++
 			return chunk[i-1], true
 		}
 		return aem.Item{}, false
 	})
-	leaf.buf.dropPrefix(pre.blocks(), len(chunk))
+	leaf.buf.dropPrefix(len(pre), len(chunk))
 	t.ma.Release(room + t.cfg.B)
+	t.chunk = chunk
 }
 
 // materializeBuf copies a buffer chain into a fresh contiguous vector so
@@ -687,7 +735,7 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 func (t *BufferTree) materializeBuf(c *chain) *aem.Vector {
 	v := aem.NewVector(t.ma, c.n)
 	t.ma.Reserve(t.cfg.B)
-	scan := newChainScanner(t.ma, c, t.frame)
+	scan := newChainScanner(t.ma, c.addrs, t.frame)
 	w := v.NewWriter()
 	for {
 		it, ok := scan.next()
@@ -701,14 +749,17 @@ func (t *BufferTree) materializeBuf(c *chain) *aem.Vector {
 	return v
 }
 
-// mergeApply merges a (key, seq)-sorted update stream into the leaf's run:
-// one streaming pass, two block frames. The run keeps exactly one entry
-// per key — the winning update, tombstones included.
-func (t *BufferTree) mergeApply(leaf *btnode, next func() (aem.Item, bool)) {
+// mergeApply merges a (key, seq)-sorted stream of n updates into the
+// leaf's run: one streaming pass, two block frames. The run keeps exactly
+// one entry per key — the winning update, tombstones included. The new
+// run replaces the old one, its address list sized up front for the
+// merge's largest outcome.
+func (t *BufferTree) mergeApply(leaf *btnode, n int, next func() (aem.Item, bool)) {
 	t.ma.Reserve(2 * t.cfg.B)
-	out := chain{}
-	scan := newChainScanner(t.ma, &leaf.run, t.frame)
-	w := newChainWriter(t.ma, &out, make([]aem.Item, 0, t.cfg.B))
+	old := leaf.run
+	leaf.run = chain{addrs: make([]aem.Addr, 0, (old.n+n+t.cfg.B-1)/t.cfg.B)}
+	scan := newChainScanner(t.ma, old.addrs, t.frame)
+	w := newChainWriter(t.ma, &leaf.run, t.outFrames(1))
 	liveN := 0
 	emit := func(it aem.Item) {
 		w.append(it)
@@ -741,11 +792,10 @@ func (t *BufferTree) mergeApply(leaf *btnode, next func() (aem.Item, bool)) {
 	}
 	w.close()
 	t.liveRun += liveN - leaf.liveN
-	t.runLen += out.n - leaf.run.n
-	if out.n > 2*t.leafCap {
+	t.runLen += leaf.run.n - old.n
+	if leaf.run.n > 2*t.leafCap {
 		t.oversized = true
 	}
-	leaf.run = out
 	leaf.liveN = liveN
 	t.ma.Release(2 * t.cfg.B)
 }
@@ -826,7 +876,7 @@ func (t *BufferTree) rebuild() {
 	}
 	live := 0
 	for _, leaf := range old {
-		scan := newChainScanner(t.ma, &leaf.run, inFrame)
+		scan := newChainScanner(t.ma, leaf.run.addrs, inFrame)
 		for {
 			it, ok := scan.next()
 			if !ok {
@@ -974,7 +1024,7 @@ func (t *BufferTree) descend(nd *btnode, lookups []*lookupQ, ranges []*rangeQ) {
 	// Scan this node's buffer (and run, for leaves) with one block frame.
 	t.ma.Reserve(t.cfg.B)
 	for _, c := range []*chain{&nd.buf, &nd.run} {
-		scan := newChainScanner(t.ma, c, t.frame)
+		scan := newChainScanner(t.ma, c.addrs, t.frame)
 		for {
 			it, ok := scan.next()
 			if !ok {

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"fmt"
+	"runtime"
 	"testing"
 
 	"repro/internal/aem"
@@ -305,4 +306,66 @@ func TestFlushAccountingFingerprint(t *testing.T) {
 			})
 		}
 	}
+}
+
+// TestFlushStepAllocs pins the host allocations of a node-flush on a
+// warmed deamortized tree. A partition takes its d writers, their d·B
+// frame items and its separator keys from tree scratch, and a leaf apply
+// reuses its chunk and output frame, so what a FlushStep allocates per
+// node-flush — chain growth and the slice engine's slabs — is a small
+// constant that does not grow with the fan-out d.
+func TestFlushStepAllocs(t *testing.T) {
+	const perFlush = 2
+	var ms runtime.MemStats
+	mallocs := func() uint64 {
+		runtime.ReadMemStats(&ms)
+		return ms.Mallocs
+	}
+	avg := map[int]float64{}
+	for _, m := range []int{128, 512} {
+		cfg := aem.Config{M: m, B: 16, Omega: 4}
+		tree := NewBufferTree(aem.New(cfg))
+		tree.EnableTailStaging()
+		tree.Deamortize()
+		d := tree.Fanout()
+		keys := 64 * cfg.M
+		var ops []Op
+		for i := 0; i < 24*tree.RootCap(); i++ {
+			ops = append(ops, Op{Kind: Insert, Key: int64(i * 7919 % keys), Value: int64(i)})
+		}
+		var allocs, flushes, widest int
+		for i := 0; i < len(ops); i += 8 {
+			tree.Apply(ops[i : i+8])
+			if tree.Debt() == 0 {
+				tree.Compact()
+				continue
+			}
+			warm := i >= len(ops)/2
+			if !warm {
+				tree.FlushStep(1)
+				continue
+			}
+			widest = max(widest, widestNode(tree.top))
+			m0 := mallocs()
+			flushes += tree.FlushStep(1)
+			allocs += int(mallocs() - m0)
+		}
+		if widest < d/2 {
+			t.Fatalf("d=%d: the widest node had %d children; the stream never partitioned at fan-out", d, widest)
+		}
+		avg[d] = float64(allocs) / float64(flushes)
+		t.Logf("d=%d: %d node-flushes allocated %d objects (%.2f each; widest node %d)", d, flushes, allocs, avg[d], widest)
+		if avg[d] > perFlush {
+			t.Errorf("d=%d: a node-flush allocated %.2f objects on average, want ≤ %d", d, avg[d], perFlush)
+		}
+	}
+}
+
+// widestNode returns the largest child count in nd's subtree.
+func widestNode(nd *btnode) int {
+	w := len(nd.kids)
+	for _, kid := range nd.kids {
+		w = max(w, widestNode(kid))
+	}
+	return w
 }

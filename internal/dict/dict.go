@@ -215,27 +215,28 @@ func (w *chainWriter) close() {
 	}
 }
 
-// chainScanner iterates a chain's items through a caller-reserved block
-// frame, one costed read per block.
+// chainScanner iterates the items of a chain's blocks, given by their
+// addresses, through a caller-reserved block frame, one costed read per
+// block.
 type chainScanner struct {
 	ma    *aem.Machine
-	c     *chain
+	addrs []aem.Addr
 	frame []aem.Item
 	blk   int
 	buf   []aem.Item
 	pos   int
 }
 
-func newChainScanner(ma *aem.Machine, c *chain, frame []aem.Item) *chainScanner {
-	return &chainScanner{ma: ma, c: c, frame: frame}
+func newChainScanner(ma *aem.Machine, addrs []aem.Addr, frame []aem.Item) *chainScanner {
+	return &chainScanner{ma: ma, addrs: addrs, frame: frame}
 }
 
 func (s *chainScanner) next() (aem.Item, bool) {
 	for s.pos >= len(s.buf) {
-		if s.blk >= len(s.c.addrs) {
+		if s.blk >= len(s.addrs) {
 			return aem.Item{}, false
 		}
-		s.buf = s.ma.ReadInto(s.c.addrs[s.blk], s.frame)
+		s.buf = s.ma.ReadInto(s.addrs[s.blk], s.frame)
 		s.blk++
 		s.pos = 0
 	}

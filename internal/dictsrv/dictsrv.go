@@ -37,9 +37,12 @@
 //     atomic store of how many more staged entries it covers
 //     (dict.BufferTree.StagedSince) publishes the batch. Any other batch
 //     captures a new snapshot, which descends only the tree paths the
-//     batch marked dirty. Write requests and flush barriers come from a
-//     pool and are signalled on a reusable channel, so a single-writer
-//     Put that does not spill the stage allocates nothing end to end.
+//     batch marked dirty. Write requests and flush barriers are
+//     recycled through a per-shard free list and signalled on a reusable
+//     channel, so a single-writer Put that does not spill the stage
+//     allocates nothing end to end. The Put that spills allocates the new
+//     capture's state and root node; the spilled block and the next
+//     stage come from slabs (the slice engine's and the tree's).
 //     Readers load the current snapshot and its extension atomically and
 //     read its blocks straight from the shard's storage engine, which the
 //     tree holder keeps allocating and writing underneath them: engines
@@ -197,10 +200,10 @@ type snapState struct {
 }
 
 // writeReq is one queued write (or flush barrier) awaiting group commit.
-// Requests are pooled: the tree holder signals done exactly once per
-// submission — committed, failed, or handed the tree — and never touches
-// the request after that signal, so the waiter owns it again and returns
-// it to reqPool.
+// Requests are recycled through their shard's free list: the tree holder
+// signals done exactly once per submission — committed, failed, or handed
+// the tree — and never touches the request after that signal, so the
+// waiter owns it again and returns it to the list.
 type writeReq struct {
 	op     dict.Op
 	flush  bool  // barrier: force the shard tree down to its runs
@@ -209,8 +212,6 @@ type writeReq struct {
 	err    error // the shard failed before this request committed
 	done   chan struct{}
 }
-
-var reqPool = sync.Pool{New: func() any { return &writeReq{done: make(chan struct{}, 1)} }}
 
 type shard struct {
 	idx   int
@@ -225,6 +226,7 @@ type shard struct {
 	// is empty.
 	mu     sync.Mutex
 	queue  []*writeReq
+	free   []*writeReq // requests no waiter holds, for reuse
 	busy   bool
 	idle   bool // idle work (debt, a rebuild check) may be pending
 	closed bool
@@ -449,14 +451,19 @@ func (s *Service) submit(op dict.Op) Ack {
 	return Ack{Shard: sh.idx, Commit: commit, LatencyNS: now() - start}
 }
 
-// roundTrip queues a pooled request on sh — a write of op, or a flush
-// barrier — and returns its commit position (0 for a barrier) once it is
-// committed. The caller commits it itself, leading a batch, if the tree is
-// idle or a finishing holder hands the tree to it; otherwise it waits for
-// the leader whose batch takes it.
+// roundTrip queues a request on sh — a write of op, or a flush barrier —
+// and returns its commit position (0 for a barrier) once it is committed.
+// The caller commits it itself, leading a batch, if the tree is idle or a
+// finishing holder hands the tree to it; otherwise it waits for the
+// leader whose batch takes it.
+//
+// The request comes from the shard's free list, under the lock the
+// submission takes anyway, and goes back to it under the next one: the
+// release that ends a leader's turn, or one more lock for a waiter. A
+// sync.Pool would be lock-free but keeps its items per P and drops them
+// at every collection, so a writer that moved to another P, or that a
+// collection overtook, would allocate a new request and channel.
 func (s *Service) roundTrip(sh *shard, op dict.Op, flush bool) int64 {
-	r := reqPool.Get().(*writeReq)
-	r.op, r.flush, r.commit, r.lead, r.err = op, flush, 0, false, nil
 	sh.mu.Lock()
 	if sh.closed {
 		sh.mu.Unlock()
@@ -469,34 +476,51 @@ func (s *Service) roundTrip(sh *shard, op dict.Op, flush bool) int64 {
 		sh.mu.Unlock()
 		panic(err)
 	}
+	r := sh.request()
+	r.op, r.flush = op, flush
 	sh.queue = append(sh.queue, r)
 	if !sh.busy {
 		sh.busy = true
-		s.lead(sh) // the queue was empty: r is its head
-	} else {
-		sh.mu.Unlock()
-		<-r.done
-		if err := r.err; err != nil {
-			reqPool.Put(r)
-			panic(err)
-		}
-		if r.lead {
-			sh.mu.Lock()
-			s.lead(sh) // handed the tree as the queue head
-		}
+		return s.lead(sh) // the queue was empty: r is its head
 	}
-	commit := r.commit
-	reqPool.Put(r)
+	sh.mu.Unlock()
+	<-r.done
+	if r.lead {
+		sh.mu.Lock()
+		return s.lead(sh) // handed the tree as the queue head
+	}
+	commit, err := r.commit, r.err
+	sh.mu.Lock()
+	sh.free = append(sh.free, r)
+	sh.mu.Unlock()
+	if err != nil {
+		panic(err)
+	}
 	return commit
 }
 
-// lead runs one group commit as the tree holder. Called with sh.mu held
-// and the caller's request at the queue head, it takes up to maxBatch
-// requests off the queue, commits them, wakes every batch member but
-// itself and passes the tree on. Publishing before waking is what gives
-// sessions read-your-own-writes through snapshots. A panic in the commit
-// fails the shard and re-panics on this caller with the failure.
-func (s *Service) lead(sh *shard) {
+// request takes a cleared request off the free list, or makes one.
+// Called with sh.mu held.
+func (sh *shard) request() *writeReq {
+	n := len(sh.free)
+	if n == 0 {
+		return &writeReq{done: make(chan struct{}, 1)}
+	}
+	r := sh.free[n-1]
+	sh.free = sh.free[:n-1]
+	*r = writeReq{done: r.done}
+	return r
+}
+
+// lead runs one group commit as the tree holder and returns the commit
+// position of the caller's request. Called with sh.mu held and that
+// request at the queue head, it takes up to maxBatch requests off the
+// queue, commits them, wakes every batch member but itself and passes the
+// tree on, returning the caller's request to the free list. Publishing
+// before waking is what gives sessions read-your-own-writes through
+// snapshots. A panic in the commit fails the shard and re-panics on this
+// caller with the failure.
+func (s *Service) lead(sh *shard) int64 {
 	n := min(len(sh.queue), s.maxBatch)
 	sh.batch = append(sh.batch[:0], sh.queue[:n]...)
 	rest := copy(sh.queue, sh.queue[n:])
@@ -513,7 +537,10 @@ func (s *Service) lead(sh *shard) {
 	for _, r := range sh.batch[1:] {
 		r.done <- struct{}{} // r belongs to its waiter from here on
 	}
-	sh.release(idle)
+	own := sh.batch[0]
+	commit := own.commit
+	sh.release(idle, own)
+	return commit
 }
 
 // commit is the group-commit body: Apply the batch's writes, pay one
@@ -574,9 +601,13 @@ func (s *Service) commit(sh *shard, batch []*writeReq) bool {
 // a retirer turn: to the queue head, which then leads the next batch;
 // else, when idle work may be pending, to the retirer; else back to idle.
 // idle reports whether the turn may have left such work. It folds the
-// turn's measurements into the shard's telemetry on the way.
-func (sh *shard) release(idle bool) {
+// turn's measurements into the shard's telemetry on the way, and puts
+// done, a leader's own request (nil for the retirer), on the free list.
+func (sh *shard) release(idle bool, done *writeReq) {
 	sh.mu.Lock()
+	if done != nil {
+		sh.free = append(sh.free, done)
+	}
 	sh.stats.add(&sh.turn)
 	sh.turn = turn{}
 	sh.idle = sh.idle || idle
@@ -652,7 +683,7 @@ func (sh *shard) retireTurn() {
 	} else {
 		worked = false
 	}
-	sh.release(worked)
+	sh.release(worked, nil)
 }
 
 // Put inserts (key, value), overwriting any previous value. It returns

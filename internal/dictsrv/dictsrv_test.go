@@ -2,7 +2,9 @@ package dictsrv
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -571,7 +573,7 @@ func runHeldViewIsolation(t *testing.T, deamortize bool) {
 				// idle Compact (deamortized) can have rebuilt the tree.
 				holdTree(t, sh)
 				rebuilt = sh.tree.Height() > 1
-				sh.release(false)
+				sh.release(false, nil)
 				if !rebuilt {
 					t.Fatal("the tree was not rebuilt before the first barrier")
 				}
@@ -631,17 +633,26 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 
 // TestPutSteadyStateAllocs pins the write round trip of a single writer.
 // It leads its own commit, so no request waits on a channel, and requests
-// are reused. A Put that does not spill the stage is published in place
-// (dict.BufferTree.StagedSince) and allocates nothing. The Put that fills
-// the stage spills it and captures a new snapshot: the snapState, the
-// root's snapNode, a fresh stage array (readers share the full one), the
-// slice engine's new block and, now and then, a longer address array for
-// the root chain. The stream stays below the root threshold, so a
-// deamortized batch leaves no debt and its FlushStep(1) finds none.
+// are reused from the shard's free list. A Put that does not spill the
+// stage is published in place (dict.BufferTree.StagedSince) and allocates
+// nothing. The Put that fills the stage spills it and captures a new
+// snapshot: the snapState and the root's snapNode, plus now and then a
+// longer address array for the root chain, a new slab of stages (readers
+// share the full one) and a new slab of the slice engine's blocks. The
+// stream stays below the root threshold, so a deamortized batch leaves no
+// debt and its FlushStep(1) finds none.
+//
+// The count is exact: the heap profile, recording every allocation for
+// the test's duration, attributes each object to the call stack that
+// allocated it, and only objects allocated under stagedPuts or
+// spillingPut count. The process-wide malloc counter would also count
+// the Go runtime's own objects (a thread started when a stop-the-world
+// ends, a GC worker's, a timer heap's growth), which appear in any
+// window now and then when the test runs beside other processes.
 func TestPutSteadyStateAllocs(t *testing.T) {
 	const (
 		stages   = 40
-		perSpill = 5
+		perSpill = 3
 	)
 	for _, deam := range []bool{false, true} {
 		name := "amortized"
@@ -662,45 +673,81 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 				svc.Put(k%4096, k)
 				k += 37
 			}
-			// Warm the request pool; whole stages, so the stage ends empty.
+			// Warm the free list; whole stages, so the stage ends empty.
 			for i := 0; i < 4*b; i++ {
 				put()
 			}
-			var ms runtime.MemStats
-			mallocs := func() uint64 {
-				runtime.ReadMemStats(&ms)
-				return ms.Mallocs
-			}
-			var staged, spilled uint64
+			defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
+			runtime.MemProfileRate = 1
+			before := allocsUnder(stagedPuts, spillingPut)
 			for s := 0; s < stages; s++ {
-				m0 := mallocs()
-				for i := 0; i < b-1; i++ {
-					put()
-				}
-				m1 := mallocs()
-				put() // fills the stage, which spills
-				spilled += mallocs() - m1
-				staged += m1 - m0
+				stagedPuts(put, b-1)
+				spillingPut(put) // fills the stage, which spills
 			}
+			after := allocsUnder(stagedPuts, spillingPut)
+			staged, spilled := after[0]-before[0], after[1]-before[1]
 			t.Logf("%d staged Puts allocated %d objects; %d spilling Puts allocated %d",
 				stages*(b-1), staged, stages, spilled)
-			// Under -race each dropped request costs its re-allocation, the
-			// request and its channel, on about one Put in four.
-			stagedMax, spilledMax := uint64(0), uint64(stages*perSpill)
-			if raceEnabled {
-				stagedMax, spilledMax = uint64(stages*(b-1)), spilledMax+stages
+			if staged != 0 {
+				t.Errorf("%d Puts that did not spill allocated %d objects, want 0", stages*(b-1), staged)
 			}
-			if staged > stagedMax {
-				t.Errorf("%d Puts that did not spill allocated %d objects, want ≤ %d", stages*(b-1), staged, stagedMax)
-			}
-			if spilled > spilledMax {
-				t.Errorf("%d spilling Puts allocated %d objects, want ≤ %d", stages, spilled, spilledMax)
+			if spilled > stages*perSpill {
+				t.Errorf("%d spilling Puts allocated %d objects, want ≤ %d", stages, spilled, stages*perSpill)
 			}
 			if st := svc.Stats(); st.Flushes != 0 {
 				t.Fatalf("the stream reached a flush (%d flush sections); it must stay below the root threshold", st.Flushes)
 			}
 		})
 	}
+}
+
+// stagedPuts makes n Puts that stay in the stage.
+//
+//go:noinline
+func stagedPuts(put func(), n int) {
+	for i := 0; i < n; i++ {
+		put()
+	}
+}
+
+// spillingPut makes the Put that fills the stage.
+//
+//go:noinline
+func spillingPut(put func()) { put() }
+
+// allocsUnder returns how many objects the heap profile has recorded as
+// allocated by calls under each of fns. It runs a collection first,
+// which publishes every allocation made so far to the profile.
+func allocsUnder(fns ...any) []int64 {
+	names := make([]string, len(fns))
+	for i, fn := range fns {
+		names[i] = runtime.FuncForPC(reflect.ValueOf(fn).Pointer()).Name()
+	}
+	runtime.GC()
+	var recs []runtime.MemProfileRecord
+	for {
+		n, ok := runtime.MemProfile(recs, true)
+		if ok {
+			recs = recs[:n]
+			break
+		}
+		recs = make([]runtime.MemProfileRecord, n+64)
+	}
+	out := make([]int64, len(fns))
+	for _, r := range recs {
+		frames := runtime.CallersFrames(r.Stack())
+		for {
+			f, more := frames.Next()
+			if i := slices.Index(names, f.Function); i >= 0 {
+				out[i] += r.AllocObjects
+				break
+			}
+			if !more {
+				break
+			}
+		}
+	}
+	return out
 }
 
 // TestBoundedStallRegression is the deamortization contract at the
@@ -869,7 +916,7 @@ func TestPanickingCommitFailsShard(t *testing.T) {
 				go func(k, v int64) { failures <- panicOf(func() { svc.Put(k, v) }) }(int64(10+i), v)
 				waitQueued(t, sh, i+1)
 			}
-			sh.release(false)
+			sh.release(false, nil)
 			within(t, "writers on the failed shard", func() {
 				for range values {
 					if p := <-failures; !failedShard0(p) {
@@ -957,7 +1004,7 @@ func within(t *testing.T, what string, f func()) {
 	}
 }
 
-// BenchmarkPut measures the single-writer write round trip — a pooled
+// BenchmarkPut measures the single-writer write round trip — a recycled
 // request, the writer's own commit (Apply, plus one FlushStep when
 // deamortized) and the publish — in both commit modes.
 func BenchmarkPut(b *testing.B) {
