@@ -3,12 +3,12 @@ package cli
 import (
 	"bufio"
 	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
 	"os"
 	"path/filepath"
 	"runtime"
-	"strconv"
 	"strings"
 
 	"repro/internal/harness"
@@ -18,11 +18,8 @@ import (
 // theorem/lemma of the paper, run as declarative grid specs on the
 // in-process point-granular worker pool. Tables are always emitted in
 // index order, so the output is byte-identical at every parallelism
-// level. With -shard i/m it instead streams point records for the
-// round-robin slice of the global point list whose index g has
-// g % m == i — the same stream `aem work -residual` writes — manifest
-// first, one record per point as it completes, so a killed shard job
-// keeps its finished points (see mergeCmd for reassembly and resume).
+// level. A failed experiment ends the run with exit code 1 after the
+// tables ahead of it are written and any profiles are stopped.
 //
 //	aem bench -list                 list experiment ids
 //	aem bench                       run every experiment, tables to stdout
@@ -31,7 +28,6 @@ import (
 //	aem bench -csv out/             additionally write one CSV per experiment
 //	aem bench -json                 JSON Lines to stdout, one record per row
 //	aem bench -timing               append per-point wall-clock columns
-//	aem bench -shard 0/2 -json      run shard 0 of 2, stream point records
 func benchCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
@@ -39,7 +35,6 @@ func benchCmd(prog string, args []string) int {
 		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV files into")
 		jsonOut = fs.Bool("json", false, "emit JSON Lines (one record per table row, measured and predicted columns included) instead of rendered tables")
 		timing  = fs.Bool("timing", false, "append per-point wall-clock columns to tables/CSV and a wall_ns field to -json records (nondeterministic; off by default so recorded output stays stable)")
-		shard   = fs.String("shard", "", "run only shard i of m (format i/m) and emit JSON Lines point records for `aem merge`; requires -json")
 		list    = fs.Bool("list", false, "list experiments and exit")
 		par     = fs.Int("par", runtime.NumCPU(), "number of grid points to run concurrently")
 	)
@@ -66,27 +61,6 @@ func benchCmd(prog string, args []string) int {
 		return 2
 	}
 
-	if *shard != "" {
-		idx, cnt, err := parseShard(*shard)
-		if err != nil {
-			fail(prog, "%v", err)
-			return 2
-		}
-		if !*jsonOut {
-			fail(prog, "-shard emits JSON Lines point records; pass -json")
-			return 2
-		}
-		if *csvDir != "" || *timing {
-			fail(prog, "-csv and -timing apply at merge time, not to a shard run")
-			return 2
-		}
-		if err := harness.RunShard(specs, idx, cnt, *par, os.Stdout); err != nil {
-			fail(prog, "%v", err)
-			return 1
-		}
-		return 0
-	}
-
 	if *csvDir != "" {
 		if err := os.MkdirAll(*csvDir, 0o755); err != nil {
 			fail(prog, "%v", err)
@@ -102,7 +76,7 @@ func benchCmd(prog string, args []string) int {
 
 	ex := &harness.LocalPool{Par: *par, Timing: *timing}
 	var firstErr error
-	ex.Execute(specs, func(tbl *harness.Table) {
+	runErr := ex.Execute(specs, func(tbl *harness.Table) {
 		if *jsonOut {
 			if err := tbl.JSON(os.Stdout); err != nil && firstErr == nil {
 				firstErr = err
@@ -120,8 +94,8 @@ func benchCmd(prog string, args []string) int {
 	if err := stopProfiles(); err != nil && firstErr == nil {
 		firstErr = err
 	}
-	if firstErr != nil {
-		fail(prog, "%v", firstErr)
+	if err := errors.Join(runErr, firstErr); err != nil {
+		fail(prog, "%v", err)
 		return 1
 	}
 	return 0
@@ -145,26 +119,6 @@ func emitThroughput(tbl *harness.Table, jsonOut bool, firstErr *error) {
 	}
 	fmt.Printf("  throughput: %d points in %.1f ms — %.1f points/sec (%.3f ms/point)\n\n",
 		tp.Points, float64(tp.WallNS)/1e6, tp.PointsPerSec, tp.NSPerPoint/1e6)
-}
-
-// parseShard parses an i/m shard designator. Parsing is strict — exactly
-// two integers and one slash, no trailing input — so a fat-fingered
-// designator fails here rather than producing a shard of the wrong
-// partition that only trips up `aem merge` later.
-func parseShard(s string) (idx, cnt int, err error) {
-	si, sm, ok := strings.Cut(s, "/")
-	if !ok {
-		return 0, 0, fmt.Errorf("invalid -shard %q: want i/m, e.g. 0/2", s)
-	}
-	idx, ierr := strconv.Atoi(si)
-	cnt, merr := strconv.Atoi(sm)
-	if ierr != nil || merr != nil {
-		return 0, 0, fmt.Errorf("invalid -shard %q: want i/m, e.g. 0/2", s)
-	}
-	if cnt < 1 || idx < 0 || idx >= cnt {
-		return 0, 0, fmt.Errorf("invalid -shard %q: need 0 ≤ i < m", s)
-	}
-	return idx, cnt, nil
 }
 
 // writeCSVAtomic writes the table's CSV into dir through a temp file

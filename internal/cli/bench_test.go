@@ -1,13 +1,48 @@
 package cli
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/aem"
 	"repro/internal/harness"
 )
+
+// captureStdout runs fn with os.Stdout redirected into a pipe and
+// returns everything it wrote.
+func captureStdout(t *testing.T, fn func()) []byte {
+	t.Helper()
+	return capture(t, &os.Stdout, fn)
+}
+
+// capture runs fn with *f redirected into a pipe and returns everything
+// written to it. The pipe is drained concurrently so multi-table output
+// cannot deadlock on the pipe buffer.
+func capture(t *testing.T, f **os.File, fn func()) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := *f
+	*f = w
+	done := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- data
+	}()
+	defer func() {
+		*f = old
+		r.Close()
+	}()
+	fn()
+	*f = old
+	w.Close()
+	return <-done
+}
 
 // TestWriteCSVAtomic: the CSV lands complete under its final name with no
 // temp residue — the partial-file hazard fix for `aem bench -csv`.
@@ -110,6 +145,31 @@ func TestBenchCmdWritesProfiles(t *testing.T) {
 	}
 }
 
+// TestBenchCmdFailedExperimentExits1: an experiment whose points fail —
+// here the file engines, pointed at a directory that does not exist —
+// ends the run with exit 1 and the experiment named on stderr, not a
+// panic, and the CPU profile is still stopped and written.
+func TestBenchCmdFailedExperimentExits1(t *testing.T) {
+	dir := t.TempDir()
+	t.Setenv(aem.FileDirEnv, filepath.Join(dir, "missing"))
+	cpu := filepath.Join(dir, "cpu.pprof")
+	var code int
+	stderr := capture(t, &os.Stderr, func() {
+		captureStdout(t, func() {
+			code = benchCmd("aem bench", []string{"-exp", "EXP-IO1", "-par", "2", "-cpuprofile", cpu})
+		})
+	})
+	if code != 1 {
+		t.Errorf("exit code %d, want 1\n%s", code, stderr)
+	}
+	if !strings.Contains(string(stderr), "EXP-IO1") {
+		t.Errorf("stderr does not name the failed experiment:\n%s", stderr)
+	}
+	if st, err := os.Stat(cpu); err != nil || st.Size() == 0 {
+		t.Errorf("CPU profile not written on failure: %v", err)
+	}
+}
+
 // TestDeprecatedWrappersCoverEverySubcommand: every subcommand the retired
 // standalone binaries (aembench, aemdict, …) used to run is still
 // registered, and Main dispatches known and unknown names correctly.
@@ -125,10 +185,10 @@ func TestDeprecatedWrappersCoverEverySubcommand(t *testing.T) {
 			t.Errorf("subcommand %s missing from the registry", sub)
 		}
 	}
-	if n := len(Commands()); n != 11 {
-		t.Errorf("%d subcommands registered, want 11", n)
+	if n := len(Commands()); n != 8 {
+		t.Errorf("%d subcommands registered, want 8", n)
 	}
-	for _, retired := range []string{"stallgate", "profdiff"} {
+	for _, retired := range []string{"stallgate", "profdiff", "merge", "serve", "work"} {
 		if code := Main([]string{retired}); code != 2 {
 			t.Errorf("retired %s exit = %d, want 2 (unknown command)", retired, code)
 		}

@@ -1,7 +1,6 @@
-// Package cli implements the aem multitool: one binary, eleven
-// subcommands (bench, merge, serve, work, gate, engines, dict, dictload,
-// sort, spmxv, trace) sharing flag parsing, machine validation and output
-// plumbing.
+// Package cli implements the aem multitool: one binary, eight
+// subcommands (bench, gate, engines, dict, dictload, sort, spmxv, trace)
+// sharing flag parsing, machine validation and output plumbing.
 package cli
 
 import (
@@ -24,9 +23,6 @@ type Command struct {
 func Commands() []Command {
 	return []Command{
 		{"bench", "run the experiment registry: rendered tables, per-experiment CSV, JSON records", benchCmd},
-		{"merge", "reassemble shard/fleet point records into the unsharded tables", mergeCmd},
-		{"serve", "coordinate an elastic fleet: lease grid points to `aem work` workers over HTTP", serveCmd},
-		{"work", "run grid points for an `aem serve` coordinator, or finish a residual spec", workCmd},
 		{"gate", "check timed runs, dictload stall legs and pprof -top summaries against one committed baseline", gateCmd},
 		{"engines", "list the storage-engine registry with capability flags", enginesCmd},
 		{"dict", "drive a dictionary op stream: buffer tree vs B-tree vs bounds", dictCmd},

@@ -31,8 +31,8 @@ const (
 //	aem gate -write-baseline profile_summary.txt
 //
 // The checks:
-//   - throughput: ns/point per experiment, from the wall_ns of timed bench
-//     rows or shard/fleet "point" records, within -tol × the baseline's.
+//   - throughput: ns/point per experiment, from the wall_ns of timed
+//     `aem bench -json -timing` rows, within -tol × the baseline's.
 //     The tolerance is generous: it catches a re-boxed hot path or a
 //     quadratic regression, not a noisy runner. Experiments the baseline
 //     lacks are reported and skipped until pinned.
@@ -178,9 +178,9 @@ func readGateInputs(paths []string) (*gateEvidence, error) {
 	return ev, nil
 }
 
-// read takes one input line by line. A JSON line is a timed record (an
-// untyped bench row or a "point" record, with wall_ns) or a dictload leg;
-// other typed records are skipped. Any other line is a pprof -top row.
+// read takes one input line by line. A JSON line is a timed bench row
+// (untyped, with wall_ns) or a dictload leg; other typed records are
+// skipped. Any other line is a pprof -top row.
 func (ev *gateEvidence) read(name string, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -208,7 +208,7 @@ func (ev *gateEvidence) read(name string, r io.Reader) error {
 				return fmt.Errorf("%s:%d: %v", name, line, err)
 			}
 			ev.legs[leg.Deamortize] = leg
-		case (rec.Type == "" || rec.Type == "point") && rec.Experiment != "" && rec.WallNS != nil:
+		case rec.Type == "" && rec.Experiment != "" && rec.WallNS != nil:
 			if ev.points[rec.Experiment] == 0 {
 				ev.order = append(ev.order, rec.Experiment)
 			}

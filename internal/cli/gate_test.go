@@ -29,21 +29,6 @@ func i64toa(n int64) string {
 	return string(raw)
 }
 
-// shardLines fabricates a shard/fleet point-record stream as written by
-// `aem bench -shard i/m -json`, `aem serve` or `aem work -residual`:
-// a manifest line followed by typed "point" records carrying wall_ns.
-func shardLines(fastNS, slowNS int64) string {
-	var b strings.Builder
-	b.WriteString(`{"type":"shard","shard":0,"of":1,"experiments":["EXP-A","EXP-B"],"grid_points":6}` + "\n")
-	for i := 0; i < 4; i++ {
-		b.WriteString(`{"type":"point","experiment":"EXP-A","index":` + itoa(i) + `,"points":4,"row":[1],"cells":["1"],"wall_ns":` + i64toa(fastNS) + "}\n")
-	}
-	for i := 0; i < 2; i++ {
-		b.WriteString(`{"type":"point","experiment":"EXP-B","index":` + itoa(i) + `,"points":2,"row":[1],"cells":["1"],"wall_ns":` + i64toa(slowNS) + "}\n")
-	}
-	return b.String()
-}
-
 // dictloadLine renders one `aem dictload -json` record.
 func dictloadLine(deam bool, stallNS, stallQ int64, opsPerSec float64) string {
 	raw, _ := json.Marshal(&dictloadRecord{
@@ -231,40 +216,9 @@ func TestGateSkipsUnknownExperiments(t *testing.T) {
 	}
 }
 
-// TestGateAcceptsShardStreams: shard and fleet streams tag every point
-// record "type":"point". Point records must aggregate (manifest lines
-// skipped), and a shard stream must gate cleanly against a baseline
-// pinned from an untyped bench stream of the same timings.
-func TestGateAcceptsShardStreams(t *testing.T) {
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, shardLines(1_000_000, 4_000_000)); code != 0 {
-		t.Fatalf("write-baseline from a shard stream exit %d\n%s", code, out)
-	}
-	pinned, err := readGateBaseline(base)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if pinned.Throughput["EXP-A"] != 1_000_000 || pinned.Throughput["EXP-B"] != 4_000_000 {
-		t.Errorf("pinned %v, want EXP-A 1e6 and EXP-B 4e6 (manifest line must not enter aggregation)", pinned.Throughput)
-	}
-
-	// The same timings in untyped bench form gate at 1.00x against the
-	// shard-pinned baseline: both shapes measure the same thing.
-	code, out := gateRun(t, []string{"-baseline", base}, benchLines(1_000_000, 4_000_000))
-	if code != 0 || !strings.Contains(lineWith(out, "EXP-A"), "1.00x") {
-		t.Fatalf("bench stream vs shard-pinned baseline exit %d, want ok at 1.00x\n%s", code, out)
-	}
-	// And a regressed shard stream still fails: the typed path feeds the
-	// same comparison, not a separate lenient one.
-	if code, out := gateRun(t, []string{"-baseline", base}, shardLines(1_000_000, 40_000_000)); code != 1 {
-		t.Errorf("regressed shard stream exit %d, want 1\n%s", code, out)
-	}
-}
-
 // TestGateServingExperimentsAgainstCommittedBaseline: the committed
-// baseline carries all three sections, and EXP-L1/EXP-L2 records at its
-// pinned rate gate at 1.00x whether they arrive as untyped bench rows or
-// as "type":"point" shard/fleet records.
+// baseline carries all three sections, and EXP-L1/EXP-L2 bench rows at
+// its pinned rate gate at 1.00x.
 func TestGateServingExperimentsAgainstCommittedBaseline(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "gate_baseline.json")
 	base, err := readGateBaseline(path)
@@ -283,7 +237,7 @@ func TestGateServingExperimentsAgainstCommittedBaseline(t *testing.T) {
 		b.WriteString(`{"experiment":"EXP-L1","title":"t","row":` + itoa(i) + `,"columns":["x"],"values":["1"],"wall_ns":` + i64toa(int64(l1)) + "}\n")
 	}
 	for i := 0; i < 6; i++ {
-		b.WriteString(`{"type":"point","experiment":"EXP-L2","index":` + itoa(i) + `,"points":6,"row":[1],"cells":["1"],"wall_ns":` + i64toa(int64(l2)) + "}\n")
+		b.WriteString(`{"experiment":"EXP-L2","title":"t","row":` + itoa(i) + `,"columns":["x"],"values":["1"],"wall_ns":` + i64toa(int64(l2)) + "}\n")
 	}
 	code, out := gateRun(t, []string{"-baseline", path}, b.String())
 	if code != 0 {

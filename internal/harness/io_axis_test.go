@@ -10,11 +10,11 @@ import (
 
 // TestFitDeviceOmegaColumns pins the derived-column wiring on synthetic
 // rows: the fit is computed per engine value, reads the right columns,
-// and survives the shard JSON round-trip's float64 widening.
+// and accepts numbers widened to float64.
 func TestFitDeviceOmegaColumns(t *testing.T) {
 	// Engine "a": wall = 100·Qr + 300·Qw (ω̂ = 3); engine "b": wall =
 	// 100·Qr + 800·Qw (ω̂ = 8). Two read/write mixes per engine keep each
-	// fit identifiable. Numbers arrive as float64, as after a JSON trip.
+	// fit identifiable. Numbers arrive as float64.
 	mk := func(engine string, qr, qw float64, alpha, beta float64) Row {
 		return Row{"alg", float64(64), engine, qr, qw, 0, alpha*qr + beta*qw}
 	}

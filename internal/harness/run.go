@@ -1,8 +1,7 @@
 package harness
 
 // Run executes the specs' grids on one shared in-process worker pool of
-// at most par goroutines — it is shorthand for LocalPool (see executor.go
-// for how it relates to the point-stream path). emit is called
+// at most par goroutines — it is shorthand for LocalPool. emit is called
 // exactly once per spec, in the order of specs, as soon as each table and
 // all of its predecessors are assembled. Every point owns a private
 // machine and derives its inputs from fixed seeds, so points are
@@ -15,7 +14,9 @@ package harness
 // and its first panic message — multiple failures are aggregated, not
 // dropped.
 func Run(specs []*Spec, par int, emit func(*Table)) {
-	(&LocalPool{Par: par}).Execute(specs, emit)
+	if err := (&LocalPool{Par: par}).Execute(specs, emit); err != nil {
+		panic(err.Error())
+	}
 }
 
 // RunAll runs every experiment at the given parallelism and returns the

@@ -2,6 +2,7 @@ package harness
 
 import (
 	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"sync/atomic"
@@ -313,6 +314,88 @@ func TestRunAllCoversEveryExperiment(t *testing.T) {
 		}
 		if len(tbl.Rows) == 0 {
 			t.Errorf("%s produced no rows", tbl.ID)
+		}
+	}
+}
+
+// gridSpecs builds a small multi-spec registry exercising every table
+// feature: a multi-axis grid with a dynamic axis, Skip, predicted-bound
+// columns and a derived column over the finished grid; and a second
+// plain spec of strings and floats.
+func gridSpecs() []*Spec {
+	grid := &Spec{
+		ID:    "GRID",
+		Title: "synthetic multi-axis grid",
+		Axes: []Axis{
+			{Name: "a", Values: Ints(1, 2, 3)},
+			{Name: "b", Values: Ints(10, 20, 30, 40)},
+			{Name: "c", Dyn: func(outer Point) []interface{} { return Ints(0, outer.Int("a")) }},
+		},
+		Skip: func(p Point) bool { return p.Int("b") == 30 && p.Int("c") == 0 },
+		Columns: append(Cols("a", "b", "c", "sum"),
+			Column{Name: "ratio", Pred: func(p Point) float64 { return float64(p.Int("b")) }}),
+		Derived: []DerivedColumn{
+			{Name: "vs first", From: func(rows []Row, i int) interface{} {
+				return toFloat(rows[i][3]) / toFloat(rows[0][3])
+			}},
+		},
+		Point: func(p Point) Row {
+			s := p.Int("a") + p.Int("b") + p.Int("c")
+			return Row{p.Int("a"), p.Int("b"), p.Int("c"), s, s}
+		},
+	}
+	labels := &Spec{
+		ID:      "LABELS",
+		Title:   "strings and floats",
+		Axes:    []Axis{{Name: "s", Values: Vals("x", "y,z", `q"r`)}},
+		Columns: Cols("s", "third"),
+		Point: func(p Point) Row {
+			return Row{p.Str("s"), 1.0 / 3.0}
+		},
+	}
+	return []*Spec{grid, labels}
+}
+
+// TestLocalPoolTiming: with Timing set, every emitted table carries one
+// wall-clock entry per row, rendered as a trailing "wall ms" column and a
+// wall_ns JSON field — and with Timing unset nothing changes, which is
+// what keeps the recorded goldens stable.
+func TestLocalPoolTiming(t *testing.T) {
+	specs := gridSpecs()
+	var timed, plain []*Table
+	(&LocalPool{Par: 4, Timing: true}).Execute(specs, func(tbl *Table) { timed = append(timed, tbl) })
+	(&LocalPool{Par: 4}).Execute(gridSpecs(), func(tbl *Table) { plain = append(plain, tbl) })
+
+	for i, tbl := range timed {
+		if len(tbl.WallNS) != len(tbl.Rows) {
+			t.Fatalf("%s: %d wall-clock entries for %d rows", tbl.ID, len(tbl.WallNS), len(tbl.Rows))
+		}
+		var text bytes.Buffer
+		tbl.Render(&text)
+		if !strings.Contains(text.String(), "wall ms") {
+			t.Errorf("%s: timed rendering lacks the wall ms column", tbl.ID)
+		}
+		var jb bytes.Buffer
+		if err := tbl.JSON(&jb); err != nil {
+			t.Fatal(err)
+		}
+		var rec struct {
+			WallNS *int64 `json:"wall_ns"`
+		}
+		if err := json.Unmarshal([]byte(strings.SplitN(jb.String(), "\n", 2)[0]), &rec); err != nil {
+			t.Fatal(err)
+		}
+		if rec.WallNS == nil {
+			t.Errorf("%s: timed JSON record lacks wall_ns", tbl.ID)
+		}
+
+		if plain[i].WallNS != nil {
+			t.Fatalf("%s: timing attached without Timing", plain[i].ID)
+		}
+		var ptext bytes.Buffer
+		plain[i].Render(&ptext)
+		if strings.Contains(ptext.String(), "wall ms") {
+			t.Errorf("%s: untimed rendering grew a wall ms column", plain[i].ID)
 		}
 	}
 }

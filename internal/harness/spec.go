@@ -82,13 +82,9 @@ func Cols(names ...string) []Column {
 // DerivedColumn is computed after every grid point has run, from the full
 // raw row set — for summary cells that relate rows to each other, like a
 // cost ratio against a baseline row.
-//
-// When a grid runs sharded, the raw rows reach the merge step through a
-// JSON round-trip, which widens every number to float64. From hooks must
-// therefore treat numeric entries generically (toFloat accepts int,
-// int64, uint64 and float64 alike) rather than type-asserting concrete
-// integer types — the shard/merge byte-identity property test enforces
-// this for the registry.
+// From hooks should treat numeric entries generically (toFloat accepts
+// int, int64, uint64 and float64 alike) rather than type-asserting
+// concrete integer types.
 type DerivedColumn struct {
 	Name string
 	From func(rows []Row, i int) interface{}

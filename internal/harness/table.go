@@ -182,22 +182,6 @@ func ByID(id string) (*Spec, bool) {
 	return nil, false
 }
 
-// Resolve maps the experiment IDs a stream manifest, residual spec or
-// coordinator names to this binary's specs, in order. An unknown ID means
-// the IDs came from a different registry; callers word that drift for
-// their own input.
-func Resolve(ids []string) ([]*Spec, error) {
-	specs := make([]*Spec, len(ids))
-	for i, id := range ids {
-		s, ok := ByID(id)
-		if !ok {
-			return nil, fmt.Errorf("unknown experiment %s", id)
-		}
-		specs[i] = s
-	}
-	return specs, nil
-}
-
 // Select resolves a comma-separated list of experiment ids into specs, in
 // the order given. The empty string and "all" select the full default
 // registry (auxiliary specs must be named explicitly). Duplicate ids
