@@ -32,9 +32,9 @@ import (
 //     aligned buffer from a pool, so concurrent readers never share one.
 //     Where O_DIRECT is unavailable (non-Linux, or tmpfs) the engine
 //     degrades to buffered positional I/O straight through the caller's
-//     items and reports Direct() == false.
+//     items.
 //
-// Storage I/O failures panic: the machine's Read/Write signatures are
+// Storage I/O failures panic: the machine's ReadInto/Write signatures are
 // error-free by design (an algorithm cannot meaningfully continue on a
 // half-read block), so a failing device is an assertion failure like an
 // out-of-range address, not a recoverable condition.
@@ -179,13 +179,6 @@ func NewTempFileStorage(dir string, blockSize int, mode FileMode) (*FileStorage,
 // Path returns the backing file's path.
 func (s *FileStorage) Path() string { return s.path }
 
-// Direct reports whether O_DIRECT transfers actually engaged (false in
-// mmap mode, on non-Linux platforms, and on filesystems that reject it).
-func (s *FileStorage) Direct() bool { return s.direct }
-
-// Mapped reports whether the engine serves transfers through a mapping.
-func (s *FileStorage) Mapped() bool { return s.useMmap }
-
 // BlockSize returns the engine's fixed per-block item capacity, letting
 // NewWithStorage reject machines whose B exceeds it.
 func (s *FileStorage) BlockSize() int { return s.b }
@@ -225,15 +218,11 @@ func (s *FileStorage) Alloc(count int) Addr {
 // NumBlocks implements Storage.
 func (s *FileStorage) NumBlocks() int { return s.n }
 
-// Len implements Storage.
-func (s *FileStorage) Len(a Addr) int {
-	seg, off := locate(a)
-	return int(s.lens[seg][off])
-}
-
 // ReadInto implements Storage.
 func (s *FileStorage) ReadInto(a Addr, dst []Item) []Item {
-	n := s.Len(a)
+	s.mustOpen("ReadInto")
+	seg, slot := locate(a)
+	n := int(s.lens[seg][slot])
 	dst = sizedDst(dst, n)
 	if n == 0 {
 		return dst
@@ -298,16 +287,6 @@ func (s *FileStorage) Reset() {
 	s.lens.clear(s.n, 1)
 	s.n = 0
 	s.capBlk = 0
-}
-
-// Caps implements Storage: data-bearing, persistent, and slot-aligned in
-// direct mode.
-func (s *FileStorage) Caps() StorageCaps {
-	align := 0
-	if !s.useMmap {
-		align = directAlign
-	}
-	return StorageCaps{RetainsData: true, Persistent: true, BlockAlign: align}
 }
 
 // Sync implements Storage: flush written blocks to the device. fsync

@@ -145,14 +145,14 @@ func TestFileStorageTornBlock(t *testing.T) {
 
 // TestFileStorageDirectAlignment pins the direct mode's file geometry:
 // slots are directAlign multiples so O_DIRECT offsets and lengths stay
-// legal, and the engine reports the alignment through its caps.
+// legal, and the registry declares that alignment in the engine's caps.
 func TestFileStorageDirectAlignment(t *testing.T) {
 	s := newFileEngine(t, FileDirect, 4)
 	if s.Stride()%directAlign != 0 {
 		t.Errorf("direct stride %d not a multiple of %d", s.Stride(), directAlign)
 	}
-	if got := s.Caps().BlockAlign; got != directAlign {
-		t.Errorf("direct caps alignment %d, want %d", got, directAlign)
+	if e, _ := EngineByName("file-direct"); e.Caps.BlockAlign != directAlign {
+		t.Errorf("direct caps alignment %d, want %d", e.Caps.BlockAlign, directAlign)
 	}
 	mm := newFileEngine(t, FileMmap, 4)
 	if mm.Stride() != 4*int64(itemSize) {
@@ -192,22 +192,37 @@ func TestFileStorageCloseRemovesOwnedFile(t *testing.T) {
 	}
 }
 
-// TestFileStorageUseAfterClose: the lifecycle is explicit — mutating a
-// closed engine is a programming error and panics like any other machine
+// TestFileStorageUseAfterClose: the lifecycle is explicit — using a
+// closed engine is a programming error and panics, in both modes, with
+// the engine's own message naming the call, like any other machine
 // assertion.
 func TestFileStorageUseAfterClose(t *testing.T) {
-	s, err := NewTempFileStorage(t.TempDir(), 4, FileMmap)
-	if err != nil {
-		t.Fatal(err)
+	calls := []struct {
+		op   string
+		call func(s *FileStorage)
+	}{
+		{"Alloc", func(s *FileStorage) { s.Alloc(1) }},
+		{"ReadInto", func(s *FileStorage) { s.ReadInto(0, make([]Item, 0, 4)) }},
 	}
-	s.Close()
-	defer expectPanic(t, "after Close")
-	s.Alloc(1)
+	for _, m := range fileModes {
+		for _, c := range calls {
+			t.Run(m.name+"/"+c.op, func(t *testing.T) {
+				s := newFileEngine(t, m.mode, 4)
+				s.Alloc(1)
+				s.Write(0, []Item{{1, 1}})
+				s.Close()
+				defer expectPanic(t, c.op+" after Close")
+				c.call(s)
+			})
+		}
+	}
 }
 
 // TestStorageByName pins the registry: every registered name constructs
-// an engine matching its advertised caps, and the unknown-name error —
-// the single diagnostic every layer now shares — lists the valid names.
+// an empty engine that behaves as its declared caps say (it reads back
+// what it was given exactly when RetainsData, and is the file engine
+// exactly when Persistent), and the unknown-name error — the single
+// diagnostic every layer now shares — lists the valid names.
 func TestStorageByName(t *testing.T) {
 	t.Setenv(FileDirEnv, t.TempDir())
 	for _, e := range Engines() {
@@ -215,11 +230,17 @@ func TestStorageByName(t *testing.T) {
 		if err != nil {
 			t.Fatalf("StorageByName(%s): %v", e.Name, err)
 		}
-		if got := s.Caps(); got != e.Caps {
-			t.Errorf("%s: constructed caps %+v differ from registry caps %+v", e.Name, got, e.Caps)
-		}
 		if s.NumBlocks() != 0 {
 			t.Errorf("%s: registry produced a non-empty engine", e.Name)
+		}
+		s.Alloc(1)
+		s.Write(0, []Item{{Key: 7, Aux: 8}})
+		got := s.ReadInto(0, nil)
+		if retains := len(got) == 1 && got[0] == (Item{Key: 7, Aux: 8}); retains != e.Caps.RetainsData {
+			t.Errorf("%s: read back %v, but caps declare RetainsData=%t", e.Name, got, e.Caps.RetainsData)
+		}
+		if _, file := s.(*FileStorage); file != e.Caps.Persistent {
+			t.Errorf("%s: engine %T, but caps declare Persistent=%t", e.Name, s, e.Caps.Persistent)
 		}
 		if err := s.Close(); err != nil {
 			t.Errorf("%s: Close: %v", e.Name, err)

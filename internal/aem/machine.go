@@ -32,9 +32,10 @@ type TraceOp struct {
 // memory, an internal memory capacity meter, and I/O cost accounting.
 //
 // The external memory's contents live in a pluggable Storage engine; the
-// machine itself owns only the cost model. New machines default to the
-// reference SliceStorage — use NewWithStorage to run on the zero-allocation
-// ArenaStorage or the data-free CountingStorage (or any future engine).
+// machine itself owns only the cost model. Every transfer, costed or free,
+// reaches the engine through the one Storage reference the machine holds,
+// so each engine runs the same machine code. New machines default to the
+// reference SliceStorage — use NewWithStorage to run on another engine.
 //
 // The simulator deliberately does not model internal memory *contents* —
 // internal computation is free in the model — but it does meter how many
@@ -57,16 +58,7 @@ type Machine struct {
 	peak     int
 	sink     TraceSink
 	started  *MemorySink // sink installed by StartTrace, if any
-
-	// Concrete-engine fast paths, resolved by one type switch at
-	// construction so the per-I/O hot path never pays interface dispatch
-	// for the built-in engines. At most one is non-nil; all nil means an
-	// external engine served through the Storage interface.
-	arena    *ArenaStorage
-	counting *CountingStorage
-	file     *FileStorage
-
-	zeros []Item // lazily built zero block for ScanWrites on data engines
+	zeros    []Item      // lazily built zero block for ScanWrites on data engines
 }
 
 // New returns a fresh machine backed by the reference slice engine. It
@@ -93,14 +85,6 @@ func NewWithStorage(cfg Config, store Storage) *Machine {
 		panic(fmt.Sprintf("aem: NewWithStorage: engine block capacity %d < B = %d", sized.BlockSize(), cfg.B))
 	}
 	ma := &Machine{cfg: cfg, store: store}
-	switch s := store.(type) {
-	case *ArenaStorage:
-		ma.arena = s
-	case *CountingStorage:
-		ma.counting = s
-	case *FileStorage:
-		ma.file = s
-	}
 	ma.phaseSlot = ma.phases.slot("main")
 	ma.phase = "main"
 	return ma
@@ -145,9 +129,6 @@ func (ma *Machine) Close() error { return ma.store.Close() }
 
 // Sync flushes the storage engine's written blocks to its backing device.
 func (ma *Machine) Sync() error { return ma.store.Sync() }
-
-// Storage returns the machine's storage engine.
-func (ma *Machine) Storage() Storage { return ma.store }
 
 // Stats returns the accumulated I/O counts.
 func (ma *Machine) Stats() Stats { return ma.stats }
@@ -218,7 +199,7 @@ func (ma *Machine) StopTrace() []TraceOp {
 func (ma *Machine) Tracing() bool { return ma.sink != nil }
 
 // NumBlocks returns the number of blocks currently allocated on disk.
-func (ma *Machine) NumBlocks() int { return ma.nblocks() }
+func (ma *Machine) NumBlocks() int { return ma.store.NumBlocks() }
 
 // Alloc reserves count fresh, empty, contiguous blocks of external memory
 // and returns the address of the first. Allocation itself is free: the
@@ -231,34 +212,15 @@ func (ma *Machine) Alloc(count int) Addr {
 	return ma.store.Alloc(count)
 }
 
-// Read performs one read I/O and returns a copy of the block's contents
-// (between 0 and B items). The copy models the transfer into internal
-// memory; callers own the returned slice but must account for its footprint
-// with Reserve if they retain it.
-//
-// Read allocates the returned slice on every call; hot paths should use
-// ReadInto with a reused buffer instead.
-func (ma *Machine) Read(a Addr) []Item {
-	return ma.ReadInto(a, nil)
-}
-
-// ReadInto performs one read I/O, copies the block's contents into dst and
-// returns the filled prefix. With cap(dst) ≥ B it performs no allocation —
-// this is the hot path every algorithm package uses, and the reason the
-// arena engine reaches zero allocations per I/O. The previous contents of
-// dst are overwritten; the returned slice aliases dst.
+// ReadInto performs one read I/O, copies the block's contents (between 0
+// and B items) into dst and returns the filled prefix. The copy models the
+// transfer into internal memory; callers that retain it must account for
+// its footprint with Reserve. With cap(dst) ≥ B it performs no allocation;
+// with a smaller dst (nil included) the result is freshly allocated. The
+// previous contents of dst are overwritten; the returned slice aliases dst.
 func (ma *Machine) ReadInto(a Addr, dst []Item) []Item {
 	ma.checkAddr(a, "ReadInto")
 	ma.count(OpRead, a)
-	if ma.arena != nil {
-		return ma.arena.ReadInto(a, dst)
-	}
-	if ma.counting != nil {
-		return ma.counting.ReadInto(a, dst)
-	}
-	if ma.file != nil {
-		return ma.file.ReadInto(a, dst)
-	}
 	return ma.store.ReadInto(a, dst)
 }
 
@@ -271,24 +233,6 @@ func (ma *Machine) Write(a Addr, items []Item) {
 		panic(fmt.Sprintf("aem: Write(%d): %d items exceed block size B=%d", a, len(items), ma.cfg.B))
 	}
 	ma.count(OpWrite, a)
-	ma.storeWrite(a, items)
-}
-
-// storeWrite dispatches a storage write through the concrete-engine fast
-// path when one is cached.
-func (ma *Machine) storeWrite(a Addr, items []Item) {
-	if ma.arena != nil {
-		ma.arena.Write(a, items)
-		return
-	}
-	if ma.counting != nil {
-		ma.counting.Write(a, items)
-		return
-	}
-	if ma.file != nil {
-		ma.file.Write(a, items)
-		return
-	}
 	ma.store.Write(a, items)
 }
 
@@ -333,8 +277,10 @@ func (ma *Machine) ScanReads(base Addr, blocks int) {
 // subsequent scans of the range see the same sizes the per-op path would
 // leave.
 //
-// On the counting engine the data plane is a bulk length update; on the
-// data-bearing engines each block is zero-filled through the normal
+// On the counting engine the data plane is a bulk length update, the one
+// engine-specific step in the machine: it is EXP-MG1's hot loop, and a
+// per-block Write there would cost as much as the accounting it batches.
+// On the data-bearing engines each block is zero-filled through the normal
 // storage write. With a TraceSink installed the accounting takes the
 // per-op path, so recorded traces are byte-identical to the equivalent
 // Writer run.
@@ -355,15 +301,15 @@ func (ma *Machine) ScanWrites(base Addr, blocks int, lastLen int) {
 		ma.stats.Writes += int64(blocks)
 		ma.phaseSlot.Writes += int64(blocks)
 	}
-	if ma.counting != nil {
-		ma.counting.setLens(base, blocks, int32(ma.cfg.B), int32(lastLen))
+	if c, ok := ma.store.(*CountingStorage); ok {
+		c.setLens(base, blocks, int32(ma.cfg.B), int32(lastLen))
 		return
 	}
 	z := ma.zeroBlock()
 	for i := 0; i < blocks-1; i++ {
-		ma.storeWrite(base+Addr(i), z)
+		ma.store.Write(base+Addr(i), z)
 	}
-	ma.storeWrite(base+Addr(blocks-1), z[:lastLen])
+	ma.store.Write(base+Addr(blocks-1), z[:lastLen])
 }
 
 // zeroBlock returns a B-item all-zero block, built lazily and reused; it
@@ -375,28 +321,14 @@ func (ma *Machine) zeroBlock() []Item {
 	return ma.zeros[:ma.cfg.B]
 }
 
-// Peek returns the block's contents without performing (or costing) an I/O.
-// It exists for test verification and for "program knowledge": in the
-// paper's program model (§2) the structure of the input is known to the
-// program for free; only data movement costs. Algorithms must not use Peek
-// to move item *values* — tests enforce cost bounds that would be violated
-// by such cheating anyway.
-func (ma *Machine) Peek(a Addr) []Item {
-	return ma.PeekInto(a, nil)
-}
-
-// PeekInto is Peek with a caller-owned buffer, mirroring ReadInto.
+// PeekInto copies the block's contents into dst like ReadInto, without
+// performing (or costing) an I/O. It exists for test verification and for
+// "program knowledge": in the paper's program model (§2) the structure of
+// the input is known to the program for free; only data movement costs.
+// Algorithms must not use PeekInto to move item *values* — tests enforce
+// cost bounds that would be violated by such cheating anyway.
 func (ma *Machine) PeekInto(a Addr, dst []Item) []Item {
 	ma.checkAddr(a, "PeekInto")
-	if ma.arena != nil {
-		return ma.arena.ReadInto(a, dst)
-	}
-	if ma.counting != nil {
-		return ma.counting.ReadInto(a, dst)
-	}
-	if ma.file != nil {
-		return ma.file.ReadInto(a, dst)
-	}
 	return ma.store.ReadInto(a, dst)
 }
 
@@ -408,7 +340,7 @@ func (ma *Machine) Poke(a Addr, items []Item) {
 	if len(items) > ma.cfg.B {
 		panic(fmt.Sprintf("aem: Poke(%d): %d items exceed block size B=%d", a, len(items), ma.cfg.B))
 	}
-	ma.storeWrite(a, items)
+	ma.store.Write(a, items)
 }
 
 // Reserve meters the allocation of slots items of internal memory. It
@@ -461,28 +393,13 @@ func (ma *Machine) checkRange(base Addr, blocks int, op string) {
 	if blocks < 0 {
 		panic(fmt.Sprintf("aem: %s(%d, %d): negative block count", op, base, blocks))
 	}
-	if base < 0 || int(base)+blocks > ma.nblocks() {
-		panic(fmt.Sprintf("aem: %s(%d, %d): range outside [0,%d)", op, base, blocks, ma.nblocks()))
+	if n := ma.store.NumBlocks(); base < 0 || int(base)+blocks > n {
+		panic(fmt.Sprintf("aem: %s(%d, %d): range outside [0,%d)", op, base, blocks, n))
 	}
 }
 
 func (ma *Machine) checkAddr(a Addr, op string) {
-	if a < 0 || int(a) >= ma.nblocks() {
-		panic(fmt.Sprintf("aem: %s(%d): address out of range [0,%d)", op, a, ma.nblocks()))
+	if n := ma.store.NumBlocks(); a < 0 || int(a) >= n {
+		panic(fmt.Sprintf("aem: %s(%d): address out of range [0,%d)", op, a, n))
 	}
-}
-
-// nblocks is NumBlocks through the concrete-engine fast path: the address
-// check runs on every I/O, so it must not pay interface dispatch either.
-func (ma *Machine) nblocks() int {
-	if ma.arena != nil {
-		return ma.arena.n
-	}
-	if ma.counting != nil {
-		return ma.counting.n
-	}
-	if ma.file != nil {
-		return ma.file.n
-	}
-	return ma.store.NumBlocks()
 }

@@ -72,31 +72,6 @@ func BenchmarkArenaReadInto(b *testing.B) {
 	}
 }
 
-// BenchmarkMachineLegacyRead pins the cost of the allocating Read path the
-// algorithm packages migrated away from, for comparison in benchstat.
-func BenchmarkMachineLegacyRead(b *testing.B) {
-	cfg := benchConfig()
-	for _, eng := range benchEngines(cfg) {
-		if eng.name == "counting" {
-			continue // identical to arena here: nothing to copy
-		}
-		b.Run(eng.name, func(b *testing.B) {
-			ma := NewWithStorage(cfg, eng.make())
-			const blocks = 1 << 12
-			base := ma.Alloc(blocks)
-			blk := make([]Item, cfg.B)
-			for i := 0; i < blocks; i++ {
-				ma.Poke(base+Addr(i), blk)
-			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				_ = ma.Read(base + Addr(i&(blocks-1)))
-			}
-		})
-	}
-}
-
 // BenchmarkScanner measures the streaming read path (the substrate of
 // every algorithm's scans) per engine.
 func BenchmarkScanner(b *testing.B) {

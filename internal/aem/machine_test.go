@@ -79,9 +79,9 @@ func TestReadWriteCostAccounting(t *testing.T) {
 
 	ma.Write(a, []Item{{1, 0}, {2, 0}})
 	ma.Write(a+1, []Item{{3, 0}})
-	got := ma.Read(a)
+	got := ma.ReadInto(a, nil)
 	if len(got) != 2 || got[0].Key != 1 || got[1].Key != 2 {
-		t.Errorf("Read(a) = %v, want [{1 0} {2 0}]", got)
+		t.Errorf("ReadInto(a) = %v, want [{1 0} {2 0}]", got)
 	}
 
 	st := ma.Stats()
@@ -97,11 +97,11 @@ func TestReadReturnsCopy(t *testing.T) {
 	ma := New(testConfig())
 	a := ma.Alloc(1)
 	ma.Write(a, []Item{{1, 0}})
-	got := ma.Read(a)
+	got := ma.ReadInto(a, nil)
 	got[0].Key = 99
-	again := ma.Read(a)
+	again := ma.ReadInto(a, nil)
 	if again[0].Key != 1 {
-		t.Errorf("mutating a Read result leaked into the disk: got key %d", again[0].Key)
+		t.Errorf("mutating a ReadInto result leaked into the disk: got key %d", again[0].Key)
 	}
 }
 
@@ -111,7 +111,7 @@ func TestWriteStoresCopy(t *testing.T) {
 	items := []Item{{1, 0}}
 	ma.Write(a, items)
 	items[0].Key = 99
-	if got := ma.Peek(a); got[0].Key != 1 {
+	if got := ma.PeekInto(a, nil); got[0].Key != 1 {
 		t.Errorf("mutating the Write argument leaked into the disk: got key %d", got[0].Key)
 	}
 }
@@ -127,11 +127,11 @@ func TestPokeAndPeekAreFree(t *testing.T) {
 	ma := New(testConfig())
 	a := ma.Alloc(1)
 	ma.Poke(a, []Item{{7, 0}})
-	if got := ma.Peek(a); len(got) != 1 || got[0].Key != 7 {
-		t.Errorf("Peek = %v, want [{7 0}]", got)
+	if got := ma.PeekInto(a, nil); len(got) != 1 || got[0].Key != 7 {
+		t.Errorf("PeekInto = %v, want [{7 0}]", got)
 	}
 	if st := ma.Stats(); st.Reads != 0 || st.Writes != 0 {
-		t.Errorf("Poke/Peek cost I/O: %+v", st)
+		t.Errorf("Poke/PeekInto cost I/O: %+v", st)
 	}
 }
 
@@ -139,7 +139,7 @@ func TestAddressBoundsChecked(t *testing.T) {
 	ma := New(testConfig())
 	ma.Alloc(1)
 	defer expectPanic(t, "out of range")
-	ma.Read(5)
+	ma.ReadInto(5, nil)
 }
 
 func TestMemoryAccounting(t *testing.T) {
@@ -178,8 +178,8 @@ func TestPhaseAccounting(t *testing.T) {
 	ma.SetPhase("first")
 	ma.Write(a, []Item{{1, 0}})
 	ma.SetPhase("second")
-	ma.Read(a)
-	ma.Read(a)
+	ma.ReadInto(a, nil)
+	ma.ReadInto(a, nil)
 
 	p := ma.Phases()
 	if got := p.Phase("first"); got.Writes != 1 || got.Reads != 0 {
@@ -203,9 +203,9 @@ func TestPhaseRestoreAccounting(t *testing.T) {
 	ma.Write(a, []Item{{1, 0}})
 	pair := func() {
 		prev := ma.SetPhase("inner")
-		ma.Read(a)
+		ma.ReadInto(a, nil)
 		ma.SetPhase(prev)
-		ma.Read(a)
+		ma.ReadInto(a, nil)
 	}
 	check := func(when string, inner, outer int64) {
 		t.Helper()
@@ -238,7 +238,7 @@ func TestTraceRecording(t *testing.T) {
 	a := ma.Alloc(2)
 	ma.Write(a, []Item{{1, 0}}) // before trace: not recorded
 	ma.StartTrace()
-	ma.Read(a)
+	ma.ReadInto(a, nil)
 	ma.Write(a+1, []Item{{2, 0}})
 	ops := ma.StopTrace()
 	want := []TraceOp{{OpRead, a}, {OpWrite, a + 1}}
@@ -250,7 +250,7 @@ func TestTraceRecording(t *testing.T) {
 			t.Errorf("trace[%d] = %+v, want %+v", i, ops[i], want[i])
 		}
 	}
-	ma.Read(a) // after trace: not recorded
+	ma.ReadInto(a, nil) // after trace: not recorded
 	if ma.Tracing() {
 		t.Error("machine still tracing after StopTrace")
 	}
@@ -264,7 +264,7 @@ func TestResetStats(t *testing.T) {
 	if st := ma.Stats(); st != (Stats{}) {
 		t.Errorf("Stats after reset = %+v, want zero", st)
 	}
-	if got := ma.Peek(a); len(got) != 1 {
+	if got := ma.PeekInto(a, nil); len(got) != 1 {
 		t.Error("ResetStats clobbered disk contents")
 	}
 }

@@ -32,9 +32,8 @@ type Engine struct {
 // os.TempDir()). Point it at a mounted device to measure that device.
 const FileDirEnv = "AEM_FILE_DIR"
 
-var fileCaps = StorageCaps{RetainsData: true, Persistent: true}
-
-// engineTable is the registry, in help order. File engines are built over
+// engineTable is the registry, in help order, and the one place engine
+// capabilities are declared. File engines are built over
 // registry-owned temp files (removed on Close) under FileDirEnv.
 var engineTable = []Engine{
 	{
@@ -58,7 +57,7 @@ var engineTable = []Engine{
 	{
 		Name:    "file",
 		Summary: "file-backed external memory via one fixed mmap window (temp file under $" + FileDirEnv + ", removed on Close)",
-		Caps:    fileCaps,
+		Caps:    StorageCaps{RetainsData: true, Persistent: true},
 		New: func(b int) (Storage, error) {
 			return NewTempFileStorage(os.Getenv(FileDirEnv), b, FileMmap)
 		},

@@ -135,7 +135,7 @@ func TestMachineStreamSinkMatchesMemorySink(t *testing.T) {
 		ma.Write(a, []Item{{1, 0}})
 		ma.ReadInto(a, make([]Item, 0, 4))
 		ma.Write(a+2, nil)
-		ma.Read(a + 2)
+		ma.ReadInto(a+2, nil)
 	}
 
 	ma1 := New(Config{M: 16, B: 4, Omega: 2})

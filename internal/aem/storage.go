@@ -9,9 +9,15 @@ import "fmt"
 // backend, and new engines (mmap'd disk, compressed blocks, sharding) plug
 // in without touching the algorithms.
 //
-// The Machine's costed Read/Write and free Peek/Poke all map onto the same
+// The Machine holds one Storage and calls it directly on every transfer:
+// its costed ReadInto/Write and free PeekInto/Poke all map onto the same
 // two data methods here — whether a transfer is billed is the cost model's
-// business, not the storage's.
+// business, not the storage's. The one engine-specific step in the machine
+// is ScanWrites' bulk length update on CountingStorage.
+//
+// What an engine can do (keep values, live on a device, align slots) is
+// not asked of the engine: it is declared once, as StorageCaps in the
+// engine's registry entry (Engines, EngineByName).
 //
 // Implementations may assume addresses are in range [0, NumBlocks()) and
 // len(items) ≤ the machine's block size B: the Machine validates both
@@ -33,13 +39,11 @@ type Storage interface {
 	// NumBlocks returns the number of blocks allocated so far.
 	NumBlocks() int
 
-	// Len returns the number of items currently stored in block a
-	// (0 for a never-written block).
-	Len(a Addr) int
-
 	// ReadInto copies block a's contents into dst and returns the filled
-	// prefix dst[:Len(a)]. If cap(dst) < Len(a) a fresh slice is returned
-	// instead; callers that pass a capacity-B buffer never allocate.
+	// prefix, whose length is that of the block's last Write (0 for a
+	// never-written block). If cap(dst) is smaller a fresh slice is
+	// returned instead; callers that pass a capacity-B buffer never
+	// allocate.
 	//
 	// ReadInto of a written block is the one concurrent operation: it is
 	// safe while another goroutine calls Alloc, Write to other blocks, or
@@ -61,11 +65,6 @@ type Storage interface {
 	// contents, never a previous run's values.
 	Reset()
 
-	// Caps reports the engine's capabilities; callers use it to decide
-	// which programs an engine can serve (data retention) and how to
-	// manage its lifetime (persistence), instead of switching on names.
-	Caps() StorageCaps
-
 	// Sync flushes written blocks to the backing device. A no-op for RAM
 	// engines; the file engine flushes its descriptor, so a subsequent
 	// crash cannot tear previously synced blocks.
@@ -76,9 +75,10 @@ type Storage interface {
 	Close() error
 }
 
-// StorageCaps are an engine's capability flags. They generalize what used
-// to be name-switches: "is this the counting engine?" becomes
-// !RetainsData, and "does this machine need closing?" becomes Persistent.
+// StorageCaps are an engine's capability flags, declared once per engine
+// in the registry (Engine.Caps) so callers can ask without constructing
+// one. "Is this the counting engine?" is !RetainsData, and "does this
+// machine need closing?" is Persistent.
 type StorageCaps struct {
 	// RetainsData reports whether reads return previously written values.
 	// The counting engine sets it false; only data-oblivious programs
@@ -144,18 +144,10 @@ func (s *SliceStorage) Alloc(count int) Addr {
 // NumBlocks implements Storage.
 func (s *SliceStorage) NumBlocks() int { return s.n }
 
-// Len implements Storage.
-func (s *SliceStorage) Len(a Addr) int { return len(s.block(a)) }
-
-// block returns block a's slice.
-func (s *SliceStorage) block(a Addr) []Item {
-	seg, off := locate(a)
-	return s.blocks[seg][off]
-}
-
 // ReadInto implements Storage.
 func (s *SliceStorage) ReadInto(a Addr, dst []Item) []Item {
-	blk := s.block(a)
+	seg, off := locate(a)
+	blk := s.blocks[seg][off]
 	dst = sizedDst(dst, len(blk))
 	copy(dst, blk)
 	return dst
@@ -197,9 +189,6 @@ func (s *SliceStorage) Reset() {
 	s.blocks.clear(s.n, 1)
 	s.n = 0
 }
-
-// Caps implements Storage: data-bearing, RAM-resident.
-func (s *SliceStorage) Caps() StorageCaps { return StorageCaps{RetainsData: true} }
 
 // Sync implements Storage; RAM engines have nothing to flush.
 func (s *SliceStorage) Sync() error { return nil }
@@ -249,12 +238,6 @@ func (s *ArenaStorage) NumBlocks() int { return s.n }
 // uses it to reject engines that cannot hold a full B-item block.
 func (s *ArenaStorage) BlockSize() int { return s.b }
 
-// Len implements Storage.
-func (s *ArenaStorage) Len(a Addr) int {
-	seg, off := locate(a)
-	return int(s.lens[seg][off])
-}
-
 // ReadInto implements Storage.
 func (s *ArenaStorage) ReadInto(a Addr, dst []Item) []Item {
 	seg, off := locate(a)
@@ -281,9 +264,6 @@ func (s *ArenaStorage) Reset() {
 	s.lens.clear(s.n, 1)
 	s.n = 0
 }
-
-// Caps implements Storage: data-bearing, RAM-resident.
-func (s *ArenaStorage) Caps() StorageCaps { return StorageCaps{RetainsData: true} }
 
 // Sync implements Storage; RAM engines have nothing to flush.
 func (s *ArenaStorage) Sync() error { return nil }
@@ -321,16 +301,11 @@ func (s *CountingStorage) Alloc(count int) Addr {
 // NumBlocks implements Storage.
 func (s *CountingStorage) NumBlocks() int { return s.n }
 
-// Len implements Storage.
-func (s *CountingStorage) Len(a Addr) int {
-	seg, off := locate(a)
-	return int(s.lens[seg][off])
-}
-
 // ReadInto implements Storage. The returned prefix is zeroed rather than
 // left with stale buffer contents so that runs are deterministic.
 func (s *CountingStorage) ReadInto(a Addr, dst []Item) []Item {
-	dst = sizedDst(dst, s.Len(a))
+	seg, off := locate(a)
+	dst = sizedDst(dst, int(s.lens[seg][off]))
 	clear(dst)
 	return dst
 }
@@ -346,10 +321,6 @@ func (s *CountingStorage) Reset() {
 	s.lens.clear(s.n, 1)
 	s.n = 0
 }
-
-// Caps implements Storage: no data plane at all — RetainsData is false,
-// which is what prunes this engine from value-branching grid points.
-func (s *CountingStorage) Caps() StorageCaps { return StorageCaps{} }
 
 // Sync implements Storage; RAM engines have nothing to flush.
 func (s *CountingStorage) Sync() error { return nil }

@@ -63,9 +63,11 @@ func TestStorageConformance(t *testing.T) {
 			if s.NumBlocks() != 5 {
 				t.Fatalf("NumBlocks = %d, want 5", s.NumBlocks())
 			}
+			buf := make([]Item, 0, b)
+			blockLen := func(a Addr) int { return len(s.ReadInto(a, buf)) }
 			for a := Addr(0); a < 5; a++ {
-				if s.Len(a) != 0 {
-					t.Fatalf("fresh block %d has length %d", a, s.Len(a))
+				if n := blockLen(a); n != 0 {
+					t.Fatalf("fresh block %d has length %d", a, n)
 				}
 			}
 
@@ -73,13 +75,12 @@ func TestStorageConformance(t *testing.T) {
 			partial := []Item{{7, 70}, {8, 80}}
 			s.Write(1, full)
 			s.Write(2, partial)
-			if s.Len(1) != len(full) || s.Len(2) != len(partial) {
-				t.Fatalf("lengths (%d, %d), want (%d, %d)", s.Len(1), s.Len(2), len(full), len(partial))
+			if blockLen(1) != len(full) || blockLen(2) != len(partial) {
+				t.Fatalf("lengths (%d, %d), want (%d, %d)", blockLen(1), blockLen(2), len(full), len(partial))
 			}
 
 			// Reads with an ample caller buffer return the stored prefix and
 			// alias the buffer (no allocation).
-			buf := make([]Item, 0, b)
 			got := s.ReadInto(1, buf)
 			if len(got) != len(full) {
 				t.Fatalf("ReadInto(1) returned %d items, want %d", len(got), len(full))
@@ -115,8 +116,8 @@ func TestStorageConformance(t *testing.T) {
 			src := []Item{{9, 90}}
 			s.Write(1, src)
 			src[0].Key = 99
-			if s.Len(1) != 1 {
-				t.Fatalf("overwritten block length %d, want 1", s.Len(1))
+			if n := blockLen(1); n != 1 {
+				t.Fatalf("overwritten block length %d, want 1", n)
 			}
 			if eng.hasData {
 				if got := s.ReadInto(1, buf); got[0].Key != 9 {
@@ -126,8 +127,8 @@ func TestStorageConformance(t *testing.T) {
 
 			// Empty write empties the block.
 			s.Write(1, nil)
-			if s.Len(1) != 0 || len(s.ReadInto(1, buf)) != 0 {
-				t.Fatalf("empty Write left length %d", s.Len(1))
+			if n := blockLen(1); n != 0 {
+				t.Fatalf("empty Write left length %d", n)
 			}
 		})
 	}
@@ -192,9 +193,6 @@ func checkNeighbours(t *testing.T, s Storage, b int) {
 	s.Reset()
 	s.Alloc(2)
 	for a := Addr(0); a < 2; a++ {
-		if s.Len(a) != 0 {
-			t.Fatalf("block %d has length %d after Reset, want 0", a, s.Len(a))
-		}
 		expect(a, []Item{})
 	}
 	s.Write(1, fill(5, b))
@@ -324,16 +322,16 @@ func TestMachineOnEveryBackend(t *testing.T) {
 			continue
 		}
 		if ma.Stats() != ref.Stats() {
-			t.Errorf("%T stats %+v differ from reference %+v", ma.Storage(), ma.Stats(), ref.Stats())
+			t.Errorf("%s stats %+v differ from reference %+v", eng.name, ma.Stats(), ref.Stats())
 		}
 		if ma.Cost() != ref.Cost() {
-			t.Errorf("%T cost %d differs from reference %d", ma.Storage(), ma.Cost(), ref.Cost())
+			t.Errorf("%s cost %d differs from reference %d", eng.name, ma.Cost(), ref.Cost())
 		}
 		if ma.Phases().Phase("copy") != ref.Phases().Phase("copy") {
-			t.Errorf("%T phase accounting differs", ma.Storage())
+			t.Errorf("%s phase accounting differs", eng.name)
 		}
 		if ma.NumBlocks() != ref.NumBlocks() {
-			t.Errorf("%T allocated %d blocks, reference %d", ma.Storage(), ma.NumBlocks(), ref.NumBlocks())
+			t.Errorf("%s allocated %d blocks, reference %d", eng.name, ma.NumBlocks(), ref.NumBlocks())
 		}
 	}
 }
@@ -455,6 +453,46 @@ func TestScannerZeroAllocSteadyState(t *testing.T) {
 			})
 			if allocs != 0 {
 				t.Errorf("scanner steady state allocates %.1f per block, want 0", allocs)
+			}
+		})
+	}
+}
+
+// TestLocalScanWriteAllocs pins what one pass of a Scanner or a Writer
+// costs in heap objects on every engine: NewScanner and NewWriter inline,
+// so a Scanner or Writer that does not outlive its caller lives on the
+// stack and the pass allocates only its B-item block frame.
+func TestLocalScanWriteAllocs(t *testing.T) {
+	cfg := Config{M: 64, B: 8, Omega: 4}
+	const n = 61 // deliberately not block-aligned
+	for _, eng := range engines(t, cfg.B) {
+		t.Run(eng.name, func(t *testing.T) {
+			ma := NewWithStorage(cfg, eng.make())
+			v := Load(ma, make([]Item, n))
+			scan := testing.AllocsPerRun(50, func() {
+				sc := v.NewScanner()
+				for {
+					if _, ok := sc.Next(); !ok {
+						break
+					}
+				}
+				sc.Close()
+			})
+			// The direct file engine reads through aligned buffers from a
+			// sync.Pool, which the race detector empties at random, so
+			// there the count would be the pool's, not the Scanner's.
+			if scan != 1 && !(raceEnabled && eng.name == "file-direct") {
+				t.Errorf("a local scan allocates %.0f objects, want 1 (its frame)", scan)
+			}
+			write := testing.AllocsPerRun(50, func() {
+				w := v.NewWriter()
+				for i := 0; i < n; i++ {
+					w.Append(Item{Key: int64(i)})
+				}
+				w.Close()
+			})
+			if write != 1 {
+				t.Errorf("a local write pass allocates %.0f objects, want 1 (its frame)", write)
 			}
 		})
 	}

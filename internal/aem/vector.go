@@ -60,14 +60,6 @@ func (v *Vector) BlockAddr(i int) Addr {
 	return v.base + Addr(i/v.ma.cfg.B)
 }
 
-// ReadBlock reads (with cost) the block holding item index i and returns
-// its contents together with the index of the block's first item. The
-// returned slice is freshly allocated; hot paths should use ReadBlockInto
-// with a reused buffer.
-func (v *Vector) ReadBlock(i int) (items []Item, first int) {
-	return v.ReadBlockInto(i, nil)
-}
-
 // ReadBlockInto reads (with cost) the block holding item index i into the
 // caller-owned dst buffer, returning the filled prefix and the index of
 // the block's first item. With cap(dst) ≥ B no allocation occurs; the
@@ -126,34 +118,19 @@ func (v *Vector) Shrink(n int) *Vector {
 // memory for its current block; call Close to release them. The block
 // frame is allocated once at construction, so scanning performs no
 // allocation per I/O.
-//
-// On the data-free counting engine the scanner takes a fast path: every
-// block's contents are zero items by the engine's contract, so each
-// refill bills the read (trace included) and serves the block from a
-// single pre-zeroed frame instead of re-zeroing B items per block in
-// CountingStorage.ReadInto. Accounting, tracing and returned values are
-// identical to the per-op path; only the wasted clearing is gone.
 type Scanner struct {
 	v      *Vector
-	pos    int              // index of next item to return
-	frame  []Item           // owned buffer of capacity B
-	buf    []Item           // current block contents (aliases frame)
-	bufLo  int              // index of buf[0] within the vector
-	fast   *CountingStorage // non-nil: data-free refills from the static frame
+	pos    int    // index of next item to return
+	frame  []Item // owned buffer of capacity B
+	buf    []Item // current block contents (aliases frame)
+	bufLo  int    // index of buf[0] within the vector
 	closed bool
 }
 
 // NewScanner returns a scanner positioned at the start of v.
 func (v *Vector) NewScanner() *Scanner {
 	v.ma.Reserve(v.ma.cfg.B)
-	s := &Scanner{v: v, bufLo: -1}
-	if v.ma.counting != nil {
-		s.fast = v.ma.counting
-		s.frame = make([]Item, v.ma.cfg.B) // all-zero; only ever read from
-	} else {
-		s.frame = make([]Item, 0, v.ma.cfg.B)
-	}
-	return s
+	return &Scanner{v: v, bufLo: -1, frame: make([]Item, 0, v.ma.cfg.B)}
 }
 
 // Next returns the next item. ok is false when the vector is exhausted.
@@ -172,13 +149,6 @@ func (s *Scanner) Next() (item Item, ok bool) {
 // refill advances the block frame to the block holding s.pos, costing one
 // read I/O.
 func (s *Scanner) refill() {
-	if s.fast != nil {
-		a := s.v.BlockAddr(s.pos)
-		s.v.ma.count(OpRead, a)
-		s.buf = s.frame[:s.fast.Len(a)]
-		s.bufLo = int(a-s.v.base) * s.v.ma.cfg.B
-		return
-	}
 	s.buf, s.bufLo = s.v.ReadBlockInto(s.pos, s.frame)
 }
 
@@ -207,18 +177,11 @@ func (s *Scanner) Close() {
 // Writer appends items to a vector sequentially, buffering one block in
 // internal memory and writing each block exactly once when it fills (or on
 // Close). It reserves B slots of internal memory.
-//
-// On the data-free counting engine the writer takes a fast path: item
-// values are discarded (the engine would drop them anyway), so Append is a
-// pair of counter increments and each flush records the block's length
-// directly instead of copying a buffer nobody reads. Accounting, tracing
-// and recorded block lengths are identical to the per-op path.
 type Writer struct {
 	v       *Vector
-	pos     int              // number of items appended so far
-	flushed int              // number of items already flushed to external memory
-	buf     []Item           // buffered items [flushed, pos); nil on the fast path
-	fast    *CountingStorage // non-nil: value-free buffering
+	pos     int    // number of items appended so far
+	flushed int    // number of items already flushed to external memory
+	buf     []Item // buffered items [flushed, pos)
 	closed  bool
 }
 
@@ -226,13 +189,7 @@ type Writer struct {
 // append exactly v.Len() items before Close.
 func (v *Vector) NewWriter() *Writer {
 	v.ma.Reserve(v.ma.cfg.B)
-	w := &Writer{v: v}
-	if v.ma.counting != nil {
-		w.fast = v.ma.counting
-	} else {
-		w.buf = make([]Item, 0, v.ma.cfg.B)
-	}
-	return w
+	return &Writer{v: v, buf: make([]Item, 0, v.ma.cfg.B)}
 }
 
 // Append buffers one item, flushing a full block to external memory (one
@@ -241,9 +198,7 @@ func (w *Writer) Append(item Item) {
 	if w.pos >= w.v.n {
 		panic(fmt.Sprintf("aem: Writer overflow: vector length %d", w.v.n))
 	}
-	if w.fast == nil {
-		w.buf = append(w.buf, item)
-	}
+	w.buf = append(w.buf, item)
 	w.pos++
 	if w.pos-w.flushed == w.v.ma.cfg.B {
 		w.flush()
@@ -254,19 +209,12 @@ func (w *Writer) Append(item Item) {
 func (w *Writer) Written() int { return w.pos }
 
 func (w *Writer) flush() {
-	n := w.pos - w.flushed
-	if n == 0 {
+	if w.pos == w.flushed {
 		return
 	}
 	ma := w.v.ma
-	a := w.v.base + Addr(w.flushed/ma.cfg.B)
-	if w.fast != nil {
-		ma.count(OpWrite, a)
-		w.fast.setLens(a, 1, int32(n), int32(n))
-	} else {
-		ma.Write(a, w.buf)
-		w.buf = w.buf[:0]
-	}
+	ma.Write(w.v.base+Addr(w.flushed/ma.cfg.B), w.buf)
+	w.buf = w.buf[:0]
 	w.flushed = w.pos
 }
 

@@ -56,7 +56,7 @@ func TestVectorGeometry(t *testing.T) {
 func TestReadBlockCostsOneIO(t *testing.T) {
 	ma := New(testConfig())
 	v := Load(ma, seqItems(10))
-	items, first := v.ReadBlock(5)
+	items, first := v.ReadBlockInto(5, nil)
 	if first != 4 {
 		t.Errorf("first = %d, want 4", first)
 	}
@@ -64,7 +64,7 @@ func TestReadBlockCostsOneIO(t *testing.T) {
 		t.Errorf("block = %v", items)
 	}
 	if st := ma.Stats(); st.Reads != 1 {
-		t.Errorf("ReadBlock cost %+v, want one read", st)
+		t.Errorf("ReadBlockInto cost %+v, want one read", st)
 	}
 }
 

@@ -17,7 +17,7 @@ import (
 type machineReader struct{ ma *aem.Machine }
 
 func (r machineReader) ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item {
-	return r.ma.Storage().ReadInto(a, dst)
+	return r.ma.PeekInto(a, dst)
 }
 
 // TestSnapshotMatchesModel drives a mixed stream, snapshots at random

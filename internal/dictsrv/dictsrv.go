@@ -808,13 +808,6 @@ func (s *Service) Committed() int64 {
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// ShardWatermark returns shard i's current snapshot watermark (ops
-// committed when its snapshot was published).
-func (s *Service) ShardWatermark(i int) int64 {
-	_, watermark := s.shards[i].view()
-	return watermark
-}
-
 // Stats aggregates accounting across shards. Machine counters are only
 // coherent at quiescence: amortized, once every submitted op is acked;
 // deamortized, only after Close, because the idle retirer keeps retiring

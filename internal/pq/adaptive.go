@@ -142,9 +142,6 @@ func (q *Adaptive) Close() {
 // Len returns the number of queued items.
 func (q *Adaptive) Len() int { return q.size }
 
-// BufCap returns the ω-adaptive insertion buffer capacity in items.
-func (q *Adaptive) BufCap() int { return q.bufCap }
-
 // Folds returns how many times the insertion buffer has been folded into
 // a sorted run — the structural write events the ω-adaptive buffering
 // defers and, at large ω, mostly avoids.

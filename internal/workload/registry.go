@@ -3,8 +3,8 @@ package workload
 import "strings"
 
 // Name-based lookups over the generator registries, for CLI flags and
-// declarative spec axes: every generator family is enumerable (Dists,
-// Scenarios, PQScenarios) and resolvable from its table/flag name.
+// declarative spec axes: the key distributions and dictionary scenarios
+// are resolvable from their table/flag names.
 
 // DistByName resolves a key distribution from its name (as printed by
 // String), case-insensitively.
@@ -21,17 +21,6 @@ func DistByName(name string) (KeyDist, bool) {
 // case-insensitively.
 func ScenarioByName(name string) (Scenario, bool) {
 	for _, s := range Scenarios() {
-		if s.String() == strings.ToLower(name) {
-			return s, true
-		}
-	}
-	return 0, false
-}
-
-// PQScenarioByName resolves a priority-queue op-stream scenario from its
-// name, case-insensitively.
-func PQScenarioByName(name string) (PQScenario, bool) {
-	for _, s := range PQScenarios() {
 		if s.String() == strings.ToLower(name) {
 			return s, true
 		}
