@@ -30,10 +30,10 @@ func TestDictFanoutMatchesImplementation(t *testing.T) {
 // never predict less write I/O.
 func TestDictPredictionsPositive(t *testing.T) {
 	base := DictParams{
-		Params:       Params{N: 10000, Cfg: aem.Config{M: 256, B: 16, Omega: 8}},
-		Updates:      6000,
-		Keyspace:     4096,
-		QueryBatches: [][]int64{{1, 2, 3}, {500, 501}},
+		Params:      Params{N: 10000, Cfg: aem.Config{M: 256, B: 16, Omega: 8}},
+		Updates:     6000,
+		Keyspace:    4096,
+		QueryBursts: []QueryBurst{{Keys: []int64{1, 2, 3}, After: 100}, {Keys: []int64{500, 501}, After: 6000}},
 	}
 	small := DictBufferTreePredicted(base)
 	if small.Reads <= 0 || small.Writes <= 0 {

@@ -129,22 +129,31 @@ func SpMxVBestPredicted(p SpMxVParams) PredictedIO {
 // DictParams describes an online dictionary workload for the cost
 // predictors: N (in the embedded Params) is the total operation count,
 // Updates the Insert/Delete subset, Keyspace the distinct-key domain, and
-// QueryBatches the keys touched by each query burst of the stream in
-// order (a range scan contributes its two endpoints). Batched queries
-// share buffer scans and skewed batches share leaf paths, so the burst
+// QueryBursts the query bursts of the stream in order. Batched queries
+// share buffer scans, skewed batches share leaf paths, and a burst's cost
+// depends on how many updates the tree holds when it runs, so the burst
 // structure is part of the predicted cost, exactly as the input length is
 // for sorting — all of it program knowledge in the §2 sense, derived from
 // the stream alone.
 type DictParams struct {
 	Params
-	Updates      int
-	Keyspace     int
-	QueryBatches [][]int64
+	Updates     int
+	Keyspace    int
+	QueryBursts []QueryBurst
+}
+
+// QueryBurst is one run of consecutive queries in a dictionary stream:
+// the keys it touches (a range scan contributes its two endpoints) and
+// the number of updates that precede it in the stream.
+type QueryBurst struct {
+	Keys  []int64
+	After int
 }
 
 // DictParamsFor derives the workload description from an actual operation
 // stream, segmenting it exactly as Dict.Apply does: update bursts are
-// counted, query bursts contribute their touched keys.
+// counted, query bursts contribute their touched keys and the update
+// count so far.
 func DictParamsFor(cfg aem.Config, ops []dict.Op, keyspace int) DictParams {
 	p := DictParams{
 		Params:   Params{N: len(ops), Cfg: cfg},
@@ -167,7 +176,7 @@ func DictParamsFor(cfg aem.Config, ops []dict.Op, keyspace int) DictParams {
 				}
 				j++
 			}
-			p.QueryBatches = append(p.QueryBatches, keys)
+			p.QueryBursts = append(p.QueryBursts, QueryBurst{Keys: keys, After: p.Updates})
 		}
 		i = j
 	}
@@ -208,8 +217,15 @@ func (p DictParams) dictGeometry() (leaves, height float64) {
 // ω-adaptive buffer tree on the workload. Writes: every update is
 // appended once (1/B amortized) and each of the F = ⌊U/ωM⌋·ωM updates
 // flushed by a root cascade is rewritten once per level plus once in a
-// leaf-run merge, (H+2)/B amortized. Reads mirror the flush writes, and
-// every query burst scans the root buffer (ω·M/2 items on average — the
+// leaf-run merge, (H+2)/B amortized. Reads mirror the flush writes.
+//
+// Query bursts are priced by the updates u that precede them. Before the
+// first root cascade (u < ω·M) the tree is one root chain of u updates
+// over an empty leaf, so a burst scans u/B blocks, plus one for rounding;
+// pricing these at the steady-state shape would charge leaf runs and
+// buffers that do not exist yet, and a stream whose first cascade comes
+// late (EXP-D2's shortest) spends most of its query reads there. Every
+// later burst scans the root buffer (ω·M/2 items on average — the
 // ω-adaptive term that converts expensive writes into cheap reads) plus
 // one root-to-leaf path of buffers and one leaf run per distinct path.
 func DictBufferTreePredicted(p DictParams) PredictedIO {
@@ -222,15 +238,15 @@ func DictBufferTreePredicted(p DictParams) PredictedIO {
 	writes := U/B + flushed*(height+2)/B
 	reads := flushed * (height + 2) / B
 
-	rootAvg := rootCap / 2
-	if flushed == 0 {
-		rootAvg = U / 2
-	}
 	leafRun := M / 2 // average live leaf run ≈ leafCap items
 	nodeBuf := M / 4 // average non-root buffer fill
-	for _, batch := range p.QueryBatches {
-		paths := distinctCells(batch, int64(leaves), int64(p.Keyspace))
-		reads += rootAvg/B + 1 + paths*((leafRun+nodeBuf)/B+3)
+	for _, q := range p.QueryBursts {
+		if u := float64(q.After); u < rootCap {
+			reads += u/B + 1
+			continue
+		}
+		paths := distinctCells(q.Keys, int64(leaves), int64(p.Keyspace))
+		reads += rootCap/2/B + 1 + paths*((leafRun+nodeBuf)/B+3)
 	}
 	return PredictedIO{Reads: reads, Writes: writes}
 }

@@ -2,8 +2,13 @@ package cli
 
 import (
 	"encoding/json"
+	"go/ast"
+	"go/parser"
+	"go/token"
+	"go/types"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -566,4 +571,88 @@ func TestGateWriteBaselineKeepsOtherSections(t *testing.T) {
 	if len(got.Profile) != 1 || got.Profile[0] != "repro/internal/dict.accidentalQuadratic" {
 		t.Errorf("profile %v, want the re-pinned inventory", got.Profile)
 	}
+}
+
+// TestGateBaselineProfileFunctionsExist keeps the profile check's list of
+// known functions honest: every repro/... entry in the committed baseline
+// must name a function declared in the module's non-test source, so a
+// deleted or renamed function cannot linger on the list. Profile
+// decorations are stripped first: " (inline)", generic shapes
+// ("[go.shape…]") and closure suffixes (".func1", ".func2.3").
+func TestGateBaselineProfileFunctionsExist(t *testing.T) {
+	root := filepath.Join("..", "..")
+	base, err := readGateBaseline(filepath.Join(root, "testdata", "gate_baseline.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	declared := map[string]map[string]bool{} // package path → declared names
+	for _, entry := range base.Profile {
+		s := stripTypeArgs(strings.TrimSuffix(entry, " (inline)"))
+		if !strings.HasPrefix(s, "repro/") {
+			continue
+		}
+		slash := strings.LastIndex(s, "/")
+		dot := slash + strings.Index(s[slash:], ".")
+		pkg := s[:dot]
+		name := strings.NewReplacer("(*", "", ")", "").Replace(closureSuffix.ReplaceAllString(s[dot+1:], ""))
+		if declared[pkg] == nil {
+			declared[pkg] = funcDecls(t, filepath.Join(root, strings.TrimPrefix(pkg, "repro/")))
+		}
+		if !declared[pkg][name] {
+			t.Errorf("profile baseline entry %q: %s declares no %s", entry, pkg, name)
+		}
+	}
+	if len(declared) == 0 {
+		t.Fatal("the profile baseline names no repro/... function")
+	}
+}
+
+// closureSuffix matches the names the compiler gives closures.
+var closureSuffix = regexp.MustCompile(`(\.func\d+)+(\.\d+)*$`)
+
+// stripTypeArgs drops every bracketed group: the type arguments of a
+// generic declaration, or the shapes pprof prints for them.
+func stripTypeArgs(s string) string {
+	var b strings.Builder
+	depth := 0
+	for _, r := range s {
+		switch {
+		case r == '[':
+			depth++
+		case r == ']':
+			depth--
+		case depth == 0:
+			b.WriteRune(r)
+		}
+	}
+	return b.String()
+}
+
+// funcDecls returns the functions ("F") and methods ("T.M") declared in
+// the non-test Go files of dir.
+func funcDecls(t *testing.T, dir string) map[string]bool {
+	t.Helper()
+	files, _ := filepath.Glob(filepath.Join(dir, "*.go")) // fails only on a malformed pattern
+	names := map[string]bool{}
+	for _, path := range files {
+		if strings.HasSuffix(path, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, d := range f.Decls {
+			fn, ok := d.(*ast.FuncDecl)
+			switch {
+			case !ok:
+			case fn.Recv == nil:
+				names[fn.Name.Name] = true
+			default:
+				recv := strings.TrimPrefix(stripTypeArgs(types.ExprString(fn.Recv.List[0].Type)), "*")
+				names[recv+"."+fn.Name.Name] = true
+			}
+		}
+	}
+	return names
 }

@@ -16,10 +16,11 @@ import (
 //   - The skeleton is a balanced search tree with fan-out d ≈ m over leaf
 //     runs of ≤ M/2 key-sorted entries.
 //   - Every node carries an unordered external buffer of pending updates.
-//     Updates are appended to the root buffer in block-granular frames and
-//     trickle down lazily: when a buffer crosses its threshold it is
-//     streamed once, partitioned among the children's buffers, and emptied.
-//     At the leaves, buffered updates are merge-applied into the sorted run.
+//     Updates land in the root's stage, a B-item internal-memory tail that
+//     reaches the root chain only as full blocks (see stage), and trickle
+//     down lazily: when a buffer crosses its threshold it is streamed once,
+//     partitioned among the children's buffers, and emptied. At the
+//     leaves, buffered updates are merge-applied into the sorted run.
 //   - The root buffer's capacity is Θ(ω·M) — the ω-adaptive knob. The more
 //     expensive writes are, the longer updates batch up before any
 //     restructuring happens, trading cheap buffer-scan reads on the query
@@ -55,16 +56,19 @@ type BufferTree struct {
 	chunkCap   int // leaf-apply in-memory chunk, M/2
 
 	seq     int64
-	frame   []aem.Item // shared B-item scratch frame for serial scans/appends
+	frame   []aem.Item // shared B-item scratch frame for serial scans
 	top     *btnode
 	liveRun int // live (non-tombstone) entries across all leaf runs
 	runLen  int // total entries (incl. tombstones) across all leaf runs
 
-	// stage, when non-nil, holds the root buffer's partial tail block in
-	// internal memory (see EnableTailStaging): updates accumulate here and
-	// only full blocks are appended to the root chain. stageFree marks a
-	// flush section that has already spilled the stage and released its
-	// reservation, so nested staged sections don't double spill.
+	// stage holds the root buffer's partial tail block in internal memory:
+	// updates accumulate here and only full blocks are appended to the
+	// root chain, so the chain holds ⌈n/B⌉ blocks however small the Apply
+	// batches are (a serving layer's group commits are sized by its
+	// writers, not by B), and no Apply pays for a partial block write. Its
+	// B items of internal memory are reserved for the tree's lifetime.
+	// stageFree marks a flush section that has already spilled the stage
+	// and released its reservation, so nested sections don't double spill.
 	// stageShared marks a stage array whose entries a snapshot can read,
 	// which a spill must replace rather than refill (see spillStage);
 	// replacements are carved from stageSlab (see newStage).
@@ -103,32 +107,12 @@ type BufferTree struct {
 	chunk   []aem.Item
 }
 
-// EnableTailStaging switches the root buffer to staged appends: incoming
-// updates collect in a B-item internal-memory buffer and reach external
-// memory only as full blocks (the stage is written out as a final partial
-// block when a flush needs the buffer's contents). Without staging, every
-// Apply call's append ends on a partially filled block — irrelevant when
-// updates arrive in large batches, but a serving layer's group commits
-// are sized by the number of concurrent writers, and a chain built from
-// 5-item batches occupies ~B/5× more blocks than its items need, which
-// every subsequent buffer scan then pays for. Staging restores the
-// ⌈n/B⌉ occupancy at the cost of B items of internal memory (metered via
-// Reserve for the tree's lifetime).
+// EnableTailStaging does nothing: every tree stages its root tail (see
+// BufferTree.stage).
 //
-// Off by default: staging removes the per-batch partial-tail writes, so
-// it changes the I/O accounting of existing experiments; the serving
-// layer opts in, the batch experiments keep their committed numbers.
-// Must be called before the first Apply.
-func (t *BufferTree) EnableTailStaging() {
-	if t.stage != nil {
-		return
-	}
-	if t.seq != 0 {
-		panic("dict: EnableTailStaging after updates were applied")
-	}
-	t.ma.Reserve(t.cfg.B)
-	t.stage = make([]aem.Item, 0, t.cfg.B)
-}
+// Deprecated: staging is the only root-buffer mode. The method goes with
+// perfbench's traced replay, its last caller.
+func (t *BufferTree) EnableTailStaging() {}
 
 // stageSlabStages is how many stages one stageSlab allocation holds.
 const stageSlabStages = 64
@@ -193,10 +177,10 @@ func (t *BufferTree) spillStage() {
 // reservation until reclaimStage: the cascade, rebuild and external
 // leaf-apply paths size their streaming frames to use all of M, and the
 // stage's B slots are genuinely free while it is empty. It reports false,
-// leaving nothing to reclaim, when there is no stage or an enclosing
-// section already released it.
+// leaving nothing to reclaim, when an enclosing section already released
+// it.
 func (t *BufferTree) releaseStage() bool {
-	if t.stage == nil || t.stageFree {
+	if t.stageFree {
 		return false
 	}
 	t.spillStage()
@@ -280,19 +264,21 @@ func NewBufferTree(ma *aem.Machine) *BufferTree {
 		chunkCap:   cfg.M / 2,
 		frame:      make([]aem.Item, cfg.B),
 		top:        &btnode{dirty: true},
+		stage:      make([]aem.Item, 0, cfg.B),
 	}
+	ma.Reserve(cfg.B) // the stage, for the tree's lifetime
 	return t
 }
 
 // Fanout returns the tree's fan-out d: ~m, capped so one streaming
 // partition — a scan frame, d output frames and d separator keys — fits in
-// internal memory. When deamortized flushing and tail staging are both on,
-// a non-root partition runs with the stage's B slots still reserved
-// (spilling the stage on every step would re-fragment the root chain), so
-// d must fit beside it: d + (d+1)·B + B ≤ M.
+// internal memory. A deamortized non-root partition runs with the stage's
+// B slots still reserved (spilling the stage on every step would
+// re-fragment the root chain), so there d must fit beside it:
+// d + (d+1)·B + B ≤ M.
 func (t *BufferTree) Fanout() int {
 	free := t.cfg.M - t.cfg.B
-	if t.deamortized && t.stage != nil {
+	if t.deamortized {
 		free -= t.cfg.B
 	}
 	return max(2, min(t.cfg.BlocksInMemory(), free/(t.cfg.B+1)))
@@ -384,30 +370,10 @@ func (t *BufferTree) update(ops []Op) {
 	}
 }
 
-// appendUpdates streams packed updates into the root buffer through one
-// block frame — or through the persistent stage when tail staging is on,
-// in which case only full blocks reach the chain.
+// appendUpdates stages packed updates in the root's tail; only full
+// blocks reach the chain.
 func (t *BufferTree) appendUpdates(ops []Op) {
 	prev := t.ma.SetPhase("dict-append")
-	if t.stage != nil {
-		for _, op := range ops {
-			if op.Kind == Insert {
-				checkValue(op.Value)
-			}
-			t.seq++
-			if t.seq >= maxSeq {
-				panic("dict: operation sequence space exhausted")
-			}
-			t.stage = append(t.stage, aem.Item{Key: op.Key, Aux: packEntry(t.seq, op.Kind, op.Value)})
-			if len(t.stage) == t.cfg.B {
-				t.spillStage()
-			}
-		}
-		t.ma.SetPhase(prev)
-		return
-	}
-	t.ma.Reserve(t.cfg.B)
-	w := newChainWriter(t.ma, &t.top.buf, t.frame)
 	for _, op := range ops {
 		if op.Kind == Insert {
 			checkValue(op.Value)
@@ -416,11 +382,11 @@ func (t *BufferTree) appendUpdates(ops []Op) {
 		if t.seq >= maxSeq {
 			panic("dict: operation sequence space exhausted")
 		}
-		w.append(aem.Item{Key: op.Key, Aux: packEntry(t.seq, op.Kind, op.Value)})
+		t.stage = append(t.stage, aem.Item{Key: op.Key, Aux: packEntry(t.seq, op.Kind, op.Value)})
+		if len(t.stage) == t.cfg.B {
+			t.spillStage()
+		}
 	}
-	w.close()
-	t.top.touch()
-	t.ma.Release(t.cfg.B)
 	t.ma.SetPhase(prev)
 }
 
@@ -968,8 +934,8 @@ func (t *BufferTree) query(ops []Op) []Result {
 	}
 	sort.Slice(lookups, func(i, j int) bool { return lookups[i].key < lookups[j].key })
 
-	// The staged root tail (if any) is internal memory: scan it at no I/O
-	// cost. Its entries carry the newest sequence numbers, so scanMatch's
+	// The staged root tail is internal memory: scan it at no I/O cost.
+	// Its entries carry the newest sequence numbers, so scanMatch's
 	// winner resolution handles them like any buffered update.
 	for _, it := range t.stage {
 		scanMatch(it, lookups, ranges)

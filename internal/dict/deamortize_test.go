@@ -19,7 +19,6 @@ func TestFlushStepBudget(t *testing.T) {
 	cfg := aem.Config{M: 128, B: 16, Omega: 8}
 	ma := aem.New(cfg)
 	tree := NewBufferTree(ma)
-	tree.EnableTailStaging()
 	tree.Deamortize()
 	reader := machineReader{ma}
 	model := map[int64]int64{}
@@ -103,7 +102,6 @@ func TestDeamortizedRootBackstop(t *testing.T) {
 	cfg := aem.Config{M: 64, B: 8, Omega: 4}
 	ma := aem.New(cfg)
 	tree := NewBufferTree(ma)
-	tree.EnableTailStaging()
 	tree.Deamortize()
 
 	ops := diffStream(31, 8*tree.RootCap(), 4096)
@@ -129,7 +127,7 @@ func TestDeamortizedRootBackstop(t *testing.T) {
 }
 
 // TestDeamortizedMatchesAmortized applies one stream to an amortized and a
-// deamortized tree (both staged, stepped per batch) and requires identical
+// deamortized tree (the latter stepped per batch) and requires identical
 // final answers, with the deamortized total cost within 2× — deferral may
 // reorder node-flushes but must not change the asymptotics.
 func TestDeamortizedMatchesAmortized(t *testing.T) {
@@ -137,7 +135,6 @@ func TestDeamortizedMatchesAmortized(t *testing.T) {
 	build := func(deam bool) (*aem.Machine, *BufferTree) {
 		ma := aem.New(cfg)
 		tree := NewBufferTree(ma)
-		tree.EnableTailStaging()
 		if deam {
 			tree.Deamortize()
 		}
@@ -184,8 +181,7 @@ func TestDeamortizedMatchesAmortized(t *testing.T) {
 	}
 }
 
-// TestDeamortizeGuards pins the enable-time contract, mirroring
-// TestTailStagingGuards.
+// TestDeamortizeGuards pins the enable-time contract.
 func TestDeamortizeGuards(t *testing.T) {
 	ma := aem.New(aem.Config{M: 128, B: 8, Omega: 2})
 	tree := NewBufferTree(ma)
@@ -215,12 +211,9 @@ type flushFingerprint struct {
 // barrier every 997th and at the end.
 // It also returns the metered internal-memory peak, which is not pinned:
 // it may only fall, and must stay within M.
-func runFlushFingerprint(cfg aem.Config, staged, deam bool) (flushFingerprint, int) {
+func runFlushFingerprint(cfg aem.Config, deam bool) (flushFingerprint, int) {
 	ma := aem.New(cfg)
 	tree := NewBufferTree(ma)
-	if staged {
-		tree.EnableTailStaging()
-	}
 	if deam {
 		tree.Deamortize()
 	}
@@ -267,36 +260,24 @@ func runFlushFingerprint(cfg aem.Config, staged, deam bool) (flushFingerprint, i
 	}, ma.MemPeak()
 }
 
-// TestFlushAccountingFingerprint pins the exact accounting of all four
-// flush configurations (amortized/deamortized × staged/unstaged). The
-// aembench goldens run only the unstaged amortized tree, so this is the
-// oracle for the staged and deamortized paths: any change to the order,
-// granularity or memory layout of node-flushes moves a number here.
+// TestFlushAccountingFingerprint pins the exact accounting of both flush
+// modes. The aembench goldens run only the amortized tree, each stream in
+// one Apply, so this is the oracle for serving-sized batches and for the
+// deamortized path: any change to the order, granularity or memory layout
+// of node-flushes moves a number here.
 func TestFlushAccountingFingerprint(t *testing.T) {
 	// Pinned values: a refactor of the flush path must reproduce them.
 	want := map[string]flushFingerprint{
-		"256-16-2/unstaged-amortized":   {2296207, 32305, 2360817, 32305, 909, 14, 3, 5432, 0x5e6e717bd7c70e7},
-		"256-16-2/staged-amortized":     {591003, 16814, 624631, 16814, 909, 14, 3, 5432, 0x5e6e717bd7c70e7},
-		"256-16-2/unstaged-deamortized": {2649830, 38358, 2726546, 38358, 3061, 14, 3, 5432, 0x5e6e717bd7c70e7},
-		"256-16-2/staged-deamortized":   {663258, 17677, 698612, 17677, 1212, 13, 3, 5432, 0x5e6e717bd7c70e7},
-		"128-8-4/unstaged-amortized":    {2353621, 47340, 2542981, 47340, 1761, 13, 3, 5432, 0x5e6e717bd7c70e7},
-		"128-8-4/staged-amortized":      {889952, 34056, 1026176, 34056, 1761, 13, 3, 5432, 0x5e6e717bd7c70e7},
-		"128-8-4/unstaged-deamortized":  {2732341, 57396, 2961925, 57396, 4120, 13, 3, 5432, 0x5e6e717bd7c70e7},
-		"128-8-4/staged-deamortized":    {981054, 36398, 1126646, 36398, 2395, 12, 3, 5432, 0x5e6e717bd7c70e7},
+		"256-16-2/staged-amortized":   {591003, 16814, 624631, 16814, 909, 14, 3, 5432, 0x5e6e717bd7c70e7},
+		"256-16-2/staged-deamortized": {663258, 17677, 698612, 17677, 1212, 13, 3, 5432, 0x5e6e717bd7c70e7},
+		"128-8-4/staged-amortized":    {889952, 34056, 1026176, 34056, 1761, 13, 3, 5432, 0x5e6e717bd7c70e7},
+		"128-8-4/staged-deamortized":  {981054, 36398, 1126646, 36398, 2395, 12, 3, 5432, 0x5e6e717bd7c70e7},
 	}
 	for _, cfg := range []aem.Config{{M: 256, B: 16, Omega: 2}, {M: 128, B: 8, Omega: 4}} {
-		for _, mode := range []struct {
-			name         string
-			staged, deam bool
-		}{
-			{"unstaged-amortized", false, false},
-			{"staged-amortized", true, false},
-			{"unstaged-deamortized", false, true},
-			{"staged-deamortized", true, true},
-		} {
-			name := fmt.Sprintf("%d-%d-%d/%s", cfg.M, cfg.B, cfg.Omega, mode.name)
+		for _, deam := range []bool{false, true} {
+			name := fmt.Sprintf("%d-%d-%d/%s", cfg.M, cfg.B, cfg.Omega, modeName(deam))
 			t.Run(name, func(t *testing.T) {
-				got, peak := runFlushFingerprint(cfg, mode.staged, mode.deam)
+				got, peak := runFlushFingerprint(cfg, deam)
 				if peak > cfg.M {
 					t.Errorf("MemPeak %d exceeds M=%d", peak, cfg.M)
 				}
@@ -306,6 +287,15 @@ func TestFlushAccountingFingerprint(t *testing.T) {
 			})
 		}
 	}
+}
+
+// modeName names a flush mode in subtest names. Every mode stages its
+// root tail; the prefix keeps the names stable for test history.
+func modeName(deam bool) string {
+	if deam {
+		return "staged-deamortized"
+	}
+	return "staged-amortized"
 }
 
 // TestFlushStepAllocs pins the host allocations of a node-flush on a
@@ -325,7 +315,6 @@ func TestFlushStepAllocs(t *testing.T) {
 	for _, m := range []int{128, 512} {
 		cfg := aem.Config{M: m, B: 16, Omega: 4}
 		tree := NewBufferTree(aem.New(cfg))
-		tree.EnableTailStaging()
 		tree.Deamortize()
 		d := tree.Fanout()
 		keys := 64 * cfg.M

@@ -159,8 +159,8 @@ func TestMemoryMeteringHonored(t *testing.T) {
 		if ma.MemPeak() > cfg.M {
 			t.Errorf("cfg %+v: memory peak %d exceeds M", cfg, ma.MemPeak())
 		}
-		if ma.MemInUse() != 0 {
-			t.Errorf("cfg %+v: %d slots still reserved after quiescence", cfg, ma.MemInUse())
+		if ma.MemInUse() != cfg.B { // the stage's lifetime reservation
+			t.Errorf("cfg %+v: %d slots still reserved after quiescence, want the stage's %d", cfg, ma.MemInUse(), cfg.B)
 		}
 	}
 }

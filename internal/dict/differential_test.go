@@ -114,8 +114,8 @@ func TestDifferentialBufferTreeVsModel(t *testing.T) {
 				if got.peak > dc.cfg.M {
 					t.Errorf("%s: memory peak %d exceeds M = %d", name, got.peak, dc.cfg.M)
 				}
-				if ma.MemInUse() != 0 {
-					t.Errorf("%s: %d slots still reserved after quiescence", name, ma.MemInUse())
+				if ma.MemInUse() != dc.cfg.B { // the stage's lifetime reservation
+					t.Errorf("%s: %d slots still reserved after quiescence, want the stage's %d", name, ma.MemInUse(), dc.cfg.B)
 				}
 				if ref == nil {
 					ref = &got
@@ -137,18 +137,18 @@ func TestDifferentialBufferTreeVsModel(t *testing.T) {
 			if ma.MemPeak() > dc.cfg.M {
 				t.Errorf("counting: memory peak %d exceeds M = %d", ma.MemPeak(), dc.cfg.M)
 			}
-			if ma.MemInUse() != 0 {
-				t.Errorf("counting: %d slots still reserved after quiescence", ma.MemInUse())
+			if ma.MemInUse() != dc.cfg.B {
+				t.Errorf("counting: %d slots still reserved after quiescence, want the stage's %d", ma.MemInUse(), dc.cfg.B)
 			}
 		})
 	}
 }
 
 // TestDifferentialSnapshotMarks proves the dirty marks complete: the
-// differential streams run in all four commit modes (tail staging on and
-// off, amortized and deamortized), and a snapshot is published after
-// every Apply, FlushStep, Compact and Flush — rebuilds happen inside those
-// — and held to a capture that ignores every cache (checkPublish). A
+// differential streams run in both commit modes (amortized and
+// deamortized), and a snapshot is published after every Apply,
+// FlushStep, Compact and Flush — rebuilds happen inside those — and held
+// to a capture that ignores every cache (checkPublish). A
 // mutation site that forgot to mark its node leaves a stale chain in the
 // published snapshot and fails here. Answers are held to the model too,
 // which the default-mode differential test does not cover for the other
@@ -156,23 +156,12 @@ func TestDifferentialBufferTreeVsModel(t *testing.T) {
 func TestDifferentialSnapshotMarks(t *testing.T) {
 	compacted := 0
 	for _, dc := range diffConfigs(!testing.Short()) {
-		for _, mode := range []struct {
-			name         string
-			staged, deam bool
-		}{
-			{"unstaged-amortized", false, false},
-			{"staged-amortized", true, false},
-			{"unstaged-deamortized", false, true},
-			{"staged-deamortized", true, true},
-		} {
-			t.Run(dc.name+"/"+mode.name, func(t *testing.T) {
+		for _, deam := range []bool{false, true} {
+			t.Run(dc.name+"/"+modeName(deam), func(t *testing.T) {
 				ops := diffStream(3000+uint64(dc.cfg.Omega), dc.n/8, dc.keyspace)
 				want := newModel().apply(ops)
 				tree := NewBufferTree(aem.New(dc.cfg))
-				if mode.staged {
-					tree.EnableTailStaging()
-				}
-				if mode.deam {
+				if deam {
 					tree.Deamortize()
 				}
 				publish := func(step int, after string) {
@@ -188,7 +177,7 @@ func TestDifferentialSnapshotMarks(t *testing.T) {
 					got = append(got, tree.Apply(ops[i:j])...)
 					i = j
 					publish(step, "Apply")
-					if mode.deam {
+					if deam {
 						tree.FlushStep(1)
 						publish(step, "FlushStep")
 						if step%40 == 39 { // idle: retire the debt, then compact
@@ -209,7 +198,7 @@ func TestDifferentialSnapshotMarks(t *testing.T) {
 				}
 				tree.Flush()
 				publish(-1, "final Flush")
-				sameResults(t, dc.name+"/"+mode.name, got, want)
+				sameResults(t, dc.name+"/"+modeName(deam), got, want)
 			})
 		}
 	}

@@ -4,7 +4,7 @@
 // in-memory model map (plus the B-tree baseline where its B ≥ 4 minimum
 // allows). The seed corpus comes from the workload generators, so fuzzing
 // starts from realistic uniform/zipf/burst/churn traffic and mutates from
-// there. Each stream also runs in all four commit modes with a snapshot
+// there. Each stream also runs in both commit modes with a snapshot
 // published after every step, held to a capture that ignores every cache.
 //
 // The file lives in the external test package: the workload generators
@@ -149,17 +149,14 @@ func FuzzDictOps(f *testing.F) {
 		// Every commit mode, publishing after every Apply, FlushStep,
 		// Compact and Flush as a serving committer does. Batch sizes and
 		// idle points come from the ops themselves.
-		for _, mode := range []struct{ staged, deam bool }{{false, false}, {true, false}, {false, true}, {true, true}} {
+		for _, deam := range []bool{false, true} {
 			d := dict.NewBufferTree(aem.New(cfg))
-			if mode.staged {
-				d.EnableTailStaging()
-			}
-			if mode.deam {
+			if deam {
 				d.Deamortize()
 			}
 			publish := func(after string) {
 				if err := dict.CheckPublish(d); err != nil {
-					t.Fatalf("mode %+v, after %s: %v", mode, after, err)
+					t.Fatalf("deamortized %v, after %s: %v", deam, after, err)
 				}
 			}
 			var got []dict.Result
@@ -168,7 +165,7 @@ func FuzzDictOps(f *testing.F) {
 				got = append(got, d.Apply(ops[i:j])...)
 				i = j
 				publish("Apply")
-				if !mode.deam {
+				if !deam {
 					continue
 				}
 				d.FlushStep(1)

@@ -91,7 +91,7 @@ type TreeSnapshot struct {
 	b     int   // block size of the capturing machine
 	seq   int64 // update sequence watermark at capture
 	root  *snapNode
-	stage []aem.Item // the staged root tail: the tree's live stage array (EnableTailStaging)
+	stage []aem.Item // the staged root tail: the tree's live stage array (BufferTree.stage)
 }
 
 // Snapshot captures the tree's current state into a new TreeSnapshot (see
@@ -131,7 +131,7 @@ func (t *BufferTree) SnapshotInto(s *TreeSnapshot) {
 // must be called from the goroutine that applies updates; s itself is
 // only read, so it may already be visible to readers.
 func (t *BufferTree) StagedSince(s *TreeSnapshot) (k int, ok bool) {
-	if t.top.dirty || t.top.snap != s.root || cap(t.stage) == 0 || cap(s.stage) == 0 ||
+	if t.top.dirty || t.top.snap != s.root || cap(s.stage) == 0 ||
 		&t.stage[:1][0] != &s.stage[:1][0] {
 		return 0, false
 	}

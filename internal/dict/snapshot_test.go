@@ -155,7 +155,6 @@ func TestTailStaging(t *testing.T) {
 	cfg := aem.Config{M: 256, B: 16, Omega: 8}
 	ma := aem.New(cfg)
 	tree := NewBufferTree(ma)
-	tree.EnableTailStaging()
 	reader := machineReader{ma}
 	model := map[int64]int64{}
 
@@ -217,9 +216,9 @@ func TestTailStaging(t *testing.T) {
 		}
 	}
 
-	// Occupancy: with ~4-op batches an unstaged chain would hold ~1 block
-	// per batch; staged, the root chain must stay near ⌈items/B⌉. Allow
-	// 2× slack for the partial blocks flushes leave behind.
+	// Occupancy: with ~4-op batches a chain closed per batch would hold ~1
+	// block per batch; staged, the root chain must stay near ⌈items/B⌉.
+	// Allow 2× slack for the partial blocks flushes leave behind.
 	if blocks := tree.top.buf.blocks(); blocks > 2*(tree.top.buf.n/cfg.B+1) {
 		t.Fatalf("staged root chain holds %d blocks for %d items (B=%d) — fragmented",
 			blocks, tree.top.buf.n, cfg.B)
@@ -237,19 +236,6 @@ func TestTailStaging(t *testing.T) {
 			t.Fatalf("post-flush Get(%d) = (%d,%v), model (%d,%v)", k, got, ok, want, wantOK)
 		}
 	}
-}
-
-// TestTailStagingGuards pins the enable-time contract.
-func TestTailStagingGuards(t *testing.T) {
-	ma := aem.New(aem.Config{M: 128, B: 8, Omega: 2})
-	tree := NewBufferTree(ma)
-	tree.Apply([]Op{{Kind: Insert, Key: 1, Value: 1}})
-	defer func() {
-		if recover() == nil {
-			t.Fatal("EnableTailStaging after Apply did not panic")
-		}
-	}()
-	tree.EnableTailStaging()
 }
 
 // nodeShape is the structural state of one live node between two steps of
@@ -320,23 +306,12 @@ func mutationSites(before, after map[*btnode]nodeShape, oldTop, newTop *btnode, 
 // The stream is checked to have crossed each mutation site its mode can
 // reach, so a capture that aliased a reused array would be caught.
 func TestSnapshotIsolationUnderSharing(t *testing.T) {
-	for _, mode := range []struct {
-		name         string
-		staged, deam bool
-	}{
-		{"unstaged-amortized", false, false},
-		{"staged-amortized", true, false},
-		{"unstaged-deamortized", false, true},
-		{"staged-deamortized", true, true},
-	} {
-		t.Run(mode.name, func(t *testing.T) {
+	for _, deam := range []bool{false, true} {
+		t.Run(modeName(deam), func(t *testing.T) {
 			cfg := aem.Config{M: 256, B: 16, Omega: 2}
 			ma := aem.New(cfg)
 			tree := NewBufferTree(ma)
-			if mode.staged {
-				tree.EnableTailStaging()
-			}
-			if mode.deam {
+			if deam {
 				tree.Deamortize()
 			}
 			reader := machineReader{ma}
@@ -369,7 +344,7 @@ func TestSnapshotIsolationUnderSharing(t *testing.T) {
 				}
 				before, oldTop, staged := shapeOf(tree), tree.top, len(tree.stage)
 				tree.Apply(batch)
-				if mode.deam {
+				if deam {
 					tree.FlushStep(1)
 					if step%40 == 39 { // idle: retire the debt, then compact
 						for tree.Debt() > 0 {
@@ -383,7 +358,7 @@ func TestSnapshotIsolationUnderSharing(t *testing.T) {
 				if step%997 == 996 {
 					tree.Flush() // a barrier, as the service runs one
 				}
-				if mode.staged && len(tree.stage) < staged+updates {
+				if len(tree.stage) < staged+updates {
 					hit["stage spill"]++
 				}
 				mutationSites(before, shapeOf(tree), oldTop, tree.top, hit)
@@ -399,11 +374,8 @@ func TestSnapshotIsolationUnderSharing(t *testing.T) {
 				}
 			}
 
-			want := []string{"partition reset", "mergeApply", "rebuild"}
-			if mode.staged {
-				want = append(want, "stage spill")
-			}
-			if mode.deam {
+			want := []string{"partition reset", "mergeApply", "rebuild", "stage spill"}
+			if deam {
 				// Amortized cascades rebuild inline, so Compact only ever
 				// has work in deamortized mode.
 				want = append(want, "prefix partition", "prefix apply", "Compact")
@@ -517,7 +489,6 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 	for _, n := range []int{1000, 6000} {
 		ma := aem.New(aem.Config{M: 256, B: 16, Omega: 2})
 		tree := NewBufferTree(ma)
-		tree.EnableTailStaging()
 		ops := make([]Op, n)
 		for i := range ops {
 			ops[i] = Op{Kind: Insert, Key: int64(i * 7919 % n), Value: int64(i)}
@@ -576,14 +547,11 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 // recaptured: only across updates that all stayed in the stage. The grown
 // snapshot must equal a fresh capture and keep its stage entries through
 // the next spill. Every other change must be refused: a spill, a flush
-// step, a barrier, a rebuild, and any change to a tree without a stage.
+// step, a barrier and a rebuild.
 func TestStagedSince(t *testing.T) {
 	cfg := aem.Config{M: 128, B: 8, Omega: 2}
-	newTree := func(staged, deam bool) *BufferTree {
+	newTree := func(deam bool) *BufferTree {
 		tree := NewBufferTree(aem.New(cfg))
-		if staged {
-			tree.EnableTailStaging()
-		}
 		if deam {
 			tree.Deamortize()
 		}
@@ -600,7 +568,7 @@ func TestStagedSince(t *testing.T) {
 	}
 
 	t.Run("grows", func(t *testing.T) {
-		tree := newTree(true, false)
+		tree := newTree(false)
 		insert(tree, 3*cfg.B) // three spills: the captured stage is empty
 		s := tree.Snapshot()
 		if k, ok := tree.StagedSince(s); !ok || k != 0 {
@@ -627,18 +595,18 @@ func TestStagedSince(t *testing.T) {
 
 	refusals := []struct {
 		name          string
-		staged, deam  bool
+		deam          bool
 		setup, change func(*BufferTree)
 	}{
-		{"spill", true, false, nil, func(tree *BufferTree) { insert(tree, cfg.B) }},
-		{"flush step", true, true, func(tree *BufferTree) { insert(tree, tree.RootCap()) },
+		{"spill", false, nil, func(tree *BufferTree) { insert(tree, cfg.B) }},
+		{"flush step", true, func(tree *BufferTree) { insert(tree, tree.RootCap()) },
 			func(tree *BufferTree) {
 				if tree.FlushStep(1) != 1 {
 					t.Fatal("FlushStep(1) paid no node-flush")
 				}
 			}},
-		{"barrier", true, false, func(tree *BufferTree) { insert(tree, 2) }, (*BufferTree).Flush},
-		{"rebuild", true, true, func(tree *BufferTree) {
+		{"barrier", false, func(tree *BufferTree) { insert(tree, 2) }, (*BufferTree).Flush},
+		{"rebuild", true, func(tree *BufferTree) {
 			insert(tree, 3*tree.RootCap())
 			for tree.Debt() > 0 {
 				tree.FlushStep(1)
@@ -648,12 +616,10 @@ func TestStagedSince(t *testing.T) {
 				t.Fatal("Compact found nothing to rebuild")
 			}
 		}},
-		{"unstaged", false, false, nil, func(tree *BufferTree) { insert(tree, 1) }},
-		{"unstaged unchanged", false, false, nil, func(*BufferTree) {}},
 	}
 	for _, rc := range refusals {
 		t.Run(rc.name, func(t *testing.T) {
-			tree := newTree(rc.staged, rc.deam)
+			tree := newTree(rc.deam)
 			insert(tree, 3)
 			if rc.setup != nil {
 				rc.setup(tree)
@@ -673,7 +639,6 @@ func TestStagedSince(t *testing.T) {
 func BenchmarkSnapshotPublish(b *testing.B) {
 	const n = 1 << 17
 	tree := NewBufferTree(aem.New(aem.Config{M: 1024, B: 32, Omega: 16}))
-	tree.EnableTailStaging()
 	ops := make([]Op, n)
 	for i := range ops {
 		ops[i] = Op{Kind: Insert, Key: int64(i * 7919 % n), Value: int64(i)}

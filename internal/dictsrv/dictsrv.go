@@ -351,11 +351,6 @@ func New(cfg Config) (*Service, error) {
 		}
 		ma := aem.NewWithStorage(cfg.Machine, store)
 		sh := &shard{idx: i, ma: ma, tree: dict.NewBufferTree(ma), store: store}
-		// Group-commit batches are sized by writer concurrency, not by B;
-		// staging the root tail in memory keeps small batches from
-		// fragmenting the buffer chain into mostly-empty blocks that every
-		// snapshot read would then scan.
-		sh.tree.EnableTailStaging()
 		if cfg.Deamortize {
 			sh.tree.Deamortize()
 		}

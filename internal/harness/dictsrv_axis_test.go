@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strconv"
 	"strings"
 	"testing"
 )
@@ -46,60 +45,34 @@ func TestServingFrontier(t *testing.T) {
 	if testing.Short() {
 		t.Skip("drives the full EXP-L1 grid")
 	}
-	s, ok := ByID("EXP-L1")
-	if !ok {
-		t.Fatal("EXP-L1 not registered")
-	}
-	tbl := s.Table()
+	tbl := registryTable(t, "EXP-L1")
 	if len(tbl.Rows) != 4 {
 		t.Fatalf("EXP-L1 has %d rows, want 4 (ω axis)", len(tbl.Rows))
 	}
-	col := func(name string) int {
-		for i, c := range tbl.Columns {
-			if c == name {
-				return i
-			}
+	wpo, fl := floats(t, column(t, tbl, "writes/op")), floats(t, column(t, tbl, "flushes"))
+	for i := 1; i < len(tbl.Rows); i++ {
+		if wpo[i] >= wpo[i-1] {
+			t.Errorf("writes/op did not fall with ω: row %d has %.3f after %.3f", i, wpo[i], wpo[i-1])
 		}
-		t.Fatalf("EXP-L1 lacks column %q (have %v)", name, tbl.Columns)
-		return -1
+		if fl[i] > fl[i-1] {
+			t.Errorf("flushes grew with ω: row %d has %.0f after %.0f", i, fl[i], fl[i-1])
+		}
 	}
-	wpo, fl := col("writes/op"), col("flushes")
-	lat := []int{col("p50"), col("p99"), col("p99.9"), col("max"), col("max stall")}
-	var prevW float64
-	var prevF int64
-	for i, row := range tbl.Rows {
-		w, err := strconv.ParseFloat(row[wpo], 64)
-		if err != nil {
-			t.Fatalf("row %d writes/op %q: %v", i, row[wpo], err)
-		}
-		f, err := strconv.ParseInt(row[fl], 10, 64)
-		if err != nil {
-			t.Fatalf("row %d flushes %q: %v", i, row[fl], err)
-		}
-		if i > 0 {
-			if w >= prevW {
-				t.Errorf("writes/op did not fall with ω: row %d has %.3f after %.3f", i, w, prevW)
-			}
-			if f > prevF {
-				t.Errorf("flushes grew with ω: row %d has %d after %d", i, f, prevF)
-			}
-		}
-		prevW, prevF = w, f
-		for _, c := range lat {
-			if row[c] == "" || row[c] == "0ns" {
-				// max stall may be 0 at the largest ω if no flush fired;
-				// every per-op latency column must be populated.
-				if tbl.Columns[c] != "max stall" {
-					t.Errorf("row %d: latency column %q empty: %q", i, tbl.Columns[c], row[c])
-				}
+	// Every per-op latency column must be populated; max stall may be 0
+	// at the largest ω if no flush fired.
+	for _, name := range []string{"p50", "p99", "p99.9", "max"} {
+		for i, cell := range column(t, tbl, name) {
+			if cell == "" || cell == "0ns" {
+				t.Errorf("row %d: latency column %q empty: %q", i, name, cell)
 			}
 		}
 	}
 	// The smallest-ω row flushes constantly: its stall column must be real.
-	if st := tbl.Rows[0][col("max stall")]; st == "0ns" || st == "" {
+	stall := column(t, tbl, "max stall")
+	if st := stall[0]; st == "0ns" || st == "" {
 		t.Errorf("ω=1 recorded no flush stall: %q", st)
 	}
-	if strings.HasPrefix(tbl.Rows[0][col("max stall")], "-") {
+	if strings.HasPrefix(stall[0], "-") {
 		t.Error("negative stall")
 	}
 }

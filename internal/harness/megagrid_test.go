@@ -43,19 +43,9 @@ func TestMG1TableRatiosPinExactly(t *testing.T) {
 		{Name: "omega", Values: Ints(256)},
 		{Name: "N", Values: Ints(1 << 24)},
 	}
-	tbl := s.Table()
-	col := -1
-	for i, c := range tbl.Columns {
-		if c == "cost/pred" {
-			col = i
-		}
-	}
-	if col < 0 {
-		t.Fatal("no cost/pred column")
-	}
-	for _, row := range tbl.Rows {
-		if row[col] != "1.00" {
-			t.Errorf("cost/pred = %s, want exactly 1.00", row[col])
+	for _, cell := range column(t, s.Table(), "cost/pred") {
+		if cell != "1.00" {
+			t.Errorf("cost/pred = %s, want exactly 1.00", cell)
 		}
 	}
 }
