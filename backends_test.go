@@ -1,14 +1,16 @@
 // Cross-backend integration: every storage engine must leave the cost
-// model untouched. The data-bearing engines (slice reference, arena) must
-// agree on outputs *and* I/O accounting for every algorithm in the
-// repository; the counting engine must agree on accounting for
-// data-oblivious programs, which is all it exists for.
+// model untouched. The data-bearing engines (the slice reference and the
+// mmap file engine, which stores blocks in its own way) must agree on
+// outputs *and* I/O accounting for every algorithm in the repository; the
+// counting engine must agree on accounting for data-oblivious programs,
+// which is all it exists for.
 package repro
 
 import (
 	"testing"
 
 	"repro/internal/aem"
+	"repro/internal/aem/aemtest"
 	"repro/internal/dict"
 	"repro/internal/permute"
 	"repro/internal/pq"
@@ -17,18 +19,10 @@ import (
 	"repro/internal/workload"
 )
 
-// dataEngines returns fresh machines on the two data-bearing backends.
-func dataEngines(cfg aem.Config) map[string]*aem.Machine {
-	return map[string]*aem.Machine{
-		"slice": aem.New(cfg),
-		"arena": aem.NewWithStorage(cfg, aem.NewArenaStorage(cfg.B)),
-	}
-}
-
 // TestAlgorithmsIdenticalAcrossDataBackends is the conformance suite at
 // algorithm level: identical outputs, Stats, Cost, phase totals and
-// internal-memory peaks on the reference and arena engines, for every
-// algorithm family in the repository.
+// internal-memory peaks on every data-bearing engine, for every algorithm
+// family in the repository.
 func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 	cfg := aem.Config{M: 128, B: 8, Omega: 8}
 	const n = 1 << 12
@@ -158,7 +152,8 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 				blocks int
 			}
 			var ref *outcome
-			for engine, ma := range dataEngines(cfg) {
+			for _, e := range aemtest.DataEngines() {
+				engine, ma := e.Name, aemtest.Machine(t, cfg, e)
 				got := outcome{out: alg.run(ma), stats: ma.Stats(),
 					cost: ma.Cost(), peak: ma.MemPeak(), blocks: ma.NumBlocks()}
 				if ref == nil {
@@ -222,11 +217,6 @@ func TestCountingBackendMatchesObliviousPrograms(t *testing.T) {
 	const n = 1 << 10
 	items, perm := workload.Permutation(workload.NewRNG(80), n)
 
-	engines := map[string]func() aem.Storage{
-		"slice":    func() aem.Storage { return aem.NewSliceStorage() },
-		"arena":    func() aem.Storage { return aem.NewArenaStorage(cfg.B) },
-		"counting": func() aem.Storage { return aem.NewCountingStorage() },
-	}
 	programs := []struct {
 		name string
 		run  func(ma *aem.Machine)
@@ -256,8 +246,8 @@ func TestCountingBackendMatchesObliviousPrograms(t *testing.T) {
 			var refName string
 			var ref aem.Stats
 			var refCost int64
-			for name, mk := range engines {
-				ma := aem.NewWithStorage(cfg, mk())
+			for _, e := range aemtest.BufferedEngines() {
+				name, ma := e.Name, aemtest.Machine(t, cfg, e)
 				p.run(ma)
 				if refName == "" {
 					refName, ref, refCost = name, ma.Stats(), ma.Cost()

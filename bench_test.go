@@ -70,35 +70,6 @@ func BenchmarkMergeSort(b *testing.B) {
 	}
 }
 
-// Storage-engine comparison: the same mergesort on the reference slice
-// backend vs the zero-allocation arena backend. I/O counts (the model
-// metric) are identical by construction — the conformance tests pin that —
-// so the difference is pure simulator speed and allocs/op, which is the
-// engine refactor's acceptance criterion.
-func BenchmarkMergeSortBackends(b *testing.B) {
-	cfg := aem.Config{M: 128, B: 8, Omega: 8}
-	const n = 1 << 14
-	in := workload.Keys(workload.NewRNG(1), workload.Random, n)
-	for _, eng := range []struct {
-		name string
-		make func() aem.Storage
-	}{
-		{"slice", func() aem.Storage { return aem.NewSliceStorage() }},
-		{"arena", func() aem.Storage { return aem.NewArenaStorage(cfg.B) }},
-	} {
-		b.Run(eng.name, func(b *testing.B) {
-			b.ReportAllocs()
-			var cost int64
-			for i := 0; i < b.N; i++ {
-				ma := aem.NewWithStorage(cfg, eng.make())
-				sorting.MergeSort(ma, aem.Load(ma, in))
-				cost = ma.Cost()
-			}
-			b.ReportMetric(float64(cost), "aem-cost")
-		})
-	}
-}
-
 // EXP-S2: AEM vs EM mergesort across ω.
 func BenchmarkSortComparison(b *testing.B) {
 	const n = 1 << 14

@@ -236,11 +236,11 @@ func TestMachineRecycle(t *testing.T) {
 	}
 }
 
-// TestRecycleRejectsUndersizedArena mirrors the constructor guard: a
-// pooled arena cannot be recycled into a configuration whose B exceeds
-// its fixed stride.
-func TestRecycleRejectsUndersizedArena(t *testing.T) {
-	ma := NewWithStorage(Config{M: 16, B: 4, Omega: 1}, NewArenaStorage(4))
+// TestRecycleRejectsUndersizedEngine mirrors the constructor guard: a
+// machine cannot be recycled into a configuration whose B exceeds its
+// engine's fixed block capacity.
+func TestRecycleRejectsUndersizedEngine(t *testing.T) {
+	ma := NewWithStorage(Config{M: 16, B: 4, Omega: 1}, newFileEngine(t, FileMmap, 4))
 	defer expectPanic(t, "block capacity 4 < B = 8")
 	ma.Recycle(Config{M: 64, B: 8, Omega: 1})
 }

@@ -16,8 +16,8 @@ import (
 // bounds.FitOmega and the EXP-IO specs).
 //
 // Block a occupies the byte range [a·stride, (a+1)·stride) of the file;
-// live lengths are a segmented RAM side table, exactly as in
-// ArenaStorage. Two I/O modes share the layout:
+// live lengths are a segmented RAM side table (segments.go), as in the
+// counting engine. Two I/O modes share the layout:
 //
 //   - FileMmap (default): one fixed window of mapWindow bytes is mapped
 //     read/write at construction and never remapped; growth extends the
@@ -210,7 +210,7 @@ func (s *FileStorage) Alloc(count int) Addr {
 		}
 		s.capBlk = capBlk
 	}
-	s.lens.cover(need, 1)
+	s.lens.cover(need)
 	s.n = need
 	return base
 }
@@ -284,7 +284,7 @@ func (s *FileStorage) Reset() {
 	if err := s.f.Truncate(0); err != nil {
 		panic(fmt.Sprintf("aem: file engine %s: truncate on Reset: %v", s.path, err))
 	}
-	s.lens.clear(s.n, 1)
+	s.lens.clear(s.n)
 	s.n = 0
 	s.capBlk = 0
 }

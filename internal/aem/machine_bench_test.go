@@ -8,7 +8,7 @@ import (
 // enough to defeat trivial caching, small enough for stable numbers.
 func benchConfig() Config { return Config{M: 1 << 10, B: 64, Omega: 8} }
 
-func benchEngines(cfg Config) []struct {
+func benchEngines() []struct {
 	name string
 	make func() Storage
 } {
@@ -17,7 +17,6 @@ func benchEngines(cfg Config) []struct {
 		make func() Storage
 	}{
 		{"slice", func() Storage { return NewSliceStorage() }},
-		{"arena", func() Storage { return NewArenaStorage(cfg.B) }},
 		{"counting", func() Storage { return NewCountingStorage() }},
 	}
 }
@@ -30,7 +29,7 @@ func benchEngines(cfg Config) []struct {
 func BenchmarkMachineReadWrite(b *testing.B) {
 	cfg := benchConfig()
 	const blocks = 1 << 12
-	for _, eng := range benchEngines(cfg) {
+	for _, eng := range benchEngines() {
 		b.Run(eng.name, func(b *testing.B) {
 			ma := NewWithStorage(cfg, eng.make())
 			base := ma.Alloc(blocks)
@@ -53,31 +52,12 @@ func BenchmarkMachineReadWrite(b *testing.B) {
 	}
 }
 
-// BenchmarkArenaReadInto is the tentpole's acceptance benchmark: a costed
-// block read on the arena engine must be a single copy with 0 allocs/op.
-func BenchmarkArenaReadInto(b *testing.B) {
-	cfg := benchConfig()
-	ma := NewWithStorage(cfg, NewArenaStorage(cfg.B))
-	const blocks = 1 << 12
-	base := ma.Alloc(blocks)
-	blk := make([]Item, cfg.B)
-	for i := 0; i < blocks; i++ {
-		ma.Poke(base+Addr(i), blk)
-	}
-	buf := make([]Item, 0, cfg.B)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		buf = ma.ReadInto(base+Addr(i&(blocks-1)), buf)
-	}
-}
-
 // BenchmarkScanner measures the streaming read path (the substrate of
 // every algorithm's scans) per engine.
 func BenchmarkScanner(b *testing.B) {
 	cfg := benchConfig()
 	const n = 1 << 16
-	for _, eng := range benchEngines(cfg) {
+	for _, eng := range benchEngines() {
 		b.Run(eng.name, func(b *testing.B) {
 			ma := NewWithStorage(cfg, eng.make())
 			v := Load(ma, make([]Item, n))
@@ -105,7 +85,7 @@ func BenchmarkScanner(b *testing.B) {
 func BenchmarkScanReads(b *testing.B) {
 	cfg := benchConfig()
 	const blocks = 1 << 12
-	for _, eng := range benchEngines(cfg) {
+	for _, eng := range benchEngines() {
 		for _, mode := range []string{"per-op", "bulk"} {
 			b.Run(eng.name+"/"+mode, func(b *testing.B) {
 				ma := NewWithStorage(cfg, eng.make())
@@ -136,7 +116,7 @@ func BenchmarkScanReads(b *testing.B) {
 func BenchmarkScanWrites(b *testing.B) {
 	cfg := benchConfig()
 	const blocks = 1 << 12
-	for _, eng := range benchEngines(cfg) {
+	for _, eng := range benchEngines() {
 		for _, mode := range []string{"per-op", "bulk"} {
 			b.Run(eng.name+"/"+mode, func(b *testing.B) {
 				ma := NewWithStorage(cfg, eng.make())
@@ -171,7 +151,7 @@ func BenchmarkTraceSinks(b *testing.B) {
 	}
 	for _, s := range sinks {
 		b.Run(s.name, func(b *testing.B) {
-			ma := NewWithStorage(cfg, NewArenaStorage(cfg.B))
+			ma := NewWithStorage(cfg, NewSliceStorage())
 			base := ma.Alloc(64)
 			blk := make([]Item, cfg.B)
 			for i := 0; i < 64; i++ {

@@ -38,15 +38,9 @@ const FileDirEnv = "AEM_FILE_DIR"
 var engineTable = []Engine{
 	{
 		Name:    "slice",
-		Summary: "reference engine: one Go slice per block",
+		Summary: "RAM data engine: one Go slice per block, carved from shared slabs",
 		Caps:    StorageCaps{RetainsData: true},
 		New:     func(int) (Storage, error) { return NewSliceStorage(), nil },
-	},
-	{
-		Name:    "arena",
-		Summary: "segmented arena, blocks never move: costed reads are single copies, 0 allocs/op",
-		Caps:    StorageCaps{RetainsData: true},
-		New:     func(b int) (Storage, error) { return NewArenaStorage(b), nil },
 	},
 	{
 		Name:    "counting",

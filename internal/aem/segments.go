@@ -2,11 +2,11 @@ package aem
 
 import "math/bits"
 
-// Every RAM-side block table in the engines — the arena's data and
-// lengths, the slice engine's block table, the counting and file engines'
-// length tables — is a segment directory: segment 0 holds segFirst blocks
-// and segment i ≥ 1 the segFirst·2^(i−1) blocks after them, so the first
-// k+1 segments hold exactly segFirst·2^k. Growing allocates only the new
+// Every RAM-side block table in the engines — the slice engine's block
+// table, the counting and file engines' length tables — is a segment
+// directory: segment 0 holds segFirst blocks and segment i ≥ 1 the
+// segFirst·2^(i−1) blocks after them, so the first k+1 segments hold
+// exactly segFirst·2^k. Growing allocates only the new
 // segment and never copies an old one, which is what makes "a block never
 // moves once allocated" part of the Storage contract: a reader may copy
 // out of a block while the owner allocates more. The directory is a
@@ -33,31 +33,31 @@ func locate(a Addr) (seg, off int) {
 // segBlocks returns how many blocks segment seg holds.
 func segBlocks(seg int) int { return max(segFirst, segFirst<<seg>>1) }
 
-// segDir is a segment directory of w-element blocks: segment i is one
-// []T of segBlocks(i)·w elements, allocated on first use and kept across
+// segDir is a segment directory with one element per block: segment i is
+// one []T of segBlocks(i) elements, allocated on first use and kept across
 // resets. Segments are only ever added, so a goroutine may index segment
 // i while another covers segment j > i.
 type segDir[T any] [numSegs][]T
 
 // cover allocates every missing segment holding a block below n. Segments
 // are allocated in order, so the first present one ends the scan.
-func (d *segDir[T]) cover(n, w int) {
+func (d *segDir[T]) cover(n int) {
 	last, _ := locate(Addr(n - 1))
 	for i := last; i >= 0 && d[i] == nil; i-- {
-		d[i] = make([]T, segBlocks(i)*w)
+		d[i] = make([]T, segBlocks(i))
 	}
 }
 
 // clear zeroes the elements of blocks [0, n), keeping the segments.
-func (d *segDir[T]) clear(n, w int) {
+func (d *segDir[T]) clear(n int) {
 	for i := 0; n > 0; i++ {
 		k := min(n, segBlocks(i))
-		clear(d[i][:k*w])
+		clear(d[i][:k])
 		n -= k
 	}
 }
 
-// fill sets the single-element blocks [a, a+n) to v, segment by segment.
+// fill sets blocks [a, a+n) to v, segment by segment.
 func (d *segDir[T]) fill(a Addr, n int, v T) {
 	for n > 0 {
 		seg, off := locate(a)

@@ -1,7 +1,5 @@
 package aem
 
-import "fmt"
-
 // Storage is the pluggable block engine behind a Machine: it owns the
 // external memory's contents while the Machine owns the cost model (I/O
 // counting, phase attribution, tracing, internal-memory metering). The
@@ -109,9 +107,8 @@ func sizedDst(dst []Item, n int) []Item {
 	return dst[:n]
 }
 
-// SliceStorage is the reference engine: one Go slice per block, exactly
-// the machine's original representation, checked against the arena
-// backend by the conformance suite. Reads and writes copy, so no caller
+// SliceStorage is the RAM data engine: one Go slice per block, exactly
+// the machine's original representation. Reads and writes copy, so no caller
 // ever aliases a stored block. A write copies in place when the block's
 // slice has room, and otherwise carves the block from a shared slab (a
 // slab allocator in Bonwick's sense) as slab[i:i+n:i+n]: the clipped
@@ -123,19 +120,20 @@ type SliceStorage struct {
 	slab   []Item         // the current slab's uncarved rest
 }
 
-// slabItems is the slice engine's slab size: 32 KiB of 16-byte items, the
-// largest small-object size class, so a slab wastes nothing to rounding
-// and costs one allocation.
-const slabItems = 2048
+// slabItems is the slice engine's slab size: 128 KiB of 16-byte items, a
+// whole number of 8 KiB pages, so a slab wastes nothing to rounding and
+// costs one allocation. Loading 2^20 items at B = 32 takes 128 slabs;
+// with 32 KiB ones it took 512 and ran measurably slower.
+const slabItems = 8192
 
-// NewSliceStorage returns an empty reference engine.
+// NewSliceStorage returns an empty slice engine.
 func NewSliceStorage() *SliceStorage { return &SliceStorage{} }
 
 // Alloc implements Storage.
 func (s *SliceStorage) Alloc(count int) Addr {
 	base := Addr(s.n)
 	if count > 0 {
-		s.blocks.cover(s.n+count, 1)
+		s.blocks.cover(s.n + count)
 		s.n += count
 	}
 	return base
@@ -186,7 +184,7 @@ func (s *SliceStorage) carve(n int) []Item {
 // like fresh ones and the previous run's blocks become garbage. The
 // slab's uncarved rest was never handed out, so carving continues there.
 func (s *SliceStorage) Reset() {
-	s.blocks.clear(s.n, 1)
+	s.blocks.clear(s.n)
 	s.n = 0
 }
 
@@ -196,80 +194,11 @@ func (s *SliceStorage) Sync() error { return nil }
 // Close implements Storage; RAM engines own no external resources.
 func (s *SliceStorage) Close() error { return nil }
 
-// ArenaStorage stores blocks in segmented arenas: block a occupies a
-// B-item stride of its segment, with the live length in a segmented side
-// table. Transfers are single copies into caller-owned buffers, so the
-// steady-state read and write paths perform zero allocations per I/O —
-// the difference production-scale simulations feel, since the simulator's
-// hot loop is nothing but block transfers — and growth allocates only the
-// new segment, never copying the blocks already stored.
-type ArenaStorage struct {
-	b    int // block stride in items
-	n    int // blocks allocated
-	data segDir[Item]
-	lens segDir[int32] // live item count per block
-}
-
-// NewArenaStorage returns an empty arena engine for blocks of at most
-// blockSize items (the machine's B).
-func NewArenaStorage(blockSize int) *ArenaStorage {
-	if blockSize < 1 {
-		panic(fmt.Sprintf("aem: NewArenaStorage(%d): need blockSize ≥ 1", blockSize))
-	}
-	return &ArenaStorage{b: blockSize}
-}
-
-// Alloc implements Storage. Covering new segments is the only allocation
-// the engine ever performs.
-func (s *ArenaStorage) Alloc(count int) Addr {
-	base := Addr(s.n)
-	if count > 0 {
-		s.data.cover(s.n+count, s.b)
-		s.lens.cover(s.n+count, 1)
-		s.n += count
-	}
-	return base
-}
-
-// NumBlocks implements Storage.
-func (s *ArenaStorage) NumBlocks() int { return s.n }
-
-// BlockSize returns the arena's fixed per-block stride. NewWithStorage
-// uses it to reject engines that cannot hold a full B-item block.
-func (s *ArenaStorage) BlockSize() int { return s.b }
-
-// ReadInto implements Storage.
-func (s *ArenaStorage) ReadInto(a Addr, dst []Item) []Item {
-	seg, off := locate(a)
-	dst = sizedDst(dst, int(s.lens[seg][off]))
-	copy(dst, s.data[seg][off*s.b:]) // copies len(dst) = the block's length
-	return dst
-}
-
-// Write implements Storage.
-func (s *ArenaStorage) Write(a Addr, items []Item) {
-	if len(items) > s.b {
-		panic(fmt.Sprintf("aem: arena Write(%d): %d items exceed stride %d", a, len(items), s.b))
-	}
-	seg, off := locate(a)
-	copy(s.data[seg][off*s.b:], items)
-	s.lens[seg][off] = int32(len(items))
-}
-
-// Reset implements Storage. Both directories keep their segments; only
-// the lengths are cleared. Items beyond a block's length are never read,
-// so a recycled arena is indistinguishable from a fresh one without
-// zeroing its data, at zero steady-state allocations.
-func (s *ArenaStorage) Reset() {
-	s.lens.clear(s.n, 1)
-	s.n = 0
-}
-
-// Sync implements Storage; RAM engines have nothing to flush.
-func (s *ArenaStorage) Sync() error { return nil }
-
-// Close implements Storage; RAM engines own no external resources.
-func (s *ArenaStorage) Close() error { return nil }
+// NewArenaStorage returns the slice engine; blockSize is ignored.
+//
+// Deprecated: the arena engine is gone and SliceStorage is the one RAM
+// data engine. Use NewSliceStorage.
+func NewArenaStorage(blockSize int) *SliceStorage { return NewSliceStorage() }
 
 // CountingStorage moves no data at all: it tracks only per-block lengths,
 // so reads return correctly sized but zeroed blocks. It exists for pure
@@ -279,7 +208,7 @@ func (s *ArenaStorage) Close() error { return nil }
 // Only data-oblivious programs (scans, streaming writes, permute.Direct,
 // program replays) produce the same I/O schedule on this backend as on the
 // data-bearing ones; value-dependent algorithms such as the sorts branch
-// on block contents and must use SliceStorage or ArenaStorage.
+// on block contents and must use a data-bearing engine.
 type CountingStorage struct {
 	n    int
 	lens segDir[int32]
@@ -292,7 +221,7 @@ func NewCountingStorage() *CountingStorage { return &CountingStorage{} }
 func (s *CountingStorage) Alloc(count int) Addr {
 	base := Addr(s.n)
 	if count > 0 {
-		s.lens.cover(s.n+count, 1)
+		s.lens.cover(s.n + count)
 		s.n += count
 	}
 	return base
@@ -318,7 +247,7 @@ func (s *CountingStorage) Write(a Addr, items []Item) {
 
 // Reset implements Storage.
 func (s *CountingStorage) Reset() {
-	s.lens.clear(s.n, 1)
+	s.lens.clear(s.n)
 	s.n = 0
 }
 

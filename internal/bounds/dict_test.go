@@ -1,27 +1,36 @@
 package bounds
 
 import (
+	"math"
 	"testing"
 
 	"repro/internal/aem"
 	"repro/internal/dict"
 )
 
-// TestDictFanoutMatchesImplementation pins the predictor's replica of the
-// buffer tree's fan-out choice to the implementation, so the two cannot
-// drift silently.
-func TestDictFanoutMatchesImplementation(t *testing.T) {
-	for _, cfg := range []aem.Config{
-		{M: 64, B: 8, Omega: 1},
-		{M: 256, B: 16, Omega: 16},
-		{M: 32, B: 1, Omega: 8},
-		{M: 128, B: 8, Omega: 64},
-		{M: 1024, B: 32, Omega: 4},
-	} {
-		got := dict.NewBufferTree(aem.New(cfg)).Fanout()
-		if want := DictFanout(cfg); got != want {
-			t.Errorf("cfg %+v: implementation fan-out %d != predictor %d", cfg, got, want)
-		}
+// TestDeamortizedStallUsesDeamortizedFanout: the deamortized leaf dump is
+// rootCap/d with the fan-out of a deamortized tree, which leaves room for
+// the resident stage and is narrower than the amortized one. At ω = 1,
+// M = 1024, B = 32 the heavy leaf apply outweighs the root backstop, so
+// the prediction is the leaf bill and d shows in it.
+func TestDeamortizedStallUsesDeamortizedFanout(t *testing.T) {
+	cfg := aem.Config{M: 1024, B: 32, Omega: 1}
+	tree := dict.NewBufferTree(aem.New(cfg))
+	amortized := tree.Fanout()
+	tree.Deamortize()
+	d := tree.Fanout()
+	if d != 29 || amortized != 30 {
+		t.Fatalf("fan-outs %d deamortized, %d amortized; want 29 and 30", d, amortized)
+	}
+	M, B := float64(cfg.M), float64(cfg.B)
+	dump := M/float64(d) + M/2 // rootCap = ωM
+	want := PredictedIO{
+		Reads:  (dump+M)/B + dump/B*math.Ceil(dump/M),
+		Writes: (dump+M)/B + dump/B,
+	}
+	got := DictDeamortizedStallPredicted(DictParams{Params: Params{N: 1, Cfg: cfg}})
+	if got != want {
+		t.Errorf("predicted stall %+v, want the leaf bill %+v at d = %d", got, want, d)
 	}
 }
 

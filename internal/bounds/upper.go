@@ -183,21 +183,6 @@ func DictParamsFor(cfg aem.Config, ops []dict.Op, keyspace int) DictParams {
 	return p
 }
 
-// DictFanout returns the buffer tree's fan-out d for the machine: ~m,
-// capped so a streaming partition (scan frame + d output frames + d
-// separator keys) fits in internal memory. It mirrors the choice in
-// internal/dict (pinned to it by a cross-package test).
-func DictFanout(cfg aem.Config) int {
-	d := (cfg.M - cfg.B) / (cfg.B + 1)
-	if m := cfg.BlocksInMemory(); d > m {
-		d = m
-	}
-	if d < 2 {
-		d = 2
-	}
-	return d
-}
-
 // dictGeometry returns the buffer tree's steady-state shape for the
 // workload: number of leaf runs and node levels. Before the first cascade
 // (fewer than ω·M updates) everything is one root buffer over a single
@@ -209,7 +194,7 @@ func (p DictParams) dictGeometry() (leaves, height float64) {
 	}
 	live := math.Min(float64(p.Keyspace), float64(p.Updates))
 	leaves = math.Max(1, math.Ceil(live/(M/2)))
-	height = 1 + math.Ceil(logBase(leaves, float64(DictFanout(p.Cfg))))
+	height = 1 + math.Ceil(logBase(leaves, float64(dict.Fanout(p.Cfg, false))))
 	return leaves, height
 }
 
@@ -305,22 +290,23 @@ func DictAmortizedStallPredicted(p DictParams) PredictedIO {
 // 2·ωM occupancy ceiling) and a heavy leaf apply (a typical worst dump of
 // rootCap/d + M/2 buffered items, externally sorted when it exceeds the
 // in-memory chunk, then merged into the run); the prediction is whichever
-// costs more. Everything else the old cascade did in the same pause —
+// costs more. The dump never exceeds ωM, so its external sort is the
+// mergesort's base case (see SmallSortPredicted): ⌈dump/M⌉ read passes
+// but a single write of the sorted dump. Everything else the old cascade did in the same pause —
 // the other levels, the other leaves, the rebuild — happens across other
 // batches or at idle.
 func DictDeamortizedStallPredicted(p DictParams) PredictedIO {
 	B, M, w := float64(p.Cfg.B), float64(p.Cfg.M), p.omega()
 	rootCap := w * M
-	d := float64(DictFanout(p.Cfg))
+	d := float64(dict.Fanout(p.Cfg, true))
 
 	backstop := PredictedIO{Reads: 2*rootCap/B + 1, Writes: 2*rootCap/B + 1}
 
 	dump := rootCap/d + M/2
 	leaf := PredictedIO{Reads: (dump + M) / B, Writes: (dump + M) / B}
 	if dump > M/2 { // external sort of the oversized buffer
-		passes := math.Ceil(dump / M)
-		leaf.Reads += dump / B * passes
-		leaf.Writes += dump / B * passes
+		leaf.Reads += dump / B * math.Ceil(dump/M)
+		leaf.Writes += dump / B
 	}
 	if leaf.Cost(p.Cfg.Omega) > backstop.Cost(p.Cfg.Omega) {
 		return leaf

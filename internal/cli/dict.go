@@ -17,7 +17,7 @@ import (
 // bounds predictions.
 //
 //	aem dict -ops 24000 -keyspace 8192 -m 256 -b 16 -omega 16 -scenario zipf
-//	aem dict -impl buffertree -engine arena -phases
+//	aem dict -impl buffertree -engine file -phases
 //
 // Scenarios: uniform | zipf | sortedburst | deleteheavy.
 // Implementations: both | buffertree | btree.

@@ -20,7 +20,7 @@ import (
 // the Θ(ωM) root-buffer deferral shows up as tail latency.
 //
 //	aem dictload -ops 2000000 -gor 8 -shards 4 -omega 16
-//	aem dictload -scenario drift -engine arena -json
+//	aem dictload -scenario drift -engine file -json
 //	aem dictload -deamortize -json        (bounded-stall commit mode)
 //
 // Scenarios: uniform | zipf | sortedburst | deleteheavy | drift (default:

@@ -270,19 +270,23 @@ func NewBufferTree(ma *aem.Machine) *BufferTree {
 	return t
 }
 
-// Fanout returns the tree's fan-out d: ~m, capped so one streaming
-// partition — a scan frame, d output frames and d separator keys — fits in
-// internal memory. A deamortized non-root partition runs with the stage's
-// B slots still reserved (spilling the stage on every step would
-// re-fragment the root chain), so there d must fit beside it:
-// d + (d+1)·B + B ≤ M.
-func (t *BufferTree) Fanout() int {
-	free := t.cfg.M - t.cfg.B
-	if t.deamortized {
-		free -= t.cfg.B
+// Fanout returns the fan-out d of a buffer tree on a machine with cfg: ~m,
+// capped so one streaming partition — a scan frame, d output frames and d
+// separator keys — fits in internal memory. A deamortized non-root
+// partition runs with the stage's B slots still reserved (spilling the
+// stage on every step would re-fragment the root chain), so there d must
+// fit beside it: d + (d+1)·B + B ≤ M. The bounds predictors call this
+// too, so prediction and implementation share one choice of d.
+func Fanout(cfg aem.Config, deamortized bool) int {
+	free := cfg.M - cfg.B
+	if deamortized {
+		free -= cfg.B
 	}
-	return max(2, min(t.cfg.BlocksInMemory(), free/(t.cfg.B+1)))
+	return max(2, min(cfg.BlocksInMemory(), free/(cfg.B+1)))
 }
+
+// Fanout returns the tree's fan-out d in its current mode.
+func (t *BufferTree) Fanout() int { return Fanout(t.cfg, t.deamortized) }
 
 // RootCap returns the ω-adaptive root buffer capacity in items.
 func (t *BufferTree) RootCap() int { return t.rootCap }

@@ -195,8 +195,8 @@ func TestBufferTreeWriteEfficiency(t *testing.T) {
 
 // Benchmarks for the perf trajectory: one mixed stream through each
 // dictionary. The interesting figures are ns/op of *simulated work* and
-// allocs/op (the simulator's hot loop is block transfers; the arena
-// engine keeps them allocation-free).
+// allocs/op (the simulator's hot loop is block transfers, which the slice
+// engine keeps allocation-free once a block is carved).
 func benchStream(n int) []Op {
 	// Bursty traffic (updates then queries), the shape the buffered
 	// dictionary is built for.
@@ -221,7 +221,7 @@ func BenchmarkBufferTreeMixedOps(b *testing.B) {
 	ops := benchStream(20000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ma := aem.NewWithStorage(cfg, aem.NewArenaStorage(cfg.B))
+		ma := aem.New(cfg)
 		d := NewBufferTree(ma)
 		d.Apply(ops)
 		d.Flush()
@@ -233,7 +233,7 @@ func BenchmarkBTreeMixedOps(b *testing.B) {
 	ops := benchStream(20000)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		ma := aem.NewWithStorage(cfg, aem.NewArenaStorage(cfg.B))
+		ma := aem.New(cfg)
 		NewBTree(ma).Apply(ops)
 	}
 }

@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"repro/internal/aem"
+	"repro/internal/aem/aemtest"
 	"repro/internal/rng"
 )
 
@@ -12,9 +13,10 @@ import (
 // including B = 1 (the ARAM of Blelloch et al.) and ω = 1 (the classic EM
 // model) — and on every storage engine.
 //
-//   - On the data-bearing engines (slice reference, arena) every lookup
-//     and range answer must equal the model's, and the two engines must
-//     agree byte-for-byte on Stats, Cost and memory peaks.
+//   - On the data-bearing engines (the slice reference and the mmap file
+//     engine) every lookup and range answer must equal the model's, and
+//     the engines must agree byte-for-byte on Stats, Cost and memory
+//     peaks.
 //   - The counting engine stores no data at all, so a value-dependent
 //     structure cannot answer (or even route) correctly on it; the
 //     differential contract there is crash-freedom and metering sanity:
@@ -95,13 +97,9 @@ func TestDifferentialBufferTreeVsModel(t *testing.T) {
 				peak    int
 				blocks  int
 			}
-			engines := map[string]aem.Storage{
-				"slice": aem.NewSliceStorage(),
-				"arena": aem.NewArenaStorage(dc.cfg.B),
-			}
 			var ref *outcome
-			for _, name := range []string{"slice", "arena"} {
-				ma := aem.NewWithStorage(dc.cfg, engines[name])
+			for _, e := range aemtest.DataEngines() {
+				name, ma := e.Name, aemtest.Machine(t, dc.cfg, e)
 				d := NewBufferTree(ma)
 				got := outcome{results: applyChunked(d, ops, rng.New(17))}
 				d.Flush()
@@ -220,21 +218,15 @@ func TestDifferentialBTreeVsModel(t *testing.T) {
 			ops := diffStream(2000+uint64(dc.cfg.Omega), dc.n, dc.keyspace)
 			md := newModel()
 			want := md.apply(ops)
-			for _, mk := range []struct {
-				name string
-				st   aem.Storage
-			}{
-				{"slice", aem.NewSliceStorage()},
-				{"arena", aem.NewArenaStorage(dc.cfg.B)},
-			} {
-				ma := aem.NewWithStorage(dc.cfg, mk.st)
+			for _, e := range aemtest.DataEngines() {
+				ma := aemtest.Machine(t, dc.cfg, e)
 				d := NewBTree(ma)
-				sameResults(t, dc.name+"/"+mk.name, applyChunked(d, ops, rng.New(23)), want)
+				sameResults(t, dc.name+"/"+e.Name, applyChunked(d, ops, rng.New(23)), want)
 				if want := lenOf(md); d.Len() != want {
-					t.Errorf("%s: Len = %d, model has %d", mk.name, d.Len(), want)
+					t.Errorf("%s: Len = %d, model has %d", e.Name, d.Len(), want)
 				}
 				if ma.MemPeak() > dc.cfg.M {
-					t.Errorf("%s: memory peak %d exceeds M", mk.name, ma.MemPeak())
+					t.Errorf("%s: memory peak %d exceeds M", e.Name, ma.MemPeak())
 				}
 			}
 		})

@@ -16,6 +16,7 @@ import (
 	"testing"
 
 	"repro/internal/aem"
+	"repro/internal/aem/aemtest"
 	"repro/internal/dict"
 	"repro/internal/workload"
 )
@@ -126,17 +127,14 @@ func FuzzDictOps(f *testing.F) {
 
 		var ref aem.Stats
 		var refCost int64
-		for ei, mk := range []func() aem.Storage{
-			func() aem.Storage { return aem.NewSliceStorage() },
-			func() aem.Storage { return aem.NewArenaStorage(cfg.B) },
-		} {
-			ma := aem.NewWithStorage(cfg, mk())
+		for ei, e := range aemtest.DataEngines() {
+			ma := aemtest.Machine(t, cfg, e)
 			d := dict.NewBufferTree(ma)
 			got := d.Apply(ops)
 			d.Flush()
 			compareResults(t, got, want)
 			if ma.MemPeak() > cfg.M {
-				t.Fatalf("engine %d: memory peak %d exceeds M = %d", ei, ma.MemPeak(), cfg.M)
+				t.Fatalf("%s engine: memory peak %d exceeds M = %d", e.Name, ma.MemPeak(), cfg.M)
 			}
 			if ei == 0 {
 				ref, refCost = ma.Stats(), ma.Cost()

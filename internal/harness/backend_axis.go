@@ -17,7 +17,7 @@ import (
 // (Skip) from every point whose I/O schedule branches on block contents:
 // all the sorts and the sort-based SpMxV qualify, while the naive SpMxV
 // program is data-oblivious (its schedule is conformation-driven program
-// knowledge) and keeps all three engines.
+// knowledge) and keeps every engine.
 
 // Aux returns the auxiliary experiment registry: specs selectable by id
 // (`aem bench -exp EXP-BE1`) and listed by -list, but not part of All(),
@@ -30,7 +30,7 @@ func Aux() []*Spec {
 // backendNames spans the storage-backend axis: every registered engine.
 // The file engines appear through their mmap flavor; file-direct is
 // exercised by the EXP-IO sweeps, where its transfer path is the point.
-var backendNames = Vals("slice", "arena", "counting", "file")
+var backendNames = Vals("slice", "counting", "file")
 
 // backendMachine builds a machine on the named storage engine via the
 // aem registry — the same constructor the CLI flag resolves through. An
@@ -118,11 +118,10 @@ func specBE1() *Spec {
 		},
 	}
 	return &Spec{
-		ID:        "EXP-BE1",
-		Index:     "sorting: storage-backend axis (Stats equality per point)",
-		Statement: "every sorting algorithm produces identical I/O accounting on the slice and arena engines at every grid point; the counting engine is pruned — a comparison sort's schedule branches on key values, which it cannot serve",
-		Title:     "sorting across storage backends",
-		Claim:     "identical Stats/cost/peak/blocks on every engine that can serve the point",
+		ID:    "EXP-BE1",
+		Index: "sorting: storage-backend axis (Stats equality per point)",
+		Title: "sorting across storage backends",
+		Claim: "identical Stats/cost/peak/blocks on every engine that can serve the point",
 		Axes: []Axis{
 			{Name: "alg", Values: Vals("mergesort", "em-mergesort", "samplesort", "heapsort", "smallsort")},
 			{Name: "backend", Values: backendNames},
@@ -169,11 +168,10 @@ func specBE2() *Spec {
 		},
 	}
 	return &Spec{
-		ID:        "EXP-BE2",
-		Index:     "spmxv: storage-backend axis (counting serves the oblivious naive program)",
-		Statement: "both §5 SpMxV programs produce identical I/O accounting on the slice and arena engines; the data-oblivious naive program additionally matches on the counting engine, which is pruned from the value-branching sort-based program",
-		Title:     "SpMxV across storage backends",
-		Claim:     "identical Stats/cost/peak/blocks per point; counting serves only the data-oblivious naive program",
+		ID:    "EXP-BE2",
+		Index: "spmxv: storage-backend axis (counting serves the oblivious naive program)",
+		Title: "SpMxV across storage backends",
+		Claim: "identical Stats/cost/peak/blocks per point; counting serves only the data-oblivious naive program",
 		Axes: []Axis{
 			{Name: "alg", Values: Vals("naive", "sort")},
 			{Name: "backend", Values: backendNames},

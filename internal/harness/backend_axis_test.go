@@ -42,10 +42,10 @@ func TestBackendAxisStatsEquality(t *testing.T) {
 				}
 			}
 			// Every algorithm must have run on both data-bearing engines
-			// (slice + arena), so the equality column compared something.
+			// (slice + file), so the equality column compared something.
 			for alg, n := range perAlg {
 				if n < 2 {
-					t.Errorf("%s ran on %d backend(s); the axis must span at least slice and arena", alg, n)
+					t.Errorf("%s ran on %d backend(s); the axis must span at least slice and file", alg, n)
 				}
 			}
 		})

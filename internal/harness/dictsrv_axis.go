@@ -58,11 +58,10 @@ func specL1() *Spec {
 		keyspace   = 4096
 	)
 	return &Spec{
-		ID:        "EXP-L1",
-		Index:     "serving frontier: amortized cost/op vs worst flush stall across ω",
-		Statement: "the dictionary service under drift load at fixed concurrency, swept over ω: the ω-adaptive root buffer (Θ(ωM) items) drives amortized cost/op down — and write count per op with it — while the same deferral concentrates into rarer, larger flush stalls; p50/p99/max op latency and the worst stall sit next to the amortized columns",
-		Title:     "serving: the amortized-vs-tail frontier across ω",
-		Claim:     "bigger ω buys lower amortized cost per op and fewer flushes, paid for in a growing worst-case stall — deferral moves cost from the average to the tail",
+		ID:    "EXP-L1",
+		Index: "serving frontier: amortized cost/op vs worst flush stall across ω",
+		Title: "serving: the amortized-vs-tail frontier across ω",
+		Claim: "bigger ω buys lower amortized cost per op and fewer flushes, paid for in a growing worst-case stall — deferral moves cost from the average to the tail",
 		Axes: []Axis{
 			{Name: "omega", Values: Ints(1, 4, 16, 64)},
 		},
@@ -95,11 +94,10 @@ func specL2() *Spec {
 		keyspace = 4096
 	)
 	return &Spec{
-		ID:        "EXP-L2",
-		Index:     "serving scalability: throughput and p99 vs goroutines, shards as axis",
-		Statement: "the dictionary service at fixed ω, swept over offered concurrency and shard count: group commit batches harder as writers pile up, and sharding splits both the keyspace and the flush stalls — throughput and tail latency reported per (shards, goroutines) point",
-		Title:     "serving: throughput and tail vs concurrency and shards",
-		Claim:     "more shards sustain concurrency better: partitioned trees commit and flush independently, so added writers batch into throughput instead of queueing into the tail",
+		ID:    "EXP-L2",
+		Index: "serving scalability: throughput and p99 vs goroutines, shards as axis",
+		Title: "serving: throughput and tail vs concurrency and shards",
+		Claim: "more shards sustain concurrency better: partitioned trees commit and flush independently, so added writers batch into throughput instead of queueing into the tail",
 		Axes: []Axis{
 			{Name: "shards", Values: Ints(1, 4)},
 			{Name: "gor", Values: Ints(1, 4, 16)},
@@ -147,11 +145,10 @@ func specL3() *Spec {
 		}
 	}
 	return &Spec{
-		ID:        "EXP-L3",
-		Index:     "deamortized flushing: bounded-stall commits vs run-to-completion cascades",
-		Statement: "the dictionary service in amortized mode (each commit batch pays whatever cascade its appends trigger, to completion) against deamortized mode (overfull nodes enter a debt queue; each batch pays at most one node-flush, and an idle retirer pays the remaining debt whenever no writer is queued), swept over scenario and ω: worst and p99.9 commit-path stall, throughput, cost/op, and the debt high-water mark, next to the model's predicted worst-stall Q for each mode",
-		Title:     "serving: amortized vs deamortized flush stalls across ω",
-		Claim:     "the debt queue converts the Θ(ωM)-deferral pause from one run-to-completion cascade into bounded per-batch installments: worst stall drops by an order of magnitude at large ω while throughput holds, because the same node-flushes happen — spread across batches and idle gaps instead of convoyed",
+		ID:    "EXP-L3",
+		Index: "deamortized flushing: bounded-stall commits vs run-to-completion cascades",
+		Title: "serving: amortized vs deamortized flush stalls across ω",
+		Claim: "the debt queue converts the Θ(ωM)-deferral pause from one run-to-completion cascade into bounded per-batch installments: worst stall drops by an order of magnitude at large ω while throughput holds, because the same node-flushes happen — spread across batches and idle gaps instead of convoyed",
 		Axes: []Axis{
 			{Name: "scenario", Values: []interface{}{"drift", "flashcrowd"}},
 			{Name: "omega", Values: Ints(1, 4, 16, 64)},

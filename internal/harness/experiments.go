@@ -2,6 +2,7 @@ package harness
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/aem"
 	"repro/internal/bounds"
@@ -54,11 +55,10 @@ func specQ1() *Spec {
 		return bounds.PQParamsFor(cfgOf(p), ops)
 	})
 	return &Spec{
-		ID:        "EXP-Q1",
-		Index:     "priority queue: ω-adaptive vs sequence heap cost vs ω",
-		Statement: "the ω-adaptive buffered queue's cost grows well under the ω span (folds and writes/op fall with ω until a scenario's below-watermark churn pins them) while the ω-oblivious sequence heap grows ~linearly and the gap widens; both within 2× of the bounds predictions",
-		Title:     "priority queue: ω-adaptive buffered vs sequence heap across ω",
-		Claim:     "adaptive folds and writes/op fall with ω (to a scenario-set floor); sequence heap ~linear in ω; the gap widens",
+		ID:    "EXP-Q1",
+		Index: "priority queue: ω-adaptive vs sequence heap cost vs ω",
+		Title: "priority queue: ω-adaptive buffered vs sequence heap across ω",
+		Claim: "adaptive folds and writes/op fall with ω (to a scenario-set floor); sequence heap ~linear in ω; the gap widens",
 		Axes: []Axis{
 			{Name: "scenario", Values: Vals(workload.MixedPQ, workload.MonotonePQ)},
 			{Name: "omega", Values: Ints(1, 4, 8, 16, 32, 64)},
@@ -102,11 +102,10 @@ func specQ2() *Spec {
 		return bounds.PQParamsFor(cfg, ops)
 	})
 	return &Spec{
-		ID:        "EXP-Q2",
-		Index:     "priority queue: cost per op vs stream length",
-		Statement: "amortized cost/op of the adaptive queue stays under the sequence heap across stream sizes at fixed ω, with the gap set by the deferred restructuring",
-		Title:     "priority queue: amortized cost per op vs stream length",
-		Claim:     "adaptive cost/op stays under the sequence heap across sizes at fixed ω",
+		ID:    "EXP-Q2",
+		Index: "priority queue: cost per op vs stream length",
+		Title: "priority queue: amortized cost per op vs stream length",
+		Claim: "adaptive cost/op stays under the sequence heap across sizes at fixed ω",
 		Axes: []Axis{
 			{Name: "ops", Values: Ints(6000, 12000, 24000, 48000)},
 		},
@@ -149,11 +148,10 @@ func specD1() *Spec {
 		return bounds.DictParamsFor(cfgOf(p), ops, keyspace)
 	})
 	return &Spec{
-		ID:        "EXP-D1",
-		Index:     "dictionary: buffered vs unbatched cost vs ω",
-		Statement: "the ω-adaptive buffer tree's cost/op grows sublinearly in ω (its writes/op falls as buffers grow) while the unbatched B-tree grows ~linearly at ~1 write/update; both within 2× of the bounds predictions",
-		Title:     "dictionary: buffered vs unbatched cost across ω",
-		Claim:     "buffer tree cost/op sublinear in ω (writes/op falls); B-tree ~linear at ~1 write/update",
+		ID:    "EXP-D1",
+		Index: "dictionary: buffered vs unbatched cost vs ω",
+		Title: "dictionary: buffered vs unbatched cost across ω",
+		Claim: "buffer tree cost/op sublinear in ω (writes/op falls); B-tree ~linear at ~1 write/update",
 		Axes: []Axis{
 			{Name: "scenario", Values: Vals(workload.UniformOps, workload.ZipfOps)},
 			{Name: "omega", Values: Ints(1, 4, 8, 16, 32, 64)},
@@ -198,11 +196,10 @@ func specD2() *Spec {
 		return bounds.DictParamsFor(cfg, ops, keyspace)
 	})
 	return &Spec{
-		ID:        "EXP-D2",
-		Index:     "dictionary: cost per op vs stream length",
-		Statement: "amortized cost/op of the buffer tree grows only logarithmically with the stream (tree height), staying under the B-tree baseline across sizes",
-		Title:     "dictionary: amortized cost per op vs stream length",
-		Claim:     "cost/op grows ~log N (tree height) for the buffer tree, stays below the B-tree",
+		ID:    "EXP-D2",
+		Index: "dictionary: cost per op vs stream length",
+		Title: "dictionary: amortized cost per op vs stream length",
+		Claim: "cost/op grows ~log N (tree height) for the buffer tree, stays below the B-tree",
 		Axes: []Axis{
 			{Name: "ops", Values: Ints(6000, 12000, 24000, 48000)},
 		},
@@ -244,11 +241,10 @@ func specM1() *Spec {
 		return float64(cfg.BlocksOf(p.Int("N"))), float64(cfg.BlocksInMemory())
 	}
 	return &Spec{
-		ID:        "EXP-M1",
-		Index:     "ωm-way merge cost (Theorem 3.2)",
-		Statement: "merging ωm sorted runs of N total items costs O(ω(n+m)) reads and O(n+m) writes; the normalized columns are flat across N and ω",
-		Title:     "ωm-way merge: measured I/O vs Theorem 3.2",
-		Claim:     "reads = O(ω(n+m)), writes = O(n+m)",
+		ID:    "EXP-M1",
+		Index: "ωm-way merge cost (Theorem 3.2)",
+		Title: "ωm-way merge: measured I/O vs Theorem 3.2",
+		Claim: "reads = O(ω(n+m)), writes = O(n+m)",
 		Axes: []Axis{
 			{Name: "N", Values: Ints(1<<10, 1<<12, 1<<14)},
 			{Name: "omega", Values: Ints(1, 4, 16, 64)},
@@ -284,11 +280,10 @@ func specS1() *Spec {
 		return bounds.MergeSortPredicted(bounds.Params{N: p.Int("N"), Cfg: cfg}).Cost(cfg.Omega)
 	}
 	return &Spec{
-		ID:        "EXP-S1",
-		Index:     "AEM mergesort scaling (Section 3)",
-		Statement: "mergesort costs O(ω·n·log_{ωm} n) with writes a 1/ω fraction of reads; measured/predicted stays constant across N",
-		Title:     "AEM mergesort: measured vs predicted cost",
-		Claim:     "cost = O(ω·n·log_{ωm} n); reads/writes ≈ ω",
+		ID:    "EXP-S1",
+		Index: "AEM mergesort scaling (Section 3)",
+		Title: "AEM mergesort: measured vs predicted cost",
+		Claim: "cost = O(ω·n·log_{ωm} n); reads/writes ≈ ω",
 		Axes: []Axis{
 			{Name: "N", Values: Ints(1<<10, 1<<12, 1<<14, 1<<16)},
 		},
@@ -321,11 +316,10 @@ func specS1() *Spec {
 func specS2() *Spec {
 	const n = 1 << 14
 	return &Spec{
-		ID:        "EXP-S2",
-		Index:     "sorting algorithms vs ω (Section 3 motivation)",
-		Statement: "the §3 mergesort works for every ω where the in-memory-pointer merge of [7] fails for ω ≳ B, and its cost ratio to the symmetric-EM mergesort falls as ω grows",
-		Title:     "sorting algorithms across ω",
-		Claim:     "AEM mergesort runs for every ω; the [7]-style merge dies for ω ≳ B; cost ratio to EM mergesort falls with ω",
+		ID:    "EXP-S2",
+		Index: "sorting algorithms vs ω (Section 3 motivation)",
+		Title: "sorting algorithms across ω",
+		Claim: "AEM mergesort runs for every ω; the [7]-style merge dies for ω ≳ B; cost ratio to EM mergesort falls with ω",
 		Axes: []Axis{
 			{Name: "omega", Values: Ints(1, 2, 4, 8, 16, 32, 64, 128)},
 		},
@@ -366,11 +360,10 @@ func specS2() *Spec {
 
 func specB1() *Spec {
 	return &Spec{
-		ID:        "EXP-B1",
-		Index:     "small-sort base case ([7, Lemma 4.2])",
-		Statement: "N′ ≤ ωM items sort in O(ω·n′) reads and exactly n′ writes",
-		Title:     "small-sort base case",
-		Claim:     "N′ ≤ ωM sorts in O(ω·n′) reads and exactly n′ writes",
+		ID:    "EXP-B1",
+		Index: "small-sort base case ([7, Lemma 4.2])",
+		Title: "small-sort base case",
+		Claim: "N′ ≤ ωM sorts in O(ω·n′) reads and exactly n′ writes",
 		Axes: []Axis{
 			{Name: "omega", Values: Ints(1, 4, 16)},
 			{Name: "mult", Dyn: func(outer Point) []interface{} {
@@ -416,11 +409,10 @@ func specP1() *Spec {
 		return float64(c.cfg.Omega) * float64(c.cfg.BlocksOf(c.n))
 	}
 	return &Spec{
-		ID:        "EXP-P1",
-		Index:     "permuting upper vs lower bound (Theorem 4.5)",
-		Statement: "best-of(direct, sort) cost is within a constant factor of min{N, ω·n·log_{ωm} n}, with the strategy switching exactly where the min switches",
-		Title:     "permuting: measured vs Theorem 4.5",
-		Claim:     "best-of(direct,sort) tracks min{N, ω·n·log_{ωm} n} within a constant",
+		ID:    "EXP-P1",
+		Index: "permuting upper vs lower bound (Theorem 4.5)",
+		Title: "permuting: measured vs Theorem 4.5",
+		Claim: "best-of(direct,sort) tracks min{N, ω·n·log_{ωm} n} within a constant",
 		Axes: []Axis{
 			{Name: "case", Values: Vals(
 				p1Case{1 << 12, aem.Config{M: 128, B: 8, Omega: 1}},
@@ -475,11 +467,10 @@ func specP2() *Spec {
 			Cfg: aem.Config{M: 1 << 10, B: p.Int("B"), Omega: p.Int("omega")}}
 	}
 	return &Spec{
-		ID:        "EXP-P2",
-		Index:     "counting argument internals (§4.2)",
-		Statement: "the exact round floor from inequality (1) agrees with the closed form within constant factors across the parameter grid",
-		Title:     "counting argument internals",
-		Claim:     "R from inequality (1) ≈ closed form / (ωm)",
+		ID:    "EXP-P2",
+		Index: "counting argument internals (§4.2)",
+		Title: "counting argument internals",
+		Claim: "R from inequality (1) ≈ closed form / (ωm)",
 		Axes: []Axis{
 			{Name: "N", Values: Ints(1<<16, 1<<20)},
 			{Name: "omega", Values: Ints(1, 8, 64)},
@@ -508,11 +499,10 @@ type r1Case struct {
 
 func specR1() *Spec {
 	return &Spec{
-		ID:        "EXP-R1",
-		Index:     "Lemma 4.1 round-based conversion",
-		Statement: "any program converts to a round-based program on a 2M machine at ≤ 3× cost + O(ωm), preserving the computed permutation",
-		Title:     "Lemma 4.1: round-based conversion overhead",
-		Claim:     "cost(P′) ≤ 3·cost(P) + O(ωm), placement preserved, rounds valid",
+		ID:    "EXP-R1",
+		Index: "Lemma 4.1 round-based conversion",
+		Title: "Lemma 4.1: round-based conversion overhead",
+		Claim: "cost(P′) ≤ 3·cost(P) + O(ωm), placement preserved, rounds valid",
 		Axes: []Axis{
 			{Name: "case", Values: Vals(
 				r1Case{kind: "permutation", n: 256, cfg: aem.Config{M: 32, B: 4, Omega: 2}},
@@ -592,11 +582,10 @@ func specR2() *Spec {
 		}},
 	)
 	return &Spec{
-		ID:        "EXP-R2",
-		Index:     "Lemma 4.1 on real algorithm traces",
-		Statement: "the round-based conversion stays O(1)× on recorded executions of the paper's own algorithms, not just synthetic programs",
-		Title:     "Lemma 4.1 applied to recorded algorithm traces",
-		Claim:     "conversion factor O(1) on real executions; budget 3×Q + O(ωm)",
+		ID:    "EXP-R2",
+		Index: "Lemma 4.1 on real algorithm traces",
+		Title: "Lemma 4.1 applied to recorded algorithm traces",
+		Claim: "conversion factor O(1) on real executions; budget 3×Q + O(ωm)",
 		Axes: []Axis{
 			{Name: "case", Values: cases},
 		},
@@ -626,11 +615,10 @@ type f1Case struct {
 
 func specF1() *Spec {
 	return &Spec{
-		ID:        "EXP-F1",
-		Index:     "Lemma 4.3 flash simulation",
-		Statement: "a round-based AEM program of cost Q becomes a flash program of volume ≤ 2N + 2QB/ω computing the same placement",
-		Title:     "Lemma 4.3: flash simulation volume",
-		Claim:     "volume ≤ 2N + 2QB/ω; placement preserved",
+		ID:    "EXP-F1",
+		Index: "Lemma 4.3 flash simulation",
+		Title: "Lemma 4.3: flash simulation volume",
+		Claim: "volume ≤ 2N + 2QB/ω; placement preserved",
 		Axes: []Axis{
 			{Name: "case", Values: Vals(
 				f1Case{aem.Config{M: 16, B: 4, Omega: 2}, 256},
@@ -685,11 +673,10 @@ func specF2() *Spec {
 			Cfg: aem.Config{M: 1 << 10, B: p.Int("B"), Omega: p.Int("omega")}}
 	}
 	return &Spec{
-		ID:        "EXP-F2",
-		Index:     "reduction vs counting lower bound (Corollary 4.4)",
-		Statement: "the flash-reduction bound matches the counting bound's shape where ω ≤ B and is vacuous for ω > B — the range where only the counting argument applies",
-		Title:     "reduction vs counting lower bound",
-		Claim:     "reduction bound applies only for ω ≤ B; counting bound covers every ω",
+		ID:    "EXP-F2",
+		Index: "reduction vs counting lower bound (Corollary 4.4)",
+		Title: "reduction vs counting lower bound",
+		Claim: "reduction bound applies only for ω ≤ B; counting bound covers every ω",
 		Axes: []Axis{
 			{Name: "B", Values: Ints(16, 64)},
 			{Name: "omega", Values: Ints(1, 4, 16, 64, 256)},
@@ -718,11 +705,10 @@ func specX1() *Spec {
 			Delta:  p.Int("delta")})
 	}
 	return &Spec{
-		ID:        "EXP-X1",
-		Index:     "SpMxV cost vs δ (Theorem 5.1)",
-		Statement: "naive O(H+ωn) and sorting-based O(ω·h·log_{ωm} N/max{δ,B}+ωn) bracket the lower bound, and the best strategy follows the min{}",
-		Title:     "SpMxV: measured cost vs δ",
-		Claim:     "naive and sorting-based bracket Theorem 5.1's bound; best follows the min{}",
+		ID:    "EXP-X1",
+		Index: "SpMxV cost vs δ (Theorem 5.1)",
+		Title: "SpMxV: measured cost vs δ",
+		Claim: "naive and sorting-based bracket Theorem 5.1's bound; best follows the min{}",
 		Axes: []Axis{
 			{Name: "machine", Values: Vals(
 				aem.Config{M: 128, B: 8, Omega: 4},  // write-averse machine: naive regime
@@ -771,11 +757,10 @@ func specX1() *Spec {
 func specX2() *Spec {
 	const n, delta = 1 << 11, 4
 	return &Spec{
-		ID:        "EXP-X2",
-		Index:     "SpMxV cost vs ω (Section 5)",
-		Statement: "as ω grows the sorting-based cost scales ~ω while naive stays flat in reads, moving the crossover toward naive",
-		Title:     "SpMxV: measured cost vs ω",
-		Claim:     "sorting-based scales ~ω; naive reads stay flat so large ω favors naive",
+		ID:    "EXP-X2",
+		Index: "SpMxV cost vs ω (Section 5)",
+		Title: "SpMxV: measured cost vs ω",
+		Claim: "sorting-based scales ~ω; naive reads stay flat so large ω favors naive",
 		Axes: []Axis{
 			{Name: "omega", Values: Ints(1, 4, 16, 64, 256)},
 		},
@@ -816,11 +801,10 @@ func specA1() *Spec {
 	const n = 1 << 13
 	const costCol = 4 // index of the raw cost column, for the derived ratio
 	return &Spec{
-		ID:        "EXP-A1",
-		Index:     "ablation: round-buffer size in the §3 merge",
-		Statement: "halving the per-round output multiplies the round count and with it the fixed ωm initialization reads — the design choice behind §3.1's M-sized rounds",
-		Title:     "ablation: round-buffer size vs merge cost",
-		Claim:     "cost grows as the round buffer shrinks (rounds × ωm init reads dominate)",
+		ID:    "EXP-A1",
+		Index: "ablation: round-buffer size in the §3 merge",
+		Title: "ablation: round-buffer size vs merge cost",
+		Claim: "cost grows as the round buffer shrinks (rounds × ωm init reads dominate)",
 		Axes: []Axis{
 			{Name: "cap", Values: Ints(0, 32, 16, 8)}, // 0 = auto (≈44 at this config)
 		},
@@ -863,31 +847,8 @@ func sortedRuns(ma *aem.Machine, n, k int) []*aem.Vector {
 		}
 		chunk := make([]aem.Item, hi-lo)
 		copy(chunk, all[lo:hi])
-		sortChunk(chunk)
+		slices.SortFunc(chunk, aem.Compare)
 		runs = append(runs, aem.Load(ma, chunk))
 	}
 	return runs
-}
-
-func sortChunk(items []aem.Item) {
-	if len(items) < 2 {
-		return
-	}
-	mid := len(items) / 2
-	left := make([]aem.Item, mid)
-	copy(left, items[:mid])
-	right := make([]aem.Item, len(items)-mid)
-	copy(right, items[mid:])
-	sortChunk(left)
-	sortChunk(right)
-	i, j := 0, 0
-	for k := range items {
-		if j >= len(right) || (i < len(left) && aem.Less(left[i], right[j])) {
-			items[k] = left[i]
-			i++
-		} else {
-			items[k] = right[j]
-			j++
-		}
-	}
 }

@@ -109,11 +109,10 @@ func specIO1() *Spec {
 		},
 	}
 	return &Spec{
-		ID:        "EXP-IO1",
-		Index:     "sorting on file storage: wall time vs (Qr, Qw), fitted device ω",
-		Statement: "the sorting grid re-run on file-backed external memory (mmap and O_DIRECT), measuring wall time per point and least-squares fitting wall ≈ α·Qr + β·Qw; β/α is the effective ω the backing device exhibited, reported next to the configured ω",
-		Title:     "sorting on file-backed storage: fitted device ω",
-		Claim:     "wall regresses on (Qr, Qw) with finite α, β > 0; fitted ω = β/α is the device's measured write/read ratio",
+		ID:    "EXP-IO1",
+		Index: "sorting on file storage: wall time vs (Qr, Qw), fitted device ω",
+		Title: "sorting on file-backed storage: fitted device ω",
+		Claim: "wall regresses on (Qr, Qw) with finite α, β > 0; fitted ω = β/α is the device's measured write/read ratio",
 		Axes: []Axis{
 			{Name: "alg", Values: Vals("mergesort", "em-mergesort", "samplesort", "heapsort")},
 			{Name: "n", Values: Ints(1<<12, 1<<13)},
@@ -150,11 +149,10 @@ func specIO2() *Spec {
 		},
 	}
 	return &Spec{
-		ID:        "EXP-IO2",
-		Index:     "dictionary on file storage: buffered vs unbatched wall time, fitted device ω",
-		Statement: "the dictionary pair re-run on file-backed external memory: the ω-adaptive buffer tree against the unbatched B-tree, wall-timed per point; their sharply different write shares keep the regression identifiable and the fitted device ω is reported next to the configured one",
-		Title:     "dictionary on file-backed storage: fitted device ω",
-		Claim:     "buffer tree vs B-tree span write-heavy and read-heavy mixes; wall regresses on (Qr, Qw) with a finite fitted ω",
+		ID:    "EXP-IO2",
+		Index: "dictionary on file storage: buffered vs unbatched wall time, fitted device ω",
+		Title: "dictionary on file-backed storage: fitted device ω",
+		Claim: "buffer tree vs B-tree span write-heavy and read-heavy mixes; wall regresses on (Qr, Qw) with a finite fitted ω",
 		Axes: []Axis{
 			{Name: "structure", Values: Vals("buffertree", "btree")},
 			{Name: "ops", Values: Ints(6000, 12000)},

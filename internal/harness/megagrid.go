@@ -56,11 +56,10 @@ func replayMergeSchedule(ma *aem.Machine, nItems int) {
 
 func specMG1() *Spec {
 	return &Spec{
-		ID:        "EXP-MG1",
-		Index:     "mega-grid: counting-only mergesort replay at 10⁶–10⁹ simulated I/Os per point (throughput surface)",
-		Statement: "the §3 mergesort schedule, replayed arithmetically on the counting engine across ω × N, tracks ω·n·log_{ωm} n and stays within a small factor of the Theorem 4.5 closed-form lower bound; every grid point simulates ≥ 10⁶ I/Os",
-		Title:     "counting-only mega-grid (mergesort replay vs Theorem 4.5)",
-		Claim:     "replayed cost ≡ predicted mergesort cost; cost/LB stays a small factor above the closed-form permuting bound",
+		ID:    "EXP-MG1",
+		Index: "mega-grid: counting-only mergesort replay at 10⁶–10⁹ simulated I/Os per point (throughput surface)",
+		Title: "counting-only mega-grid (mergesort replay vs Theorem 4.5)",
+		Claim: "replayed cost ≡ predicted mergesort cost; cost/LB stays a small factor above the closed-form permuting bound",
 		Axes: []Axis{
 			{Name: "omega", Values: Ints(1, 4, 16, 64, 256)},
 			{Name: "N", Values: Ints(1<<24, 1<<25, 1<<26)},

@@ -9,49 +9,38 @@ import (
 // This file is the grid's machine recycler. Every grid point owns a
 // private machine, which is what makes points embarrassingly parallel —
 // but constructing one per point means every point pays allocation (and
-// the whole sweep pays GC) for arenas and length tables the previous
-// point just dropped. The pool keeps finished machines around, keyed by
-// what cannot be recycled away — the engine kind and its fixed block
-// stride — and hands them back through aem.Machine.Recycle, whose
-// contract (pinned by the aem conformance suite) is that a recycled
-// machine is indistinguishable from a fresh one. Pool hits therefore
-// change allocation counts, never results, and the scheduler's
+// the whole sweep pays GC) for block tables the previous point just
+// dropped. The pool keeps finished machines around, one pool per engine
+// name, and hands them back through aem.Machine.Recycle, whose contract
+// (pinned by the aem conformance suite) is that a recycled machine is
+// indistinguishable from a fresh one at any M, B and ω. Pool hits
+// therefore change allocation counts, never results, and the scheduler's
 // byte-identical-at-any-par guarantee survives pooling untouched.
 
-// poolKey identifies one machine pool. The arena's stride is fixed at
-// construction, so B is part of the key; M and ω recycle freely.
-type poolKey struct {
-	backend string
-	b       int
-}
-
-var machinePools sync.Map // poolKey → *sync.Pool of *aem.Machine
+var machinePools sync.Map // engine name → *sync.Pool of *aem.Machine
 
 // PooledMachine returns a machine for cfg on the named backend — recycled
-// from the per-{backend, B} pool when one is available, freshly
+// from the backend's pool when one is available, freshly
 // constructed otherwise — together with a release function returning it
 // for reuse. Call release only once the machine's storage is no longer
 // read: the next point will Reset it. Release is idempotent: only the
 // first call returns the machine, so a double release (an easy slip in a
 // defer-heavy point function) cannot put the same machine into the pool
-// twice and hand one arena to two concurrent grid points.
+// twice and hand one machine to two concurrent grid points.
 //
 // Persistent engines (registry caps) never enter the shared pool: each
-// owns a backing file, and a `{engine, B}` string key would let two
-// concurrent grid points that happen to share the key alias one file.
-// Those machines are pooled by identity instead — this one point owns
-// this one engine — so release closes the engine (removing its temp
-// file) rather than recycling it.
+// owns a backing file, and a shared pool would let two concurrent grid
+// points alias one file. Those machines are pooled by identity instead —
+// this one point owns this one engine — so release closes the engine
+// (removing its temp file) rather than recycling it.
 func PooledMachine(cfg aem.Config, backend string) (ma *aem.Machine, release func()) {
 	if e, ok := aem.EngineByName(backend); ok && e.Caps.Persistent {
 		ma = backendMachine(cfg, backend)
-		var once sync.Once
-		return ma, func() { once.Do(func() { ma.Close() }) }
+		return ma, releaseOnce(func() { ma.Close() })
 	}
-	key := poolKey{backend: backend, b: cfg.B}
-	entry, ok := machinePools.Load(key)
+	entry, ok := machinePools.Load(backend)
 	if !ok {
-		entry, _ = machinePools.LoadOrStore(key, &sync.Pool{})
+		entry, _ = machinePools.LoadOrStore(backend, &sync.Pool{})
 	}
 	pool := entry.(*sync.Pool)
 	if got, ok := pool.Get().(*aem.Machine); ok {
@@ -60,6 +49,12 @@ func PooledMachine(cfg aem.Config, backend string) (ma *aem.Machine, release fun
 	} else {
 		ma = backendMachine(cfg, backend)
 	}
+	return ma, releaseOnce(func() { pool.Put(ma) })
+}
+
+// releaseOnce returns a release function that runs put on its first call
+// only.
+func releaseOnce(put func()) func() {
 	var once sync.Once
-	return ma, func() { once.Do(func() { pool.Put(ma) }) }
+	return func() { once.Do(put) }
 }

@@ -7,14 +7,15 @@ import (
 )
 
 // BenchmarkMachineAcquisition measures what a grid point pays to obtain
-// its machine: a fresh construction (allocating the arena and bookkeeping
-// from scratch) versus a pool hit (Recycle on a machine the previous
-// point just released). The workload — allocate a production-ish range so
-// the arena actually grows — is identical; only the acquisition differs.
+// its machine: a fresh construction (allocating the block table and
+// bookkeeping from scratch) versus a pool hit (Recycle on a machine the
+// previous point just released). The workload — allocate a
+// production-ish range so the block table actually grows — is identical;
+// only the acquisition differs.
 func BenchmarkMachineAcquisition(b *testing.B) {
 	cfg := aem.Config{M: 1 << 10, B: 64, Omega: 8}
 	const blocks = 1 << 12
-	for _, backend := range []string{"slice", "arena", "counting"} {
+	for _, backend := range []string{"slice", "counting"} {
 		b.Run(backend+"/fresh", func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {

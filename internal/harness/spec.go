@@ -99,11 +99,10 @@ type Spec struct {
 	Claim string // the paper statement, as the rendered table states it
 	Notes []string
 
-	// Index and Statement are the registry's one-line entry and paper
-	// claim, shown by `aem bench -list` and the README index; the table
-	// carries its own, usually terser, Title and Claim.
-	Index     string
-	Statement string
+	// Index is the registry's one-line entry, printed by `aem bench
+	// -list`; the rendered table states its claim in Title, Claim and
+	// Notes.
+	Index string
 
 	// Axes span the grid; points enumerate in row order with the first
 	// axis outermost (the last axis varies fastest), matching the nested

@@ -2,6 +2,7 @@ package pq
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/aem"
 	"repro/internal/sorting"
@@ -256,7 +257,7 @@ func (q *Adaptive) fold() {
 			}
 		}
 		kept = append(kept, q.stash...)
-		sortItems(kept)
+		slices.SortFunc(kept, aem.Compare)
 		sorted = aem.NewVector(q.ma, len(kept))
 		w := sorted.NewWriter()
 		for _, it := range kept {

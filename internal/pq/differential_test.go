@@ -14,6 +14,7 @@ import (
 	"testing"
 
 	"repro/internal/aem"
+	"repro/internal/aem/aemtest"
 	"repro/internal/workload"
 )
 
@@ -62,16 +63,10 @@ func TestDifferentialStreamsAllEngines(t *testing.T) {
 				// Data-bearing engines: exact differential vs container/heap,
 				// and cross-engine Stats identity.
 				var refStats *aem.Stats
-				for _, engine := range []struct {
-					name string
-					mk   func() *aem.Machine
-				}{
-					{"slice", func() *aem.Machine { return aem.New(cfg) }},
-					{"arena", func() *aem.Machine { return aem.NewWithStorage(cfg, aem.NewArenaStorage(cfg.B)) }},
-				} {
-					name := fmt.Sprintf("%s/%s/M%dB%dw%d/%s", qname, sc, cfg.M, cfg.B, cfg.Omega, engine.name)
+				for _, engine := range aemtest.DataEngines() {
+					name := fmt.Sprintf("%s/%s/M%dB%dw%d/%s", qname, sc, cfg.M, cfg.B, cfg.Omega, engine.Name)
 					t.Run(name, func(t *testing.T) {
-						ma := engine.mk()
+						ma := aemtest.Machine(t, cfg, engine)
 						q := mk(ma)
 						runDifferential(t, q, ma, ops)
 						if ma.MemInUse() != 0 {

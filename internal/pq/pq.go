@@ -26,6 +26,7 @@ package pq
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/aem"
 	"repro/internal/sorting"
@@ -347,7 +348,7 @@ func (q *Queue) flushInsertBuf() {
 	if len(q.insertBuf) == 0 {
 		return
 	}
-	sortItems(q.insertBuf)
+	slices.SortFunc(q.insertBuf, aem.Compare)
 	vec := aem.NewVector(q.ma, len(q.insertBuf))
 	w := vec.NewWriter()
 	for _, it := range q.insertBuf {
@@ -418,36 +419,6 @@ func (q *Queue) ensureDeleteBuf() {
 // insertSorted inserts it into the ascending slice.
 func insertSorted(buf []aem.Item, it aem.Item) []aem.Item {
 	return aem.InsertSorted(buf, it)
-}
-
-// sortItems is an in-place sort by (Key, Aux); internal computation is
-// free in the model.
-func sortItems(items []aem.Item) {
-	if len(items) < 16 {
-		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && aem.Less(items[j], items[j-1]); j-- {
-				items[j], items[j-1] = items[j-1], items[j]
-			}
-		}
-		return
-	}
-	pivot := items[len(items)/2]
-	lo, hi := 0, len(items)-1
-	for lo <= hi {
-		for aem.Less(items[lo], pivot) {
-			lo++
-		}
-		for aem.Less(pivot, items[hi]) {
-			hi--
-		}
-		if lo <= hi {
-			items[lo], items[hi] = items[hi], items[lo]
-			lo++
-			hi--
-		}
-	}
-	sortItems(items[:hi+1])
-	sortItems(items[lo:])
 }
 
 // HeapSort sorts v by pushing every item through a Queue — the heapsort

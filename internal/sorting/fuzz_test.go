@@ -11,6 +11,7 @@ import (
 	"testing"
 
 	"repro/internal/aem"
+	"repro/internal/aem/aemtest"
 	"repro/internal/bounds"
 	"repro/internal/sorting"
 	"repro/internal/workload"
@@ -62,11 +63,8 @@ func FuzzMergeSortStats(f *testing.F) {
 		}
 		var refOut []aem.Item
 		var refStats aem.Stats
-		for ei, mk := range []func() aem.Storage{
-			func() aem.Storage { return aem.NewSliceStorage() },
-			func() aem.Storage { return aem.NewArenaStorage(cfg.B) },
-		} {
-			ma := aem.NewWithStorage(cfg, mk())
+		for ei, e := range aemtest.DataEngines() {
+			ma := aemtest.Machine(t, cfg, e)
 			out := sorting.MergeSort(ma, aem.Load(ma, items)).Materialize()
 			if !sorting.IsSorted(out) {
 				t.Fatal("output not sorted")

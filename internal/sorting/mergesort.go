@@ -2,6 +2,7 @@ package sorting
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/aem"
 )
@@ -128,7 +129,7 @@ func emSortChunk(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 		items, _ := v.ReadBlockInto(b*cfg.B, buf[len(buf):len(buf):cap(buf)])
 		buf = buf[:len(buf)+len(items)]
 	}
-	sortItems(buf)
+	slices.SortFunc(buf, aem.Compare)
 	out := aem.NewVector(ma, v.Len())
 	w := out.NewWriter()
 	for _, it := range buf {
@@ -176,48 +177,4 @@ func emMerge(ma *aem.Machine, runs []*aem.Vector) *aem.Vector {
 	}
 	w.Close()
 	return out
-}
-
-// sortItems sorts items ascending in (Key, Aux) order with an in-place
-// merge-free quicksort; internal computation is free in the model, this
-// just has to be correct and fast enough for the simulator.
-func sortItems(items []aem.Item) {
-	if len(items) < 16 {
-		for i := 1; i < len(items); i++ {
-			for j := i; j > 0 && aem.Less(items[j], items[j-1]); j-- {
-				items[j], items[j-1] = items[j-1], items[j]
-			}
-		}
-		return
-	}
-	pivot := medianOf3(items[0], items[len(items)/2], items[len(items)-1])
-	lo, hi := 0, len(items)-1
-	for lo <= hi {
-		for aem.Less(items[lo], pivot) {
-			lo++
-		}
-		for aem.Less(pivot, items[hi]) {
-			hi--
-		}
-		if lo <= hi {
-			items[lo], items[hi] = items[hi], items[lo]
-			lo++
-			hi--
-		}
-	}
-	sortItems(items[:hi+1])
-	sortItems(items[lo:])
-}
-
-func medianOf3(a, b, c aem.Item) aem.Item {
-	if aem.Less(b, a) {
-		a, b = b, a
-	}
-	if aem.Less(c, b) {
-		b = c
-		if aem.Less(b, a) {
-			b = a
-		}
-	}
-	return b
 }

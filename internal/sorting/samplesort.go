@@ -2,6 +2,7 @@ package sorting
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/aem"
 	"repro/internal/rng"
@@ -137,7 +138,7 @@ func pickSplitters(ma *aem.Machine, v *aem.Vector, rng *rng.RNG, f int) []aem.It
 		blk, _ := v.ReadBlockInto(rng.Intn(v.Len()), frame)
 		sample = append(sample, blk[rng.Intn(len(blk))])
 	}
-	sortItems(sample)
+	slices.SortFunc(sample, aem.Compare)
 	splitters := make([]aem.Item, 0, f-1)
 	for j := 1; j < f; j++ {
 		splitters = append(splitters, sample[j*len(sample)/f])

@@ -5,26 +5,9 @@ package sorting
 
 import (
 	"testing"
-	"testing/quick"
 
 	"repro/internal/aem"
 )
-
-func TestSortItems(t *testing.T) {
-	f := func(keys []int64) bool {
-		items := make([]aem.Item, len(keys))
-		for i, k := range keys {
-			items[i] = aem.Item{Key: k, Aux: int64(i)}
-		}
-		orig := make([]aem.Item, len(items))
-		copy(orig, items)
-		sortItems(items)
-		return IsSorted(items) && SameMultiset(orig, items)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
 
 func TestInsertCapped(t *testing.T) {
 	var buf []aem.Item

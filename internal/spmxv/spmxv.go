@@ -18,6 +18,7 @@ package spmxv
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/aem"
 	"repro/internal/bounds"
@@ -293,7 +294,7 @@ func productsBlockRuns(ma *aem.Machine, m *Matrix, x *aem.Vector) []*aem.Vector 
 			hi = h
 		}
 		blk, _ := prod.ReadBlockInto(lo, frame)
-		sortItemsInPlace(blk)
+		slices.SortFunc(blk, aem.Compare)
 		ma.Write(sorted.BlockAddr(lo), blk)
 		runs = append(runs, sorted.Slice(lo, hi))
 	}
@@ -351,16 +352,6 @@ func VerifyProduct(conf *workload.Conformation, values, x []int64, y *aem.Vector
 		}
 	}
 	return nil
-}
-
-// sortItemsInPlace sorts a block ascending by (Key, Aux); blocks are
-// small, insertion sort is fine.
-func sortItemsInPlace(items []aem.Item) {
-	for i := 1; i < len(items); i++ {
-		for j := i; j > 0 && aem.Less(items[j], items[j-1]); j-- {
-			items[j], items[j-1] = items[j-1], items[j]
-		}
-	}
 }
 
 func max(a, b int) int {
