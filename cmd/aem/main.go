@@ -2,10 +2,11 @@
 // the experiment harness behind one binary.
 //
 //	aem bench    run the experiment registry on the local worker pool
-//	             (tables, CSV, JSON records; -timing for wall-clock)
-//	aem gate     check timed bench runs (points/sec), a dictload
-//	             amortized/deamortized pair (worst stall) and pprof -top
-//	             summaries against one committed baseline
+//	             (tables, CSV, JSON records; -timing runs points serially
+//	             and records wall clock and allocations per point)
+//	aem gate     check timed bench runs (allocations and wall clock per
+//	             point) and a dictload amortized/deamortized pair (worst
+//	             stall Q) against one committed baseline
 //	aem engines  list the storage-engine registry with capability flags
 //	aem dict     dictionary op streams: buffer tree vs B-tree vs bounds
 //	aem dictload concurrent load against the sharded dictionary service:

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"fmt"
 	"os"
 
 	"repro/internal/aem"
@@ -46,5 +47,9 @@ func main() {
 		},
 	}
 	// Grid points spread across 4 workers; the table is identical at any par.
-	harness.Run([]*harness.Spec{spec}, 4, func(t *harness.Table) { t.Render(os.Stdout) })
+	pool := &harness.LocalPool{Par: 4}
+	if err := pool.Execute([]*harness.Spec{spec}, func(t *harness.Table) { t.Render(os.Stdout) }); err != nil {
+		fmt.Fprintln(os.Stderr, err)
+		os.Exit(1)
+	}
 }

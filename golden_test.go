@@ -16,12 +16,15 @@ var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 // returning both the aligned-text and the JSON Lines (-json) forms.
 func renderAll(t *testing.T, par int) (text, jsonOut []byte) {
 	var buf, jbuf bytes.Buffer
-	harness.Run(harness.All(), par, func(tbl *harness.Table) {
+	err := (&harness.LocalPool{Par: par}).Execute(harness.All(), func(tbl *harness.Table) {
 		tbl.Render(&buf)
 		if err := tbl.JSON(&jbuf); err != nil {
 			t.Fatalf("JSON render: %v", err)
 		}
 	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	return buf.Bytes(), jbuf.Bytes()
 }
 

@@ -2,7 +2,6 @@ package cli
 
 import (
 	"bufio"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -27,14 +26,14 @@ import (
 //	aem bench -par 8                run grid points on 8 workers
 //	aem bench -csv out/             additionally write one CSV per experiment
 //	aem bench -json                 JSON Lines to stdout, one record per row
-//	aem bench -timing               append per-point wall-clock columns
+//	aem bench -timing               run points serially, recording wall clock and allocations
 func benchCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
 		expIDs  = fs.String("exp", "all", "comma-separated experiment ids to run, or 'all'")
 		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV files into")
 		jsonOut = fs.Bool("json", false, "emit JSON Lines (one record per table row, measured and predicted columns included) instead of rendered tables")
-		timing  = fs.Bool("timing", false, "append per-point wall-clock columns to tables/CSV and a wall_ns field to -json records (nondeterministic; off by default so recorded output stays stable)")
+		timing  = fs.Bool("timing", false, "run grid points one at a time, ignoring -par, and record each point's wall clock and heap allocations: extra table/CSV columns, and wall_ns, alloc_objects and alloc_bytes fields in -json records (nondeterministic; off by default so recorded output stays stable)")
 		list    = fs.Bool("list", false, "list experiments and exit")
 		par     = fs.Int("par", runtime.NumCPU(), "number of grid points to run concurrently")
 	)
@@ -84,7 +83,6 @@ func benchCmd(prog string, args []string) int {
 		} else {
 			tbl.Render(os.Stdout)
 		}
-		emitThroughput(tbl, *jsonOut, &firstErr)
 		if *csvDir != "" && firstErr == nil {
 			if err := writeCSVAtomic(*csvDir, tbl); err != nil {
 				firstErr = err
@@ -99,26 +97,6 @@ func benchCmd(prog string, args []string) int {
 		return 1
 	}
 	return 0
-}
-
-// emitThroughput appends a table's derived points/sec summary — one JSON
-// record in -json mode, one text line otherwise. Untimed tables produce
-// nothing, so output without -timing is byte-identical to previous
-// releases and the recorded goldens.
-func emitThroughput(tbl *harness.Table, jsonOut bool, firstErr *error) {
-	tp := harness.ThroughputOf(tbl)
-	if tp == nil {
-		return
-	}
-	if jsonOut {
-		enc := json.NewEncoder(os.Stdout)
-		if err := enc.Encode(tp); err != nil && *firstErr == nil {
-			*firstErr = err
-		}
-		return
-	}
-	fmt.Printf("  throughput: %d points in %.1f ms — %.1f points/sec (%.3f ms/point)\n\n",
-		tp.Points, float64(tp.WallNS)/1e6, tp.PointsPerSec, tp.NSPerPoint/1e6)
 }
 
 // writeCSVAtomic writes the table's CSV into dir through a temp file

@@ -23,7 +23,7 @@ type Command struct {
 func Commands() []Command {
 	return []Command{
 		{"bench", "run the experiment registry: rendered tables, per-experiment CSV, JSON records", benchCmd},
-		{"gate", "check timed runs, dictload stall legs and pprof -top summaries against one committed baseline", gateCmd},
+		{"gate", "check per-point allocations and wall clock of timed runs, and dictload stall Q, against one committed baseline", gateCmd},
 		{"engines", "list the storage-engine registry with capability flags", enginesCmd},
 		{"dict", "drive a dictionary op stream: buffer tree vs B-tree vs bounds", dictCmd},
 		{"dictload", "concurrent load against the sharded dictionary service: throughput, p50/p99/max, flush stalls", dictloadCmd},

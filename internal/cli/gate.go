@@ -9,58 +9,53 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
-	"strconv"
-	"strings"
 )
 
 // The gate's fixed rules.
 const (
-	stallCutMin        = 10  // amortized ÷ deamortized worst stall, in ns and in Q
-	stallThroughputMin = 0.9 // deamortized ÷ amortized ops/sec
-	stallCeilingTol    = 10  // deamortized worst stall ÷ the baseline's
-	profileNewMaxPct   = 10  // flat% above which a function the baseline lacks fails
+	allocGrowthMax     = 1.25     // heap objects and bytes per point ÷ the baseline's
+	allocObjectsSlack  = 64       // objects per point allowed on top of that
+	allocBytesSlack    = 64 << 10 // bytes per point allowed on top of that
+	wallGrowthMax      = 3        // wall ns per point ÷ the baseline's
+	wallJudgedMinNS    = 1e6      // baseline wall ns per point below which wall clock is not judged
+	stallCutMin        = 10       // amortized ÷ deamortized worst stall Q
+	stallThroughputMin = 0.9      // deamortized ÷ amortized ops/sec
 )
 
 // gateCmd is the one regression gate. It reads every input (stdin when no
 // file is named) to the end, then runs each check its input carries
 // evidence for against one committed baseline:
 //
-//	aem gate -json BENCH.json >> BENCH.json
-//	aem gate -tol 6 LAT.json DICTLOAD.json
-//	aem gate -write-baseline profile_summary.txt
+//	aem gate -json BENCH.json DICTLOAD.json >> BENCH.json
+//	aem gate -write-baseline BENCH.json DICTLOAD.json
 //
-// The checks:
-//   - throughput: ns/point per experiment, from the wall_ns of timed
-//     `aem bench -json -timing` rows, within -tol × the baseline's.
-//     The tolerance is generous: it catches a re-boxed hot path or a
-//     quadratic regression, not a noisy runner. Experiments the baseline
-//     lacks are reported and skipped until pinned.
+// It judges what repeats from run to run, so a check fails on a change,
+// not on a busy machine:
+//   - per point, from the rows of `aem bench -json -timing` (which runs
+//     points one at a time): heap objects and bytes within 1.25× the
+//     baseline's plus a small fixed slack, for every experiment; and wall
+//     ns within 3× the baseline's, only where the baseline point takes at
+//     least 1 ms, since shorter points move with the machine. Experiments
+//     the baseline lacks are reported and skipped until pinned.
 //   - stall: the last amortized and the last deamortized `aem dictload
-//     -json` record must show a ≥10× cut of the worst commit stall, in
-//     wall clock and in Q, at ≥0.9× the amortized ops/sec, with the
-//     deamortized stall within 10× the baseline's.
-//   - profile: no function in `go tool pprof -top` rows above 10% flat
-//     that the baseline does not list.
+//     -json` record must show a ≥10× cut of the worst commit stall's Q at
+//     ≥0.9× the amortized ops/sec, and the deamortized stall Q may not
+//     exceed the baseline's. Q is a count; wall-clock stalls are left to
+//     the in-process test that times them in thread CPU time.
 //
 // Under -json each check emits one "type":"gate" record to stdout and the
-// human lines move to stderr; readers of timed streams skip typed records
-// they do not know, so an artifact with its verdicts appended re-gates the
-// same. -write-baseline rewrites only what the input has evidence for.
+// human lines move to stderr; the gate skips typed records it does not
+// know, so an artifact with its verdicts appended re-gates the same.
+// -write-baseline rewrites only what the input has evidence for.
 // Exit codes: 0 pass, 1 a check failed, 2 unusable input or baseline.
 func gateCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
 		basePath = fs.String("baseline", "testdata/gate_baseline.json", "committed baseline `file` every check compares against")
-		tol      = fs.Float64("tol", 3, "throughput check: maximum ns/point slowdown factor vs the baseline")
 		write    = fs.Bool("write-baseline", false, "rewrite the baseline sections the input has evidence for instead of gating")
 		jsonOut  = fs.Bool("json", false, "emit one \"type\":\"gate\" JSON record per check to stdout (human lines to stderr)")
 	)
 	fs.Parse(args)
-	if !(*tol > 0) {
-		fail(prog, "-tol must be positive, got %v", *tol)
-		return 2
-	}
 	ev, err := readGateInputs(fs.Args())
 	if err != nil {
 		fail(prog, "%v", err)
@@ -92,9 +87,8 @@ func gateCmd(prog string, args []string) int {
 	if *jsonOut {
 		v.human, v.enc = os.Stderr, json.NewEncoder(os.Stdout)
 	}
-	ev.gateThroughput(v, base, *tol)
+	ev.gatePoints(v, base)
 	ev.gateStall(v, base)
-	ev.gateProfile(v, base)
 	if v.err != nil {
 		fail(prog, "%v", v.err)
 		return 1
@@ -108,14 +102,21 @@ func gateCmd(prog string, args []string) int {
 
 // gateBaseline is the committed reference, one section per check.
 type gateBaseline struct {
-	Note       string             `json:"note"`
-	Throughput map[string]float64 `json:"throughput_ns_per_point"`
-	StallNS    int64              `json:"deamortized_max_stall_ns"`
-	Profile    []string           `json:"profile_functions"`
+	Note   string               `json:"note"`
+	Points map[string]pointCost `json:"per_point"`
+	StallQ int64                `json:"deamortized_max_stall_q"`
 }
 
-const gateBaselineNote = "`aem gate` reference: ns/point per experiment, the worst stall of `aem dictload -ops 160000 -gor 1 " +
-	"-shards 2 -deamortize`, and the functions known to the profile check. `aem gate -write-baseline FILE` re-pins what FILE measured."
+// pointCost is one experiment's mean cost per grid point.
+type pointCost struct {
+	WallNS  float64 `json:"wall_ns"`
+	Objects float64 `json:"alloc_objects"`
+	Bytes   float64 `json:"alloc_bytes"`
+}
+
+const gateBaselineNote = "`aem gate` reference: per experiment, the mean wall ns, heap objects and heap bytes of one grid point " +
+	"of `aem bench -json -timing`, and the worst commit stall Q of `aem dictload -ops 160000 -gor 1 -shards 2 -deamortize`. " +
+	"`aem gate -write-baseline FILE...` re-pins what the files measured."
 
 func readGateBaseline(path string) (*gateBaseline, error) {
 	raw, err := os.ReadFile(path)
@@ -133,20 +134,20 @@ func readGateBaseline(path string) (*gateBaseline, error) {
 type gateEvidence struct {
 	order  []string // timed experiments in first-seen order
 	points map[string]int
-	wallNS map[string]int64
+	sums   map[string]pointCost
 	legs   map[bool]*dictloadRecord // by Deamortize
-	prof   map[string]float64       // function → its largest flat%
 }
 
-func (ev *gateEvidence) nsPerPoint(id string) float64 {
-	return float64(ev.wallNS[id]) / float64(ev.points[id])
+// perPoint is experiment id's mean cost per point.
+func (ev *gateEvidence) perPoint(id string) pointCost {
+	n, sum := float64(ev.points[id]), ev.sums[id]
+	return pointCost{WallNS: sum.WallNS / n, Objects: sum.Objects / n, Bytes: sum.Bytes / n}
 }
 
 // readGateInputs reads the named files, or stdin when none is named, and
 // rejects input that carries no evidence or half of a stall comparison.
 func readGateInputs(paths []string) (*gateEvidence, error) {
-	ev := &gateEvidence{points: map[string]int{}, wallNS: map[string]int64{},
-		legs: map[bool]*dictloadRecord{}, prof: map[string]float64{}}
+	ev := &gateEvidence{points: map[string]int{}, sums: map[string]pointCost{}, legs: map[bool]*dictloadRecord{}}
 	if len(paths) == 0 {
 		if err := ev.read("stdin", os.Stdin); err != nil {
 			return nil, err
@@ -166,21 +167,21 @@ func readGateInputs(paths []string) (*gateEvidence, error) {
 	am, de := ev.legs[false], ev.legs[true]
 	switch {
 	case am == nil && de == nil:
-		if len(ev.order) == 0 && len(ev.prof) == 0 {
-			return nil, errors.New("no evidence: the input holds no timed records, dictload records or pprof -top rows")
+		if len(ev.order) == 0 {
+			return nil, errors.New("no evidence: the input holds no timed bench rows or dictload records")
 		}
 	case am == nil || de == nil:
 		return nil, errors.New("stall evidence needs both an amortized and a -deamortize dictload record")
-	case am.MaxStallNS <= 0 || de.MaxStallNS <= 0 || am.MaxStallQ <= 0 || de.MaxStallQ <= 0:
-		return nil, fmt.Errorf("stall telemetry missing: amortized %dns Q %d, deamortized %dns Q %d — runs too small to flush?",
-			am.MaxStallNS, am.MaxStallQ, de.MaxStallNS, de.MaxStallQ)
+	case am.MaxStallQ <= 0 || de.MaxStallQ <= 0:
+		return nil, fmt.Errorf("stall telemetry missing: amortized Q %d, deamortized Q %d — runs too small to flush?",
+			am.MaxStallQ, de.MaxStallQ)
 	}
 	return ev, nil
 }
 
-// read takes one input line by line. A JSON line is a timed bench row
-// (untyped, with wall_ns) or a dictload leg; other typed records are
-// skipped. Any other line is a pprof -top row.
+// read takes one input of JSON lines. A line is a timed bench row
+// (untyped, with wall_ns and the allocation fields) or a dictload leg;
+// untimed rows and other typed records are skipped.
 func (ev *gateEvidence) read(name string, r io.Reader) error {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 0, 64*1024), 16*1024*1024)
@@ -189,14 +190,12 @@ func (ev *gateEvidence) read(name string, r io.Reader) error {
 		if len(raw) == 0 {
 			continue
 		}
-		if raw[0] != '{' {
-			ev.profileRow(string(raw))
-			continue
-		}
 		var rec struct {
-			Type       string `json:"type"`
-			Experiment string `json:"experiment"`
-			WallNS     *int64 `json:"wall_ns"`
+			Type         string  `json:"type"`
+			Experiment   string  `json:"experiment"`
+			WallNS       *int64  `json:"wall_ns"`
+			AllocObjects *uint64 `json:"alloc_objects"`
+			AllocBytes   *uint64 `json:"alloc_bytes"`
 		}
 		if err := json.Unmarshal(raw, &rec); err != nil {
 			return fmt.Errorf("%s:%d: %v", name, line, err)
@@ -209,11 +208,19 @@ func (ev *gateEvidence) read(name string, r io.Reader) error {
 			}
 			ev.legs[leg.Deamortize] = leg
 		case rec.Type == "" && rec.Experiment != "" && rec.WallNS != nil:
+			if rec.AllocObjects == nil || rec.AllocBytes == nil {
+				return fmt.Errorf("%s:%d: timed %s row without alloc_objects and alloc_bytes: re-run it with this aem bench -timing",
+					name, line, rec.Experiment)
+			}
 			if ev.points[rec.Experiment] == 0 {
 				ev.order = append(ev.order, rec.Experiment)
 			}
 			ev.points[rec.Experiment]++
-			ev.wallNS[rec.Experiment] += *rec.WallNS
+			sum := ev.sums[rec.Experiment]
+			sum.WallNS += float64(*rec.WallNS)
+			sum.Objects += float64(*rec.AllocObjects)
+			sum.Bytes += float64(*rec.AllocBytes)
+			ev.sums[rec.Experiment] = sum
 		}
 	}
 	if err := sc.Err(); err != nil {
@@ -222,68 +229,28 @@ func (ev *gateEvidence) read(name string, r io.Reader) error {
 	return nil
 }
 
-// profileRow takes one `go tool pprof -top` row,
-//
-//	1.2s 40.00% 40.00%  1.5s 50.00%  repro/internal/dict.(*BufferTree).flushNode
-//
-// (flat, flat%, sum%, cum, cum%, name). Banner lines lack the two
-// percent-shaped columns and are skipped, so concatenated cpu and mem
-// dumps read as one inventory; a function seen twice keeps its larger
-// flat%.
-func (ev *gateEvidence) profileRow(line string) {
-	fields := strings.Fields(line)
-	if len(fields) < 6 {
-		return
-	}
-	pct, ok := parsePct(fields[1])
-	if _, sumOK := parsePct(fields[2]); !ok || !sumOK {
-		return
-	}
-	name := strings.Join(fields[5:], " ")
-	if old, seen := ev.prof[name]; !seen || pct > old {
-		ev.prof[name] = pct
-	}
-}
-
-func parsePct(s string) (float64, bool) {
-	if !strings.HasSuffix(s, "%") {
-		return 0, false
-	}
-	v, err := strconv.ParseFloat(strings.TrimSuffix(s, "%"), 64)
-	return v, err == nil
-}
-
 // pin writes the evidence into the baseline sections it covers.
 func (ev *gateEvidence) pin(base *gateBaseline) {
-	if len(ev.order) > 0 {
-		if base.Throughput == nil {
-			base.Throughput = map[string]float64{}
-		}
-		for _, id := range ev.order {
-			base.Throughput[id] = ev.nsPerPoint(id)
-		}
+	if len(ev.order) > 0 && base.Points == nil {
+		base.Points = map[string]pointCost{}
+	}
+	for _, id := range ev.order {
+		base.Points[id] = ev.perPoint(id)
 	}
 	if de := ev.legs[true]; de != nil {
-		base.StallNS = de.MaxStallNS
-	}
-	if len(ev.prof) > 0 {
-		base.Profile = base.Profile[:0]
-		for name := range ev.prof {
-			base.Profile = append(base.Profile, name)
-		}
-		sort.Strings(base.Profile)
+		base.StallQ = de.MaxStallQ
 	}
 	base.Note = gateBaselineNote
 }
 
 // gateRecord is the machine-readable verdict of one check under -json.
-// Limit is the bound Value is held to: a ceiling for ns/point, stall and
-// flat%, a floor for the stall ratios and the throughput fraction. The
-// "gate" type keeps it out of every wall_ns aggregation.
+// Limit is the bound Value is held to: a ceiling for the per-point costs
+// and the stall Q, a floor for the stall Q ratio and the throughput
+// fraction.
 type gateRecord struct {
 	Type    string  `json:"type"`    // "gate"
-	Check   string  `json:"check"`   // throughput | stall | profile
-	Subject string  `json:"subject"` // experiment, stall rule or function
+	Check   string  `json:"check"`   // objects | bytes | wall | stall
+	Subject string  `json:"subject"` // experiment or stall rule
 	Value   float64 `json:"value"`
 	Limit   float64 `json:"limit,omitempty"`
 	Verdict string  `json:"verdict"` // ok | fail | no-baseline
@@ -311,25 +278,34 @@ func (v *verdicts) add(rec gateRecord, ok bool, format string, a ...interface{})
 	if rec.Verdict == "fail" {
 		v.failures++
 	}
-	fmt.Fprintf(v.human, "%-4s  %-10s  %s\n", verdictTags[rec.Verdict], rec.Check, fmt.Sprintf(format, a...))
+	fmt.Fprintf(v.human, "%-4s  %-7s  %s\n", verdictTags[rec.Verdict], rec.Check, fmt.Sprintf(format, a...))
 	if v.enc != nil && v.err == nil {
 		v.err = v.enc.Encode(&rec)
 	}
 }
 
-func (ev *gateEvidence) gateThroughput(v *verdicts, base *gateBaseline, tol float64) {
+// gatePoints holds every timed experiment's per-point costs to their
+// ceilings: objects and bytes always, wall clock where the baseline point
+// takes at least wallJudgedMinNS.
+func (ev *gateEvidence) gatePoints(v *verdicts, base *gateBaseline) {
 	for _, id := range ev.order {
-		got, ref := ev.nsPerPoint(id), base.Throughput[id]
-		rec := gateRecord{Check: "throughput", Subject: id, Value: got}
-		if ref <= 0 {
-			rec.Verdict = "no-baseline"
-			v.add(rec, false, "%-10s %8.3f ms/point (%d points), no baseline: re-pin with -write-baseline",
-				id, got/1e6, ev.points[id])
+		got := ev.perPoint(id)
+		ref, pinned := base.Points[id]
+		if !pinned {
+			v.add(gateRecord{Check: "objects", Subject: id, Value: got.Objects, Verdict: "no-baseline"}, false,
+				"%-8s %.1f objects/point (%d points), no baseline: re-pin with -write-baseline", id, got.Objects, ev.points[id])
 			continue
 		}
-		rec.Limit = tol * ref
-		v.add(rec, got <= rec.Limit, "%-10s %8.3f ms/point vs baseline %8.3f ms/point: %.2fx (limit %gx)",
-			id, got/1e6, ref/1e6, got/ref, tol)
+		ceiling := func(check, unit string, got, ref, factor, slack float64) {
+			rec := gateRecord{Check: check, Subject: id, Value: got, Limit: factor*ref + slack}
+			v.add(rec, got <= rec.Limit, "%-8s %14.1f %s/point vs baseline %14.1f (limit %gx + %g = %.1f)",
+				id, got, unit, ref, factor, slack, rec.Limit)
+		}
+		ceiling("objects", "objects", got.Objects, ref.Objects, allocGrowthMax, allocObjectsSlack)
+		ceiling("bytes", "bytes", got.Bytes, ref.Bytes, allocGrowthMax, allocBytesSlack)
+		if ref.WallNS >= wallJudgedMinNS {
+			ceiling("wall", "ns", got.WallNS, ref.WallNS, wallGrowthMax, 0)
+		}
 	}
 }
 
@@ -338,48 +314,23 @@ func (ev *gateEvidence) gateStall(v *verdicts, base *gateBaseline) {
 	if am == nil {
 		return
 	}
-	fmt.Fprintf(v.human, "amortized    worst stall %.3fms, Q %d at %.0f ops/sec (%s, %d shards, %d gor)\n",
-		float64(am.MaxStallNS)/1e6, am.MaxStallQ, am.OpsPerSec, am.Scenario, am.Shards, am.Goroutines)
-	fmt.Fprintf(v.human, "deamortized  worst stall %.3fms, Q %d at %.0f ops/sec (debt high-water %d)\n",
-		float64(de.MaxStallNS)/1e6, de.MaxStallQ, de.OpsPerSec, de.DebtHighWater)
+	fmt.Fprintf(v.human, "amortized    worst stall Q %d (%.3fms) at %.0f ops/sec (%s, %d shards, %d gor)\n",
+		am.MaxStallQ, float64(am.MaxStallNS)/1e6, am.OpsPerSec, am.Scenario, am.Shards, am.Goroutines)
+	fmt.Fprintf(v.human, "deamortized  worst stall Q %d (%.3fms) at %.0f ops/sec (debt high-water %d)\n",
+		de.MaxStallQ, float64(de.MaxStallNS)/1e6, de.OpsPerSec, de.DebtHighWater)
 	floor := func(subject, what string, got, limit float64) {
 		v.add(gateRecord{Check: "stall", Subject: subject, Value: got, Limit: limit},
 			got >= limit, "%s %.2f× (need ≥ %.2f×)", what, got, limit)
 	}
-	floor("stall_ratio", "stall reduction", float64(am.MaxStallNS)/float64(de.MaxStallNS), stallCutMin)
 	floor("stall_q_ratio", "stall Q reduction", float64(am.MaxStallQ)/float64(de.MaxStallQ), stallCutMin)
 	floor("throughput_fraction", "throughput held vs amortized", de.OpsPerSec/am.OpsPerSec, stallThroughputMin)
 
-	rec := gateRecord{Check: "stall", Subject: "deamortized_stall_ns", Value: float64(de.MaxStallNS)}
-	if base.StallNS <= 0 {
+	rec := gateRecord{Check: "stall", Subject: "deamortized_stall_q", Value: float64(de.MaxStallQ)}
+	if base.StallQ <= 0 {
 		rec.Verdict = "no-baseline"
-		v.add(rec, false, "deamortized stall %.3fms, no baseline: re-pin with -write-baseline", rec.Value/1e6)
+		v.add(rec, false, "deamortized stall Q %d, no baseline: re-pin with -write-baseline", de.MaxStallQ)
 		return
 	}
-	rec.Limit = float64(base.StallNS) * stallCeilingTol
-	v.add(rec, rec.Value <= rec.Limit, "deamortized stall %.3fms vs baseline %.3fms (limit %d× = %.3fms)",
-		rec.Value/1e6, float64(base.StallNS)/1e6, stallCeilingTol, rec.Limit/1e6)
-}
-
-func (ev *gateEvidence) gateProfile(v *verdicts, base *gateBaseline) {
-	if len(ev.prof) == 0 {
-		return
-	}
-	known := make(map[string]bool, len(base.Profile))
-	for _, name := range base.Profile {
-		known[name] = true
-	}
-	var heavy []string
-	for name, pct := range ev.prof {
-		if pct > profileNewMaxPct {
-			heavy = append(heavy, name)
-		}
-	}
-	sort.Strings(heavy)
-	fmt.Fprintf(v.human, "profile      %d function(s), %d known; those above %d%% flat fail unless known:\n",
-		len(ev.prof), len(base.Profile), profileNewMaxPct)
-	for _, name := range heavy {
-		v.add(gateRecord{Check: "profile", Subject: name, Value: ev.prof[name], Limit: profileNewMaxPct},
-			known[name], "%6.2f%%  %s", ev.prof[name], name)
-	}
+	rec.Limit = float64(base.StallQ)
+	v.add(rec, de.MaxStallQ <= base.StallQ, "deamortized stall Q %d (limit: the baseline's %d)", de.MaxStallQ, base.StallQ)
 }

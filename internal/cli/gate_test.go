@@ -2,37 +2,40 @@ package cli
 
 import (
 	"encoding/json"
-	"go/ast"
-	"go/parser"
-	"go/token"
-	"go/types"
+	"fmt"
 	"os"
 	"path/filepath"
-	"regexp"
 	"strings"
 	"testing"
 )
 
-// benchLines fabricates a timed `aem bench -json -timing` stream: rows
-// for two experiments with known wall_ns, plus a throughput summary
-// record the gate must ignore (it re-derives from the raw points).
-func benchLines(fastNS, slowNS int64) string {
+// benchRow renders one timed `aem bench -json -timing` row.
+func benchRow(id string, row int, wallNS int64, objects, bytes uint64) string {
+	return fmt.Sprintf(`{"experiment":%q,"title":"t","row":%d,"columns":["x"],"values":["1"],"wall_ns":%d,"alloc_objects":%d,"alloc_bytes":%d}`+"\n",
+		id, row, wallNS, objects, bytes)
+}
+
+// benchLines fabricates a timed stream: four EXP-A rows costing one unit
+// each (a 2 ms point allocating 1,000 objects and 100,000 bytes) and two
+// EXP-B rows costing slow units each, amid foreign typed records the gate
+// must skip.
+func benchLines(slow float64) string {
 	var b strings.Builder
 	for i := 0; i < 4; i++ {
-		b.WriteString(`{"experiment":"EXP-A","title":"t","row":` + itoa(i) + `,"columns":["x"],"values":["1"],"wall_ns":` + i64toa(fastNS) + "}\n")
+		b.WriteString(benchRow("EXP-A", i, 2_000_000, 1000, 100_000))
 	}
+	b.WriteString(`{"type":"gate","check":"objects","subject":"EXP-A","value":1,"verdict":"fail"}` + "\n")
 	for i := 0; i < 2; i++ {
-		b.WriteString(`{"experiment":"EXP-B","title":"t","row":` + itoa(i) + `,"columns":["x"],"values":["1"],"wall_ns":` + i64toa(slowNS) + "}\n")
+		b.WriteString(benchRow("EXP-B", i, int64(slow*2_000_000), uint64(slow*1000), uint64(slow*100_000)))
 	}
-	b.WriteString(`{"type":"throughput","experiment":"EXP-A","points":4,"wall_ns":1,"ns_per_point":0.25,"points_per_sec":4e9}` + "\n")
 	return b.String()
 }
 
-func itoa(i int) string { return string(rune('0' + i)) }
-func i64toa(n int64) string {
-	raw, _ := json.Marshal(n)
-	return string(raw)
-}
+// unitCost is the per-point cost of one benchLines unit.
+var unitCost = pointCost{WallNS: 2_000_000, Objects: 1000, Bytes: 100_000}
+
+// pointsBase is a baseline pinning EXP-A and EXP-B at one unit.
+var pointsBase = gateBaseline{Points: map[string]pointCost{"EXP-A": unitCost, "EXP-B": unitCost}}
 
 // dictloadLine renders one `aem dictload -json` record.
 func dictloadLine(deam bool, stallNS, stallQ int64, opsPerSec float64) string {
@@ -47,28 +50,13 @@ func dictloadLine(deam bool, stallNS, stallQ int64, opsPerSec float64) string {
 // stallLegs fabricates a dictload log: each leg's record follows a stale
 // record of the same leg that would fail every rule, amid foreign typed
 // records — the gate must read the last record of each leg.
-func stallLegs(amNS, amQ int64, amOps float64, deNS, deQ int64, deOps float64) string {
-	return `{"type":"gate","check":"stall","subject":"stall_ratio","value":1,"verdict":"fail"}` + "\n" +
-		dictloadLine(false, amNS/100, amQ/100, amOps) +
-		dictloadLine(true, deNS*100, deQ*100, deOps/100) +
-		dictloadLine(false, amNS, amQ, amOps) +
+func stallLegs(amQ int64, amOps float64, deQ int64, deOps float64) string {
+	return `{"type":"gate","check":"stall","subject":"stall_q_ratio","value":1,"verdict":"fail"}` + "\n" +
+		dictloadLine(false, 120_000, amQ/100, amOps) +
+		dictloadLine(true, 50_000_000, deQ*100, deOps/100) +
+		dictloadLine(false, 12_000_000, amQ, amOps) +
 		`{"type":"throughput","experiment":"EXP-X","points":1}` + "\n" +
-		dictloadLine(true, deNS, deQ, deOps)
-}
-
-// pprofTop fabricates a `go tool pprof -top` dump with the given rows
-// under a realistic banner.
-func pprofTop(rows ...string) string {
-	var b strings.Builder
-	b.WriteString("File: aem\nType: cpu\nTime: Aug 8, 2026 at 9:00am (UTC)\n")
-	b.WriteString("Showing nodes accounting for 2.40s, 80.00% of 3s total\n")
-	b.WriteString("Dropped 61 nodes (cum <= 0.015s)\n")
-	b.WriteString("Showing top 15 nodes out of 120\n")
-	b.WriteString("      flat  flat%   sum%        cum   cum%\n")
-	for _, r := range rows {
-		b.WriteString(r + "\n")
-	}
-	return b.String()
+		dictloadLine(true, 500_000, deQ, deOps)
 }
 
 // writeFile writes content to a fresh temp file and returns its path.
@@ -96,7 +84,7 @@ func baselineFile(t *testing.T, base gateBaseline) string {
 func gateArgs(t *testing.T, args []string, inputs ...string) []string {
 	t.Helper()
 	for i, in := range inputs {
-		args = append(args, writeFile(t, "input"+itoa(i), in))
+		args = append(args, writeFile(t, fmt.Sprint("input", i), in))
 	}
 	return args
 }
@@ -142,10 +130,14 @@ func gateJSON(t *testing.T, args []string, inputs ...string) (int, []gateRecord,
 	return code, recs, string(human)
 }
 
-// lineWith returns the first output line containing substr.
-func lineWith(out, substr string) string {
+// lineWith returns the first output line containing every substring.
+func lineWith(out string, substrs ...string) string {
 	for _, line := range strings.Split(out, "\n") {
-		if strings.Contains(line, substr) {
+		all := true
+		for _, s := range substrs {
+			all = all && strings.Contains(line, s)
+		}
+		if all {
 			return line
 		}
 	}
@@ -153,10 +145,11 @@ func lineWith(out, substr string) string {
 }
 
 // TestGateWriteThenPass: pinning a baseline from a run and gating the
-// same run must pass with ratio 1.00 for every experiment.
+// same run must pass every per-point check, with the foreign typed
+// records left out of the means.
 func TestGateWriteThenPass(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "baseline.json")
-	stream := benchLines(1_000_000, 4_000_000)
+	stream := benchLines(4)
 
 	code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, stream)
 	if code != 0 {
@@ -166,11 +159,11 @@ func TestGateWriteThenPass(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := pinned.Throughput["EXP-A"]; got != 1_000_000 {
-		t.Errorf("pinned EXP-A ns/point = %v, want 1e6 (summary record must not skew aggregation)", got)
+	if got := pinned.Points["EXP-A"]; got != unitCost {
+		t.Errorf("pinned EXP-A %+v, want %+v", got, unitCost)
 	}
-	if got := pinned.Throughput["EXP-B"]; got != 4_000_000 {
-		t.Errorf("pinned EXP-B ns/point = %v, want 4e6", got)
+	if got, want := pinned.Points["EXP-B"], (pointCost{WallNS: 8_000_000, Objects: 4000, Bytes: 400_000}); got != want {
+		t.Errorf("pinned EXP-B %+v, want %+v", got, want)
 	}
 
 	code, out = gateRun(t, []string{"-baseline", base}, stream)
@@ -178,32 +171,58 @@ func TestGateWriteThenPass(t *testing.T) {
 		t.Fatalf("self-gate exit %d\n%s", code, out)
 	}
 	for _, id := range []string{"EXP-A", "EXP-B"} {
-		if line := lineWith(out, id); !strings.HasPrefix(line, "ok") || !strings.Contains(line, "1.00x") {
-			t.Errorf("self-gate line for %s is not ok at 1.00x: %q", id, line)
+		for _, check := range []string{"objects", "bytes", "wall"} {
+			if line := lineWith(out, check, id); !strings.HasPrefix(line, "ok") {
+				t.Errorf("self-gate %s line for %s is not ok: %q", check, id, line)
+			}
 		}
 	}
 }
 
-// TestGateFailsOnPathologicalSlowdown: a >tol slowdown on one experiment
-// must fail the gate and name it; within-tolerance noise must not.
+// TestGateFailsOnPathologicalSlowdown: a cost past its ceiling fails the
+// gate and names the experiment and the check; growth within it does
+// not. Wall clock is judged only where the baseline point takes ≥ 1 ms.
 func TestGateFailsOnPathologicalSlowdown(t *testing.T) {
-	base := baselineFile(t, gateBaseline{Throughput: map[string]float64{"EXP-A": 1_000_000, "EXP-B": 1_000_000}})
+	base := baselineFile(t, pointsBase)
 
-	// 2x slower: within the default 3x tolerance.
-	if code, out := gateRun(t, []string{"-baseline", base}, benchLines(2_000_000, 2_000_000)); code != 0 {
-		t.Fatalf("2x slowdown failed the 3x gate\n%s", out)
+	// 1.2× on every cost: within 1.25× and 3×.
+	if code, out := gateRun(t, []string{"-baseline", base}, benchLines(1.2)); code != 0 {
+		t.Fatalf("1.2x growth failed the gate\n%s", out)
 	}
-	// 4x slower on EXP-B only: pathological, must fail.
-	code, out := gateRun(t, []string{"-baseline", base}, benchLines(1_000_000, 4_000_000))
+	// 2× on EXP-B only: its objects and bytes fail, its wall passes.
+	code, out := gateRun(t, []string{"-baseline", base}, benchLines(2))
 	if code != 1 {
-		t.Fatalf("4x slowdown exit %d, want 1\n%s", code, out)
+		t.Fatalf("2x growth exit %d, want 1\n%s", code, out)
 	}
-	if !strings.HasPrefix(lineWith(out, "EXP-B"), "FAIL") || !strings.HasPrefix(lineWith(out, "EXP-A"), "ok") {
-		t.Errorf("failure output does not single out the regressed experiment:\n%s", out)
+	for check, want := range map[string]string{"objects": "FAIL", "bytes": "FAIL", "wall": "ok"} {
+		if line := lineWith(out, check, "EXP-B"); !strings.HasPrefix(line, want) {
+			t.Errorf("EXP-B %s line %q, want %s", check, line, want)
+		}
+		if line := lineWith(out, check, "EXP-A"); !strings.HasPrefix(line, "ok") {
+			t.Errorf("EXP-A %s line %q, want ok", check, line)
+		}
 	}
-	// Tightening the tolerance flips the verdict for the 2x case.
-	if code, _ := gateRun(t, []string{"-baseline", base, "-tol", "1.5"}, benchLines(2_000_000, 2_000_000)); code != 1 {
-		t.Error("2x slowdown passed a 1.5x tolerance")
+	// 4× wall clock at unchanged allocations fails the wall check only.
+	slow := strings.Repeat(benchRow("EXP-B", 0, 8_000_000, 1000, 100_000), 2)
+	code, out = gateRun(t, []string{"-baseline", base}, slow)
+	if line := lineWith(out, "wall", "EXP-B"); code != 1 || !strings.HasPrefix(line, "FAIL") {
+		t.Errorf("4x wall clock exit %d, want 1 with a FAIL wall line: %q\n%s", code, line, out)
+	}
+	// The same 4× on a sub-millisecond baseline point is not judged.
+	fast := baselineFile(t, gateBaseline{Points: map[string]pointCost{"EXP-B": {WallNS: 900_000, Objects: 1000, Bytes: 100_000}}})
+	code, out = gateRun(t, []string{"-baseline", fast}, slow)
+	if code != 0 || lineWith(out, "wall") != "" {
+		t.Errorf("sub-ms baseline point: exit %d, want 0 with no wall line\n%s", code, out)
+	}
+	// The fixed slack lets a point that allocates next to nothing in the
+	// baseline grow by a few objects, not more.
+	tiny := baselineFile(t, gateBaseline{Points: map[string]pointCost{"EXP-P": {WallNS: 5_000}}})
+	if code, out := gateRun(t, []string{"-baseline", tiny}, benchRow("EXP-P", 0, 9_000, allocObjectsSlack, allocBytesSlack)); code != 0 {
+		t.Errorf("growth within the slack failed the gate\n%s", out)
+	}
+	code, out = gateRun(t, []string{"-baseline", tiny}, benchRow("EXP-P", 0, 9_000, allocObjectsSlack+1, 0))
+	if line := lineWith(out, "objects", "EXP-P"); code != 1 || !strings.HasPrefix(line, "FAIL") {
+		t.Errorf("growth past the slack exit %d, want 1 with a FAIL objects line: %q", code, line)
 	}
 }
 
@@ -211,8 +230,8 @@ func TestGateFailsOnPathologicalSlowdown(t *testing.T) {
 // are reported but never fail the gate — adding an experiment must not
 // break CI until the baseline is re-pinned.
 func TestGateSkipsUnknownExperiments(t *testing.T) {
-	base := baselineFile(t, gateBaseline{Throughput: map[string]float64{"EXP-A": 1_000_000}})
-	code, out := gateRun(t, []string{"-baseline", base}, benchLines(1_000_000, 50_000_000))
+	base := baselineFile(t, gateBaseline{Points: map[string]pointCost{"EXP-A": unitCost}})
+	code, out := gateRun(t, []string{"-baseline", base}, benchLines(50))
 	if code != 0 {
 		t.Fatalf("unknown experiment failed the gate (exit %d)\n%s", code, out)
 	}
@@ -222,35 +241,32 @@ func TestGateSkipsUnknownExperiments(t *testing.T) {
 }
 
 // TestGateServingExperimentsAgainstCommittedBaseline: the committed
-// baseline carries all three sections, and EXP-L1/EXP-L2 bench rows at
-// its pinned rate gate at 1.00x.
+// baseline carries both sections, the gate's CI selection among its
+// experiments, and rows at each pinned cost gate ok.
 func TestGateServingExperimentsAgainstCommittedBaseline(t *testing.T) {
 	path := filepath.Join("..", "..", "testdata", "gate_baseline.json")
 	base, err := readGateBaseline(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if base.StallNS <= 0 || len(base.Profile) == 0 {
-		t.Fatalf("committed baseline lacks a section: stall %d ns, %d profile functions", base.StallNS, len(base.Profile))
-	}
-	l1, l2 := base.Throughput["EXP-L1"], base.Throughput["EXP-L2"]
-	if l1 <= 0 || l2 <= 0 {
-		t.Fatalf("committed baseline lacks EXP-L1/EXP-L2: %v", base.Throughput)
+	if base.StallQ <= 0 {
+		t.Fatalf("committed baseline lacks the stall Q: %d", base.StallQ)
 	}
 	var b strings.Builder
-	for i := 0; i < 4; i++ {
-		b.WriteString(`{"experiment":"EXP-L1","title":"t","row":` + itoa(i) + `,"columns":["x"],"values":["1"],"wall_ns":` + i64toa(int64(l1)) + "}\n")
-	}
-	for i := 0; i < 6; i++ {
-		b.WriteString(`{"experiment":"EXP-L2","title":"t","row":` + itoa(i) + `,"columns":["x"],"values":["1"],"wall_ns":` + i64toa(int64(l2)) + "}\n")
+	for _, id := range []string{"EXP-MG1", "EXP-P2", "EXP-F2", "EXP-B1", "EXP-L1", "EXP-L2", "EXP-L3"} {
+		c, ok := base.Points[id]
+		if !ok {
+			t.Fatalf("committed baseline lacks %s: %v", id, base.Points)
+		}
+		b.WriteString(benchRow(id, 0, int64(c.WallNS), uint64(c.Objects), uint64(c.Bytes)))
 	}
 	code, out := gateRun(t, []string{"-baseline", path}, b.String())
 	if code != 0 {
-		t.Fatalf("serving experiments failed the committed gate (exit %d)\n%s", code, out)
+		t.Fatalf("pinned costs failed the committed gate (exit %d)\n%s", code, out)
 	}
-	for _, id := range []string{"EXP-L1", "EXP-L2"} {
-		if line := lineWith(out, id); !strings.HasPrefix(line, "ok") {
-			t.Errorf("gate line for %s is not ok: %q", id, line)
+	for _, id := range []string{"EXP-L1", "EXP-L2", "EXP-L3", "EXP-MG1"} {
+		if line := lineWith(out, "wall", id); !strings.HasPrefix(line, "ok") {
+			t.Errorf("wall line for %s is not ok: %q", id, line)
 		}
 	}
 }
@@ -258,32 +274,36 @@ func TestGateServingExperimentsAgainstCommittedBaseline(t *testing.T) {
 // TestGateRejectsUntimedInput: a bench stream without wall_ns fields (run
 // without -timing) is no evidence: unusable input, not a silent pass.
 func TestGateRejectsUntimedInput(t *testing.T) {
-	base := baselineFile(t, gateBaseline{Throughput: map[string]float64{"EXP-A": 1}})
+	base := baselineFile(t, pointsBase)
 	untimed := `{"experiment":"EXP-A","title":"t","row":0,"columns":["x"],"values":["1"]}` + "\n"
 	if code, _ := gateRun(t, []string{"-baseline", base}, untimed); code != 2 {
 		t.Fatalf("untimed input exit %d, want 2", code)
 	}
 }
 
-// TestGateJSONRecords pins the -json trend surface: each comparison emits
-// one "type":"gate" record to stdout (the human lines move to stderr),
-// and the records are invisible to timing aggregation — so the artifact
-// with its verdicts appended re-gates to the same records.
+// TestGateJSONRecords pins the -json trend surface: each check emits one
+// "type":"gate" record to stdout (the human lines move to stderr), and
+// the gate skips those records when it reads — so the artifact with its
+// verdicts appended re-gates to the same records.
 func TestGateJSONRecords(t *testing.T) {
-	base := baselineFile(t, gateBaseline{Throughput: map[string]float64{"EXP-A": 1_000_000, "EXP-B": 1_000_000}})
-	stream := benchLines(1_000_000, 4_000_000) // EXP-B regresses 4x
+	base := baselineFile(t, pointsBase)
+	stream := benchLines(1.5) // EXP-B's allocations grow 1.5x
 	code, recs, human := gateJSON(t, []string{"-baseline", base}, stream)
 	if code != 1 {
-		t.Fatalf("4x regression exit %d, want 1", code)
+		t.Fatalf("1.5x allocation growth exit %d, want 1", code)
 	}
-	if !strings.HasPrefix(lineWith(human, "EXP-B"), "FAIL") {
+	if !strings.HasPrefix(lineWith(human, "objects", "EXP-B"), "FAIL") {
 		t.Errorf("human lines missing from stderr under -json:\n%s", human)
 	}
 	want := []gateRecord{
-		{Type: "gate", Check: "throughput", Subject: "EXP-A", Value: 1e6, Limit: 3e6, Verdict: "ok"},
-		{Type: "gate", Check: "throughput", Subject: "EXP-B", Value: 4e6, Limit: 3e6, Verdict: "fail"},
+		{Type: "gate", Check: "objects", Subject: "EXP-A", Value: 1000, Limit: 1314, Verdict: "ok"},
+		{Type: "gate", Check: "bytes", Subject: "EXP-A", Value: 100_000, Limit: 190_536, Verdict: "ok"},
+		{Type: "gate", Check: "wall", Subject: "EXP-A", Value: 2e6, Limit: 6e6, Verdict: "ok"},
+		{Type: "gate", Check: "objects", Subject: "EXP-B", Value: 1500, Limit: 1314, Verdict: "fail"},
+		{Type: "gate", Check: "bytes", Subject: "EXP-B", Value: 150_000, Limit: 190_536, Verdict: "ok"},
+		{Type: "gate", Check: "wall", Subject: "EXP-B", Value: 3e6, Limit: 6e6, Verdict: "ok"},
 	}
-	if len(recs) != len(want) || recs[0] != want[0] || recs[1] != want[1] {
+	if fmt.Sprint(recs) != fmt.Sprint(want) {
 		t.Fatalf("records %+v, want %+v", recs, want)
 	}
 
@@ -294,7 +314,7 @@ func TestGateJSONRecords(t *testing.T) {
 		appended.Write(append(raw, '\n'))
 	}
 	code, again, _ := gateJSON(t, []string{"-baseline", base}, appended.String())
-	if code != 1 || len(again) != 2 || again[0] != want[0] || again[1] != want[1] {
+	if code != 1 || fmt.Sprint(again) != fmt.Sprint(want) {
 		t.Errorf("appended artifact re-gates with exit %d and %+v, want exit 1 and the same records", code, again)
 	}
 }
@@ -302,41 +322,37 @@ func TestGateJSONRecords(t *testing.T) {
 // TestGateNoBaselineRecordVerdict: experiments missing from the baseline
 // carry the no-baseline verdict in their record and never fail the gate.
 func TestGateNoBaselineRecordVerdict(t *testing.T) {
-	base := baselineFile(t, gateBaseline{Throughput: map[string]float64{"EXP-A": 1_000_000}})
-	code, recs, _ := gateJSON(t, []string{"-baseline", base}, benchLines(1_000_000, 9_000_000))
+	base := baselineFile(t, gateBaseline{Points: map[string]pointCost{"EXP-A": unitCost}})
+	code, recs, _ := gateJSON(t, []string{"-baseline", base}, benchLines(9))
 	if code != 0 {
 		t.Fatalf("no-baseline experiment failed the gate (exit %d)", code)
 	}
-	if len(recs) != 2 {
-		t.Fatalf("%d records, want 2", len(recs))
+	if len(recs) != 4 {
+		t.Fatalf("%d records, want 3 for EXP-A and 1 for EXP-B", len(recs))
 	}
-	if rec := recs[1]; rec.Subject != "EXP-B" || rec.Verdict != "no-baseline" || rec.Limit != 0 {
+	if rec := recs[3]; rec.Subject != "EXP-B" || rec.Verdict != "no-baseline" || rec.Limit != 0 {
 		t.Errorf("EXP-B record %+v, want no-baseline with no limit", rec)
 	}
 }
 
 // The stall check: a deamortized dictload leg against its amortized twin
-// and the baseline's stall ceiling.
+// and the baseline's stall Q ceiling.
 
-var stallBase = gateBaseline{StallNS: 500_000}
+var stallBase = gateBaseline{StallQ: 1_625}
 
-// TestStallgatePassAndRatioFail: a 24× wall-clock and 26× Q cut at equal
-// throughput passes; shrinking either cut below 10× fails that rule.
+// TestStallgatePassAndRatioFail: a 26× Q cut at equal throughput passes
+// whatever the wall-clock stalls read; shrinking the Q cut below 10×
+// fails that rule.
 func TestStallgatePassAndRatioFail(t *testing.T) {
-	base := baselineFile(t, stallBase)
-	code, out := gateRun(t, []string{"-baseline", base}, stallLegs(12_000_000, 43_011, 96000, 500_000, 1_625, 97000))
+	base := baselineFile(t, gateBaseline{StallQ: 5_000})
+	code, out := gateRun(t, []string{"-baseline", base}, stallLegs(43_011, 96000, 1_625, 97000))
 	if code != 0 {
-		t.Fatalf("24x reduction failed the 10x gate (exit %d)\n%s", code, out)
+		t.Fatalf("26x Q reduction failed the 10x gate (exit %d)\n%s", code, out)
 	}
-	if !strings.Contains(out, "stall reduction 24.00×") || !strings.Contains(out, "stall Q reduction 26.47×") {
-		t.Errorf("output lacks the measured ratios:\n%s", out)
+	if !strings.Contains(out, "stall Q reduction 26.47×") {
+		t.Errorf("output lacks the measured ratio:\n%s", out)
 	}
-
-	code, out = gateRun(t, []string{"-baseline", base}, stallLegs(12_000_000, 43_011, 96000, 3_000_000, 1_625, 97000))
-	if line := lineWith(out, "stall reduction"); code != 1 || !strings.HasPrefix(line, "FAIL") {
-		t.Errorf("4x wall-clock cut exit %d, want 1 with a FAIL line: %q", code, line)
-	}
-	code, out = gateRun(t, []string{"-baseline", base}, stallLegs(12_000_000, 43_011, 96000, 500_000, 5_000, 97000))
+	code, out = gateRun(t, []string{"-baseline", base}, stallLegs(43_011, 96000, 5_000, 97000))
 	if line := lineWith(out, "stall Q reduction"); code != 1 || !strings.HasPrefix(line, "FAIL") {
 		t.Errorf("8.6x Q cut exit %d, want 1 with a FAIL line: %q", code, line)
 	}
@@ -346,37 +362,36 @@ func TestStallgatePassAndRatioFail(t *testing.T) {
 // a tenth of the amortized throughput fails even with a huge stall win.
 func TestStallgateThroughputFail(t *testing.T) {
 	base := baselineFile(t, stallBase)
-	code, out := gateRun(t, []string{"-baseline", base}, stallLegs(12_000_000, 43_011, 100000, 100_000, 1_625, 50000))
+	code, out := gateRun(t, []string{"-baseline", base}, stallLegs(43_011, 100000, 1_625, 50000))
 	if line := lineWith(out, "throughput held"); code != 1 || !strings.HasPrefix(line, "FAIL") {
 		t.Errorf("half throughput exit %d, want 1 with a FAIL line: %q", code, line)
 	}
 }
 
 // TestStallgateBaselineRoundTrip: -write-baseline pins the last
-// deamortized record's stall; the same run gates at 1×, a 5× drift
-// passes the 10× ceiling, and a 12× drift fails it.
+// deamortized record's stall Q; the same run and a smaller Q pass the
+// ceiling, and one more Q than pinned fails it.
 func TestStallgateBaselineRoundTrip(t *testing.T) {
 	base := filepath.Join(t.TempDir(), "baseline.json")
-	legs := func(deNS int64) string { return stallLegs(100_000_000, 43_011, 96000, deNS, 1_625, 97000) }
-	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, legs(500_000)); code != 0 {
+	legs := func(deQ int64) string { return stallLegs(100_000, 96000, deQ, 97000) }
+	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, legs(1_591)); code != 0 {
 		t.Fatalf("write-baseline exit %d\n%s", code, out)
 	}
 	pinned, err := readGateBaseline(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if pinned.StallNS != 500_000 {
-		t.Fatalf("pinned stall %d, want 500000", pinned.StallNS)
+	if pinned.StallQ != 1_591 {
+		t.Fatalf("pinned stall Q %d, want 1591", pinned.StallQ)
 	}
-	if code, out := gateRun(t, []string{"-baseline", base}, legs(500_000)); code != 0 {
-		t.Fatalf("self-gate exit %d\n%s", code, out)
+	for _, q := range []int64{1_591, 1_000} {
+		if code, out := gateRun(t, []string{"-baseline", base}, legs(q)); code != 0 {
+			t.Errorf("stall Q %d failed the 1591 ceiling\n%s", q, out)
+		}
 	}
-	if code, out := gateRun(t, []string{"-baseline", base}, legs(2_500_000)); code != 0 {
-		t.Errorf("5x baseline drift failed the 10x ceiling\n%s", out)
-	}
-	code, out := gateRun(t, []string{"-baseline", base}, legs(6_000_000))
-	if line := lineWith(out, "vs baseline"); code != 1 || !strings.HasPrefix(line, "FAIL") {
-		t.Errorf("12x baseline drift exit %d, want 1 with a FAIL line: %q", code, line)
+	code, out := gateRun(t, []string{"-baseline", base}, legs(1_592))
+	if line := lineWith(out, "deamortized stall Q"); code != 1 || !strings.HasPrefix(line, "FAIL") {
+		t.Errorf("stall Q 1592 exit %d, want 1 with a FAIL line: %q", code, line)
 	}
 }
 
@@ -390,7 +405,7 @@ func TestStallgateRejectsMislabeledLegs(t *testing.T) {
 		"two amortized records":   am + am,
 		"two deamortized records": de + de,
 		"no stall Q":              am + dictloadLine(true, 500_000, 0, 97000),
-		"leg beside timings":      benchLines(1, 1) + am,
+		"leg beside timings":      benchLines(1) + am,
 	} {
 		if code, out := gateRun(t, []string{"-baseline", base}, input); code != 2 {
 			t.Errorf("%s: exit %d, want 2\n%s", name, code, out)
@@ -402,103 +417,39 @@ func TestStallgateRejectsMislabeledLegs(t *testing.T) {
 // carrying the measured value, its limit and the verdict.
 func TestStallgateJSONVerdict(t *testing.T) {
 	base := baselineFile(t, stallBase)
-	code, recs, _ := gateJSON(t, []string{"-baseline", base}, stallLegs(10_000_000, 40_000, 96000, 500_000, 2_000, 96000))
+	code, recs, _ := gateJSON(t, []string{"-baseline", base}, stallLegs(40_000, 96000, 1_600, 96000))
 	if code != 0 {
 		t.Fatalf("exit %d", code)
 	}
 	want := []gateRecord{
-		{Type: "gate", Check: "stall", Subject: "stall_ratio", Value: 20, Limit: 10, Verdict: "ok"},
-		{Type: "gate", Check: "stall", Subject: "stall_q_ratio", Value: 20, Limit: 10, Verdict: "ok"},
+		{Type: "gate", Check: "stall", Subject: "stall_q_ratio", Value: 25, Limit: 10, Verdict: "ok"},
 		{Type: "gate", Check: "stall", Subject: "throughput_fraction", Value: 1, Limit: 0.9, Verdict: "ok"},
-		{Type: "gate", Check: "stall", Subject: "deamortized_stall_ns", Value: 500_000, Limit: 5_000_000, Verdict: "ok"},
+		{Type: "gate", Check: "stall", Subject: "deamortized_stall_q", Value: 1_600, Limit: 1_625, Verdict: "ok"},
 	}
-	if len(recs) != len(want) {
+	if fmt.Sprint(recs) != fmt.Sprint(want) {
 		t.Fatalf("records %+v, want %+v", recs, want)
 	}
-	for i := range want {
-		if recs[i] != want[i] {
-			t.Errorf("record %d = %+v, want %+v", i, recs[i], want[i])
+}
+
+// TestGateUsageErrors: input that carries no evidence, a line that is
+// not JSON (a pprof -top dump, say), a malformed JSON line, a timed row
+// without the allocation fields (as `aem bench -timing` wrote before it
+// measured allocations), or a missing file or baseline is unusable (exit
+// 2), distinct from a failed check.
+func TestGateUsageErrors(t *testing.T) {
+	base := baselineFile(t, pointsBase)
+	row := benchLines(1)
+	for name, input := range map[string]string{
+		"empty input":     "",
+		"pprof -top dump": row + "     1.20s 40.00% 40.00%      1.50s 50.00%  runtime.memmove\n",
+		"malformed JSON":  row + `{"experiment":` + "\n",
+		"foreign records": `{"type":"gate","check":"wall","subject":"EXP-A","value":1,"verdict":"ok"}` + "\n",
+		"timed row without allocations": row +
+			`{"experiment":"EXP-A","title":"t","row":0,"columns":["x"],"values":["1"],"wall_ns":2000000}` + "\n",
+	} {
+		if code, _ := gateRun(t, []string{"-baseline", base}, input); code != 2 {
+			t.Errorf("%s: exit %d, want 2", name, code)
 		}
-	}
-}
-
-// The profile check: pprof -top rows against the baseline's known
-// functions.
-
-var profileBase = gateBaseline{Profile: []string{
-	"repro/internal/dict.(*BufferTree).flushNode",
-	"repro/internal/aem.(*Machine).Read",
-	"runtime.memmove",
-}}
-
-// TestProfdiffPassAndNewEntrant: known functions may shift weight
-// freely, but one above 10% flat that the baseline lacks fails the gate
-// and is named; a newcomer below the line passes.
-func TestProfdiffPassAndNewEntrant(t *testing.T) {
-	base := baselineFile(t, profileBase)
-	shifted := pprofTop(
-		"     1.50s 50.00% 50.00%      1.80s 60.00%  repro/internal/aem.(*Machine).Read",
-		"     0.90s 30.00% 80.00%      1.00s 33.33%  repro/internal/dict.(*BufferTree).flushNode",
-	)
-	if code, out := gateRun(t, []string{"-baseline", base}, shifted); code != 0 {
-		t.Fatalf("weight shift failed the gate (exit %d)\n%s", code, out)
-	}
-	hot := pprofTop(
-		"     1.20s 40.00% 40.00%      1.50s 50.00%  repro/internal/dict.(*BufferTree).flushNode",
-		"     0.75s 25.00% 65.00%      0.80s 26.67%  repro/internal/dict.(*BufferTree).accidentalQuadratic",
-	)
-	code, out := gateRun(t, []string{"-baseline", base}, hot)
-	if line := lineWith(out, "accidentalQuadratic"); code != 1 || !strings.HasPrefix(line, "FAIL") {
-		t.Fatalf("new 25%% entrant exit %d, want 1 with a FAIL line naming it\n%s", code, out)
-	}
-	if line := lineWith(out, "flushNode"); !strings.HasPrefix(line, "ok") {
-		t.Errorf("known function not ok: %q", line)
-	}
-	small := pprofTop("     0.27s  9.00%  9.00%      0.30s 10.00%  repro/internal/dict.newLeak")
-	if code, out := gateRun(t, []string{"-baseline", base}, small); code != 0 {
-		t.Errorf("9%% entrant failed the 10%% line\n%s", out)
-	}
-}
-
-// TestProfdiffConcatenatedDumps: CI concatenates the cpu and mem -top
-// dumps into one summary; both sections count, " (inline)" suffixes stay
-// part of the name, and a function seen twice keeps its larger flat%.
-func TestProfdiffConcatenatedDumps(t *testing.T) {
-	summary := pprofTop("     1.20s 40.00% 40.00%      1.50s 50.00%  runtime.mallocgc (inline)") +
-		pprofTop(
-			"  512.04MB 60.00% 60.00%   512.04MB 60.00%  repro/internal/dict.newChainWriter",
-			"  256.02MB 30.00% 90.00%   256.02MB 30.00%  runtime.mallocgc (inline)",
-		)
-	ev, err := readGateInputs([]string{writeFile(t, "summary.txt", summary)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := ev.prof["runtime.mallocgc (inline)"]; got != 40 {
-		t.Errorf("duplicate function flat%% = %v, want max 40", got)
-	}
-	if got := ev.prof["repro/internal/dict.newChainWriter"]; got != 60 {
-		t.Errorf("mem section not read: %v", ev.prof)
-	}
-	base := filepath.Join(t.TempDir(), "baseline.json")
-	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, summary); code != 0 {
-		t.Fatalf("write-baseline exit %d\n%s", code, out)
-	}
-	if code, out := gateRun(t, []string{"-baseline", base}, summary); code != 0 {
-		t.Fatalf("self-gate of the concatenated summary exit %d\n%s", code, out)
-	}
-}
-
-// TestProfdiffUsageErrors: input that carries no evidence, a malformed
-// JSON line, or a missing file or baseline is unusable (exit 2), distinct
-// from a failed check.
-func TestProfdiffUsageErrors(t *testing.T) {
-	base := baselineFile(t, profileBase)
-	row := "     1.20s 40.00% 40.00%      1.50s 50.00%  runtime.memmove\n"
-	if code, _ := gateRun(t, []string{"-baseline", base}, pprofTop()); code != 2 {
-		t.Error("banner-only summary accepted")
-	}
-	if code, _ := gateRun(t, []string{"-baseline", base}, row+`{"experiment":`+"\n"); code != 2 {
-		t.Error("malformed JSON line accepted")
 	}
 	if code, _ := gateRun(t, []string{"-baseline", base, filepath.Join(t.TempDir(), "missing.txt")}); code != 2 {
 		t.Error("missing input file accepted")
@@ -508,38 +459,28 @@ func TestProfdiffUsageErrors(t *testing.T) {
 	}
 }
 
-// TestGateMixedEvidence: one call judges timings, stall legs and profile
-// rows together, one record per check, and one failing check fails the
-// call without hiding the others.
+// TestGateMixedEvidence: one call judges bench rows and stall legs
+// together, one record per check, and one failing check fails the call
+// without hiding the others.
 func TestGateMixedEvidence(t *testing.T) {
-	base := baselineFile(t, gateBaseline{
-		Throughput: map[string]float64{"EXP-A": 1_000_000, "EXP-B": 1_000_000},
-		StallNS:    500_000,
-		Profile:    profileBase.Profile,
-	})
-	legs := stallLegs(12_000_000, 43_011, 96000, 500_000, 1_625, 97000)
-	newcomer := pprofTop("     0.75s 25.00% 25.00%      0.80s 26.67%  repro/internal/dict.accidentalQuadratic")
-	code, recs, _ := gateJSON(t, []string{"-baseline", base}, benchLines(1_000_000, 1_000_000)+legs, newcomer)
+	base := baselineFile(t, gateBaseline{Points: pointsBase.Points, StallQ: 1_625})
+	legs := stallLegs(43_011, 96000, 3_250, 97000) // the stall Q doubled
+	code, recs, _ := gateJSON(t, []string{"-baseline", base}, benchLines(1), legs)
 	if code != 1 {
-		t.Fatalf("exit %d, want 1 from the profile check", code)
+		t.Fatalf("exit %d, want 1 from the stall Q ceiling", code)
 	}
 	verdicts := map[string]string{}
 	for _, rec := range recs {
 		verdicts[rec.Check+" "+rec.Subject] = rec.Verdict
 	}
 	want := map[string]string{
-		"throughput EXP-A": "ok", "throughput EXP-B": "ok",
-		"stall stall_ratio": "ok", "stall stall_q_ratio": "ok",
-		"stall throughput_fraction": "ok", "stall deamortized_stall_ns": "ok",
-		"profile repro/internal/dict.accidentalQuadratic": "fail",
+		"objects EXP-A": "ok", "bytes EXP-A": "ok", "wall EXP-A": "ok",
+		"objects EXP-B": "ok", "bytes EXP-B": "ok", "wall EXP-B": "ok",
+		"stall stall_q_ratio": "ok", "stall throughput_fraction": "ok",
+		"stall deamortized_stall_q": "fail",
 	}
-	if len(verdicts) != len(want) {
+	if fmt.Sprint(verdicts) != fmt.Sprint(want) {
 		t.Fatalf("verdicts %v, want %v", verdicts, want)
-	}
-	for k, v := range want {
-		if verdicts[k] != v {
-			t.Errorf("%s: verdict %q, want %q", k, verdicts[k], v)
-		}
 	}
 }
 
@@ -547,112 +488,26 @@ func TestGateMixedEvidence(t *testing.T) {
 // what its input measured and keeps every other section and experiment.
 func TestGateWriteBaselineKeepsOtherSections(t *testing.T) {
 	base := baselineFile(t, gateBaseline{
-		Throughput: map[string]float64{"EXP-A": 7, "EXP-Z": 9},
-		StallNS:    208_911,
-		Profile:    []string{"runtime.memmove"},
+		Points: map[string]pointCost{"EXP-A": {WallNS: 7}, "EXP-Z": {WallNS: 9}},
+		StallQ: 1_591,
 	})
-	newcomer := pprofTop("     0.75s 25.00% 25.00%      0.80s 26.67%  repro/internal/dict.accidentalQuadratic")
-	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, newcomer); code != 0 {
-		t.Fatalf("profile write-baseline exit %d\n%s", code, out)
-	}
-	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, benchLines(1_000_000, 2_000_000)); code != 0 {
-		t.Fatalf("throughput write-baseline exit %d\n%s", code, out)
+	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, benchLines(2)); code != 0 {
+		t.Fatalf("per-point write-baseline exit %d\n%s", code, out)
 	}
 	got, err := readGateBaseline(base)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got.Throughput["EXP-A"] != 1_000_000 || got.Throughput["EXP-B"] != 2_000_000 || got.Throughput["EXP-Z"] != 9 {
-		t.Errorf("throughput %v, want EXP-A and EXP-B re-pinned and EXP-Z kept", got.Throughput)
+	if got.Points["EXP-A"] != unitCost || got.Points["EXP-B"].Objects != 2000 || got.Points["EXP-Z"].WallNS != 9 {
+		t.Errorf("per-point %v, want EXP-A and EXP-B re-pinned and EXP-Z kept", got.Points)
 	}
-	if got.StallNS != 208_911 {
-		t.Errorf("stall %d, want 208911 kept", got.StallNS)
+	if got.StallQ != 1_591 {
+		t.Errorf("stall Q %d, want 1591 kept", got.StallQ)
 	}
-	if len(got.Profile) != 1 || got.Profile[0] != "repro/internal/dict.accidentalQuadratic" {
-		t.Errorf("profile %v, want the re-pinned inventory", got.Profile)
+	if code, out := gateRun(t, []string{"-baseline", base, "-write-baseline"}, stallLegs(43_011, 96000, 1_700, 97000)); code != 0 {
+		t.Fatalf("stall write-baseline exit %d\n%s", code, out)
 	}
-}
-
-// TestGateBaselineProfileFunctionsExist keeps the profile check's list of
-// known functions honest: every repro/... entry in the committed baseline
-// must name a function declared in the module's non-test source, so a
-// deleted or renamed function cannot linger on the list. Profile
-// decorations are stripped first: " (inline)", generic shapes
-// ("[go.shape…]") and closure suffixes (".func1", ".func2.3").
-func TestGateBaselineProfileFunctionsExist(t *testing.T) {
-	root := filepath.Join("..", "..")
-	base, err := readGateBaseline(filepath.Join(root, "testdata", "gate_baseline.json"))
-	if err != nil {
-		t.Fatal(err)
+	if got, _ = readGateBaseline(base); got.StallQ != 1_700 || len(got.Points) != 3 {
+		t.Errorf("after the stall re-pin: stall Q %d, %d experiments; want 1700 and 3 kept", got.StallQ, len(got.Points))
 	}
-	declared := map[string]map[string]bool{} // package path → declared names
-	for _, entry := range base.Profile {
-		s := stripTypeArgs(strings.TrimSuffix(entry, " (inline)"))
-		if !strings.HasPrefix(s, "repro/") {
-			continue
-		}
-		slash := strings.LastIndex(s, "/")
-		dot := slash + strings.Index(s[slash:], ".")
-		pkg := s[:dot]
-		name := strings.NewReplacer("(*", "", ")", "").Replace(closureSuffix.ReplaceAllString(s[dot+1:], ""))
-		if declared[pkg] == nil {
-			declared[pkg] = funcDecls(t, filepath.Join(root, strings.TrimPrefix(pkg, "repro/")))
-		}
-		if !declared[pkg][name] {
-			t.Errorf("profile baseline entry %q: %s declares no %s", entry, pkg, name)
-		}
-	}
-	if len(declared) == 0 {
-		t.Fatal("the profile baseline names no repro/... function")
-	}
-}
-
-// closureSuffix matches the names the compiler gives closures.
-var closureSuffix = regexp.MustCompile(`(\.func\d+)+(\.\d+)*$`)
-
-// stripTypeArgs drops every bracketed group: the type arguments of a
-// generic declaration, or the shapes pprof prints for them.
-func stripTypeArgs(s string) string {
-	var b strings.Builder
-	depth := 0
-	for _, r := range s {
-		switch {
-		case r == '[':
-			depth++
-		case r == ']':
-			depth--
-		case depth == 0:
-			b.WriteRune(r)
-		}
-	}
-	return b.String()
-}
-
-// funcDecls returns the functions ("F") and methods ("T.M") declared in
-// the non-test Go files of dir.
-func funcDecls(t *testing.T, dir string) map[string]bool {
-	t.Helper()
-	files, _ := filepath.Glob(filepath.Join(dir, "*.go")) // fails only on a malformed pattern
-	names := map[string]bool{}
-	for _, path := range files {
-		if strings.HasSuffix(path, "_test.go") {
-			continue
-		}
-		f, err := parser.ParseFile(token.NewFileSet(), path, nil, parser.SkipObjectResolution)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, d := range f.Decls {
-			fn, ok := d.(*ast.FuncDecl)
-			switch {
-			case !ok:
-			case fn.Recv == nil:
-				names[fn.Name.Name] = true
-			default:
-				recv := strings.TrimPrefix(stripTypeArgs(types.ExprString(fn.Recv.List[0].Type)), "*")
-				names[recv+"."+fn.Name.Name] = true
-			}
-		}
-	}
-	return names
 }

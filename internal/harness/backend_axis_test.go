@@ -23,7 +23,7 @@ func TestBackendAxisStatsEquality(t *testing.T) {
 				t.Fatalf("%s missing from the auxiliary registry", id)
 			}
 			var tbl *Table
-			Run([]*Spec{s}, 4, func(x *Table) { tbl = x })
+			execute(t, []*Spec{s}, 4, func(x *Table) { tbl = x })
 			if len(tbl.Rows) == 0 {
 				t.Fatal("backend sweep produced no rows")
 			}

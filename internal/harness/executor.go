@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"runtime/metrics"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -22,8 +23,8 @@ type specState struct {
 	pts     []Point
 	rows    []Row
 	cells   [][]string
-	wallNS  []int64
-	panicAt []string // per point, "" = ok
+	timing  []PointTiming // set by a timed run only
+	panicAt []string      // per point, "" = ok
 	nfail   int64
 	pending int64
 	done    chan struct{} // closed once every point has finished
@@ -31,8 +32,8 @@ type specState struct {
 
 // newSpecStates enumerates every spec's grid into a fresh state. Grid
 // enumeration runs spec-authored hooks (Dyn axes, Skip), so a panic there
-// is an experiment failure like any other: it is recorded exactly as Run
-// has always reported it, with the "grid enumeration:" prefix.
+// is an experiment failure like any other: it is recorded with the
+// "grid enumeration:" prefix.
 func newSpecStates(specs []*Spec) []*specState {
 	sts := make([]*specState, len(specs))
 	for si, s := range specs {
@@ -48,7 +49,6 @@ func newSpecStates(specs []*Spec) []*specState {
 		}()
 		st.rows = make([]Row, len(st.pts))
 		st.cells = make([][]string, len(st.pts))
-		st.wallNS = make([]int64, len(st.pts))
 		if st.nfail == 0 {
 			st.panicAt = make([]string, len(st.pts))
 		}
@@ -61,14 +61,27 @@ func newSpecStates(specs []*Spec) []*specState {
 	return sts
 }
 
-// runPoint measures one grid point on the calling goroutine, recording
-// the raw row, the rendered cells, the wall-clock spent, and — if the
-// point function or a column hook panics — the panic message. The last
-// point of the spec to finish closes its done channel.
-func (st *specState) runPoint(s *Spec, pi int) {
+// timePoint runs one grid point and records what it cost the process:
+// wall clock and the heap objects and bytes allocated meanwhile. The heap
+// counters are process-wide, so they belong to the point only while
+// nothing else runs beside it.
+func (st *specState) timePoint(s *Spec, pi int, heap []metrics.Sample) {
+	metrics.Read(heap)
+	objects, bytes := heap[0].Value.Uint64(), heap[1].Value.Uint64()
 	start := time.Now()
+	st.runPoint(s, pi)
+	wall := time.Since(start).Nanoseconds()
+	metrics.Read(heap)
+	st.timing[pi] = PointTiming{WallNS: wall,
+		AllocObjects: heap[0].Value.Uint64() - objects, AllocBytes: heap[1].Value.Uint64() - bytes}
+}
+
+// runPoint measures one grid point on the calling goroutine, recording
+// the raw row, the rendered cells, and — if the point function or a
+// column hook panics — the panic message. The last point of the spec to
+// finish closes its done channel.
+func (st *specState) runPoint(s *Spec, pi int) {
 	defer func() {
-		st.wallNS[pi] = time.Since(start).Nanoseconds()
 		if r := recover(); r != nil {
 			st.panicAt[pi] = fmt.Sprint(r)
 			atomic.AddInt64(&st.nfail, 1)
@@ -107,9 +120,9 @@ func (st *specState) failureMsg() (string, bool) {
 // completeSpec turns one finished spec state into either an emitted
 // table or an entry in the aggregated failure list. Nothing is emitted
 // from the first failed spec onward, so the emitted prefix is
-// deterministic. With timing set, the per-point wall-clock is attached to
-// the table as opt-in timing columns.
-func completeSpec(s *Spec, st *specState, failures *[]string, timing bool, emit func(*Table)) {
+// deterministic. A timed run's per-point costs are attached to the table
+// as opt-in timing columns.
+func completeSpec(s *Spec, st *specState, failures *[]string, emit func(*Table)) {
 	if msg, failed := st.failureMsg(); failed {
 		*failures = append(*failures, fmt.Sprintf("%s: %s", s.ID, msg))
 		return
@@ -130,9 +143,7 @@ func completeSpec(s *Spec, st *specState, failures *[]string, timing bool, emit 
 		*failures = append(*failures, fmt.Sprintf("%s: %s", s.ID, perr))
 		return
 	}
-	if timing {
-		tbl.WallNS = st.wallNS
-	}
+	tbl.Timing = st.timing
 	emit(tbl)
 }
 
@@ -150,16 +161,19 @@ func failuresError(failures []string) error {
 }
 
 // LocalPool runs every grid point of every spec on one shared in-process
-// worker pool of at most Par goroutines — the scheduler behind Run and
+// worker pool of at most Par goroutines — the scheduler behind
 // `aem bench`. Scheduling is point-granular: a single slow experiment
 // spreads across the pool instead of pinning one worker. Every point owns
 // a private machine and fixed seeds, so the emitted tables are
 // byte-identical at every Par — parallelism changes wall-clock time,
 // never output. Par < 1 is treated as 1.
 //
-// Timing attaches each point's wall-clock to the emitted tables (see
-// Table.WallNS). It is off by default so recorded goldens stay stable;
-// the timing values themselves are naturally nondeterministic.
+// Timing runs the points one at a time on the calling goroutine, each
+// table emitted before the next spec's first point, and attaches each
+// point's wall clock and heap allocations to the emitted tables (see
+// Table.Timing). The heap counters are process-wide, so a second worker
+// would charge its allocations to whichever point is running. Timing is
+// off by default so recorded goldens stay stable.
 type LocalPool struct {
 	Par    int
 	Timing bool
@@ -172,6 +186,19 @@ type LocalPool struct {
 // experiment ID with its first panic message.
 func (e *LocalPool) Execute(specs []*Spec, emit func(*Table)) error {
 	sts := newSpecStates(specs)
+	var failures []string
+	if e.Timing {
+		heap := []metrics.Sample{{Name: "/gc/heap/allocs:objects"}, {Name: "/gc/heap/allocs:bytes"}}
+		for si, s := range specs {
+			st := sts[si]
+			st.timing = make([]PointTiming, len(st.pts))
+			for pi := range st.pts {
+				st.timePoint(s, pi, heap)
+			}
+			completeSpec(s, st, &failures, emit)
+		}
+		return failuresError(failures)
+	}
 	jobs := make(chan job)
 	go func() {
 		for si, st := range sts {
@@ -192,10 +219,9 @@ func (e *LocalPool) Execute(specs []*Spec, emit func(*Table)) error {
 		}()
 	}
 
-	var failures []string
 	for si, s := range specs {
 		<-sts[si].done
-		completeSpec(s, sts[si], &failures, e.Timing, emit)
+		completeSpec(s, sts[si], &failures, emit)
 	}
 	wg.Wait()
 	return failuresError(failures)

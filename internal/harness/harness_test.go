@@ -12,7 +12,7 @@ func TestAllExperimentsRunAndRender(t *testing.T) {
 	for _, e := range All() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {
-			tbl := e.Table()
+			tbl := mustTable(t, e)
 			if tbl.ID != e.ID {
 				t.Errorf("table ID %q != experiment ID %q", tbl.ID, e.ID)
 			}
@@ -76,7 +76,17 @@ func registryTable(t *testing.T, id string) *Table {
 	if !ok {
 		t.Fatalf("%s is not registered", id)
 	}
-	return e.Table()
+	return mustTable(t, e)
+}
+
+// mustTable runs s's grid and fails the test if a point fails.
+func mustTable(t *testing.T, s *Spec) *Table {
+	t.Helper()
+	tbl, err := s.Table()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return tbl
 }
 
 // column returns the cells of tbl's column name, one per row.

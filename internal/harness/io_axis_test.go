@@ -58,7 +58,7 @@ func TestIOAxisEndToEnd(t *testing.T) {
 		t.Fatal("EXP-IO1 missing from the auxiliary registry")
 	}
 	var tbl *Table
-	Run([]*Spec{s}, 4, func(x *Table) { tbl = x })
+	execute(t, []*Spec{s}, 4, func(x *Table) { tbl = x })
 	if len(tbl.Rows) != len(s.Points()) {
 		t.Fatalf("grid produced %d rows for %d points", len(tbl.Rows), len(s.Points()))
 	}

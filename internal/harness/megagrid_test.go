@@ -1,7 +1,6 @@
 package harness
 
 import (
-	"strings"
 	"testing"
 
 	"repro/internal/aem"
@@ -43,7 +42,7 @@ func TestMG1TableRatiosPinExactly(t *testing.T) {
 		{Name: "omega", Values: Ints(256)},
 		{Name: "N", Values: Ints(1 << 24)},
 	}
-	for _, cell := range column(t, s.Table(), "cost/pred") {
+	for _, cell := range column(t, mustTable(t, s), "cost/pred") {
 		if cell != "1.00" {
 			t.Errorf("cost/pred = %s, want exactly 1.00", cell)
 		}
@@ -111,34 +110,5 @@ func TestReplayMatchesPerOpSchedule(t *testing.T) {
 	}
 	if fast.Cost() != slow.Cost() {
 		t.Errorf("bulk replay cost %d, per-op loop %d", fast.Cost(), slow.Cost())
-	}
-}
-
-// TestThroughputOf pins the summary derivation: totals, ns/point and the
-// points/sec inversion, plus nil for untimed tables.
-func TestThroughputOf(t *testing.T) {
-	tbl := &Table{ID: "EXP-X", Rows: [][]string{{"a"}, {"b"}, {"c"}, {"d"}}}
-	if tp := ThroughputOf(tbl); tp != nil {
-		t.Fatalf("untimed table produced a summary: %+v", tp)
-	}
-	tbl.WallNS = []int64{1_000_000, 2_000_000, 3_000_000, 2_000_000}
-	tp := ThroughputOf(tbl)
-	if tp == nil {
-		t.Fatal("timed table produced no summary")
-	}
-	if tp.Experiment != "EXP-X" || tp.Points != 4 || tp.WallNS != 8_000_000 {
-		t.Fatalf("summary identity wrong: %+v", tp)
-	}
-	if tp.NSPerPoint != 2_000_000 {
-		t.Errorf("ns/point = %v, want 2e6", tp.NSPerPoint)
-	}
-	if tp.PointsPerSec != 500 {
-		t.Errorf("points/sec = %v, want 500", tp.PointsPerSec)
-	}
-	if tp.Type != "throughput" {
-		t.Errorf("summary type %q, want throughput", tp.Type)
-	}
-	if !strings.HasPrefix(tp.Experiment, "EXP-") {
-		t.Errorf("experiment id %q lost its prefix", tp.Experiment)
 	}
 }

@@ -28,6 +28,15 @@ func sleepSpec(id string, d time.Duration, body func()) *Spec {
 	}
 }
 
+// execute runs specs on a LocalPool of par workers and fails the test on
+// an experiment failure.
+func execute(t *testing.T, specs []*Spec, par int, emit func(*Table)) {
+	t.Helper()
+	if err := (&LocalPool{Par: par}).Execute(specs, emit); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // TestRunEmitsInOrder: emission order must be input order even when later
 // experiments finish first.
 func TestRunEmitsInOrder(t *testing.T) {
@@ -37,7 +46,7 @@ func TestRunEmitsInOrder(t *testing.T) {
 		specs[i] = sleepSpec(fmt.Sprintf("T-%d", i), time.Duration(n-i)*time.Millisecond, nil)
 	}
 	var got []string
-	Run(specs, n, func(tbl *Table) { got = append(got, tbl.ID) })
+	execute(t, specs, n, func(tbl *Table) { got = append(got, tbl.ID) })
 	for i, id := range got {
 		if want := fmt.Sprintf("T-%d", i); id != want {
 			t.Fatalf("emission %d = %s, want %s (full order %v)", i, id, want, got)
@@ -71,7 +80,7 @@ func TestRunBoundsConcurrency(t *testing.T) {
 			return inner(p)
 		}
 	}
-	Run(specs, par, func(*Table) {})
+	execute(t, specs, par, func(*Table) {})
 	if p := atomic.LoadInt64(&peak); p > par {
 		t.Fatalf("observed %d concurrent points, budget %d", p, par)
 	}
@@ -95,7 +104,7 @@ func TestRunSchedulesPointsNotExperiments(t *testing.T) {
 	}
 	start := time.Now()
 	var rows int
-	Run([]*Spec{slow}, par, func(tbl *Table) { rows = len(tbl.Rows) })
+	execute(t, []*Spec{slow}, par, func(tbl *Table) { rows = len(tbl.Rows) })
 	elapsed := time.Since(start)
 	if rows != points {
 		t.Fatalf("emitted %d rows, want %d", rows, points)
@@ -107,29 +116,25 @@ func TestRunSchedulesPointsNotExperiments(t *testing.T) {
 }
 
 // TestRunPanicPropagates: a panicking experiment must not deadlock the
-// pool, and the panic must surface with the experiment's ID.
+// pool, and the failure must surface with the experiment's ID.
 func TestRunPanicPropagates(t *testing.T) {
 	specs := []*Spec{
 		sleepSpec("OK-1", 0, nil),
 		{ID: "BOOM", Columns: Cols("x"), Point: func(Point) Row { panic("kaput") }},
 		sleepSpec("OK-2", 0, nil),
 	}
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("panic did not propagate")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "BOOM") || !strings.Contains(msg, "kaput") {
-			t.Fatalf("panic %q lacks experiment context", msg)
-		}
-	}()
-	Run(specs, 2, func(*Table) {})
+	err := (&LocalPool{Par: 2}).Execute(specs, func(*Table) {})
+	if err == nil {
+		t.Fatal("failure did not propagate")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "BOOM") || !strings.Contains(msg, "kaput") {
+		t.Fatalf("error %q lacks experiment context", msg)
+	}
 }
 
 // TestRunAggregatesAllFailures: with several failing experiments the
-// final panic must name every failed experiment ID, not just the first,
-// and tables ahead of the first failure must still be emitted.
+// returned error must name every failed experiment ID, not just the
+// first, and tables ahead of the first failure must still be emitted.
 func TestRunAggregatesAllFailures(t *testing.T) {
 	specs := []*Spec{
 		sleepSpec("OK-1", 0, nil),
@@ -138,22 +143,18 @@ func TestRunAggregatesAllFailures(t *testing.T) {
 		{ID: "BOOM-2", Columns: Cols("x"), Point: func(Point) Row { panic("second failure") }},
 	}
 	var emitted []string
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("no panic despite two failing experiments")
+	err := (&LocalPool{Par: 4}).Execute(specs, func(tbl *Table) { emitted = append(emitted, tbl.ID) })
+	if err == nil {
+		t.Fatal("no error despite two failing experiments")
+	}
+	for _, want := range []string{"BOOM-1", "first failure", "BOOM-2", "second failure"} {
+		if !strings.Contains(err.Error(), want) {
+			t.Errorf("aggregated error %q is missing %q", err, want)
 		}
-		msg := fmt.Sprint(r)
-		for _, want := range []string{"BOOM-1", "first failure", "BOOM-2", "second failure"} {
-			if !strings.Contains(msg, want) {
-				t.Errorf("aggregated panic %q is missing %q", msg, want)
-			}
-		}
-		if len(emitted) != 1 || emitted[0] != "OK-1" {
-			t.Errorf("emitted %v, want the deterministic prefix [OK-1]", emitted)
-		}
-	}()
-	Run(specs, 4, func(tbl *Table) { emitted = append(emitted, tbl.ID) })
+	}
+	if len(emitted) != 1 || emitted[0] != "OK-1" {
+		t.Errorf("emitted %v, want the deterministic prefix [OK-1]", emitted)
+	}
 }
 
 // TestRunEnumerationPanicCarriesID: a panic inside grid enumeration (a
@@ -172,34 +173,25 @@ func TestRunEnumerationPanicCarriesID(t *testing.T) {
 		sleepSpec("OK-2", 0, nil),
 	}
 	var emitted []string
-	defer func() {
-		r := recover()
-		if r == nil {
-			t.Fatal("enumeration panic did not propagate")
-		}
-		msg := fmt.Sprint(r)
-		if !strings.Contains(msg, "BAD-GRID") || !strings.Contains(msg, "axis exploded") {
-			t.Fatalf("panic %q lacks the failing experiment's ID", msg)
-		}
-		if len(emitted) != 1 || emitted[0] != "OK-1" {
-			t.Errorf("emitted %v, want the deterministic prefix [OK-1]", emitted)
-		}
-	}()
-	Run(specs, 4, func(tbl *Table) { emitted = append(emitted, tbl.ID) })
+	err := (&LocalPool{Par: 4}).Execute(specs, func(tbl *Table) { emitted = append(emitted, tbl.ID) })
+	if err == nil {
+		t.Fatal("enumeration failure did not propagate")
+	}
+	if msg := err.Error(); !strings.Contains(msg, "BAD-GRID") || !strings.Contains(msg, "axis exploded") {
+		t.Fatalf("error %q lacks the failing experiment's ID", msg)
+	}
+	if len(emitted) != 1 || emitted[0] != "OK-1" {
+		t.Errorf("emitted %v, want the deterministic prefix [OK-1]", emitted)
+	}
 }
 
-// runQuiet renders the specs at the given par, capturing a panic (the
-// failure-path output) instead of propagating it.
+// runQuiet renders the specs at the given par, returning the failure
+// message (the failure-path output) beside the rendered bytes.
 func runQuiet(specs []*Spec, par int) (out []byte, failure string) {
 	var buf bytes.Buffer
-	func() {
-		defer func() {
-			if r := recover(); r != nil {
-				failure = fmt.Sprint(r)
-			}
-		}()
-		Run(specs, par, func(tbl *Table) { tbl.Render(&buf) })
-	}()
+	if err := (&LocalPool{Par: par}).Execute(specs, func(tbl *Table) { tbl.Render(&buf) }); err != nil {
+		failure = err.Error()
+	}
 	return buf.Bytes(), failure
 }
 
@@ -284,7 +276,7 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 	}
 	render := func(par int) []byte {
 		var buf bytes.Buffer
-		Run(specs, par, func(tbl *Table) { tbl.Render(&buf) })
+		execute(t, specs, par, func(tbl *Table) { tbl.Render(&buf) })
 		return buf.Bytes()
 	}
 	seq := render(1)
@@ -297,16 +289,17 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllCoversEveryExperiment: RunAll returns one table per registered
-// experiment, in index order.
+// TestRunAllCoversEveryExperiment: running All() emits one table per
+// registered experiment, in index order.
 func TestRunAllCoversEveryExperiment(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full sweep is multi-second")
 	}
-	tables := RunAll(8)
 	all := All()
+	var tables []*Table
+	execute(t, all, 8, func(tbl *Table) { tables = append(tables, tbl) })
 	if len(tables) != len(all) {
-		t.Fatalf("RunAll returned %d tables for %d experiments", len(tables), len(all))
+		t.Fatalf("emitted %d tables for %d experiments", len(tables), len(all))
 	}
 	for i, tbl := range tables {
 		if tbl.ID != all[i].ID {
@@ -356,40 +349,73 @@ func gridSpecs() []*Spec {
 	return []*Spec{grid, labels}
 }
 
-// TestLocalPoolTiming: with Timing set, every emitted table carries one
-// wall-clock entry per row, rendered as a trailing "wall ms" column and a
-// wall_ns JSON field — and with Timing unset nothing changes, which is
-// what keeps the recorded goldens stable.
+// timingSink keeps TestLocalPoolTiming's allocations on the heap.
+var timingSink atomic.Value
+
+// TestLocalPoolTiming: a timed pool runs one point at a time whatever its
+// Par, and every emitted table carries one cost entry per row — a
+// trailing "wall ms" column and wall_ns, alloc_objects and alloc_bytes
+// JSON fields, with each point's own 1 MiB allocation counted. With
+// Timing unset nothing changes, which is what keeps the recorded goldens
+// stable.
 func TestLocalPoolTiming(t *testing.T) {
+	var inFlight, peak int64
 	specs := gridSpecs()
+	for _, s := range specs {
+		inner := s.Point
+		s.Point = func(p Point) Row {
+			cur := atomic.AddInt64(&inFlight, 1)
+			defer atomic.AddInt64(&inFlight, -1)
+			for old := atomic.LoadInt64(&peak); cur > old && !atomic.CompareAndSwapInt64(&peak, old, cur); old = atomic.LoadInt64(&peak) {
+			}
+			timingSink.Store(make([]byte, 1<<20))
+			time.Sleep(time.Millisecond)
+			return inner(p)
+		}
+	}
 	var timed, plain []*Table
-	(&LocalPool{Par: 4, Timing: true}).Execute(specs, func(tbl *Table) { timed = append(timed, tbl) })
-	(&LocalPool{Par: 4}).Execute(gridSpecs(), func(tbl *Table) { plain = append(plain, tbl) })
+	if err := (&LocalPool{Par: 4, Timing: true}).Execute(specs, func(tbl *Table) { timed = append(timed, tbl) }); err != nil {
+		t.Fatal(err)
+	}
+	if p := atomic.LoadInt64(&peak); p != 1 {
+		t.Errorf("a timed pool at Par 4 ran %d points at once, want 1", p)
+	}
+	execute(t, gridSpecs(), 4, func(tbl *Table) { plain = append(plain, tbl) })
+	if len(timed) != 2 || len(plain) != 2 {
+		t.Fatalf("emitted %d timed and %d plain tables, want 2 each", len(timed), len(plain))
+	}
 
 	for i, tbl := range timed {
-		if len(tbl.WallNS) != len(tbl.Rows) {
-			t.Fatalf("%s: %d wall-clock entries for %d rows", tbl.ID, len(tbl.WallNS), len(tbl.Rows))
+		if len(tbl.Timing) != len(tbl.Rows) {
+			t.Fatalf("%s: %d cost entries for %d rows", tbl.ID, len(tbl.Timing), len(tbl.Rows))
 		}
 		var text bytes.Buffer
 		tbl.Render(&text)
-		if !strings.Contains(text.String(), "wall ms") {
-			t.Errorf("%s: timed rendering lacks the wall ms column", tbl.ID)
+		if !strings.Contains(text.String(), "wall ms") || !strings.Contains(text.String(), "allocs") {
+			t.Errorf("%s: timed rendering lacks the wall ms and allocs columns", tbl.ID)
 		}
 		var jb bytes.Buffer
 		if err := tbl.JSON(&jb); err != nil {
 			t.Fatal(err)
 		}
-		var rec struct {
-			WallNS *int64 `json:"wall_ns"`
-		}
-		if err := json.Unmarshal([]byte(strings.SplitN(jb.String(), "\n", 2)[0]), &rec); err != nil {
-			t.Fatal(err)
-		}
-		if rec.WallNS == nil {
-			t.Errorf("%s: timed JSON record lacks wall_ns", tbl.ID)
+		for r, line := range strings.Split(strings.TrimSpace(jb.String()), "\n") {
+			var rec struct {
+				WallNS       *int64  `json:"wall_ns"`
+				AllocObjects *uint64 `json:"alloc_objects"`
+				AllocBytes   *uint64 `json:"alloc_bytes"`
+			}
+			if err := json.Unmarshal([]byte(line), &rec); err != nil {
+				t.Fatal(err)
+			}
+			if rec.WallNS == nil || rec.AllocObjects == nil || rec.AllocBytes == nil {
+				t.Fatalf("%s row %d: timed JSON record lacks a cost field: %s", tbl.ID, r, line)
+			}
+			if *rec.AllocObjects < 1 || *rec.AllocBytes < 1<<20 {
+				t.Errorf("%s row %d: %d objects, %d bytes; the point allocated one 1 MiB object", tbl.ID, r, *rec.AllocObjects, *rec.AllocBytes)
+			}
 		}
 
-		if plain[i].WallNS != nil {
+		if plain[i].Timing != nil {
 			t.Fatalf("%s: timing attached without Timing", plain[i].ID)
 		}
 		var ptext bytes.Buffer

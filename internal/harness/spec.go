@@ -10,7 +10,7 @@ import (
 // workload scenario, …), a point function measuring one grid point, and
 // column definitions — optionally carrying predicted-bound hooks from
 // internal/bounds and derived columns computed over the finished grid.
-// The engine enumerates the grid, schedules the points (see Run), and
+// The engine enumerates the grid, schedules the points (see LocalPool), and
 // assembles the table deterministically in grid order, so the rendered
 // output is identical at every parallelism level.
 
@@ -191,18 +191,13 @@ func (s *Spec) assemble(rows []Row, cells [][]string) *Table {
 	return t
 }
 
-// Table runs every grid point serially and assembles the result — the
-// single-spec convenience used by tests and focused tooling. Run is the
-// scheduled path.
-func (s *Spec) Table() *Table {
-	pts := s.Points()
-	rows := make([]Row, len(pts))
-	cells := make([][]string, len(pts))
-	for i, p := range pts {
-		rows[i] = s.Point(p)
-		cells[i] = s.cells(p, rows[i])
-	}
-	return s.assemble(rows, cells)
+// Table runs the spec's grid on a one-worker LocalPool, the path `aem
+// bench` runs, and returns the table or the error naming the failed
+// point.
+func (s *Spec) Table() (*Table, error) {
+	var tbl *Table
+	err := (&LocalPool{Par: 1}).Execute([]*Spec{s}, func(t *Table) { tbl = t })
+	return tbl, err
 }
 
 // MemoPoint caches an expensive per-point computation — typically the

@@ -37,16 +37,16 @@ func TestPointsEnumeration(t *testing.T) {
 	}
 }
 
-// TestSpecTableMatchesRun: the serial convenience path and the scheduled
-// path must assemble identical tables.
+// TestSpecTableMatchesRun: the one-worker convenience path and a
+// four-worker pool must assemble identical tables.
 func TestSpecTableMatchesRun(t *testing.T) {
 	s, ok := ByID("EXP-B1")
 	if !ok {
 		t.Fatal("EXP-B1 missing")
 	}
 	var viaRun *Table
-	Run([]*Spec{s}, 4, func(tbl *Table) { viaRun = tbl })
-	serial := s.Table()
+	execute(t, []*Spec{s}, 4, func(tbl *Table) { viaRun = tbl })
+	serial := mustTable(t, s)
 	var a, b bytes.Buffer
 	viaRun.Render(&a)
 	serial.Render(&b)
@@ -67,7 +67,7 @@ func TestPredColumns(t *testing.T) {
 		),
 		Point: func(p Point) Row { return Row{p.Int("x"), 3, nil} },
 	}
-	tbl := s.Table()
+	tbl := mustTable(t, s)
 	if got := tbl.Rows[0]; got[1] != "1.50" || got[2] != "7.50" {
 		t.Fatalf("pred cells = %v, want ratio 1.50 and prediction 7.50", got)
 	}

@@ -23,30 +23,40 @@ type Table struct {
 	Columns []string
 	Rows    [][]string
 
-	// WallNS holds each row's grid-point wall-clock in nanoseconds when an
-	// executor ran with timing enabled (nil otherwise — the default, so
-	// recorded goldens stay byte-identical). When set, Render and CSV
-	// append a "wall ms" column and JSON records carry a wall_ns field:
-	// the simulator's own performance rides along with the model cost.
-	WallNS []int64
+	// Timing holds each row's grid-point cost to the process when a pool
+	// ran with Timing set (nil otherwise — the default, so recorded
+	// goldens stay byte-identical). When set, Render and CSV append
+	// "wall ms", "allocs" and "alloc KiB" columns and JSON records carry
+	// wall_ns, alloc_objects and alloc_bytes fields: the simulator's own
+	// performance rides along with the model cost.
+	Timing []PointTiming
 }
 
-// timedColumns returns the column headers including the timing column
-// when per-point wall-clock is attached.
+// PointTiming is what one grid point cost the process that ran it.
+type PointTiming struct {
+	WallNS       int64  `json:"wall_ns"`
+	AllocObjects uint64 `json:"alloc_objects"` // heap objects allocated
+	AllocBytes   uint64 `json:"alloc_bytes"`   // heap bytes allocated
+}
+
+// timedColumns returns the column headers including the timing columns
+// when per-point costs are attached.
 func (t *Table) timedColumns() []string {
-	if t.WallNS == nil {
+	if t.Timing == nil {
 		return t.Columns
 	}
-	return append(append([]string(nil), t.Columns...), "wall ms")
+	return append(append([]string(nil), t.Columns...), "wall ms", "allocs", "alloc KiB")
 }
 
-// timedRow returns row i's cells including the timing cell when
-// per-point wall-clock is attached.
+// timedRow returns row i's cells including the timing cells when
+// per-point costs are attached.
 func (t *Table) timedRow(i int) []string {
-	if t.WallNS == nil || i >= len(t.WallNS) {
+	if t.Timing == nil {
 		return t.Rows[i]
 	}
-	return append(append([]string(nil), t.Rows[i]...), fmtVal(float64(t.WallNS[i])/1e6))
+	c := t.Timing[i]
+	return append(append([]string(nil), t.Rows[i]...),
+		fmtVal(float64(c.WallNS)/1e6), fmtVal(c.AllocObjects), fmtVal(float64(c.AllocBytes)/1024))
 }
 
 // AddRow appends a row, formatting each value with %v (floats get
@@ -143,7 +153,7 @@ func writeCSVRow(w io.Writer, cells []string) {
 // experiment identity and the formatted cells (measured and predicted
 // columns included) — the structured form benchmark artifacts are built
 // from. With timing attached, each record additionally carries the grid
-// point's wall-clock as wall_ns.
+// point's PointTiming fields.
 func (t *Table) JSON(w io.Writer) error {
 	type record struct {
 		Experiment string   `json:"experiment"`
@@ -151,13 +161,13 @@ func (t *Table) JSON(w io.Writer) error {
 		Row        int      `json:"row"`
 		Columns    []string `json:"columns"`
 		Values     []string `json:"values"`
-		WallNS     *int64   `json:"wall_ns,omitempty"`
+		*PointTiming
 	}
 	enc := json.NewEncoder(w)
 	for i, row := range t.Rows {
 		rec := record{t.ID, t.Title, i, t.Columns, row, nil}
-		if t.WallNS != nil && i < len(t.WallNS) {
-			rec.WallNS = &t.WallNS[i]
+		if t.Timing != nil {
+			rec.PointTiming = &t.Timing[i]
 		}
 		if err := enc.Encode(rec); err != nil {
 			return err
