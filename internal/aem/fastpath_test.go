@@ -18,7 +18,7 @@ func traceEqual(a, b []TraceOp) bool {
 }
 
 // TestScanReadsMatchesPerOp pins the bulk read primitive against the
-// per-op path it batches: on every engine, with and without a TraceSink,
+// per-op path it batches: on every engine, traced and untraced,
 // ScanReads must leave Stats, Cost, phase accounting and the recorded
 // trace identical to an unbatched loop over the same range.
 func TestScanReadsMatchesPerOp(t *testing.T) {
@@ -33,10 +33,9 @@ func TestScanReadsMatchesPerOp(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				bulk := NewWithStorage(cfg, eng.make())
 				perOp := NewWithStorage(cfg, eng.make())
-				var bulkSink, perOpSink MemorySink
 				if traced {
-					bulk.SetTraceSink(&bulkSink)
-					perOp.SetTraceSink(&perOpSink)
+					bulk.StartTrace()
+					perOp.StartTrace()
 				}
 				base := bulk.Alloc(blocks)
 				if got := perOp.Alloc(blocks); got != base {
@@ -61,8 +60,10 @@ func TestScanReadsMatchesPerOp(t *testing.T) {
 					t.Errorf("phase accounting diverged: %+v vs %+v",
 						bulk.Phases().Phase("scan"), perOp.Phases().Phase("scan"))
 				}
-				if traced && !traceEqual(bulkSink.Ops(), perOpSink.Ops()) {
-					t.Errorf("traces diverged:\nbulk   %v\nper-op %v", bulkSink.Ops(), perOpSink.Ops())
+				if traced {
+					if b, p := bulk.StopTrace(), perOp.StopTrace(); len(b) != blocks-1 || !traceEqual(b, p) {
+						t.Errorf("traces diverged:\nbulk   %v\nper-op %v", b, p)
+					}
 				}
 			})
 		}
@@ -86,10 +87,9 @@ func TestScanWritesMatchesWriter(t *testing.T) {
 			t.Run(name, func(t *testing.T) {
 				bulk := NewWithStorage(cfg, eng.make())
 				ref := NewWithStorage(cfg, eng.make())
-				var bulkSink, refSink MemorySink
 				if traced {
-					bulk.SetTraceSink(&bulkSink)
-					ref.SetTraceSink(&refSink)
+					bulk.StartTrace()
+					ref.StartTrace()
 				}
 
 				base := bulk.Alloc(blocks)
@@ -105,8 +105,10 @@ func TestScanWritesMatchesWriter(t *testing.T) {
 				if bulk.Stats() != ref.Stats() {
 					t.Errorf("stats %+v, Writer path %+v", bulk.Stats(), ref.Stats())
 				}
-				if traced && !traceEqual(bulkSink.Ops(), refSink.Ops()) {
-					t.Errorf("traces diverged:\nbulk   %v\nwriter %v", bulkSink.Ops(), refSink.Ops())
+				if traced {
+					if b, w := bulk.StopTrace(), ref.StopTrace(); len(b) != blocks || !traceEqual(b, w) {
+						t.Errorf("traces diverged:\nbulk   %v\nwriter %v", b, w)
+					}
 				}
 				buf := make([]Item, 0, cfg.B)
 				for i := 0; i < blocks; i++ {
@@ -222,7 +224,7 @@ func TestMachineRecycle(t *testing.T) {
 					recycled.MemInUse(), recycled.MemPeak(), fresh.MemPeak())
 			}
 			if recycled.Tracing() {
-				t.Errorf("trace sink survived Recycle")
+				t.Errorf("trace survived Recycle")
 			}
 			if recycled.NumBlocks() != fresh.NumBlocks() {
 				t.Errorf("allocated %d blocks, fresh machine %d", recycled.NumBlocks(), fresh.NumBlocks())

@@ -32,10 +32,12 @@ type TraceOp struct {
 // memory, an internal memory capacity meter, and I/O cost accounting.
 //
 // The external memory's contents live in a pluggable Storage engine; the
-// machine itself owns only the cost model. Every transfer, costed or free,
-// reaches the engine through the one Storage reference the machine holds,
-// so each engine runs the same machine code. New machines default to the
-// reference SliceStorage — use NewWithStorage to run on another engine.
+// machine itself owns the cost model and, between StartTrace and
+// StopTrace, the in-memory trace of costed transfers. Every transfer,
+// costed or free, reaches the engine through the one Storage reference
+// the machine holds, so each engine runs the same machine code. New
+// machines default to the reference SliceStorage — use NewWithStorage to
+// run on another engine.
 //
 // The simulator deliberately does not model internal memory *contents* —
 // internal computation is free in the model — but it does meter how many
@@ -56,9 +58,9 @@ type Machine struct {
 	leftSlot *Stats
 	inUse    int
 	peak     int
-	sink     TraceSink
-	started  *MemorySink // sink installed by StartTrace, if any
-	zeros    []Item      // lazily built zero block for ScanWrites on data engines
+	tracing  bool
+	trace    []TraceOp // operations recorded since StartTrace
+	zeros    []Item    // lazily built zero block for ScanWrites on data engines
 }
 
 // New returns a fresh machine backed by the reference slice engine. It
@@ -92,9 +94,9 @@ func NewWithStorage(cfg Config, store Storage) *Machine {
 
 // Recycle returns the machine to the state NewWithStorage would produce
 // for cfg on the same storage engine: counters, phases, memory metering
-// and any trace sink are cleared and the engine is Reset to zero blocks
-// (retaining its capacity, which is the point — a pooled machine's next
-// run allocates nothing in steady state). cfg may differ from the
+// and any trace in progress are cleared and the engine is Reset to zero
+// blocks (retaining its capacity, which is the point — a pooled machine's
+// next run allocates nothing in steady state). cfg may differ from the
 // machine's previous configuration in M and ω freely; like the
 // constructor, Recycle panics on an invalid cfg or an engine whose fixed
 // block capacity is smaller than the new B.
@@ -114,8 +116,8 @@ func (ma *Machine) Recycle(cfg Config) {
 	ma.leftSlot = nil
 	ma.inUse = 0
 	ma.peak = 0
-	ma.sink = nil
-	ma.started = nil
+	ma.tracing = false
+	ma.trace = nil
 }
 
 // Config returns the machine parameters.
@@ -162,41 +164,28 @@ func (ma *Machine) SetPhase(name string) (previous string) {
 // Phases returns the per-phase I/O accounting.
 func (ma *Machine) Phases() *PhaseStats { return &ma.phases }
 
-// SetTraceSink installs a sink that receives every subsequent I/O
-// operation, returning the previously installed sink (nil if none). Pass
-// nil to stop tracing. Streaming sinks make production-scale traces
-// possible: the machine holds no trace state of its own.
-func (ma *Machine) SetTraceSink(sink TraceSink) (previous TraceSink) {
-	previous = ma.sink
-	ma.sink = sink
-	ma.started = nil
-	return previous
-}
-
-// StartTrace begins recording every I/O operation into a fresh in-memory
-// sink. Recording continues until StopTrace is called. It is shorthand
-// for SetTraceSink(&MemorySink{}) plus bookkeeping, kept for the common
-// record-then-analyze pattern.
+// StartTrace begins recording every costed I/O operation, discarding
+// any trace in progress. Recording continues until StopTrace.
 func (ma *Machine) StartTrace() {
-	ma.started = &MemorySink{}
-	ma.sink = ma.started
+	ma.tracing = true
+	ma.trace = nil
 }
 
 // StopTrace stops recording and returns the operations recorded since
-// StartTrace. It panics if tracing was started with SetTraceSink rather
-// than StartTrace — the caller owns such a sink and reads it directly.
+// StartTrace. The machine keeps no reference to the returned slice. It
+// panics if no trace was started.
 func (ma *Machine) StopTrace() []TraceOp {
-	if ma.started == nil {
+	if !ma.tracing {
 		panic("aem: StopTrace without StartTrace")
 	}
-	ops := ma.started.Ops()
-	ma.sink = nil
-	ma.started = nil
+	ops := ma.trace
+	ma.tracing = false
+	ma.trace = nil
 	return ops
 }
 
-// Tracing reports whether a trace sink is currently installed.
-func (ma *Machine) Tracing() bool { return ma.sink != nil }
+// Tracing reports whether a trace is being recorded.
+func (ma *Machine) Tracing() bool { return ma.tracing }
 
 // NumBlocks returns the number of blocks currently allocated on disk.
 func (ma *Machine) NumBlocks() int { return ma.store.NumBlocks() }
@@ -249,15 +238,14 @@ func (ma *Machine) Write(a Addr, items []Item) {
 // Programs that inspect values use ReadInto or a Scanner, whose
 // accounting ScanReads matches I/O-for-I/O.
 //
-// With a TraceSink installed the per-op path is taken instead, so
-// recorded traces are byte-identical to an unbatched scan of the same
-// range.
+// While tracing the per-op path is taken instead, so recorded traces
+// are identical to an unbatched scan of the same range.
 func (ma *Machine) ScanReads(base Addr, blocks int) {
 	ma.checkRange(base, blocks, "ScanReads")
 	if blocks == 0 {
 		return
 	}
-	if ma.sink != nil {
+	if ma.tracing {
 		for i := 0; i < blocks; i++ {
 			ma.count(OpRead, base+Addr(i))
 		}
@@ -281,9 +269,8 @@ func (ma *Machine) ScanReads(base Addr, blocks int) {
 // engine-specific step in the machine: it is EXP-MG1's hot loop, and a
 // per-block Write there would cost as much as the accounting it batches.
 // On the data-bearing engines each block is zero-filled through the normal
-// storage write. With a TraceSink installed the accounting takes the
-// per-op path, so recorded traces are byte-identical to the equivalent
-// Writer run.
+// storage write. While tracing the accounting takes the per-op path, so
+// recorded traces are identical to the equivalent Writer run.
 func (ma *Machine) ScanWrites(base Addr, blocks int, lastLen int) {
 	ma.checkRange(base, blocks, "ScanWrites")
 	if blocks == 0 {
@@ -293,7 +280,7 @@ func (ma *Machine) ScanWrites(base Addr, blocks int, lastLen int) {
 		panic(fmt.Sprintf("aem: ScanWrites(%d, %d): last block length %d outside [1, B=%d]",
 			base, blocks, lastLen, ma.cfg.B))
 	}
-	if ma.sink != nil {
+	if ma.tracing {
 		for i := 0; i < blocks; i++ {
 			ma.count(OpWrite, base+Addr(i))
 		}
@@ -381,8 +368,8 @@ func (ma *Machine) count(kind OpKind, a Addr) {
 		ma.stats.Writes++
 		ma.phaseSlot.Writes++
 	}
-	if ma.sink != nil {
-		ma.sink.Record(TraceOp{Kind: kind, Addr: a})
+	if ma.tracing {
+		ma.trace = append(ma.trace, TraceOp{Kind: kind, Addr: a})
 	}
 }
 

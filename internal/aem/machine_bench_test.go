@@ -139,35 +139,21 @@ func BenchmarkScanWrites(b *testing.B) {
 	}
 }
 
-// BenchmarkTraceSinks compares trace recording costs per op.
-func BenchmarkTraceSinks(b *testing.B) {
+// BenchmarkTraceRecording measures a traced read: the per-op cost of
+// appending to the machine's in-memory trace.
+func BenchmarkTraceRecording(b *testing.B) {
 	cfg := benchConfig()
-	sinks := []struct {
-		name string
-		make func() TraceSink
-	}{
-		{"memory", func() TraceSink { return &MemorySink{} }},
-		{"stream-discard", func() TraceSink { return NewStreamSink(discard{}) }},
+	ma := NewWithStorage(cfg, NewSliceStorage())
+	base := ma.Alloc(64)
+	blk := make([]Item, cfg.B)
+	for i := 0; i < 64; i++ {
+		ma.Poke(base+Addr(i), blk)
 	}
-	for _, s := range sinks {
-		b.Run(s.name, func(b *testing.B) {
-			ma := NewWithStorage(cfg, NewSliceStorage())
-			base := ma.Alloc(64)
-			blk := make([]Item, cfg.B)
-			for i := 0; i < 64; i++ {
-				ma.Poke(base+Addr(i), blk)
-			}
-			ma.SetTraceSink(s.make())
-			buf := make([]Item, 0, cfg.B)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				buf = ma.ReadInto(base+Addr(i&63), buf)
-			}
-		})
+	ma.StartTrace()
+	buf := make([]Item, 0, cfg.B)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		buf = ma.ReadInto(base+Addr(i&63), buf)
 	}
 }
-
-type discard struct{}
-
-func (discard) Write(p []byte) (int, error) { return len(p), nil }

@@ -256,6 +256,38 @@ func TestTraceRecording(t *testing.T) {
 	}
 }
 
+// TestStopTraceHandsOverItsSlice: the slice StopTrace returns belongs to
+// the caller, so a second trace on the same machine must not write into
+// it, even when the first trace left spare capacity.
+func TestStopTraceHandsOverItsSlice(t *testing.T) {
+	ma := New(testConfig())
+	a := ma.Alloc(4)
+	ma.StartTrace()
+	for i := 0; i < 3; i++ {
+		ma.ReadInto(a+Addr(i), nil)
+	}
+	first := ma.StopTrace()
+	want := append([]TraceOp(nil), first...)
+
+	ma.StartTrace()
+	ma.Write(a+3, []Item{{1, 0}})
+	ma.ReadInto(a+3, nil)
+	second := ma.StopTrace()
+
+	if !traceEqual(first, want) {
+		t.Errorf("second trace changed the first: %v, want %v", first, want)
+	}
+	if wantSecond := []TraceOp{{OpWrite, a + 3}, {OpRead, a + 3}}; !traceEqual(second, wantSecond) {
+		t.Errorf("second trace %v, want %v", second, wantSecond)
+	}
+}
+
+func TestStopTraceWithoutStartPanics(t *testing.T) {
+	ma := New(Config{M: 16, B: 4, Omega: 2})
+	defer expectPanic(t, "StopTrace without StartTrace")
+	ma.StopTrace()
+}
+
 func TestResetStats(t *testing.T) {
 	ma := New(testConfig())
 	a := ma.Alloc(1)

@@ -81,3 +81,12 @@ func machineFlags(fs *flag.FlagSet, m, b, omega int) func() (aem.Config, error) 
 		return cfg, nil
 	}
 }
+
+// needBlocks rejects a machine whose internal memory holds fewer than k
+// blocks, the minimum alg documents; below it alg would panic mid-run.
+func needBlocks(cfg aem.Config, k int, alg string) error {
+	if cfg.M < k*cfg.B {
+		return fmt.Errorf("%s needs M ≥ %dB = %d, got M=%d", alg, k, k*cfg.B, cfg.M)
+	}
+	return nil
+}

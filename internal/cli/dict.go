@@ -59,6 +59,41 @@ func dictCmd(prog string, args []string) int {
 		return 2
 	}
 
+	if *nOps < 1 {
+		fail(prog, "-ops must be ≥ 1, got %d", *nOps)
+		return 2
+	}
+	if *keyspace < 2 {
+		fail(prog, "-keyspace must be ≥ 2, got %d", *keyspace)
+		return 2
+	}
+
+	type row struct {
+		name   string
+		blocks int // smallest M, in blocks, the dictionary takes
+		mk     func(*aem.Machine) dict.Dict
+		pred   func(bounds.DictParams) bounds.PredictedIO
+	}
+	var rows []row
+	if *impl == "both" || *impl == "buffertree" {
+		rows = append(rows, row{"buffertree", 8, func(ma *aem.Machine) dict.Dict { return dict.NewBufferTree(ma) },
+			bounds.DictBufferTreePredicted})
+	}
+	if *impl == "both" || *impl == "btree" {
+		rows = append(rows, row{"btree", 4, func(ma *aem.Machine) dict.Dict { return dict.NewBTree(ma) },
+			bounds.DictBTreePredicted})
+	}
+	if len(rows) == 0 {
+		fail(prog, "unknown implementation %q", *impl)
+		return 2
+	}
+	for _, r := range rows {
+		if err := needBlocks(cfg, r.blocks, r.name); err != nil {
+			fail(prog, "%v", err)
+			return 2
+		}
+	}
+
 	ops := workload.DictOps(workload.NewRNG(*seed), sc, *nOps, *keyspace)
 	ins, del, look, rng := workload.OpMix(ops)
 	p := bounds.DictParamsFor(cfg, ops, int(*keyspace))
@@ -66,25 +101,6 @@ func dictCmd(prog string, args []string) int {
 	fmt.Printf("machine      (M=%d, B=%d, ω=%d)-AEM on the %s engine\n", cfg.M, cfg.B, cfg.Omega, *engine)
 	fmt.Printf("workload     %d ops, %s over %d keys (seed %d): %d insert / %d delete / %d lookup / %d range\n",
 		*nOps, sc, *keyspace, *seed, ins, del, look, rng)
-
-	type row struct {
-		name string
-		mk   func(*aem.Machine) dict.Dict
-		pred bounds.PredictedIO
-	}
-	var rows []row
-	if *impl == "both" || *impl == "buffertree" {
-		rows = append(rows, row{"buffertree", func(ma *aem.Machine) dict.Dict { return dict.NewBufferTree(ma) },
-			bounds.DictBufferTreePredicted(p)})
-	}
-	if *impl == "both" || *impl == "btree" {
-		rows = append(rows, row{"btree", func(ma *aem.Machine) dict.Dict { return dict.NewBTree(ma) },
-			bounds.DictBTreePredicted(p)})
-	}
-	if len(rows) == 0 {
-		fail(prog, "unknown implementation %q", *impl)
-		return 2
-	}
 
 	for _, r := range rows {
 		stor, err := aem.StorageByName(*engine, cfg.B)
@@ -97,9 +113,10 @@ func dictCmd(prog string, args []string) int {
 		d := r.mk(ma)
 		results := d.Apply(ops)
 		st := ma.Stats()
+		pred := r.pred(p)
 		fmt.Printf("\n%s\n", r.name)
-		fmt.Printf("  reads        %10d   (predicted %.0f, meas/pred %.2f)\n", st.Reads, r.pred.Reads, float64(st.Reads)/r.pred.Reads)
-		fmt.Printf("  writes       %10d   (predicted %.0f, meas/pred %.2f)\n", st.Writes, r.pred.Writes, float64(st.Writes)/r.pred.Writes)
+		fmt.Printf("  reads        %10d   (predicted %.0f, meas/pred %.2f)\n", st.Reads, pred.Reads, float64(st.Reads)/pred.Reads)
+		fmt.Printf("  writes       %10d   (predicted %.0f, meas/pred %.2f)\n", st.Writes, pred.Writes, float64(st.Writes)/pred.Writes)
 		fmt.Printf("  cost Q       %10d   (= reads + ω·writes; %.2f per op)\n", ma.Cost(), float64(ma.Cost())/float64(*nOps))
 		fmt.Printf("  answered     %10d queries\n", len(results))
 		if *phases && r.name == "buffertree" {

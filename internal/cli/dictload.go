@@ -68,6 +68,10 @@ func dictloadCmd(prog string, args []string) int {
 		fail(prog, "-ops must be ≥ 1, got %d", *nOps)
 		return 2
 	}
+	if *keyspace < 2 {
+		fail(prog, "-keyspace must be ≥ 2, got %d", *keyspace)
+		return 2
+	}
 
 	svc, err := dictsrv.New(dictsrv.Config{
 		Shards:     *shards,

@@ -39,26 +39,35 @@ func sortCmd(prog string, args []string) int {
 		return 2
 	}
 
-	ma := aem.New(cfg)
-	in := workload.Keys(workload.NewRNG(*seed), kd, *n)
-	v := aem.Load(ma, in)
-
-	var out *aem.Vector
-	switch *alg {
-	case "aem":
-		out = sorting.MergeSort(ma, v)
-	case "em":
-		out = sorting.EMMergeSort(ma, v)
-	case "small":
-		if *n > cfg.Omega*cfg.M {
-			fail(prog, "small sort needs N ≤ ωM = %d", cfg.Omega*cfg.M)
-			return 2
-		}
-		out = sorting.SmallSort(ma, v)
-	default:
+	sorts := map[string]struct {
+		blocks int // smallest M, in blocks, the algorithm takes
+		run    func(*aem.Machine, *aem.Vector) *aem.Vector
+	}{
+		"aem":   {8, sorting.MergeSort},
+		"em":    {4, sorting.EMMergeSort},
+		"small": {4, sorting.SmallSort},
+	}
+	s, known := sorts[*alg]
+	if !known {
 		fail(prog, "unknown algorithm %q", *alg)
 		return 2
 	}
+	if *n < 0 {
+		fail(prog, "-n must be ≥ 0, got %d", *n)
+		return 2
+	}
+	if err := needBlocks(cfg, s.blocks, *alg+" sort"); err != nil {
+		fail(prog, "%v", err)
+		return 2
+	}
+	if *alg == "small" && *n > cfg.Omega*cfg.M {
+		fail(prog, "small sort needs N ≤ ωM = %d", cfg.Omega*cfg.M)
+		return 2
+	}
+
+	ma := aem.New(cfg)
+	in := workload.Keys(workload.NewRNG(*seed), kd, *n)
+	out := s.run(ma, aem.Load(ma, in))
 
 	if !sorting.IsSorted(out.Materialize()) {
 		fail(prog, "output NOT sorted — simulator bug")

@@ -35,6 +35,10 @@ func spmxvCmd(prog string, args []string) int {
 		fail(prog, "need 1 ≤ δ ≤ N")
 		return 2
 	}
+	if err := needBlocks(cfg, 8, "sort-based SpMxV"); err != nil {
+		fail(prog, "%v", err)
+		return 2
+	}
 
 	rng := workload.NewRNG(*seed)
 	var conf *workload.Conformation

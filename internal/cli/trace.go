@@ -3,7 +3,6 @@ package cli
 import (
 	"flag"
 	"fmt"
-	"os"
 
 	"repro/internal/aem"
 	"repro/internal/pq"
@@ -13,19 +12,18 @@ import (
 	"repro/internal/workload"
 )
 
+// spmxvDelta is the non-zeros per column of the traced SpMxV programs.
+const spmxvDelta = 4
+
 // traceCmd records the I/O trace of an algorithm execution on a simulated
 // (M,B,ω)-AEM machine, decomposes it into the ωm-rounds of the paper's
 // Section 4, and evaluates the Lemma 4.1 round-based conversion on it —
 // the lower-bound framework applied to a real run.
 //
 //	aem trace -alg aem -n 16384 -m 512 -b 16 -omega 8
-//	aem trace -alg aem -n 16384 -stream ops.trace
 //
 // Algorithms: aem | em | sample | heap (sorting), spmxv-naive | spmxv-sort.
-//
-// With -stream FILE the trace is written to FILE as it is recorded — one
-// "R addr" / "W addr" line per I/O through a bounded buffer, so traces of
-// any length use O(1) memory — and the in-memory round analysis is skipped.
+// The machine keeps the whole trace in memory, one TraceOp per I/O.
 func traceCmd(prog string, args []string) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
@@ -33,7 +31,6 @@ func traceCmd(prog string, args []string) int {
 		machine = machineFlags(fs, 512, 16, 8)
 		alg     = fs.String("alg", "aem", "algorithm: aem | em | sample | heap | spmxv-naive | spmxv-sort")
 		seed    = fs.Uint64("seed", 1, "workload seed")
-		stream  = fs.String("stream", "", "stream the trace to this file instead of analyzing it in memory")
 	)
 	fs.Parse(args)
 
@@ -43,68 +40,48 @@ func traceCmd(prog string, args []string) int {
 		return 2
 	}
 
-	ma := aem.New(cfg)
-	var sink *aem.StreamSink
-	var streamFile *os.File
-	if *stream != "" {
-		f, err := os.Create(*stream)
-		if err != nil {
-			fail(prog, "%v", err)
-			return 1
+	sorter := func(sort func(*aem.Machine, *aem.Vector) *aem.Vector) func(*aem.Machine) {
+		return func(ma *aem.Machine) {
+			sort(ma, aem.Load(ma, workload.Keys(workload.NewRNG(*seed), workload.Random, *n)))
 		}
-		streamFile = f
-		sink = aem.NewStreamSink(f)
-		ma.SetTraceSink(sink)
-	} else {
-		ma.StartTrace()
 	}
-	switch *alg {
-	case "aem":
-		in := workload.Keys(workload.NewRNG(*seed), workload.Random, *n)
-		sorting.MergeSort(ma, aem.Load(ma, in))
-	case "em":
-		in := workload.Keys(workload.NewRNG(*seed), workload.Random, *n)
-		sorting.EMMergeSort(ma, aem.Load(ma, in))
-	case "sample":
-		in := workload.Keys(workload.NewRNG(*seed), workload.Random, *n)
-		sorting.EMSampleSort(ma, aem.Load(ma, in), *seed)
-	case "heap":
-		in := workload.Keys(workload.NewRNG(*seed), workload.Random, *n)
-		pq.HeapSort(ma, aem.Load(ma, in))
-	case "spmxv-naive", "spmxv-sort":
-		rng := workload.NewRNG(*seed)
-		conf := workload.NewConformation(rng, *n, 4)
-		values := make([]int64, conf.H())
-		x := make([]int64, *n)
-		mat := spmxv.NewMatrix(ma, conf, values)
-		if *alg == "spmxv-naive" {
-			spmxv.Naive(ma, mat, spmxv.LoadDense(ma, x))
-		} else {
-			spmxv.SortBased(ma, mat, spmxv.LoadDense(ma, x))
+	multiplier := func(mul func(*aem.Machine, *spmxv.Matrix, *aem.Vector) *aem.Vector) func(*aem.Machine) {
+		return func(ma *aem.Machine) {
+			conf := workload.NewConformation(workload.NewRNG(*seed), *n, spmxvDelta)
+			mat := spmxv.NewMatrix(ma, conf, make([]int64, conf.H()))
+			mul(ma, mat, spmxv.LoadDense(ma, make([]int64, *n)))
 		}
-	default:
+	}
+	algs := map[string]struct {
+		minN, blocks int // smallest N and M (in blocks) the algorithm takes
+		run          func(*aem.Machine)
+	}{
+		"aem": {0, 8, sorter(sorting.MergeSort)},
+		"em":  {0, 4, sorter(sorting.EMMergeSort)},
+		"sample": {0, 8, sorter(func(ma *aem.Machine, v *aem.Vector) *aem.Vector {
+			return sorting.EMSampleSort(ma, v, *seed)
+		})},
+		"heap":        {0, 16, sorter(pq.HeapSort)},
+		"spmxv-naive": {spmxvDelta, 4, multiplier(spmxv.Naive)},
+		"spmxv-sort":  {spmxvDelta, 8, multiplier(spmxv.SortBased)},
+	}
+	a, known := algs[*alg]
+	if !known {
 		fail(prog, "unknown algorithm %q", *alg)
 		return 2
 	}
-	if sink != nil {
-		ma.SetTraceSink(nil)
-		// Close errors matter here: a deferred-write failure (quota, NFS)
-		// surfaces at Close, and reporting success over a truncated trace
-		// would be worse than failing.
-		err := sink.Flush()
-		if cerr := streamFile.Close(); err == nil {
-			err = cerr
-		}
-		if err != nil {
-			fail(prog, "writing %s: %v", *stream, err)
-			return 1
-		}
-		fmt.Printf("machine        (M=%d, B=%d, ω=%d)-AEM\n", cfg.M, cfg.B, cfg.Omega)
-		fmt.Printf("algorithm      %s on N=%d\n", *alg, *n)
-		fmt.Printf("trace          %d ops (%s) streamed to %s\n", sink.Len(), ma.Stats(), *stream)
-		fmt.Printf("cost Q         %d\n", ma.Cost())
-		return 0
+	if *n < a.minN {
+		fail(prog, "%s needs N ≥ %d, got %d", *alg, a.minN, *n)
+		return 2
 	}
+	if err := needBlocks(cfg, a.blocks, *alg); err != nil {
+		fail(prog, "%v", err)
+		return 2
+	}
+
+	ma := aem.New(cfg)
+	ma.StartTrace()
+	a.run(ma)
 	ops := ma.StopTrace()
 
 	rounds := trace.Decompose(ops, cfg)

@@ -331,6 +331,9 @@ func New(cfg Config) (*Service, error) {
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, fmt.Errorf("dictsrv: %v", err)
 	}
+	if m := cfg.Machine; m.M < 8*m.B { // dict.NewBufferTree's minimum
+		return nil, fmt.Errorf("dictsrv: a buffer tree needs M ≥ 8B, got M=%d B=%d", m.M, m.B)
+	}
 	engine := cfg.Engine
 	if engine == "" {
 		engine = "slice"

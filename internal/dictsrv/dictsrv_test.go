@@ -98,6 +98,7 @@ func TestServiceConfigErrors(t *testing.T) {
 		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyLo: 5, KeyHi: 5},
 		{Shards: 20, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10},
 		{Shards: 1, Machine: aem.Config{M: 0, B: 16, Omega: 1}, KeyHi: 10},
+		{Shards: 1, Machine: aem.Config{M: 64, B: 16, Omega: 1}, KeyHi: 10}, // M < 8B
 		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, Engine: "nope"},
 		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, Engine: "counting"},
 	}

@@ -52,6 +52,18 @@ func PooledMachine(cfg aem.Config, backend string) (ma *aem.Machine, release fun
 	return ma, releaseOnce(func() { pool.Put(ma) })
 }
 
+// backendMachine builds a machine on the named storage engine via the
+// aem registry — the same constructor the CLI flag resolves through. An
+// unknown name inside a spec is an authoring bug, so it panics with the
+// registry's canonical error (which lists the valid names).
+func backendMachine(cfg aem.Config, name string) *aem.Machine {
+	st, err := aem.StorageByName(name, cfg.B)
+	if err != nil {
+		panic("harness: " + err.Error())
+	}
+	return aem.NewWithStorage(cfg, st)
+}
+
 // releaseOnce returns a release function that runs put on its first call
 // only.
 func releaseOnce(put func()) func() {

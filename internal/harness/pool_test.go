@@ -123,7 +123,7 @@ func TestRunPooledParByteIdentity(t *testing.T) {
 			ID:    "POOLGRID",
 			Title: "pooled machines across backends",
 			Axes: []Axis{
-				{Name: "backend", Values: backendNames},
+				{Name: "backend", Values: Vals("slice", "counting", "file")},
 				{Name: "omega", Values: Ints(1, 4, 9)},
 				{Name: "n", Values: Ints(64, 100, 200)},
 			},
