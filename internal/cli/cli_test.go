@@ -15,6 +15,7 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 		"dictload -keyspace 1 -shards 1 -ops 10",
 		"dict -m 32 -b 8",
 		"dictload -ops 10 -m 32 -b 8",
+		"dictload -ops 10 -shards 11 -keyspace 1000",
 		"sort -m 16 -b 8",
 		"sort -n -1",
 		"trace -alg aem -m 32 -b 8",

@@ -39,7 +39,7 @@ func dictloadCmd(prog string, args []string) int {
 	var (
 		nOps     = fs.Int("ops", 1_000_000, "total operations across all goroutines")
 		gor      = fs.Int("gor", 8, "concurrent load goroutines")
-		shards   = fs.Int("shards", 4, "keyspace partitions (one machine + tree each)")
+		shards   = fs.Int("shards", 4, "keyspace partitions (one machine + tree each), at most -ops")
 		keyspace = fs.Int64("keyspace", 65536, "distinct-key domain size")
 		machine  = machineFlags(fs, 1024, 32, 16)
 		scenario = fs.String("scenario", "drift", "workload: uniform | zipf | sortedburst | deleteheavy | drift | flashcrowd")
@@ -70,6 +70,12 @@ func dictloadCmd(prog string, args []string) int {
 	}
 	if *keyspace < 2 {
 		fail(prog, "-keyspace must be ≥ 2, got %d", *keyspace)
+		return 2
+	}
+	// Every shard is built before the load starts, so a shard count
+	// beyond the op count only spends memory on shards no op can reach.
+	if *shards > *nOps {
+		fail(prog, "-shards must be ≤ -ops (%d), got %d", *nOps, *shards)
 		return 2
 	}
 

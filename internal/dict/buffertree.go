@@ -92,6 +92,14 @@ type BufferTree struct {
 	// replaces the leaves, and the rebuild check costs O(1).
 	oversized bool
 
+	// rootSnap is the root's last capture, kept by value so that a
+	// publish recapturing only the root allocates no node; rootSnapOf is
+	// the root it captured and rootGen counts root captures (see
+	// captureRoot). The root's own btnode.snap stays nil.
+	rootSnap   snapNode
+	rootSnapOf *btnode
+	rootGen    int64
+
 	// captureVisits counts the nodes capture has visited, cumulatively:
 	// the work of a publish, which tests pin.
 	captureVisits int64
@@ -218,8 +226,8 @@ func (t *BufferTree) flushSection(spill bool, f func()) {
 // stored separator keys; leaves have a sorted run. Both have a buffer.
 //
 // dirty marks a node whose chains, or some descendant's, changed since its
-// last capture (see touch); a clean node's snap is current, so a capture
-// stops there.
+// last capture (see touch); a clean node's capture (snap, or the tree's
+// rootSnap for the root) is current, so a capture stops there.
 type btnode struct {
 	kids   []*btnode // nil for a leaf
 	parent *btnode   // nil for the root
@@ -232,7 +240,7 @@ type btnode struct {
 	run    chain     // leaf only: entries sorted by key, unique keys, incl. tombstones
 	liveN  int       // leaf only: non-tombstone entries in run
 	inDebt bool      // queued on the tree's debt queue (dedup flag)
-	snap   *snapNode // last capture of this node, reused while unchanged
+	snap   *snapNode // last capture of this non-root node, reused while unchanged
 }
 
 func (nd *btnode) isLeaf() bool { return nd.kids == nil }

@@ -24,15 +24,17 @@ import (
 // holds the live stage array itself, and the stage only ever appends past
 // what was captured, so a publish that merely staged more updates need not
 // capture at all — StagedSince reports how far a held snapshot's stage may
-// be extended, and Grown extends it. Sharing is
-// path-copying persistence (Driscoll, Sarnak, Sleator and Tarjan, 1989):
-// each node keeps its last capture, and every site that changes a node's
-// chains marks the node and its ancestors dirty (btnode.touch). A capture
-// returns a clean node's cached snapNode without descending and recurses
-// only into dirty children, so a publish costs O(Δ) in work as well as in
-// allocation, where Δ is the set of nodes the updates since the last
-// publish touched: a staged Insert that stays in the stage visits only
-// the root, and a flush step that touched k nodes visits O(k·fanout).
+// be extended, and Grown extends it. Sharing is path-copying persistence
+// (Driscoll, Sarnak, Sleator and Tarjan, 1989): each node keeps its last
+// capture, and every site that changes a node's chains marks the node and
+// its ancestors dirty (btnode.touch). A capture returns a clean node's
+// cached snapNode without descending and recurses only into dirty
+// children, so a publish costs O(Δ) in work as well as in allocation,
+// where Δ is the set of nodes the updates since the last publish touched:
+// a staged Insert that stays in the stage visits only the root, and a
+// flush step that touched k nodes visits O(k·fanout). The root's capture
+// is kept by value, in the tree and in each snapshot, so a publish after
+// a spill, which touches only the root, allocates nothing.
 // The node topology and separator-block addresses are program knowledge
 // and never change for a live node; later updates only append blocks at
 // new addresses or abandon old ones — they can never change the contents
@@ -87,10 +89,14 @@ func (nd *snapNode) isLeaf() bool { return nd.kids == nil }
 // TreeSnapshot is an immutable view of a BufferTree at one instant. It is
 // safe to share across goroutines and to query while the live tree keeps
 // applying updates; queries cost one BlockReader call per block scanned.
+// It holds the root's capture by value, so a publish that recaptures only
+// the root writes into the snapshot and allocates no node; gen names
+// that capture (BufferTree.rootGen).
 type TreeSnapshot struct {
 	b     int   // block size of the capturing machine
 	seq   int64 // update sequence watermark at capture
-	root  *snapNode
+	gen   int64 // which root capture root is
+	root  snapNode
 	stage []aem.Item // the staged root tail: the tree's live stage array (BufferTree.stage)
 }
 
@@ -103,35 +109,40 @@ func (t *BufferTree) Snapshot() *TreeSnapshot {
 }
 
 // SnapshotInto captures the tree's current state into s, overwriting it —
-// no I/O, no locks, and no allocation beyond one snapNode per dirty node.
-// Clean nodes' captures are reused, and chains and the staged tail are
-// shared with the live tree rather than copied. Capturing writes the
-// nodes' cached captures and the chains' sharing marks, so it must be
-// called from the same goroutine that applies updates (the tree is not
-// internally synchronized), and s must not yet be visible to readers. The
-// snapshot reflects exactly the updates applied before the call.
+// no I/O, no locks, and no allocation beyond one snapNode per dirty
+// non-root node (and a child list per node whose children changed). The
+// root is captured by value into s itself, so a publish after the root
+// buffer alone grew allocates nothing. Clean nodes' captures are reused,
+// and chains and the staged tail are shared with the live tree rather
+// than copied. Capturing writes the nodes' cached captures and the
+// chains' sharing marks, so it must be called from the same goroutine
+// that applies updates (the tree is not internally synchronized), and s
+// must not yet be visible to readers. The snapshot reflects exactly the
+// updates applied before the call.
 //
 // The capture keeps the live stage array whole, empty or not: its first
 // len entries are the snapshot's, and the ones the stage appends after
 // them are what StagedSince and Grown may later extend it by.
 func (t *BufferTree) SnapshotInto(s *TreeSnapshot) {
-	*s = TreeSnapshot{b: t.cfg.B, seq: t.seq, root: t.capture(t.top), stage: t.stage}
+	t.captureRoot()
+	*s = TreeSnapshot{b: t.cfg.B, seq: t.seq, gen: t.rootGen, root: t.rootSnap, stage: t.stage}
 	if len(t.stage) > 0 {
 		t.stageShared = true
 	}
 }
 
 // StagedSince reports whether the tree differs from s, a capture of this
-// tree, only by k updates staged since: the root is clean and still
-// captured as s.root, the stage is the array s holds, and every update
-// applied since is one of the k staged past s's. Then s.Grown(k) is
-// exactly what SnapshotInto would capture now, at the cost of no
-// allocation. On ok a non-empty stage is marked shared, so a spill leaves
-// the array to the readers of the grown snapshot. Like SnapshotInto, it
-// must be called from the goroutine that applies updates; s itself is
-// only read, so it may already be visible to readers.
+// tree, only by k updates staged since: the root is clean and its capture
+// is still the one s holds (same rootGen), the stage is the array s
+// holds, and every update applied since is one of the k staged past s's.
+// Then s.Grown(k) is exactly what SnapshotInto would capture now, at the
+// cost of no allocation. On ok a non-empty stage is marked shared, so a
+// spill leaves the array to the readers of the grown snapshot. Like
+// SnapshotInto, it must be called from the goroutine that applies
+// updates; s itself is only read, so it may already be visible to
+// readers.
 func (t *BufferTree) StagedSince(s *TreeSnapshot) (k int, ok bool) {
-	if t.top.dirty || t.top.snap != s.root || cap(s.stage) == 0 ||
+	if t.top.dirty || t.rootGen != s.gen || cap(s.stage) == 0 ||
 		&t.stage[:1][0] != &s.stage[:1][0] {
 		return 0, false
 	}
@@ -145,26 +156,56 @@ func (t *BufferTree) StagedSince(s *TreeSnapshot) (k int, ok bool) {
 	return k, true
 }
 
-// capture returns the node's capture and leaves the node clean. A clean
-// node's cached capture is returned without descending. A dirty node gets
-// a new snapNode over its current chains; its children are recaptured
-// only if one of them is dirty, and otherwise share the cached capture's
-// child list.
+// captureRoot brings the tree's root capture, rootSnap, up to date. A
+// clean root's capture is current; a dirty root is recaptured in place and
+// rootGen counts the new capture. rootSnap's child list is reused only if
+// rootSnapOf is the current root: a rebuild installs a fresh, dirty root
+// whose children the old list never captured. A root never becomes a
+// child (rebuild builds every node afresh), so no snapNode ever points
+// to a root capture.
+func (t *BufferTree) captureRoot() {
+	t.captureVisits++
+	nd := t.top
+	if !nd.dirty && t.rootSnapOf == nd {
+		return
+	}
+	var prev *snapNode
+	if t.rootSnapOf == nd {
+		prev = &t.rootSnap
+	}
+	t.rootSnap, t.rootSnapOf = t.captureNode(nd, prev), nd
+	t.rootGen++
+}
+
+// capture returns a non-root node's capture and leaves the node clean. A
+// clean node's cached capture is returned without descending; a dirty
+// node gets a new snapNode (see captureNode).
 func (t *BufferTree) capture(nd *btnode) *snapNode {
 	t.captureVisits++
 	if !nd.dirty {
 		return nd.snap
 	}
+	s := new(snapNode)
+	*s = t.captureNode(nd, nd.snap)
+	nd.snap = s
+	return s
+}
+
+// captureNode captures nd over its current chains and leaves it clean.
+// prev is nd's last capture, or nil if it has none: its children are
+// recaptured only if one of them is dirty, and otherwise share prev's
+// child list.
+func (t *BufferTree) captureNode(nd *btnode, prev *snapNode) snapNode {
 	nd.dirty = false
-	s := &snapNode{
+	s := snapNode{
 		sepBase:   nd.sepBase,
 		sepBlocks: nd.sepBlocks,
 		buf:       nd.buf.capture(),
 		run:       nd.run.capture(),
 	}
 	if !nd.isLeaf() {
-		if nd.snap != nil && !anyDirty(nd.kids) {
-			s.kids = nd.snap.kids
+		if prev != nil && !anyDirty(nd.kids) {
+			s.kids = prev.kids
 		} else {
 			s.kids = make([]*snapNode, len(nd.kids))
 			for i, kid := range nd.kids {
@@ -172,7 +213,6 @@ func (t *BufferTree) capture(nd *btnode) *snapNode {
 			}
 		}
 	}
-	nd.snap = s
 	return s
 }
 
@@ -252,7 +292,7 @@ func (s *TreeSnapshot) Get(r BlockReader, key int64, sc *GetScratch) (value int6
 		}
 		return 0, false, 0
 	}
-	nd := s.root
+	nd := &s.root
 	for {
 		// Scan this node's pending updates (and, at a leaf, its run) for
 		// the key; within one node the largest sequence number wins.
@@ -306,7 +346,7 @@ func (s *TreeSnapshot) Range(r BlockReader, lo, hi int64) (hits []Found, reads i
 	rs.r, rs.lo, rs.hi, rs.reads = r, lo, hi, 0
 	rs.pend = rs.keep(rs.pend[:0], s.stage)
 	rs.run = rs.run[:0]
-	rs.walk(s.root)
+	rs.walk(&s.root)
 	// Key order is enough: the merge below picks the highest sequence
 	// among equal keys itself.
 	rs.pend, rs.tmp = sortByKey(rs.pend, rs.tmp, lo, uint64(hi)-uint64(lo))

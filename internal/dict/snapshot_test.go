@@ -4,6 +4,7 @@ import (
 	"cmp"
 	"fmt"
 	"math"
+	"runtime"
 	"slices"
 	"testing"
 
@@ -440,27 +441,41 @@ func freshCapture(nd *btnode) *snapNode {
 	return s
 }
 
+// rootOf names the root capture s holds: the tree's rootGen when s was
+// captured. Two snapshots of one tree hold the same root capture exactly
+// when rootOf agrees.
+func rootOf(s *TreeSnapshot) int64 { return s.gen }
+
 // checkPublish publishes a snapshot as a committer does and holds it to
 // freshCapture: the watermark, the staged tail, and every node's
 // separators and chains. It also checks that the capture left each live
-// node clean with the published snapNode cached, so the next publish
-// starts from a coherent cache.
+// node clean with the published capture cached (for the root, the tree's
+// rootSnap under the snapshot's rootGen), so the next publish starts from
+// a coherent cache.
 func checkPublish(tree *BufferTree) error {
 	s := tree.Snapshot()
 	if s.seq != tree.seq || !slices.Equal(s.stage, tree.stage) {
 		return fmt.Errorf("watermark %d and %d staged items, want %d and %d", s.seq, len(s.stage), tree.seq, len(tree.stage))
 	}
-	if err := sameCapture(tree.top, s.root, freshCapture(tree.top)); err != nil {
-		return fmt.Errorf("root: %w", err)
+	if tree.rootSnapOf != tree.top || rootOf(s) != tree.rootGen {
+		return fmt.Errorf("root capture %d published, but the tree caches capture %d (of the live root: %v)",
+			rootOf(s), tree.rootGen, tree.rootSnapOf == tree.top)
+	}
+	want := freshCapture(tree.top)
+	for _, got := range []*snapNode{&s.root, &tree.rootSnap} {
+		if err := sameCapture(tree.top, got, want); err != nil {
+			return fmt.Errorf("root: %w", err)
+		}
 	}
 	return nil
 }
 
 // sameCapture compares one captured node and its subtree; an error names
-// the path of child indexes from the root to the first difference.
+// the path of child indexes from the root to the first difference. Below
+// the root, got must be the node's cached capture itself.
 func sameCapture(nd *btnode, got, want *snapNode) error {
 	switch {
-	case nd.dirty || nd.snap != got:
+	case nd.dirty || nd.parent != nil && nd.snap != got:
 		return fmt.Errorf("node left dirty=%v with a different cached capture", nd.dirty)
 	case got.isLeaf() != want.isLeaf() || len(got.kids) != len(want.kids):
 		return fmt.Errorf("%d children captured, want %d", len(got.kids), len(want.kids))
@@ -483,7 +498,8 @@ func sameCapture(nd *btnode, got, want *snapNode) error {
 // Apply plus Snapshot allocates only the TreeSnapshot and visits only the
 // clean root at any height, an unchanged tree republishes the same
 // captured root, and a publish after a root-buffer append visits and
-// copies only the root.
+// recaptures only the root, which SnapshotInto writes into a reused
+// TreeSnapshot without allocating.
 func TestSnapshotPublishAllocs(t *testing.T) {
 	counts := map[int]float64{}
 	for _, n := range []int{1000, 6000} {
@@ -498,7 +514,7 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 		h := tree.Height()
 
 		s1, s2 := tree.Snapshot(), tree.Snapshot()
-		if s1.root != s2.root {
+		if rootOf(s1) != rootOf(s2) {
 			t.Fatalf("height %d: two publishes with no Apply between captured different roots", h)
 		}
 		// The stage is empty after Flush and holds B items, so these
@@ -519,22 +535,43 @@ func TestSnapshotPublishAllocs(t *testing.T) {
 		}
 
 		// Spill the stage: the root chain grows, every child is unchanged.
-		prev := tree.Snapshot()
-		for len(tree.stage) > 0 {
-			tree.Apply(one)
+		spill := func() {
+			for tree.Apply(one); len(tree.stage) > 0; tree.Apply(one) {
+			}
 		}
+		prev := tree.Snapshot()
+		spill()
 		v = tree.captureVisits
 		next := tree.Snapshot()
 		if n := tree.captureVisits - v; n != 1 {
 			t.Fatalf("height %d: publishing a root-buffer append visited %d nodes, want 1", h, n)
 		}
-		if next.root == prev.root {
+		if rootOf(next) == rootOf(prev) {
 			t.Fatalf("height %d: root buffer grew but the captured root was reused", h)
 		}
 		for i := range next.root.kids {
 			if next.root.kids[i] != prev.root.kids[i] {
 				t.Fatalf("height %d: child %d re-captured although only the root buffer changed", h, i)
 			}
+		}
+
+		// The root is captured by value, so publishing a spill into a
+		// reused TreeSnapshot allocates nothing. Only the publish is
+		// counted: the spill's block and address-array growth are not.
+		// The count is averaged, so a stray runtime object cannot fail
+		// it, while one object per publish reads 1.
+		const spills = 16 // the root chain stays below its threshold
+		var m0, m1 runtime.MemStats
+		var mallocs uint64
+		for i := 0; i < spills; i++ {
+			spill()
+			runtime.ReadMemStats(&m0)
+			tree.SnapshotInto(next)
+			runtime.ReadMemStats(&m1)
+			mallocs += m1.Mallocs - m0.Mallocs
+		}
+		if avg := mallocs / spills; avg != 0 {
+			t.Fatalf("height %d: a root-append publish into a reused TreeSnapshot allocated %d objects, want 0", h, avg)
 		}
 	}
 	t.Logf("publish allocs by height: %v", counts)
@@ -582,7 +619,7 @@ func TestStagedSince(t *testing.T) {
 		// What a fresh capture would hold, read without capturing, which
 		// would mark the stage shared itself.
 		g := s.Grown(k)
-		if g.seq != tree.seq || g.root != tree.top.snap || !slices.Equal(g.stage, tree.stage) {
+		if g.seq != tree.seq || rootOf(&g) != tree.rootGen || !slices.Equal(g.stage, tree.stage) {
 			t.Fatalf("grown snapshot (seq %d, %d staged) differs from the tree (seq %d, %d staged)",
 				g.seq, len(g.stage), tree.seq, len(tree.stage))
 		}

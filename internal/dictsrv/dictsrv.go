@@ -40,9 +40,12 @@
 //     batch marked dirty. Write requests and flush barriers are
 //     recycled through a per-shard free list and signalled on a reusable
 //     channel, so a single-writer Put that does not spill the stage
-//     allocates nothing end to end. The Put that spills allocates the new
-//     capture's state and root node; the spilled block and the next
-//     stage come from slabs (the slice engine's and the tree's).
+//     allocates nothing end to end. The Put that spills captures a new
+//     snapshot, and that too allocates nothing amortized: the tree
+//     keeps the root's capture by value, the snapshot state is carved
+//     from a per-shard slab, and the spilled block and the next stage
+//     come from slabs too (the slice engine's and the tree's). Only the
+//     root chain's address array grows now and then.
 //     Readers load the current snapshot and its extension atomically and
 //     read its blocks straight from the shard's storage engine, which the
 //     tree holder keeps allocating and writing underneath them: engines
@@ -244,6 +247,8 @@ type shard struct {
 	turn           turn // this turn's measurements, tree holder only
 
 	snap      atomic.Pointer[snapState]
+	states    []snapState // unused states to publish, carved by newState; tree holder only
+	slabLen   int         // how many states the last slab held
 	committed atomic.Int64
 	snapReads atomic.Int64
 
@@ -374,8 +379,9 @@ func New(cfg Config) (*Service, error) {
 // publish makes the shard tree's state at watermark current. When the
 // tree changed only by staging the writes since the current snapshot, it
 // extends that snapshot in place, with no allocation; otherwise it
-// captures the tree into a new snapState. Only the tree holder may call
-// it (or New, before the shard serves).
+// captures the tree into a new snapState from the state slab (see
+// newState). Only the tree holder may call it (or New, before the shard
+// serves).
 func (sh *shard) publish(watermark int64) {
 	if st := sh.snap.Load(); st != nil {
 		if k, ok := sh.tree.StagedSince(&st.snap); ok && st.watermark+int64(k) == watermark {
@@ -383,9 +389,29 @@ func (sh *shard) publish(watermark int64) {
 			return
 		}
 	}
-	st := &snapState{watermark: watermark}
+	st := sh.newState()
+	st.watermark = watermark
 	sh.tree.SnapshotInto(&st.snap)
 	sh.snap.Store(st)
+}
+
+// stateSlabMax is the most states one slab holds.
+const stateSlabMax = 64
+
+// newState returns a zero snapState carved from the shard's state slab.
+// A state is written once, before it is published, and never reused, so
+// a reader holding an old state is never raced. Slabs start at one state
+// and double up to stateSlabMax, so a shard that publishes once (New)
+// pays for one small state. States never point to states, so a held
+// state keeps only its own slab alive.
+func (sh *shard) newState() *snapState {
+	if len(sh.states) == 0 {
+		sh.slabLen = min(max(2*sh.slabLen, 1), stateSlabMax)
+		sh.states = make([]snapState, sh.slabLen)
+	}
+	st := &sh.states[0]
+	sh.states = sh.states[1:]
+	return st
 }
 
 // view returns the shard's current snapshot and its watermark. Both come

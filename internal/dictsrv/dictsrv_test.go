@@ -637,8 +637,10 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 // are reused from the shard's free list. A Put that does not spill the
 // stage is published in place (dict.BufferTree.StagedSince) and allocates
 // nothing. The Put that fills the stage spills it and captures a new
-// snapshot: the snapState and the root's snapNode, plus now and then a
-// longer address array for the root chain, a new slab of stages (readers
+// snapshot, which allocates no object of its own: the root is captured
+// by value into a snapState carved from the shard's state slab. What the
+// 40 spills allocate is now and then a longer address array for the root
+// chain (4 here), a new state slab (3), a new slab of stages (readers
 // share the full one) and a new slab of the slice engine's blocks. The
 // stream stays below the root threshold, so a deamortized batch leaves no
 // debt and its FlushStep(1) finds none.
@@ -652,8 +654,8 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 // window now and then when the test runs beside other processes.
 func TestPutSteadyStateAllocs(t *testing.T) {
 	const (
-		stages   = 40
-		perSpill = 3
+		stages      = 40
+		spillAllocs = 7 // for all 40 spills; one object per spill would read ≥ 40
 	)
 	for _, deam := range []bool{false, true} {
 		name := "amortized"
@@ -692,8 +694,8 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 			if staged != 0 {
 				t.Errorf("%d Puts that did not spill allocated %d objects, want 0", stages*(b-1), staged)
 			}
-			if spilled > stages*perSpill {
-				t.Errorf("%d spilling Puts allocated %d objects, want ≤ %d", stages, spilled, stages*perSpill)
+			if spilled > spillAllocs {
+				t.Errorf("%d spilling Puts allocated %d objects, want ≤ %d", stages, spilled, spillAllocs)
 			}
 			if st := svc.Stats(); st.Flushes != 0 {
 				t.Fatalf("the stream reached a flush (%d flush sections); it must stay below the root threshold", st.Flushes)
@@ -749,6 +751,80 @@ func allocsUnder(fns ...any) []int64 {
 		}
 	}
 	return out
+}
+
+// TestPublishedStatesAreCollectable pins what the state slab keeps
+// alive. publish carves snapStates from per-shard slabs, so an old state
+// is garbage only once its whole slab is. States never point to states,
+// so once the holder has moved past a slab, and no reader holds one of
+// its states, the slab must be collected. Each slab's first state carries
+// a finalizer. After at least three slab turnovers with no held state,
+// every slab but the current one is collected; a held state keeps its
+// own slab, and only that one, alive until it is dropped.
+func TestPublishedStatesAreCollectable(t *testing.T) {
+	svc, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sh := svc.shards[0]
+
+	// slabs[i] is set once slab i's first state has been finalized.
+	var slabs []*atomic.Bool
+	watch := func(st *snapState) {
+		gone := new(atomic.Bool)
+		slabs = append(slabs, gone)
+		runtime.SetFinalizer(st, func(*snapState) { gone.Store(true) })
+	}
+	watch(sh.snap.Load()) // New's one-state slab
+	var k int64
+	// turnOver puts until n more slabs have been started. A publish
+	// starts a slab exactly when the previous one had no state left.
+	turnOver := func(n int) {
+		for want := len(slabs) + n; len(slabs) < want; k++ {
+			fresh := len(sh.states) == 0
+			prev := sh.snap.Load()
+			svc.Put(k*37%4096, k)
+			if st := sh.snap.Load(); st != prev && fresh {
+				watch(st)
+			}
+		}
+	}
+	// collected waits for every slab but those in keep to be finalized,
+	// and reports which slabs were.
+	collected := func(keep ...int) []bool {
+		got := make([]bool, len(slabs))
+		for try := 0; try < 200; try++ {
+			runtime.GC()
+			done := true
+			for i, gone := range slabs {
+				got[i] = gone.Load()
+				done = done && (got[i] || slices.Contains(keep, i))
+			}
+			if done {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		return got
+	}
+	check := func(what string, keep ...int) {
+		t.Helper()
+		for i, gone := range collected(keep...) {
+			if want := !slices.Contains(keep, i); gone != want {
+				t.Fatalf("%s: slab %d of %d collected=%v, want %v", what, i, len(slabs), gone, want)
+			}
+		}
+	}
+
+	turnOver(4)
+	check("no held state", len(slabs)-1)
+
+	held, heldSlab := sh.snap.Load(), len(slabs)-1
+	turnOver(3)
+	check("one held state", heldSlab, len(slabs)-1)
+	runtime.KeepAlive(held)
+	check("held state dropped", len(slabs)-1)
 }
 
 // TestBoundedStallRegression is the deamortization contract at the
