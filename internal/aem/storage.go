@@ -29,9 +29,12 @@ package aem
 // it (via Machine.Close) exactly like an os.File.
 type Storage interface {
 	// Alloc reserves count fresh, empty blocks and returns the address of
-	// the first. Blocks are never freed; addresses are dense and stable,
-	// and blocks never move: growth adds storage for the new blocks
-	// without copying or remapping the ones already allocated.
+	// the first. Engines never free a block: an owner done with one may
+	// Write it again (a dictionary service shard rewrites the blocks its
+	// tree lets go of), but the block count only grows. Addresses are
+	// dense and stable, and blocks never move: growth adds storage for
+	// the new blocks without copying or remapping the ones already
+	// allocated.
 	Alloc(count int) Addr
 
 	// NumBlocks returns the number of blocks allocated so far.

@@ -111,6 +111,7 @@ func dictloadCmd(prog string, args []string) int {
 			Flushes: st.Flushes,
 			Reads:   st.Reads, Writes: st.Writes, SnapReads: st.SnapReads,
 			Cost: st.Cost, CostPerOp: float64(st.Cost) / float64(rep.Ops),
+			Blocks: st.Blocks, ReusedBlocks: st.ReusedBlocks,
 		}
 		if err := json.NewEncoder(os.Stdout).Encode(&out); err != nil {
 			fail(prog, "%v", err)
@@ -133,8 +134,8 @@ func dictloadCmd(prog string, args []string) int {
 	fmt.Printf("stalls       worst commit stall %s (Q %d)   p99.9 %s   debt high-water %d   (%d flush section(s), worst %s)\n",
 		harness.FmtNS(st.MaxStallNS), st.MaxStallQ, harness.FmtNS(st.Stalls.Quantile(0.999)),
 		st.DebtHighWater, st.Flushes, harness.FmtNS(st.MaxFlushNS))
-	fmt.Printf("accounting   %d reads + %d snapshot reads + ω·%d writes = Q %d (%.2f per op)\n",
-		st.Reads, st.SnapReads, st.Writes, st.Cost, float64(st.Cost)/float64(rep.Ops))
+	fmt.Printf("accounting   %d reads + %d snapshot reads + ω·%d writes = Q %d (%.2f per op); %d blocks stored, %d writes reused a block\n",
+		st.Reads, st.SnapReads, st.Writes, st.Cost, float64(st.Cost)/float64(rep.Ops), st.Blocks, st.ReusedBlocks)
 	return 0
 }
 
@@ -166,4 +167,6 @@ type dictloadRecord struct {
 	SnapReads     int64   `json:"snap_reads"`
 	Cost          int64   `json:"cost"`
 	CostPerOp     float64 `json:"cost_per_op"`
+	Blocks        int64   `json:"blocks"`
+	ReusedBlocks  int64   `json:"reused_blocks"`
 }

@@ -113,6 +113,124 @@ type BufferTree struct {
 	writers []chainWriter
 	frames  []aem.Item
 	chunk   []aem.Item
+
+	// Block recycling (see Recycle). retired lists the captured addresses
+	// the tree has let go of since its owner last took them; spare holds
+	// addresses free to rewrite, which single-block writes take before
+	// allocating; reused counts the writes that did. sortArea is the
+	// external leaf sort's scratch extent (see sortBuf).
+	recycle  bool
+	retired  []aem.Addr
+	spare    []aem.Addr
+	reused   int64
+	sortArea *aem.Vector
+}
+
+// Recycle makes the tree rewrite the blocks it lets go of instead of
+// abandoning them. A block that some capture holds — a flushed buffer
+// prefix, a replaced leaf run, a rebuilt skeleton's runs and separator
+// blocks — may still be read through a snapshot, which the tree cannot
+// see, so it is listed for TakeRetired and rewritten only once the owner
+// hands it back through Reuse, when no reader can reach it. A block no
+// capture ever held (one a flush wrote and a later flush dropped before
+// the next capture) and the external leaf sort's vectors are rewritten
+// at once, and that sort reuses one scratch extent. A tree that is never
+// switched keeps no lists and allocates exactly as before: external
+// memory is unbounded in the model, and a rewritten address is billed
+// like a fresh one.
+func (t *BufferTree) Recycle() { t.recycle = true }
+
+// TakeRetired appends the addresses retired since the last call to dst
+// and returns it. Every one is unreachable from the live tree, and from
+// any snapshot captured after its retirement.
+func (t *BufferTree) TakeRetired(dst []aem.Addr) []aem.Addr {
+	dst = append(dst, t.retired...)
+	t.retired = t.retired[:0]
+	return dst
+}
+
+// Reuse hands the tree back retired addresses that no reader can reach
+// any more; later single-block writes take them before allocating.
+func (t *BufferTree) Reuse(addrs []aem.Addr) { t.spare = append(t.spare, addrs...) }
+
+// ReusedBlocks returns how many block writes have taken a reclaimed
+// address instead of a fresh one.
+func (t *BufferTree) ReusedBlocks() int64 { return t.reused }
+
+// ReachableBlocks returns how many external blocks the live tree holds:
+// every node's buffer and run blocks and its separator blocks. A
+// structure walk, no I/O.
+func (t *BufferTree) ReachableBlocks() int {
+	n := 0
+	var walk func(nd *btnode)
+	walk = func(nd *btnode) {
+		n += nd.buf.blocks() + nd.run.blocks() + nd.sepBlocks
+		for _, kid := range nd.kids {
+			walk(kid)
+		}
+	}
+	walk(t.top)
+	return n
+}
+
+// letGo hands over c's oldest k blocks, which the caller is about to
+// drop from the chain, if the tree recycles: those a capture holds (the
+// chain's first pub) are retired, the rest are spare at once.
+func (t *BufferTree) letGo(c *chain, k int) {
+	if !t.recycle {
+		return
+	}
+	p := min(k, c.pub)
+	t.retired = append(t.retired, c.addrs[:p]...)
+	t.spare = append(t.spare, c.addrs[p:k]...)
+}
+
+// spareRange makes the contiguous blocks [lo, hi), which no capture
+// holds, spare if the tree recycles.
+func (t *BufferTree) spareRange(lo, hi aem.Addr) {
+	if !t.recycle {
+		return
+	}
+	for a := lo; a < hi; a++ {
+		t.spare = append(t.spare, a)
+	}
+}
+
+// retireTree lets go of every block left in the subtree at nd; a rebuild
+// has just copied it. Separator blocks are retired whether or not a capture
+// holds them: a node is rarely rebuilt away before its first capture.
+func (t *BufferTree) retireTree(nd *btnode) {
+	if !t.recycle {
+		return
+	}
+	t.letGo(&nd.buf, nd.buf.blocks())
+	t.letGo(&nd.run, nd.run.blocks())
+	for b := 0; b < nd.sepBlocks; b++ {
+		t.retired = append(t.retired, nd.sepBase+aem.Addr(b))
+	}
+	for _, kid := range nd.kids {
+		t.retireTree(kid)
+	}
+}
+
+// allocBlock returns the address of one block to write: a reclaimed one
+// if the owner has handed any back, else a fresh one.
+func (t *BufferTree) allocBlock() aem.Addr {
+	if n := len(t.spare); n > 0 {
+		a := t.spare[n-1]
+		t.spare = t.spare[:n-1]
+		t.reused++
+		return a
+	}
+	return t.ma.Alloc(1)
+}
+
+// appendBlock writes items (≤ B of them) as the next block of c.
+func (t *BufferTree) appendBlock(c *chain, items []aem.Item) {
+	a := t.allocBlock()
+	t.ma.Write(a, items)
+	c.addrs = append(c.addrs, a)
+	c.n += len(items)
 }
 
 // EnableTailStaging does nothing: every tree stages its root tail (see
@@ -172,7 +290,7 @@ func (t *BufferTree) spillStage() {
 	if len(t.stage) == 0 {
 		return
 	}
-	t.top.buf.appendBlock(t.ma, t.stage)
+	t.appendBlock(&t.top.buf, t.stage)
 	t.top.touch()
 	if t.stageShared {
 		t.stage, t.stageShared = t.newStage(), false
@@ -578,7 +696,11 @@ func (t *BufferTree) readSeps(nd *btnode) []int64 {
 // writeSeps stores the separator keys of a freshly built internal node.
 func (t *BufferTree) writeSeps(nd *btnode, seps []int64) {
 	nd.sepBlocks = (len(seps) + t.cfg.B - 1) / t.cfg.B
-	nd.sepBase = t.ma.Alloc(nd.sepBlocks)
+	if nd.sepBlocks == 1 {
+		nd.sepBase = t.allocBlock()
+	} else {
+		nd.sepBase = t.ma.Alloc(nd.sepBlocks)
+	}
 	t.ma.Reserve(t.cfg.B)
 	frame := make([]aem.Item, 0, t.cfg.B)
 	blk := 0
@@ -626,7 +748,7 @@ func (t *BufferTree) partition(nd *btnode, k int) {
 	}
 	writers := t.writers[:d]
 	for i, kid := range nd.kids {
-		writers[i] = chainWriter{ma: t.ma, c: &kid.buf, frame: frames[i*b : i*b : (i+1)*b]}
+		writers[i] = chainWriter{t: t, c: &kid.buf, frame: frames[i*b : i*b : (i+1)*b]}
 	}
 	moved := 0
 	for {
@@ -643,6 +765,7 @@ func (t *BufferTree) partition(nd *btnode, k int) {
 		writers[i].close()
 	}
 	clear(writers) // pin no child's chain
+	t.letGo(&nd.buf, len(pre))
 	nd.buf.dropPrefix(len(pre), moved)
 	t.ma.Release((d + 1) * t.cfg.B)
 	t.ma.Release(d) // separators
@@ -672,15 +795,16 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 	pre := t.prefix(leaf, k)
 	if k == wholeBuffer && leaf.buf.n > t.chunkCap {
 		released := t.releaseStage()
-		v := t.materializeBuf(&leaf.buf)
-		sorted := sorting.MergeSort(t.ma, v)
+		sorted, lo, hi := t.sortBuf(&leaf.buf)
 		sc := sorted.NewScanner()
 		t.mergeApply(leaf, leaf.buf.n, sc.Next)
 		sc.Close()
 		if released {
 			t.reclaimStage()
 		}
+		t.letGo(&leaf.buf, leaf.buf.blocks())
 		leaf.buf.reset()
+		t.spareRange(lo, hi)
 		return
 	}
 	room := min(leaf.buf.n, len(pre)*t.cfg.B) // items the prefix can hold
@@ -703,15 +827,48 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 		}
 		return aem.Item{}, false
 	})
+	t.letGo(&leaf.buf, len(pre))
 	leaf.buf.dropPrefix(len(pre), len(chunk))
 	t.ma.Release(room + t.cfg.B)
 	t.chunk = chunk
 }
 
-// materializeBuf copies a buffer chain into a fresh contiguous vector so
-// it can be sorted externally: one read and one write per block.
-func (t *BufferTree) materializeBuf(c *chain) *aem.Vector {
-	v := aem.NewVector(t.ma, c.n)
+// sortBuf copies a buffer chain into a contiguous vector and sorts it with
+// the repository's AEM mergesort, returning the sorted vector. No capture
+// ever holds the sort's vectors. A bare tree allocates them fresh each
+// time. A recycling tree sorts a buffer of up to ωM items — mergesort's
+// base case, SmallSort — with the same I/O in its sortArea, which at
+// least doubles whenever a sort outgrows it, up to room for two such
+// buffers, and reports the fresh blocks [lo, hi) a larger sort
+// allocated, spare once the caller is done with the sorted vector.
+func (t *BufferTree) sortBuf(c *chain) (sorted *aem.Vector, lo, hi aem.Addr) {
+	small := t.cfg.Omega * t.cfg.M
+	if !t.recycle || c.n > small {
+		lo = aem.Addr(t.ma.NumBlocks())
+		v := aem.NewVector(t.ma, c.n)
+		t.materialize(c, v)
+		sorted = sorting.MergeSort(t.ma, v)
+		return sorted, lo, aem.Addr(t.ma.NumBlocks())
+	}
+	half := t.cfg.BlocksOf(c.n) * t.cfg.B
+	if t.sortArea == nil || t.sortArea.Len() < 2*half {
+		size := 2 * half
+		if old := t.sortArea; old != nil {
+			size = max(size, min(2*old.Len(), 2*small))
+			t.spareRange(old.Base(), old.Base()+aem.Addr(old.Blocks()))
+		}
+		t.sortArea = aem.NewVector(t.ma, size)
+	}
+	v := t.sortArea.Slice(0, half).Shrink(c.n)
+	sorted = t.sortArea.Slice(half, 2*half).Shrink(c.n)
+	t.materialize(c, v)
+	sorting.SmallSortInto(t.ma, v, sorted)
+	return sorted, 0, 0
+}
+
+// materialize copies a buffer chain into v, a vector of its length, so it
+// can be sorted externally: one read and one write per block.
+func (t *BufferTree) materialize(c *chain, v *aem.Vector) {
 	t.ma.Reserve(t.cfg.B)
 	scan := newChainScanner(t.ma, c.addrs, t.frame)
 	w := v.NewWriter()
@@ -724,7 +881,6 @@ func (t *BufferTree) materializeBuf(c *chain) *aem.Vector {
 	}
 	w.Close()
 	t.ma.Release(t.cfg.B)
-	return v
 }
 
 // mergeApply merges a (key, seq)-sorted stream of n updates into the
@@ -737,7 +893,7 @@ func (t *BufferTree) mergeApply(leaf *btnode, n int, next func() (aem.Item, bool
 	old := leaf.run
 	leaf.run = chain{addrs: make([]aem.Addr, 0, (old.n+n+t.cfg.B-1)/t.cfg.B)}
 	scan := newChainScanner(t.ma, old.addrs, t.frame)
-	w := newChainWriter(t.ma, &leaf.run, t.outFrames(1))
+	w := newChainWriter(t, &leaf.run, t.outFrames(1))
 	liveN := 0
 	emit := func(it aem.Item) {
 		w.append(it)
@@ -769,6 +925,7 @@ func (t *BufferTree) mergeApply(leaf *btnode, n int, next func() (aem.Item, bool
 		emit(win)
 	}
 	w.close()
+	t.letGo(&old, old.blocks())
 	t.liveRun += liveN - leaf.liveN
 	t.runLen += leaf.run.n - old.n
 	if leaf.run.n > 2*t.leafCap {
@@ -865,7 +1022,7 @@ func (t *BufferTree) rebuild() {
 			}
 			if cur == nil {
 				cur = &btnode{dirty: true}
-				w = newChainWriter(t.ma, &cur.run, outFrame)
+				w = newChainWriter(t, &cur.run, outFrame)
 				lows = append(lows, it.Key)
 			}
 			w.append(it)
@@ -875,9 +1032,14 @@ func (t *BufferTree) rebuild() {
 				flushCur()
 			}
 		}
+		// The leaf is copied: the next leaves' copies may reuse what of
+		// its run no capture holds.
+		t.letGo(&leaf.run, leaf.run.blocks())
+		leaf.run.reset()
 	}
 	flushCur()
 	t.ma.Release(2 * t.cfg.B)
+	t.retireTree(t.top)
 
 	if len(newLeaves) == 0 {
 		t.top = &btnode{dirty: true}

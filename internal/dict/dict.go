@@ -133,34 +133,31 @@ func checkValue(v int64) {
 func isUpdate(op Op) bool { return op.Kind == Insert || op.Kind == Delete }
 
 // chain is an append-only bag of items stored in external blocks. Blocks
-// are written once, whole, and never rewritten in place: appending streams
-// full frames into fresh blocks, so a chain of n items occupies at most
-// ⌈n/B⌉ + (number of partial append tails) blocks. Chains back both node
-// buffers (unordered bags of updates) and leaf runs (key-sorted entries);
-// order is the writer's business, the chain just stores blocks.
+// are written once, whole, and never rewritten while the chain holds
+// them: appending streams full frames into blocks no one else holds, so a
+// chain of n items occupies at most ⌈n/B⌉ + (number of partial append
+// tails) blocks. Chains back both node buffers (unordered bags of
+// updates) and leaf runs (key-sorted entries); order is the writer's
+// business, the chain just stores blocks. A block the chain lets go of is
+// abandoned, or, in a recycling tree, rewritten once no reader can reach
+// it (see BufferTree.Recycle).
 //
 // Snapshots share the address array instead of copying it (see
 // snapshot.go): a capture holds addrs[:len:len], and appending only ever
 // writes past that length, so the captured entries stay intact. The one
 // mutation that would overwrite them is reusing the array from index 0,
 // so once a capture has shared it (shared is set), reset drops the array
-// and the next append starts a fresh one.
+// and the next append starts a fresh one. pub counts the chain's oldest
+// blocks that a capture holds: appends come after them and drops take
+// them first.
 type chain struct {
 	addrs  []aem.Addr
 	n      int
+	pub    int
 	shared bool
 }
 
-// appendBlock writes items (≤ B of them) as one fresh block of the chain.
-func (c *chain) appendBlock(ma *aem.Machine, items []aem.Item) {
-	a := ma.Alloc(1)
-	ma.Write(a, items)
-	c.addrs = append(c.addrs, a)
-	c.n += len(items)
-}
-
-// reset empties the chain. The old blocks are abandoned (external memory
-// is unbounded in the model; addresses are never reused). An array a
+// reset empties the chain, letting go of all its blocks. An array a
 // snapshot shares is dropped rather than reused.
 func (c *chain) reset() {
 	if c.shared {
@@ -168,7 +165,7 @@ func (c *chain) reset() {
 	} else {
 		c.addrs = c.addrs[:0]
 	}
-	c.n = 0
+	c.n, c.pub = 0, 0
 }
 
 // dropPrefix detaches the chain's oldest k blocks, which hold n items
@@ -180,6 +177,7 @@ func (c *chain) dropPrefix(k, n int) {
 	}
 	c.addrs = c.addrs[k:]
 	c.n -= n
+	c.pub = max(0, c.pub-k)
 }
 
 // blocks returns the number of blocks the chain occupies.
@@ -189,19 +187,19 @@ func (c *chain) blocks() int { return len(c.addrs) }
 // frame. The caller must Reserve B slots before constructing it and
 // Release them after close.
 type chainWriter struct {
-	ma    *aem.Machine
+	t     *BufferTree
 	c     *chain
 	frame []aem.Item
 }
 
-func newChainWriter(ma *aem.Machine, c *chain, frame []aem.Item) *chainWriter {
-	return &chainWriter{ma: ma, c: c, frame: frame[:0]}
+func newChainWriter(t *BufferTree, c *chain, frame []aem.Item) *chainWriter {
+	return &chainWriter{t: t, c: c, frame: frame[:0]}
 }
 
 func (w *chainWriter) append(it aem.Item) {
 	w.frame = append(w.frame, it)
 	if len(w.frame) == cap(w.frame) {
-		w.c.appendBlock(w.ma, w.frame)
+		w.t.appendBlock(w.c, w.frame)
 		w.frame = w.frame[:0]
 	}
 }
@@ -210,7 +208,7 @@ func (w *chainWriter) append(it aem.Item) {
 // is the caller's to release.
 func (w *chainWriter) close() {
 	if len(w.frame) > 0 {
-		w.c.appendBlock(w.ma, w.frame)
+		w.t.appendBlock(w.c, w.frame)
 		w.frame = w.frame[:0]
 	}
 }

@@ -2,7 +2,7 @@ package dict
 
 import (
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"repro/internal/aem"
 )
@@ -14,10 +14,12 @@ import (
 // state while a background flush or rebuild rewrites the live structure.
 //
 // The capture is cheap and I/O-free because the tree's chains are
-// append-only: blocks are written whole at freshly allocated addresses and
-// never rewritten in place, and addresses are never reused. A chain's
-// address list therefore only grows at its end, loses a prefix, or is
-// replaced outright, so a capture can share the live list instead of
+// append-only: blocks are written whole and never rewritten while the
+// tree holds them, and a block the tree lets go of is rewritten only once
+// its owner has handed it back (see BufferTree.Recycle), which a serving
+// owner does only after every reader that could reach it has finished. A
+// chain's address list therefore only grows at its end, loses a prefix,
+// or is replaced outright, so a capture can share the live list instead of
 // copying it: it holds the clipped slice addrs[:len:len], and the live
 // chain drops (rather than reuses) an array a capture shares when it is
 // reset. The staged root tail is shared the same way, and more: a capture
@@ -36,9 +38,9 @@ import (
 // is kept by value, in the tree and in each snapshot, so a publish after
 // a spill, which touches only the root, allocates nothing.
 // The node topology and separator-block addresses are program knowledge
-// and never change for a live node; later updates only append blocks at
-// new addresses or abandon old ones — they can never change the contents
-// behind a captured address.
+// and never change for a live node; later updates only append blocks or
+// let old ones go — they never change the contents behind a captured
+// address while a reader of the capture can still read it.
 //
 // Snapshot queries do not run on the tree's machine: the machine's
 // accounting and storage access are single-threaded by design. Instead the
@@ -65,8 +67,10 @@ type snapChain struct {
 	n     int
 }
 
-// capture returns the chain's current state and marks its array shared.
+// capture returns the chain's current state and marks its array shared
+// and its blocks held.
 func (c *chain) capture() snapChain {
+	c.pub = len(c.addrs)
 	if len(c.addrs) == 0 {
 		return snapChain{}
 	}
@@ -240,7 +244,7 @@ func (s *TreeSnapshot) Grown(k int) TreeSnapshot {
 
 // GetScratch is the reusable working memory of snapshot point lookups:
 // one block frame and one separator buffer. Callers that pool it (see
-// dictsrv) keep the steady-state lookup path allocation-free.
+// dictsrv, and Slots) keep the steady-state lookup path allocation-free.
 type GetScratch struct {
 	frame []aem.Item
 	seps  []int64
@@ -326,20 +330,88 @@ func (s *TreeSnapshot) Get(r BlockReader, key int64, sc *GetScratch) (value int6
 	return 0, false, reads
 }
 
+// Slots is a small free list of reusable working memory, safe for
+// concurrent use: Take swaps an item out of the first occupied slot (nil
+// when all are empty), and Put parks one in the first empty slot, dropping
+// it when all are full. Unlike a sync.Pool it keeps its items across
+// garbage collections, so a workload that collects often does not regrow
+// its scan arrays after each one. The zero value is an empty list.
+type Slots[T any] struct{ s [slotCount]atomic.Pointer[T] }
+
+// slotCount bounds how many idle items a Slots keeps: about how many
+// readers one process runs at once.
+const slotCount = 8
+
+// Take returns a parked item, or nil if there is none.
+func (p *Slots[T]) Take() *T {
+	for i := range p.s {
+		if x := p.s[i].Swap(nil); x != nil {
+			return x
+		}
+	}
+	return nil
+}
+
+// Put parks x for a later Take, unless every slot is taken.
+func (p *Slots[T]) Put(x *T) {
+	for i := range p.s {
+		if p.s[i].CompareAndSwap(nil, x) {
+			return
+		}
+	}
+}
+
 // Range answers one range scan [lo, hi) against the snapshot: every live
 // (key, value) pair in ascending key order, plus the number of blocks
 // read. Its working memory is pooled, so a call allocates only its answer.
+func (s *TreeSnapshot) Range(r BlockReader, lo, hi int64) (hits []Found, reads int64) {
+	if hi <= lo {
+		return nil, 0
+	}
+	l, reads := s.RangeLease(r, lo, hi)
+	out := l.Hits()
+	hits = append(make([]Found, 0, len(out)), out...)
+	l.Release()
+	return hits, reads
+}
+
+// RangeLease is a range answer held in pooled working memory: Hits is
+// valid until Release, after which the memory serves other scans. A
+// caller assembling several answers into one (dictsrv's cross-shard scan)
+// holds their leases and copies each once.
+type RangeLease struct{ rs *rangeScan }
+
+// Hits returns the leased answer, in ascending key order.
+func (l RangeLease) Hits() []Found {
+	if l.rs == nil {
+		return nil
+	}
+	return l.rs.out
+}
+
+// Release returns the lease's working memory to the pool.
+func (l RangeLease) Release() {
+	if l.rs != nil {
+		rangeSlots.Put(l.rs)
+	}
+}
+
+// RangeLease answers one range scan [lo, hi) like Range, into pooled
+// memory the caller must Release; it allocates nothing in steady state.
+// Every block read happens before it returns.
 //
 // Leaf runs hold one entry per key and are visited left to right, so
 // their in-range entries arrive already in key order. Buffered and staged
 // entries are collected separately and sorted by key; one merge of the two
 // lists then picks each key's highest-sequence entry and drops tombstones.
-func (s *TreeSnapshot) Range(r BlockReader, lo, hi int64) (hits []Found, reads int64) {
+func (s *TreeSnapshot) RangeLease(r BlockReader, lo, hi int64) (lease RangeLease, reads int64) {
 	if hi <= lo {
-		return nil, 0
+		return RangeLease{}, 0
 	}
-	rs := rangePool.Get().(*rangeScan)
-	defer rangePool.Put(rs)
+	rs := rangeSlots.Take()
+	if rs == nil {
+		rs = new(rangeScan)
+	}
 	if len(rs.sc.frame) < s.b {
 		rs.sc = *NewGetScratch(s.b)
 	}
@@ -371,13 +443,13 @@ func (s *TreeSnapshot) Range(r BlockReader, lo, hi int64) (hits []Found, reads i
 		}
 	}
 	rs.out, rs.r = out, nil
-	return append(make([]Found, 0, len(out)), out...), rs.reads
+	return RangeLease{rs}, rs.reads
 }
 
 // rangeScan is the working state of one Range call: the in-range buffered
 // entries (pend, unordered until sorted, with tmp as the sort's second
 // buffer), the in-range leaf-run entries (run, in key order) and the
-// answer being merged (out). Calls recycle it through rangePool.
+// answer being merged (out). Calls recycle it through rangeSlots.
 type rangeScan struct {
 	r         BlockReader
 	lo, hi    int64
@@ -388,7 +460,7 @@ type rangeScan struct {
 	reads     int64
 }
 
-var rangePool = sync.Pool{New: func() any { return new(rangeScan) }}
+var rangeSlots Slots[rangeScan]
 
 // keep appends the items of blk that fall in [lo, hi) to dst.
 func (rs *rangeScan) keep(dst, blk []aem.Item) []aem.Item {

@@ -29,8 +29,10 @@
 //     a time.
 //   - Reads are snapshot-isolated: after every commit batch the leader
 //     publishes a dict.TreeSnapshot (an immutable structural capture —
-//     the tree's chains are append-only, so captured addresses can never
-//     change contents behind the snapshot). A publish costs what the
+//     the tree's chains are append-only, and a block the tree lets go of
+//     is rewritten only after every reader that could reach it has
+//     finished, so captured addresses never change contents behind a
+//     reader of the snapshot). A publish costs what the
 //     batch changed, in work as well as allocation. A batch that only
 //     staged writes in the root's in-memory tail is published in place:
 //     the current snapshot already holds the live stage array, so one
@@ -51,6 +53,15 @@
 //     tree holder keeps allocating and writing underneath them: engines
 //     never move a block once allocated, so a reader takes no lock and
 //     never waits on commit, flush or rebuild work.
+//   - Storage is bounded by live data, not by every write ever made: the
+//     shard reclaims the blocks its tree lets go of with epoch-based
+//     reclamation (Fraser, Practical lock-freedom, 2004). A reader pins
+//     the shard's epoch before it loads a snapshot and unpins after its
+//     last block read; the holder stamps each publish's retired blocks
+//     with the epoch and hands them back to the tree once the epoch has
+//     advanced twice past it, which it does only when the older parity's
+//     readers have drained (see reclaim). Neither side waits, and Q does
+//     not move: a rewritten address is billed like a fresh one.
 //   - Every read carries the watermark (ops committed on its shard when
 //     its snapshot was published), and every write its commit position.
 //     Those two numbers make concurrent histories checkable: a read must
@@ -141,8 +152,8 @@ type Segment struct {
 
 // ScanResult answers a range scan. Hits concatenate the segments' hits —
 // shards partition the keyspace contiguously, so the concatenation is
-// globally key-ordered. A scan that touches one shard does not copy its
-// answer: Hits and Segments[0].Hits then share one backing array.
+// globally key-ordered — and each segment's Hits is its sub-slice of
+// Hits, so the answer is assembled in one array.
 type ScanResult struct {
 	Hits      []dict.Found
 	Segments  []Segment
@@ -161,6 +172,12 @@ type Stats struct {
 	Writes    int64 // machine block writes
 	SnapReads int64 // snapshot block reads (serve path)
 	Cost      int64 // Σ machine (reads + ω·writes) + SnapReads
+
+	// Blocks is the storage blocks allocated across shards, and
+	// ReusedBlocks how many block writes took a reclaimed address
+	// instead of a fresh one.
+	Blocks       int64
+	ReusedBlocks int64
 
 	// Flushes counts the tree holder's calls that flushed, across all
 	// shards: a commit batch that ran a node-flush, a Flush barrier, a
@@ -182,14 +199,18 @@ type Stats struct {
 }
 
 // shardReader implements dict.BlockReader straight over a shard's
-// storage engine. Block contents need no locking: chains write every
-// block exactly once at a fresh address, a snapshot only references
-// addresses written before it was published, and the Storage contract
-// makes ReadInto of such a block safe against the tree holder's concurrent
-// Allocs and Writes.
+// storage engine. Block contents need no locking: a snapshot only
+// references blocks written before it was published, the holder rewrites
+// none of them while a reader that pinned before their retirement is
+// still pinned (see reclaim), and the Storage contract makes ReadInto of
+// such a block safe against the holder's concurrent Allocs and Writes to
+// other blocks.
 type shardReader struct{ sh *shard }
 
 func (r shardReader) ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item {
+	if h := r.sh.readHook; h != nil {
+		h()
+	}
 	return r.sh.store.ReadInto(a, dst)
 }
 
@@ -252,7 +273,28 @@ type shard struct {
 	committed atomic.Int64
 	snapReads atomic.Int64
 
-	scratch sync.Pool // *dict.GetScratch
+	// Block reclamation (see pin and reclaim). readers counts pinned
+	// readers by the parity of the epoch they pinned in. limbo lists the
+	// retired addresses still awaiting their grace period, oldest first,
+	// and marks stamps its prefixes with the epoch they were retired in;
+	// both are the tree holder's and keep their capacity.
+	epoch   atomic.Uint64
+	readers [2]atomic.Int64
+	limbo   []aem.Addr
+	marks   []limboMark
+
+	scratch dict.Slots[dict.GetScratch]
+
+	// readHook, when set, runs before every snapshot block read; a test
+	// pauses a reader in it. Set it only while no reader runs.
+	readHook func()
+}
+
+// limboMark stamps limbo[:end] (less earlier marks' prefixes) with the
+// epoch current when the state that no longer reaches them was published.
+type limboMark struct {
+	epoch uint64
+	end   int
 }
 
 // turn is what one holder turn measured.
@@ -362,7 +404,7 @@ func New(cfg Config) (*Service, error) {
 		if cfg.Deamortize {
 			sh.tree.Deamortize()
 		}
-		sh.scratch.New = func() interface{} { return dict.NewGetScratch(cfg.Machine.B) }
+		sh.tree.Recycle()
 		sh.publish(0)
 		s.shards = append(s.shards, sh)
 	}
@@ -386,6 +428,7 @@ func (sh *shard) publish(watermark int64) {
 	if st := sh.snap.Load(); st != nil {
 		if k, ok := sh.tree.StagedSince(&st.snap); ok && st.watermark+int64(k) == watermark {
 			st.ext.Store(int64(k))
+			sh.reclaim()
 			return
 		}
 	}
@@ -393,7 +436,72 @@ func (sh *shard) publish(watermark int64) {
 	st.watermark = watermark
 	sh.tree.SnapshotInto(&st.snap)
 	sh.snap.Store(st)
+	sh.stamp()
+	sh.reclaim()
 }
+
+// stamp runs after a new state is stored. The blocks the tree retired
+// since the last one are unreachable from it, so only readers pinned
+// before the store can still read them: it moves them to limbo, stamped
+// with the current epoch.
+func (sh *shard) stamp() {
+	n := len(sh.limbo)
+	sh.limbo = sh.tree.TakeRetired(sh.limbo)
+	if len(sh.limbo) > n {
+		sh.marks = append(sh.marks, limboMark{epoch: sh.epoch.Load(), end: len(sh.limbo)})
+	}
+}
+
+// reclaim hands limbo's blocks back to the tree once no reader can reach
+// them. A reader pinned in epoch p keeps the epoch from passing p+1
+// (advancing to p+2 needs p's parity drained), and every reader that
+// could hold a state older than the one whose store stamped a block with
+// e pinned in e or e−1, so once the epoch reaches e+2 they have all
+// unpinned. reclaim advances the epoch at most twice per publish, each
+// time only if the parity it would reuse has no pinned reader: it never
+// waits, and without readers a publish's blocks are reused right after
+// it.
+func (sh *shard) reclaim() {
+	if len(sh.marks) == 0 {
+		return
+	}
+	e := sh.epoch.Load()
+	for i := 0; i < 2 && sh.readers[(e+1)&1].Load() == 0; i++ {
+		e++
+		sh.epoch.Store(e)
+	}
+	k := 0
+	for k < len(sh.marks) && sh.marks[k].epoch+2 <= e {
+		k++
+	}
+	if k == 0 {
+		return
+	}
+	end := sh.marks[k-1].end
+	sh.tree.Reuse(sh.limbo[:end])
+	sh.limbo = sh.limbo[:copy(sh.limbo, sh.limbo[end:])]
+	sh.marks = sh.marks[:copy(sh.marks, sh.marks[k:])]
+	for i := range sh.marks {
+		sh.marks[i].end -= end
+	}
+}
+
+// pin registers a reader in the current epoch and returns the parity to
+// unpin. It retries only if the holder advanced the epoch between the
+// reader's count and its check, which happens at most twice a publish.
+func (sh *shard) pin() uint64 {
+	for {
+		e := sh.epoch.Load()
+		sh.readers[e&1].Add(1)
+		if sh.epoch.Load() == e {
+			return e & 1
+		}
+		sh.readers[e&1].Add(-1)
+	}
+}
+
+// unpin ends a reader's pin: it reads no block of its snapshot after.
+func (sh *shard) unpin(parity uint64) { sh.readers[parity].Add(-1) }
 
 // stateSlabMax is the most states one slab holds.
 const stateSlabMax = 64
@@ -414,13 +522,15 @@ func (sh *shard) newState() *snapState {
 	return st
 }
 
-// view returns the shard's current snapshot and its watermark. Both come
-// from one load of the state and one of its extension, so they always
-// match.
-func (sh *shard) view() (dict.TreeSnapshot, int64) {
+// view pins a reader and returns the shard's current snapshot, its
+// watermark and the pin, which the caller passes to unpin after its last
+// block read. Snapshot and watermark come from one load of the state and
+// one of its extension, so they always match.
+func (sh *shard) view() (snap dict.TreeSnapshot, watermark int64, pin uint64) {
+	pin = sh.pin()
 	st := sh.snap.Load()
 	k := st.ext.Load()
-	return st.snap.Grown(int(k)), st.watermark + k
+	return st.snap.Grown(int(k)), st.watermark + k, pin
 }
 
 // epoch anchors now.
@@ -702,8 +812,8 @@ func (sh *shard) retireTurn() {
 		}
 	} else if sh.tree.Compact() {
 		sh.turn.flushed(now() - start)
-		_, watermark := sh.view()
-		sh.publish(watermark)
+		st := sh.snap.Load()
+		sh.publish(st.watermark + st.ext.Load())
 	} else {
 		worked = false
 	}
@@ -728,9 +838,13 @@ func (s *Service) Delete(key int64) Ack {
 func (s *Service) Get(key int64) GetResult {
 	start := now()
 	sh := s.shards[s.shardFor(key)]
-	snap, watermark := sh.view()
-	sc := sh.scratch.Get().(*dict.GetScratch)
+	snap, watermark, pin := sh.view()
+	sc := sh.scratch.Take()
+	if sc == nil {
+		sc = dict.NewGetScratch(s.cfg.Machine.B)
+	}
 	v, ok, reads := snap.Get(shardReader{sh}, key, sc)
+	sh.unpin(pin)
 	sh.scratch.Put(sc)
 	sh.snapReads.Add(reads)
 	return GetResult{OK: ok, Value: v, Shard: sh.idx, Watermark: watermark,
@@ -741,6 +855,10 @@ func (s *Service) Get(key int64) GetResult {
 // the hits of its sub-interval from its own current snapshot. Segments
 // record the per-shard watermarks — a cross-shard scan is a union of
 // per-shard snapshots, not one global snapshot, and the result says so.
+//
+// Each shard's answer is read into pooled memory (dict.RangeLease). One
+// segment's answer is copied out as the whole answer; several are copied
+// once, into one exact-size array that each segment's Hits slices.
 func (s *Service) Scan(lo, hi int64) ScanResult {
 	start := now()
 	var out ScanResult
@@ -750,7 +868,9 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 	}
 	first := s.shardFor(lo)
 	last := s.shardFor(hi - 1)
-	out.Segments = make([]Segment, 0, last-first+1)
+	out.Segments = make([]Segment, last-first+1)
+	var held [4]dict.RangeLease
+	leases := held[:0]
 	n := 0
 	for i := first; i <= last; i++ {
 		sh := s.shards[i]
@@ -767,22 +887,20 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 		if i == len(s.shards)-1 && hi > s.cfg.KeyHi {
 			shHi = hi
 		}
-		snap, watermark := sh.view()
-		hits, reads := snap.Range(shardReader{sh}, shLo, shHi)
+		snap, watermark, pin := sh.view()
+		l, reads := snap.RangeLease(shardReader{sh}, shLo, shHi)
+		sh.unpin(pin)
 		sh.snapReads.Add(reads)
-		out.Segments = append(out.Segments, Segment{Shard: i, Watermark: watermark, Hits: hits})
-		n += len(hits)
+		out.Segments[i-first] = Segment{Shard: i, Watermark: watermark}
+		leases = append(leases, l)
+		n += len(l.Hits())
 	}
-	// Range already copied each answer out of its pooled scan state, so
-	// one segment's hits are the answer; several are joined in one
-	// exact-size allocation.
-	if len(out.Segments) == 1 {
-		out.Hits = out.Segments[0].Hits
-	} else if n > 0 {
-		out.Hits = make([]dict.Found, 0, n)
-		for _, seg := range out.Segments {
-			out.Hits = append(out.Hits, seg.Hits...)
-		}
+	out.Hits = make([]dict.Found, 0, n)
+	for i, l := range leases {
+		at := len(out.Hits)
+		out.Hits = append(out.Hits, l.Hits()...)
+		out.Segments[i].Hits = out.Hits[at:len(out.Hits):len(out.Hits)]
+		l.Release()
 	}
 	out.LatencyNS = now() - start
 	return out
@@ -832,8 +950,8 @@ func (s *Service) Committed() int64 {
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// Stats aggregates accounting across shards. Machine counters are only
-// coherent at quiescence: amortized, once every submitted op is acked;
+// Stats aggregates accounting across shards. Machine counters, Blocks and
+// ReusedBlocks are only coherent at quiescence: amortized, once every submitted op is acked;
 // deamortized, only after Close, because the idle retirer keeps retiring
 // debt and compacting after the last ack. SnapReads is exact at any time,
 // and the flush and stall telemetry is read under each shard's lock, so
@@ -846,6 +964,8 @@ func (s *Service) Stats() Stats {
 		out.Writes += st.Writes
 		out.SnapReads += sh.snapReads.Load()
 		out.Cost += sh.ma.Cost()
+		out.Blocks += int64(sh.ma.NumBlocks())
+		out.ReusedBlocks += sh.tree.ReusedBlocks()
 		sh.mu.Lock()
 		sh.stats.mergeInto(&out)
 		sh.mu.Unlock()

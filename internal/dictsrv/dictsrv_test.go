@@ -433,13 +433,16 @@ func TestFileDirectConcurrentReads(t *testing.T) {
 }
 
 // TestHeldViewIsolation holds published views while the tree holder
-// moves on. Readers keep up to 16 views each, snapshot and watermark from
-// shard.view, and keep checking old ones while one writer stages, spills,
-// pays FlushSteps (deamortized), cascades, compacts and, in the second
-// half, runs barriers. Every answer must match the model at its view's
-// own watermark. A view extended in place reads the live stage array the
-// holder keeps appending to, so under -race this pins that the holder
-// writes only past what it published and never refills a shared array.
+// moves on. Readers keep up to 16 views each, snapshot, watermark and pin
+// from shard.view, and keep checking old ones while one writer stages,
+// spills, pays FlushSteps (deamortized), cascades, compacts and, in the
+// second half, runs barriers. Every answer must match the model at its
+// view's own watermark. A view extended in place reads the live stage
+// array the holder keeps appending to, so under -race this pins that the
+// holder writes only past what it published and never refills a shared
+// array. Each held view keeps its pin until it is replaced, and the shard
+// must still reuse blocks while views are held: a reclaimed block that a
+// held view could reach would answer with another key's data.
 func TestHeldViewIsolation(t *testing.T) {
 	for _, deam := range []bool{false, true} {
 		name := "amortized"
@@ -495,6 +498,7 @@ func runHeldViewIsolation(t *testing.T, deamortize bool) {
 	type heldView struct {
 		snap      dict.TreeSnapshot
 		watermark int64
+		pin       uint64
 	}
 	var checks, grown atomic.Int64
 	check := func(v *heldView, sc *dict.GetScratch, r *workload.RNG) error {
@@ -550,11 +554,13 @@ func runHeldViewIsolation(t *testing.T, deamortize bool) {
 				if sh.snap.Load().ext.Load() > 0 {
 					grown.Add(1)
 				}
-				snap, wm := sh.view()
+				snap, wm, pin := sh.view()
 				if len(views) < held {
-					views = append(views, heldView{snap, wm})
+					views = append(views, heldView{snap, wm, pin})
 				} else {
-					views[r.Intn(held)] = heldView{snap, wm}
+					i := r.Intn(held)
+					sh.unpin(views[i].pin)
+					views[i] = heldView{snap, wm, pin}
 				}
 				for i := range views {
 					if err := check(&views[i], sc, r); err != nil {
@@ -562,6 +568,9 @@ func runHeldViewIsolation(t *testing.T, deamortize bool) {
 						return
 					}
 				}
+			}
+			for _, v := range views {
+				sh.unpin(v.pin)
 			}
 		}(rd)
 	}
@@ -590,9 +599,22 @@ func runHeldViewIsolation(t *testing.T, deamortize bool) {
 	close(stop)
 	wg.Wait()
 	st := svc.Stats()
-	t.Logf("%d checks; %d views read while extended in place; %d flush sections", checks.Load(), grown.Load(), st.Flushes)
+	reused := reusedBlocks(t, sh)
+	t.Logf("%d checks; %d views read while extended in place; %d flush sections; %d writes reused a block",
+		checks.Load(), grown.Load(), st.Flushes, reused)
 	if checks.Load() == 0 || grown.Load() == 0 {
 		t.Fatalf("readers made %d checks over %d in-place extended views, want both > 0", checks.Load(), grown.Load())
+	}
+	if reused == 0 {
+		t.Fatal("no block was reused while views were held")
+	}
+	// Every view is unpinned now, so one more publish ends every grace
+	// period.
+	svc.Put(0, 0)
+	holdTree(t, sh)
+	defer sh.release(false, nil)
+	if len(sh.limbo) != 0 {
+		t.Fatalf("%d retired blocks still wait with no reader pinned", len(sh.limbo))
 	}
 }
 
@@ -629,6 +651,39 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 				t.Fatalf("steady-state Get allocates %.1f per op, want 0", avg)
 			}
 		})
+	}
+}
+
+// TestScanAllocs pins what a scan allocates once the range working
+// memory is warm: its segment list and its answer, whether it touches one
+// shard or several. Each shard's hits are read into pooled memory and
+// copied once, into the answer that the segments slice.
+func TestScanAllocs(t *testing.T) {
+	svc, err := New(testConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	for k := int64(0); k < 4096; k += 3 {
+		svc.Put(k, k)
+	}
+	for _, tc := range []struct {
+		name   string
+		lo, hi int64
+		shards int
+	}{
+		{"one shard", 100, 400, 1},
+		{"three shards", 1000, 3000, 3},
+	} {
+		svc.Scan(tc.lo, tc.hi) // warm the working memory
+		var res ScanResult
+		avg := testing.AllocsPerRun(50, func() { res = svc.Scan(tc.lo, tc.hi) })
+		if len(res.Segments) != tc.shards || len(res.Hits) == 0 {
+			t.Fatalf("%s: scan touched %d shards with %d hits", tc.name, len(res.Segments), len(res.Hits))
+		}
+		if avg != 2 {
+			t.Errorf("%s: scan allocates %.1f objects, want 2 (segments and hits)", tc.name, avg)
+		}
 	}
 }
 
@@ -1039,6 +1094,14 @@ func holdTree(t *testing.T, sh *shard) {
 	t.Fatal("the tree never went idle")
 }
 
+// reusedBlocks reads the shard tree's reuse count while holding the tree,
+// so a deamortized shard's retirer is not running.
+func reusedBlocks(t *testing.T, sh *shard) int64 {
+	holdTree(t, sh)
+	defer sh.release(false, nil)
+	return sh.tree.ReusedBlocks()
+}
+
 // waitQueued waits until n requests are queued on sh.
 func waitQueued(t *testing.T, sh *shard, n int) {
 	t.Helper()
@@ -1136,5 +1199,169 @@ func BenchmarkGet(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		svc.Get(k)
 		k = (k + 9973) % 65536
+	}
+}
+
+// TestStorageBoundedByLiveTree pins what block reclamation buys: a shard's
+// storage stays within a small multiple of the most blocks its tree ever
+// held at once, instead of growing with every block ever written. Each
+// stream runs through a one-shard service with one writer, so nothing
+// holds a pin between commits and each publish's retired blocks are
+// reused right after it. The grace period still leaves one commit's
+// worth of blocks in limbo — a cascade rewrites the tree below it, and a
+// rebuild writes a whole new tree before the old one goes — so the bound
+// is a constant factor, not 1. Without reclamation the drift stream
+// reads 16.5× and the preload 7.8×.
+func TestStorageBoundedByLiveTree(t *testing.T) {
+	const (
+		keys  = 1 << 15
+		nOps  = 40000
+		bound = 3.0
+	)
+	r := workload.NewRNG(9)
+	preload := make([]dict.Op, keys)
+	for i, k := range r.Perm(keys) {
+		preload[i] = dict.Op{Kind: dict.Insert, Key: int64(k), Value: int64(k)}
+	}
+	for _, tc := range []struct {
+		name string
+		ops  []dict.Op
+	}{
+		{"drift", workload.DictStreams(3, workload.DriftOps, 1, nOps, keys)[0]},
+		{"preload", preload},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := New(Config{Shards: 1, Machine: aem.Config{M: 512, B: 16, Omega: 8}, KeyHi: keys})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			sh := svc.shards[0]
+			peak := 0
+			for _, op := range tc.ops {
+				switch op.Kind {
+				case dict.Insert:
+					svc.Put(op.Key, op.Value)
+				case dict.Delete:
+					svc.Delete(op.Key)
+				default:
+					continue
+				}
+				// The writer led its own commit, so the tree is idle.
+				peak = max(peak, sh.tree.ReachableBlocks())
+			}
+			svc.Flush()
+			peak = max(peak, sh.tree.ReachableBlocks())
+			st := svc.Stats()
+			ratio := float64(st.Blocks) / float64(peak)
+			t.Logf("%d blocks allocated, %d reused, peak %d reachable: %.2f×", st.Blocks, st.ReusedBlocks, peak, ratio)
+			if ratio > bound {
+				t.Fatalf("storage holds %d blocks, %.2f× the tree's peak of %d reachable, want ≤ %g×", st.Blocks, ratio, peak, bound)
+			}
+		})
+	}
+}
+
+// TestPausedScanIsolation pauses a reader inside Scan, between two block
+// reads of one chain, while the one writer keeps committing: staged
+// writes, spills, cascades (amortized) or FlushSteps and idle Compacts
+// (deamortized), and barriers that flush and rebuild. The pinned reader
+// must not hold the writer up, and the blocks it has yet to read must
+// keep their contents however many blocks the shard reuses meanwhile:
+// released, its answer must match the model at its own watermark.
+func TestPausedScanIsolation(t *testing.T) {
+	for _, deam := range []bool{false, true} {
+		name := "amortized"
+		if deam {
+			name = "deamortized"
+		}
+		t.Run(name, func(t *testing.T) { runPausedScanIsolation(t, deam) })
+	}
+}
+
+func runPausedScanIsolation(t *testing.T, deamortize bool) {
+	const (
+		keys    = 512
+		preload = 3000
+		nOps    = 20000
+	)
+	cfg := Config{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: keys, Deamortize: deamortize}
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sh := svc.shards[0]
+
+	// One writer: its writes commit at positions 1, 2, …, and versions[k]
+	// lists key k's writes in commit order.
+	type version struct {
+		commit, value int64
+		live          bool
+	}
+	r := workload.NewRNG(91)
+	versions := make([][]version, keys)
+	var commits int64
+	write := func() {
+		commits++
+		k := int64(r.Intn(keys))
+		if r.Intn(10) < 3 {
+			svc.Delete(k)
+			versions[k] = append(versions[k], version{commits, 0, false})
+			return
+		}
+		v := int64(r.Intn(1 << 20))
+		svc.Put(k, v)
+		versions[k] = append(versions[k], version{commits, v, true})
+	}
+	// modelAt returns the live keys after the first w commits, ascending.
+	modelAt := func(w int64) []dict.Found {
+		var out []dict.Found
+		for k, vs := range versions {
+			i := sort.Search(len(vs), func(i int) bool { return vs[i].commit > w })
+			if i > 0 && vs[i-1].live {
+				out = append(out, dict.Found{Key: int64(k), Value: vs[i-1].value})
+			}
+		}
+		return out
+	}
+	for i := 0; i < preload; i++ {
+		write()
+	}
+	svc.Flush()
+
+	// The scanner pauses before its third block read; every other read
+	// passes straight through.
+	paused, resume := make(chan struct{}), make(chan struct{})
+	var reads atomic.Int64
+	sh.readHook = func() {
+		if reads.Add(1) == 3 {
+			close(paused)
+			<-resume
+		}
+	}
+	done := make(chan ScanResult)
+	go func() { done <- svc.Scan(0, keys) }()
+	<-paused
+
+	before := reusedBlocks(t, sh)
+	for i := 0; i < nOps; i++ {
+		write()
+		if i%5000 == 4999 {
+			svc.Flush()
+		}
+	}
+	svc.Flush()
+	reused := reusedBlocks(t, sh) - before
+	close(resume)
+	res := <-done
+
+	seg := res.Segments[0]
+	if want := modelAt(seg.Watermark); !slices.Equal(res.Hits, want) {
+		t.Fatalf("scan at watermark %d: %d hits differ from the model's %d keys", seg.Watermark, len(res.Hits), len(want))
+	}
+	t.Logf("paused scan at watermark %d read %d blocks; %d writes reused a block meanwhile", seg.Watermark, reads.Load(), reused)
+	if reused == 0 {
+		t.Fatal("no block was reused while the scan was paused")
 	}
 }

@@ -13,8 +13,8 @@ import (
 // so a point's cost is a handful of arithmetic steps plus the length
 // tables, not a loop over 10⁸ blocks. The grid compares the replayed
 // upper-bound schedule against Theorem 4.5's closed-form lower bound,
-// and doubles as the throughput regression surface: the CI gate tracks
-// its points/sec.
+// and doubles as a regression surface: the CI gate holds each point's
+// heap objects and bytes, and its wall time where a point takes ≥ 1 ms.
 
 // mgM and mgB fix the machine shape of the mega-grid: m = M/B = 256
 // blocks of internal memory, a production-ish block size.

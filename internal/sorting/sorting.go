@@ -49,15 +49,26 @@ var minItem = aem.Item{Key: -(1<<63 - 1), Aux: -(1<<63 - 1)}
 // memory for the selection buffer, one block frame for scanning, one for
 // writing).
 func SmallSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
+	out := aem.NewVector(ma, v.Len())
+	SmallSortInto(ma, v, out)
+	return out
+}
+
+// SmallSortInto is SmallSort writing into out, a vector of v.Len() items
+// that the caller allocated and that does not overlap v — scratch blocks
+// it reuses across sorts, say. Its I/O is SmallSort's.
+func SmallSortInto(ma *aem.Machine, v, out *aem.Vector) {
 	cfg := ma.Config()
 	if cfg.M < 4*cfg.B {
 		panic(fmt.Sprintf("sorting: SmallSort needs M ≥ 4B, got M=%d B=%d", cfg.M, cfg.B))
 	}
+	if out.Len() != v.Len() {
+		panic(fmt.Sprintf("sorting: SmallSortInto of %d items into a vector of %d", v.Len(), out.Len()))
+	}
 	defer ma.SetPhase(ma.SetPhase("base"))
 
-	out := aem.NewVector(ma, v.Len())
 	if v.Len() == 0 {
-		return out
+		return
 	}
 
 	capS := cfg.M / 2
@@ -114,7 +125,6 @@ func SmallSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 		}
 		watermark = newMark
 	}
-	return out
 }
 
 // insertCapped inserts it into the ascending-sorted buf, keeping at most
