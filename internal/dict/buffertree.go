@@ -157,20 +157,23 @@ func (t *BufferTree) Reuse(addrs []aem.Addr) { t.spare = append(t.spare, addrs..
 // address instead of a fresh one.
 func (t *BufferTree) ReusedBlocks() int64 { return t.reused }
 
-// ReachableBlocks returns how many external blocks the live tree holds:
-// every node's buffer and run blocks and its separator blocks. A
-// structure walk, no I/O.
-func (t *BufferTree) ReachableBlocks() int {
-	n := 0
+// ReachableBlocks appends to dst the address of every external block the
+// live tree holds — each node's buffer and run blocks and its separator
+// blocks — and returns it. A structure walk, no I/O.
+func (t *BufferTree) ReachableBlocks(dst []aem.Addr) []aem.Addr {
 	var walk func(nd *btnode)
 	walk = func(nd *btnode) {
-		n += nd.buf.blocks() + nd.run.blocks() + nd.sepBlocks
+		dst = append(dst, nd.buf.addrs...)
+		dst = append(dst, nd.run.addrs...)
+		for b := 0; b < nd.sepBlocks; b++ {
+			dst = append(dst, nd.sepBase+aem.Addr(b))
+		}
 		for _, kid := range nd.kids {
 			walk(kid)
 		}
 	}
 	walk(t.top)
-	return n
+	return dst
 }
 
 // letGo hands over c's oldest k blocks, which the caller is about to

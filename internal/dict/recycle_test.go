@@ -132,20 +132,8 @@ func checkSnapshot(t *testing.T, s *TreeSnapshot, ma *aem.Machine, model map[int
 // reachable returns the set of blocks the live tree holds.
 func reachable(t *BufferTree) map[aem.Addr]bool {
 	out := map[aem.Addr]bool{}
-	var walk func(nd *btnode)
-	walk = func(nd *btnode) {
-		for _, c := range []*chain{&nd.buf, &nd.run} {
-			for _, a := range c.addrs {
-				out[a] = true
-			}
-		}
-		for b := 0; b < nd.sepBlocks; b++ {
-			out[nd.sepBase+aem.Addr(b)] = true
-		}
-		for _, kid := range nd.kids {
-			walk(kid)
-		}
+	for _, a := range t.ReachableBlocks(nil) {
+		out[a] = true
 	}
-	walk(t.top)
 	return out
 }

@@ -2,6 +2,7 @@ package dict
 
 import (
 	"fmt"
+	"runtime"
 	"sync/atomic"
 
 	"repro/internal/aem"
@@ -244,7 +245,7 @@ func (s *TreeSnapshot) Grown(k int) TreeSnapshot {
 
 // GetScratch is the reusable working memory of snapshot point lookups:
 // one block frame and one separator buffer. Callers that pool it (see
-// dictsrv, and Slots) keep the steady-state lookup path allocation-free.
+// dictsrv) keep the steady-state lookup path allocation-free.
 type GetScratch struct {
 	frame []aem.Item
 	seps  []int64
@@ -330,37 +331,6 @@ func (s *TreeSnapshot) Get(r BlockReader, key int64, sc *GetScratch) (value int6
 	return 0, false, reads
 }
 
-// Slots is a small free list of reusable working memory, safe for
-// concurrent use: Take swaps an item out of the first occupied slot (nil
-// when all are empty), and Put parks one in the first empty slot, dropping
-// it when all are full. Unlike a sync.Pool it keeps its items across
-// garbage collections, so a workload that collects often does not regrow
-// its scan arrays after each one. The zero value is an empty list.
-type Slots[T any] struct{ s [slotCount]atomic.Pointer[T] }
-
-// slotCount bounds how many idle items a Slots keeps: about how many
-// readers one process runs at once.
-const slotCount = 8
-
-// Take returns a parked item, or nil if there is none.
-func (p *Slots[T]) Take() *T {
-	for i := range p.s {
-		if x := p.s[i].Swap(nil); x != nil {
-			return x
-		}
-	}
-	return nil
-}
-
-// Put parks x for a later Take, unless every slot is taken.
-func (p *Slots[T]) Put(x *T) {
-	for i := range p.s {
-		if p.s[i].CompareAndSwap(nil, x) {
-			return
-		}
-	}
-}
-
 // Range answers one range scan [lo, hi) against the snapshot: every live
 // (key, value) pair in ascending key order, plus the number of blocks
 // read. Its working memory is pooled, so a call allocates only its answer.
@@ -392,7 +362,7 @@ func (l RangeLease) Hits() []Found {
 // Release returns the lease's working memory to the pool.
 func (l RangeLease) Release() {
 	if l.rs != nil {
-		rangeSlots.Put(l.rs)
+		putRangeScan(l.rs)
 	}
 }
 
@@ -408,10 +378,7 @@ func (s *TreeSnapshot) RangeLease(r BlockReader, lo, hi int64) (lease RangeLease
 	if hi <= lo {
 		return RangeLease{}, 0
 	}
-	rs := rangeSlots.Take()
-	if rs == nil {
-		rs = new(rangeScan)
-	}
+	rs := takeRangeScan()
 	if len(rs.sc.frame) < s.b {
 		rs.sc = *NewGetScratch(s.b)
 	}
@@ -460,7 +427,35 @@ type rangeScan struct {
 	reads     int64
 }
 
-var rangeSlots Slots[rangeScan]
+// rangeSlots parks idle range working memory: takeRangeScan swaps a
+// rangeScan out of the first occupied slot, and putRangeScan parks one in
+// the first empty slot, dropping it when all are full. Unlike a sync.Pool
+// the slots keep their items across garbage collections, so a workload
+// that collects several times between two scans does not regrow their
+// arrays each time. There are two slots per P (GOMAXPROCS at start-up),
+// and at least 8: room for the readers that run at once and a cross-shard
+// scan's several leases. A reader that finds every slot empty allocates,
+// as a sync.Pool miss does. The slots share cache lines, which costs a
+// scan, hundreds of items long, little; point lookups pool their smaller
+// scratch per P instead (see dictsrv).
+var rangeSlots = make([]atomic.Pointer[rangeScan], max(8, 2*runtime.GOMAXPROCS(0)))
+
+func takeRangeScan() *rangeScan {
+	for i := range rangeSlots {
+		if rs := rangeSlots[i].Swap(nil); rs != nil {
+			return rs
+		}
+	}
+	return new(rangeScan)
+}
+
+func putRangeScan(rs *rangeScan) {
+	for i := range rangeSlots {
+		if rangeSlots[i].CompareAndSwap(nil, rs) {
+			return
+		}
+	}
+}
 
 // keep appends the items of blk that fall in [lo, hi) to dst.
 func (rs *rangeScan) keep(dst, blk []aem.Item) []aem.Item {

@@ -208,9 +208,6 @@ type Stats struct {
 type shardReader struct{ sh *shard }
 
 func (r shardReader) ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item {
-	if h := r.sh.readHook; h != nil {
-		h()
-	}
 	return r.sh.store.ReadInto(a, dst)
 }
 
@@ -283,11 +280,7 @@ type shard struct {
 	limbo   []aem.Addr
 	marks   []limboMark
 
-	scratch dict.Slots[dict.GetScratch]
-
-	// readHook, when set, runs before every snapshot block read; a test
-	// pauses a reader in it. Set it only while no reader runs.
-	readHook func()
+	scratch sync.Pool // *dict.GetScratch
 }
 
 // limboMark stamps limbo[:end] (less earlier marks' prefixes) with the
@@ -404,6 +397,7 @@ func New(cfg Config) (*Service, error) {
 		if cfg.Deamortize {
 			sh.tree.Deamortize()
 		}
+		sh.scratch.New = func() interface{} { return dict.NewGetScratch(cfg.Machine.B) }
 		sh.tree.Recycle()
 		sh.publish(0)
 		s.shards = append(s.shards, sh)
@@ -839,12 +833,9 @@ func (s *Service) Get(key int64) GetResult {
 	start := now()
 	sh := s.shards[s.shardFor(key)]
 	snap, watermark, pin := sh.view()
-	sc := sh.scratch.Take()
-	if sc == nil {
-		sc = dict.NewGetScratch(s.cfg.Machine.B)
-	}
+	defer sh.unpin(pin) // also if a storage read panics
+	sc := sh.scratch.Get().(*dict.GetScratch)
 	v, ok, reads := snap.Get(shardReader{sh}, key, sc)
-	sh.unpin(pin)
 	sh.scratch.Put(sc)
 	sh.snapReads.Add(reads)
 	return GetResult{OK: ok, Value: v, Shard: sh.idx, Watermark: watermark,
@@ -887,10 +878,7 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 		if i == len(s.shards)-1 && hi > s.cfg.KeyHi {
 			shHi = hi
 		}
-		snap, watermark, pin := sh.view()
-		l, reads := snap.RangeLease(shardReader{sh}, shLo, shHi)
-		sh.unpin(pin)
-		sh.snapReads.Add(reads)
+		l, watermark := sh.rangeLease(shLo, shHi)
 		out.Segments[i-first] = Segment{Shard: i, Watermark: watermark}
 		leases = append(leases, l)
 		n += len(l.Hits())
@@ -904,6 +892,17 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 	}
 	out.LatencyNS = now() - start
 	return out
+}
+
+// rangeLease answers [lo, hi) from the shard's current snapshot into
+// pooled memory, with the snapshot's watermark. The pin ends with the
+// call, also if a storage read panics.
+func (sh *shard) rangeLease(lo, hi int64) (l dict.RangeLease, watermark int64) {
+	snap, watermark, pin := sh.view()
+	defer sh.unpin(pin)
+	l, reads := snap.RangeLease(shardReader{sh}, lo, hi)
+	sh.snapReads.Add(reads)
+	return l, watermark
 }
 
 // Flush forces every shard's buffered work down to the leaf runs. Each
@@ -950,12 +949,13 @@ func (s *Service) Committed() int64 {
 // Shards returns the shard count.
 func (s *Service) Shards() int { return len(s.shards) }
 
-// Stats aggregates accounting across shards. Machine counters, Blocks and
-// ReusedBlocks are only coherent at quiescence: amortized, once every submitted op is acked;
-// deamortized, only after Close, because the idle retirer keeps retiring
-// debt and compacting after the last ack. SnapReads is exact at any time,
-// and the flush and stall telemetry is read under each shard's lock, so
-// it holds every holder turn that has passed the tree on.
+// Stats aggregates accounting across shards. Machine counters, Blocks
+// and ReusedBlocks are only coherent at quiescence: amortized, once every
+// submitted op is acked; deamortized, only after Close, because the idle
+// retirer keeps retiring debt and compacting after the last ack.
+// SnapReads is exact at any time, and the flush and stall telemetry is
+// read under each shard's lock, so it holds every holder turn that has
+// passed the tree on.
 func (s *Service) Stats() Stats {
 	var out Stats
 	for _, sh := range s.shards {

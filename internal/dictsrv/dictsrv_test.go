@@ -1202,6 +1202,46 @@ func BenchmarkGet(b *testing.B) {
 	}
 }
 
+// BenchmarkParallelReads measures the serving read path with concurrent
+// readers against a pre-loaded service: b.RunParallel runs one reader per
+// P, so -cpu sets their number. get is a point lookup; scan reads 256
+// keys, and about one scan in 64 crosses a shard boundary.
+func BenchmarkParallelReads(b *testing.B) {
+	cfg := Config{
+		Shards:  4,
+		Machine: aem.Config{M: 1024, B: 32, Omega: 8},
+		KeyLo:   0, KeyHi: 65536,
+	}
+	svc, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer svc.Close()
+	r := workload.NewRNG(1)
+	for i := 0; i < 40000; i++ {
+		svc.Put(int64(r.Intn(65536)), int64(i))
+	}
+	for _, bc := range []struct {
+		name string
+		read func(k int64)
+	}{
+		{"get", func(k int64) { svc.Get(k) }},
+		{"scan", func(k int64) { svc.Scan(k, k+256) }},
+	} {
+		b.Run(bc.name, func(b *testing.B) {
+			var seed atomic.Int64
+			b.ReportAllocs()
+			b.RunParallel(func(pb *testing.PB) {
+				k := seed.Add(7919) % 65536
+				for pb.Next() {
+					bc.read(k)
+					k = (k + 9973) % 65536
+				}
+			})
+		})
+	}
+}
+
 // TestStorageBoundedByLiveTree pins what block reclamation buys: a shard's
 // storage stays within a small multiple of the most blocks its tree ever
 // held at once, instead of growing with every block ever written. Each
@@ -1238,6 +1278,7 @@ func TestStorageBoundedByLiveTree(t *testing.T) {
 			defer svc.Close()
 			sh := svc.shards[0]
 			peak := 0
+			var live []aem.Addr
 			for _, op := range tc.ops {
 				switch op.Kind {
 				case dict.Insert:
@@ -1248,10 +1289,11 @@ func TestStorageBoundedByLiveTree(t *testing.T) {
 					continue
 				}
 				// The writer led its own commit, so the tree is idle.
-				peak = max(peak, sh.tree.ReachableBlocks())
+				live = sh.tree.ReachableBlocks(live[:0])
+				peak = max(peak, len(live))
 			}
 			svc.Flush()
-			peak = max(peak, sh.tree.ReachableBlocks())
+			peak = max(peak, len(sh.tree.ReachableBlocks(live[:0])))
 			st := svc.Stats()
 			ratio := float64(st.Blocks) / float64(peak)
 			t.Logf("%d blocks allocated, %d reused, peak %d reachable: %.2f×", st.Blocks, st.ReusedBlocks, peak, ratio)
@@ -1262,8 +1304,9 @@ func TestStorageBoundedByLiveTree(t *testing.T) {
 	}
 }
 
-// TestPausedScanIsolation pauses a reader inside Scan, between two block
-// reads of one chain, while the one writer keeps committing: staged
+// TestPausedScanIsolation pauses a range scan that reads the shard's
+// snapshot as Scan does, pinned, between two block reads of one chain,
+// while the one writer keeps committing: staged
 // writes, spills, cascades (amortized) or FlushSteps and idle Compacts
 // (deamortized), and barriers that flush and rebuild. The pinned reader
 // must not hold the writer up, and the blocks it has yet to read must
@@ -1330,19 +1373,22 @@ func runPausedScanIsolation(t *testing.T, deamortize bool) {
 	}
 	svc.Flush()
 
-	// The scanner pauses before its third block read; every other read
-	// passes straight through.
-	paused, resume := make(chan struct{}), make(chan struct{})
-	var reads atomic.Int64
-	sh.readHook = func() {
-		if reads.Add(1) == 3 {
-			close(paused)
-			<-resume
-		}
+	// The scanner reads the shard's current snapshot as Scan does, pinned,
+	// through a reader that pauses before its third block read.
+	rd := &pausingReader{r: shardReader{sh}, at: 3, paused: make(chan struct{}), resume: make(chan struct{})}
+	type answer struct {
+		hits      []dict.Found
+		watermark int64
 	}
-	done := make(chan ScanResult)
-	go func() { done <- svc.Scan(0, keys) }()
-	<-paused
+	done := make(chan answer)
+	go func() {
+		snap, wm, pin := sh.view()
+		l, _ := snap.RangeLease(rd, 0, keys)
+		sh.unpin(pin)
+		done <- answer{slices.Clone(l.Hits()), wm}
+		l.Release()
+	}()
+	<-rd.paused
 
 	before := reusedBlocks(t, sh)
 	for i := 0; i < nOps; i++ {
@@ -1353,15 +1399,86 @@ func runPausedScanIsolation(t *testing.T, deamortize bool) {
 	}
 	svc.Flush()
 	reused := reusedBlocks(t, sh) - before
-	close(resume)
+	close(rd.resume)
 	res := <-done
 
-	seg := res.Segments[0]
-	if want := modelAt(seg.Watermark); !slices.Equal(res.Hits, want) {
-		t.Fatalf("scan at watermark %d: %d hits differ from the model's %d keys", seg.Watermark, len(res.Hits), len(want))
+	if want := modelAt(res.watermark); !slices.Equal(res.hits, want) {
+		t.Fatalf("scan at watermark %d: %d hits differ from the model's %d keys", res.watermark, len(res.hits), len(want))
 	}
-	t.Logf("paused scan at watermark %d read %d blocks; %d writes reused a block meanwhile", seg.Watermark, reads.Load(), reused)
+	t.Logf("paused scan at watermark %d read %d blocks; %d writes reused a block meanwhile", res.watermark, rd.reads, reused)
 	if reused == 0 {
 		t.Fatal("no block was reused while the scan was paused")
 	}
 }
+
+// pausingReader passes block reads through to r, except that it pauses
+// before its at-th read, after closing paused, until resume is closed.
+type pausingReader struct {
+	r              dict.BlockReader
+	at, reads      int
+	paused, resume chan struct{}
+}
+
+func (p *pausingReader) ReadBlock(a aem.Addr, dst []aem.Item) []aem.Item {
+	if p.reads++; p.reads == p.at {
+		close(p.paused)
+		<-p.resume
+	}
+	return p.r.ReadBlock(a, dst)
+}
+
+// TestPanickingReadUnpins makes a storage read panic under Get and under
+// Scan, and recovers. Each reader must still unpin: a pin left behind
+// would keep the shard's epoch from advancing, and no block retired after
+// it would ever be reused. After the panics, writes that let blocks go
+// and a barrier's publish must leave nothing waiting in limbo.
+func TestPanickingReadUnpins(t *testing.T) {
+	svc, err := New(testConfig(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	sh := svc.shards[0]
+	for k := int64(0); k < 2048; k++ {
+		svc.Put(k, k)
+	}
+	svc.Flush()
+
+	store := sh.store
+	sh.store = panickingStorage{store}
+	for _, read := range []struct {
+		name string
+		call func()
+	}{
+		{"Get", func() { svc.Get(7) }},
+		{"Scan", func() { svc.Scan(0, 4096) }},
+	} {
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s read no block", read.name)
+				}
+			}()
+			read.call()
+		}()
+	}
+	sh.store = store
+
+	before := reusedBlocks(t, sh)
+	for k := int64(0); k < 4096; k++ {
+		svc.Put(k%2048, k+1)
+	}
+	svc.Flush()
+	holdTree(t, sh)
+	defer sh.release(false, nil)
+	if len(sh.limbo) != 0 || sh.tree.ReusedBlocks() == before {
+		t.Fatalf("after the panicking reads, %d retired blocks wait with no reader running and %d writes reused a block",
+			len(sh.limbo), sh.tree.ReusedBlocks()-before)
+	}
+}
+
+// panickingStorage panics on every block read, as FileStorage does on a
+// read error.
+type panickingStorage struct{ aem.Storage }
+
+func (panickingStorage) ReadInto(aem.Addr, []aem.Item) []aem.Item { panic("read error") }
