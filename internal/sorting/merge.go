@@ -59,6 +59,82 @@ func entryLess(a, b mergeEntry) bool {
 	return a.idx < b.idx
 }
 
+// selectHeap keeps the limit smallest entries offered to it, in entryLess
+// order. It is a max-heap: the root is the largest entry kept, so a full
+// heap answers "is this entry among the limit smallest seen?" with one
+// comparison and takes one in O(log limit) moves by evicting the root.
+// The §3 merge's round buffer and SmallSort's selection pass are both
+// one; each allocates its storage once.
+type selectHeap struct {
+	h     []mergeEntry
+	limit int
+}
+
+func newSelectHeap(limit int) selectHeap {
+	return selectHeap{h: make([]mergeEntry, 0, limit), limit: limit}
+}
+
+func (s *selectHeap) len() int        { return len(s.h) }
+func (s *selectHeap) full() bool      { return len(s.h) == s.limit }
+func (s *selectHeap) max() mergeEntry { return s.h[0] }
+
+// offer keeps e if the heap has room or e is below its maximum, which it
+// then evicts. It reports whether e was kept.
+func (s *selectHeap) offer(e mergeEntry) bool {
+	h := s.h
+	if len(h) < s.limit {
+		h = append(h, e)
+		i := len(h) - 1
+		for i > 0 && entryLess(h[(i-1)/2], e) {
+			h[i] = h[(i-1)/2]
+			i = (i - 1) / 2
+		}
+		h[i] = e
+		s.h = h
+		return true
+	}
+	if !entryLess(e, h[0]) {
+		return false
+	}
+	h[0] = e
+	siftDown(h, 0)
+	return true
+}
+
+// drain heap-sorts the entries kept into ascending entryLess order and
+// empties the heap. The returned slice aliases the heap's storage: it is
+// valid until the next offer.
+func (s *selectHeap) drain() []mergeEntry {
+	h := s.h
+	for end := len(h) - 1; end > 0; end-- {
+		h[0], h[end] = h[end], h[0]
+		siftDown(h[:end], 0)
+	}
+	s.h = h[:0]
+	return h
+}
+
+// siftDown restores the max-heap order of h below a root at i that may be
+// too small, moving larger children up into the hole it leaves.
+func siftDown(h []mergeEntry, i int) {
+	e := h[i]
+	for {
+		c := 2*i + 1
+		if c >= len(h) {
+			break
+		}
+		if c+1 < len(h) && entryLess(h[c], h[c+1]) {
+			c++
+		}
+		if !entryLess(e, h[c]) {
+			break
+		}
+		h[i] = h[c]
+		i = c
+	}
+	h[i] = e
+}
+
 // activeRun is the in-memory state kept for an active run during one
 // round's merge loop (Lemma 3.1 bounds how many exist).
 type activeRun struct {
@@ -181,6 +257,13 @@ func (p *inMemoryPointers) close() { p.ma.Release(len(p.bptr)) }
 // totalling N items it performs O(ω·(n+m)) read and O(n+m) write I/Os
 // (Theorem 3.2) for any ω, including ω > B.
 //
+// Each round keeps the capM ≈ M/2 smallest unconsumed entries in one
+// bounded max-heap (selectHeap): a loaded block's entries join only while
+// they are below the heap's maximum, so a block costs O(log capM) moves
+// per entry kept and one comparison for the rest, and the round's output
+// is heap-sorted in place. The heap is the capM-entry round buffer the
+// merge's memory budget charges for, and its only one in host memory.
+//
 // Every run must be ascending in the (Key, Aux) order. The inputs are not
 // modified. MergeRuns requires M ≥ 8B.
 func MergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions) *aem.Vector {
@@ -264,7 +347,8 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 	//   entrySlots·capM (buffer) + activeSlots·(capM/B+2) (active list)
 	//   + 2B (pointer + data frames) + B (writer) ≤ free
 	// for capM. The paper takes "M a constant fraction of internal
-	// memory" (§3.1); this is that fraction made explicit.
+	// memory" (§3.1); this is that fraction made explicit. The buffer is
+	// one capM-entry heap in host memory, allocated once per merge.
 	free := cfg.M - ma.MemInUse()
 	capM := (free - 3*b - 2*activeSlots) * b / (entrySlots*b + activeSlots)
 	if opts.MaxBuffer > 0 && capM > opts.MaxBuffer {
@@ -285,75 +369,73 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 	// Watermark: every entry instance ≤ mu (in entryLess order) has been
 	// output.
 	mu := mergeEntry{it: minItem, run: -1, idx: -1}
-	mbuf := make([]mergeEntry, 0, capM)
-	spare := make([]mergeEntry, 0, capM) // double buffer for mergeEntries
-	scratch := make([]mergeEntry, 0, capM)
+	buf := newSelectHeap(capM) // the round buffer
 	active := make([]activeRun, 0, capM/b+2)
 	frame := make([]aem.Item, 0, b) // reused data-block frame, one per merge
-	var changes []ptrChange         // pointer updates, reused across rounds
 	maxActive := capM/b + 1         // Lemma 3.1: at most ⌈capM/B⌉ runs stay active
+	// One round's pointer updates, at most one per run.
+	changes := make([]ptrChange, 0, min(len(runs), capM))
 
 	runBlocks := func(r int) int { return cfg.BlocksOf(runs[r].Len()) }
 
-	// loadBlock reads block bi of run r and merges its entries > mu into
-	// mbuf (capped at capM, largest evicted), returning the block's last
-	// entry and whether the block existed.
+	// loadBlock reads block bi of run r and offers its entries > mu to the
+	// round buffer, returning the block's last entry and whether the block
+	// existed. A block ascends, so once the full buffer turns one entry
+	// away it would turn away the rest. Entries turned away or evicted
+	// stay unconsumed on disk and are re-read in a later round: the
+	// re-read the paper charges one block per run per round for.
 	loadBlock := func(r, bi int) (last mergeEntry, ok bool) {
 		if bi >= runBlocks(r) {
 			return mergeEntry{}, false
 		}
 		items, first := runs[r].ReadBlockInto(bi*b, frame)
-		scratch = scratch[:0]
 		for off, it := range items {
 			e := mergeEntry{it: it, run: int32(r), idx: int64(first + off)}
-			if entryLess(mu, e) {
-				scratch = append(scratch, e)
+			if entryLess(mu, e) && !buf.offer(e) {
+				break
 			}
-		}
-		old := mbuf
-		var intoSpare bool
-		mbuf, intoSpare = mergeEntries(spare[:0], mbuf, scratch, capM)
-		if intoSpare {
-			spare = old // old buffer becomes the next call's destination
 		}
 		return mergeEntry{it: items[len(items)-1], run: int32(r), idx: int64(first + len(items) - 1)}, true
 	}
 
+	// Pass A (§3.1 "Initializing M"): read up to two blocks from every run
+	// starting at b[i]; candidates (> mu) accumulate in the round buffer,
+	// which retains the capM smallest.
+	passA := func(run, bptr int) {
+		if _, ok := loadBlock(run, bptr); ok {
+			loadBlock(run, bptr+1)
+		}
+	}
+
+	// Pass B (§3.1 "Identifying active arrays"): re-read the second
+	// initialization block of each run to find the largest loaded element;
+	// a run is active iff more blocks follow and that element is among the
+	// capM smallest loaded so far.
+	passB := func(run, bptr int) {
+		if bptr+2 >= runBlocks(run) {
+			return // no blocks beyond the initialization reads
+		}
+		items, first := runs[run].ReadBlockInto((bptr+1)*b, frame)
+		last := mergeEntry{it: items[len(items)-1], run: int32(run), idx: int64(first + len(items) - 1)}
+		if buf.full() && entryLess(buf.max(), last) {
+			return // inactive: everything unread is above the buffer
+		}
+		active = append(active, activeRun{run: run, next: bptr + 2, s: last})
+		if len(active) > maxActive {
+			panic(fmt.Sprintf("sorting: Lemma 3.1 violated: %d active runs > %d", len(active), maxActive))
+		}
+	}
+
 	for {
-		// Pass A (§3.1 "Initializing M"): read up to two blocks from
-		// every run starting at b[i]; candidates (> mu) accumulate in the
-		// round buffer, which retains the capM smallest.
-		mbuf = mbuf[:0]
-		ptrs.forEach(func(run, bptr int) {
-			if _, ok := loadBlock(run, bptr); ok {
-				loadBlock(run, bptr+1)
-			}
-		})
-		if len(mbuf) == 0 {
+		ptrs.forEach(passA)
+		if buf.len() == 0 {
 			break // every run fully consumed
 		}
 
-		// Pass B (§3.1 "Identifying active arrays"): re-read the second
-		// initialization block of each run to find the largest loaded
-		// element; a run is active iff more blocks follow and that element
-		// is among the capM smallest loaded so far.
+		// Pass B offers nothing, so the buffer it compares against is
+		// the one pass A left.
 		active = active[:0]
-		full := len(mbuf) == capM
-		bufMax := mbuf[len(mbuf)-1]
-		ptrs.forEach(func(run, bptr int) {
-			if bptr+2 >= runBlocks(run) {
-				return // no blocks beyond the initialization reads
-			}
-			items, first := runs[run].ReadBlockInto((bptr+1)*b, frame)
-			last := mergeEntry{it: items[len(items)-1], run: int32(run), idx: int64(first + len(items) - 1)}
-			if full && entryLess(bufMax, last) {
-				return // inactive: everything unread is above the buffer
-			}
-			active = append(active, activeRun{run: run, next: bptr + 2, s: last})
-			if len(active) > maxActive {
-				panic(fmt.Sprintf("sorting: Lemma 3.1 violated: %d active runs > %d", len(active), maxActive))
-			}
-		})
+		ptrs.forEach(passB)
 
 		// Merge loop (§3.1 "Merging from active arrays"): repeatedly load
 		// the next block of the active run whose largest loaded element is
@@ -365,38 +447,39 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 					j = i
 				}
 			}
-			if len(mbuf) == capM && entryLess(mbuf[len(mbuf)-1], active[j].s) {
+			if buf.full() && entryLess(buf.max(), active[j].s) {
 				break // the smallest frontier is above the buffer: round over
 			}
 			last, _ := loadBlock(active[j].run, active[j].next)
 			active[j].next++
 			active[j].s = last
 			if active[j].next >= runBlocks(active[j].run) ||
-				(len(mbuf) == capM && entryLess(mbuf[len(mbuf)-1], last)) {
+				(buf.full() && entryLess(buf.max(), last)) {
 				active[j] = active[len(active)-1]
 				active = active[:len(active)-1]
 			}
 		}
 
 		// Output the round: the buffer now holds the capM smallest
-		// unconsumed entries overall, in sorted order.
-		mu = mbuf[len(mbuf)-1]
-		for _, e := range mbuf {
+		// unconsumed entries overall.
+		round := buf.drain()
+		mu = round[len(round)-1]
+		for _, e := range round {
 			red.emit(e.it)
 		}
 
 		// Advance the external pointers: for each contributing run the new
 		// b[i] is the block of its first unconsumed item. Group updates by
-		// run via an in-place re-sort of the round buffer (free internal
+		// run via an in-place re-sort of the drained buffer (free internal
 		// computation, no extra memory). The (run, idx) keys are unique,
 		// so the order is the same for any sort algorithm.
-		slices.SortFunc(mbuf, func(x, y mergeEntry) int {
+		slices.SortFunc(round, func(x, y mergeEntry) int {
 			if c := cmp.Compare(x.run, y.run); c != 0 {
 				return c
 			}
 			return cmp.Compare(x.idx, y.idx)
 		})
-		changes = changesFromBuffer(changes[:0], mbuf, b)
+		changes = changesFromBuffer(changes[:0], round, b)
 		ptrs.update(changes)
 	}
 
@@ -425,33 +508,6 @@ func changesFromBuffer(changes []ptrChange, mbuf []mergeEntry, b int) []ptrChang
 		changes = append(changes, ptrChange{run: int(run), bptr: int(maxIdx+1) / b})
 	}
 	return changes
-}
-
-// mergeEntries merges two ascending entry slices into dst (a caller-owned
-// empty buffer of capacity ≥ capacity), retaining at most capacity entries
-// (the largest are dropped — they remain unconsumed on disk and will be
-// re-read in a later round, which is the re-read the paper charges one
-// block per run per round for). When no merge is needed it returns a
-// unchanged with usedDst false; otherwise the result aliases dst and
-// usedDst is true, so the caller can recycle a's storage.
-func mergeEntries(dst, a, cand []mergeEntry, capacity int) (merged []mergeEntry, usedDst bool) {
-	if len(cand) == 0 {
-		return a, false
-	}
-	if len(a) == capacity && !entryLess(cand[0], a[len(a)-1]) {
-		return a, false // every candidate is above the full buffer
-	}
-	i, j := 0, 0
-	for len(dst) < capacity && (i < len(a) || j < len(cand)) {
-		if j >= len(cand) || (i < len(a) && entryLess(a[i], cand[j])) {
-			dst = append(dst, a[i])
-			i++
-		} else {
-			dst = append(dst, cand[j])
-			j++
-		}
-	}
-	return dst, true
 }
 
 // reducer streams items to a writer, optionally combining consecutive

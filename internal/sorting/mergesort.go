@@ -12,6 +12,8 @@ import (
 // recursively (with the SmallSort base case once subarrays fit in ωM
 // items), and the sorted subarrays are merged with MergeRuns. Total cost:
 // O(ω·n·log_{ωm} n) reads and O(n·log_{ωm} n) writes, for any ω.
+// Subarrays are item ranges of v, not views, and every base case runs in
+// one SmallSort working set allocated per call.
 //
 // The input vector is left untouched. Requires M ≥ 8B.
 func MergeSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
@@ -28,32 +30,30 @@ func MergeSortInMemoryPointers(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 type mergeFunc func(*aem.Machine, []*aem.Vector, MergeOptions) *aem.Vector
 
 func mergeSortWith(ma *aem.Machine, v *aem.Vector, merge mergeFunc) *aem.Vector {
+	return mergeSortRange(ma, v, 0, v.Len(), newBaseSorter(ma.Config()), merge)
+}
+
+// mergeSortRange sorts items [lo, hi) of v into a fresh vector, running
+// every base case in base. lo is block-aligned and hi is too unless it is
+// v.Len().
+func mergeSortRange(ma *aem.Machine, v *aem.Vector, lo, hi int, base *baseSorter, merge mergeFunc) *aem.Vector {
 	cfg := ma.Config()
-	baseCase := cfg.Omega * cfg.M
-	if v.Len() <= baseCase {
-		return SmallSort(ma, v)
+	if hi-lo <= cfg.Omega*cfg.M {
+		out := aem.NewVector(ma, hi-lo)
+		base.sort(ma, v, lo, hi, out)
+		return out
 	}
 
 	// Split into at most d = ωm block-aligned subarrays. Because
 	// N > ωM = ω·m·B, there are more than ωm blocks, so every subarray
 	// gets at least one block.
 	d := cfg.MergeFanout()
-	blocks := cfg.BlocksOf(v.Len())
+	blocks := cfg.BlocksOf(hi - lo)
 	per := (blocks + d - 1) / d // blocks per subarray, ≥ 1
 
-	var sorted []*aem.Vector
-	for lo := 0; lo < blocks; lo += per {
-		hi := lo + per
-		if hi > blocks {
-			hi = blocks
-		}
-		itemLo := lo * cfg.B
-		itemHi := hi * cfg.B
-		if itemHi > v.Len() {
-			itemHi = v.Len()
-		}
-		sub := v.Slice(itemLo, itemHi)
-		sorted = append(sorted, mergeSortWith(ma, sub, merge))
+	sorted := make([]*aem.Vector, 0, (blocks+per-1)/per)
+	for blk := 0; blk < blocks; blk += per {
+		sorted = append(sorted, mergeSortRange(ma, v, lo+blk*cfg.B, min(lo+(blk+per)*cfg.B, hi), base, merge))
 	}
 	if len(sorted) == 1 {
 		return sorted[0]
@@ -66,7 +66,8 @@ func mergeSortWith(ma *aem.Machine, v *aem.Vector, merge mergeFunc) *aem.Vector 
 // (m−2)-way merging holding one block per run in internal memory. It
 // performs Θ(n·log_m n) reads and equally many writes, so its AEM cost is
 // (1+ω)·n·log_m n — the baseline the Section 3 algorithm improves to
-// ω·n·log_{ωm} n. Requires M ≥ 4B.
+// ω·n·log_{ωm} n. One chunk buffer serves every base run and one set of
+// run cursors every merge. Requires M ≥ 4B.
 func EMMergeSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 	cfg := ma.Config()
 	if cfg.M < 4*cfg.B {
@@ -77,7 +78,7 @@ func EMMergeSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 	}
 
 	// Base runs: load ~M items (one block of slack left for the output
-	// frame), sort in memory, write out.
+	// frame), sort in memory, write out. One chunk buffer serves them all.
 	var runs []*aem.Vector
 	blocks := cfg.BlocksOf(v.Len())
 	m := cfg.BlocksInMemory()
@@ -85,64 +86,92 @@ func EMMergeSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 	if chunk < 1 {
 		chunk = 1
 	}
+	buf := make([]aem.Item, 0, min(chunk*cfg.B, v.Len()))
 	for lo := 0; lo < blocks; lo += chunk {
-		hi := lo + chunk
-		if hi > blocks {
-			hi = blocks
-		}
-		itemLo := lo * cfg.B
-		itemHi := hi * cfg.B
-		if itemHi > v.Len() {
-			itemHi = v.Len()
-		}
-		runs = append(runs, emSortChunk(ma, v.Slice(itemLo, itemHi)))
+		runs = append(runs, emSortChunk(ma, v, lo*cfg.B, min((lo+chunk)*cfg.B, v.Len()), buf))
 	}
 
-	// Merge levels: fanout f leaves one output frame spare.
+	// Merge levels: fanout f leaves one output frame spare. One set of
+	// run cursors, with their block frames, serves every merge.
 	fanout := m - 2
 	if fanout < 2 {
 		fanout = 2
 	}
+	cursors := newEMCursors(min(fanout, len(runs)), cfg.B)
 	for len(runs) > 1 {
 		var next []*aem.Vector
 		for lo := 0; lo < len(runs); lo += fanout {
-			hi := lo + fanout
-			if hi > len(runs) {
-				hi = len(runs)
-			}
-			next = append(next, emMerge(ma, runs[lo:hi]))
+			next = append(next, emMerge(ma, runs[lo:min(lo+fanout, len(runs))], cursors))
 		}
 		runs = next
 	}
 	return runs[0]
 }
 
-// emSortChunk reads a ≤ M-item chunk into memory, sorts it, and writes it
-// back out: one read and one write per block.
-func emSortChunk(ma *aem.Machine, v *aem.Vector) *aem.Vector {
+// emSortChunk reads items [lo, hi) of v into buf, a buffer of capacity
+// ≥ hi−lo, sorts them in memory and writes them out to a fresh vector: one
+// read and one write per block.
+func emSortChunk(ma *aem.Machine, v *aem.Vector, lo, hi int, buf []aem.Item) *aem.Vector {
 	cfg := ma.Config()
-	ma.Reserve(v.Len())
+	n := hi - lo
+	ma.Reserve(n)
 	// Each block is read straight into the chunk buffer's spare capacity:
 	// no per-block allocation.
-	buf := make([]aem.Item, 0, v.Len())
-	for b := 0; b < cfg.BlocksOf(v.Len()); b++ {
-		items, _ := v.ReadBlockInto(b*cfg.B, buf[len(buf):len(buf):cap(buf)])
+	buf = buf[:0]
+	for i := lo; i < hi; i += cfg.B {
+		items, _ := v.ReadBlockInto(i, buf[len(buf):len(buf):cap(buf)])
 		buf = buf[:len(buf)+len(items)]
 	}
 	slices.SortFunc(buf, aem.Compare)
-	out := aem.NewVector(ma, v.Len())
+	out := aem.NewVector(ma, n)
 	w := out.NewWriter()
 	for _, it := range buf {
 		w.Append(it)
 	}
 	w.Close()
-	ma.Release(v.Len())
+	ma.Release(n)
 	return out
 }
 
+// emCursor is one input run's read position in emMerge: a block frame,
+// the unread rest of the block in it, and the index of the run's next
+// unread block.
+type emCursor struct {
+	frame, rest []aem.Item
+	next        int
+	head        aem.Item // the run's smallest unmerged item
+	alive       bool     // head is valid
+}
+
+// newEMCursors returns k cursors whose block frames, B items each, share
+// one allocation.
+func newEMCursors(k, b int) []emCursor {
+	frames := make([]aem.Item, k*b)
+	cursors := make([]emCursor, k)
+	for i := range cursors {
+		cursors[i].frame = frames[i*b : i*b : (i+1)*b]
+	}
+	return cursors
+}
+
+// advance moves c's head to the next item of run, reading the run's next
+// block (one read I/O) when the current one is used up.
+func (c *emCursor) advance(run *aem.Vector) {
+	if len(c.rest) == 0 {
+		if c.next >= run.Len() {
+			c.alive = false
+			return
+		}
+		c.rest, _ = run.ReadBlockInto(c.next, c.frame)
+		c.next += len(c.rest)
+	}
+	c.head, c.rest, c.alive = c.rest[0], c.rest[1:], true
+}
+
 // emMerge is the textbook EM multiway merge: one block frame per run plus
-// an output frame, all resident in internal memory.
-func emMerge(ma *aem.Machine, runs []*aem.Vector) *aem.Vector {
+// an output frame, all resident in internal memory. cursors holds at
+// least len(runs) cursors; their state is reset here.
+func emMerge(ma *aem.Machine, runs []*aem.Vector, cursors []emCursor) *aem.Vector {
 	total := 0
 	for _, r := range runs {
 		total += r.Len()
@@ -150,31 +179,27 @@ func emMerge(ma *aem.Machine, runs []*aem.Vector) *aem.Vector {
 	out := aem.NewVector(ma, total)
 	w := out.NewWriter()
 
-	scanners := make([]*aem.Scanner, len(runs))
-	for i, r := range runs {
-		scanners[i] = r.NewScanner()
-	}
-	heads := make([]aem.Item, len(runs))
-	alive := make([]bool, len(runs))
-	for i, sc := range scanners {
-		heads[i], alive[i] = sc.Next()
+	// One block frame per run, charged as a Scanner's.
+	ma.Reserve(len(runs) * ma.Config().B)
+	cursors = cursors[:len(runs)]
+	for i := range cursors {
+		cursors[i].rest, cursors[i].next = nil, 0
+		cursors[i].advance(runs[i])
 	}
 	for {
 		j := -1
-		for i := range heads {
-			if alive[i] && (j < 0 || aem.Less(heads[i], heads[j])) {
+		for i := range cursors {
+			if cursors[i].alive && (j < 0 || aem.Less(cursors[i].head, cursors[j].head)) {
 				j = i
 			}
 		}
 		if j < 0 {
 			break
 		}
-		w.Append(heads[j])
-		heads[j], alive[j] = scanners[j].Next()
+		w.Append(cursors[j].head)
+		cursors[j].advance(runs[j])
 	}
-	for _, sc := range scanners {
-		sc.Close()
-	}
+	ma.Release(len(runs) * ma.Config().B)
 	w.Close()
 	return out
 }

@@ -41,7 +41,7 @@ const maxSampleDepth = 64
 func sampleSortRec(ma *aem.Machine, v *aem.Vector, rng *rng.RNG, depth int) *aem.Vector {
 	cfg := ma.Config()
 	if v.Len() <= cfg.M/2 {
-		return emSortChunk(ma, v)
+		return emSortChunk(ma, v, 0, v.Len(), make([]aem.Item, 0, v.Len()))
 	}
 	if depth > maxSampleDepth {
 		return MergeSort(ma, v)

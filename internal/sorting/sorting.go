@@ -19,6 +19,14 @@
 //     exists to demonstrate the assumption the paper removes: on machines
 //     with ω > B it fails by design with a memory-overflow panic.
 //
+// SmallSort's selection passes and each MergeRuns round select with the
+// same structure: a bounded max-heap that keeps the k smallest entries
+// offered, k = M/2 for SmallSort and the round buffer's capM for the
+// merge. A MergeSort allocates its host working memory once — one
+// base-case sorter (heap, scan frame, write frame) for every base case,
+// and one round buffer, block frame and writer per merge — so what it
+// allocates per call beyond that is its output vectors and their storage.
+//
 // All algorithms run on the metered aem.Machine, reserve every word of
 // internal memory they use, and are verified by the test suite both for
 // correctness (output sorted, multiset preserved) and for their paper
@@ -44,6 +52,8 @@ var minItem = aem.Item{Key: -(1<<63 - 1), Aux: -(1<<63 - 1)}
 // input and retains the M/2 smallest items above the previous pass's
 // watermark, then writes them out; ⌈N′/(M/2)⌉ passes suffice. For
 // N′ ≤ ωM this is O(ω·n′) reads and O(n′) writes, total cost O(ω·n′).
+// The selection is the §3 merge's bounded max-heap: an item joins only
+// if it is below the largest item kept, which it then evicts.
 //
 // The input vector is left untouched. SmallSort requires M ≥ 4B (half the
 // memory for the selection buffer, one block frame for scanning, one for
@@ -58,25 +68,47 @@ func SmallSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 // that the caller allocated and that does not overlap v — scratch blocks
 // it reuses across sorts, say. Its I/O is SmallSort's.
 func SmallSortInto(ma *aem.Machine, v, out *aem.Vector) {
+	if out.Len() != v.Len() {
+		panic(fmt.Sprintf("sorting: SmallSortInto of %d items into a vector of %d", v.Len(), out.Len()))
+	}
+	newBaseSorter(ma.Config()).sort(ma, v, 0, v.Len(), out)
+}
+
+// baseSorter is SmallSort's working memory: the selection heap and one
+// block frame each for reading the input and writing the output. A
+// MergeSort allocates one and runs every base case in it.
+type baseSorter struct {
+	sel            selectHeap
+	rframe, wframe []aem.Item
+}
+
+func newBaseSorter(cfg aem.Config) *baseSorter {
+	frames := make([]aem.Item, 2*cfg.B)
+	return &baseSorter{
+		sel:    newSelectHeap(cfg.M / 2),
+		rframe: frames[:0:cfg.B],
+		wframe: frames[cfg.B:cfg.B],
+	}
+}
+
+// sort sorts items [lo, hi) of v into out, a vector of hi−lo items; lo
+// is block-aligned and hi is too unless it is v.Len().
+func (s *baseSorter) sort(ma *aem.Machine, v *aem.Vector, lo, hi int, out *aem.Vector) {
 	cfg := ma.Config()
 	if cfg.M < 4*cfg.B {
 		panic(fmt.Sprintf("sorting: SmallSort needs M ≥ 4B, got M=%d B=%d", cfg.M, cfg.B))
 	}
-	if out.Len() != v.Len() {
-		panic(fmt.Sprintf("sorting: SmallSortInto of %d items into a vector of %d", v.Len(), out.Len()))
-	}
 	defer ma.SetPhase(ma.SetPhase("base"))
 
-	if v.Len() == 0 {
+	n := hi - lo
+	if n == 0 {
 		return
 	}
 
-	capS := cfg.M / 2
-	ma.Reserve(capS)
-	defer ma.Release(capS)
-
-	w := out.NewWriter()
-	defer w.Close()
+	// The selection buffer, the scan frame and the write frame.
+	res := cfg.M/2 + 2*cfg.B
+	ma.Reserve(res)
+	defer ma.Release(res)
 
 	// watermark is the largest item emitted so far and dupSkip the number
 	// of its emitted copies, so inputs with duplicate (Key, Aux) items —
@@ -85,37 +117,39 @@ func SmallSortInto(ma *aem.Machine, v, out *aem.Vector) {
 	// For all-distinct inputs the schedule is unchanged.
 	watermark := minItem
 	dupSkip := 0
-	buf := make([]aem.Item, 0, capS)
-	for w.Written() < v.Len() {
-		buf = buf[:0]
+	wf, flushed := s.wframe, 0 // pending output block, items written before it
+	for flushed+len(wf) < n {
 		eqSeen := 0
-		sc := v.NewScanner()
-		for {
-			it, ok := sc.Next()
-			if !ok {
-				break
-			}
-			if aem.Less(it, watermark) {
-				continue // already emitted in an earlier pass
-			}
-			if it == watermark {
-				eqSeen++
-				if eqSeen <= dupSkip {
-					continue // this copy was already emitted
+		for i := lo; i < hi; i += cfg.B {
+			items, _ := v.ReadBlockInto(i, s.rframe)
+			for _, it := range items {
+				if aem.Less(it, watermark) {
+					continue // already emitted in an earlier pass
 				}
+				if it == watermark {
+					eqSeen++
+					if eqSeen <= dupSkip {
+						continue // this copy was already emitted
+					}
+				}
+				s.sel.offer(mergeEntry{it: it})
 			}
-			buf = insertCapped(buf, it, capS)
 		}
-		sc.Close()
-		if len(buf) == 0 {
+		sel := s.sel.drain()
+		if len(sel) == 0 {
 			panic("sorting: SmallSort made no progress; input mutated during sort?")
 		}
-		for _, it := range buf {
-			w.Append(it)
+		for _, e := range sel {
+			wf = append(wf, e.it)
+			if len(wf) == cfg.B {
+				ma.Write(out.BlockAddr(flushed), wf)
+				flushed += len(wf)
+				wf = wf[:0]
+			}
 		}
-		newMark := buf[len(buf)-1]
+		newMark := sel[len(sel)-1].it
 		emittedAtMark := 0
-		for i := len(buf) - 1; i >= 0 && buf[i] == newMark; i-- {
+		for i := len(sel) - 1; i >= 0 && sel[i].it == newMark; i-- {
 			emittedAtMark++
 		}
 		if newMark == watermark {
@@ -125,31 +159,9 @@ func SmallSortInto(ma *aem.Machine, v, out *aem.Vector) {
 		}
 		watermark = newMark
 	}
-}
-
-// insertCapped inserts it into the ascending-sorted buf, keeping at most
-// cap items by discarding the largest. It returns the updated slice.
-func insertCapped(buf []aem.Item, it aem.Item, capacity int) []aem.Item {
-	if len(buf) == capacity {
-		if !aem.Less(it, buf[len(buf)-1]) {
-			return buf // larger than everything retained
-		}
-		buf = buf[:len(buf)-1]
+	if len(wf) > 0 {
+		ma.Write(out.BlockAddr(flushed), wf)
 	}
-	// Binary search for the insertion point.
-	lo, hi := 0, len(buf)
-	for lo < hi {
-		mid := (lo + hi) / 2
-		if aem.Less(buf[mid], it) {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
-	}
-	buf = append(buf, aem.Item{})
-	copy(buf[lo+1:], buf[lo:])
-	buf[lo] = it
-	return buf
 }
 
 // IsSorted reports whether items is ascending in the (Key, Aux) total

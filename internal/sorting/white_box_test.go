@@ -4,24 +4,75 @@
 package sorting
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/aem"
+	"repro/internal/rng"
 )
 
-func TestInsertCapped(t *testing.T) {
-	var buf []aem.Item
-	for _, k := range []int64{5, 3, 9, 1, 7} {
-		buf = insertCapped(buf, aem.Item{Key: k}, 3)
+// TestSelectHeap: the bounded heap keeps exactly the limit smallest
+// entries offered, in any offer order, drains them ascending, and orders
+// entries with equal items by (run, idx), so exact duplicates from
+// different runs or positions are never conflated.
+func TestSelectHeap(t *testing.T) {
+	const limit = 5
+	var entries []mergeEntry
+	for _, key := range []int64{9, 3, 7, 3, 1, 8, 3, 2, 6, 3} {
+		entries = append(entries, mergeEntry{it: aem.Item{Key: key}, run: int32(key % 3), idx: int64(len(entries))})
 	}
-	if len(buf) != 3 {
-		t.Fatalf("len = %d, want 3", len(buf))
-	}
-	want := []int64{1, 3, 5}
-	for i, k := range want {
-		if buf[i].Key != k {
-			t.Errorf("buf[%d].Key = %d, want %d", i, buf[i].Key, k)
+	want := slices.Clone(entries)
+	slices.SortFunc(want, func(a, b mergeEntry) int {
+		switch {
+		case entryLess(a, b):
+			return -1
+		case entryLess(b, a):
+			return 1
 		}
+		t.Fatalf("distinct entries %+v and %+v tie", a, b)
+		return 0
+	})
+	want = want[:limit]
+
+	r := rng.New(5)
+	for trial := 0; trial < 50; trial++ {
+		h := newSelectHeap(limit)
+		for _, i := range r.Perm(len(entries)) {
+			room := !h.full()
+			if kept := h.offer(entries[i]); room && !kept {
+				t.Fatal("a heap with room turned an entry away")
+			}
+			if h.len() > limit {
+				t.Fatalf("heap holds %d entries, limit %d", h.len(), limit)
+			}
+		}
+		if got := h.max(); got != want[limit-1] {
+			t.Fatalf("max = %+v, want %+v", got, want[limit-1])
+		}
+		got := h.drain()
+		if !slices.Equal(got, want) {
+			t.Fatalf("drained %+v, want %+v", got, want)
+		}
+		if h.len() != 0 {
+			t.Fatalf("heap holds %d entries after drain", h.len())
+		}
+	}
+
+	// Ties on the item break by run, then by index.
+	a := mergeEntry{it: aem.Item{Key: 4}, run: 1, idx: 9}
+	b := mergeEntry{it: aem.Item{Key: 4}, run: 2, idx: 0}
+	c := mergeEntry{it: aem.Item{Key: 4}, run: 2, idx: 1}
+	h := newSelectHeap(2)
+	for _, e := range []mergeEntry{c, b, a} {
+		h.offer(e)
+	}
+	if got := h.drain(); !slices.Equal(got, []mergeEntry{a, b}) {
+		t.Fatalf("tied entries drained as %+v, want %+v", got, []mergeEntry{a, b})
+	}
+	h.offer(a)
+	h.offer(b)
+	if h.offer(b) {
+		t.Fatal("a full heap kept an entry equal to its maximum")
 	}
 }
 
