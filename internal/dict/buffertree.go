@@ -7,6 +7,7 @@ import (
 	"sort"
 
 	"repro/internal/aem"
+	"repro/internal/slab"
 	"repro/internal/sorting"
 )
 
@@ -71,11 +72,11 @@ type BufferTree struct {
 	// and released its reservation, so nested sections don't double spill.
 	// stageShared marks a stage array whose entries a snapshot can read,
 	// which a spill must replace rather than refill (see spillStage);
-	// replacements are carved from stageSlab (see newStage).
+	// every stage is carved from stages, so each starts at a distinct
+	// element, which StagedSince's identity check needs.
 	stage       []aem.Item
 	stageFree   bool
 	stageShared bool
-	stageSlab   []aem.Item
 
 	// debt is the queue of overfull nodes awaiting a flush, in the
 	// breadth-first order of the run-to-completion cascade (see payDebt).
@@ -117,13 +118,77 @@ type BufferTree struct {
 	// Block recycling (see Recycle). retired lists the captured addresses
 	// the tree has let go of since its owner last took them; spare holds
 	// addresses free to rewrite, which single-block writes take before
-	// allocating; reused counts the writes that did. sortArea is the
-	// external leaf sort's scratch extent (see sortBuf).
+	// allocating; reused counts the writes that did. sortArea and sorter
+	// are the external leaf sort's scratch extent and working set (see
+	// sortBuf).
 	recycle  bool
 	retired  []aem.Addr
 	spare    []aem.Addr
 	reused   int64
 	sortArea *aem.Vector
+	sorter   *sorting.SmallSorter
+
+	// Slabs for what captures share and flushes write, so neither a
+	// publish nor a flush allocates per node or per array: snapNodes,
+	// their child lists, chain address arrays and stages. A capture keeps
+	// the slabs of its carves alive; the sizes below bound that (see
+	// slabNodes). Captures are carved in eras (see startEra); eraLeft
+	// counts the non-root captures the current era may still carve.
+	nodes    slab.Carver[snapNode]
+	kidLists slab.Carver[*snapNode]
+	addrs    slab.Carver[aem.Addr]
+	stages   slab.Carver[aem.Item]
+	eraLeft  int
+}
+
+// The tree's slab sizes, in elements: a node slab is 32 × 104 B = 3.3
+// KiB, a child-list slab 2 KiB, an address slab 32 KiB and a stage slab
+// 64·B items (32 KiB at B = 32), each within Go's small-object size
+// classes. Node and child-list slabs are the small ones because every era
+// (see startEra) abandons the rest of one of each. Address and stage
+// slabs hold no pointers, so one is kept alive only by its own live
+// carves, each of which keeps at most one slab alive: a tree of n nodes,
+// whose chains and captures reach about two address arrays per node,
+// keeps at most 2n address slabs, and in practice a few, since carves
+// made in one flush sit side by side and mostly die together. Node and
+// child-list slabs do hold pointers, which eras bound (see startEra).
+const (
+	slabNodes     = 32
+	slabKids      = 256
+	slabAddrs     = 4096
+	slabStageRuns = 64
+)
+
+// eraCaptures is how many non-root captures per tree node one era carves
+// before the next begins.
+const eraCaptures = 4
+
+// startEra begins a new era of captures: fresh node and child-list slabs
+// (slab.Carver.Drop), and every node dirty, so the next publish
+// recaptures the whole tree into them. A slab is one object, so a live
+// slab keeps alive whatever its dead captures point to, and their slabs
+// in turn; within one era that chain can reach every slab the era
+// carved. No capture points into an earlier era's slabs, so an era's
+// slabs are garbage once no snapshot of it is held. For a tree of n
+// nodes an era carves at most (eraCaptures+1)·n captures, so the live
+// tree and its current snapshot keep at most that many alive, and a
+// snapshot held from the previous era as many again; the whole-tree
+// recapture that starts an era costs n captures per eraCaptures·n.
+// Rebuilds start an era too, since every node is new.
+func (t *BufferTree) startEra() {
+	t.nodes.Drop()
+	t.kidLists.Drop()
+	n := 0
+	var mark func(nd *btnode)
+	mark = func(nd *btnode) {
+		nd.dirty = true
+		n++
+		for _, kid := range nd.kids {
+			mark(kid)
+		}
+	}
+	mark(t.top)
+	t.eraLeft = eraCaptures * n
 }
 
 // Recycle makes the tree rewrite the blocks it lets go of instead of
@@ -134,10 +199,10 @@ type BufferTree struct {
 // hands it back through Reuse, when no reader can reach it. A block no
 // capture ever held (one a flush wrote and a later flush dropped before
 // the next capture) and the external leaf sort's vectors are rewritten
-// at once, and that sort reuses one scratch extent. A tree that is never
-// switched keeps no lists and allocates exactly as before: external
-// memory is unbounded in the model, and a rewritten address is billed
-// like a fresh one.
+// at once, and that sort reuses one scratch extent and one working set.
+// A tree that is never switched keeps no lists and allocates exactly as
+// before: external memory is unbounded in the model, and a rewritten
+// address is billed like a fresh one.
 func (t *BufferTree) Recycle() { t.recycle = true }
 
 // TakeRetired appends the addresses retired since the last call to dst
@@ -228,10 +293,16 @@ func (t *BufferTree) allocBlock() aem.Addr {
 	return t.ma.Alloc(1)
 }
 
-// appendBlock writes items (≤ B of them) as the next block of c.
+// appendBlock writes items (≤ B of them) as the next block of c. A full
+// address array is replaced by one twice as long, carved from the
+// address slab; a capture may still share the old one.
 func (t *BufferTree) appendBlock(c *chain, items []aem.Item) {
 	a := t.allocBlock()
 	t.ma.Write(a, items)
+	if len(c.addrs) == cap(c.addrs) {
+		grown := t.addrs.Take(max(2*len(c.addrs), 1))
+		c.addrs = grown[:copy(grown, c.addrs)]
+	}
 	c.addrs = append(c.addrs, a)
 	c.n += len(items)
 }
@@ -243,23 +314,9 @@ func (t *BufferTree) appendBlock(c *chain, items []aem.Item) {
 // perfbench's traced replay, its last caller.
 func (t *BufferTree) EnableTailStaging() {}
 
-// stageSlabStages is how many stages one stageSlab allocation holds.
-const stageSlabStages = 64
-
-// newStage returns an empty stage of capacity B to replace a shared one,
-// carved from stageSlab and clipped so it can never grow into the next.
-// Every carved stage starts at a distinct element, which StagedSince's
-// identity check needs. The first stage is allocated on its own, so a
-// tree that never shares one never pays for a slab.
-func (t *BufferTree) newStage() []aem.Item {
-	b := t.cfg.B
-	if len(t.stageSlab) < b {
-		t.stageSlab = make([]aem.Item, stageSlabStages*b)
-	}
-	st := t.stageSlab[:0:b]
-	t.stageSlab = t.stageSlab[b:]
-	return st
-}
+// newStage returns an empty stage of capacity B, carved from the stage
+// slab.
+func (t *BufferTree) newStage() []aem.Item { return t.stages.Take(t.cfg.B)[:0] }
 
 // Deamortize switches the tree to incremental flushing: crossing the root
 // threshold enqueues the root on the debt queue instead of running the
@@ -393,8 +450,13 @@ func NewBufferTree(ma *aem.Machine) *BufferTree {
 		chunkCap:   cfg.M / 2,
 		frame:      make([]aem.Item, cfg.B),
 		top:        &btnode{dirty: true},
-		stage:      make([]aem.Item, 0, cfg.B),
+		nodes:      slab.New[snapNode](slabNodes),
+		kidLists:   slab.New[*snapNode](slabKids),
+		addrs:      slab.New[aem.Addr](slabAddrs),
+		stages:     slab.New[aem.Item](slabStageRuns * cfg.B),
 	}
+	t.stage = t.newStage()
+	t.startEra()
 	ma.Reserve(cfg.B) // the stage, for the tree's lifetime
 	return t
 }
@@ -655,6 +717,7 @@ func (t *BufferTree) forceFlush() {
 	for _, nd := range t.debt {
 		nd.inDebt = false
 	}
+	clear(t.debt) // pin no node: a rebuild may be about to drop them all
 	t.debt = t.debt[:0]
 }
 
@@ -842,8 +905,9 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 // time. A recycling tree sorts a buffer of up to ωM items — mergesort's
 // base case, SmallSort — with the same I/O in its sortArea, which at
 // least doubles whenever a sort outgrows it, up to room for two such
-// buffers, and reports the fresh blocks [lo, hi) a larger sort
-// allocated, spare once the caller is done with the sorted vector.
+// buffers, and in one SmallSorter kept for the tree's lifetime; it
+// reports the fresh blocks [lo, hi) a larger sort allocated, spare once
+// the caller is done with the sorted vector.
 func (t *BufferTree) sortBuf(c *chain) (sorted *aem.Vector, lo, hi aem.Addr) {
 	small := t.cfg.Omega * t.cfg.M
 	if !t.recycle || c.n > small {
@@ -865,7 +929,10 @@ func (t *BufferTree) sortBuf(c *chain) (sorted *aem.Vector, lo, hi aem.Addr) {
 	v := t.sortArea.Slice(0, half).Shrink(c.n)
 	sorted = t.sortArea.Slice(half, 2*half).Shrink(c.n)
 	t.materialize(c, v)
-	sorting.SmallSortInto(t.ma, v, sorted)
+	if t.sorter == nil {
+		t.sorter = sorting.NewSmallSorter(t.cfg)
+	}
+	t.sorter.SortInto(t.ma, v, sorted)
 	return sorted, 0, 0
 }
 
@@ -894,7 +961,7 @@ func (t *BufferTree) materialize(c *chain, v *aem.Vector) {
 func (t *BufferTree) mergeApply(leaf *btnode, n int, next func() (aem.Item, bool)) {
 	t.ma.Reserve(2 * t.cfg.B)
 	old := leaf.run
-	leaf.run = chain{addrs: make([]aem.Addr, 0, (old.n+n+t.cfg.B-1)/t.cfg.B)}
+	leaf.run = chain{addrs: t.addrs.Take((old.n + n + t.cfg.B - 1) / t.cfg.B)[:0]}
 	scan := newChainScanner(t.ma, old.addrs, t.frame)
 	w := newChainWriter(t, &leaf.run, t.outFrames(1))
 	liveN := 0
@@ -1003,7 +1070,7 @@ func (t *BufferTree) rebuild() {
 	var newLeaves []*btnode
 	var lows []int64
 	var cur *btnode
-	var w *chainWriter
+	var w chainWriter
 	outFrame := make([]aem.Item, 0, t.cfg.B)
 	flushCur := func() {
 		if cur != nil {
@@ -1047,6 +1114,7 @@ func (t *BufferTree) rebuild() {
 	if len(newLeaves) == 0 {
 		t.top = &btnode{dirty: true}
 		t.liveRun, t.runLen = 0, 0
+		t.startEra()
 		return
 	}
 	t.liveRun = live
@@ -1070,6 +1138,7 @@ func (t *BufferTree) rebuild() {
 		level, lvLows = parents, parentLows
 	}
 	t.top = level[0]
+	t.startEra()
 }
 
 // ---- queries ----

@@ -192,8 +192,8 @@ type chainWriter struct {
 	frame []aem.Item
 }
 
-func newChainWriter(t *BufferTree, c *chain, frame []aem.Item) *chainWriter {
-	return &chainWriter{t: t, c: c, frame: frame[:0]}
+func newChainWriter(t *BufferTree, c *chain, frame []aem.Item) chainWriter {
+	return chainWriter{t: t, c: c, frame: frame[:0]}
 }
 
 func (w *chainWriter) append(it aem.Item) {

@@ -32,12 +32,16 @@ import (
 // capture, and every site that changes a node's chains marks the node and
 // its ancestors dirty (btnode.touch). A capture returns a clean node's
 // cached snapNode without descending and recurses only into dirty
-// children, so a publish costs O(Δ) in work as well as in allocation,
-// where Δ is the set of nodes the updates since the last publish touched:
-// a staged Insert that stays in the stage visits only the root, and a
-// flush step that touched k nodes visits O(k·fanout). The root's capture
-// is kept by value, in the tree and in each snapshot, so a publish after
-// a spill, which touches only the root, allocates nothing.
+// children, so a publish costs O(Δ) in work, where Δ is the set of nodes
+// the updates since the last publish touched: a staged Insert that stays
+// in the stage visits only the root, and a flush step that touched k
+// nodes visits O(k·fanout). The root's capture is kept by value, in the
+// tree and in each snapshot, and the other captures, their child lists
+// and the chains' address arrays are carved from the tree's slabs, so a
+// publish allocates only now and then a slab. Captures are carved in
+// eras (see BufferTree.startEra): the publish that starts one recaptures
+// the whole tree, once per eraCaptures captures per node, which bounds
+// what dead captures in live slabs keep alive.
 // The node topology and separator-block addresses are program knowledge
 // and never change for a live node; later updates only append blocks or
 // let old ones go — they never change the contents behind a captured
@@ -114,10 +118,11 @@ func (t *BufferTree) Snapshot() *TreeSnapshot {
 }
 
 // SnapshotInto captures the tree's current state into s, overwriting it —
-// no I/O, no locks, and no allocation beyond one snapNode per dirty
-// non-root node (and a child list per node whose children changed). The
-// root is captured by value into s itself, so a publish after the root
-// buffer alone grew allocates nothing. Clean nodes' captures are reused,
+// no I/O, no locks, and no allocation beyond now and then a slab for the
+// snapNodes of dirty non-root nodes and the child lists of nodes whose
+// children changed. The root is captured by value into s itself, so a
+// publish after the root buffer alone grew allocates nothing. Clean
+// nodes' captures are reused,
 // and chains and the staged tail are shared with the live tree rather
 // than copied. Capturing writes the nodes' cached captures and the
 // chains' sharing marks, so it must be called from the same goroutine
@@ -174,6 +179,9 @@ func (t *BufferTree) captureRoot() {
 	if !nd.dirty && t.rootSnapOf == nd {
 		return
 	}
+	if t.eraLeft <= 0 {
+		t.startEra()
+	}
 	var prev *snapNode
 	if t.rootSnapOf == nd {
 		prev = &t.rootSnap
@@ -190,7 +198,8 @@ func (t *BufferTree) capture(nd *btnode) *snapNode {
 	if !nd.dirty {
 		return nd.snap
 	}
-	s := new(snapNode)
+	t.eraLeft--
+	s := &t.nodes.Take(1)[0]
 	*s = t.captureNode(nd, nd.snap)
 	nd.snap = s
 	return s
@@ -212,7 +221,7 @@ func (t *BufferTree) captureNode(nd *btnode, prev *snapNode) snapNode {
 		if prev != nil && !anyDirty(nd.kids) {
 			s.kids = prev.kids
 		} else {
-			s.kids = make([]*snapNode, len(nd.kids))
+			s.kids = t.kidLists.Take(len(nd.kids))
 			for i, kid := range nd.kids {
 				s.kids[i] = t.capture(kid)
 			}

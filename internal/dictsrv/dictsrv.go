@@ -45,9 +45,10 @@
 //     allocates nothing end to end. The Put that spills captures a new
 //     snapshot, and that too allocates nothing amortized: the tree
 //     keeps the root's capture by value, the snapshot state is carved
-//     from a per-shard slab, and the spilled block and the next stage
-//     come from slabs too (the slice engine's and the tree's). Only the
-//     root chain's address array grows now and then.
+//     from a per-shard slab, and the spilled block, the next stage and
+//     the root chain's longer address arrays come from slabs too (the
+//     slice engine's and the tree's), as do the nodes a flush's publish
+//     captures. A Get allocates nothing and a Scan only its answer.
 //     Readers load the current snapshot and its extension atomically and
 //     read its blocks straight from the shard's storage engine, which the
 //     tree holder keeps allocating and writing underneath them: engines
@@ -90,6 +91,7 @@ import (
 
 	"repro/internal/aem"
 	"repro/internal/dict"
+	"repro/internal/slab"
 )
 
 // Config shapes a Service.
@@ -141,22 +143,13 @@ type GetResult struct {
 	LatencyNS int64
 }
 
-// Segment is the per-shard slice of a cross-shard range scan: the hits
-// whose keys fall in the shard's sub-range, read at that shard's
-// watermark.
-type Segment struct {
-	Shard     int
-	Watermark int64
-	Hits      []dict.Found
-}
-
-// ScanResult answers a range scan. Hits concatenate the segments' hits —
-// shards partition the keyspace contiguously, so the concatenation is
-// globally key-ordered — and each segment's Hits is its sub-slice of
-// Hits, so the answer is assembled in one array.
+// ScanResult answers a range scan. Hits concatenate the overlapping
+// shards' hits, each read from that shard's own current snapshot: shards
+// partition the keyspace contiguously, so the concatenation is globally
+// key-ordered, but a cross-shard scan is a union of per-shard snapshots,
+// not one global snapshot.
 type ScanResult struct {
 	Hits      []dict.Found
-	Segments  []Segment
 	LatencyNS int64
 }
 
@@ -265,8 +258,7 @@ type shard struct {
 	turn           turn // this turn's measurements, tree holder only
 
 	snap      atomic.Pointer[snapState]
-	states    []snapState // unused states to publish, carved by newState; tree holder only
-	slabLen   int         // how many states the last slab held
+	states    slab.Carver[snapState] // states to publish (see newState); tree holder only
 	committed atomic.Int64
 	snapReads atomic.Int64
 
@@ -393,7 +385,8 @@ func New(cfg Config) (*Service, error) {
 			return nil, fmt.Errorf("dictsrv: shard %d: %v", i, err)
 		}
 		ma := aem.NewWithStorage(cfg.Machine, store)
-		sh := &shard{idx: i, ma: ma, tree: dict.NewBufferTree(ma), store: store}
+		sh := &shard{idx: i, ma: ma, tree: dict.NewBufferTree(ma), store: store,
+			states: slab.New[snapState](stateSlabMax)}
 		if cfg.Deamortize {
 			sh.tree.Deamortize()
 		}
@@ -506,15 +499,7 @@ const stateSlabMax = 64
 // and double up to stateSlabMax, so a shard that publishes once (New)
 // pays for one small state. States never point to states, so a held
 // state keeps only its own slab alive.
-func (sh *shard) newState() *snapState {
-	if len(sh.states) == 0 {
-		sh.slabLen = min(max(2*sh.slabLen, 1), stateSlabMax)
-		sh.states = make([]snapState, sh.slabLen)
-	}
-	st := &sh.states[0]
-	sh.states = sh.states[1:]
-	return st
-}
+func (sh *shard) newState() *snapState { return &sh.states.Take(1)[0] }
 
 // view pins a reader and returns the shard's current snapshot, its
 // watermark and the pin, which the caller passes to unpin after its last
@@ -843,13 +828,14 @@ func (s *Service) Get(key int64) GetResult {
 }
 
 // Scan answers a range scan [lo, hi): each overlapping shard contributes
-// the hits of its sub-interval from its own current snapshot. Segments
-// record the per-shard watermarks — a cross-shard scan is a union of
-// per-shard snapshots, not one global snapshot, and the result says so.
+// the hits of its sub-interval from its own current snapshot, so a
+// cross-shard scan is a union of per-shard snapshots, not one global
+// snapshot.
 //
-// Each shard's answer is read into pooled memory (dict.RangeLease). One
-// segment's answer is copied out as the whole answer; several are copied
-// once, into one exact-size array that each segment's Hits slices.
+// Each shard's answer is read into pooled memory (dict.RangeLease) and
+// held until every shard has answered; then all are copied once, into one
+// exact-size array, the only object a scan allocates. Up to maxHeld
+// leases are held on the stack.
 func (s *Service) Scan(lo, hi int64) ScanResult {
 	start := now()
 	var out ScanResult
@@ -859,8 +845,7 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 	}
 	first := s.shardFor(lo)
 	last := s.shardFor(hi - 1)
-	out.Segments = make([]Segment, last-first+1)
-	var held [4]dict.RangeLease
+	var held [maxHeld]dict.RangeLease
 	leases := held[:0]
 	n := 0
 	for i := first; i <= last; i++ {
@@ -878,31 +863,33 @@ func (s *Service) Scan(lo, hi int64) ScanResult {
 		if i == len(s.shards)-1 && hi > s.cfg.KeyHi {
 			shHi = hi
 		}
-		l, watermark := sh.rangeLease(shLo, shHi)
-		out.Segments[i-first] = Segment{Shard: i, Watermark: watermark}
+		l := sh.rangeLease(shLo, shHi)
 		leases = append(leases, l)
 		n += len(l.Hits())
 	}
 	out.Hits = make([]dict.Found, 0, n)
-	for i, l := range leases {
-		at := len(out.Hits)
+	for _, l := range leases {
 		out.Hits = append(out.Hits, l.Hits()...)
-		out.Segments[i].Hits = out.Hits[at:len(out.Hits):len(out.Hits)]
 		l.Release()
 	}
 	out.LatencyNS = now() - start
 	return out
 }
 
+// maxHeld is how many shards' leases a Scan holds without allocating:
+// as many as dict keeps idle range working memory for at the least, so a
+// scan over more shards allocates working memory anyway.
+const maxHeld = 8
+
 // rangeLease answers [lo, hi) from the shard's current snapshot into
-// pooled memory, with the snapshot's watermark. The pin ends with the
-// call, also if a storage read panics.
-func (sh *shard) rangeLease(lo, hi int64) (l dict.RangeLease, watermark int64) {
-	snap, watermark, pin := sh.view()
+// pooled memory. The pin ends with the call, also if a storage read
+// panics.
+func (sh *shard) rangeLease(lo, hi int64) dict.RangeLease {
+	snap, _, pin := sh.view()
 	defer sh.unpin(pin)
 	l, reads := snap.RangeLease(shardReader{sh}, lo, hi)
 	sh.snapReads.Add(reads)
-	return l, watermark
+	return l
 }
 
 // Flush forces every shard's buffered work down to the leaf runs. Each

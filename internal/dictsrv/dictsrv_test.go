@@ -67,14 +67,9 @@ func TestServiceBasic(t *testing.T) {
 		}
 		prev = h.Key
 	}
-	if len(res.Segments) != 1 {
-		t.Fatalf("Scan(0,512) covers one shard (span 1024) but got %d segments", len(res.Segments))
-	}
-	full := svc.Scan(0, 4096)
-	if len(full.Segments) != 4 {
-		t.Fatalf("full-keyspace scan got %d segments, want 4", len(full.Segments))
-	}
-	if len(full.Hits) != len(res.Hits) {
+	// The other three shards hold no key, so a scan of the whole keyspace
+	// answers exactly what the shard-0 scan did.
+	if full := svc.Scan(0, 4096); !slices.Equal(full.Hits, res.Hits) {
 		t.Fatalf("full scan found %d hits, shard-0 scan %d", len(full.Hits), len(res.Hits))
 	}
 
@@ -655,35 +650,46 @@ func TestGetSteadyStateAllocs(t *testing.T) {
 }
 
 // TestScanAllocs pins what a scan allocates once the range working
-// memory is warm: its segment list and its answer, whether it touches one
-// shard or several. Each shard's hits are read into pooled memory and
-// copied once, into the answer that the segments slice.
+// memory is warm: its answer, one exact-size array, and nothing else,
+// whether it touches one shard or several. Each shard's hits are read
+// into pooled memory and copied once, into the answer, and up to eight
+// shards' leases are held on the stack. Every answer is checked key by
+// key, across the shard boundaries it spans.
 func TestScanAllocs(t *testing.T) {
-	svc, err := New(testConfig(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer svc.Close()
-	for k := int64(0); k < 4096; k += 3 {
-		svc.Put(k, k)
-	}
 	for _, tc := range []struct {
-		name   string
-		lo, hi int64
-		shards int
+		name    string
+		shards  int
+		lo, hi  int64
+		touched int
 	}{
-		{"one shard", 100, 400, 1},
-		{"three shards", 1000, 3000, 3},
+		{"one shard", 4, 100, 400, 1},
+		{"three shards", 4, 1000, 3000, 3},
+		{"eight shards", 8, 10, 4090, 8},
 	} {
+		svc, err := New(testConfig(tc.shards))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for k := int64(0); k < 4096; k += 3 {
+			svc.Put(k, k)
+		}
+		if first, last := svc.shardFor(tc.lo), svc.shardFor(tc.hi-1); last-first+1 != tc.touched {
+			t.Fatalf("%s: [%d, %d) spans %d shards, want %d", tc.name, tc.lo, tc.hi, last-first+1, tc.touched)
+		}
 		svc.Scan(tc.lo, tc.hi) // warm the working memory
 		var res ScanResult
 		avg := testing.AllocsPerRun(50, func() { res = svc.Scan(tc.lo, tc.hi) })
-		if len(res.Segments) != tc.shards || len(res.Hits) == 0 {
-			t.Fatalf("%s: scan touched %d shards with %d hits", tc.name, len(res.Segments), len(res.Hits))
+		var want []dict.Found
+		for k := (tc.lo + 2) / 3 * 3; k < tc.hi; k += 3 {
+			want = append(want, dict.Found{Key: k, Value: k})
 		}
-		if avg != 2 {
-			t.Errorf("%s: scan allocates %.1f objects, want 2 (segments and hits)", tc.name, avg)
+		if !slices.Equal(res.Hits, want) {
+			t.Fatalf("%s: scan answered %d hits, want %d keys in order", tc.name, len(res.Hits), len(want))
 		}
+		if avg != 1 {
+			t.Errorf("%s: scan allocates %.1f objects, want 1 (its answer)", tc.name, avg)
+		}
+		svc.Close()
 	}
 }
 
@@ -693,12 +699,14 @@ func TestScanAllocs(t *testing.T) {
 // stage is published in place (dict.BufferTree.StagedSince) and allocates
 // nothing. The Put that fills the stage spills it and captures a new
 // snapshot, which allocates no object of its own: the root is captured
-// by value into a snapState carved from the shard's state slab. What the
-// 40 spills allocate is now and then a longer address array for the root
-// chain (4 here), a new state slab (3), a new slab of stages (readers
-// share the full one) and a new slab of the slice engine's blocks. The
-// stream stays below the root threshold, so a deamortized batch leaves no
-// debt and its FlushStep(1) finds none.
+// by value into a snapState carved from the shard's state slab. The
+// measured spills start from an empty root chain, after a flush barrier,
+// on a shard whose slabs have grown through a few root flushes: what
+// they allocate is now and then a new slab of addresses (the root chain's
+// array regrows six times, each time carved from it), of states, of
+// stages (readers share the full one) or of the slice engine's blocks.
+// The stream stays below the root threshold, so a deamortized batch
+// leaves no debt and its FlushStep(1) finds none.
 //
 // The count is exact: the heap profile, recording every allocation for
 // the test's duration, attributes each object to the call stack that
@@ -710,7 +718,7 @@ func TestScanAllocs(t *testing.T) {
 func TestPutSteadyStateAllocs(t *testing.T) {
 	const (
 		stages      = 40
-		spillAllocs = 7 // for all 40 spills; one object per spill would read ≥ 40
+		spillAllocs = 2 // for all 40 spills; one object per spill would read ≥ 40
 	)
 	for _, deam := range []bool{false, true} {
 		name := "amortized"
@@ -731,10 +739,17 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 				svc.Put(k%4096, k)
 				k += 37
 			}
-			// Warm the free list; whole stages, so the stage ends empty.
-			for i := 0; i < 4*b; i++ {
+			// Warm the free list and the slabs through four root flushes,
+			// empty the tree's buffers, and settle its captures with one
+			// more stage; whole stages, so the stage ends empty.
+			for i := 0; i < 4*svc.shards[0].tree.RootCap(); i++ {
 				put()
 			}
+			svc.Flush()
+			for i := 0; i < b; i++ {
+				put()
+			}
+			flushes := svc.Stats().Flushes
 			defer func(rate int) { runtime.MemProfileRate = rate }(runtime.MemProfileRate)
 			runtime.MemProfileRate = 1
 			before := allocsUnder(stagedPuts, spillingPut)
@@ -752,8 +767,8 @@ func TestPutSteadyStateAllocs(t *testing.T) {
 			if spilled > spillAllocs {
 				t.Errorf("%d spilling Puts allocated %d objects, want ≤ %d", stages, spilled, spillAllocs)
 			}
-			if st := svc.Stats(); st.Flushes != 0 {
-				t.Fatalf("the stream reached a flush (%d flush sections); it must stay below the root threshold", st.Flushes)
+			if n := svc.Stats().Flushes - flushes; n != 0 {
+				t.Fatalf("the measured stream reached a flush (%d flush sections); it must stay below the root threshold", n)
 			}
 		})
 	}
@@ -837,10 +852,9 @@ func TestPublishedStatesAreCollectable(t *testing.T) {
 	// starts a slab exactly when the previous one had no state left.
 	turnOver := func(n int) {
 		for want := len(slabs) + n; len(slabs) < want; k++ {
-			fresh := len(sh.states) == 0
 			prev := sh.snap.Load()
 			svc.Put(k*37%4096, k)
-			if st := sh.snap.Load(); st != prev && fresh {
+			if st := sh.snap.Load(); st != prev && st == &sh.states.Current()[0] {
 				watch(st)
 			}
 		}

@@ -46,7 +46,7 @@ func TestMergeSortAllocs(t *testing.T) {
 	const (
 		n          = 1 << 16
 		slabItems  = 8192 // the slice engine's 128 KiB slab
-		workingSet = 17
+		workingSet = 11
 	)
 	in := workload.Keys(workload.NewRNG(1), workload.Random, n)
 	ma := aem.New(sortShape)
@@ -64,5 +64,44 @@ func TestMergeSortAllocs(t *testing.T) {
 	if limit := float64(vectors + slabs + workingSet); got > limit {
 		t.Errorf("MergeSort of %d keys allocated %.0f objects, want ≤ %.0f (%d output vectors, %d slabs, %d working set)",
 			n, got, limit, vectors, slabs, workingSet)
+	}
+}
+
+// TestMergeRunsAllocs pins one §3 merge's heap objects at sortShape, for
+// few short runs (a priority queue's batch merge, MergeAll's upper levels)
+// and for many long ones: its output vector and pointer vector, the slice
+// engine's slabs for the blocks it writes, and a constant working set —
+// the merge state, its round buffer, active list, block frames, pointer
+// updates, writers and reducer. The passes are methods on the merge
+// state, so nothing is allocated per run or per round.
+func TestMergeRunsAllocs(t *testing.T) {
+	const (
+		slabItems  = 8192 // the slice engine's 128 KiB slab
+		workingSet = 8
+	)
+	for _, tc := range []struct {
+		name      string
+		runs, per int
+	}{
+		{"2 runs of 40", 2, 40},
+		{"64 runs of 1024", 64, 1024},
+	} {
+		ma := aem.New(sortShape)
+		r := workload.NewRNG(1)
+		runs := make([]*aem.Vector, tc.runs)
+		for i := range runs {
+			runs[i] = aem.Load(ma, sorting.SmallSort(ma, aem.Load(ma, workload.Keys(r, workload.Random, tc.per))).Materialize())
+		}
+		before := ma.NumBlocks()
+		sorting.MergeRuns(ma, runs, sorting.MergeOptions{})
+		blocks := ma.NumBlocks() - before
+		slabs := (blocks*sortShape.B + slabItems - 1) / slabItems
+		got := testing.AllocsPerRun(4, func() { sorting.MergeRuns(ma, runs, sorting.MergeOptions{}) })
+		t.Logf("%s: %v objects, %d slabs", tc.name, got, slabs)
+		if limit := float64(2 + slabs + workingSet); got > limit {
+			t.Errorf("%s: MergeRuns allocated %.0f objects, want ≤ %.0f (2 vectors, %d slabs, %d working set)",
+				tc.name, got, limit, slabs, workingSet)
+		}
+		ma.Close()
 	}
 }

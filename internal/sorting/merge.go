@@ -151,9 +151,11 @@ const activeSlots = 2
 // The in-memory store reproduces the earlier approach of [7] which
 // requires the pointers to fit in internal memory (ω ≲ B).
 type pointerStore interface {
-	// forEach calls fn for every run in index order with its current
-	// block pointer, paying whatever I/O the store needs.
-	forEach(fn func(run, bptr int))
+	// forEach calls pass(m, run, bptr) for every run in index order with
+	// its current block pointer, paying whatever I/O the store needs. The
+	// pass is a method expression on the merge's state, so no closure is
+	// built per call.
+	forEach(m *merger, pass func(m *merger, run, bptr int))
 	// update applies new block pointers for the given runs, paying
 	// whatever I/O the store needs. changes is sorted by run index.
 	update(changes []ptrChange)
@@ -186,7 +188,7 @@ func newExternalPointers(ma *aem.Machine, k int) *externalPointers {
 	return &externalPointers{pv: pv, frame: make([]aem.Item, 0, ma.Config().B)}
 }
 
-func (e *externalPointers) forEach(fn func(run, bptr int)) {
+func (e *externalPointers) forEach(m *merger, pass func(m *merger, run, bptr int)) {
 	ma := e.pv.Machine()
 	b := ma.Config().B
 	for blk := 0; blk < e.pv.Blocks(); blk++ {
@@ -196,7 +198,7 @@ func (e *externalPointers) forEach(fn func(run, bptr int)) {
 		entries, first := e.pv.ReadBlockInto(blk*b, e.frame)
 		ma.SetPhase(prev)
 		for off, ent := range entries {
-			fn(first+off, int(ent.Key))
+			pass(m, first+off, int(ent.Key))
 		}
 	}
 }
@@ -237,9 +239,9 @@ func newInMemoryPointers(ma *aem.Machine, k int) *inMemoryPointers {
 	return &inMemoryPointers{ma: ma, bptr: make([]int, k)}
 }
 
-func (p *inMemoryPointers) forEach(fn func(run, bptr int)) {
+func (p *inMemoryPointers) forEach(m *merger, pass func(m *merger, run, bptr int)) {
 	for i, b := range p.bptr {
-		fn(i, b)
+		pass(m, i, b)
 	}
 }
 
@@ -366,104 +368,35 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 	w := out.NewWriter()
 	red := newReducer(w, opts.Reduce)
 
-	// Watermark: every entry instance ≤ mu (in entryLess order) has been
-	// output.
-	mu := mergeEntry{it: minItem, run: -1, idx: -1}
-	buf := newSelectHeap(capM) // the round buffer
-	active := make([]activeRun, 0, capM/b+2)
-	frame := make([]aem.Item, 0, b) // reused data-block frame, one per merge
-	maxActive := capM/b + 1         // Lemma 3.1: at most ⌈capM/B⌉ runs stay active
+	m := &merger{
+		b:    b,
+		runs: runs,
+		mu:   mergeEntry{it: minItem, run: -1, idx: -1},
+		buf:  newSelectHeap(capM),
+		// Lemma 3.1: at most ⌈capM/B⌉ runs stay active.
+		active:    make([]activeRun, 0, capM/b+2),
+		maxActive: capM/b + 1,
+		frame:     make([]aem.Item, 0, b),
+	}
 	// One round's pointer updates, at most one per run.
 	changes := make([]ptrChange, 0, min(len(runs), capM))
 
-	runBlocks := func(r int) int { return cfg.BlocksOf(runs[r].Len()) }
-
-	// loadBlock reads block bi of run r and offers its entries > mu to the
-	// round buffer, returning the block's last entry and whether the block
-	// existed. A block ascends, so once the full buffer turns one entry
-	// away it would turn away the rest. Entries turned away or evicted
-	// stay unconsumed on disk and are re-read in a later round: the
-	// re-read the paper charges one block per run per round for.
-	loadBlock := func(r, bi int) (last mergeEntry, ok bool) {
-		if bi >= runBlocks(r) {
-			return mergeEntry{}, false
-		}
-		items, first := runs[r].ReadBlockInto(bi*b, frame)
-		for off, it := range items {
-			e := mergeEntry{it: it, run: int32(r), idx: int64(first + off)}
-			if entryLess(mu, e) && !buf.offer(e) {
-				break
-			}
-		}
-		return mergeEntry{it: items[len(items)-1], run: int32(r), idx: int64(first + len(items) - 1)}, true
-	}
-
-	// Pass A (§3.1 "Initializing M"): read up to two blocks from every run
-	// starting at b[i]; candidates (> mu) accumulate in the round buffer,
-	// which retains the capM smallest.
-	passA := func(run, bptr int) {
-		if _, ok := loadBlock(run, bptr); ok {
-			loadBlock(run, bptr+1)
-		}
-	}
-
-	// Pass B (§3.1 "Identifying active arrays"): re-read the second
-	// initialization block of each run to find the largest loaded element;
-	// a run is active iff more blocks follow and that element is among the
-	// capM smallest loaded so far.
-	passB := func(run, bptr int) {
-		if bptr+2 >= runBlocks(run) {
-			return // no blocks beyond the initialization reads
-		}
-		items, first := runs[run].ReadBlockInto((bptr+1)*b, frame)
-		last := mergeEntry{it: items[len(items)-1], run: int32(run), idx: int64(first + len(items) - 1)}
-		if buf.full() && entryLess(buf.max(), last) {
-			return // inactive: everything unread is above the buffer
-		}
-		active = append(active, activeRun{run: run, next: bptr + 2, s: last})
-		if len(active) > maxActive {
-			panic(fmt.Sprintf("sorting: Lemma 3.1 violated: %d active runs > %d", len(active), maxActive))
-		}
-	}
-
 	for {
-		ptrs.forEach(passA)
-		if buf.len() == 0 {
+		ptrs.forEach(m, (*merger).passA)
+		if m.buf.len() == 0 {
 			break // every run fully consumed
 		}
 
 		// Pass B offers nothing, so the buffer it compares against is
 		// the one pass A left.
-		active = active[:0]
-		ptrs.forEach(passB)
-
-		// Merge loop (§3.1 "Merging from active arrays"): repeatedly load
-		// the next block of the active run whose largest loaded element is
-		// smallest, until every active run's frontier exceeds the buffer.
-		for len(active) > 0 {
-			j := 0
-			for i := 1; i < len(active); i++ {
-				if entryLess(active[i].s, active[j].s) {
-					j = i
-				}
-			}
-			if buf.full() && entryLess(buf.max(), active[j].s) {
-				break // the smallest frontier is above the buffer: round over
-			}
-			last, _ := loadBlock(active[j].run, active[j].next)
-			active[j].next++
-			active[j].s = last
-			if active[j].next >= runBlocks(active[j].run) ||
-				(buf.full() && entryLess(buf.max(), last)) {
-				active[j] = active[len(active)-1]
-				active = active[:len(active)-1]
-			}
-		}
+		m.active = m.active[:0]
+		ptrs.forEach(m, (*merger).passB)
+		m.mergeActive()
 
 		// Output the round: the buffer now holds the capM smallest
 		// unconsumed entries overall.
-		round := buf.drain()
-		mu = round[len(round)-1]
+		round := m.buf.drain()
+		m.mu = round[len(round)-1]
 		for _, e := range round {
 			red.emit(e.it)
 		}
@@ -491,6 +424,98 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 		out = out.Shrink(n)
 	}
 	return out
+}
+
+// merger is one merge's working state: the runs, the watermark mu (every
+// entry instance ≤ mu in entryLess order has been output), the round
+// buffer, the active runs and one data-block frame. Its passes are
+// methods, handed to the pointer store as method expressions, so a merge
+// allocates this state once and nothing per round.
+type merger struct {
+	b         int
+	runs      []*aem.Vector
+	mu        mergeEntry
+	buf       selectHeap // the round buffer
+	active    []activeRun
+	maxActive int
+	frame     []aem.Item // reused data-block frame
+}
+
+func (m *merger) runBlocks(r int) int { return (m.runs[r].Len() + m.b - 1) / m.b }
+
+// loadBlock reads block bi of run r and offers its entries > mu to the
+// round buffer, returning the block's last entry and whether the block
+// existed. A block ascends, so once the full buffer turns one entry away
+// it would turn away the rest. Entries turned away or evicted stay
+// unconsumed on disk and are re-read in a later round: the re-read the
+// paper charges one block per run per round for.
+func (m *merger) loadBlock(r, bi int) (last mergeEntry, ok bool) {
+	if bi >= m.runBlocks(r) {
+		return mergeEntry{}, false
+	}
+	items, first := m.runs[r].ReadBlockInto(bi*m.b, m.frame)
+	for off, it := range items {
+		e := mergeEntry{it: it, run: int32(r), idx: int64(first + off)}
+		if entryLess(m.mu, e) && !m.buf.offer(e) {
+			break
+		}
+	}
+	return mergeEntry{it: items[len(items)-1], run: int32(r), idx: int64(first + len(items) - 1)}, true
+}
+
+// passA is §3.1 "Initializing M": read up to two blocks from every run
+// starting at b[i]; candidates (> mu) accumulate in the round buffer,
+// which retains the capM smallest.
+func (m *merger) passA(run, bptr int) {
+	if _, ok := m.loadBlock(run, bptr); ok {
+		m.loadBlock(run, bptr+1)
+	}
+}
+
+// passB is §3.1 "Identifying active arrays": re-read the second
+// initialization block of each run to find the largest loaded element; a
+// run is active iff more blocks follow and that element is among the capM
+// smallest loaded so far.
+func (m *merger) passB(run, bptr int) {
+	if bptr+2 >= m.runBlocks(run) {
+		return // no blocks beyond the initialization reads
+	}
+	items, first := m.runs[run].ReadBlockInto((bptr+1)*m.b, m.frame)
+	last := mergeEntry{it: items[len(items)-1], run: int32(run), idx: int64(first + len(items) - 1)}
+	if m.buf.full() && entryLess(m.buf.max(), last) {
+		return // inactive: everything unread is above the buffer
+	}
+	m.active = append(m.active, activeRun{run: run, next: bptr + 2, s: last})
+	if len(m.active) > m.maxActive {
+		panic(fmt.Sprintf("sorting: Lemma 3.1 violated: %d active runs > %d", len(m.active), m.maxActive))
+	}
+}
+
+// mergeActive is §3.1 "Merging from active arrays": repeatedly load the
+// next block of the active run whose largest loaded element is smallest,
+// until every active run's frontier exceeds the buffer.
+func (m *merger) mergeActive() {
+	active := m.active
+	for len(active) > 0 {
+		j := 0
+		for i := 1; i < len(active); i++ {
+			if entryLess(active[i].s, active[j].s) {
+				j = i
+			}
+		}
+		if m.buf.full() && entryLess(m.buf.max(), active[j].s) {
+			break // the smallest frontier is above the buffer: round over
+		}
+		last, _ := m.loadBlock(active[j].run, active[j].next)
+		active[j].next++
+		active[j].s = last
+		if active[j].next >= m.runBlocks(active[j].run) ||
+			(m.buf.full() && entryLess(m.buf.max(), last)) {
+			active[j] = active[len(active)-1]
+			active = active[:len(active)-1]
+		}
+	}
+	m.active = active
 }
 
 // changesFromBuffer appends to changes, from a round buffer sorted by

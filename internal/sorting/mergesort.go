@@ -30,13 +30,13 @@ func MergeSortInMemoryPointers(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 type mergeFunc func(*aem.Machine, []*aem.Vector, MergeOptions) *aem.Vector
 
 func mergeSortWith(ma *aem.Machine, v *aem.Vector, merge mergeFunc) *aem.Vector {
-	return mergeSortRange(ma, v, 0, v.Len(), newBaseSorter(ma.Config()), merge)
+	return mergeSortRange(ma, v, 0, v.Len(), NewSmallSorter(ma.Config()), merge)
 }
 
 // mergeSortRange sorts items [lo, hi) of v into a fresh vector, running
 // every base case in base. lo is block-aligned and hi is too unless it is
 // v.Len().
-func mergeSortRange(ma *aem.Machine, v *aem.Vector, lo, hi int, base *baseSorter, merge mergeFunc) *aem.Vector {
+func mergeSortRange(ma *aem.Machine, v *aem.Vector, lo, hi int, base *SmallSorter, merge mergeFunc) *aem.Vector {
 	cfg := ma.Config()
 	if hi-lo <= cfg.Omega*cfg.M {
 		out := aem.NewVector(ma, hi-lo)

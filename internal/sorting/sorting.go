@@ -23,7 +23,7 @@
 // same structure: a bounded max-heap that keeps the k smallest entries
 // offered, k = M/2 for SmallSort and the round buffer's capM for the
 // merge. A MergeSort allocates its host working memory once — one
-// base-case sorter (heap, scan frame, write frame) for every base case,
+// SmallSorter (heap, scan frame, write frame) for every base case,
 // and one round buffer, block frame and writer per merge — so what it
 // allocates per call beyond that is its output vectors and their storage.
 //
@@ -60,40 +60,43 @@ var minItem = aem.Item{Key: -(1<<63 - 1), Aux: -(1<<63 - 1)}
 // writing).
 func SmallSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
 	out := aem.NewVector(ma, v.Len())
-	SmallSortInto(ma, v, out)
+	NewSmallSorter(ma.Config()).SortInto(ma, v, out)
 	return out
 }
 
-// SmallSortInto is SmallSort writing into out, a vector of v.Len() items
-// that the caller allocated and that does not overlap v — scratch blocks
-// it reuses across sorts, say. Its I/O is SmallSort's.
-func SmallSortInto(ma *aem.Machine, v, out *aem.Vector) {
-	if out.Len() != v.Len() {
-		panic(fmt.Sprintf("sorting: SmallSortInto of %d items into a vector of %d", v.Len(), out.Len()))
-	}
-	newBaseSorter(ma.Config()).sort(ma, v, 0, v.Len(), out)
-}
-
-// baseSorter is SmallSort's working memory: the selection heap and one
-// block frame each for reading the input and writing the output. A
-// MergeSort allocates one and runs every base case in it.
-type baseSorter struct {
+// SmallSorter is SmallSort's host working memory: the selection heap and
+// one block frame each for reading the input and writing the output. A
+// caller that sorts often (a MergeSort's base cases, a buffer tree's leaf
+// sorts) keeps one and runs every sort in it.
+type SmallSorter struct {
 	sel            selectHeap
 	rframe, wframe []aem.Item
 }
 
-func newBaseSorter(cfg aem.Config) *baseSorter {
+// NewSmallSorter returns working memory for SmallSorts on machines of
+// shape cfg.
+func NewSmallSorter(cfg aem.Config) *SmallSorter {
 	frames := make([]aem.Item, 2*cfg.B)
-	return &baseSorter{
+	return &SmallSorter{
 		sel:    newSelectHeap(cfg.M / 2),
 		rframe: frames[:0:cfg.B],
 		wframe: frames[cfg.B:cfg.B],
 	}
 }
 
+// SortInto is SmallSort writing into out, a vector of v.Len() items that
+// the caller allocated and that does not overlap v — scratch blocks it
+// reuses across sorts, say. Its I/O is SmallSort's.
+func (s *SmallSorter) SortInto(ma *aem.Machine, v, out *aem.Vector) {
+	if out.Len() != v.Len() {
+		panic(fmt.Sprintf("sorting: SortInto of %d items into a vector of %d", v.Len(), out.Len()))
+	}
+	s.sort(ma, v, 0, v.Len(), out)
+}
+
 // sort sorts items [lo, hi) of v into out, a vector of hi−lo items; lo
 // is block-aligned and hi is too unless it is v.Len().
-func (s *baseSorter) sort(ma *aem.Machine, v *aem.Vector, lo, hi int, out *aem.Vector) {
+func (s *SmallSorter) sort(ma *aem.Machine, v *aem.Vector, lo, hi int, out *aem.Vector) {
 	cfg := ma.Config()
 	if cfg.M < 4*cfg.B {
 		panic(fmt.Sprintf("sorting: SmallSort needs M ≥ 4B, got M=%d B=%d", cfg.M, cfg.B))
