@@ -263,7 +263,7 @@ func TestCountingBackendMatchesObliviousPrograms(t *testing.T) {
 			}
 			var refName string
 			var ref acct
-			for _, e := range aemtest.BufferedEngines() {
+			for _, e := range aem.Engines() {
 				name, ma := e.Name, aemtest.Machine(t, cfg, e)
 				p.run(ma)
 				got := acct{ma.Stats(), ma.Cost(), ma.MemPeak(), ma.NumBlocks()}

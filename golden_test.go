@@ -13,10 +13,25 @@ import (
 var updateGolden = flag.Bool("update", false, "rewrite testdata golden files")
 
 // renderAll renders every experiment table exactly as `aem bench` does,
-// returning both the aligned-text and the JSON Lines (-json) forms.
+// returning both the aligned-text and the JSON Lines (-json) forms. It
+// checks each table's shape on the way: rows exist, every row has one
+// cell per column, and the CSV is a header plus one line per row.
 func renderAll(t *testing.T, par int) (text, jsonOut []byte) {
-	var buf, jbuf bytes.Buffer
+	var buf, jbuf, csv bytes.Buffer
 	err := (&harness.LocalPool{Par: par}).Execute(harness.All(), func(tbl *harness.Table) {
+		if len(tbl.Rows) == 0 {
+			t.Errorf("%s produced no rows", tbl.ID)
+		}
+		for i, row := range tbl.Rows {
+			if len(row) != len(tbl.Columns) {
+				t.Errorf("%s row %d has %d cells for %d columns", tbl.ID, i, len(row), len(tbl.Columns))
+			}
+		}
+		csv.Reset()
+		tbl.CSV(&csv)
+		if lines := bytes.Count(csv.Bytes(), []byte("\n")); lines != len(tbl.Rows)+1 {
+			t.Errorf("%s CSV has %d lines, want %d", tbl.ID, lines, len(tbl.Rows)+1)
+		}
 		tbl.Render(&buf)
 		if err := tbl.JSON(&jbuf); err != nil {
 			t.Fatalf("JSON render: %v", err)

@@ -8,26 +8,12 @@ import (
 	"repro/internal/aem"
 )
 
-// BufferedEngines returns, in registry order, every engine that stores
-// blocks unaligned (BlockAlign 0): all but the O_DIRECT engine, whose
-// slow transfers add nothing to algorithm-level suites (the aem
-// conformance tests cover it). The slice engine comes first, so callers
-// can take it as the reference.
-func BufferedEngines() []aem.Engine {
-	var out []aem.Engine
-	for _, e := range aem.Engines() {
-		if e.Caps.BlockAlign == 0 {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
-// DataEngines returns the BufferedEngines that can serve a program whose
-// I/O schedule branches on block contents (RetainsData).
+// DataEngines returns, in registry order, every engine that can serve a
+// program whose I/O schedule branches on block contents (RetainsData).
+// The slice engine comes first, so callers can take it as the reference.
 func DataEngines() []aem.Engine {
 	var out []aem.Engine
-	for _, e := range BufferedEngines() {
+	for _, e := range aem.Engines() {
 		if e.Caps.RetainsData {
 			out = append(out, e)
 		}

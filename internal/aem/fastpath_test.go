@@ -242,7 +242,7 @@ func TestMachineRecycle(t *testing.T) {
 // machine cannot be recycled into a configuration whose B exceeds its
 // engine's fixed block capacity.
 func TestRecycleRejectsUndersizedEngine(t *testing.T) {
-	ma := NewWithStorage(Config{M: 16, B: 4, Omega: 1}, newFileEngine(t, FileMmap, 4))
+	ma := NewWithStorage(Config{M: 16, B: 4, Omega: 1}, newFileEngine(t, 4))
 	defer expectPanic(t, "block capacity 4 < B = 8")
 	ma.Recycle(Config{M: 64, B: 8, Omega: 1})
 }

@@ -3,71 +3,32 @@ package aem
 import (
 	"fmt"
 	"os"
-	"sync"
 	"unsafe"
 )
 
-// This file is the real-I/O storage engine: one file as the external
-// memory. Every other engine in the repository is RAM-backed, so wall
-// clock measures simulator overhead; with FileStorage the same algorithms
-// run against an actual block device and wall clock becomes a measurement
-// of the device — the experiment the paper could not run (regressing
-// measured time on Q = Qr + ω·Qw to fit the device's effective ω lives in
-// bounds.FitOmega and the EXP-IO specs).
+// This file is the file storage engine: one file as the external memory.
+// Every other engine in the repository is RAM-backed; this one checks
+// that the algorithms and the cost accounting do not depend on where the
+// blocks live, and serves `aem dict -engine file`.
 //
 // Block a occupies the byte range [a·stride, (a+1)·stride) of the file;
 // live lengths are a segmented RAM side table (segments.go), as in the
-// counting engine. Two I/O modes share the layout:
-//
-//   - FileMmap (default): one fixed window of mapWindow bytes is mapped
-//     read/write at construction and never remapped; growth extends the
-//     file under it with ftruncate alone, so blocks never move and
-//     transfers are memcpys against a stable mapping. The page cache
-//     absorbs traffic, so this measures a cached device — still real
-//     dirty-page writeback, but reads served from RAM after first touch.
-//   - FileDirect: transfers are ReadAt/WriteAt on a descriptor opened
-//     with O_DIRECT where the platform and filesystem support it, with
-//     stride, offsets and transfer buffers aligned to directAlign so the
-//     kernel's direct-I/O constraints hold; each read takes its own
-//     aligned buffer from a pool, so concurrent readers never share one.
-//     Where O_DIRECT is unavailable (non-Linux, or tmpfs) the engine
-//     degrades to buffered positional I/O straight through the caller's
-//     items.
+// counting engine. On Linux one fixed window of mapWindow bytes is mapped
+// read/write at construction and never remapped; growth extends the file
+// under it with ftruncate alone, so blocks never move and transfers are
+// memcpys against a stable mapping. Elsewhere transfers are buffered
+// positional reads and writes straight through the caller's items.
 //
 // Storage I/O failures panic: the machine's ReadInto/Write signatures are
 // error-free by design (an algorithm cannot meaningfully continue on a
 // half-read block), so a failing device is an assertion failure like an
 // out-of-range address, not a recoverable condition.
 
-// FileMode selects how FileStorage moves bytes between RAM and the file.
-type FileMode int
-
-const (
-	// FileMmap maps the file and serves transfers as memcpys.
-	FileMmap FileMode = iota
-	// FileDirect uses positional read/write syscalls, with O_DIRECT when
-	// the platform and filesystem support it.
-	FileDirect
-)
-
-// String returns "mmap" or "direct".
-func (m FileMode) String() string {
-	if m == FileMmap {
-		return "mmap"
-	}
-	return "direct"
-}
-
 // itemSize is the on-disk size of one Item: two little-endian-native
 // int64s. The file format is the in-memory representation, so the file is
 // scratch external memory for one run on one machine, not an interchange
 // format.
 const itemSize = int(unsafe.Sizeof(Item{}))
-
-// directAlign is the slot alignment of the direct mode: 4096 covers the
-// logical block size of every common device and the page-alignment
-// O_DIRECT wants for buffers and offsets.
-const directAlign = 4096
 
 // FileStorage is the file-backed engine. It is open from construction;
 // Close releases the mapping and descriptor (and removes the file when
@@ -82,82 +43,38 @@ type FileStorage struct {
 	n      int   // blocks allocated
 	lens   segDir[int32]
 
-	useMmap bool
-	direct  bool      // O_DIRECT actually engaged
-	capBlk  int       // block slots the file is currently sized for
-	mm      []byte    // the fixed mapping window (mmap mode)
-	wbuf    []byte    // Write's aligned transfer buffer (O_DIRECT)
-	rbufs   sync.Pool // *[]byte aligned buffers, one per concurrent ReadInto (O_DIRECT)
-	closed  bool
+	capBlk int    // block slots the file is currently sized for
+	mm     []byte // the fixed mapping window (nil without mmap)
+	closed bool
 }
 
 // NewFileStorage creates (truncating) the file at path and returns an
 // open engine over it for blocks of at most blockSize items. The caller
 // keeps ownership of the path: Close releases the descriptor but leaves
 // the file behind.
-func NewFileStorage(path string, blockSize int, mode FileMode) (*FileStorage, error) {
+func NewFileStorage(path string, blockSize int) (*FileStorage, error) {
 	if blockSize < 1 {
 		return nil, fmt.Errorf("aem: NewFileStorage(%q, %d): need blockSize ≥ 1", path, blockSize)
 	}
-	s := &FileStorage{path: path, b: blockSize}
-	s.stride = int64(blockSize * itemSize)
-	switch mode {
-	case FileMmap:
-		s.useMmap = mmapSupported
-	case FileDirect:
-		// Direct transfers must be directAlign-sized and -aligned, so
-		// every slot is padded to the alignment; small-B machines trade
-		// (sparse) file space for legal O_DIRECT transfers.
-		s.stride = (s.stride + directAlign - 1) / directAlign * directAlign
-	default:
-		return nil, fmt.Errorf("aem: NewFileStorage(%q): unknown mode %d", path, int(mode))
-	}
-
-	flags := os.O_RDWR | os.O_CREATE | os.O_TRUNC
+	s := &FileStorage{path: path, b: blockSize, stride: int64(blockSize * itemSize)}
 	var err error
-	if mode == FileDirect && directOpenFlag != 0 {
-		s.f, err = os.OpenFile(path, flags|directOpenFlag, 0o644)
-		s.direct = err == nil
-	}
-	if s.f == nil {
-		// Buffered fallback: first open attempt, or the filesystem (e.g.
-		// tmpfs) rejected O_DIRECT.
-		s.f, err = os.OpenFile(path, flags, 0o644)
-	}
-	if err != nil {
+	if s.f, err = os.OpenFile(path, os.O_RDWR|os.O_CREATE|os.O_TRUNC, 0o644); err != nil {
 		return nil, fmt.Errorf("aem: NewFileStorage: %w", err)
 	}
-	if s.useMmap {
+	if mmapSupported {
 		if s.mm, err = mmapFile(s.f, mapWindow); err != nil {
 			s.f.Close()
 			return nil, fmt.Errorf("aem: NewFileStorage: map %d bytes: %w", mapWindow, err)
 		}
 	}
-	if s.direct {
-		// Writes come from the owner alone, so one buffer serves them;
-		// reads may run concurrently, so each takes its own from a pool.
-		s.wbuf = alignedBuf(s.stride)
-		s.rbufs.New = func() any {
-			buf := alignedBuf(s.stride)
-			return &buf
-		}
-	}
 	return s, nil
-}
-
-// alignedBuf returns an n-byte buffer starting on a directAlign boundary,
-// as O_DIRECT transfers require: it over-allocates and slices.
-func alignedBuf(n int64) []byte {
-	raw := make([]byte, n+directAlign)
-	off := directAlign - int(uintptr(unsafe.Pointer(&raw[0]))%directAlign)
-	return raw[off : off+int(n)]
 }
 
 // NewTempFileStorage creates an engine over a fresh temp file in dir
 // (os.TempDir() when dir is empty) that is removed on Close — the
-// construction the engine registry and the harness pool use, so a grid
-// point's external memory vanishes with the point.
-func NewTempFileStorage(dir string, blockSize int, mode FileMode) (*FileStorage, error) {
+// construction the engine registry uses, so an engine's external memory
+// vanishes with the engine.
+func NewTempFileStorage(dir string, blockSize int) (*FileStorage, error) {
 	if dir == "" {
 		dir = os.TempDir()
 	}
@@ -167,7 +84,7 @@ func NewTempFileStorage(dir string, blockSize int, mode FileMode) (*FileStorage,
 	}
 	path := f.Name()
 	f.Close()
-	s, err := NewFileStorage(path, blockSize, mode)
+	s, err := NewFileStorage(path, blockSize)
 	if err != nil {
 		os.Remove(path)
 		return nil, err
@@ -183,9 +100,6 @@ func (s *FileStorage) Path() string { return s.path }
 // NewWithStorage reject machines whose B exceeds it.
 func (s *FileStorage) BlockSize() int { return s.b }
 
-// Stride returns the byte span of one block slot in the file.
-func (s *FileStorage) Stride() int64 { return s.stride }
-
 // Alloc implements Storage. Growing is an ftruncate (sparse, so untouched
 // slots cost no disk) under the fixed mapping; capacity doubles, so
 // steady-state allocation is amortized O(1) syscalls.
@@ -198,7 +112,7 @@ func (s *FileStorage) Alloc(count int) Addr {
 	need := s.n + count
 	if need > s.capBlk {
 		capBlk := max(2*s.capBlk, need, 16)
-		if s.useMmap {
+		if s.mm != nil {
 			window := int(int64(len(s.mm)) / s.stride)
 			if need > window {
 				panic(fmt.Sprintf("aem: file engine %s: %d blocks exceed the %d-block mapping window", s.path, need, window))
@@ -228,21 +142,10 @@ func (s *FileStorage) ReadInto(a Addr, dst []Item) []Item {
 		return dst
 	}
 	off := int64(a) * s.stride
-	switch {
-	case s.useMmap:
+	if s.mm != nil {
 		copy(itemBytes(dst), s.mm[off:off+int64(n*itemSize)])
-	case s.direct:
-		buf := s.rbufs.Get().(*[]byte) // O_DIRECT length must stay aligned
-		_, err := s.f.ReadAt(*buf, off)
-		copy(itemBytes(dst), *buf)
-		s.rbufs.Put(buf)
-		if err != nil {
-			panic(fmt.Sprintf("aem: file engine %s: read block %d: %v", s.path, a, err))
-		}
-	default:
-		if _, err := s.f.ReadAt(itemBytes(dst), off); err != nil {
-			panic(fmt.Sprintf("aem: file engine %s: read block %d: %v", s.path, a, err))
-		}
+	} else if _, err := s.f.ReadAt(itemBytes(dst), off); err != nil {
+		panic(fmt.Sprintf("aem: file engine %s: read block %d: %v", s.path, a, err))
 	}
 	return dst
 }
@@ -254,19 +157,9 @@ func (s *FileStorage) Write(a Addr, items []Item) {
 		panic(fmt.Sprintf("aem: file Write(%d): %d items exceed block capacity %d", a, len(items), s.b))
 	}
 	off := int64(a) * s.stride
-	var err error
-	switch {
-	case s.useMmap:
+	if s.mm != nil {
 		copy(s.mm[off:], itemBytes(items))
-	case s.direct:
-		// Full-slot transfer: pad the tail with zeros rather than leak
-		// whatever the buffer last held to disk.
-		clear(s.wbuf[copy(s.wbuf, itemBytes(items)):])
-		_, err = s.f.WriteAt(s.wbuf, off)
-	default:
-		_, err = s.f.WriteAt(itemBytes(items), off)
-	}
-	if err != nil {
+	} else if _, err := s.f.WriteAt(itemBytes(items), off); err != nil {
 		panic(fmt.Sprintf("aem: file engine %s: write block %d: %v", s.path, a, err))
 	}
 	seg, slot := locate(a)
@@ -290,8 +183,8 @@ func (s *FileStorage) Reset() {
 }
 
 // Sync implements Storage: flush written blocks to the device. fsync
-// covers dirty pages of a shared mapping too, so both modes are durable
-// after Sync returns.
+// covers dirty pages of a shared mapping too, so written blocks are
+// durable after Sync returns.
 func (s *FileStorage) Sync() error {
 	s.mustOpen("Sync")
 	return s.f.Sync()

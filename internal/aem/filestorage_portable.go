@@ -7,16 +7,14 @@ import (
 	"os"
 )
 
-// Portable fallback: no mapping and no O_DIRECT, so FileStorage serves
-// every mode through buffered positional reads and writes. The engine's
-// contract (and the conformance suite) is identical; only the transfer
-// mechanism differs.
+// Portable fallback: no mapping, so FileStorage serves every transfer
+// through buffered positional reads and writes. The engine's contract
+// (and the conformance suite) is identical; only the transfer mechanism
+// differs.
 
 const mmapSupported = false
 
 const mapWindow = 0
-
-const directOpenFlag = 0
 
 func mmapFile(f *os.File, length int) ([]byte, error) {
 	return nil, errors.New("aem: mmap unsupported on this platform")

@@ -9,9 +9,9 @@ import (
 
 // newFileEngine builds a file engine over a test-owned path and registers
 // its cleanup.
-func newFileEngine(t *testing.T, mode FileMode, blockSize int) *FileStorage {
+func newFileEngine(t *testing.T, blockSize int) *FileStorage {
 	t.Helper()
-	s, err := NewFileStorage(filepath.Join(t.TempDir(), "em.blocks"), blockSize, mode)
+	s, err := NewFileStorage(filepath.Join(t.TempDir(), "em.blocks"), blockSize)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,63 +19,53 @@ func newFileEngine(t *testing.T, mode FileMode, blockSize int) *FileStorage {
 	return s
 }
 
-// fileModes enumerates both transfer modes for mode-generic tests.
-var fileModes = []struct {
-	name string
-	mode FileMode
-}{{"mmap", FileMmap}, {"direct", FileDirect}}
-
 // TestFileStorageResetTruncates pins the stateful half of the Reset
 // contract: Reset must shrink the backing file to zero bytes — truncate,
 // not leak — so a pooled engine's file cannot accrete previous runs'
 // blocks, and post-Reset allocations read as zeros again.
 func TestFileStorageResetTruncates(t *testing.T) {
-	for _, m := range fileModes {
-		t.Run(m.name, func(t *testing.T) {
-			const b = 4
-			s := newFileEngine(t, m.mode, b)
-			s.Alloc(64)
-			payload := []Item{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-			for a := Addr(0); a < 64; a++ {
-				s.Write(a, payload)
-			}
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-			st, err := os.Stat(s.Path())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Size() < 64*int64(b*itemSize) {
-				t.Fatalf("file holds %d bytes for 64 written blocks, want ≥ %d", st.Size(), 64*b*itemSize)
-			}
+	const b = 4
+	s := newFileEngine(t, b)
+	s.Alloc(64)
+	payload := []Item{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
+	for a := Addr(0); a < 64; a++ {
+		s.Write(a, payload)
+	}
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
+	}
+	st, err := os.Stat(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() < 64*int64(b*itemSize) {
+		t.Fatalf("file holds %d bytes for 64 written blocks, want ≥ %d", st.Size(), 64*b*itemSize)
+	}
 
-			s.Reset()
-			st, err = os.Stat(s.Path())
-			if err != nil {
-				t.Fatal(err)
-			}
-			if st.Size() != 0 {
-				t.Errorf("Reset left %d bytes in the file, want 0 (truncate, not leak)", st.Size())
-			}
-			if s.NumBlocks() != 0 {
-				t.Errorf("NumBlocks = %d after Reset, want 0", s.NumBlocks())
-			}
+	s.Reset()
+	st, err = os.Stat(s.Path())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.Size() != 0 {
+		t.Errorf("Reset left %d bytes in the file, want 0 (truncate, not leak)", st.Size())
+	}
+	if s.NumBlocks() != 0 {
+		t.Errorf("NumBlocks = %d after Reset, want 0", s.NumBlocks())
+	}
 
-			// The engine is fully usable after Reset and reads back fresh
-			// zeros, never the previous run's payload.
-			s.Alloc(2)
-			buf := make([]Item, 0, b)
-			if got := s.ReadInto(0, buf); len(got) != 0 {
-				t.Errorf("post-Reset block 0 holds %d items, want 0", len(got))
-			}
-			s.Write(0, make([]Item, b))
-			for i, it := range s.ReadInto(0, buf) {
-				if it != (Item{}) {
-					t.Errorf("stale value %v leaked through Reset at item %d", it, i)
-				}
-			}
-		})
+	// The engine is fully usable after Reset and reads back fresh
+	// zeros, never the previous run's payload.
+	s.Alloc(2)
+	buf := make([]Item, 0, b)
+	if got := s.ReadInto(0, buf); len(got) != 0 {
+		t.Errorf("post-Reset block 0 holds %d items, want 0", len(got))
+	}
+	s.Write(0, make([]Item, b))
+	for i, it := range s.ReadInto(0, buf) {
+		if it != (Item{}) {
+			t.Errorf("stale value %v leaked through Reset at item %d", it, i)
+		}
 	}
 }
 
@@ -86,77 +76,56 @@ func TestFileStorageResetTruncates(t *testing.T) {
 // run starts from provable zeros, which is the recovery story a scratch
 // external memory needs.
 func TestFileStorageTornBlock(t *testing.T) {
-	for _, m := range fileModes {
-		t.Run(m.name, func(t *testing.T) {
-			const b = 4
-			s := newFileEngine(t, m.mode, b)
-			s.Alloc(4)
-			full := []Item{{10, 1}, {20, 2}, {30, 3}, {40, 4}}
-			s.Write(2, full)
-			if err := s.Sync(); err != nil {
-				t.Fatal(err)
-			}
-
-			// The "crash": a second descriptor scribbles garbage over the
-			// first half of block 2's slot and dies without finishing.
-			raw, err := os.OpenFile(s.Path(), os.O_WRONLY, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			tear := make([]byte, b/2*itemSize)
-			for i := range tear {
-				tear[i] = 0xAB
-			}
-			if _, err := raw.WriteAt(tear, 2*s.Stride()); err != nil {
-				t.Fatal(err)
-			}
-			raw.Close()
-
-			// Reading the torn block must return b items without fault;
-			// the untouched second half still carries the old values.
-			got := s.ReadInto(2, make([]Item, 0, b))
-			if len(got) != b {
-				t.Fatalf("torn block reads %d items, want %d", len(got), b)
-			}
-			if got[2] != full[2] || got[3] != full[3] {
-				t.Errorf("tear bled past its half: %v", got)
-			}
-			if got[0] == full[0] {
-				t.Errorf("torn half still reads the pre-crash value %v — the tear never reached the engine", got[0])
-			}
-
-			// Recovery: Reset truncates the torn state away entirely.
-			s.Reset()
-			s.Alloc(4)
-			for a := Addr(0); a < 4; a++ {
-				if n := len(s.ReadInto(a, make([]Item, 0, b))); n != 0 {
-					t.Errorf("block %d holds %d items after post-tear Reset, want 0", a, n)
-				}
-			}
-			s.Write(2, make([]Item, b))
-			for i, it := range s.ReadInto(2, make([]Item, 0, b)) {
-				if it != (Item{}) {
-					t.Errorf("torn byte survived Reset at item %d: %v", i, it)
-				}
-			}
-		})
+	const b = 4
+	s := newFileEngine(t, b)
+	s.Alloc(4)
+	full := []Item{{10, 1}, {20, 2}, {30, 3}, {40, 4}}
+	s.Write(2, full)
+	if err := s.Sync(); err != nil {
+		t.Fatal(err)
 	}
-}
 
-// TestFileStorageDirectAlignment pins the direct mode's file geometry:
-// slots are directAlign multiples so O_DIRECT offsets and lengths stay
-// legal, and the registry declares that alignment in the engine's caps.
-func TestFileStorageDirectAlignment(t *testing.T) {
-	s := newFileEngine(t, FileDirect, 4)
-	if s.Stride()%directAlign != 0 {
-		t.Errorf("direct stride %d not a multiple of %d", s.Stride(), directAlign)
+	// The "crash": a second descriptor scribbles garbage over the
+	// first half of block 2's slot and dies without finishing.
+	raw, err := os.OpenFile(s.Path(), os.O_WRONLY, 0)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if e, _ := EngineByName("file-direct"); e.Caps.BlockAlign != directAlign {
-		t.Errorf("direct caps alignment %d, want %d", e.Caps.BlockAlign, directAlign)
+	tear := make([]byte, b/2*itemSize)
+	for i := range tear {
+		tear[i] = 0xAB
 	}
-	mm := newFileEngine(t, FileMmap, 4)
-	if mm.Stride() != 4*int64(itemSize) {
-		t.Errorf("mmap stride %d, want packed %d", mm.Stride(), 4*itemSize)
+	if _, err := raw.WriteAt(tear, 2*int64(b*itemSize)); err != nil {
+		t.Fatal(err)
+	}
+	raw.Close()
+
+	// Reading the torn block must return b items without fault;
+	// the untouched second half still carries the old values.
+	got := s.ReadInto(2, make([]Item, 0, b))
+	if len(got) != b {
+		t.Fatalf("torn block reads %d items, want %d", len(got), b)
+	}
+	if got[2] != full[2] || got[3] != full[3] {
+		t.Errorf("tear bled past its half: %v", got)
+	}
+	if got[0] == full[0] {
+		t.Errorf("torn half still reads the pre-crash value %v — the tear never reached the engine", got[0])
+	}
+
+	// Recovery: Reset truncates the torn state away entirely.
+	s.Reset()
+	s.Alloc(4)
+	for a := Addr(0); a < 4; a++ {
+		if n := len(s.ReadInto(a, make([]Item, 0, b))); n != 0 {
+			t.Errorf("block %d holds %d items after post-tear Reset, want 0", a, n)
+		}
+	}
+	s.Write(2, make([]Item, b))
+	for i, it := range s.ReadInto(2, make([]Item, 0, b)) {
+		if it != (Item{}) {
+			t.Errorf("torn byte survived Reset at item %d: %v", i, it)
+		}
 	}
 }
 
@@ -164,7 +133,7 @@ func TestFileStorageDirectAlignment(t *testing.T) {
 // their file and must remove it on Close; Close is idempotent; a
 // path-constructed engine leaves the caller's file behind.
 func TestFileStorageCloseRemovesOwnedFile(t *testing.T) {
-	s, err := NewTempFileStorage(t.TempDir(), 4, FileMmap)
+	s, err := NewTempFileStorage(t.TempDir(), 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -181,7 +150,7 @@ func TestFileStorageCloseRemovesOwnedFile(t *testing.T) {
 		t.Errorf("second Close errored: %v", err)
 	}
 
-	kept := newFileEngine(t, FileMmap, 4)
+	kept := newFileEngine(t, 4)
 	kept.Alloc(1)
 	keptPath := kept.Path()
 	if err := kept.Close(); err != nil {
@@ -193,8 +162,8 @@ func TestFileStorageCloseRemovesOwnedFile(t *testing.T) {
 }
 
 // TestFileStorageUseAfterClose: the lifecycle is explicit — using a
-// closed engine is a programming error and panics, in both modes, with
-// the engine's own message naming the call, like any other machine
+// closed engine is a programming error and panics with the engine's own
+// message naming the call, like any other machine
 // assertion.
 func TestFileStorageUseAfterClose(t *testing.T) {
 	calls := []struct {
@@ -204,17 +173,15 @@ func TestFileStorageUseAfterClose(t *testing.T) {
 		{"Alloc", func(s *FileStorage) { s.Alloc(1) }},
 		{"ReadInto", func(s *FileStorage) { s.ReadInto(0, make([]Item, 0, 4)) }},
 	}
-	for _, m := range fileModes {
-		for _, c := range calls {
-			t.Run(m.name+"/"+c.op, func(t *testing.T) {
-				s := newFileEngine(t, m.mode, 4)
-				s.Alloc(1)
-				s.Write(0, []Item{{1, 1}})
-				s.Close()
-				defer expectPanic(t, c.op+" after Close")
-				c.call(s)
-			})
-		}
+	for _, c := range calls {
+		t.Run(c.op, func(t *testing.T) {
+			s := newFileEngine(t, 4)
+			s.Alloc(1)
+			s.Write(0, []Item{{1, 1}})
+			s.Close()
+			defer expectPanic(t, c.op+" after Close")
+			c.call(s)
+		})
 	}
 }
 
@@ -258,9 +225,7 @@ func TestStorageByName(t *testing.T) {
 	}
 }
 
-// TestFileDirEnvPlacement: the registry's file engines honor AEM_FILE_DIR,
-// which is how CI points the EXP-IO sweeps at a tmpdir (and how a real
-// measurement points them at a mounted device).
+// TestFileDirEnvPlacement: the registry's file engine honors AEM_FILE_DIR.
 func TestFileDirEnvPlacement(t *testing.T) {
 	dir := t.TempDir()
 	t.Setenv(FileDirEnv, dir)
@@ -276,7 +241,7 @@ func TestFileDirEnvPlacement(t *testing.T) {
 }
 
 // TestMachineCloseReleasesFileEngine: Machine.Close is the ownership
-// surface the pool and CLIs use — it must reach through to the engine.
+// surface the CLIs and tests use — it must reach through to the engine.
 func TestMachineCloseReleasesFileEngine(t *testing.T) {
 	t.Setenv(FileDirEnv, t.TempDir())
 	st, err := StorageByName("file", 8)

@@ -22,18 +22,18 @@ type Engine struct {
 	Summary string
 	Caps    StorageCaps
 	// New constructs a fresh engine for blocks of blockSize items.
-	// RAM engines cannot fail; the file engines can (no temp space,
+	// RAM engines cannot fail; the file engine can (no temp space,
 	// exhausted descriptors).
 	New func(blockSize int) (Storage, error)
 }
 
 // FileDirEnv names the environment variable that overrides where the
-// registry's file engines put their backing temp files (default:
-// os.TempDir()). Point it at a mounted device to measure that device.
+// registry's file engine puts its backing temp files (default:
+// os.TempDir()).
 const FileDirEnv = "AEM_FILE_DIR"
 
 // engineTable is the registry, in help order, and the one place engine
-// capabilities are declared. File engines are built over
+// capabilities are declared. The file engine is built over
 // registry-owned temp files (removed on Close) under FileDirEnv.
 var engineTable = []Engine{
 	{
@@ -53,15 +53,7 @@ var engineTable = []Engine{
 		Summary: "file-backed external memory via one fixed mmap window (temp file under $" + FileDirEnv + ", removed on Close)",
 		Caps:    StorageCaps{RetainsData: true, Persistent: true},
 		New: func(b int) (Storage, error) {
-			return NewTempFileStorage(os.Getenv(FileDirEnv), b, FileMmap)
-		},
-	},
-	{
-		Name:    "file-direct",
-		Summary: "file-backed external memory via O_DIRECT positional I/O where supported (buffered fallback otherwise)",
-		Caps:    StorageCaps{RetainsData: true, Persistent: true, BlockAlign: directAlign},
-		New: func(b int) (Storage, error) {
-			return NewTempFileStorage(os.Getenv(FileDirEnv), b, FileDirect)
+			return NewTempFileStorage(os.Getenv(FileDirEnv), b)
 		},
 	},
 }

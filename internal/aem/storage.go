@@ -87,18 +87,11 @@ type StorageCaps struct {
 	// without data retention.
 	RetainsData bool
 
-	// Persistent reports whether blocks live outside process memory, on a
-	// backing device whose transfer time wall-clock can measure. A
-	// persistent engine is stateful: it must be owned by exactly one
+	// Persistent reports whether blocks live outside process memory, in a
+	// backing file. A persistent engine is stateful: it must be owned by exactly one
 	// machine at a time and closed after use, never shared through a
 	// keyed pool.
 	Persistent bool
-
-	// BlockAlign is the byte alignment of block slots on the backing
-	// device (0 for RAM engines and unaligned file modes). The direct-I/O
-	// file mode aligns slots so O_DIRECT transfers meet the kernel's
-	// offset and length requirements.
-	BlockAlign int
 }
 
 // sizedDst returns dst resized to hold n items, allocating only when the

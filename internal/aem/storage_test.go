@@ -18,22 +18,20 @@ import (
 
 // engines enumerates every storage backend under its conformance name.
 // hasData is false for backends that track lengths but not values. The
-// file engines are backed by temp files under t's temp dir and closed by
+// file engine is backed by temp files under t's temp dir and closed by
 // t.Cleanup, so every conformance test runs against real files too.
 func engines(t testing.TB, blockSize int) []struct {
 	name    string
 	make    func() Storage
 	hasData bool
 } {
-	fileEngine := func(mode FileMode) func() Storage {
-		return func() Storage {
-			s, err := NewTempFileStorage(t.TempDir(), blockSize, mode)
-			if err != nil {
-				t.Fatalf("file engine: %v", err)
-			}
-			t.Cleanup(func() { s.Close() })
-			return s
+	fileEngine := func() Storage {
+		s, err := NewTempFileStorage(t.TempDir(), blockSize)
+		if err != nil {
+			t.Fatalf("file engine: %v", err)
 		}
+		t.Cleanup(func() { s.Close() })
+		return s
 	}
 	return []struct {
 		name    string
@@ -42,8 +40,7 @@ func engines(t testing.TB, blockSize int) []struct {
 	}{
 		{"slice", func() Storage { return NewSliceStorage() }, true},
 		{"counting", func() Storage { return NewCountingStorage() }, false},
-		{"file", fileEngine(FileMmap), true},
-		{"file-direct", fileEngine(FileDirect), true},
+		{"file", fileEngine, true},
 	}
 }
 
@@ -462,10 +459,7 @@ func TestLocalScanWriteAllocs(t *testing.T) {
 				}
 				sc.Close()
 			})
-			// The direct file engine reads through aligned buffers from a
-			// sync.Pool, which the race detector empties at random, so
-			// there the count would be the pool's, not the Scanner's.
-			if scan != 1 && !(raceEnabled && eng.name == "file-direct") {
+			if scan != 1 {
 				t.Errorf("a local scan allocates %.0f objects, want 1 (its frame)", scan)
 			}
 			write := testing.AllocsPerRun(50, func() {
@@ -494,7 +488,7 @@ func TestNewWithStorageRejectsUsedEngine(t *testing.T) {
 // capacity is below B (the file engine's slot size) must fail at
 // construction, not at the first large write mid-algorithm.
 func TestNewWithStorageRejectsUndersizedEngine(t *testing.T) {
-	s := newFileEngine(t, FileMmap, 4)
+	s := newFileEngine(t, 4)
 	defer expectPanic(t, "block capacity 4 < B = 8")
 	NewWithStorage(Config{M: 64, B: 8, Omega: 1}, s)
 }

@@ -28,6 +28,13 @@ import (
 //	aem bench -json                 JSON Lines to stdout, one record per row
 //	aem bench -timing               run points serially, recording wall clock and allocations
 func benchCmd(prog string, args []string) int {
+	return benchWith(prog, args, harness.Select)
+}
+
+// benchWith is benchCmd with the -exp resolver as a parameter, so a test
+// can run specs that are not in the registry through the same flags,
+// emitters and exit codes.
+func benchWith(prog string, args []string, selectSpecs func(string) ([]*harness.Spec, []string, error)) int {
 	fs := flag.NewFlagSet(prog, flag.ExitOnError)
 	var (
 		expIDs  = fs.String("exp", "all", "comma-separated experiment ids to run, or 'all'")
@@ -51,7 +58,7 @@ func benchCmd(prog string, args []string) int {
 		return 0
 	}
 
-	specs, warnings, err := harness.Select(*expIDs)
+	specs, warnings, err := selectSpecs(*expIDs)
 	for _, w := range warnings {
 		fail(prog, "warning: %s", w)
 	}

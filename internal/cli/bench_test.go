@@ -7,7 +7,6 @@ import (
 	"strings"
 	"testing"
 
-	"repro/internal/aem"
 	"repro/internal/harness"
 )
 
@@ -146,23 +145,36 @@ func TestBenchCmdWritesProfiles(t *testing.T) {
 }
 
 // TestBenchCmdFailedExperimentExits1: an experiment whose points fail —
-// here the file engines, pointed at a directory that does not exist —
-// ends the run with exit 1 and the experiment named on stderr, not a
-// panic, and the CPU profile is still stopped and written.
+// here a synthetic spec whose second point panics — ends the run with
+// exit 1 and the experiment named on stderr, not a panic, and the CPU
+// profile is still stopped and written.
 func TestBenchCmdFailedExperimentExits1(t *testing.T) {
-	dir := t.TempDir()
-	t.Setenv(aem.FileDirEnv, filepath.Join(dir, "missing"))
-	cpu := filepath.Join(dir, "cpu.pprof")
+	cpu := filepath.Join(t.TempDir(), "cpu.pprof")
+	failing := &harness.Spec{
+		ID:      "EXP-FAIL",
+		Title:   "a point that panics",
+		Axes:    []harness.Axis{{Name: "i", Values: harness.Ints(1, 2, 3)}},
+		Columns: harness.Cols("i"),
+		Point: func(p harness.Point) harness.Row {
+			if p.Int("i") == 2 {
+				panic("point failed")
+			}
+			return harness.Row{p.Int("i")}
+		},
+	}
+	selectFailing := func(string) ([]*harness.Spec, []string, error) {
+		return []*harness.Spec{failing}, nil, nil
+	}
 	var code int
 	stderr := capture(t, &os.Stderr, func() {
 		captureStdout(t, func() {
-			code = benchCmd("aem bench", []string{"-exp", "EXP-IO1", "-par", "2", "-cpuprofile", cpu})
+			code = benchWith("aem bench", []string{"-par", "2", "-cpuprofile", cpu}, selectFailing)
 		})
 	})
 	if code != 1 {
 		t.Errorf("exit code %d, want 1\n%s", code, stderr)
 	}
-	if !strings.Contains(string(stderr), "EXP-IO1") {
+	if !strings.Contains(string(stderr), "EXP-FAIL") {
 		t.Errorf("stderr does not name the failed experiment:\n%s", stderr)
 	}
 	if st, err := os.Stat(cpu); err != nil || st.Size() == 0 {

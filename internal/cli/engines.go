@@ -25,9 +25,6 @@ func enginesCmd(prog string, args []string) int {
 		if e.Caps.Persistent {
 			caps += "file "
 		}
-		if e.Caps.BlockAlign > 0 {
-			caps += fmt.Sprintf("align=%d", e.Caps.BlockAlign)
-		}
 		if caps == "" {
 			caps = "-"
 		}

@@ -367,17 +367,18 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 	}
 }
 
-// TestFileDirectConcurrentReads runs snapshot readers against a
-// file-direct shard while its writer commits. Both sides move blocks
-// through the engine's positional transfer path at the same time, so a
-// transfer buffer shared between them corrupts reads, overflows the
-// tree's block vectors, or trips the race detector. Every key is
-// preloaded and never deleted, and every value written for key k is
-// congruent to k, so each Get must find its key with a value of that key.
-func TestFileDirectConcurrentReads(t *testing.T) {
+// TestFileConcurrentReads runs snapshot readers against a file-engine
+// shard while its writer commits. The readers copy blocks out of the
+// engine's fixed mapping while the writer writes blocks and grows the
+// file under it, so a block that moved or a mapping replaced on growth
+// corrupts reads, overflows the tree's block vectors, or trips the race
+// detector. Every key is preloaded and never deleted, and every value
+// written for key k is congruent to k, so each Get must find its key with
+// a value of that key.
+func TestFileConcurrentReads(t *testing.T) {
 	t.Setenv(aem.FileDirEnv, t.TempDir())
 	cfg := testConfig(1)
-	cfg.Engine = "file-direct"
+	cfg.Engine = "file"
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)

@@ -8,35 +8,6 @@ import (
 	"testing"
 )
 
-func TestAllExperimentsRunAndRender(t *testing.T) {
-	for _, e := range All() {
-		e := e
-		t.Run(e.ID, func(t *testing.T) {
-			tbl := mustTable(t, e)
-			if tbl.ID != e.ID {
-				t.Errorf("table ID %q != experiment ID %q", tbl.ID, e.ID)
-			}
-			if len(tbl.Rows) == 0 {
-				t.Fatal("experiment produced no rows")
-			}
-			for i, row := range tbl.Rows {
-				if len(row) != len(tbl.Columns) {
-					t.Fatalf("row %d has %d cells for %d columns", i, len(row), len(tbl.Columns))
-				}
-			}
-			var text, csv bytes.Buffer
-			tbl.Render(&text)
-			tbl.CSV(&csv)
-			if !strings.Contains(text.String(), e.ID) {
-				t.Error("rendered text missing experiment id")
-			}
-			if lines := strings.Count(csv.String(), "\n"); lines != len(tbl.Rows)+1 {
-				t.Errorf("CSV has %d lines, want %d", lines, len(tbl.Rows)+1)
-			}
-		})
-	}
-}
-
 func TestByID(t *testing.T) {
 	if _, ok := ByID("EXP-M1"); !ok {
 		t.Error("EXP-M1 not found")

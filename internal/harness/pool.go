@@ -28,15 +28,12 @@ var machinePools sync.Map // engine name → *sync.Pool of *aem.Machine
 // defer-heavy point function) cannot put the same machine into the pool
 // twice and hand one machine to two concurrent grid points.
 //
-// Persistent engines (registry caps) never enter the shared pool: each
-// owns a backing file, and a shared pool would let two concurrent grid
-// points alias one file. Those machines are pooled by identity instead —
-// this one point owns this one engine — so release closes the engine
-// (removing its temp file) rather than recycling it.
+// Persistent engines (registry caps) own a backing file that a shared
+// pool would let two concurrent grid points alias, and no grid point runs
+// on one, so asking for one is an authoring bug and panics.
 func PooledMachine(cfg aem.Config, backend string) (ma *aem.Machine, release func()) {
 	if e, ok := aem.EngineByName(backend); ok && e.Caps.Persistent {
-		ma = backendMachine(cfg, backend)
-		return ma, releaseOnce(func() { ma.Close() })
+		panic("harness: persistent engine " + backend + " cannot be pooled")
 	}
 	entry, ok := machinePools.Load(backend)
 	if !ok {

@@ -2,6 +2,8 @@ package harness
 
 import (
 	"bytes"
+	"fmt"
+	"strings"
 	"sync"
 	"testing"
 
@@ -39,8 +41,11 @@ func poolWorkload(ma *aem.Machine, n int) Row {
 // B changes between rounds, since the pool recycles a machine into a
 // point of any block size.
 func TestPooledMachineMatchesFresh(t *testing.T) {
-	t.Setenv(aem.FileDirEnv, t.TempDir())
-	for _, backend := range aem.EngineNames() {
+	for _, e := range aem.Engines() {
+		if e.Caps.Persistent {
+			continue
+		}
+		backend := e.Name
 		t.Run(backend, func(t *testing.T) {
 			for round, b := range []int{8, 16, 4, 8} {
 				cfg := aem.Config{M: 64, B: b, Omega: 1 + round}
@@ -61,8 +66,20 @@ func TestPooledMachineMatchesFresh(t *testing.T) {
 	}
 }
 
+// TestPooledMachineRejectsPersistent: a persistent engine's machine owns
+// a backing file, so the pool refuses it rather than share one file
+// between grid points.
+func TestPooledMachineRejectsPersistent(t *testing.T) {
+	defer func() {
+		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "file") {
+			t.Fatalf("PooledMachine(file) recovered %v, want a panic naming the engine", r)
+		}
+	}()
+	PooledMachine(aem.Config{M: 64, B: 8, Omega: 1}, "file")
+}
+
 // TestPooledMachineReleaseIdempotent pins the double-release fix at the
-// release function both of PooledMachine's paths return: a release called
+// release function PooledMachine returns: a release called
 // twice (an easy slip in a defer-heavy point function) must put the
 // machine into the pool once, not twice — a double Put lets two
 // subsequent gets hand the same machine to two concurrent grid points.
@@ -123,7 +140,7 @@ func TestRunPooledParByteIdentity(t *testing.T) {
 			ID:    "POOLGRID",
 			Title: "pooled machines across backends",
 			Axes: []Axis{
-				{Name: "backend", Values: Vals("slice", "counting", "file")},
+				{Name: "backend", Values: Vals("slice", "counting")},
 				{Name: "omega", Values: Ints(1, 4, 9)},
 				{Name: "n", Values: Ints(64, 100, 200)},
 			},

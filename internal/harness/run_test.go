@@ -289,28 +289,6 @@ func TestParallelHarnessDeterminism(t *testing.T) {
 	}
 }
 
-// TestRunAllCoversEveryExperiment: running All() emits one table per
-// registered experiment, in index order.
-func TestRunAllCoversEveryExperiment(t *testing.T) {
-	if testing.Short() {
-		t.Skip("full sweep is multi-second")
-	}
-	all := All()
-	var tables []*Table
-	execute(t, all, 8, func(tbl *Table) { tables = append(tables, tbl) })
-	if len(tables) != len(all) {
-		t.Fatalf("emitted %d tables for %d experiments", len(tables), len(all))
-	}
-	for i, tbl := range tables {
-		if tbl.ID != all[i].ID {
-			t.Errorf("table %d is %s, want %s", i, tbl.ID, all[i].ID)
-		}
-		if len(tbl.Rows) == 0 {
-			t.Errorf("%s produced no rows", tbl.ID)
-		}
-	}
-}
-
 // gridSpecs builds a small multi-spec registry exercising every table
 // feature: a multi-axis grid with a dynamic axis, Skip, predicted-bound
 // columns and a derived column over the finished grid; and a second

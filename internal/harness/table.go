@@ -181,7 +181,7 @@ func (t *Table) JSON(w io.Writer) error {
 // so the default `aem bench` output and its recorded goldens are
 // unaffected by their presence.
 func Aux() []*Spec {
-	return []*Spec{specMG1(), specIO1(), specIO2(), specL1(), specL2(), specL3()}
+	return []*Spec{specMG1(), specL1(), specL2(), specL3()}
 }
 
 // ByID returns the spec with the given experiment id, searching the
