@@ -24,49 +24,51 @@ func newFileEngine(t *testing.T, blockSize int) *FileStorage {
 // not leak — so a pooled engine's file cannot accrete previous runs'
 // blocks, and post-Reset allocations read as zeros again.
 func TestFileStorageResetTruncates(t *testing.T) {
-	const b = 4
-	s := newFileEngine(t, b)
-	s.Alloc(64)
-	payload := []Item{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
-	for a := Addr(0); a < 64; a++ {
-		s.Write(a, payload)
-	}
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-	st, err := os.Stat(s.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() < 64*int64(b*itemSize) {
-		t.Fatalf("file holds %d bytes for 64 written blocks, want ≥ %d", st.Size(), 64*b*itemSize)
-	}
-
-	s.Reset()
-	st, err = os.Stat(s.Path())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.Size() != 0 {
-		t.Errorf("Reset left %d bytes in the file, want 0 (truncate, not leak)", st.Size())
-	}
-	if s.NumBlocks() != 0 {
-		t.Errorf("NumBlocks = %d after Reset, want 0", s.NumBlocks())
-	}
-
-	// The engine is fully usable after Reset and reads back fresh
-	// zeros, never the previous run's payload.
-	s.Alloc(2)
-	buf := make([]Item, 0, b)
-	if got := s.ReadInto(0, buf); len(got) != 0 {
-		t.Errorf("post-Reset block 0 holds %d items, want 0", len(got))
-	}
-	s.Write(0, make([]Item, b))
-	for i, it := range s.ReadInto(0, buf) {
-		if it != (Item{}) {
-			t.Errorf("stale value %v leaked through Reset at item %d", it, i)
+	t.Run("mmap", func(t *testing.T) {
+		const b = 4
+		s := newFileEngine(t, b)
+		s.Alloc(64)
+		payload := []Item{{1, 2}, {3, 4}, {5, 6}, {7, 8}}
+		for a := Addr(0); a < 64; a++ {
+			s.Write(a, payload)
 		}
-	}
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
+		}
+		st, err := os.Stat(s.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() < 64*int64(b*itemSize) {
+			t.Fatalf("file holds %d bytes for 64 written blocks, want ≥ %d", st.Size(), 64*b*itemSize)
+		}
+
+		s.Reset()
+		st, err = os.Stat(s.Path())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Size() != 0 {
+			t.Errorf("Reset left %d bytes in the file, want 0 (truncate, not leak)", st.Size())
+		}
+		if s.NumBlocks() != 0 {
+			t.Errorf("NumBlocks = %d after Reset, want 0", s.NumBlocks())
+		}
+
+		// The engine is fully usable after Reset and reads back fresh
+		// zeros, never the previous run's payload.
+		s.Alloc(2)
+		buf := make([]Item, 0, b)
+		if got := s.ReadInto(0, buf); len(got) != 0 {
+			t.Errorf("post-Reset block 0 holds %d items, want 0", len(got))
+		}
+		s.Write(0, make([]Item, b))
+		for i, it := range s.ReadInto(0, buf) {
+			if it != (Item{}) {
+				t.Errorf("stale value %v leaked through Reset at item %d", it, i)
+			}
+		}
+	})
 }
 
 // TestFileStorageTornBlock simulates a crash mid-write: a concurrent
@@ -76,57 +78,59 @@ func TestFileStorageResetTruncates(t *testing.T) {
 // run starts from provable zeros, which is the recovery story a scratch
 // external memory needs.
 func TestFileStorageTornBlock(t *testing.T) {
-	const b = 4
-	s := newFileEngine(t, b)
-	s.Alloc(4)
-	full := []Item{{10, 1}, {20, 2}, {30, 3}, {40, 4}}
-	s.Write(2, full)
-	if err := s.Sync(); err != nil {
-		t.Fatal(err)
-	}
-
-	// The "crash": a second descriptor scribbles garbage over the
-	// first half of block 2's slot and dies without finishing.
-	raw, err := os.OpenFile(s.Path(), os.O_WRONLY, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	tear := make([]byte, b/2*itemSize)
-	for i := range tear {
-		tear[i] = 0xAB
-	}
-	if _, err := raw.WriteAt(tear, 2*int64(b*itemSize)); err != nil {
-		t.Fatal(err)
-	}
-	raw.Close()
-
-	// Reading the torn block must return b items without fault;
-	// the untouched second half still carries the old values.
-	got := s.ReadInto(2, make([]Item, 0, b))
-	if len(got) != b {
-		t.Fatalf("torn block reads %d items, want %d", len(got), b)
-	}
-	if got[2] != full[2] || got[3] != full[3] {
-		t.Errorf("tear bled past its half: %v", got)
-	}
-	if got[0] == full[0] {
-		t.Errorf("torn half still reads the pre-crash value %v — the tear never reached the engine", got[0])
-	}
-
-	// Recovery: Reset truncates the torn state away entirely.
-	s.Reset()
-	s.Alloc(4)
-	for a := Addr(0); a < 4; a++ {
-		if n := len(s.ReadInto(a, make([]Item, 0, b))); n != 0 {
-			t.Errorf("block %d holds %d items after post-tear Reset, want 0", a, n)
+	t.Run("mmap", func(t *testing.T) {
+		const b = 4
+		s := newFileEngine(t, b)
+		s.Alloc(4)
+		full := []Item{{10, 1}, {20, 2}, {30, 3}, {40, 4}}
+		s.Write(2, full)
+		if err := s.Sync(); err != nil {
+			t.Fatal(err)
 		}
-	}
-	s.Write(2, make([]Item, b))
-	for i, it := range s.ReadInto(2, make([]Item, 0, b)) {
-		if it != (Item{}) {
-			t.Errorf("torn byte survived Reset at item %d: %v", i, it)
+
+		// The "crash": a second descriptor scribbles garbage over the
+		// first half of block 2's slot and dies without finishing.
+		raw, err := os.OpenFile(s.Path(), os.O_WRONLY, 0)
+		if err != nil {
+			t.Fatal(err)
 		}
-	}
+		tear := make([]byte, b/2*itemSize)
+		for i := range tear {
+			tear[i] = 0xAB
+		}
+		if _, err := raw.WriteAt(tear, 2*int64(b*itemSize)); err != nil {
+			t.Fatal(err)
+		}
+		raw.Close()
+
+		// Reading the torn block must return b items without fault;
+		// the untouched second half still carries the old values.
+		got := s.ReadInto(2, make([]Item, 0, b))
+		if len(got) != b {
+			t.Fatalf("torn block reads %d items, want %d", len(got), b)
+		}
+		if got[2] != full[2] || got[3] != full[3] {
+			t.Errorf("tear bled past its half: %v", got)
+		}
+		if got[0] == full[0] {
+			t.Errorf("torn half still reads the pre-crash value %v — the tear never reached the engine", got[0])
+		}
+
+		// Recovery: Reset truncates the torn state away entirely.
+		s.Reset()
+		s.Alloc(4)
+		for a := Addr(0); a < 4; a++ {
+			if n := len(s.ReadInto(a, make([]Item, 0, b))); n != 0 {
+				t.Errorf("block %d holds %d items after post-tear Reset, want 0", a, n)
+			}
+		}
+		s.Write(2, make([]Item, b))
+		for i, it := range s.ReadInto(2, make([]Item, 0, b)) {
+			if it != (Item{}) {
+				t.Errorf("torn byte survived Reset at item %d: %v", i, it)
+			}
+		}
+	})
 }
 
 // TestFileStorageCloseRemovesOwnedFile: registry-built temp engines own
