@@ -115,13 +115,12 @@ type BufferTree struct {
 	frames  []aem.Item
 	chunk   []aem.Item
 
-	// Block recycling (see Recycle). retired lists the captured addresses
+	// Block reuse (see TakeRetired). retired lists the captured addresses
 	// the tree has let go of since its owner last took them; spare holds
 	// addresses free to rewrite, which single-block writes take before
 	// allocating; reused counts the writes that did. sortArea and sorter
 	// are the external leaf sort's scratch extent and working set (see
 	// sortBuf).
-	recycle  bool
 	retired  []aem.Addr
 	spare    []aem.Addr
 	reused   int64
@@ -191,23 +190,24 @@ func (t *BufferTree) startEra() {
 	t.eraLeft = eraCaptures * n
 }
 
-// Recycle makes the tree rewrite the blocks it lets go of instead of
-// abandoning them. A block that some capture holds — a flushed buffer
-// prefix, a replaced leaf run, a rebuilt skeleton's runs and separator
-// blocks — may still be read through a snapshot, which the tree cannot
-// see, so it is listed for TakeRetired and rewritten only once the owner
-// hands it back through Reuse, when no reader can reach it. A block no
-// capture ever held (one a flush wrote and a later flush dropped before
-// the next capture) and the external leaf sort's vectors are rewritten
-// at once, and that sort reuses one scratch extent and one working set.
-// A tree that is never switched keeps no lists and allocates exactly as
-// before: external memory is unbounded in the model, and a rewritten
-// address is billed like a fresh one.
-func (t *BufferTree) Recycle() { t.recycle = true }
-
 // TakeRetired appends the addresses retired since the last call to dst
 // and returns it. Every one is unreachable from the live tree, and from
 // any snapshot captured after its retirement.
+//
+// The tree rewrites the blocks it lets go of. A block that some capture
+// holds — a flushed buffer prefix, a replaced leaf run, a rebuilt
+// skeleton's runs and separator blocks — may still be read through a
+// snapshot, which the tree cannot see, so it is retired, and rewritten
+// only once the owner hands it back through Reuse, when no reader can
+// reach it. A block no capture ever held (one a flush wrote and a later
+// flush dropped before the next capture) and the external leaf sort's
+// vectors are rewritten at once. A tree whose owner never drains it keeps
+// every block a capture held, as a tree that reused nothing would, plus
+// one address in retired for each; a tree that is never captured retires
+// only the separator blocks its rebuilds replace (see retireTree).
+// External memory is unbounded in the model and a rewritten address is
+// billed like a fresh one, so reuse moves no I/O count, only how many
+// blocks the tree stores.
 func (t *BufferTree) TakeRetired(dst []aem.Addr) []aem.Addr {
 	dst = append(dst, t.retired...)
 	t.retired = t.retired[:0]
@@ -242,23 +242,17 @@ func (t *BufferTree) ReachableBlocks(dst []aem.Addr) []aem.Addr {
 }
 
 // letGo hands over c's oldest k blocks, which the caller is about to
-// drop from the chain, if the tree recycles: those a capture holds (the
-// chain's first pub) are retired, the rest are spare at once.
+// drop from the chain: those a capture holds (the chain's first pub) are
+// retired, the rest are spare at once.
 func (t *BufferTree) letGo(c *chain, k int) {
-	if !t.recycle {
-		return
-	}
 	p := min(k, c.pub)
 	t.retired = append(t.retired, c.addrs[:p]...)
 	t.spare = append(t.spare, c.addrs[p:k]...)
 }
 
 // spareRange makes the contiguous blocks [lo, hi), which no capture
-// holds, spare if the tree recycles.
+// holds, spare.
 func (t *BufferTree) spareRange(lo, hi aem.Addr) {
-	if !t.recycle {
-		return
-	}
 	for a := lo; a < hi; a++ {
 		t.spare = append(t.spare, a)
 	}
@@ -268,9 +262,6 @@ func (t *BufferTree) spareRange(lo, hi aem.Addr) {
 // has just copied it. Separator blocks are retired whether or not a capture
 // holds them: a node is rarely rebuilt away before its first capture.
 func (t *BufferTree) retireTree(nd *btnode) {
-	if !t.recycle {
-		return
-	}
 	t.letGo(&nd.buf, nd.buf.blocks())
 	t.letGo(&nd.run, nd.run.blocks())
 	for b := 0; b < nd.sepBlocks; b++ {
@@ -901,16 +892,16 @@ func (t *BufferTree) applyLeaf(leaf *btnode, k int) {
 
 // sortBuf copies a buffer chain into a contiguous vector and sorts it with
 // the repository's AEM mergesort, returning the sorted vector. No capture
-// ever holds the sort's vectors. A bare tree allocates them fresh each
-// time. A recycling tree sorts a buffer of up to ωM items — mergesort's
-// base case, SmallSort — with the same I/O in its sortArea, which at
-// least doubles whenever a sort outgrows it, up to room for two such
-// buffers, and in one SmallSorter kept for the tree's lifetime; it
-// reports the fresh blocks [lo, hi) a larger sort allocated, spare once
-// the caller is done with the sorted vector.
+// ever holds the sort's vectors. A buffer of up to ωM items — mergesort's
+// base case, SmallSort — sorts with the same I/O in the tree's sortArea,
+// which at least doubles whenever a sort outgrows it, up to room for two
+// such buffers, and in one SmallSorter kept for the tree's lifetime. A
+// larger buffer (a height-1 root reaches 2·ωM) sorts in fresh vectors;
+// sortBuf reports the blocks [lo, hi) they took, spare once the caller is
+// done with the sorted vector.
 func (t *BufferTree) sortBuf(c *chain) (sorted *aem.Vector, lo, hi aem.Addr) {
 	small := t.cfg.Omega * t.cfg.M
-	if !t.recycle || c.n > small {
+	if c.n > small {
 		lo = aem.Addr(t.ma.NumBlocks())
 		v := aem.NewVector(t.ma, c.n)
 		t.materialize(c, v)

@@ -139,8 +139,15 @@ func isUpdate(op Op) bool { return op.Kind == Insert || op.Kind == Delete }
 // tails) blocks. Chains back both node buffers (unordered bags of
 // updates) and leaf runs (key-sorted entries); order is the writer's
 // business, the chain just stores blocks. A block the chain lets go of is
-// abandoned, or, in a recycling tree, rewritten once no reader can reach
-// it (see BufferTree.Recycle).
+// rewritten once no reader can reach it (see BufferTree.TakeRetired and
+// Reuse).
+//
+// Within one node's buffer chain a later block holds only entries newer,
+// by sequence number, than any earlier block's entries for the same key,
+// and the root's stage is newer than the root's chain: the root appends
+// in commit order, and a node flushes only its oldest blocks into its
+// children, which append them after what they hold. So a point read may
+// stop at the newest block that holds its key.
 //
 // Snapshots share the address array instead of copying it (see
 // snapshot.go): a capture holds addrs[:len:len], and appending only ever

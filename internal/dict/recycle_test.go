@@ -3,26 +3,28 @@ package dict
 import (
 	"fmt"
 	"maps"
-	"slices"
 	"testing"
 
 	"repro/internal/aem"
 	"repro/internal/rng"
 )
 
-// TestRecycleKeepsAccounting runs one stream through a bare tree and a
-// recycling one, at every differential corner and in both flush modes.
-// The recycling tree's owner keeps one snapshot at a time: after each
-// client batch it takes the retired blocks, captures a new snapshot,
-// drops the old one and hands the blocks back. Then:
+// TestRecycleKeepsAccounting runs one stream through two trees, at every
+// differential corner and in both flush modes. Both publish a snapshot
+// after each client batch. The first tree's owner keeps one snapshot at a
+// time: it takes the retired blocks, captures a new snapshot, drops the
+// old one and hands the blocks back. The second tree's owner never takes
+// them, so it rewrites only blocks no capture held. Then:
 //
-//   - both trees answer alike and do the same I/O, block for block in
-//     count: a rewritten address is billed like a fresh one;
+//   - the first tree answers as the model does;
+//   - both trees do the same I/O: a rewritten address is billed like a
+//     fresh one (TestFlushAccountingFingerprint pins what that I/O is);
 //   - no retired block is reachable from the live tree, and none is
 //     retired twice before it is handed back;
 //   - the held snapshot, read after the next batch has rewritten the
 //     blocks handed back, still answers as the model did at its capture;
-//   - the recycling tree stores fewer blocks once the stream has flushed.
+//   - once the stream has flushed, the first tree has reused blocks and
+//     stores fewer than the second.
 func TestRecycleKeepsAccounting(t *testing.T) {
 	for _, dc := range diffConfigs(false) {
 		for _, deam := range []bool{false, true} {
@@ -34,16 +36,15 @@ func TestRecycleKeepsAccounting(t *testing.T) {
 }
 
 func runRecycle(t *testing.T, dc diffConfig, deam bool) {
-	bareMa, recMa := aem.New(dc.cfg), aem.New(dc.cfg)
-	bare, rec := NewBufferTree(bareMa), NewBufferTree(recMa)
+	recMa, keepMa := aem.New(dc.cfg), aem.New(dc.cfg)
+	rec, keep := NewBufferTree(recMa), NewBufferTree(keepMa)
 	if deam {
-		bare.Deamortize()
 		rec.Deamortize()
+		keep.Deamortize()
 	}
-	rec.Recycle()
 	ops := diffStream(5, dc.n, dc.keyspace)
 	r := rng.New(6)
-	model := map[int64]int64{}
+	md := newModel()
 	var snap *TreeSnapshot
 	var snapModel map[int64]int64
 	var retired []aem.Addr
@@ -51,25 +52,14 @@ func runRecycle(t *testing.T, dc diffConfig, deam bool) {
 		j := min(len(ops), i+1+r.Intn(400))
 		batch := ops[i:j]
 		i = j
-		want, got := bare.Apply(batch), rec.Apply(batch)
+		want := md.apply(batch)
+		sameResults(t, fmt.Sprintf("batch ending at op %d", j), rec.Apply(batch), want)
+		keep.Apply(batch)
 		if deam {
-			bare.FlushStep(2)
 			rec.FlushStep(2)
-			bare.Compact()
+			keep.FlushStep(2)
 			rec.Compact()
-		}
-		if !slices.EqualFunc(want, got, func(a, b Result) bool {
-			return a.OK == b.OK && a.Value == b.Value && slices.Equal(a.Hits, b.Hits)
-		}) {
-			t.Fatalf("batch ending at op %d: recycling tree answers differ from the bare tree's", j)
-		}
-		for _, op := range batch {
-			switch op.Kind {
-			case Insert:
-				model[op.Key] = op.Value
-			case Delete:
-				delete(model, op.Key)
-			}
+			keep.Compact()
 		}
 		if snap != nil {
 			checkSnapshot(t, snap, recMa, snapModel, dc.keyspace, r)
@@ -84,18 +74,19 @@ func runRecycle(t *testing.T, dc diffConfig, deam bool) {
 			}
 			seen[a] = true
 		}
-		snap, snapModel = rec.Snapshot(), maps.Clone(model)
+		snap, snapModel = rec.Snapshot(), maps.Clone(md.m)
+		keep.Snapshot()
 		rec.Reuse(retired)
 	}
-	if b, g := bareMa.Stats(), recMa.Stats(); b != g {
-		t.Fatalf("recycling moved the I/O: bare %+v, recycling %+v", b, g)
+	if g, k := recMa.Stats(), keepMa.Stats(); g != k {
+		t.Fatalf("reuse moved the I/O: %+v, undrained tree %+v", g, k)
 	}
 	// A stream that never flushes lets go of no block.
-	if flushed := bare.NodeFlushes() > 0; recMa.NumBlocks() > bareMa.NumBlocks() ||
-		flushed && (rec.ReusedBlocks() == 0 || recMa.NumBlocks() == bareMa.NumBlocks()) {
-		t.Fatalf("recycling tree stores %d blocks after %d reuses, bare tree %d", recMa.NumBlocks(), rec.ReusedBlocks(), bareMa.NumBlocks())
+	if flushed := rec.NodeFlushes() > 0; recMa.NumBlocks() > keepMa.NumBlocks() ||
+		flushed && (rec.ReusedBlocks() == 0 || recMa.NumBlocks() == keepMa.NumBlocks()) {
+		t.Fatalf("tree stores %d blocks after %d reuses, undrained tree %d", recMa.NumBlocks(), rec.ReusedBlocks(), keepMa.NumBlocks())
 	}
-	t.Logf("bare tree %d blocks, recycling tree %d (%d writes reused a block)", bareMa.NumBlocks(), recMa.NumBlocks(), rec.ReusedBlocks())
+	t.Logf("drained tree %d blocks (%d writes reused a block), undrained tree %d", recMa.NumBlocks(), rec.ReusedBlocks(), keepMa.NumBlocks())
 }
 
 // checkSnapshot probes a held snapshot with lookups and one range scan

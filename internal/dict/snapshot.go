@@ -17,7 +17,7 @@ import (
 // The capture is cheap and I/O-free because the tree's chains are
 // append-only: blocks are written whole and never rewritten while the
 // tree holds them, and a block the tree lets go of is rewritten only once
-// its owner has handed it back (see BufferTree.Recycle), which a serving
+// its owner has handed it back (see BufferTree.TakeRetired), which a serving
 // owner does only after every reader that could reach it has finished. A
 // chain's address list therefore only grows at its end, loses a prefix,
 // or is replaced outright, so a capture can share the live list instead of

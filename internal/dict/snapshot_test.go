@@ -264,12 +264,14 @@ func shapeOf(tree *BufferTree) map[*btnode]nodeShape {
 }
 
 // mutationSites classifies what a step did to the tree by diffing node
-// shapes. Addresses are never reused and appends never change a chain's
-// first block, so: a chain whose new first block was a later block of the
-// old chain lost a prefix (a prefix partition or prefix apply); a non-root
-// internal buffer whose first block changed otherwise was reset (only
-// partition empties those); a leaf whose run changed got a fresh run from
-// mergeApply; a new top node means rebuild ran.
+// shapes. Every block of before was captured by the previous publish and
+// the caller never hands retired blocks back, so no address of before is
+// reused, and appends never change a chain's first block. So: a chain
+// whose new first block was a later block of the old chain lost a prefix
+// (a prefix partition or prefix apply); a non-root internal buffer whose
+// first block changed otherwise was reset (only partition empties those);
+// a leaf whose run changed got a fresh run from mergeApply; a new top node
+// means rebuild ran.
 func mutationSites(before, after map[*btnode]nodeShape, oldTop, newTop *btnode, hit map[string]int) {
 	if oldTop != newTop {
 		hit["rebuild"]++
@@ -451,7 +453,8 @@ func rootOf(s *TreeSnapshot) int64 { return s.gen }
 // separators and chains. It also checks that the capture left each live
 // node clean with the published capture cached (for the root, the tree's
 // rootSnap under the snapshot's rootGen), so the next publish starts from
-// a coherent cache.
+// a coherent cache, and that every buffer chain keeps the chain order
+// (checkChainOrder).
 func checkPublish(tree *BufferTree) error {
 	s := tree.Snapshot()
 	if s.seq != tree.seq || !slices.Equal(s.stage, tree.stage) {
@@ -467,7 +470,53 @@ func checkPublish(tree *BufferTree) error {
 			return fmt.Errorf("root: %w", err)
 		}
 	}
-	return nil
+	return checkChainOrder(tree)
+}
+
+// checkChainOrder holds the live tree to the chain order (see chain):
+// within a node's buffer chain, each block's entries for a key are newer
+// than that key's entries in every earlier block, and the root's stage is
+// newer than the root's chain. It reads the blocks from the storage
+// engine, so the meter bills nothing.
+func checkChainOrder(tree *BufferTree) error {
+	// newest maps a key to the newest seq among the node's blocks checked
+	// so far, sized for the root, whose chain is usually the longest.
+	newest := make(map[int64]int64, tree.top.buf.n+len(tree.stage))
+	check := func(items []aem.Item) error {
+		for _, it := range items {
+			if s, ok := newest[it.Key]; ok && entrySeq(it.Aux) <= s {
+				return fmt.Errorf("holds key %d at seq %d, an earlier block at seq %d", it.Key, entrySeq(it.Aux), s)
+			}
+		}
+		for _, it := range items {
+			if s := entrySeq(it.Aux); s > newest[it.Key] {
+				newest[it.Key] = s
+			}
+		}
+		return nil
+	}
+	frame := make([]aem.Item, 0, tree.cfg.B)
+	var walk func(nd *btnode) error
+	walk = func(nd *btnode) error {
+		clear(newest)
+		for b, a := range nd.buf.addrs {
+			if err := check(tree.ma.PeekInto(a, frame)); err != nil {
+				return fmt.Errorf("buffer block %d %w", b, err)
+			}
+		}
+		if nd == tree.top {
+			if err := check(tree.stage); err != nil {
+				return fmt.Errorf("the stage %w", err)
+			}
+		}
+		for i, kid := range nd.kids {
+			if err := walk(kid); err != nil {
+				return fmt.Errorf("child %d: %w", i, err)
+			}
+		}
+		return nil
+	}
+	return walk(tree.top)
 }
 
 // sameCapture compares one captured node and its subtree; an error names

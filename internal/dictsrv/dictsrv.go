@@ -391,7 +391,6 @@ func New(cfg Config) (*Service, error) {
 			sh.tree.Deamortize()
 		}
 		sh.scratch.New = func() interface{} { return dict.NewGetScratch(cfg.Machine.B) }
-		sh.tree.Recycle()
 		sh.publish(0)
 		s.shards = append(s.shards, sh)
 	}
