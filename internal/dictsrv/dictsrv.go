@@ -115,14 +115,15 @@ type Config struct {
 	// Deamortize bounds the commit-path stall: each shard tree runs in
 	// incremental-flush mode (dict.BufferTree.Deamortize), each commit
 	// batch pays at most one FlushStep(1) — one node-flush — and the rest
-	// of the debt is retired at idle by the shard's one retirer goroutine.
-	// A commit that leaves debt or ran a node-flush passes the tree to the
-	// retirer once no writer is queued; each retirer turn pays one
-	// FlushStep(1), or once the debt is settled one Compact (the rebuild
-	// check) and a republish, and then yields to any queued writer, so an
-	// arriving writer waits behind at most one node-flush. The same
-	// node-flushes happen either way; deamortizing spreads them so a
-	// commit batch never stalls behind a full cascade.
+	// of the debt is retired at idle by the shard's retirer goroutine,
+	// which the shard starts with its first idle work, so a shard that
+	// never owes debt runs none. A commit that leaves debt or ran a
+	// node-flush passes the tree to the retirer once no writer is queued;
+	// each retirer turn pays one FlushStep(1), or once the debt is settled
+	// one Compact (the rebuild check) and a republish, and then yields to
+	// any queued writer, so an arriving writer waits behind at most one
+	// node-flush. The same node-flushes happen either way; deamortizing
+	// spreads them so a commit batch never stalls behind a full cascade.
 	Deamortize bool
 }
 
@@ -250,8 +251,13 @@ type shard struct {
 	// holder measures its turn into turn and release folds it in.
 	stats telemetry
 
-	// wake passes the tree to the retirer (deamortized only, capacity 1).
-	wake chan struct{}
+	// wake passes the tree to the retirer (capacity 1). It stays nil until
+	// the shard's first idle work starts the retirer, so an amortized
+	// shard, or a deamortized one that never owed debt, runs none.
+	// retirers is the service's WaitGroup that Close waits on (nil when
+	// amortized). Both are guarded by mu.
+	wake     chan struct{}
+	retirers *sync.WaitGroup
 
 	batch, writers []*writeReq // commit scratch, tree holder only
 	ops            []dict.Op
@@ -345,11 +351,12 @@ type Service struct {
 	stallClock func() int64
 
 	closeOnce sync.Once
-	wg        sync.WaitGroup // retirers
+	wg        sync.WaitGroup // the retirers started so far
 }
 
-// New builds the service: Shards machines and trees, an initial (empty)
-// snapshot per shard and, when deamortized, one idle retirer each.
+// New builds the service: Shards machines and trees and an initial (empty)
+// snapshot per shard. It starts no goroutine: a deamortized shard starts
+// its retirer with its first idle work (see release).
 func New(cfg Config) (*Service, error) {
 	if cfg.Shards < 1 {
 		return nil, fmt.Errorf("dictsrv: need ≥ 1 shard, got %d", cfg.Shards)
@@ -357,8 +364,8 @@ func New(cfg Config) (*Service, error) {
 	if cfg.KeyHi <= cfg.KeyLo {
 		return nil, fmt.Errorf("dictsrv: empty keyspace [%d, %d)", cfg.KeyLo, cfg.KeyHi)
 	}
-	if int64(cfg.Shards) > cfg.KeyHi-cfg.KeyLo {
-		return nil, fmt.Errorf("dictsrv: %d shards over a %d-key space", cfg.Shards, cfg.KeyHi-cfg.KeyLo)
+	if w := cfg.width(); uint64(cfg.Shards) > w {
+		return nil, fmt.Errorf("dictsrv: %d shards over a %d-key space", cfg.Shards, w)
 	}
 	if err := cfg.Machine.Validate(); err != nil {
 		return nil, fmt.Errorf("dictsrv: %v", err)
@@ -389,17 +396,11 @@ func New(cfg Config) (*Service, error) {
 			states: slab.New[snapState](stateSlabMax)}
 		if cfg.Deamortize {
 			sh.tree.Deamortize()
+			sh.retirers = &s.wg
 		}
 		sh.scratch.New = func() interface{} { return dict.NewGetScratch(cfg.Machine.B) }
 		sh.publish(0)
 		s.shards = append(s.shards, sh)
-	}
-	if cfg.Deamortize {
-		for _, sh := range s.shards {
-			sh.wake = make(chan struct{}, 1)
-			s.wg.Add(1)
-			go s.retire(sh)
-		}
 	}
 	return s, nil
 }
@@ -526,33 +527,42 @@ func (s *Service) destroy() {
 	}
 }
 
-// shardFor routes a key to its partition: contiguous equal ranges over
-// [KeyLo, KeyHi), out-of-range keys clamped to the edge shards.
-func (s *Service) shardFor(key int64) int {
-	lo, hi := s.cfg.KeyLo, s.cfg.KeyHi
-	if key < lo {
-		return 0
-	}
-	if key >= hi {
-		return len(s.shards) - 1
-	}
-	// Partition by position; span/Shards ≥ 1 is checked at construction.
-	i := int((key - lo) / ((hi - lo + int64(len(s.shards)) - 1) / int64(len(s.shards))))
-	if i >= len(s.shards) {
-		i = len(s.shards) - 1
-	}
-	return i
+// width is how many keys [KeyLo, KeyHi) holds, which may not fit an
+// int64. KeyHi > KeyLo, so the unsigned difference is exact and ≥ 1.
+func (c Config) width() uint64 { return uint64(c.KeyHi) - uint64(c.KeyLo) }
+
+// span is how many keys each shard covers, ⌈width/Shards⌉, which is ≥ 1
+// because New checks Shards ≤ width. The last shard may cover fewer.
+func (s *Service) span() uint64 {
+	return (s.cfg.width()-1)/uint64(len(s.shards)) + 1
 }
 
-// shardRange returns shard i's key interval [lo, hi).
-func (s *Service) shardRange(i int) (lo, hi int64) {
-	span := (s.cfg.KeyHi - s.cfg.KeyLo + int64(len(s.shards)) - 1) / int64(len(s.shards))
-	lo = s.cfg.KeyLo + int64(i)*span
-	hi = lo + span
-	if hi > s.cfg.KeyHi || i == len(s.shards)-1 {
-		hi = s.cfg.KeyHi
+// shardFor routes a key to its partition: contiguous equal ranges over
+// [KeyLo, KeyHi), out-of-range keys clamped to the edge shards. Offsets
+// from KeyLo are unsigned, so a keyspace wider than MaxInt64 routes too.
+func (s *Service) shardFor(key int64) int {
+	if key < s.cfg.KeyLo {
+		return 0
 	}
-	return lo, hi
+	if key >= s.cfg.KeyHi {
+		return len(s.shards) - 1
+	}
+	i := (uint64(key) - uint64(s.cfg.KeyLo)) / s.span()
+	return int(min(i, uint64(len(s.shards)-1)))
+}
+
+// shardRange returns shard i's key interval [lo, hi). A shard that
+// ⌈width/Shards⌉ leaves no key (a narrow keyspace over many shards) gets
+// the empty interval [KeyHi, KeyHi), and shardFor routes nothing to it.
+// No product below wraps: (Shards−1)·span is at most width when
+// (Shards−1)² ≤ width, and below Shards² + Shards otherwise.
+func (s *Service) shardRange(i int) (lo, hi int64) {
+	w, span := s.cfg.width(), s.span()
+	from, to := min(uint64(i)*span, w), w
+	if i < len(s.shards)-1 {
+		to = min(uint64(i+1)*span, w)
+	}
+	return int64(uint64(s.cfg.KeyLo) + from), int64(uint64(s.cfg.KeyLo) + to)
 }
 
 // submit commits one write and returns its ack.
@@ -711,10 +721,11 @@ func (s *Service) commit(sh *shard, batch []*writeReq) bool {
 
 // release passes the tree on at the end of a holder's turn — a commit or
 // a retirer turn: to the queue head, which then leads the next batch;
-// else, when idle work may be pending, to the retirer; else back to idle.
-// idle reports whether the turn may have left such work. It folds the
-// turn's measurements into the shard's telemetry on the way, and puts
-// done, a leader's own request (nil for the retirer), on the free list.
+// else, when idle work may be pending, to the retirer, which the shard's
+// first idle work starts; else back to idle. idle reports whether the
+// turn may have left such work. It folds the turn's measurements into the
+// shard's telemetry on the way, and puts done, a leader's own request
+// (nil for the retirer), on the free list.
 func (sh *shard) release(idle bool, done *writeReq) {
 	sh.mu.Lock()
 	if done != nil {
@@ -731,8 +742,14 @@ func (sh *shard) release(idle bool, done *writeReq) {
 		next.done <- struct{}{}
 		return
 	case sh.idle && !sh.closed:
-		// Only the holder sends, and the retirer takes the token before it
-		// touches the tree, so the channel is empty here.
+		// The first idle work starts the retirer. Only the holder sends,
+		// and the retirer takes the token before it touches the tree, so
+		// the channel is empty here.
+		if sh.wake == nil {
+			sh.wake = make(chan struct{}, 1)
+			sh.retirers.Add(1)
+			go retire(sh, sh.wake, sh.retirers)
+		}
 		sh.idle = false
 		sh.wake <- struct{}{}
 	default:
@@ -761,12 +778,14 @@ func (sh *shard) fail(cause any, pending []*writeReq) error {
 	return err
 }
 
-// retire is a deamortized shard's idle retirer. It holds the tree from
-// taking a token off wake, which release sends once no writer is queued
-// and idle work may be pending, until its turn passes the tree on.
-func (s *Service) retire(sh *shard) {
-	defer s.wg.Done()
-	for range sh.wake {
+// retire is a deamortized shard's idle retirer, which release starts with
+// the shard's first idle work. It holds the tree from taking a token off
+// wake, which release sends once no writer is queued and idle work may be
+// pending, until its turn passes the tree on. It ends when Close closes
+// wake.
+func retire(sh *shard, wake <-chan struct{}, wg *sync.WaitGroup) {
+	defer wg.Done()
+	for range wake {
 		sh.retireTurn()
 	}
 }
@@ -901,8 +920,8 @@ func (s *Service) Flush() {
 	}
 }
 
-// Close marks every shard closed, stops the retirers and closes every
-// shard machine. The caller must have no operations in flight; Close is
+// Close marks every shard closed, stops the retirers that were started
+// and closes every shard machine. The caller must have no operations in flight; Close is
 // not safe against concurrent writers by design (the differential layer
 // owns lifecycle in tests, the CLI in production). A second Close is a
 // no-op.

@@ -2,6 +2,7 @@ package dictsrv
 
 import (
 	"fmt"
+	"math"
 	"reflect"
 	"runtime"
 	"slices"
@@ -102,6 +103,153 @@ func TestServiceConfigErrors(t *testing.T) {
 			svc.Close()
 			t.Fatalf("config %d accepted: %+v", i, cfg)
 		}
+	}
+}
+
+// TestWideKeyspaces serves keyspaces whose width does not fit an int64
+// (or whose bounds do, but not their difference) over 1, 2, 3 and 8
+// shards: the shard intervals must tile [KeyLo, KeyHi), and a Put, Get and
+// Scan at both edges and in the middle must answer correctly.
+func TestWideKeyspaces(t *testing.T) {
+	spaces := []struct{ lo, hi int64 }{
+		{0, math.MaxInt64},
+		{math.MinInt64, math.MaxInt64},
+		{-1 << 62, 1 << 62},
+		{-10, math.MaxInt64},
+	}
+	for _, ks := range spaces {
+		for _, shards := range []int{1, 2, 3, 8} {
+			t.Run(fmt.Sprintf("%d..%d/shards=%d", ks.lo, ks.hi, shards), func(t *testing.T) {
+				cfg := testConfig(shards)
+				cfg.KeyLo, cfg.KeyHi = ks.lo, ks.hi
+				svc, err := New(cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer svc.Close()
+				next := ks.lo
+				for i := 0; i < shards; i++ {
+					lo, hi := svc.shardRange(i)
+					if lo != next || hi <= lo {
+						t.Fatalf("shard %d covers [%d, %d), want a non-empty interval from %d", i, lo, hi, next)
+					}
+					if a, b := svc.shardFor(lo), svc.shardFor(hi-1); a != i || b != i {
+						t.Fatalf("shard %d's edges %d and %d route to shards %d and %d", i, lo, hi-1, a, b)
+					}
+					next = hi
+				}
+				if next != ks.hi {
+					t.Fatalf("the shards end at %d, want %d", next, ks.hi)
+				}
+				mid := int64(uint64(ks.lo) + (uint64(ks.hi)-uint64(ks.lo))/2)
+				keys := []int64{ks.lo, mid, ks.hi - 1}
+				for i, k := range keys {
+					svc.Put(k, int64(i+1))
+				}
+				for i, k := range keys {
+					if got := svc.Get(k); !got.OK || got.Value != int64(i+1) {
+						t.Fatalf("Get(%d) = (%d, %v), want (%d, true)", k, got.Value, got.OK, i+1)
+					}
+					if got := svc.Scan(k, k+1).Hits; len(got) != 1 || got[0] != (dict.Found{Key: k, Value: int64(i + 1)}) {
+						t.Fatalf("Scan(%d, %d) = %v", k, k+1, got)
+					}
+				}
+				got := svc.Scan(ks.lo, ks.hi).Hits
+				want := []dict.Found{{Key: ks.lo, Value: 1}, {Key: mid, Value: 2}, {Key: ks.hi - 1, Value: 3}}
+				if !slices.Equal(got, want) {
+					t.Fatalf("Scan of the whole keyspace = %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestRetirerStartsOnDemand pins the deamortized retirer's lifecycle: New,
+// Gets and Scans start no goroutine, writes that first leave one shard
+// idle work start exactly one, its retirer, and Close joins it.
+func TestRetirerStartsOnDemand(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			base := steadyGoroutines(t)
+			cfg := testConfig(shards)
+			cfg.Deamortize = true
+			svc, err := New(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer svc.Close()
+			expectGoroutines(t, "after New", base)
+			reads := func() {
+				for k := int64(0); k < 4096; k += 97 {
+					svc.Get(k)
+					svc.Scan(k, k+300)
+				}
+			}
+			reads()
+			expectGoroutines(t, "after Gets and Scans", base)
+
+			// Write to shard 0 alone until a commit leaves it idle work.
+			lo, hi := svc.shardRange(0)
+			n := 0
+			for ; !retirerStarted(svc.shards[0]); n++ {
+				if n == 1<<16 {
+					t.Fatalf("%d writes to shard 0 left it no idle work", n)
+				}
+				svc.Put(lo+int64(n)%(hi-lo), int64(n))
+			}
+			expectGoroutines(t, fmt.Sprintf("after %d writes started shard 0's retirer", n), base+1)
+			for i := 0; i < 2*n; i++ {
+				svc.Put(lo+int64(i)%(hi-lo), int64(i))
+			}
+			reads()
+			expectGoroutines(t, "after more writes to shard 0 and reads", base+1)
+			for _, other := range svc.shards[1:] {
+				if retirerStarted(other) {
+					t.Fatalf("shard %d, never written, started a retirer", other.idx)
+				}
+			}
+
+			svc.Close()
+			deadline := time.Now().Add(10 * time.Second)
+			for runtime.NumGoroutine() != base {
+				if time.Now().After(deadline) {
+					t.Fatalf("%d goroutines after Close, want %d", runtime.NumGoroutine(), base)
+				}
+				time.Sleep(time.Millisecond)
+			}
+		})
+	}
+}
+
+// retirerStarted reports whether sh has started its retirer.
+func retirerStarted(sh *shard) bool {
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return sh.wake != nil
+}
+
+// steadyGoroutines returns the goroutine count once it has held still for
+// 50ms, so goroutines that earlier tests ended have exited.
+func steadyGoroutines(t *testing.T) int {
+	t.Helper()
+	n, since := runtime.NumGoroutine(), time.Now()
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		} else if time.Since(since) >= 50*time.Millisecond {
+			return n
+		}
+	}
+	t.Fatal("the goroutine count never settled")
+	return 0
+}
+
+// expectGoroutines fails the test unless want goroutines run. A goroutine
+// counts from its go statement on, so a start shows at once.
+func expectGoroutines(t *testing.T, when string, want int) {
+	t.Helper()
+	if got := runtime.NumGoroutine(); got != want {
+		t.Fatalf("%d goroutines %s, want %d", got, when, want)
 	}
 }
 
