@@ -166,6 +166,13 @@ func (s *FileStorage) Write(a Addr, items []Item) {
 	s.lens[seg][slot] = int32(len(items))
 }
 
+// Discard implements Storage: the blocks' lengths drop to 0. Their slots
+// keep their bytes until the next Write overwrites them.
+func (s *FileStorage) Discard(a Addr, count int) {
+	s.mustOpen("Discard")
+	s.lens.fill(a, count, 0)
+}
+
 // Reset implements Storage: the Reset contract for a stateful engine is
 // truncate, not leak — the file shrinks to zero bytes, so a recycled
 // engine cannot serve (or keep paying disk for) a previous run's blocks.

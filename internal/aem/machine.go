@@ -201,6 +201,17 @@ func (ma *Machine) Alloc(count int) Addr {
 	return ma.store.Alloc(count)
 }
 
+// Discard tells the storage engine that blocks [a, a+count) will not be
+// read again before they are written: each reads back empty until its
+// next Write, and the engine may reuse its memory. Like Alloc it is free
+// and is not traced: the model's external memory is unbounded, and
+// Discard frees only the simulator's memory. The addresses stay
+// allocated.
+func (ma *Machine) Discard(a Addr, count int) {
+	ma.checkRange(a, count, "Discard")
+	ma.store.Discard(a, count)
+}
+
 // ReadInto performs one read I/O, copies the block's contents (between 0
 // and B items) into dst and returns the filled prefix. The copy models the
 // transfer into internal memory; callers that retain it must account for

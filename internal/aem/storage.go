@@ -11,7 +11,10 @@ package aem
 // its costed ReadInto/Write and free PeekInto/Poke all map onto the same
 // two data methods here — whether a transfer is billed is the cost model's
 // business, not the storage's. The one engine-specific step in the machine
-// is ScanWrites' bulk length update on CountingStorage.
+// is ScanWrites' bulk length update on CountingStorage. The model's
+// external memory is unbounded, but an engine's is the simulator's heap
+// or disk: Discard hands back the memory behind blocks an owner is done
+// with, and like Alloc it costs nothing.
 //
 // What an engine can do (keep values, live on a device, align slots) is
 // not asked of the engine: it is declared once, as StorageCaps in the
@@ -29,12 +32,12 @@ package aem
 // it (via Machine.Close) exactly like an os.File.
 type Storage interface {
 	// Alloc reserves count fresh, empty blocks and returns the address of
-	// the first. Engines never free a block: an owner done with one may
-	// Write it again (a dictionary service shard rewrites the blocks its
-	// tree lets go of), but the block count only grows. Addresses are
-	// dense and stable, and blocks never move: growth adds storage for
-	// the new blocks without copying or remapping the ones already
-	// allocated.
+	// the first. Engines never free an address: an owner done with a
+	// block may Discard it and Write it again (a dictionary service shard
+	// rewrites the blocks its tree lets go of), but the block count only
+	// grows. Addresses are dense and stable, and blocks never move:
+	// growth adds storage for the new blocks without copying or remapping
+	// the ones already allocated.
 	Alloc(count int) Addr
 
 	// NumBlocks returns the number of blocks allocated so far.
@@ -47,14 +50,23 @@ type Storage interface {
 	// allocate.
 	//
 	// ReadInto of a written block is the one concurrent operation: it is
-	// safe while another goroutine calls Alloc, Write to other blocks, or
-	// ReadInto, provided the write of block a happens before the read.
-	// Every other method requires exclusive access.
+	// safe while another goroutine calls Alloc, Write or Discard on other
+	// blocks, or ReadInto, provided the write of block a happens before
+	// the read. A Write may land in memory another block's Discard handed
+	// back, never in a live block's. Every other method requires
+	// exclusive access.
 	ReadInto(a Addr, dst []Item) []Item
 
 	// Write replaces block a's contents with a copy of items; the caller
 	// keeps ownership of the argument slice.
 	Write(a Addr, items []Item)
+
+	// Discard tells the engine that the owner will not read blocks
+	// [a, a+count) again before writing them: each reads back empty until
+	// its next Write, and the engine may reuse its memory for later
+	// writes. The addresses stay allocated, so NumBlocks is unchanged.
+	// Discarding a never-written or already discarded block does nothing.
+	Discard(a Addr, count int)
 
 	// Reset returns the engine to its freshly constructed state — zero
 	// blocks allocated — while retaining reusable capacity, so a pooled
@@ -109,11 +121,14 @@ func sizedDst(dst []Item, n int) []Item {
 // slice has room, and otherwise carves the block from a shared slab (a
 // slab allocator in Bonwick's sense) as slab[i:i+n:i+n]: the clipped
 // capacity keeps a block from ever growing into its neighbour, and the
-// engine allocates once per slab rather than once per block.
+// engine allocates once per slab rather than once per block. A discarded
+// block's slice goes on a free list, and carving takes from that list
+// before it cuts the slab.
 type SliceStorage struct {
 	n      int
 	blocks segDir[[]Item] // one slice header per block
 	slab   []Item         // the current slab's uncarved rest
+	free   [][]Item       // discarded blocks' slices, at full capacity
 }
 
 // slabItems is the slice engine's slab size: 128 KiB of 16-byte items, a
@@ -160,10 +175,35 @@ func (s *SliceStorage) Write(a Addr, items []Item) {
 	s.blocks[seg][off] = blk
 }
 
-// carve returns n fresh items with capacity n, cut from the current slab
-// or, once its rest is too short, from a new one. A block larger than a
-// slab gets an allocation of its own.
+// Discard implements Storage. Each written block's slice moves to the
+// free list and its table entry is cleared, so the block reads back
+// empty and no two blocks ever share memory.
+func (s *SliceStorage) Discard(a Addr, count int) {
+	for end := a + Addr(count); a < end; a++ {
+		seg, off := locate(a)
+		if blk := s.blocks[seg][off]; cap(blk) > 0 {
+			s.free = append(s.free, blk[:0])
+			s.blocks[seg][off] = nil
+		}
+	}
+}
+
+// carve returns n items with capacity at least n: the most recently
+// discarded block's slice if it is long enough, else a fresh cut from
+// the current slab or, once its rest is too short, from a new one. A
+// freed slice too short for n is dropped rather than searched past: the
+// blocks a program discards and the ones it writes next are almost always
+// the same size. A block larger than a slab gets an allocation of its
+// own.
 func (s *SliceStorage) carve(n int) []Item {
+	if k := len(s.free); k > 0 {
+		blk := s.free[k-1]
+		s.free[k-1] = nil
+		s.free = s.free[:k-1]
+		if cap(blk) >= n {
+			return blk
+		}
+	}
 	if n > slabItems {
 		return make([]Item, n)
 	}
@@ -178,10 +218,13 @@ func (s *SliceStorage) carve(n int) []Item {
 // Reset implements Storage. The block table's segments are kept and their
 // used prefix cleared, so recycled engines hand out nil blocks exactly
 // like fresh ones and the previous run's blocks become garbage. The
-// slab's uncarved rest was never handed out, so carving continues there.
+// slab's uncarved rest was never handed out, so carving continues there;
+// the free list is dropped with the blocks.
 func (s *SliceStorage) Reset() {
 	s.blocks.clear(s.n)
 	s.n = 0
+	clear(s.free)
+	s.free = s.free[:0]
 }
 
 // Sync implements Storage; RAM engines have nothing to flush.
@@ -240,6 +283,9 @@ func (s *CountingStorage) Write(a Addr, items []Item) {
 	seg, off := locate(a)
 	s.lens[seg][off] = int32(len(items))
 }
+
+// Discard implements Storage: the blocks' lengths drop to 0.
+func (s *CountingStorage) Discard(a Addr, count int) { s.lens.fill(a, count, 0) }
 
 // Reset implements Storage.
 func (s *CountingStorage) Reset() {

@@ -136,6 +136,13 @@ func TestStorageConformance(t *testing.T) {
 		})
 	}
 
+	// Discarded blocks, on every engine.
+	for _, eng := range engines(t, b) {
+		t.Run("discard/"+eng.name, func(t *testing.T) {
+			checkDiscard(t, eng.make(), eng.make, b, eng.hasData)
+		})
+	}
+
 	// Neighbouring blocks, on every data-bearing engine.
 	for _, eng := range engines(t, b) {
 		if !eng.hasData {
@@ -148,7 +155,7 @@ func TestStorageConformance(t *testing.T) {
 
 	// The concurrent half of the contract, on every data-retaining
 	// registry engine: blocks never move, so ReadInto of a written block
-	// is safe while the owner keeps allocating and writing.
+	// is safe while the owner keeps allocating, writing and discarding.
 	t.Setenv(FileDirEnv, t.TempDir())
 	for _, e := range Engines() {
 		if !e.Caps.RetainsData {
@@ -162,6 +169,172 @@ func TestStorageConformance(t *testing.T) {
 			t.Cleanup(func() { s.Close() })
 			checkConcurrentReads(t, s, b)
 		})
+		t.Run("discardreads/"+e.Name, func(t *testing.T) {
+			s, err := e.New(b)
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(func() { s.Close() })
+			checkDiscardReads(t, s, b)
+		})
+	}
+}
+
+// fillBlock returns n items carrying key, numbered by Aux.
+func fillBlock(key int64, n int) []Item {
+	items := make([]Item, n)
+	for j := range items {
+		items[j] = Item{Key: key, Aux: int64(j)}
+	}
+	return items
+}
+
+// checkDiscard holds an engine to the Discard contract: a discarded block
+// reads back empty until it is written again, the block count does not
+// move, discarding an empty block does nothing, and a write that lands
+// in a discarded block's memory disturbs no other block and not the
+// caller's items. Reset after Discard leaves an engine that behaves like
+// fresh, which is checked against one made by fresh.
+func checkDiscard(t *testing.T, s Storage, fresh func() Storage, b int, hasData bool) {
+	expectIn := func(s Storage, a Addr, want []Item) {
+		t.Helper()
+		if !hasData {
+			want = make([]Item, len(want))
+		}
+		if got := s.ReadInto(a, make([]Item, 0, b)); !slices.Equal(got, want) {
+			t.Fatalf("block %d read %v, want %v", a, got, want)
+		}
+	}
+	expect := func(a Addr, want []Item) { t.Helper(); expectIn(s, a, want) }
+	s.Alloc(5)
+	s.Write(0, fillBlock(1, b))
+	s.Write(1, fillBlock(2, b))
+	s.Write(2, fillBlock(3, b/2))
+	s.Discard(0, 1)
+	if s.NumBlocks() != 5 {
+		t.Fatalf("NumBlocks = %d after Discard, want 5", s.NumBlocks())
+	}
+	expect(0, []Item{})
+	expect(1, fillBlock(2, b))
+
+	// Never-written and already discarded blocks: no-ops.
+	s.Discard(3, 2)
+	s.Discard(0, 1)
+	s.Discard(0, 0)
+	expect(0, []Item{})
+	expect(3, []Item{})
+
+	// Block 3's write takes block 0's memory on the slice engine, and
+	// takes no slab.
+	sl, _ := s.(*SliceStorage)
+	var slabRest int
+	if sl != nil {
+		slabRest = len(sl.slab)
+	}
+	src := fillBlock(4, b)
+	s.Write(3, src)
+	if sl != nil && (len(sl.slab) != slabRest || len(sl.free) != 0) {
+		t.Errorf("write after Discard cut the slab (%d → %d items) or left %d freed blocks: the freed block was not reused",
+			slabRest, len(sl.slab), len(sl.free))
+	}
+	if !slices.Equal(src, fillBlock(4, b)) {
+		t.Fatalf("Write into reused memory changed its argument: %v", src)
+	}
+	src[0].Key = 99
+	expect(3, fillBlock(4, b))
+	expect(0, []Item{})
+	expect(1, fillBlock(2, b))
+	expect(2, fillBlock(3, b/2))
+
+	// A rewrite of the discarded block reads back; a short freed block
+	// is no home for a full one.
+	s.Write(0, fillBlock(5, b))
+	s.Discard(2, 1)
+	s.Write(4, fillBlock(6, b))
+	expect(0, fillBlock(5, b))
+	expect(2, []Item{})
+	expect(3, fillBlock(4, b))
+	expect(4, fillBlock(6, b))
+
+	// Reset after Discard: the same script on a fresh engine reads the
+	// same.
+	s.Discard(1, 2)
+	s.Reset()
+	if sl != nil && len(sl.free) != 0 {
+		t.Errorf("Reset kept %d freed blocks", len(sl.free))
+	}
+	f := fresh()
+	for _, e := range []Storage{s, f} {
+		if e.NumBlocks() != 0 {
+			t.Fatalf("NumBlocks = %d, want 0", e.NumBlocks())
+		}
+		e.Alloc(3)
+		e.Write(2, fillBlock(7, b))
+		e.Write(1, fillBlock(8, b/2))
+	}
+	for a := Addr(0); a < 3; a++ {
+		want := f.ReadInto(a, nil)
+		if hasData {
+			want = slices.Clone(want)
+		}
+		expect(a, want)
+	}
+	expectIn(f, 0, []Item{})
+}
+
+// checkDiscardReads has readers ReadInto live blocks while the owner
+// keeps writing and discarding scratch blocks between them. Each live
+// block is written right after a scratch block is discarded, so on the
+// slice engine it lands in that block's memory; later scratch writes
+// must never land in a live block's. The owner publishes live blocks
+// through an atomic, as in checkConcurrentReads.
+func checkDiscardReads(t *testing.T, s Storage, b int) {
+	const pairs, readers = 8 * segFirst, 4
+	var live atomic.Int64
+	errs := make(chan string, readers)
+	var wg sync.WaitGroup
+	for rd := 0; rd < readers; rd++ {
+		wg.Add(1)
+		go func(rd int) {
+			defer wg.Done()
+			buf, want := make([]Item, 0, b), make([]Item, b)
+			for i := uint64(rd); ; i++ {
+				n := live.Load()
+				if n == pairs {
+					return
+				}
+				if n == 0 {
+					runtime.Gosched()
+					continue
+				}
+				a := 2*Addr((i*0x9e3779b97f4a7c15>>20)%uint64(n)) + 1
+				got, exp := s.ReadInto(a, buf), blockContents(a, b, want)
+				if !slices.Equal(got, exp) {
+					errs <- fmt.Sprintf("live block %d read %v, wrote %v", a, got, exp)
+					return
+				}
+			}
+		}(rd)
+	}
+	junk, items := fillBlock(-1, b), make([]Item, b)
+	for n := 0; n < pairs; n++ {
+		scratch := s.Alloc(2)
+		s.Write(scratch, junk)
+		s.Discard(scratch, 1)
+		s.Write(scratch+1, blockContents(scratch+1, b, items))
+		live.Store(int64(n + 1))
+		// Cycle an older scratch block through write and discard.
+		old := 2 * Addr(n/2)
+		s.Write(old, junk)
+		s.Discard(old, 1)
+		if n%64 == 0 {
+			runtime.Gosched()
+		}
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
 	}
 }
 
@@ -171,13 +344,7 @@ func TestStorageConformance(t *testing.T) {
 // block that grew in place past its carve would overwrite its neighbour.
 // After Reset both blocks must read empty, and take writes again.
 func checkNeighbours(t *testing.T, s Storage, b int) {
-	fill := func(key int64, n int) []Item {
-		items := make([]Item, n)
-		for j := range items {
-			items[j] = Item{Key: key, Aux: int64(j)}
-		}
-		return items
-	}
+	fill := fillBlock
 	expect := func(a Addr, want []Item) {
 		t.Helper()
 		if got := s.ReadInto(a, make([]Item, 0, b)); !slices.Equal(got, want) {

@@ -70,6 +70,16 @@ func (v *Vector) ReadBlockInto(i int, dst []Item) (items []Item, first int) {
 	return v.ma.ReadInto(a, dst), int(a-v.base) * v.ma.cfg.B
 }
 
+// Discard hands the vector's blocks [lo, hi), in block indices, back to
+// the storage engine (Machine.Discard): the owner will not read them
+// again. It costs nothing.
+func (v *Vector) Discard(lo, hi int) {
+	if lo < 0 || hi < lo || hi > v.Blocks() {
+		panic(fmt.Sprintf("aem: Discard(%d,%d) of vector of %d blocks", lo, hi, v.Blocks()))
+	}
+	v.ma.Discard(v.base+Addr(lo), hi-lo)
+}
+
 // Materialize returns a copy of the whole vector without costing I/O. For
 // verification in tests and experiment harnesses only.
 func (v *Vector) Materialize() []Item {

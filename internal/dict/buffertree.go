@@ -251,8 +251,10 @@ func (t *BufferTree) letGo(c *chain, k int) {
 }
 
 // spareRange makes the contiguous blocks [lo, hi), which no capture
-// holds, spare.
+// holds, spare. Nothing reads a spare block before rewriting it, so
+// their memory goes back to the engine at once.
 func (t *BufferTree) spareRange(lo, hi aem.Addr) {
+	t.ma.Discard(lo, int(hi-lo))
 	for a := lo; a < hi; a++ {
 		t.spare = append(t.spare, a)
 	}

@@ -1,6 +1,7 @@
 package sorting_test
 
 import (
+	"runtime"
 	"testing"
 
 	"repro/internal/aem"
@@ -36,34 +37,49 @@ func BenchmarkMergeSort(b *testing.B) {
 	b.ReportMetric(float64(q)/n, "Q/item")
 }
 
-// TestMergeSortAllocs pins a MergeSort's heap objects at sortShape: its
-// output vectors (one per base case, the merge's and the merge's pointer
-// vector), the slice engine's slabs for the blocks it writes, and a
+// TestMergeSortAllocs pins a MergeSort's heap at sortShape: its output
+// vectors (one per base case, the merge's and the merge's pointer
+// vector), the slice engine's slabs for the base cases' blocks, and a
 // constant working set — one base-case sorter for the whole recursion
-// and one round buffer, frame and writer per merge. Nothing is allocated
-// per round, per selection pass or per base case beyond its output.
+// and one round buffer, frame and writer per merge. The merge's output
+// takes no slab of its own beyond the one its first round and pointer
+// vector start: it reuses the blocks the merge discards behind each
+// run's pointer. Nothing is allocated per round, per selection pass or
+// per base case beyond its output. In bytes, a sort allocates at most
+// 1.25 times its keys (the base cases' copy and the block table's
+// growth) plus the working set; one that kept its runs would take two.
 func TestMergeSortAllocs(t *testing.T) {
 	const (
 		n          = 1 << 16
 		slabItems  = 8192 // the slice engine's 128 KiB slab
 		workingSet = 11
+		itemBytes  = 16
+		setBytes   = 64 << 10
 	)
 	in := workload.Keys(workload.NewRNG(1), workload.Random, n)
 	ma := aem.New(sortShape)
 	defer ma.Close()
 	v := aem.Load(ma, in)
-	before := ma.NumBlocks()
 	sorting.MergeSort(ma, v)
-	blocks := ma.NumBlocks() - before
 
 	baseCases := sortShape.MergeFanout()
 	vectors := baseCases + 2
-	slabs := (blocks*sortShape.B + slabItems - 1) / slabItems
-	got := testing.AllocsPerRun(4, func() { sorting.MergeSort(ma, v) })
-	t.Logf("%v objects: %d vectors, %d slabs", got, vectors, slabs)
+	slabs := (sortShape.BlocksOf(n)*sortShape.B+slabItems-1)/slabItems + 1
+	const runs = 4
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	got := testing.AllocsPerRun(runs, func() { sorting.MergeSort(ma, v) })
+	runtime.ReadMemStats(&after)
+	// AllocsPerRun makes one warm-up call besides its runs.
+	bytes := float64(after.TotalAlloc-before.TotalAlloc) / (runs + 1)
+	t.Logf("%v objects: %d vectors, %d slabs; %.0f bytes, %.2f per key byte", got, vectors, slabs, bytes, bytes/(n*itemBytes))
 	if limit := float64(vectors + slabs + workingSet); got > limit {
 		t.Errorf("MergeSort of %d keys allocated %.0f objects, want ≤ %.0f (%d output vectors, %d slabs, %d working set)",
 			n, got, limit, vectors, slabs, workingSet)
+	}
+	if limit := 1.25*n*itemBytes + setBytes; bytes > limit {
+		t.Errorf("MergeSort of %d keys allocated %.0f bytes, want ≤ %.0f (1.25 × %d B of keys + %d B)",
+			n, bytes, limit, n*itemBytes, setBytes)
 	}
 }
 

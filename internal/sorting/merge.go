@@ -157,8 +157,9 @@ type pointerStore interface {
 	// built per call.
 	forEach(m *merger, pass func(m *merger, run, bptr int))
 	// update applies new block pointers for the given runs, paying
-	// whatever I/O the store needs. changes is sorted by run index.
-	update(changes []ptrChange)
+	// whatever I/O the store needs, and tells m.passed each run's old and
+	// new pointer. changes is sorted by run index.
+	update(m *merger, changes []ptrChange)
 	// close releases the store's internal memory.
 	close()
 }
@@ -203,7 +204,7 @@ func (e *externalPointers) forEach(m *merger, pass func(m *merger, run, bptr int
 	}
 }
 
-func (e *externalPointers) update(changes []ptrChange) {
+func (e *externalPointers) update(m *merger, changes []ptrChange) {
 	defer e.pv.Machine().SetPhase(e.pv.Machine().SetPhase("pointers"))
 	b := e.pv.Machine().Config().B
 	for i := 0; i < len(changes); {
@@ -211,9 +212,10 @@ func (e *externalPointers) update(changes []ptrChange) {
 		entries, first := e.pv.ReadBlockInto(blk*b, e.frame)
 		dirty := false
 		for ; i < len(changes) && changes[i].run/b == blk; i++ {
-			ent := &entries[changes[i].run-first]
-			if int(ent.Key) != changes[i].bptr {
-				ent.Key = int64(changes[i].bptr)
+			c, ent := changes[i], &entries[changes[i].run-first]
+			if int(ent.Key) != c.bptr {
+				m.passed(c.run, int(ent.Key), c.bptr)
+				ent.Key = int64(c.bptr)
 				dirty = true
 			}
 		}
@@ -223,7 +225,8 @@ func (e *externalPointers) update(changes []ptrChange) {
 	}
 }
 
-func (e *externalPointers) close() {}
+// close discards the pointer vector: it is the merge's own.
+func (e *externalPointers) close() { e.pv.Discard(0, e.pv.Blocks()) }
 
 // inMemoryPointers keeps b[i] in internal memory, reserving one slot per
 // run. Constructing it on a machine where the K pointers do not fit
@@ -245,8 +248,9 @@ func (p *inMemoryPointers) forEach(m *merger, pass func(m *merger, run, bptr int
 	}
 }
 
-func (p *inMemoryPointers) update(changes []ptrChange) {
+func (p *inMemoryPointers) update(m *merger, changes []ptrChange) {
 	for _, c := range changes {
+		m.passed(c.run, p.bptr[c.run], c.bptr)
 		p.bptr[c.run] = c.bptr
 	}
 }
@@ -269,7 +273,7 @@ func (p *inMemoryPointers) close() { p.ma.Release(len(p.bptr)) }
 // Every run must be ascending in the (Key, Aux) order. The inputs are not
 // modified. MergeRuns requires M ≥ 8B.
 func MergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions) *aem.Vector {
-	return mergeRuns(ma, runs, opts, true)
+	return mergeRuns(ma, runs, opts, true, false)
 }
 
 // MergeAll merges any number of sorted runs by repeated ωm-way MergeRuns
@@ -278,6 +282,8 @@ func MergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions) *aem.Vect
 // merge fanout. With the Reduce option, duplicate keys combine at every
 // level, which is what keeps the Section 5 vector additions at O(ω·h)
 // total cost: the data volume shrinks geometrically up the merge tree.
+// The caller's runs are not modified; the levels above the first merge
+// MergeAll's own vectors and discard them as they pass.
 func MergeAll(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions) *aem.Vector {
 	if len(runs) == 0 {
 		return aem.NewVector(ma, 0)
@@ -291,14 +297,14 @@ func MergeAll(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions) *aem.Vecto
 	if fanout < 2 {
 		fanout = 2
 	}
-	for len(runs) > 1 {
+	for own := false; len(runs) > 1; own = true {
 		next := make([]*aem.Vector, 0, (len(runs)+fanout-1)/fanout)
 		for lo := 0; lo < len(runs); lo += fanout {
 			hi := lo + fanout
 			if hi > len(runs) {
 				hi = len(runs)
 			}
-			next = append(next, MergeRuns(ma, runs[lo:hi], opts))
+			next = append(next, mergeRuns(ma, runs[lo:hi], opts, true, own))
 		}
 		runs = next
 	}
@@ -312,10 +318,15 @@ func MergeAll(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions) *aem.Vecto
 // exactly the ω < B assumption the paper removes. It exists as a baseline
 // for the EXP-S2 experiment.
 func MergeRunsInMemoryPointers(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions) *aem.Vector {
-	return mergeRuns(ma, runs, opts, false)
+	return mergeRuns(ma, runs, opts, false, false)
 }
 
-func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalPtrs bool) *aem.Vector {
+// mergeRuns is the §3 merge, keeping the pointers b[i] in external memory
+// or, for the [7] baseline, in internal memory. With own set the runs
+// are the caller's temporaries: each run's blocks are discarded as its
+// pointer passes them, so the output's writes reuse their memory. No run
+// block is read once its pointer has passed it, so owning changes no I/O.
+func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalPtrs, own bool) *aem.Vector {
 	cfg := ma.Config()
 	b := cfg.B
 	if cfg.M < 8*b {
@@ -371,6 +382,7 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 	m := &merger{
 		b:    b,
 		runs: runs,
+		own:  own,
 		mu:   mergeEntry{it: minItem, run: -1, idx: -1},
 		buf:  newSelectHeap(capM),
 		// Lemma 3.1: at most ⌈capM/B⌉ runs stay active.
@@ -413,7 +425,7 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 			return cmp.Compare(x.idx, y.idx)
 		})
 		changes = changesFromBuffer(changes[:0], round, b)
-		ptrs.update(changes)
+		ptrs.update(m, changes)
 	}
 
 	n := red.close()
@@ -434,6 +446,7 @@ func mergeRuns(ma *aem.Machine, runs []*aem.Vector, opts MergeOptions, externalP
 type merger struct {
 	b         int
 	runs      []*aem.Vector
+	own       bool // discard each run's blocks as its pointer passes them
 	mu        mergeEntry
 	buf       selectHeap // the round buffer
 	active    []activeRun
@@ -442,6 +455,15 @@ type merger struct {
 }
 
 func (m *merger) runBlocks(r int) int { return (m.runs[r].Len() + m.b - 1) / m.b }
+
+// passed is told that run r's pointer moved from block from to block to.
+// No later pass reads a block below its run's pointer, so a merge that
+// owns its runs discards blocks [from, to).
+func (m *merger) passed(r, from, to int) {
+	if m.own {
+		m.runs[r].Discard(from, to)
+	}
+}
 
 // loadBlock reads block bi of run r and offers its entries > mu to the
 // round buffer, returning the block's last entry and whether the block

@@ -13,30 +13,30 @@ import (
 // items), and the sorted subarrays are merged with MergeRuns. Total cost:
 // O(ω·n·log_{ωm} n) reads and O(n·log_{ωm} n) writes, for any ω.
 // Subarrays are item ranges of v, not views, and every base case runs in
-// one SmallSort working set allocated per call.
+// one SmallSort working set allocated per call. The sorted subarrays are
+// the sort's own: the merge discards each one's blocks as its pointer
+// passes them, so the merge output reuses their memory (Machine.Discard).
 //
 // The input vector is left untouched. Requires M ≥ 8B.
 func MergeSort(ma *aem.Machine, v *aem.Vector) *aem.Vector {
-	return mergeSortWith(ma, v, MergeRuns)
+	return mergeSortWith(ma, v, true)
 }
 
 // MergeSortInMemoryPointers is MergeSort built on the in-memory-pointer
 // merge of [7]; it panics by design when the ωm merge fanout does not fit
 // in internal memory (ω ≳ B).
 func MergeSortInMemoryPointers(ma *aem.Machine, v *aem.Vector) *aem.Vector {
-	return mergeSortWith(ma, v, MergeRunsInMemoryPointers)
+	return mergeSortWith(ma, v, false)
 }
 
-type mergeFunc func(*aem.Machine, []*aem.Vector, MergeOptions) *aem.Vector
-
-func mergeSortWith(ma *aem.Machine, v *aem.Vector, merge mergeFunc) *aem.Vector {
-	return mergeSortRange(ma, v, 0, v.Len(), NewSmallSorter(ma.Config()), merge)
+func mergeSortWith(ma *aem.Machine, v *aem.Vector, externalPtrs bool) *aem.Vector {
+	return mergeSortRange(ma, v, 0, v.Len(), NewSmallSorter(ma.Config()), externalPtrs)
 }
 
 // mergeSortRange sorts items [lo, hi) of v into a fresh vector, running
-// every base case in base. lo is block-aligned and hi is too unless it is
-// v.Len().
-func mergeSortRange(ma *aem.Machine, v *aem.Vector, lo, hi int, base *SmallSorter, merge mergeFunc) *aem.Vector {
+// every base case in base and merging with external or in-memory
+// pointers. lo is block-aligned and hi is too unless it is v.Len().
+func mergeSortRange(ma *aem.Machine, v *aem.Vector, lo, hi int, base *SmallSorter, externalPtrs bool) *aem.Vector {
 	cfg := ma.Config()
 	if hi-lo <= cfg.Omega*cfg.M {
 		out := aem.NewVector(ma, hi-lo)
@@ -53,12 +53,12 @@ func mergeSortRange(ma *aem.Machine, v *aem.Vector, lo, hi int, base *SmallSorte
 
 	sorted := make([]*aem.Vector, 0, (blocks+per-1)/per)
 	for blk := 0; blk < blocks; blk += per {
-		sorted = append(sorted, mergeSortRange(ma, v, lo+blk*cfg.B, min(lo+(blk+per)*cfg.B, hi), base, merge))
+		sorted = append(sorted, mergeSortRange(ma, v, lo+blk*cfg.B, min(lo+(blk+per)*cfg.B, hi), base, externalPtrs))
 	}
 	if len(sorted) == 1 {
 		return sorted[0]
 	}
-	return merge(ma, sorted, MergeOptions{})
+	return mergeRuns(ma, sorted, MergeOptions{}, externalPtrs, true)
 }
 
 // EMMergeSort sorts v with the classic symmetric-EM multiway mergesort,
@@ -155,9 +155,14 @@ func newEMCursors(k, b int) []emCursor {
 }
 
 // advance moves c's head to the next item of run, reading the run's next
-// block (one read I/O) when the current one is used up.
+// block (one read I/O) when the current one is used up. Every run is the
+// sort's own, so the used-up block is discarded.
 func (c *emCursor) advance(run *aem.Vector) {
 	if len(c.rest) == 0 {
+		if c.next > 0 {
+			used := int(run.BlockAddr(c.next-1) - run.Base())
+			run.Discard(used, used+1)
+		}
 		if c.next >= run.Len() {
 			c.alive = false
 			return

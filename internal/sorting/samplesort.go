@@ -100,11 +100,14 @@ func sampleSortRec(ma *aem.Machine, v *aem.Vector, rng *rng.RNG, depth int) *aem
 
 	// Recurse with no reservations held (a writer kept open across the
 	// recursion would stack one block frame per depth level), then
-	// concatenate the sorted buckets with a single scan.
+	// concatenate the sorted buckets with a single scan. The buckets and
+	// their sorted copies are the sort's own: each is discarded once it
+	// has been read for the last time.
 	sorted := make([]*aem.Vector, 0, f)
-	for j := range buckets {
+	for j, bucket := range buckets {
 		if counts[j] > 0 {
-			sorted = append(sorted, sampleSortRec(ma, buckets[j], rng, depth+1))
+			sorted = append(sorted, sampleSortRec(ma, bucket, rng, depth+1))
+			bucket.Discard(0, bucket.Blocks())
 		}
 	}
 	out := aem.NewVector(ma, v.Len())
@@ -119,6 +122,7 @@ func sampleSortRec(ma *aem.Machine, v *aem.Vector, rng *rng.RNG, depth int) *aem
 			ow.Append(it)
 		}
 		bs.Close()
+		sv.Discard(0, sv.Blocks())
 	}
 	ow.Close()
 	return out

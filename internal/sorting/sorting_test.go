@@ -1,6 +1,7 @@
 package sorting_test
 
 import (
+	"slices"
 	"sort"
 	"strings"
 	"testing"
@@ -470,5 +471,57 @@ func TestMergeRunsMaxBufferAblation(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatal("MaxBuffer changed the output")
 		}
+	}
+}
+
+// TestSortsLeaveInputsReadable: the sorts discard only the vectors they
+// make themselves. A MergeSort's, EMMergeSort's or EMSampleSort's input,
+// and the runs a caller hands MergeRuns and MergeAll (with enough runs
+// for MergeAll to merge its own vectors at a second level), read back
+// unchanged after the call, and every output is the sorted input.
+func TestSortsLeaveInputsReadable(t *testing.T) {
+	cfg := aem.Config{M: 64, B: 8, Omega: 2}
+	keys := workload.Keys(workload.NewRNG(7), workload.Random, 40*cfg.Omega*cfg.M)
+	groups := evenRuns(keys, 3*cfg.MergeFanout()+1)
+	one := func(sort func(*aem.Machine, *aem.Vector) *aem.Vector) func(*aem.Machine, []*aem.Vector) *aem.Vector {
+		return func(ma *aem.Machine, in []*aem.Vector) *aem.Vector { return sort(ma, in[0]) }
+	}
+	for _, tc := range []struct {
+		name string
+		sort func(*aem.Machine, []*aem.Vector) *aem.Vector
+		runs int // how many of groups the input is, one vector each; 0: keys in one vector
+	}{
+		{"MergeSort", one(sorting.MergeSort), 0},
+		{"MergeSortInMemoryPointers", one(sorting.MergeSortInMemoryPointers), 0},
+		{"EMMergeSort", one(sorting.EMMergeSort), 0},
+		{"EMSampleSort", one(func(ma *aem.Machine, v *aem.Vector) *aem.Vector { return sorting.EMSampleSort(ma, v, 3) }), 0},
+		{"MergeRuns", func(ma *aem.Machine, in []*aem.Vector) *aem.Vector {
+			return sorting.MergeRuns(ma, in, sorting.MergeOptions{})
+		}, cfg.MergeFanout()},
+		{"MergeAll", func(ma *aem.Machine, in []*aem.Vector) *aem.Vector {
+			return sorting.MergeAll(ma, in, sorting.MergeOptions{})
+		}, len(groups)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			ma := aem.New(cfg)
+			in, want := []*aem.Vector{aem.Load(ma, keys)}, [][]aem.Item{keys}
+			if tc.runs > 0 {
+				in, want = loadRuns(ma, groups[:tc.runs]), groups[:tc.runs]
+			}
+			out := tc.sort(ma, in)
+			var all []aem.Item
+			for i, v := range in {
+				// Block by block: Materialize panics on a short vector.
+				var got []aem.Item
+				for b := 0; b < v.Blocks(); b++ {
+					got = append(got, ma.PeekInto(v.Base()+aem.Addr(b), nil)...)
+				}
+				if !slices.Equal(got, want[i]) {
+					t.Fatalf("input %d changed: %d of its %d items read back", i, len(got), len(want[i]))
+				}
+				all = append(all, want[i]...)
+			}
+			checkSortResult(t, all, out)
+		})
 	}
 }
