@@ -1,16 +1,14 @@
-// Cross-backend integration: every storage engine must leave the cost
-// model untouched. The data-bearing engines (the slice reference and the
-// mmap file engine, which stores blocks in its own way) must agree on
-// outputs *and* I/O accounting for every algorithm in the repository; the
-// counting engine must agree on accounting for data-oblivious programs,
-// which is all it exists for.
+// Cross-backend integration: the storage engine must leave the cost model
+// untouched. A recycled slice engine must agree with a fresh one on
+// outputs and I/O accounting for every algorithm in the repository; the
+// counting engine must agree with the slice engine on accounting for
+// data-oblivious programs, which is all it exists for.
 package repro
 
 import (
 	"testing"
 
 	"repro/internal/aem"
-	"repro/internal/aem/aemtest"
 	"repro/internal/dict"
 	"repro/internal/permute"
 	"repro/internal/pq"
@@ -20,9 +18,12 @@ import (
 )
 
 // TestAlgorithmsIdenticalAcrossDataBackends is the conformance suite at
-// algorithm level: identical outputs, Stats, Cost, phase totals and
-// internal-memory peaks on every data-bearing engine, for every algorithm
-// family in the repository.
+// algorithm level: identical outputs, Stats, Cost, internal-memory peaks
+// and block counts on a fresh slice engine and on one recycled from
+// earlier runs, for every algorithm family in the repository. The slice
+// engine is the one data engine; what can differ between two of its
+// instances is the state a Reset leaves behind (its block table and the
+// free list Discard fills), and Machine.Recycle promises none of it shows.
 func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 	cfg := aem.Config{M: 128, B: 8, Omega: 8}
 	const n = 1 << 12
@@ -85,7 +86,7 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 		{"pq-interleaved", func(ma *aem.Machine) []aem.Item {
 			// Interleaved Push/DeleteMin lifecycle, not just the HeapSort
 			// wrapper: the queue's run compactions must be byte-identical
-			// across engines too.
+			// on a recycled engine too.
 			q := pq.New(ma)
 			var out []aem.Item
 			for i, it := range in[:1024] {
@@ -111,7 +112,7 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 		{"pq-adaptive-interleaved", func(ma *aem.Machine) []aem.Item {
 			// Same lifecycle through the ω-adaptive queue: buffer appends,
 			// selection scans, folds and lazy merges must be byte-identical
-			// across engines too.
+			// on a recycled engine too.
 			q := pq.NewAdaptive(ma)
 			var out []aem.Item
 			for i, it := range in[:1024] {
@@ -142,6 +143,13 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 		}},
 	}
 
+	// used is the recycled machine: before the first algorithm it has run
+	// the §3 mergesort at another configuration, whose Discards leave the
+	// engine's free list non-empty; each algorithm then leaves its own state
+	// behind for the next.
+	used := aem.NewWithStorage(aem.Config{M: 64, B: 4, Omega: 2}, aem.NewSliceStorage())
+	sorting.MergeSort(used, aem.Load(used, in)).Materialize()
+
 	for _, alg := range algs {
 		t.Run(alg.name, func(t *testing.T) {
 			type outcome struct {
@@ -151,34 +159,31 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 				peak   int
 				blocks int
 			}
-			var ref *outcome
-			for _, e := range aemtest.DataEngines() {
-				engine, ma := e.Name, aemtest.Machine(t, cfg, e)
-				got := outcome{out: alg.run(ma), stats: ma.Stats(),
+			run := func(ma *aem.Machine) outcome {
+				return outcome{out: alg.run(ma), stats: ma.Stats(),
 					cost: ma.Cost(), peak: ma.MemPeak(), blocks: ma.NumBlocks()}
-				if ref == nil {
-					ref = &got
-					continue
-				}
-				if got.stats != ref.stats {
-					t.Errorf("%s: stats %+v != reference %+v", engine, got.stats, ref.stats)
-				}
-				if got.cost != ref.cost {
-					t.Errorf("%s: cost %d != reference %d", engine, got.cost, ref.cost)
-				}
-				if got.peak != ref.peak {
-					t.Errorf("%s: memory peak %d != reference %d", engine, got.peak, ref.peak)
-				}
-				if got.blocks != ref.blocks {
-					t.Errorf("%s: allocated %d blocks != reference %d", engine, got.blocks, ref.blocks)
-				}
-				if len(got.out) != len(ref.out) {
-					t.Fatalf("%s: output length %d != reference %d", engine, len(got.out), len(ref.out))
-				}
-				for i := range got.out {
-					if got.out[i] != ref.out[i] {
-						t.Fatalf("%s: outputs differ at %d: %v != %v", engine, i, got.out[i], ref.out[i])
-					}
+			}
+			ref := run(aem.NewWithStorage(cfg, aem.NewSliceStorage()))
+			used.Recycle(cfg)
+			got := run(used)
+			if got.stats != ref.stats {
+				t.Errorf("recycled: stats %+v != fresh %+v", got.stats, ref.stats)
+			}
+			if got.cost != ref.cost {
+				t.Errorf("recycled: cost %d != fresh %d", got.cost, ref.cost)
+			}
+			if got.peak != ref.peak {
+				t.Errorf("recycled: memory peak %d != fresh %d", got.peak, ref.peak)
+			}
+			if got.blocks != ref.blocks {
+				t.Errorf("recycled: allocated %d blocks != fresh %d", got.blocks, ref.blocks)
+			}
+			if len(got.out) != len(ref.out) {
+				t.Fatalf("recycled: output length %d != fresh %d", len(got.out), len(ref.out))
+			}
+			for i := range got.out {
+				if got.out[i] != ref.out[i] {
+					t.Fatalf("recycled: outputs differ at %d: %v != %v", i, got.out[i], ref.out[i])
 				}
 			}
 		})
@@ -261,19 +266,13 @@ func TestCountingBackendMatchesObliviousPrograms(t *testing.T) {
 				cost               int64
 				memPeak, numBlocks int
 			}
-			var refName string
-			var ref acct
-			for _, e := range aem.Engines() {
-				name, ma := e.Name, aemtest.Machine(t, cfg, e)
+			run := func(store aem.Storage) acct {
+				ma := aem.NewWithStorage(cfg, store)
 				p.run(ma)
-				got := acct{ma.Stats(), ma.Cost(), ma.MemPeak(), ma.NumBlocks()}
-				if refName == "" {
-					refName, ref = name, got
-					continue
-				}
-				if got != ref {
-					t.Errorf("%s: %+v != %s reference %+v", name, got, refName, ref)
-				}
+				return acct{ma.Stats(), ma.Cost(), ma.MemPeak(), ma.NumBlocks()}
+			}
+			if got, want := run(aem.NewCountingStorage()), run(aem.NewSliceStorage()); got != want {
+				t.Errorf("counting: %+v != slice reference %+v", got, want)
 			}
 		})
 	}

@@ -7,7 +7,6 @@
 //	aem gate     check timed bench runs (allocations and wall clock per
 //	             point) and a dictload amortized/deamortized pair (worst
 //	             stall Q) against one committed baseline
-//	aem engines  list the storage-engine registry with capability flags
 //	aem dict     dictionary op streams: buffer tree vs B-tree vs bounds
 //	aem dictload concurrent load against the sharded dictionary service:
 //	             throughput, p50/p99/max latency, worst flush stall

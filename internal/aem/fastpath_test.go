@@ -24,7 +24,7 @@ func traceEqual(a, b []TraceOp) bool {
 func TestScanReadsMatchesPerOp(t *testing.T) {
 	cfg := Config{M: 32, B: 4, Omega: 5}
 	const blocks = 13
-	for _, eng := range engines(t, cfg.B) {
+	for _, eng := range engines {
 		for _, traced := range []bool{false, true} {
 			name := eng.name
 			if traced {
@@ -73,12 +73,12 @@ func TestScanReadsMatchesPerOp(t *testing.T) {
 // TestScanWritesMatchesWriter pins the bulk write primitive against the
 // Writer schedule it models: appending (blocks−1)·B + lastLen zero items
 // through a Writer must leave identical Stats, trace, block lengths and —
-// on the data-bearing engines — block contents.
+// on the slice engine — block contents.
 func TestScanWritesMatchesWriter(t *testing.T) {
 	cfg := Config{M: 32, B: 4, Omega: 5}
 	const blocks, lastLen = 7, 3
 	n := (blocks-1)*cfg.B + lastLen
-	for _, eng := range engines(t, cfg.B) {
+	for _, eng := range engines {
 		for _, traced := range []bool{false, true} {
 			name := eng.name
 			if traced {
@@ -194,7 +194,7 @@ func TestMachineRecycle(t *testing.T) {
 		w.Close()
 		return out.Materialize()
 	}
-	for _, eng := range engines(t, dirty.B) {
+	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			recycled := NewWithStorage(dirty, eng.make())
 			recycled.SetPhase("warmup")
@@ -238,22 +238,13 @@ func TestMachineRecycle(t *testing.T) {
 	}
 }
 
-// TestRecycleRejectsUndersizedEngine mirrors the constructor guard: a
-// machine cannot be recycled into a configuration whose B exceeds its
-// engine's fixed block capacity.
-func TestRecycleRejectsUndersizedEngine(t *testing.T) {
-	ma := NewWithStorage(Config{M: 16, B: 4, Omega: 1}, newFileEngine(t, 4))
-	defer expectPanic(t, "block capacity 4 < B = 8")
-	ma.Recycle(Config{M: 64, B: 8, Omega: 1})
-}
-
 // TestStorageResetFreshness pins the Reset contract on every engine: after
 // writing non-zero values and resetting, the engine reports zero blocks,
 // and re-allocated blocks are empty with zeroed contents — a previous
 // run's values must never leak through retained capacity.
 func TestStorageResetFreshness(t *testing.T) {
 	const b = 4
-	for _, eng := range engines(t, b) {
+	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			s := eng.make()
 			s.Alloc(6)
@@ -291,7 +282,7 @@ func TestStorageResetFreshness(t *testing.T) {
 }
 
 // TestVectorFastPathTraceIdentity pins the Scanner/Writer pipeline
-// trace-identical across the data-free and data-bearing engines: the same
+// trace-identical across the two engines: the same
 // pipeline on the counting and slice engines must record the same trace
 // op-for-op.
 func TestVectorFastPathTraceIdentity(t *testing.T) {
@@ -332,7 +323,7 @@ func TestVectorFastPathTraceIdentity(t *testing.T) {
 // AllocsPerRun's per-run average rounds away.
 func TestWriterZeroAllocSteadyState(t *testing.T) {
 	cfg := Config{M: 64, B: 8, Omega: 4}
-	for _, eng := range engines(t, cfg.B) {
+	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			ma := NewWithStorage(cfg, eng.make())
 			v := NewVector(ma, 1<<20)

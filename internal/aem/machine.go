@@ -72,19 +72,13 @@ func New(cfg Config) *Machine {
 }
 
 // NewWithStorage returns a fresh machine on the given storage engine,
-// which must be empty. Like New it panics on an invalid cfg, and on an
-// engine whose fixed block capacity is smaller than cfg.B — catching the
-// misconfiguration at construction rather than at the first large write
-// deep inside an algorithm.
+// which must be empty. Like New it panics on an invalid cfg.
 func NewWithStorage(cfg Config, store Storage) *Machine {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
 	}
 	if store.NumBlocks() != 0 {
 		panic(fmt.Sprintf("aem: NewWithStorage: engine already holds %d blocks", store.NumBlocks()))
-	}
-	if sized, ok := store.(interface{ BlockSize() int }); ok && sized.BlockSize() < cfg.B {
-		panic(fmt.Sprintf("aem: NewWithStorage: engine block capacity %d < B = %d", sized.BlockSize(), cfg.B))
 	}
 	ma := &Machine{cfg: cfg, store: store}
 	ma.phaseSlot = ma.phases.slot("main")
@@ -97,15 +91,11 @@ func NewWithStorage(cfg Config, store Storage) *Machine {
 // and any trace in progress are cleared and the engine is Reset to zero
 // blocks (retaining its capacity, which is the point — a pooled machine's
 // next run allocates nothing in steady state). cfg may differ from the
-// machine's previous configuration in M and ω freely; like the
-// constructor, Recycle panics on an invalid cfg or an engine whose fixed
-// block capacity is smaller than the new B.
+// machine's previous configuration in M, B and ω freely; like the
+// constructor, Recycle panics on an invalid cfg.
 func (ma *Machine) Recycle(cfg Config) {
 	if err := cfg.Validate(); err != nil {
 		panic(err)
-	}
-	if sized, ok := ma.store.(interface{ BlockSize() int }); ok && sized.BlockSize() < cfg.B {
-		panic(fmt.Sprintf("aem: Recycle: engine block capacity %d < B = %d", sized.BlockSize(), cfg.B))
 	}
 	ma.cfg = cfg
 	ma.store.Reset()
@@ -123,14 +113,11 @@ func (ma *Machine) Recycle(cfg Config) {
 // Config returns the machine parameters.
 func (ma *Machine) Config() Config { return ma.cfg }
 
-// Close releases the machine's storage engine. A machine over a stateful
-// engine (the file engine's descriptor, mapping and temp file) must be
-// closed after use exactly like an os.File; over RAM engines Close is a
-// no-op. The machine is unusable afterwards.
-func (ma *Machine) Close() error { return ma.store.Close() }
-
-// Sync flushes the storage engine's written blocks to its backing device.
-func (ma *Machine) Sync() error { return ma.store.Sync() }
+// Close does nothing and returns nil: no storage engine owns anything
+// outside the Go heap.
+//
+// Deprecated: machines need no closing. Only perfbench/ still calls it.
+func (ma *Machine) Close() error { return nil }
 
 // Stats returns the accumulated I/O counts.
 func (ma *Machine) Stats() Stats { return ma.stats }
@@ -279,7 +266,7 @@ func (ma *Machine) ScanReads(base Addr, blocks int) {
 // On the counting engine the data plane is a bulk length update, the one
 // engine-specific step in the machine: it is EXP-MG1's hot loop, and a
 // per-block Write there would cost as much as the accounting it batches.
-// On the data-bearing engines each block is zero-filled through the normal
+// On the slice engine each block is zero-filled through the normal
 // storage write. While tracing the accounting takes the per-op path, so
 // recorded traces are identical to the equivalent Writer run.
 func (ma *Machine) ScanWrites(base Addr, blocks int, lastLen int) {

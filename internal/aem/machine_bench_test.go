@@ -8,19 +8,6 @@ import (
 // enough to defeat trivial caching, small enough for stable numbers.
 func benchConfig() Config { return Config{M: 1 << 10, B: 64, Omega: 8} }
 
-func benchEngines() []struct {
-	name string
-	make func() Storage
-} {
-	return []struct {
-		name string
-		make func() Storage
-	}{
-		{"slice", func() Storage { return NewSliceStorage() }},
-		{"counting", func() Storage { return NewCountingStorage() }},
-	}
-}
-
 // BenchmarkMachineReadWrite measures the simulator's hot path — one costed
 // read plus one costed write per iteration — on every storage engine, with
 // allocs/op reported. No engine allocates here: the read fills the
@@ -29,7 +16,7 @@ func benchEngines() []struct {
 func BenchmarkMachineReadWrite(b *testing.B) {
 	cfg := benchConfig()
 	const blocks = 1 << 12
-	for _, eng := range benchEngines() {
+	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
 			ma := NewWithStorage(cfg, eng.make())
 			base := ma.Alloc(blocks)
@@ -57,7 +44,7 @@ func BenchmarkMachineReadWrite(b *testing.B) {
 func BenchmarkScanner(b *testing.B) {
 	cfg := benchConfig()
 	const n = 1 << 16
-	for _, eng := range benchEngines() {
+	for _, eng := range engines {
 		b.Run(eng.name, func(b *testing.B) {
 			ma := NewWithStorage(cfg, eng.make())
 			v := Load(ma, make([]Item, n))
@@ -85,7 +72,7 @@ func BenchmarkScanner(b *testing.B) {
 func BenchmarkScanReads(b *testing.B) {
 	cfg := benchConfig()
 	const blocks = 1 << 12
-	for _, eng := range benchEngines() {
+	for _, eng := range engines {
 		for _, mode := range []string{"per-op", "bulk"} {
 			b.Run(eng.name+"/"+mode, func(b *testing.B) {
 				ma := NewWithStorage(cfg, eng.make())
@@ -116,7 +103,7 @@ func BenchmarkScanReads(b *testing.B) {
 func BenchmarkScanWrites(b *testing.B) {
 	cfg := benchConfig()
 	const blocks = 1 << 12
-	for _, eng := range benchEngines() {
+	for _, eng := range engines {
 		for _, mode := range []string{"per-op", "bulk"} {
 			b.Run(eng.name+"/"+mode, func(b *testing.B) {
 				ma := NewWithStorage(cfg, eng.make())

@@ -2,15 +2,15 @@ package aem
 
 import "math/bits"
 
-// Every RAM-side block table in the engines — the slice engine's block
-// table, the counting and file engines' length tables — is a segment
-// directory: segment 0 holds segFirst blocks and segment i ≥ 1 the
-// segFirst·2^(i−1) blocks after them, so the first k+1 segments hold
-// exactly segFirst·2^k. Growing allocates only the new
-// segment and never copies an old one, which is what makes "a block never
-// moves once allocated" part of the Storage contract: a reader may copy
-// out of a block while the owner allocates more. The directory is a
-// fixed-size array, so there is no table to grow or to publish either.
+// Both engines' block tables — the slice engine's slice headers and the
+// counting engine's lengths — are segment directories: segment 0 holds
+// segFirst blocks and segment i ≥ 1 the segFirst·2^(i−1) blocks after
+// them, so the first k+1 segments hold exactly segFirst·2^k. Growing
+// allocates only the new segment and never copies an old one, which is
+// what makes "a block never moves once allocated" part of the Storage
+// contract: a reader may copy out of a block while the owner allocates
+// more. The directory is a fixed-size array, so there is no table to grow
+// or to publish either.
 
 const (
 	segShift = 6

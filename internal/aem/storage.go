@@ -1,35 +1,25 @@
 package aem
 
-// Storage is the pluggable block engine behind a Machine: it owns the
-// external memory's contents while the Machine owns the cost model (I/O
-// counting, phase attribution, tracing, internal-memory metering). The
-// split means every algorithm in this repository runs unchanged on any
-// backend, and new engines (mmap'd disk, compressed blocks, sharding) plug
-// in without touching the algorithms.
+// Storage is the block engine behind a Machine: it owns the external
+// memory's contents while the Machine owns the cost model (I/O counting,
+// phase attribution, tracing, internal-memory metering). There are two
+// engines: SliceStorage keeps every block's items and serves every
+// program, and CountingStorage keeps only lengths and serves the
+// data-oblivious sweeps. Both count Q identically, and every algorithm
+// sees only this interface.
 //
 // The Machine holds one Storage and calls it directly on every transfer:
 // its costed ReadInto/Write and free PeekInto/Poke all map onto the same
 // two data methods here — whether a transfer is billed is the cost model's
 // business, not the storage's. The one engine-specific step in the machine
 // is ScanWrites' bulk length update on CountingStorage. The model's
-// external memory is unbounded, but an engine's is the simulator's heap
-// or disk: Discard hands back the memory behind blocks an owner is done
-// with, and like Alloc it costs nothing.
-//
-// What an engine can do (keep values, live on a device, align slots) is
-// not asked of the engine: it is declared once, as StorageCaps in the
-// engine's registry entry (Engines, EngineByName).
+// external memory is unbounded, but an engine's is the simulator's heap:
+// Discard hands back the memory behind blocks an owner is done with, and
+// like Alloc it costs nothing.
 //
 // Implementations may assume addresses are in range [0, NumBlocks()) and
 // len(items) ≤ the machine's block size B: the Machine validates both
 // before calling.
-//
-// Engines have an explicit lifecycle: constructed open, Reset between
-// runs, Close when done. RAM engines implement Sync and Close as no-ops;
-// for engines that own real resources (the file engine's descriptor,
-// mapping and temp file) Close is the only way those resources are
-// released, so owners — harness.PooledMachine, CLIs, tests — must call
-// it (via Machine.Close) exactly like an os.File.
 type Storage interface {
 	// Alloc reserves count fresh, empty blocks and returns the address of
 	// the first. Engines never free an address: an owner done with a
@@ -70,40 +60,11 @@ type Storage interface {
 
 	// Reset returns the engine to its freshly constructed state — zero
 	// blocks allocated — while retaining reusable capacity, so a pooled
-	// machine's next run allocates nothing in steady state. Engines
-	// holding external resources must truncate rather than leak: after
-	// Reset a file engine's backing file holds no prior run's blocks.
-	// After Reset the engine must be indistinguishable from a new one:
-	// Alloc hands out empty blocks and data-bearing engines return zeroed
-	// contents, never a previous run's values.
+	// machine's next run allocates nothing in steady state. After Reset
+	// the engine must be indistinguishable from a new one: Alloc hands out
+	// empty blocks and a data engine returns zeroed contents, never a
+	// previous run's values.
 	Reset()
-
-	// Sync flushes written blocks to the backing device. A no-op for RAM
-	// engines; the file engine flushes its descriptor, so a subsequent
-	// crash cannot tear previously synced blocks.
-	Sync() error
-
-	// Close releases every resource the engine owns; the engine is
-	// unusable afterwards. Close is idempotent. RAM engines no-op.
-	Close() error
-}
-
-// StorageCaps are an engine's capability flags, declared once per engine
-// in the registry (Engine.Caps) so callers can ask without constructing
-// one. "Is this the counting engine?" is !RetainsData, and "does this
-// machine need closing?" is Persistent.
-type StorageCaps struct {
-	// RetainsData reports whether reads return previously written values.
-	// The counting engine sets it false; only data-oblivious programs
-	// (whose I/O schedule never branches on block contents) may run
-	// without data retention.
-	RetainsData bool
-
-	// Persistent reports whether blocks live outside process memory, in a
-	// backing file. A persistent engine is stateful: it must be owned by exactly one
-	// machine at a time and closed after use, never shared through a
-	// keyed pool.
-	Persistent bool
 }
 
 // sizedDst returns dst resized to hold n items, allocating only when the
@@ -227,12 +188,6 @@ func (s *SliceStorage) Reset() {
 	s.free = s.free[:0]
 }
 
-// Sync implements Storage; RAM engines have nothing to flush.
-func (s *SliceStorage) Sync() error { return nil }
-
-// Close implements Storage; RAM engines own no external resources.
-func (s *SliceStorage) Close() error { return nil }
-
 // NewArenaStorage returns the slice engine; blockSize is ignored.
 //
 // Deprecated: the arena engine is gone and SliceStorage is the one RAM
@@ -246,8 +201,8 @@ func NewArenaStorage(blockSize int) *SliceStorage { return NewSliceStorage() }
 //
 // Only data-oblivious programs (scans, streaming writes, permute.Direct,
 // program replays) produce the same I/O schedule on this backend as on the
-// data-bearing ones; value-dependent algorithms such as the sorts branch
-// on block contents and must use a data-bearing engine.
+// slice engine; value-dependent algorithms such as the sorts branch on
+// block contents and must use the slice engine.
 type CountingStorage struct {
 	n    int
 	lens segDir[int32]
@@ -292,12 +247,6 @@ func (s *CountingStorage) Reset() {
 	s.lens.clear(s.n)
 	s.n = 0
 }
-
-// Sync implements Storage; RAM engines have nothing to flush.
-func (s *CountingStorage) Sync() error { return nil }
-
-// Close implements Storage; RAM engines own no external resources.
-func (s *CountingStorage) Close() error { return nil }
 
 // setLens records the lengths of a run of sequentially written blocks —
 // every block in [a, a+blocks) holds full items except the last, which

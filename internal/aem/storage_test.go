@@ -17,41 +17,24 @@ import (
 )
 
 // engines enumerates every storage backend under its conformance name.
-// hasData is false for backends that track lengths but not values. The
-// file engine is backed by temp files under t's temp dir and closed by
-// t.Cleanup, so every conformance test runs against real files too.
-func engines(t testing.TB, blockSize int) []struct {
+// hasData is false for backends that track lengths but not values.
+var engines = []struct {
 	name    string
 	make    func() Storage
 	hasData bool
-} {
-	fileEngine := func() Storage {
-		s, err := NewTempFileStorage(t.TempDir(), blockSize)
-		if err != nil {
-			t.Fatalf("file engine: %v", err)
-		}
-		t.Cleanup(func() { s.Close() })
-		return s
-	}
-	return []struct {
-		name    string
-		make    func() Storage
-		hasData bool
-	}{
-		{"slice", func() Storage { return NewSliceStorage() }, true},
-		{"counting", func() Storage { return NewCountingStorage() }, false},
-		{"file", fileEngine, true},
-	}
+}{
+	{"slice", func() Storage { return NewSliceStorage() }, true},
+	{"counting", func() Storage { return NewCountingStorage() }, false},
 }
 
 // TestStorageConformance runs the same block-level script against every
 // backend: allocation is dense, lengths round-trip through writes
 // (including partial blocks, overwrites and shrinks), and reads return
-// exactly the stored prefix. Value fidelity is asserted for the
-// data-bearing backends; the counting backend must return zeroed items.
+// exactly the stored prefix. Value fidelity is asserted for the slice
+// engine; the counting backend must return zeroed items.
 func TestStorageConformance(t *testing.T) {
 	const b = 4
-	for _, eng := range engines(t, b) {
+	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			s := eng.make()
 			if s.NumBlocks() != 0 {
@@ -137,47 +120,26 @@ func TestStorageConformance(t *testing.T) {
 	}
 
 	// Discarded blocks, on every engine.
-	for _, eng := range engines(t, b) {
+	for _, eng := range engines {
 		t.Run("discard/"+eng.name, func(t *testing.T) {
 			checkDiscard(t, eng.make(), eng.make, b, eng.hasData)
 		})
 	}
 
-	// Neighbouring blocks, on every data-bearing engine.
-	for _, eng := range engines(t, b) {
-		if !eng.hasData {
-			continue
-		}
-		t.Run("neighbours/"+eng.name, func(t *testing.T) {
-			checkNeighbours(t, eng.make(), b)
-		})
-	}
+	// Neighbouring blocks, on the slice engine.
+	t.Run("neighbours/slice", func(t *testing.T) {
+		checkNeighbours(t, NewSliceStorage(), b)
+	})
 
-	// The concurrent half of the contract, on every data-retaining
-	// registry engine: blocks never move, so ReadInto of a written block
-	// is safe while the owner keeps allocating, writing and discarding.
-	t.Setenv(FileDirEnv, t.TempDir())
-	for _, e := range Engines() {
-		if !e.Caps.RetainsData {
-			continue
-		}
-		t.Run("concurrent/"+e.Name, func(t *testing.T) {
-			s, err := e.New(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			checkConcurrentReads(t, s, b)
-		})
-		t.Run("discardreads/"+e.Name, func(t *testing.T) {
-			s, err := e.New(b)
-			if err != nil {
-				t.Fatal(err)
-			}
-			t.Cleanup(func() { s.Close() })
-			checkDiscardReads(t, s, b)
-		})
-	}
+	// The concurrent half of the contract, on the slice engine: blocks
+	// never move, so ReadInto of a written block is safe while the owner
+	// keeps allocating, writing and discarding.
+	t.Run("concurrent/slice", func(t *testing.T) {
+		checkConcurrentReads(t, NewSliceStorage(), b)
+	})
+	t.Run("discardreads/slice", func(t *testing.T) {
+		checkDiscardReads(t, NewSliceStorage(), b)
+	})
 }
 
 // fillBlock returns n items carrying key, numbered by Aux.
@@ -484,7 +446,7 @@ func TestMachineOnEveryBackend(t *testing.T) {
 	}
 
 	var ref *Machine
-	for _, eng := range engines(t, cfg.B) {
+	for _, eng := range engines {
 		ma := NewWithStorage(cfg, eng.make())
 		script(ma)
 		if ref == nil {
@@ -507,8 +469,8 @@ func TestMachineOnEveryBackend(t *testing.T) {
 }
 
 // TestVectorPipelineOnDataBackends pushes a Load → Scanner → Writer
-// pipeline through the data-bearing backends and checks values and I/O
-// counts agree; the counting backend must agree on the I/O counts.
+// pipeline through both backends and checks values on the slice engine;
+// the counting backend must agree on the I/O counts.
 func TestVectorPipelineOnDataBackends(t *testing.T) {
 	cfg := Config{M: 32, B: 4, Omega: 2}
 	const n = 41 // deliberately not block-aligned
@@ -522,7 +484,7 @@ func TestVectorPipelineOnDataBackends(t *testing.T) {
 		data  []Item
 	}
 	outcomes := map[string]outcome{}
-	for _, eng := range engines(t, cfg.B) {
+	for _, eng := range engines {
 		ma := NewWithStorage(cfg, eng.make())
 		v := Load(ma, items)
 		out := NewVector(ma, n)
@@ -586,7 +548,7 @@ func TestSliceGrowthCopiesNothing(t *testing.T) {
 // after construction, scanning allocates nothing regardless of backend.
 func TestScannerZeroAllocSteadyState(t *testing.T) {
 	cfg := Config{M: 64, B: 8, Omega: 4}
-	for _, eng := range engines(t, cfg.B) {
+	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			ma := NewWithStorage(cfg, eng.make())
 			v := Load(ma, make([]Item, 1024))
@@ -613,7 +575,7 @@ func TestScannerZeroAllocSteadyState(t *testing.T) {
 func TestLocalScanWriteAllocs(t *testing.T) {
 	cfg := Config{M: 64, B: 8, Omega: 4}
 	const n = 61 // deliberately not block-aligned
-	for _, eng := range engines(t, cfg.B) {
+	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			ma := NewWithStorage(cfg, eng.make())
 			v := Load(ma, make([]Item, n))
@@ -651,20 +613,11 @@ func TestNewWithStorageRejectsUsedEngine(t *testing.T) {
 	NewWithStorage(Config{M: 16, B: 4, Omega: 1}, s)
 }
 
-// TestNewWithStorageRejectsUndersizedEngine: an engine whose fixed block
-// capacity is below B (the file engine's slot size) must fail at
-// construction, not at the first large write mid-algorithm.
-func TestNewWithStorageRejectsUndersizedEngine(t *testing.T) {
-	s := newFileEngine(t, 4)
-	defer expectPanic(t, "block capacity 4 < B = 8")
-	NewWithStorage(Config{M: 64, B: 8, Omega: 1}, s)
-}
-
 // TestBackendGrowth exercises interleaved Alloc/Write/ReadInto over
 // enough blocks to cross several segments, then verifies every block.
 func TestBackendGrowth(t *testing.T) {
 	const b = 4
-	for _, eng := range engines(t, b) {
+	for _, eng := range engines {
 		t.Run(eng.name, func(t *testing.T) {
 			s := eng.make()
 			var want [][]Item

@@ -35,7 +35,7 @@ func benchCmd(prog string, args []string) int {
 // can run specs that are not in the registry through the same flags,
 // emitters and exit codes.
 func benchWith(prog string, args []string, selectSpecs func(string) ([]*harness.Spec, []string, error)) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	var (
 		expIDs  = fs.String("exp", "all", "comma-separated experiment ids to run, or 'all'")
 		csvDir  = fs.String("csv", "", "directory to write per-experiment CSV files into")
@@ -45,7 +45,9 @@ func benchWith(prog string, args []string, selectSpecs func(string) ([]*harness.
 		par     = fs.Int("par", runtime.NumCPU(), "number of grid points to run concurrently")
 	)
 	startProfiles := profileFlags(fs)
-	fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	if *list {
 		for _, s := range harness.All() {

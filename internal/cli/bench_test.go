@@ -197,10 +197,10 @@ func TestDeprecatedWrappersCoverEverySubcommand(t *testing.T) {
 			t.Errorf("subcommand %s missing from the registry", sub)
 		}
 	}
-	if n := len(Commands()); n != 8 {
-		t.Errorf("%d subcommands registered, want 8", n)
+	if n := len(Commands()); n != 7 {
+		t.Errorf("%d subcommands registered, want 7", n)
 	}
-	for _, retired := range []string{"stallgate", "profdiff", "merge", "serve", "work"} {
+	for _, retired := range []string{"stallgate", "profdiff", "merge", "serve", "work", "engines"} {
 		if code := Main([]string{retired}); code != 2 {
 			t.Errorf("retired %s exit = %d, want 2 (unknown command)", retired, code)
 		}

@@ -1,6 +1,6 @@
-// Package cli implements the aem multitool: one binary, eight
-// subcommands (bench, gate, engines, dict, dictload, sort, spmxv, trace)
-// sharing flag parsing, machine validation and output plumbing.
+// Package cli implements the aem multitool: one binary, seven
+// subcommands (bench, gate, dict, dictload, sort, spmxv, trace) sharing
+// flag parsing, machine validation and output plumbing.
 package cli
 
 import (
@@ -24,7 +24,6 @@ func Commands() []Command {
 	return []Command{
 		{"bench", "run the experiment registry: rendered tables, per-experiment CSV, JSON records", benchCmd},
 		{"gate", "check per-point allocations and wall clock of timed runs, and dictload stall Q, against one committed baseline", gateCmd},
-		{"engines", "list the storage-engine registry with capability flags", enginesCmd},
 		{"dict", "drive a dictionary op stream: buffer tree vs B-tree vs bounds", dictCmd},
 		{"dictload", "concurrent load against the sharded dictionary service: throughput, p50/p99/max, flush stalls", dictloadCmd},
 		{"sort", "sort a generated workload and compare against the paper's bounds", sortCmd},
@@ -65,6 +64,25 @@ func Main(args []string) int {
 // fail prints a prog-prefixed error line to stderr.
 func fail(prog, format string, args ...interface{}) {
 	fmt.Fprintf(os.Stderr, prog+": "+format+"\n", args...)
+}
+
+// parseFlags parses args into fs, which is built with
+// flag.ContinueOnError so that Main returns rather than exits: -h prints
+// the command's flags (code 0), and an unknown or malformed flag is a
+// usage error reported in one prog-prefixed line (code 2). ok is false
+// when the command must return code without running.
+func parseFlags(fs *flag.FlagSet, args []string) (code int, ok bool) {
+	fs.SetOutput(io.Discard)
+	switch err := fs.Parse(args); {
+	case err == flag.ErrHelp:
+		fs.SetOutput(os.Stderr)
+		fs.Usage()
+		return 0, false
+	case err != nil:
+		fail(fs.Name(), "%v", err)
+		return 2, false
+	}
+	return 0, true
 }
 
 // machineFlags registers the -m/-b/-omega machine flags every subcommand

@@ -1,9 +1,37 @@
 package cli
 
 import (
+	"io"
+	"os"
 	"strings"
 	"testing"
 )
+
+// captureStderr runs fn with os.Stderr redirected and returns everything
+// it wrote — the counterpart of captureStdout for error diagnostics and
+// the gate's -json human table.
+func captureStderr(t *testing.T, fn func()) []byte {
+	t.Helper()
+	r, w, err := os.Pipe()
+	if err != nil {
+		t.Fatal(err)
+	}
+	old := os.Stderr
+	os.Stderr = w
+	done := make(chan []byte)
+	go func() {
+		data, _ := io.ReadAll(r)
+		done <- data
+	}()
+	defer func() {
+		os.Stderr = old
+		r.Close()
+	}()
+	fn()
+	os.Stderr = old
+	w.Close()
+	return <-done
+}
 
 // TestBadFlagValuesExitTwo: flag values an algorithm cannot run with are
 // usage errors, reported in one line before any work starts, never a
@@ -12,6 +40,8 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 	for _, args := range []string{
 		"dict -keyspace 1",
 		"dict -ops -1",
+		"dict -engine file",
+		"dictload -engine slice",
 		"dictload -keyspace 1 -shards 1 -ops 10",
 		"dict -m 32 -b 8",
 		"dictload -ops 10 -m 32 -b 8",
@@ -41,5 +71,19 @@ func TestBadFlagValuesExitTwo(t *testing.T) {
 				t.Errorf("stderr %q, want one line starting %q", stderr, prefix)
 			}
 		})
+	}
+}
+
+// TestDictloadRejectsEmptyLoad: a load of no operations has no per-op
+// figures to report, so -ops below 1 is a usage error, like -gor.
+func TestDictloadRejectsEmptyLoad(t *testing.T) {
+	for _, ops := range []string{"0", "-5"} {
+		var code int
+		msg := string(captureStderr(t, func() {
+			code = dictloadCmd("aem dictload", []string{"-ops", ops, "-json"})
+		}))
+		if code != 2 || !strings.Contains(msg, "-ops") {
+			t.Errorf("-ops %s: exit %d, want 2 naming -ops; stderr:\n%s", ops, code, msg)
+		}
 	}
 }

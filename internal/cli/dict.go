@@ -17,25 +17,24 @@ import (
 // bounds predictions.
 //
 //	aem dict -ops 24000 -keyspace 8192 -m 256 -b 16 -omega 16 -scenario zipf
-//	aem dict -impl buffertree -engine file -phases
+//	aem dict -impl buffertree -phases
 //
 // Scenarios: uniform | zipf | sortedburst | deleteheavy.
 // Implementations: both | buffertree | btree.
-// Engines: any registered data-retaining engine (see `aem engines`);
-// engines without a data plane cannot run a value-dependent dictionary.
 func dictCmd(prog string, args []string) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	var (
 		nOps     = fs.Int("ops", 24000, "number of operations in the stream")
 		keyspace = fs.Int64("keyspace", 8192, "distinct-key domain size")
 		machine  = machineFlags(fs, 256, 16, 16)
 		scenario = fs.String("scenario", "uniform", "workload: uniform | zipf | sortedburst | deleteheavy")
 		impl     = fs.String("impl", "both", "dictionary: both | buffertree | btree")
-		engine   = fs.String("engine", "slice", "storage engine: "+strings.Join(aem.EngineNames(), " | "))
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		phases   = fs.Bool("phases", false, "print per-phase I/O for the buffer tree")
 	)
-	fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	cfg, err := machine()
 	if err != nil {
@@ -47,18 +46,6 @@ func dictCmd(prog string, args []string) int {
 		fail(prog, "unknown scenario %q", *scenario)
 		return 2
 	}
-	eng, known := aem.EngineByName(*engine)
-	if !known {
-		// Surface the registry's canonical error: it lists the valid names.
-		_, err := aem.StorageByName(*engine, cfg.B)
-		fail(prog, "%v", err)
-		return 2
-	}
-	if !eng.Caps.RetainsData {
-		fail(prog, "engine %q has no data plane and cannot run a value-dependent dictionary", *engine)
-		return 2
-	}
-
 	if *nOps < 1 {
 		fail(prog, "-ops must be ≥ 1, got %d", *nOps)
 		return 2
@@ -98,18 +85,12 @@ func dictCmd(prog string, args []string) int {
 	ins, del, look, rng := workload.OpMix(ops)
 	p := bounds.DictParamsFor(cfg, ops, int(*keyspace))
 
-	fmt.Printf("machine      (M=%d, B=%d, ω=%d)-AEM on the %s engine\n", cfg.M, cfg.B, cfg.Omega, *engine)
+	fmt.Printf("machine      (M=%d, B=%d, ω=%d)-AEM\n", cfg.M, cfg.B, cfg.Omega)
 	fmt.Printf("workload     %d ops, %s over %d keys (seed %d): %d insert / %d delete / %d lookup / %d range\n",
 		*nOps, sc, *keyspace, *seed, ins, del, look, rng)
 
 	for _, r := range rows {
-		stor, err := aem.StorageByName(*engine, cfg.B)
-		if err != nil {
-			fail(prog, "%v", err)
-			return 1
-		}
-		ma := aem.NewWithStorage(cfg, stor)
-		defer ma.Close()
+		ma := aem.New(cfg)
 		d := r.mk(ma)
 		results := d.Apply(ops)
 		st := ma.Stats()

@@ -5,9 +5,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
-	"repro/internal/aem"
 	"repro/internal/dictsrv"
 	"repro/internal/harness"
 	"repro/internal/workload"
@@ -20,22 +18,21 @@ import (
 // the Θ(ωM) root-buffer deferral shows up as tail latency.
 //
 //	aem dictload -ops 2000000 -gor 8 -shards 4 -omega 16
-//	aem dictload -scenario drift -engine file -json
+//	aem dictload -scenario flashcrowd -json
 //	aem dictload -deamortize -json        (bounded-stall commit mode)
 //
 // Scenarios: uniform | zipf | sortedburst | deleteheavy | drift (default:
 // drift — the migrating-hot-set shape that keeps invalidating buffered
-// locality) | flashcrowd. Engines: any data-retaining engine (see `aem
-// engines`). With -deamortize each commit batch pays flushes in bounded
-// installments (debt queue + FlushStep) instead of run-to-completion
-// cascades; `aem gate` judges an amortized and a deamortized record
-// together. A flush section is one call the shard's tree holder made that
+// locality) | flashcrowd. With -deamortize each commit batch pays
+// flushes in bounded installments (debt queue + FlushStep) instead of
+// run-to-completion cascades; `aem gate` judges an amortized and a
+// deamortized record together. A flush section is one call the shard's tree holder made that
 // flushed: a commit batch that ran a node-flush (timed as its stall), a
 // Flush barrier, an idle retirer step, or an idle rebuild. Latency
 // percentiles are nearest-rank, read from a histogram that overstates
 // them by less than 1/8; max is exact.
 func dictloadCmd(prog string, args []string) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	var (
 		nOps     = fs.Int("ops", 1_000_000, "total operations across all goroutines")
 		gor      = fs.Int("gor", 8, "concurrent load goroutines")
@@ -43,12 +40,13 @@ func dictloadCmd(prog string, args []string) int {
 		keyspace = fs.Int64("keyspace", 65536, "distinct-key domain size")
 		machine  = machineFlags(fs, 1024, 32, 16)
 		scenario = fs.String("scenario", "drift", "workload: uniform | zipf | sortedburst | deleteheavy | drift | flashcrowd")
-		engine   = fs.String("engine", "slice", "storage engine: "+strings.Join(aem.EngineNames(), " | "))
 		seed     = fs.Uint64("seed", 1, "workload seed")
 		deam     = fs.Bool("deamortize", false, "bounded-stall commits: pay flushes in installments instead of cascades")
 		jsonOut  = fs.Bool("json", false, "emit one JSON report instead of the human summary")
 	)
-	fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	cfg, err := machine()
 	if err != nil {
@@ -82,7 +80,6 @@ func dictloadCmd(prog string, args []string) int {
 	svc, err := dictsrv.New(dictsrv.Config{
 		Shards:     *shards,
 		Machine:    cfg,
-		Engine:     *engine,
 		KeyLo:      0,
 		KeyHi:      *keyspace,
 		Deamortize: *deam,
@@ -102,7 +99,7 @@ func dictloadCmd(prog string, args []string) int {
 
 	if *jsonOut {
 		out := dictloadRecord{
-			Type: "dictload", Scenario: sc.String(), Engine: *engine,
+			Type: "dictload", Scenario: sc.String(),
 			Shards: *shards, Goroutines: rep.Goroutines, Deamortize: *deam,
 			Ops: rep.Ops, WallNS: rep.WallNS, OpsPerSec: rep.OpsPerSec(),
 			P50NS: p50, P99NS: p99, P999NS: p999, MaxNS: lat.MaxNS,
@@ -124,8 +121,8 @@ func dictloadCmd(prog string, args []string) int {
 	if *deam {
 		mode = "deamortized"
 	}
-	fmt.Printf("service      %d shard(s) of (M=%d, B=%d, ω=%d)-AEM on the %s engine, keyspace %d, %s commits\n",
-		*shards, cfg.M, cfg.B, cfg.Omega, *engine, *keyspace, mode)
+	fmt.Printf("service      %d shard(s) of (M=%d, B=%d, ω=%d)-AEM, keyspace %d, %s commits\n",
+		*shards, cfg.M, cfg.B, cfg.Omega, *keyspace, mode)
 	fmt.Printf("load         %d ops from %d goroutine(s), %s workload (seed %d): %d updates / %d lookups (%d hits) / %d scans\n",
 		rep.Ops, rep.Goroutines, sc, *seed, rep.Updates, rep.Lookups, rep.Hits, rep.Scans)
 	fmt.Printf("throughput   %.0f ops/sec (%s wall)\n", rep.OpsPerSec(), harness.FmtNS(rep.WallNS))
@@ -145,7 +142,6 @@ func dictloadCmd(prog string, args []string) int {
 type dictloadRecord struct {
 	Type          string  `json:"type"` // "dictload"
 	Scenario      string  `json:"scenario"`
-	Engine        string  `json:"engine"`
 	Shards        int     `json:"shards"`
 	Goroutines    int     `json:"goroutines"`
 	Deamortize    bool    `json:"deamortize"`

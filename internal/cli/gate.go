@@ -49,13 +49,15 @@ const (
 // -write-baseline rewrites only what the input has evidence for.
 // Exit codes: 0 pass, 1 a check failed, 2 unusable input or baseline.
 func gateCmd(prog string, args []string) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	var (
 		basePath = fs.String("baseline", "testdata/gate_baseline.json", "committed baseline `file` every check compares against")
 		write    = fs.Bool("write-baseline", false, "rewrite the baseline sections the input has evidence for instead of gating")
 		jsonOut  = fs.Bool("json", false, "emit one \"type\":\"gate\" JSON record per check to stdout (human lines to stderr)")
 	)
-	fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 	ev, err := readGateInputs(fs.Args())
 	if err != nil {
 		fail(prog, "%v", err)

@@ -40,7 +40,7 @@ var pointsBase = gateBaseline{Points: map[string]pointCost{"EXP-A": unitCost, "E
 // dictloadLine renders one `aem dictload -json` record.
 func dictloadLine(deam bool, stallNS, stallQ int64, opsPerSec float64) string {
 	raw, _ := json.Marshal(&dictloadRecord{
-		Type: "dictload", Scenario: "drift", Engine: "slice", Shards: 2, Goroutines: 1,
+		Type: "dictload", Scenario: "drift", Shards: 2, Goroutines: 1,
 		Deamortize: deam, Ops: 160000, OpsPerSec: opsPerSec,
 		MaxStallNS: stallNS, MaxStallQ: stallQ, DebtHighWater: 7,
 	})

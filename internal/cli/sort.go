@@ -18,7 +18,7 @@ import (
 // Algorithms: aem (the Section 3 mergesort), em (symmetric-EM mergesort
 // baseline), small (the [7, Lemma 4.2] base case; requires N ≤ ωM).
 func sortCmd(prog string, args []string) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	var (
 		n       = fs.Int("n", 1<<16, "number of items to sort")
 		machine = machineFlags(fs, 1024, 32, 16)
@@ -26,7 +26,9 @@ func sortCmd(prog string, args []string) int {
 		dist    = fs.String("dist", "random", "key distribution: random | sorted | reversed | fewdistinct | nearlysorted")
 		seed    = fs.Uint64("seed", 1, "workload seed")
 	)
-	fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	cfg, err := machine()
 	if err != nil {

@@ -16,7 +16,7 @@ import (
 //
 //	aem spmxv -n 2048 -delta 4 -m 1024 -b 32 -omega 16 [-banded]
 func spmxvCmd(prog string, args []string) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	var (
 		n       = fs.Int("n", 2048, "matrix dimension N (N×N matrix, N-vector)")
 		delta   = fs.Int("delta", 4, "non-zeros per column δ")
@@ -24,7 +24,9 @@ func spmxvCmd(prog string, args []string) int {
 		banded  = fs.Bool("banded", false, "use a banded conformation instead of random")
 		seed    = fs.Uint64("seed", 1, "workload seed")
 	)
-	fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	cfg, err := machine()
 	if err != nil {

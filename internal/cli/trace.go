@@ -25,14 +25,16 @@ const spmxvDelta = 4
 // Algorithms: aem | em | sample | heap (sorting), spmxv-naive | spmxv-sort.
 // The machine keeps the whole trace in memory, one TraceOp per I/O.
 func traceCmd(prog string, args []string) int {
-	fs := flag.NewFlagSet(prog, flag.ExitOnError)
+	fs := flag.NewFlagSet(prog, flag.ContinueOnError)
 	var (
 		n       = fs.Int("n", 1<<14, "input size")
 		machine = machineFlags(fs, 512, 16, 8)
 		alg     = fs.String("alg", "aem", "algorithm: aem | em | sample | heap | spmxv-naive | spmxv-sort")
 		seed    = fs.Uint64("seed", 1, "workload seed")
 	)
-	fs.Parse(args)
+	if code, ok := parseFlags(fs, args); !ok {
+		return code
+	}
 
 	cfg, err := machine()
 	if err != nil {

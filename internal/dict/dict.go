@@ -17,7 +17,7 @@
 // All dictionary state — buffers, leaf runs, routing keys — lives in
 // external memory blocks accessed through the costed Machine.ReadInto/Write
 // path with caller-owned block frames, so both dictionaries run unchanged
-// (and allocation-free in steady state) on every storage engine.
+// (and allocation-free in steady state) on either storage engine.
 package dict
 
 import (

@@ -1,6 +1,6 @@
 // Native Go fuzz target for the dictionary layer: byte inputs decode into
 // an operation stream plus a machine corner, and every decoded stream is
-// run through the buffer tree on both data-bearing engines and an
+// run through the buffer tree and an
 // in-memory model map (plus the B-tree baseline where its B ≥ 4 minimum
 // allows). The seed corpus comes from the workload generators, so fuzzing
 // starts from realistic uniform/zipf/burst/churn traffic and mutates from
@@ -16,7 +16,6 @@ import (
 	"testing"
 
 	"repro/internal/aem"
-	"repro/internal/aem/aemtest"
 	"repro/internal/dict"
 	"repro/internal/workload"
 )
@@ -125,23 +124,13 @@ func FuzzDictOps(f *testing.F) {
 		cfg, ops := decodeOps(data)
 		want := fuzzModel{}.apply(ops)
 
-		var ref aem.Stats
-		var refCost int64
-		for ei, e := range aemtest.DataEngines() {
-			ma := aemtest.Machine(t, cfg, e)
-			d := dict.NewBufferTree(ma)
-			got := d.Apply(ops)
-			d.Flush()
-			compareResults(t, got, want)
-			if ma.MemPeak() > cfg.M {
-				t.Fatalf("%s engine: memory peak %d exceeds M = %d", e.Name, ma.MemPeak(), cfg.M)
-			}
-			if ei == 0 {
-				ref, refCost = ma.Stats(), ma.Cost()
-			} else if ma.Stats() != ref || ma.Cost() != refCost {
-				t.Fatalf("engines disagree on accounting: %+v cost %d vs %+v cost %d",
-					ma.Stats(), ma.Cost(), ref, refCost)
-			}
+		ma := aem.New(cfg)
+		d := dict.NewBufferTree(ma)
+		got := d.Apply(ops)
+		d.Flush()
+		compareResults(t, got, want)
+		if ma.MemPeak() > cfg.M {
+			t.Fatalf("memory peak %d exceeds M = %d", ma.MemPeak(), cfg.M)
 		}
 
 		// Every commit mode, publishing after every Apply, FlushStep,

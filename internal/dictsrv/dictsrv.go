@@ -103,8 +103,10 @@ type Config struct {
 	// Machine is the per-shard AEM machine shape.
 	Machine aem.Config
 
-	// Engine names the storage engine backing each shard (aem registry
-	// name; must retain data). Empty means "slice".
+	// Engine must be "" or "slice": every shard stores its blocks on
+	// the slice engine.
+	//
+	// Deprecated: there is one data engine; leave Engine empty.
 	Engine string
 
 	// KeyLo, KeyHi bound the served keyspace [KeyLo, KeyHi); keys route
@@ -373,24 +375,12 @@ func New(cfg Config) (*Service, error) {
 	if m := cfg.Machine; m.M < 8*m.B { // dict.NewBufferTree's minimum
 		return nil, fmt.Errorf("dictsrv: a buffer tree needs M ≥ 8B, got M=%d B=%d", m.M, m.B)
 	}
-	engine := cfg.Engine
-	if engine == "" {
-		engine = "slice"
-	}
-	if e, ok := aem.EngineByName(engine); !ok || !e.Caps.RetainsData {
-		if !ok {
-			_, err := aem.StorageByName(engine, cfg.Machine.B)
-			return nil, fmt.Errorf("dictsrv: %v", err)
-		}
-		return nil, fmt.Errorf("dictsrv: engine %q has no data plane and cannot serve a dictionary", engine)
+	if cfg.Engine != "" && cfg.Engine != "slice" {
+		return nil, fmt.Errorf("dictsrv: storage engine %q cannot serve a dictionary; shards use the slice engine", cfg.Engine)
 	}
 	s := &Service{cfg: cfg, maxBatch: maxBatch, stallClock: now}
 	for i := 0; i < cfg.Shards; i++ {
-		store, err := aem.StorageByName(engine, cfg.Machine.B)
-		if err != nil {
-			s.destroy()
-			return nil, fmt.Errorf("dictsrv: shard %d: %v", i, err)
-		}
+		store := aem.NewSliceStorage()
 		ma := aem.NewWithStorage(cfg.Machine, store)
 		sh := &shard{idx: i, ma: ma, tree: dict.NewBufferTree(ma), store: store,
 			states: slab.New[snapState](stateSlabMax)}
@@ -519,13 +509,6 @@ var epoch = time.Now()
 // time.Now carries, at half its cost, since no wall-clock time is read.
 // Latencies are differences of two readings.
 func now() int64 { return int64(time.Since(epoch)) }
-
-// destroy closes whatever shards were built (constructor failure path).
-func (s *Service) destroy() {
-	for _, sh := range s.shards {
-		sh.ma.Close()
-	}
-}
 
 // width is how many keys [KeyLo, KeyHi) holds, which may not fit an
 // int64. KeyHi > KeyLo, so the unsigned difference is exact and ≥ 1.
@@ -920,8 +903,8 @@ func (s *Service) Flush() {
 	}
 }
 
-// Close marks every shard closed, stops the retirers that were started
-// and closes every shard machine. The caller must have no operations in flight; Close is
+// Close marks every shard closed and stops the retirers that were
+// started. The caller must have no operations in flight; Close is
 // not safe against concurrent writers by design (the differential layer
 // owns lifecycle in tests, the CLI in production). A second Close is a
 // no-op.
@@ -936,9 +919,6 @@ func (s *Service) Close() {
 			sh.mu.Unlock()
 		}
 		s.wg.Wait()
-		for _, sh := range s.shards {
-			sh.ma.Close()
-		}
 	})
 }
 

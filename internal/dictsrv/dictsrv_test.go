@@ -97,6 +97,7 @@ func TestServiceConfigErrors(t *testing.T) {
 		{Shards: 1, Machine: aem.Config{M: 64, B: 16, Omega: 1}, KeyHi: 10}, // M < 8B
 		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, Engine: "nope"},
 		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, Engine: "counting"},
+		{Shards: 1, Machine: aem.Config{M: 128, B: 16, Omega: 1}, KeyHi: 10, Engine: "file"},
 	}
 	for i, cfg := range bad {
 		if svc, err := New(cfg); err == nil {
@@ -515,18 +516,17 @@ func runLookupDuringFlushHammer(t *testing.T, deamortize bool) {
 	}
 }
 
-// TestFileConcurrentReads runs snapshot readers against a file-engine
-// shard while its writer commits. The readers copy blocks out of the
-// engine's fixed mapping while the writer writes blocks and grows the
-// file under it, so a block that moved or a mapping replaced on growth
+// TestReadsDuringStorageGrowth runs snapshot readers against a shard
+// while its writer commits. The readers copy blocks out of the slice
+// engine while the writer writes blocks, grows the engine's block table
+// under them and rewrites blocks its tree let go of, so a block that
+// moved, a table replaced on growth or a write into a live block's memory
 // corrupts reads, overflows the tree's block vectors, or trips the race
 // detector. Every key is preloaded and never deleted, and every value
 // written for key k is congruent to k, so each Get must find its key with
 // a value of that key.
-func TestFileConcurrentReads(t *testing.T) {
-	t.Setenv(aem.FileDirEnv, t.TempDir())
+func TestReadsDuringStorageGrowth(t *testing.T) {
 	cfg := testConfig(1)
-	cfg.Engine = "file"
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -1640,8 +1640,8 @@ func TestPanickingReadUnpins(t *testing.T) {
 	}
 }
 
-// panickingStorage panics on every block read, as FileStorage does on a
-// read error.
+// panickingStorage panics on every block read, as an engine that cannot
+// read its device would.
 type panickingStorage struct{ aem.Storage }
 
 func (panickingStorage) ReadInto(aem.Addr, []aem.Item) []aem.Item { panic("read error") }

@@ -3,6 +3,7 @@ package harness
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"runtime/metrics"
 	"strings"
 	"sync"
@@ -172,8 +173,11 @@ func failuresError(failures []string) error {
 // table emitted before the next spec's first point, and attaches each
 // point's wall clock and heap allocations to the emitted tables (see
 // Table.Timing). The heap counters are process-wide, so a second worker
-// would charge its allocations to whichever point is running. Timing is
-// off by default so recorded goldens stay stable.
+// would charge its allocations to whichever point is running. Each spec
+// starts from a collected heap: runtime/metrics counts small objects when
+// their span is flushed, so a collection that lands inside a point would
+// otherwise bill it for an earlier spec's allocations. Timing is off by
+// default so recorded goldens stay stable.
 type LocalPool struct {
 	Par    int
 	Timing bool
@@ -192,6 +196,7 @@ func (e *LocalPool) Execute(specs []*Spec, emit func(*Table)) error {
 		for si, s := range specs {
 			st := sts[si]
 			st.timing = make([]PointTiming, len(st.pts))
+			runtime.GC()
 			for pi := range st.pts {
 				st.timePoint(s, pi, heap)
 			}

@@ -75,7 +75,7 @@ func specMG1() *Spec {
 		),
 		Point: func(p Point) Row {
 			cfg := aem.Config{M: mgM, B: mgB, Omega: p.Int("omega")}
-			ma, release := PooledMachine(cfg, "counting")
+			ma, release := PooledCountingMachine(cfg)
 			defer release()
 			replayMergeSchedule(ma, p.Int("N"))
 			st := ma.Stats()

@@ -15,28 +15,26 @@ import (
 func BenchmarkMachineAcquisition(b *testing.B) {
 	cfg := aem.Config{M: 1 << 10, B: 64, Omega: 8}
 	const blocks = 1 << 12
-	for _, backend := range []string{"slice", "counting"} {
-		b.Run(backend+"/fresh", func(b *testing.B) {
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				ma := backendMachine(cfg, backend)
-				ma.Alloc(blocks)
-			}
-		})
-		b.Run(backend+"/pooled", func(b *testing.B) {
-			// Prime the pool so every iteration is a hit.
-			ma, release := PooledMachine(cfg, backend)
+	b.Run("counting/fresh", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			ma := aem.NewWithStorage(cfg, aem.NewCountingStorage())
+			ma.Alloc(blocks)
+		}
+	})
+	b.Run("counting/pooled", func(b *testing.B) {
+		// Prime the pool so every iteration is a hit.
+		ma, release := PooledCountingMachine(cfg)
+		ma.Alloc(blocks)
+		release()
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			ma, release := PooledCountingMachine(cfg)
 			ma.Alloc(blocks)
 			release()
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				ma, release := PooledMachine(cfg, backend)
-				ma.Alloc(blocks)
-				release()
-			}
-		})
-	}
+		}
+	})
 }
 
 // BenchmarkMegaGridPoint is the macro number behind the throughput gate:

@@ -2,8 +2,6 @@ package harness
 
 import (
 	"bytes"
-	"fmt"
-	"strings"
 	"sync"
 	"testing"
 
@@ -11,7 +9,7 @@ import (
 	"repro/internal/rng"
 )
 
-// poolWorkload is a small data-bearing point: load, scan, write back,
+// poolWorkload is a small data-oblivious point: load, scan, write back,
 // returning the accounting row a spec would.
 func poolWorkload(ma *aem.Machine, n int) Row {
 	items := make([]aem.Item, n)
@@ -36,55 +34,35 @@ func poolWorkload(ma *aem.Machine, n int) Row {
 }
 
 // TestPooledMachineMatchesFresh runs the same workload on pooled and
-// freshly constructed machines, interleaved so pool hits actually occur,
-// and demands identical rows: pooling must be invisible in every cell.
-// B changes between rounds, since the pool recycles a machine into a
-// point of any block size.
+// freshly constructed counting machines, interleaved so pool hits
+// actually occur, and demands identical rows: pooling must be invisible
+// in every cell. B changes between rounds, since the pool recycles a
+// machine into a point of any block size.
 func TestPooledMachineMatchesFresh(t *testing.T) {
-	for _, e := range aem.Engines() {
-		if e.Caps.Persistent {
-			continue
-		}
-		backend := e.Name
-		t.Run(backend, func(t *testing.T) {
-			for round, b := range []int{8, 16, 4, 8} {
-				cfg := aem.Config{M: 64, B: b, Omega: 1 + round}
-				n := 100 + 17*round
-				ma, release := PooledMachine(cfg, backend)
-				got := poolWorkload(ma, n)
-				release()
-				fresh := backendMachine(cfg, backend)
-				want := poolWorkload(fresh, n)
-				fresh.Close()
-				for c := range want {
-					if got[c] != want[c] {
-						t.Fatalf("round %d cell %d: pooled %v, fresh %v", round, c, got[c], want[c])
-					}
+	t.Run("counting", func(t *testing.T) {
+		for round, b := range []int{8, 16, 4, 8} {
+			cfg := aem.Config{M: 64, B: b, Omega: 1 + round}
+			n := 100 + 17*round
+			ma, release := PooledCountingMachine(cfg)
+			got := poolWorkload(ma, n)
+			release()
+			want := poolWorkload(aem.NewWithStorage(cfg, aem.NewCountingStorage()), n)
+			for c := range want {
+				if got[c] != want[c] {
+					t.Fatalf("round %d cell %d: pooled %v, fresh %v", round, c, got[c], want[c])
 				}
 			}
-		})
-	}
-}
-
-// TestPooledMachineRejectsPersistent: a persistent engine's machine owns
-// a backing file, so the pool refuses it rather than share one file
-// between grid points.
-func TestPooledMachineRejectsPersistent(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil || !strings.Contains(fmt.Sprint(r), "file") {
-			t.Fatalf("PooledMachine(file) recovered %v, want a panic naming the engine", r)
 		}
-	}()
-	PooledMachine(aem.Config{M: 64, B: 8, Omega: 1}, "file")
+	})
 }
 
 // TestPooledMachineReleaseIdempotent pins the double-release fix at the
-// release function PooledMachine returns: a release called
+// release function PooledCountingMachine returns: a release called
 // twice (an easy slip in a defer-heavy point function) must put the
 // machine into the pool once, not twice — a double Put lets two
 // subsequent gets hand the same machine to two concurrent grid points.
 // Counting the puts keeps the check independent of what other tests left
-// in the shared pools, which sync.Pool may hand back in any order.
+// in the shared pool, which sync.Pool may hand back in any order.
 func TestPooledMachineReleaseIdempotent(t *testing.T) {
 	puts := 0
 	release := releaseOnce(func() { puts++ })
@@ -110,7 +88,7 @@ func TestPooledMachineDoubleReleaseRace(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < 50; i++ {
-				ma, release := PooledMachine(cfg, "slice")
+				ma, release := PooledCountingMachine(cfg)
 				mu.Lock()
 				held[ma]++
 				if held[ma] > 1 {
@@ -131,26 +109,25 @@ func TestPooledMachineDoubleReleaseRace(t *testing.T) {
 
 // TestRunPooledParByteIdentity extends the scheduler's byte-identity
 // property test to pooled machines: a grid whose points draw from the
-// pool — data-bearing and counting backends, bulk and per-op paths —
-// must emit identical bytes at every parallelism level, even though pool
-// hit patterns differ per run and per worker count.
+// pool — bulk and per-op paths — must emit identical bytes at every
+// parallelism level, even though pool hit patterns differ per run and
+// per worker count.
 func TestRunPooledParByteIdentity(t *testing.T) {
 	mkSpec := func() *Spec {
 		return &Spec{
 			ID:    "POOLGRID",
-			Title: "pooled machines across backends",
+			Title: "pooled counting machines",
 			Axes: []Axis{
-				{Name: "backend", Values: Vals("slice", "counting")},
 				{Name: "omega", Values: Ints(1, 4, 9)},
 				{Name: "n", Values: Ints(64, 100, 200)},
 			},
-			Columns: Cols("backend", "omega", "n", "reads", "writes", "cost", "mem peak", "blocks"),
+			Columns: Cols("omega", "n", "reads", "writes", "cost", "mem peak", "blocks"),
 			Point: func(p Point) Row {
 				cfg := aem.Config{M: 64, B: 8, Omega: p.Int("omega")}
-				ma, release := PooledMachine(cfg, p.Str("backend"))
+				ma, release := PooledCountingMachine(cfg)
 				defer release()
 				row := poolWorkload(ma, p.Int("n"))
-				return append(Row{p.Str("backend"), p.Int("omega"), p.Int("n")}, row...)
+				return append(Row{p.Int("omega"), p.Int("n")}, row...)
 			},
 		}
 	}

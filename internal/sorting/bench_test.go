@@ -31,7 +31,6 @@ func BenchmarkMergeSort(b *testing.B) {
 		sorting.MergeSort(ma, v)
 		b.StopTimer()
 		q = ma.Cost()
-		ma.Close()
 		b.StartTimer()
 	}
 	b.ReportMetric(float64(q)/n, "Q/item")
@@ -58,7 +57,6 @@ func TestMergeSortAllocs(t *testing.T) {
 	)
 	in := workload.Keys(workload.NewRNG(1), workload.Random, n)
 	ma := aem.New(sortShape)
-	defer ma.Close()
 	v := aem.Load(ma, in)
 	sorting.MergeSort(ma, v)
 
@@ -118,6 +116,5 @@ func TestMergeRunsAllocs(t *testing.T) {
 			t.Errorf("%s: MergeRuns allocated %.0f objects, want ≤ %.0f (2 vectors, %d slabs, %d working set)",
 				tc.name, got, limit, slabs, workingSet)
 		}
-		ma.Close()
 	}
 }

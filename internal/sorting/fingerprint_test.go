@@ -162,7 +162,6 @@ func TestSortScheduleFingerprint(t *testing.T) {
 			name := sh.name + "/" + tc.op
 			t.Run(name, func(t *testing.T) {
 				ma := aem.New(cfg)
-				defer ma.Close()
 				// Loading the inputs is free and untraced: the trace holds
 				// only the algorithm's own transfers.
 				ma.StartTrace()

@@ -1,8 +1,7 @@
 // Native Go fuzz target for the §3 mergesort: byte inputs decode into a
 // machine corner and an item array (with deliberate duplicate items —
 // splitmix-generated workloads never produce those, fuzzing does). Every
-// execution checks correctness on both data-bearing engines, byte-equal
-// I/O accounting between them, and that the measured cost stays inside
+// execution checks correctness and that the measured cost stays inside
 // the paper's bound corridor: above the §4 counting lower bound and below
 // a constant multiple of the §3 predicted upper bound.
 package sorting_test
@@ -11,7 +10,6 @@ import (
 	"testing"
 
 	"repro/internal/aem"
-	"repro/internal/aem/aemtest"
 	"repro/internal/bounds"
 	"repro/internal/sorting"
 	"repro/internal/workload"
@@ -61,45 +59,28 @@ func FuzzMergeSortStats(f *testing.F) {
 		if len(items) == 0 {
 			return
 		}
-		var refOut []aem.Item
-		var refStats aem.Stats
-		for ei, e := range aemtest.DataEngines() {
-			ma := aemtest.Machine(t, cfg, e)
-			out := sorting.MergeSort(ma, aem.Load(ma, items)).Materialize()
-			if !sorting.IsSorted(out) {
-				t.Fatal("output not sorted")
-			}
-			if !sorting.SameMultiset(items, out) {
-				t.Fatal("output multiset differs from input")
-			}
-			if ma.MemPeak() > cfg.M {
-				t.Fatalf("memory peak %d exceeds M = %d", ma.MemPeak(), cfg.M)
-			}
+		ma := aem.New(cfg)
+		out := sorting.MergeSort(ma, aem.Load(ma, items)).Materialize()
+		if !sorting.IsSorted(out) {
+			t.Fatal("output not sorted")
+		}
+		if !sorting.SameMultiset(items, out) {
+			t.Fatal("output multiset differs from input")
+		}
+		if ma.MemPeak() > cfg.M {
+			t.Fatalf("memory peak %d exceeds M = %d", ma.MemPeak(), cfg.M)
+		}
 
-			p := bounds.Params{N: len(items), Cfg: cfg}
-			lb := bounds.CountingLowerBound(bounds.Params{N: len(items),
-				Cfg: aem.Config{M: 2 * cfg.M, B: cfg.B, Omega: cfg.Omega}})
-			if float64(ma.Cost()) < lb {
-				t.Fatalf("cost %d beats the counting lower bound %.0f — accounting broken", ma.Cost(), lb)
-			}
-			pred := bounds.MergeSortPredicted(p).Cost(cfg.Omega)
-			slack := 10*pred + 100*float64(cfg.Omega*cfg.BlocksInMemory())
-			if float64(ma.Cost()) > slack {
-				t.Fatalf("cost %d blows the predicted corridor (%.0f)", ma.Cost(), slack)
-			}
-
-			if ei == 0 {
-				refOut, refStats = out, ma.Stats()
-				continue
-			}
-			if ma.Stats() != refStats {
-				t.Fatalf("engines disagree on stats: %+v vs %+v", ma.Stats(), refStats)
-			}
-			for i := range out {
-				if out[i] != refOut[i] {
-					t.Fatalf("engines disagree on output at %d", i)
-				}
-			}
+		p := bounds.Params{N: len(items), Cfg: cfg}
+		lb := bounds.CountingLowerBound(bounds.Params{N: len(items),
+			Cfg: aem.Config{M: 2 * cfg.M, B: cfg.B, Omega: cfg.Omega}})
+		if float64(ma.Cost()) < lb {
+			t.Fatalf("cost %d beats the counting lower bound %.0f — accounting broken", ma.Cost(), lb)
+		}
+		pred := bounds.MergeSortPredicted(p).Cost(cfg.Omega)
+		slack := 10*pred + 100*float64(cfg.Omega*cfg.BlocksInMemory())
+		if float64(ma.Cost()) > slack {
+			t.Fatalf("cost %d blows the predicted corridor (%.0f)", ma.Cost(), slack)
 		}
 	})
 }
