@@ -1,8 +1,6 @@
-// Cross-backend integration: the storage engine must leave the cost model
-// untouched. A recycled slice engine must agree with a fresh one on
-// outputs and I/O accounting for every algorithm in the repository; the
-// counting engine must agree with the slice engine on accounting for
-// data-oblivious programs, which is all it exists for.
+// Cross-backend integration: every algorithm in the repository honours
+// the Storage.Discard contract, so an engine that keeps discarded blocks
+// must agree with the slice engine on outputs and I/O accounting.
 package repro
 
 import (
@@ -17,13 +15,20 @@ import (
 	"repro/internal/workload"
 )
 
-// TestAlgorithmsIdenticalAcrossDataBackends is the conformance suite at
+// keepDiscarded is the slice engine with a Discard that does nothing: a
+// discarded block keeps its contents instead of reading back empty, and
+// its memory is never reused for another block.
+type keepDiscarded struct{ aem.Storage }
+
+func (keepDiscarded) Discard(aem.Addr, int) {}
+
+// TestAlgorithmsIdenticalAcrossDataBackends is the Discard contract at
 // algorithm level: identical outputs, Stats, Cost, internal-memory peaks
-// and block counts on a fresh slice engine and on one recycled from
-// earlier runs, for every algorithm family in the repository. The slice
-// engine is the one data engine; what can differ between two of its
-// instances is the state a Reset leaves behind (its block table and the
-// free list Discard fills), and Machine.Recycle promises none of it shows.
+// and block counts on the slice engine and on keepDiscarded, for every
+// algorithm family in the repository. The two engines differ only in
+// what a discarded block reads back and in whose memory a later Write
+// lands, so an algorithm that reads a block it discarded before writing
+// it again shows up here.
 func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 	cfg := aem.Config{M: 128, B: 8, Omega: 8}
 	const n = 1 << 12
@@ -86,7 +91,7 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 		{"pq-interleaved", func(ma *aem.Machine) []aem.Item {
 			// Interleaved Push/DeleteMin lifecycle, not just the HeapSort
 			// wrapper: the queue's run compactions must be byte-identical
-			// on a recycled engine too.
+			// on both engines.
 			q := pq.New(ma)
 			var out []aem.Item
 			for i, it := range in[:1024] {
@@ -112,7 +117,7 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 		{"pq-adaptive-interleaved", func(ma *aem.Machine) []aem.Item {
 			// Same lifecycle through the ω-adaptive queue: buffer appends,
 			// selection scans, folds and lazy merges must be byte-identical
-			// on a recycled engine too.
+			// on both engines.
 			q := pq.NewAdaptive(ma)
 			var out []aem.Item
 			for i, it := range in[:1024] {
@@ -143,13 +148,6 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 		}},
 	}
 
-	// used is the recycled machine: before the first algorithm it has run
-	// the §3 mergesort at another configuration, whose Discards leave the
-	// engine's free list non-empty; each algorithm then leaves its own state
-	// behind for the next.
-	used := aem.NewWithStorage(aem.Config{M: 64, B: 4, Omega: 2}, aem.NewSliceStorage())
-	sorting.MergeSort(used, aem.Load(used, in)).Materialize()
-
 	for _, alg := range algs {
 		t.Run(alg.name, func(t *testing.T) {
 			type outcome struct {
@@ -163,27 +161,26 @@ func TestAlgorithmsIdenticalAcrossDataBackends(t *testing.T) {
 				return outcome{out: alg.run(ma), stats: ma.Stats(),
 					cost: ma.Cost(), peak: ma.MemPeak(), blocks: ma.NumBlocks()}
 			}
-			ref := run(aem.NewWithStorage(cfg, aem.NewSliceStorage()))
-			used.Recycle(cfg)
-			got := run(used)
+			ref := run(aem.New(cfg))
+			got := run(aem.NewWithStorage(cfg, keepDiscarded{aem.NewSliceStorage()}))
 			if got.stats != ref.stats {
-				t.Errorf("recycled: stats %+v != fresh %+v", got.stats, ref.stats)
+				t.Errorf("keepDiscarded: stats %+v != slice %+v", got.stats, ref.stats)
 			}
 			if got.cost != ref.cost {
-				t.Errorf("recycled: cost %d != fresh %d", got.cost, ref.cost)
+				t.Errorf("keepDiscarded: cost %d != slice %d", got.cost, ref.cost)
 			}
 			if got.peak != ref.peak {
-				t.Errorf("recycled: memory peak %d != fresh %d", got.peak, ref.peak)
+				t.Errorf("keepDiscarded: memory peak %d != slice %d", got.peak, ref.peak)
 			}
 			if got.blocks != ref.blocks {
-				t.Errorf("recycled: allocated %d blocks != fresh %d", got.blocks, ref.blocks)
+				t.Errorf("keepDiscarded: allocated %d blocks != slice %d", got.blocks, ref.blocks)
 			}
 			if len(got.out) != len(ref.out) {
-				t.Fatalf("recycled: output length %d != fresh %d", len(got.out), len(ref.out))
+				t.Fatalf("keepDiscarded: output length %d != slice %d", len(got.out), len(ref.out))
 			}
 			for i := range got.out {
 				if got.out[i] != ref.out[i] {
-					t.Fatalf("recycled: outputs differ at %d: %v != %v", i, got.out[i], ref.out[i])
+					t.Fatalf("keepDiscarded: outputs differ at %d: %v != %v", i, got.out[i], ref.out[i])
 				}
 			}
 		})
@@ -211,69 +208,4 @@ func dictConformanceRun(d dict.Dict) []aem.Item {
 		out = append(out, aem.Item{Key: hit.Key, Aux: hit.Value})
 	}
 	return out
-}
-
-// TestCountingBackendMatchesObliviousPrograms: programs whose I/O schedule
-// depends only on program knowledge (lengths, addresses, the permutation)
-// must produce identical accounting on the counting engine, which moves no
-// data at all. permute.Direct is the paper's canonical such program; the
-// naive SpMxV program's schedule is its conformation, which the program
-// knows for free.
-func TestCountingBackendMatchesObliviousPrograms(t *testing.T) {
-	cfg := aem.Config{M: 64, B: 8, Omega: 16}
-	const n = 1 << 10
-	items, perm := workload.Permutation(workload.NewRNG(80), n)
-	conf := workload.NewConformation(workload.NewRNG(81), 512, 4)
-	values, x := make([]int64, conf.H()), make([]int64, 512)
-	for i := range values {
-		values[i] = int64(i%100 - 50)
-	}
-	for i := range x {
-		x[i] = int64(i % 7)
-	}
-
-	programs := []struct {
-		name string
-		run  func(ma *aem.Machine)
-	}{
-		{"permute-direct", func(ma *aem.Machine) {
-			permute.Direct(ma, aem.Load(ma, items), perm)
-		}},
-		{"scan-copy", func(ma *aem.Machine) {
-			v := aem.Load(ma, items)
-			out := aem.NewVector(ma, v.Len())
-			sc := v.NewScanner()
-			w := out.NewWriter()
-			for {
-				it, ok := sc.Next()
-				if !ok {
-					break
-				}
-				w.Append(it)
-			}
-			sc.Close()
-			w.Close()
-		}},
-		{"spmxv-naive", func(ma *aem.Machine) {
-			spmxv.Naive(ma, spmxv.NewMatrix(ma, conf, values), spmxv.LoadDense(ma, x))
-		}},
-	}
-
-	for _, p := range programs {
-		t.Run(p.name, func(t *testing.T) {
-			type acct struct {
-				stats              aem.Stats
-				cost               int64
-				memPeak, numBlocks int
-			}
-			run := func(store aem.Storage) acct {
-				ma := aem.NewWithStorage(cfg, store)
-				p.run(ma)
-				return acct{ma.Stats(), ma.Cost(), ma.MemPeak(), ma.NumBlocks()}
-			}
-			if got, want := run(aem.NewCountingStorage()), run(aem.NewSliceStorage()); got != want {
-				t.Errorf("counting: %+v != slice reference %+v", got, want)
-			}
-		})
-	}
 }

@@ -31,13 +31,12 @@ type TraceOp struct {
 // Machine simulates an (M,B,ω)-AEM machine: a block-granular external
 // memory, an internal memory capacity meter, and I/O cost accounting.
 //
-// The external memory's contents live in a pluggable Storage engine; the
-// machine itself owns the cost model and, between StartTrace and
-// StopTrace, the in-memory trace of costed transfers. Every transfer,
-// costed or free, reaches the engine through the one Storage reference
-// the machine holds, so each engine runs the same machine code. New
-// machines default to the reference SliceStorage — use NewWithStorage to
-// run on another engine.
+// The external memory's contents live in a Storage engine; the machine
+// itself owns the cost model and, between StartTrace and StopTrace, the
+// in-memory trace of costed transfers. Every transfer, costed or free,
+// reaches the engine through the one Storage reference the machine
+// holds. New machines run on a fresh SliceStorage — use NewWithStorage to
+// hand the machine a wrapped engine.
 //
 // The simulator deliberately does not model internal memory *contents* —
 // internal computation is free in the model — but it does meter how many
@@ -60,10 +59,9 @@ type Machine struct {
 	peak     int
 	tracing  bool
 	trace    []TraceOp // operations recorded since StartTrace
-	zeros    []Item    // lazily built zero block for ScanWrites on data engines
 }
 
-// New returns a fresh machine backed by the reference slice engine. It
+// New returns a fresh machine backed by a fresh slice engine. It
 // panics if cfg is invalid; constructing a machine from bad parameters is a
 // programming error, and every CLI validates user input before reaching
 // this point.
@@ -84,30 +82,6 @@ func NewWithStorage(cfg Config, store Storage) *Machine {
 	ma.phaseSlot = ma.phases.slot("main")
 	ma.phase = "main"
 	return ma
-}
-
-// Recycle returns the machine to the state NewWithStorage would produce
-// for cfg on the same storage engine: counters, phases, memory metering
-// and any trace in progress are cleared and the engine is Reset to zero
-// blocks (retaining its capacity, which is the point — a pooled machine's
-// next run allocates nothing in steady state). cfg may differ from the
-// machine's previous configuration in M, B and ω freely; like the
-// constructor, Recycle panics on an invalid cfg.
-func (ma *Machine) Recycle(cfg Config) {
-	if err := cfg.Validate(); err != nil {
-		panic(err)
-	}
-	ma.cfg = cfg
-	ma.store.Reset()
-	ma.stats = Stats{}
-	ma.phases = PhaseStats{}
-	ma.phase = "main"
-	ma.phaseSlot = ma.phases.slot("main")
-	ma.leftSlot = nil
-	ma.inUse = 0
-	ma.peak = 0
-	ma.tracing = false
-	ma.trace = nil
 }
 
 // Config returns the machine parameters.
@@ -223,89 +197,6 @@ func (ma *Machine) Write(a Addr, items []Item) {
 	ma.store.Write(a, items)
 }
 
-// ScanReads performs blocks consecutive read I/Os over the address range
-// [base, base+blocks) as one batched accounting step: the range is
-// validated once and Stats and the current phase slot advance by a single
-// addition instead of one count per block. It is the bulk primitive
-// behind counting-only sweeps, where whole scan phases advance
-// arithmetically rather than block-by-block.
-//
-// ScanReads does not materialize the transferred values — it models a
-// data-oblivious scan whose schedule never branches on block contents
-// (the paper's lower-bound setting: Q = Qr + ω·Qw is all that matters).
-// Programs that inspect values use ReadInto or a Scanner, whose
-// accounting ScanReads matches I/O-for-I/O.
-//
-// While tracing the per-op path is taken instead, so recorded traces
-// are identical to an unbatched scan of the same range.
-func (ma *Machine) ScanReads(base Addr, blocks int) {
-	ma.checkRange(base, blocks, "ScanReads")
-	if blocks == 0 {
-		return
-	}
-	if ma.tracing {
-		for i := 0; i < blocks; i++ {
-			ma.count(OpRead, base+Addr(i))
-		}
-		return
-	}
-	ma.stats.Reads += int64(blocks)
-	ma.phaseSlot.Reads += int64(blocks)
-}
-
-// ScanWrites performs blocks consecutive write I/Os over the address
-// range [base, base+blocks) as one batched accounting step, modeling a
-// streaming writer that fills every block to B items and the final block
-// to lastLen (1 ≤ lastLen ≤ B) — exactly the schedule a Writer produces
-// appending (blocks−1)·B + lastLen items. The values written are zero
-// items: like ScanReads, the primitive serves data-oblivious programs
-// whose output values are never inspected. Block lengths are recorded so
-// subsequent scans of the range see the same sizes the per-op path would
-// leave.
-//
-// On the counting engine the data plane is a bulk length update, the one
-// engine-specific step in the machine: it is EXP-MG1's hot loop, and a
-// per-block Write there would cost as much as the accounting it batches.
-// On the slice engine each block is zero-filled through the normal
-// storage write. While tracing the accounting takes the per-op path, so
-// recorded traces are identical to the equivalent Writer run.
-func (ma *Machine) ScanWrites(base Addr, blocks int, lastLen int) {
-	ma.checkRange(base, blocks, "ScanWrites")
-	if blocks == 0 {
-		return
-	}
-	if lastLen < 1 || lastLen > ma.cfg.B {
-		panic(fmt.Sprintf("aem: ScanWrites(%d, %d): last block length %d outside [1, B=%d]",
-			base, blocks, lastLen, ma.cfg.B))
-	}
-	if ma.tracing {
-		for i := 0; i < blocks; i++ {
-			ma.count(OpWrite, base+Addr(i))
-		}
-	} else {
-		ma.stats.Writes += int64(blocks)
-		ma.phaseSlot.Writes += int64(blocks)
-	}
-	if c, ok := ma.store.(*CountingStorage); ok {
-		c.setLens(base, blocks, int32(ma.cfg.B), int32(lastLen))
-		return
-	}
-	z := ma.zeroBlock()
-	for i := 0; i < blocks-1; i++ {
-		ma.store.Write(base+Addr(i), z)
-	}
-	ma.store.Write(base+Addr(blocks-1), z[:lastLen])
-}
-
-// zeroBlock returns a B-item all-zero block, built lazily and reused; it
-// is only ever copied from, never written to.
-func (ma *Machine) zeroBlock() []Item {
-	if len(ma.zeros) < ma.cfg.B {
-		ma.zeros = make([]Item, ma.cfg.B)
-	}
-	return ma.zeros[:ma.cfg.B]
-}
-
 // PeekInto copies the block's contents into dst like ReadInto, without
 // performing (or costing) an I/O. It exists for test verification and for
 // "program knowledge": in the paper's program model (§2) the structure of
@@ -371,9 +262,7 @@ func (ma *Machine) count(kind OpKind, a Addr) {
 	}
 }
 
-// checkRange validates a bulk primitive's address range in one step —
-// the whole point of batching is that this check runs once per phase
-// segment, not once per block.
+// checkRange validates the block range [base, base+blocks) in one step.
 func (ma *Machine) checkRange(base Addr, blocks int, op string) {
 	if blocks < 0 {
 		panic(fmt.Sprintf("aem: %s(%d, %d): negative block count", op, base, blocks))

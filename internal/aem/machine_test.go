@@ -1,6 +1,7 @@
 package aem
 
 import (
+	"slices"
 	"strings"
 	"testing"
 )
@@ -195,8 +196,8 @@ func TestPhaseAccounting(t *testing.T) {
 
 // TestPhaseRestoreAccounting drives the prev := SetPhase(x) …
 // SetPhase(prev) pairs that SetPhase's one-entry memo serves, across a
-// ResetStats and a Recycle, which replace the phase table the memo points
-// into: every I/O must land in the current table under its phase.
+// ResetStats, which replaces the phase table the memo points into: every
+// I/O must land in the current table under its phase.
 func TestPhaseRestoreAccounting(t *testing.T) {
 	ma := New(testConfig())
 	a := ma.Alloc(1)
@@ -226,11 +227,6 @@ func TestPhaseRestoreAccounting(t *testing.T) {
 	ma.ResetStats()
 	pair()
 	check("after ResetStats", 1, 1)
-	ma.Recycle(testConfig())
-	a = ma.Alloc(1)
-	ma.Write(a, []Item{{1, 0}})
-	pair()
-	check("after Recycle", 1, 1)
 }
 
 func TestTraceRecording(t *testing.T) {
@@ -274,10 +270,10 @@ func TestStopTraceHandsOverItsSlice(t *testing.T) {
 	ma.ReadInto(a+3, nil)
 	second := ma.StopTrace()
 
-	if !traceEqual(first, want) {
+	if !slices.Equal(first, want) {
 		t.Errorf("second trace changed the first: %v, want %v", first, want)
 	}
-	if wantSecond := []TraceOp{{OpWrite, a + 3}, {OpRead, a + 3}}; !traceEqual(second, wantSecond) {
+	if wantSecond := []TraceOp{{OpWrite, a + 3}, {OpRead, a + 3}}; !slices.Equal(second, wantSecond) {
 		t.Errorf("second trace %v, want %v", second, wantSecond)
 	}
 }

@@ -2,8 +2,7 @@ package aem
 
 import "math/bits"
 
-// Both engines' block tables — the slice engine's slice headers and the
-// counting engine's lengths — are segment directories: segment 0 holds
+// The slice engine's block table is a segment directory: segment 0 holds
 // segFirst blocks and segment i ≥ 1 the segFirst·2^(i−1) blocks after
 // them, so the first k+1 segments hold exactly segFirst·2^k. Growing
 // allocates only the new segment and never copies an old one, which is
@@ -33,39 +32,17 @@ func locate(a Addr) (seg, off int) {
 // segBlocks returns how many blocks segment seg holds.
 func segBlocks(seg int) int { return max(segFirst, segFirst<<seg>>1) }
 
-// segDir is a segment directory with one element per block: segment i is
-// one []T of segBlocks(i) elements, allocated on first use and kept across
-// resets. Segments are only ever added, so a goroutine may index segment
-// i while another covers segment j > i.
-type segDir[T any] [numSegs][]T
+// segDir is a segment directory with one slice header per block: segment
+// i holds segBlocks(i) headers and is allocated on first use. Segments
+// are only ever added, so a goroutine may index segment i while another
+// covers segment j > i.
+type segDir [numSegs][][]Item
 
 // cover allocates every missing segment holding a block below n. Segments
 // are allocated in order, so the first present one ends the scan.
-func (d *segDir[T]) cover(n int) {
+func (d *segDir) cover(n int) {
 	last, _ := locate(Addr(n - 1))
 	for i := last; i >= 0 && d[i] == nil; i-- {
-		d[i] = make([]T, segBlocks(i))
-	}
-}
-
-// clear zeroes the elements of blocks [0, n), keeping the segments.
-func (d *segDir[T]) clear(n int) {
-	for i := 0; n > 0; i++ {
-		k := min(n, segBlocks(i))
-		clear(d[i][:k])
-		n -= k
-	}
-}
-
-// fill sets blocks [a, a+n) to v, segment by segment.
-func (d *segDir[T]) fill(a Addr, n int, v T) {
-	for n > 0 {
-		seg, off := locate(a)
-		run := d[seg][off:min(len(d[seg]), off+n)]
-		for i := range run {
-			run[i] = v
-		}
-		a += Addr(len(run))
-		n -= len(run)
+		d[i] = make([][]Item, segBlocks(i))
 	}
 }

@@ -2,20 +2,17 @@ package aem
 
 // Storage is the block engine behind a Machine: it owns the external
 // memory's contents while the Machine owns the cost model (I/O counting,
-// phase attribution, tracing, internal-memory metering). There are two
-// engines: SliceStorage keeps every block's items and serves every
-// program, and CountingStorage keeps only lengths and serves the
-// data-oblivious sweeps. Both count Q identically, and every algorithm
-// sees only this interface.
+// phase attribution, tracing, internal-memory metering). SliceStorage is
+// the one engine; the interface stays so that a caller can wrap it, for
+// instance to time or to fault its calls, and every algorithm sees only
+// this interface.
 //
 // The Machine holds one Storage and calls it directly on every transfer:
 // its costed ReadInto/Write and free PeekInto/Poke all map onto the same
 // two data methods here — whether a transfer is billed is the cost model's
-// business, not the storage's. The one engine-specific step in the machine
-// is ScanWrites' bulk length update on CountingStorage. The model's
-// external memory is unbounded, but an engine's is the simulator's heap:
-// Discard hands back the memory behind blocks an owner is done with, and
-// like Alloc it costs nothing.
+// business, not the storage's. The model's external memory is unbounded,
+// but an engine's is the simulator's heap: Discard hands back the memory
+// behind blocks an owner is done with, and like Alloc it costs nothing.
 //
 // Implementations may assume addresses are in range [0, NumBlocks()) and
 // len(items) ≤ the machine's block size B: the Machine validates both
@@ -57,14 +54,6 @@ type Storage interface {
 	// writes. The addresses stay allocated, so NumBlocks is unchanged.
 	// Discarding a never-written or already discarded block does nothing.
 	Discard(a Addr, count int)
-
-	// Reset returns the engine to its freshly constructed state — zero
-	// blocks allocated — while retaining reusable capacity, so a pooled
-	// machine's next run allocates nothing in steady state. After Reset
-	// the engine must be indistinguishable from a new one: Alloc hands out
-	// empty blocks and a data engine returns zeroed contents, never a
-	// previous run's values.
-	Reset()
 }
 
 // sizedDst returns dst resized to hold n items, allocating only when the
@@ -87,9 +76,9 @@ func sizedDst(dst []Item, n int) []Item {
 // before it cuts the slab.
 type SliceStorage struct {
 	n      int
-	blocks segDir[[]Item] // one slice header per block
-	slab   []Item         // the current slab's uncarved rest
-	free   [][]Item       // discarded blocks' slices, at full capacity
+	blocks segDir   // one slice header per block
+	slab   []Item   // the current slab's uncarved rest
+	free   [][]Item // discarded blocks' slices, at full capacity
 }
 
 // slabItems is the slice engine's slab size: 128 KiB of 16-byte items, a
@@ -176,84 +165,8 @@ func (s *SliceStorage) carve(n int) []Item {
 	return blk
 }
 
-// Reset implements Storage. The block table's segments are kept and their
-// used prefix cleared, so recycled engines hand out nil blocks exactly
-// like fresh ones and the previous run's blocks become garbage. The
-// slab's uncarved rest was never handed out, so carving continues there;
-// the free list is dropped with the blocks.
-func (s *SliceStorage) Reset() {
-	s.blocks.clear(s.n)
-	s.n = 0
-	clear(s.free)
-	s.free = s.free[:0]
-}
-
 // NewArenaStorage returns the slice engine; blockSize is ignored.
 //
 // Deprecated: the arena engine is gone and SliceStorage is the one RAM
 // data engine. Use NewSliceStorage.
 func NewArenaStorage(blockSize int) *SliceStorage { return NewSliceStorage() }
-
-// CountingStorage moves no data at all: it tracks only per-block lengths,
-// so reads return correctly sized but zeroed blocks. It exists for pure
-// cost-accounting runs — the paper's lower-bound sweeps need Q = Qr + ω·Qw,
-// not values — where it makes the simulator's data plane literally free.
-//
-// Only data-oblivious programs (scans, streaming writes, permute.Direct,
-// program replays) produce the same I/O schedule on this backend as on the
-// slice engine; value-dependent algorithms such as the sorts branch on
-// block contents and must use the slice engine.
-type CountingStorage struct {
-	n    int
-	lens segDir[int32]
-}
-
-// NewCountingStorage returns an empty counting-only engine.
-func NewCountingStorage() *CountingStorage { return &CountingStorage{} }
-
-// Alloc implements Storage.
-func (s *CountingStorage) Alloc(count int) Addr {
-	base := Addr(s.n)
-	if count > 0 {
-		s.lens.cover(s.n + count)
-		s.n += count
-	}
-	return base
-}
-
-// NumBlocks implements Storage.
-func (s *CountingStorage) NumBlocks() int { return s.n }
-
-// ReadInto implements Storage. The returned prefix is zeroed rather than
-// left with stale buffer contents so that runs are deterministic.
-func (s *CountingStorage) ReadInto(a Addr, dst []Item) []Item {
-	seg, off := locate(a)
-	dst = sizedDst(dst, int(s.lens[seg][off]))
-	clear(dst)
-	return dst
-}
-
-// Write implements Storage: only the length is recorded.
-func (s *CountingStorage) Write(a Addr, items []Item) {
-	seg, off := locate(a)
-	s.lens[seg][off] = int32(len(items))
-}
-
-// Discard implements Storage: the blocks' lengths drop to 0.
-func (s *CountingStorage) Discard(a Addr, count int) { s.lens.fill(a, count, 0) }
-
-// Reset implements Storage.
-func (s *CountingStorage) Reset() {
-	s.lens.clear(s.n)
-	s.n = 0
-}
-
-// setLens records the lengths of a run of sequentially written blocks —
-// every block in [a, a+blocks) holds full items except the last, which
-// holds last — without going through the per-block Write path. It is the
-// counting engine's half of the machine's bulk ScanWrites fast path.
-func (s *CountingStorage) setLens(a Addr, blocks int, full, last int32) {
-	s.lens.fill(a, blocks-1, full)
-	seg, off := locate(a + Addr(blocks-1))
-	s.lens[seg][off] = last
-}

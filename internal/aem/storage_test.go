@@ -16,115 +16,86 @@ import (
 	"unsafe"
 )
 
-// engines enumerates every storage backend under its conformance name.
-// hasData is false for backends that track lengths but not values.
-var engines = []struct {
-	name    string
-	make    func() Storage
-	hasData bool
-}{
-	{"slice", func() Storage { return NewSliceStorage() }, true},
-	{"counting", func() Storage { return NewCountingStorage() }, false},
-}
-
-// TestStorageConformance runs the same block-level script against every
-// backend: allocation is dense, lengths round-trip through writes
-// (including partial blocks, overwrites and shrinks), and reads return
-// exactly the stored prefix. Value fidelity is asserted for the slice
-// engine; the counting backend must return zeroed items.
+// TestStorageConformance holds the slice engine to the Storage contract:
+// allocation is dense, contents round-trip through writes (including
+// partial blocks, overwrites and shrinks), and reads return exactly the
+// stored prefix.
 func TestStorageConformance(t *testing.T) {
 	const b = 4
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			s := eng.make()
-			if s.NumBlocks() != 0 {
-				t.Fatalf("fresh engine holds %d blocks", s.NumBlocks())
+	t.Run("slice", func(t *testing.T) {
+		s := NewSliceStorage()
+		if s.NumBlocks() != 0 {
+			t.Fatalf("fresh engine holds %d blocks", s.NumBlocks())
+		}
+		if a := s.Alloc(3); a != 0 {
+			t.Fatalf("first Alloc at %d, want 0", a)
+		}
+		if a := s.Alloc(2); a != 3 {
+			t.Fatalf("second Alloc at %d, want 3 (dense addresses)", a)
+		}
+		if s.NumBlocks() != 5 {
+			t.Fatalf("NumBlocks = %d, want 5", s.NumBlocks())
+		}
+		buf := make([]Item, 0, b)
+		blockLen := func(a Addr) int { return len(s.ReadInto(a, buf)) }
+		for a := Addr(0); a < 5; a++ {
+			if n := blockLen(a); n != 0 {
+				t.Fatalf("fresh block %d has length %d", a, n)
 			}
-			if a := s.Alloc(3); a != 0 {
-				t.Fatalf("first Alloc at %d, want 0", a)
-			}
-			if a := s.Alloc(2); a != 3 {
-				t.Fatalf("second Alloc at %d, want 3 (dense addresses)", a)
-			}
-			if s.NumBlocks() != 5 {
-				t.Fatalf("NumBlocks = %d, want 5", s.NumBlocks())
-			}
-			buf := make([]Item, 0, b)
-			blockLen := func(a Addr) int { return len(s.ReadInto(a, buf)) }
-			for a := Addr(0); a < 5; a++ {
-				if n := blockLen(a); n != 0 {
-					t.Fatalf("fresh block %d has length %d", a, n)
-				}
-			}
+		}
 
-			full := []Item{{1, 10}, {2, 20}, {3, 30}, {4, 40}}
-			partial := []Item{{7, 70}, {8, 80}}
-			s.Write(1, full)
-			s.Write(2, partial)
-			if blockLen(1) != len(full) || blockLen(2) != len(partial) {
-				t.Fatalf("lengths (%d, %d), want (%d, %d)", blockLen(1), blockLen(2), len(full), len(partial))
-			}
+		full := []Item{{1, 10}, {2, 20}, {3, 30}, {4, 40}}
+		partial := []Item{{7, 70}, {8, 80}}
+		s.Write(1, full)
+		s.Write(2, partial)
+		if blockLen(1) != len(full) || blockLen(2) != len(partial) {
+			t.Fatalf("lengths (%d, %d), want (%d, %d)", blockLen(1), blockLen(2), len(full), len(partial))
+		}
 
-			// Reads with an ample caller buffer return the stored prefix and
-			// alias the buffer (no allocation).
-			got := s.ReadInto(1, buf)
-			if len(got) != len(full) {
-				t.Fatalf("ReadInto(1) returned %d items, want %d", len(got), len(full))
-			}
-			if &got[0] != &buf[:1][0] {
-				t.Errorf("ReadInto with ample buffer did not alias it")
-			}
-			if eng.hasData {
-				for i := range full {
-					if got[i] != full[i] {
-						t.Fatalf("block 1 item %d = %v, want %v", i, got[i], full[i])
-					}
-				}
-			} else {
-				for i, it := range got {
-					if it != (Item{}) {
-						t.Fatalf("counting backend returned non-zero item %v at %d", it, i)
-					}
-				}
-			}
+		// Reads with an ample caller buffer return the stored prefix and
+		// alias the buffer (no allocation).
+		got := s.ReadInto(1, buf)
+		if len(got) != len(full) {
+			t.Fatalf("ReadInto(1) returned %d items, want %d", len(got), len(full))
+		}
+		if &got[0] != &buf[:1][0] {
+			t.Errorf("ReadInto with ample buffer did not alias it")
+		}
+		if !slices.Equal(got, full) {
+			t.Fatalf("block 1 read %v, want %v", got, full)
+		}
 
-			// Undersized buffers still yield a correct result.
-			small := s.ReadInto(1, make([]Item, 0, 1))
-			if len(small) != len(full) {
-				t.Fatalf("ReadInto with small buffer returned %d items, want %d", len(small), len(full))
-			}
-			if eng.hasData && small[3] != full[3] {
-				t.Fatalf("small-buffer read lost data: %v", small)
-			}
+		// Undersized buffers still yield a correct result.
+		small := s.ReadInto(1, make([]Item, 0, 1))
+		if len(small) != len(full) {
+			t.Fatalf("ReadInto with small buffer returned %d items, want %d", len(small), len(full))
+		}
+		if small[3] != full[3] {
+			t.Fatalf("small-buffer read lost data: %v", small)
+		}
 
-			// Overwriting shrinks the stored length; the caller keeps
-			// ownership of the written slice.
-			src := []Item{{9, 90}}
-			s.Write(1, src)
-			src[0].Key = 99
-			if n := blockLen(1); n != 1 {
-				t.Fatalf("overwritten block length %d, want 1", n)
-			}
-			if eng.hasData {
-				if got := s.ReadInto(1, buf); got[0].Key != 9 {
-					t.Fatalf("mutating the Write argument leaked into storage: %v", got[0])
-				}
-			}
+		// Overwriting shrinks the stored length; the caller keeps
+		// ownership of the written slice.
+		src := []Item{{9, 90}}
+		s.Write(1, src)
+		src[0].Key = 99
+		if n := blockLen(1); n != 1 {
+			t.Fatalf("overwritten block length %d, want 1", n)
+		}
+		if got := s.ReadInto(1, buf); got[0].Key != 9 {
+			t.Fatalf("mutating the Write argument leaked into storage: %v", got[0])
+		}
 
-			// Empty write empties the block.
-			s.Write(1, nil)
-			if n := blockLen(1); n != 0 {
-				t.Fatalf("empty Write left length %d", n)
-			}
-		})
-	}
+		// Empty write empties the block.
+		s.Write(1, nil)
+		if n := blockLen(1); n != 0 {
+			t.Fatalf("empty Write left length %d", n)
+		}
+	})
 
-	// Discarded blocks, on every engine.
-	for _, eng := range engines {
-		t.Run("discard/"+eng.name, func(t *testing.T) {
-			checkDiscard(t, eng.make(), eng.make, b, eng.hasData)
-		})
-	}
+	t.Run("discard/slice", func(t *testing.T) {
+		checkDiscard(t, NewSliceStorage(), b)
+	})
 
 	// Neighbouring blocks, on the slice engine.
 	t.Run("neighbours/slice", func(t *testing.T) {
@@ -155,19 +126,14 @@ func fillBlock(key int64, n int) []Item {
 // reads back empty until it is written again, the block count does not
 // move, discarding an empty block does nothing, and a write that lands
 // in a discarded block's memory disturbs no other block and not the
-// caller's items. Reset after Discard leaves an engine that behaves like
-// fresh, which is checked against one made by fresh.
-func checkDiscard(t *testing.T, s Storage, fresh func() Storage, b int, hasData bool) {
-	expectIn := func(s Storage, a Addr, want []Item) {
+// caller's items.
+func checkDiscard(t *testing.T, s *SliceStorage, b int) {
+	expect := func(a Addr, want []Item) {
 		t.Helper()
-		if !hasData {
-			want = make([]Item, len(want))
-		}
 		if got := s.ReadInto(a, make([]Item, 0, b)); !slices.Equal(got, want) {
 			t.Fatalf("block %d read %v, want %v", a, got, want)
 		}
 	}
-	expect := func(a Addr, want []Item) { t.Helper(); expectIn(s, a, want) }
 	s.Alloc(5)
 	s.Write(0, fillBlock(1, b))
 	s.Write(1, fillBlock(2, b))
@@ -186,18 +152,13 @@ func checkDiscard(t *testing.T, s Storage, fresh func() Storage, b int, hasData 
 	expect(0, []Item{})
 	expect(3, []Item{})
 
-	// Block 3's write takes block 0's memory on the slice engine, and
-	// takes no slab.
-	sl, _ := s.(*SliceStorage)
-	var slabRest int
-	if sl != nil {
-		slabRest = len(sl.slab)
-	}
+	// Block 3's write takes block 0's memory, and takes no slab.
+	slabRest := len(s.slab)
 	src := fillBlock(4, b)
 	s.Write(3, src)
-	if sl != nil && (len(sl.slab) != slabRest || len(sl.free) != 0) {
+	if len(s.slab) != slabRest || len(s.free) != 0 {
 		t.Errorf("write after Discard cut the slab (%d → %d items) or left %d freed blocks: the freed block was not reused",
-			slabRest, len(sl.slab), len(sl.free))
+			slabRest, len(s.slab), len(s.free))
 	}
 	if !slices.Equal(src, fillBlock(4, b)) {
 		t.Fatalf("Write into reused memory changed its argument: %v", src)
@@ -217,31 +178,6 @@ func checkDiscard(t *testing.T, s Storage, fresh func() Storage, b int, hasData 
 	expect(2, []Item{})
 	expect(3, fillBlock(4, b))
 	expect(4, fillBlock(6, b))
-
-	// Reset after Discard: the same script on a fresh engine reads the
-	// same.
-	s.Discard(1, 2)
-	s.Reset()
-	if sl != nil && len(sl.free) != 0 {
-		t.Errorf("Reset kept %d freed blocks", len(sl.free))
-	}
-	f := fresh()
-	for _, e := range []Storage{s, f} {
-		if e.NumBlocks() != 0 {
-			t.Fatalf("NumBlocks = %d, want 0", e.NumBlocks())
-		}
-		e.Alloc(3)
-		e.Write(2, fillBlock(7, b))
-		e.Write(1, fillBlock(8, b/2))
-	}
-	for a := Addr(0); a < 3; a++ {
-		want := f.ReadInto(a, nil)
-		if hasData {
-			want = slices.Clone(want)
-		}
-		expect(a, want)
-	}
-	expectIn(f, 0, []Item{})
 }
 
 // checkDiscardReads has readers ReadInto live blocks while the owner
@@ -304,7 +240,6 @@ func checkDiscardReads(t *testing.T, s Storage, b int) {
 // then grows it past its first length: block 1 must stay intact. The
 // slice engine carves the two blocks side by side from one slab, so a
 // block that grew in place past its carve would overwrite its neighbour.
-// After Reset both blocks must read empty, and take writes again.
 func checkNeighbours(t *testing.T, s Storage, b int) {
 	fill := fillBlock
 	expect := func(a Addr, want []Item) {
@@ -321,16 +256,6 @@ func checkNeighbours(t *testing.T, s Storage, b int) {
 	s.Write(0, fill(4, b))
 	expect(0, fill(4, b))
 	expect(1, fill(2, b))
-
-	s.Reset()
-	s.Alloc(2)
-	for a := Addr(0); a < 2; a++ {
-		expect(a, []Item{})
-	}
-	s.Write(1, fill(5, b))
-	s.Write(0, fill(6, b))
-	expect(0, fill(6, b))
-	expect(1, fill(5, b))
 }
 
 // TestSliceWriteAllocs pins the slice engine's slab allocation: a write
@@ -427,50 +352,9 @@ func checkConcurrentReads(t *testing.T, s Storage, b int) {
 	}
 }
 
-// TestMachineOnEveryBackend runs an identical costed I/O script on a
-// machine over each backend and demands identical Stats, Cost and phase
-// accounting — the cost model must be engine-independent.
-func TestMachineOnEveryBackend(t *testing.T) {
-	cfg := Config{M: 16, B: 4, Omega: 3}
-	script := func(ma *Machine) {
-		a := ma.Alloc(4)
-		ma.Poke(a, []Item{{1, 0}, {2, 0}})
-		buf := make([]Item, 0, cfg.B)
-		ma.SetPhase("copy")
-		for i := 0; i < 3; i++ {
-			got := ma.ReadInto(a, buf)
-			ma.Write(a+1+Addr(i), got)
-		}
-		ma.SetPhase("main")
-		ma.ReadInto(a+1, buf)
-	}
-
-	var ref *Machine
-	for _, eng := range engines {
-		ma := NewWithStorage(cfg, eng.make())
-		script(ma)
-		if ref == nil {
-			ref = ma
-			continue
-		}
-		if ma.Stats() != ref.Stats() {
-			t.Errorf("%s stats %+v differ from reference %+v", eng.name, ma.Stats(), ref.Stats())
-		}
-		if ma.Cost() != ref.Cost() {
-			t.Errorf("%s cost %d differs from reference %d", eng.name, ma.Cost(), ref.Cost())
-		}
-		if ma.Phases().Phase("copy") != ref.Phases().Phase("copy") {
-			t.Errorf("%s phase accounting differs", eng.name)
-		}
-		if ma.NumBlocks() != ref.NumBlocks() {
-			t.Errorf("%s allocated %d blocks, reference %d", eng.name, ma.NumBlocks(), ref.NumBlocks())
-		}
-	}
-}
-
 // TestVectorPipelineOnDataBackends pushes a Load → Scanner → Writer
-// pipeline through both backends and checks values on the slice engine;
-// the counting backend must agree on the I/O counts.
+// pipeline through the slice engine and checks both the copied values
+// and the I/O counts: one read and one write per block.
 func TestVectorPipelineOnDataBackends(t *testing.T) {
 	cfg := Config{M: 32, B: 4, Omega: 2}
 	const n = 41 // deliberately not block-aligned
@@ -478,47 +362,26 @@ func TestVectorPipelineOnDataBackends(t *testing.T) {
 	for i := range items {
 		items[i] = Item{Key: int64(n - i), Aux: int64(i)}
 	}
-
-	type outcome struct {
-		stats Stats
-		data  []Item
+	ma := New(cfg)
+	v := Load(ma, items)
+	out := NewVector(ma, n)
+	sc := v.NewScanner()
+	w := out.NewWriter()
+	for {
+		it, ok := sc.Next()
+		if !ok {
+			break
+		}
+		w.Append(it)
 	}
-	outcomes := map[string]outcome{}
-	for _, eng := range engines {
-		ma := NewWithStorage(cfg, eng.make())
-		v := Load(ma, items)
-		out := NewVector(ma, n)
-		sc := v.NewScanner()
-		w := out.NewWriter()
-		for {
-			it, ok := sc.Next()
-			if !ok {
-				break
-			}
-			w.Append(it)
-		}
-		sc.Close()
-		w.Close()
-		outcomes[eng.name] = outcome{stats: ma.Stats(), data: out.Materialize()}
-
-		if eng.hasData {
-			got := out.Materialize()
-			for i := range items {
-				if got[i] != items[i] {
-					t.Fatalf("%s: copy-through broke at %d: %v != %v", eng.name, i, got[i], items[i])
-				}
-			}
-		}
-	}
-	for name, out := range outcomes {
-		if out.stats != outcomes["slice"].stats {
-			t.Errorf("backends disagree on I/O counts: %s=%+v slice=%+v",
-				name, out.stats, outcomes["slice"].stats)
-		}
+	sc.Close()
+	w.Close()
+	if got := out.Materialize(); !slices.Equal(got, items) {
+		t.Fatalf("copy-through broke: %v, want %v", got, items)
 	}
 	want := Stats{Reads: int64(cfg.BlocksOf(n)), Writes: int64(cfg.BlocksOf(n))}
-	if outcomes["slice"].stats != want {
-		t.Errorf("pipeline stats %+v, want %+v", outcomes["slice"].stats, want)
+	if ma.Stats() != want {
+		t.Errorf("pipeline stats %+v, want %+v", ma.Stats(), want)
 	}
 }
 
@@ -544,65 +407,85 @@ func TestSliceGrowthCopiesNothing(t *testing.T) {
 	}
 }
 
-// TestScannerZeroAllocSteadyState checks the migrated Vector read path:
-// after construction, scanning allocates nothing regardless of backend.
+// TestScannerZeroAllocSteadyState checks the Vector read path: after
+// construction, scanning allocates nothing.
 func TestScannerZeroAllocSteadyState(t *testing.T) {
 	cfg := Config{M: 64, B: 8, Omega: 4}
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			ma := NewWithStorage(cfg, eng.make())
-			v := Load(ma, make([]Item, 1024))
-			sc := v.NewScanner()
-			defer sc.Close()
-			allocs := testing.AllocsPerRun(100, func() {
-				for j := 0; j < 8; j++ {
-					if _, ok := sc.Next(); !ok {
-						return
-					}
+	t.Run("slice", func(t *testing.T) {
+		ma := New(cfg)
+		v := Load(ma, make([]Item, 1024))
+		sc := v.NewScanner()
+		defer sc.Close()
+		allocs := testing.AllocsPerRun(100, func() {
+			for j := 0; j < 8; j++ {
+				if _, ok := sc.Next(); !ok {
+					return
 				}
-			})
-			if allocs != 0 {
-				t.Errorf("scanner steady state allocates %.1f per block, want 0", allocs)
 			}
 		})
-	}
+		if allocs != 0 {
+			t.Errorf("scanner steady state allocates %.1f per block, want 0", allocs)
+		}
+	})
+}
+
+// TestWriterZeroAllocSteadyState is the write-side companion of the
+// scanner pin: after construction, appending allocates nothing. The slice
+// engine carves fresh blocks from shared slabs, so a slab's worth of
+// blocks costs at most one allocation, which AllocsPerRun's per-run
+// average rounds away.
+func TestWriterZeroAllocSteadyState(t *testing.T) {
+	cfg := Config{M: 64, B: 8, Omega: 4}
+	t.Run("slice", func(t *testing.T) {
+		ma := New(cfg)
+		v := NewVector(ma, 1<<20)
+		w := v.NewWriter()
+		defer w.CloseShort()
+		it := Item{Key: 1}
+		allocs := testing.AllocsPerRun(100, func() {
+			for j := 0; j < 2*cfg.B; j++ {
+				w.Append(it)
+			}
+		})
+		if allocs != 0 {
+			t.Errorf("writer steady state allocates %.1f per 2 blocks, want 0", allocs)
+		}
+	})
 }
 
 // TestLocalScanWriteAllocs pins what one pass of a Scanner or a Writer
-// costs in heap objects on every engine: NewScanner and NewWriter inline,
+// costs in heap objects: NewScanner and NewWriter inline,
 // so a Scanner or Writer that does not outlive its caller lives on the
 // stack and the pass allocates only its B-item block frame.
 func TestLocalScanWriteAllocs(t *testing.T) {
 	cfg := Config{M: 64, B: 8, Omega: 4}
 	const n = 61 // deliberately not block-aligned
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			ma := NewWithStorage(cfg, eng.make())
-			v := Load(ma, make([]Item, n))
-			scan := testing.AllocsPerRun(50, func() {
-				sc := v.NewScanner()
-				for {
-					if _, ok := sc.Next(); !ok {
-						break
-					}
+	t.Run("slice", func(t *testing.T) {
+		ma := New(cfg)
+		v := Load(ma, make([]Item, n))
+		scan := testing.AllocsPerRun(50, func() {
+			sc := v.NewScanner()
+			for {
+				if _, ok := sc.Next(); !ok {
+					break
 				}
-				sc.Close()
-			})
-			if scan != 1 {
-				t.Errorf("a local scan allocates %.0f objects, want 1 (its frame)", scan)
 			}
-			write := testing.AllocsPerRun(50, func() {
-				w := v.NewWriter()
-				for i := 0; i < n; i++ {
-					w.Append(Item{Key: int64(i)})
-				}
-				w.Close()
-			})
-			if write != 1 {
-				t.Errorf("a local write pass allocates %.0f objects, want 1 (its frame)", write)
-			}
+			sc.Close()
 		})
-	}
+		if scan != 1 {
+			t.Errorf("a local scan allocates %.0f objects, want 1 (its frame)", scan)
+		}
+		write := testing.AllocsPerRun(50, func() {
+			w := v.NewWriter()
+			for i := 0; i < n; i++ {
+				w.Append(Item{Key: int64(i)})
+			}
+			w.Close()
+		})
+		if write != 1 {
+			t.Errorf("a local write pass allocates %.0f objects, want 1 (its frame)", write)
+		}
+	})
 }
 
 // TestNewWithStorageRejectsUsedEngine pins the constructor contract.
@@ -617,37 +500,27 @@ func TestNewWithStorageRejectsUsedEngine(t *testing.T) {
 // enough blocks to cross several segments, then verifies every block.
 func TestBackendGrowth(t *testing.T) {
 	const b = 4
-	for _, eng := range engines {
-		t.Run(eng.name, func(t *testing.T) {
-			s := eng.make()
-			var want [][]Item
-			for round := 0; round < 50; round++ {
-				base := s.Alloc(3)
-				for i := 0; i < 3; i++ {
-					items := make([]Item, (round+i)%(b+1))
-					for j := range items {
-						items[j] = Item{Key: int64(round), Aux: int64(i*10 + j)}
-					}
-					s.Write(base+Addr(i), items)
-					want = append(want, items)
+	t.Run("slice", func(t *testing.T) {
+		s := NewSliceStorage()
+		var want [][]Item
+		for round := 0; round < 50; round++ {
+			base := s.Alloc(3)
+			for i := 0; i < 3; i++ {
+				items := make([]Item, (round+i)%(b+1))
+				for j := range items {
+					items[j] = Item{Key: int64(round), Aux: int64(i*10 + j)}
 				}
+				s.Write(base+Addr(i), items)
+				want = append(want, items)
 			}
-			buf := make([]Item, 0, b)
-			for a, items := range want {
-				got := s.ReadInto(Addr(a), buf)
-				if len(got) != len(items) {
-					t.Fatalf("block %d length %d, want %d", a, len(got), len(items))
-				}
-				if eng.hasData {
-					for j := range items {
-						if got[j] != items[j] {
-							t.Fatalf("block %d item %d = %v, want %v", a, j, got[j], items[j])
-						}
-					}
-				}
+		}
+		buf := make([]Item, 0, b)
+		for a, items := range want {
+			if got := s.ReadInto(Addr(a), buf); !slices.Equal(got, items) {
+				t.Fatalf("block %d read %v, want %v", a, got, items)
 			}
-		})
-	}
+		}
+	})
 }
 
 // TestNewArenaStorageOnlyInBenchmark keeps the deprecated constructor

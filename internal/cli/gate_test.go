@@ -253,7 +253,7 @@ func TestGateServingExperimentsAgainstCommittedBaseline(t *testing.T) {
 		t.Fatalf("committed baseline lacks the stall Q: %d", base.StallQ)
 	}
 	var b strings.Builder
-	for _, id := range []string{"EXP-MG1", "EXP-P2", "EXP-F2", "EXP-B1", "EXP-L1", "EXP-L2", "EXP-L3"} {
+	for _, id := range []string{"EXP-S2", "EXP-P2", "EXP-F2", "EXP-B1", "EXP-L1", "EXP-L2", "EXP-L3"} {
 		c, ok := base.Points[id]
 		if !ok {
 			t.Fatalf("committed baseline lacks %s: %v", id, base.Points)
@@ -264,7 +264,7 @@ func TestGateServingExperimentsAgainstCommittedBaseline(t *testing.T) {
 	if code != 0 {
 		t.Fatalf("pinned costs failed the committed gate (exit %d)\n%s", code, out)
 	}
-	for _, id := range []string{"EXP-L1", "EXP-L2", "EXP-L3", "EXP-MG1"} {
+	for _, id := range []string{"EXP-L1", "EXP-L2", "EXP-L3", "EXP-S2"} {
 		if line := lineWith(out, "wall", id); !strings.HasPrefix(line, "ok") {
 			t.Errorf("wall line for %s is not ok: %q", id, line)
 		}

@@ -10,16 +10,9 @@ import (
 // Differential test layer: long random operation streams are run through
 // the dictionaries and an in-memory model map, at machine corner configs —
 // including B = 1 (the ARAM of Blelloch et al.) and ω = 1 (the classic EM
-// model) — and on both storage engines.
-//
-//   - On the slice engine every lookup and range answer must equal the
-//     model's.
-//   - The counting engine stores no data at all, so a value-dependent
-//     structure cannot answer (or even route) correctly on it; the
-//     differential contract there is crash-freedom and metering sanity:
-//     the stream must complete with internal memory inside M. This is the
-//     same boundary the backends conformance suite draws for the sorting
-//     algorithms.
+// model). Every lookup and range answer must equal the model's. The
+// buffer tree also runs a keyspace-1 stream in both commit modes: every
+// op names the same key, so its buffers fill with duplicate items.
 
 // diffStream builds a deterministic mixed stream exercising every op kind
 // with heavy churn; op interleaving (not just burst structure) comes from
@@ -102,20 +95,43 @@ func TestDifferentialBufferTreeVsModel(t *testing.T) {
 				t.Errorf("%d slots still reserved after quiescence, want the stage's %d", ma.MemInUse(), dc.cfg.B)
 			}
 
-			// Counting engine: data-free, so answers are undefined — the
-			// contract is completing the whole stream with the metering
-			// discipline intact.
-			ma = aem.NewWithStorage(dc.cfg, aem.NewCountingStorage())
-			d = NewBufferTree(ma)
-			applyChunked(d, ops, rng.New(17))
-			d.Flush()
-			if ma.MemPeak() > dc.cfg.M {
-				t.Errorf("counting: memory peak %d exceeds M = %d", ma.MemPeak(), dc.cfg.M)
-			}
-			if ma.MemInUse() != dc.cfg.B {
-				t.Errorf("counting: %d slots still reserved after quiescence, want the stage's %d", ma.MemInUse(), dc.cfg.B)
+			for _, deam := range []bool{false, true} {
+				t.Run("keyspace1/"+modeName(deam), func(t *testing.T) {
+					diffDuplicates(t, dc, deam)
+				})
 			}
 		})
+	}
+}
+
+// diffDuplicates runs a keyspace-1 stream through a buffer tree in the
+// given commit mode, one FlushStep(1) per client batch when deamortized,
+// and holds its answers to the model.
+func diffDuplicates(t *testing.T, dc diffConfig, deam bool) {
+	ops := diffStream(4000+uint64(dc.cfg.Omega), dc.n, 1)
+	want := newModel().apply(ops)
+	ma := aem.New(dc.cfg)
+	tree := NewBufferTree(ma)
+	if deam {
+		tree.Deamortize()
+	}
+	r := rng.New(31)
+	var got []Result
+	for i := 0; i < len(ops); {
+		j := min(len(ops), i+1+r.Intn(700))
+		got = append(got, tree.Apply(ops[i:j])...)
+		i = j
+		if deam {
+			tree.FlushStep(1)
+		}
+	}
+	tree.Flush()
+	sameResults(t, dc.name+"/keyspace1/"+modeName(deam), got, want)
+	if ma.MemPeak() > dc.cfg.M {
+		t.Errorf("memory peak %d exceeds M = %d", ma.MemPeak(), dc.cfg.M)
+	}
+	if ma.MemInUse() != dc.cfg.B {
+		t.Errorf("%d slots still reserved after quiescence, want the stage's %d", ma.MemInUse(), dc.cfg.B)
 	}
 }
 

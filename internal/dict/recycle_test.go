@@ -29,13 +29,13 @@ func TestRecycleKeepsAccounting(t *testing.T) {
 	for _, dc := range diffConfigs(false) {
 		for _, deam := range []bool{false, true} {
 			t.Run(fmt.Sprintf("%s/%s", dc.name, modeName(deam)), func(t *testing.T) {
-				runRecycle(t, dc, deam)
+				runRecycling(t, dc, deam)
 			})
 		}
 	}
 }
 
-func runRecycle(t *testing.T, dc diffConfig, deam bool) {
+func runRecycling(t *testing.T, dc diffConfig, deam bool) {
 	recMa, keepMa := aem.New(dc.cfg), aem.New(dc.cfg)
 	rec, keep := NewBufferTree(recMa), NewBufferTree(keepMa)
 	if deam {

@@ -16,7 +16,7 @@ func TestAuxRegistrySeparation(t *testing.T) {
 			}
 		}
 	}
-	specs, warns, err := Select("EXP-MG1,EXP-L1")
+	specs, warns, err := Select("EXP-L1,EXP-L3")
 	if err != nil || len(warns) != 0 || len(specs) != 2 {
 		t.Fatalf("Select over aux ids: %d specs, warns %v, err %v", len(specs), warns, err)
 	}

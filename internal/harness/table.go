@@ -177,11 +177,11 @@ func (t *Table) JSON(w io.Writer) error {
 }
 
 // Aux returns the auxiliary experiment registry: specs selectable by id
-// (`aem bench -exp EXP-MG1`) and listed by -list, but not part of All(),
+// (`aem bench -exp EXP-L1`) and listed by -list, but not part of All(),
 // so the default `aem bench` output and its recorded goldens are
 // unaffected by their presence.
 func Aux() []*Spec {
-	return []*Spec{specMG1(), specL1(), specL2(), specL3()}
+	return []*Spec{specL1(), specL2(), specL3()}
 }
 
 // ByID returns the spec with the given experiment id, searching the

@@ -234,11 +234,11 @@ func (q *Adaptive) fold() {
 	}
 	prev := q.ma.SetPhase("pq-fold")
 	var sorted *aem.Vector
-	// The filter drops exactly bufConsumed stored instances. On real data
-	// the watermark rule matches exactly those; the count cap makes the
-	// fold robust on the data-free counting engine too, where every
-	// stored item reads back as zeros and a value rule alone could drop
-	// live instances.
+	// The filter drops exactly bufConsumed stored instances. On distinct
+	// items the watermark rule matches exactly those; the count cap makes
+	// the fold robust on duplicate items too, where many stored items
+	// equal the watermark and a value rule alone could drop live
+	// instances.
 	seenAtMark, dropped := 0, 0
 	consumed := func(it aem.Item) bool {
 		if dropped < q.bufConsumed && q.consumedByWatermark(it, &seenAtMark) {
@@ -326,8 +326,8 @@ func (q *Adaptive) scanSelect() []aem.Item {
 	var top aem.ItemHeap
 	top.Max = true
 	// Skip exactly bufConsumed stored instances: the watermark rule
-	// matches exactly those on real data, and the count cap keeps the
-	// selection exact on the data-free counting engine (see fold).
+	// matches exactly those on distinct items, and the count cap keeps the
+	// selection exact on duplicate items (see fold).
 	seenAtMark, dropped := 0, 0
 	add := func(it aem.Item) {
 		if dropped < q.bufConsumed && q.consumedByWatermark(it, &seenAtMark) {

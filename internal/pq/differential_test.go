@@ -1,16 +1,16 @@
 // Differential layer for the priority queues: generated push/deletemin
-// streams run through both queues against container/heap, on both
-// storage engines and on the model's corner machines (B = 1 is the ARAM of
-// Blelloch et al., ω = 1 the symmetric EM model). On the slice engine the
-// queues must agree with the reference item for item; the counting
-// engine holds no data (reads return zeros), so there the queues must
-// still terminate, preserve Len bookkeeping and leak no metered memory —
-// which is what it exists to check.
+// streams run through both queues against container/heap on the model's
+// corner machines (B = 1 is the ARAM of Blelloch et al., ω = 1 the
+// symmetric EM model). The queues must agree with the reference item for
+// item and leak no metered memory, also on a stream whose every pushed
+// item is the same: duplicate items exercise the count caps and
+// tie-breaks that distinct keys never reach.
 package pq
 
 import (
 	"container/heap"
 	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/aem"
@@ -49,65 +49,28 @@ func runDifferential(t *testing.T, q minQueue, ma *aem.Machine, ops []workload.P
 	q.Close()
 }
 
-func TestDifferentialStreamsAllEngines(t *testing.T) {
+func TestDifferentialStreams(t *testing.T) {
 	const n = 20000
 	queues := map[string]func(*aem.Machine) minQueue{
 		"sequence": func(ma *aem.Machine) minQueue { return New(ma) },
 		"adaptive": func(ma *aem.Machine) minQueue { return NewAdaptive(ma) },
 	}
+	streams := map[string][]workload.PQOp{}
+	for _, sc := range workload.PQScenarios() {
+		streams[sc.String()] = workload.PQOps(workload.NewRNG(101+uint64(sc)), sc, n)
+	}
+	// dups is the mixed stream with every pushed item zeroed.
+	dups := slices.Clone(streams[workload.MixedPQ.String()])
+	for i := range dups {
+		dups[i].Item = aem.Item{}
+	}
+	streams["dups"] = dups
 	for _, cfg := range differentialConfigs {
-		for _, sc := range workload.PQScenarios() {
-			ops := workload.PQOps(workload.NewRNG(101+uint64(sc)), sc, n)
+		for sname, ops := range streams {
 			for qname, mk := range queues {
-				// Slice engine: exact differential vs container/heap.
-				t.Run(fmt.Sprintf("%s/%s/M%dB%dw%d/slice", qname, sc, cfg.M, cfg.B, cfg.Omega), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/M%dB%dw%d", qname, sname, cfg.M, cfg.B, cfg.Omega), func(t *testing.T) {
 					ma := aem.New(cfg)
 					runDifferential(t, mk(ma), ma, ops)
-					if ma.MemInUse() != 0 {
-						t.Fatalf("leaked %d memory slots", ma.MemInUse())
-					}
-				})
-				// Counting engine: no data, so no differential — the queue
-				// must terminate, keep Len exact and leak nothing. The
-				// stream is kept short of the compaction threshold: a level
-				// merge runs MergeRuns, whose §3.1 run pointers themselves
-				// live in external memory and are zeroed by the data-free
-				// engine — the boundary aem/storage.go draws for every
-				// value-dependent algorithm.
-				// Half the run budget in ops keeps every config clear of a
-				// compaction: runs form at worst one per capIB staged
-				// pushes plus one per refill.
-				maxRuns := cfg.M / (2 * cfg.B)
-				limit := maxRuns * (cfg.M / 8) / 2
-				if limit > len(ops) {
-					limit = len(ops)
-				}
-				countingOps := ops[:limit]
-				t.Run(fmt.Sprintf("%s/%s/M%dB%dw%d/counting", qname, sc, cfg.M, cfg.B, cfg.Omega), func(t *testing.T) {
-					ma := aem.NewWithStorage(cfg, aem.NewCountingStorage())
-					q := mk(ma)
-					size := 0
-					for i, op := range countingOps {
-						if op.Kind == workload.PQPush {
-							q.Push(op.Item)
-							size++
-						} else {
-							if _, ok := q.DeleteMin(); !ok {
-								t.Fatalf("op %d: DeleteMin empty with %d queued", i, size)
-							}
-							size--
-						}
-						if q.Len() != size {
-							t.Fatalf("op %d: Len = %d, want %d", i, q.Len(), size)
-						}
-					}
-					for size > 0 {
-						if _, ok := q.DeleteMin(); !ok {
-							t.Fatalf("drain: empty with %d queued", size)
-						}
-						size--
-					}
-					q.Close()
 					if ma.MemInUse() != 0 {
 						t.Fatalf("leaked %d memory slots", ma.MemInUse())
 					}

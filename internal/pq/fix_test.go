@@ -109,8 +109,8 @@ func TestRefillStatsMatchLinearScan(t *testing.T) {
 
 // TestFrontierTreeTieBreak: equal heads must resolve to the earliest run
 // in iteration order, the linear scan's first-wins rule — the property
-// that keeps run consumption (and so I/O) identical on duplicate-heavy
-// data like the counting engine's zero-filled blocks.
+// that keeps run consumption (and so I/O) deterministic on duplicate
+// items.
 func TestFrontierTreeTieBreak(t *testing.T) {
 	ma := aem.New(aem.Config{M: 256, B: 8, Omega: 1})
 	mkRun := func(keys ...int64) *run {

@@ -114,9 +114,9 @@ func (s *SmallSorter) sort(ma *aem.Machine, v *aem.Vector, lo, hi int, out *aem.
 	defer ma.Release(res)
 
 	// watermark is the largest item emitted so far and dupSkip the number
-	// of its emitted copies, so inputs with duplicate (Key, Aux) items —
-	// e.g. data read back from the zero-filled counting engine — sort
-	// correctly too: each pass skips exactly the copies already written.
+	// of its emitted copies, so inputs with duplicate (Key, Aux) items
+	// sort correctly too: each pass skips exactly the copies already
+	// written.
 	// For all-distinct inputs the schedule is unchanged.
 	watermark := minItem
 	dupSkip := 0

@@ -95,9 +95,8 @@ func TestBucketOf(t *testing.T) {
 }
 
 // TestSmallSortDuplicateItems: inputs with repeated (Key, Aux) items must
-// sort correctly — the counting storage engine hands every algorithm
-// zero-filled (hence massively duplicated) blocks, and the selection
-// passes must still make progress. Regression test for the watermark
+// sort correctly, and the selection passes must still make progress on
+// massively duplicated blocks. Regression test for the watermark
 // duplicate-skip logic.
 func TestSmallSortDuplicateItems(t *testing.T) {
 	cfg := aem.Config{M: 64, B: 8, Omega: 8}
