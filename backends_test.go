@@ -1,9 +1,12 @@
 // Cross-backend integration: every algorithm in the repository honours
 // the Storage.Discard contract, so an engine that keeps discarded blocks
-// must agree with the slice engine on outputs and I/O accounting.
+// must agree with the slice engine on outputs and I/O accounting; and a
+// data-oblivious program accounts the same on an engine that stores no
+// values at all.
 package repro
 
 import (
+	"slices"
 	"testing"
 
 	"repro/internal/aem"
@@ -21,6 +24,15 @@ import (
 type keepDiscarded struct{ aem.Storage }
 
 func (keepDiscarded) Discard(aem.Addr, int) {}
+
+// countingBackend is the slice engine storing zero items in place of the
+// ones written: it keeps every block's length, so it counts I/Os like the
+// slice engine, but it moves no data.
+type countingBackend struct{ aem.Storage }
+
+func (s countingBackend) Write(a aem.Addr, items []aem.Item) {
+	s.Storage.Write(a, make([]aem.Item, len(items)))
+}
 
 // TestAlgorithmsIdenticalAcrossDataBackends is the Discard contract at
 // algorithm level: identical outputs, Stats, Cost, internal-memory peaks
@@ -208,4 +220,81 @@ func dictConformanceRun(d dict.Dict) []aem.Item {
 		out = append(out, aem.Item{Key: hit.Key, Aux: hit.Value})
 	}
 	return out
+}
+
+// TestCountingBackendMatchesObliviousPrograms: programs whose I/O schedule
+// depends only on program knowledge (lengths, addresses, the permutation)
+// must produce identical accounting on countingBackend, which moves no
+// data at all. permute.Direct is the paper's canonical such program; the
+// naive SpMxV program's schedule is its conformation, which the program
+// knows for free.
+func TestCountingBackendMatchesObliviousPrograms(t *testing.T) {
+	cfg := aem.Config{M: 64, B: 8, Omega: 16}
+	const n = 1 << 10
+	items, perm := workload.Permutation(workload.NewRNG(80), n)
+	conf := workload.NewConformation(workload.NewRNG(81), 512, 4)
+	values, x := make([]int64, conf.H()), make([]int64, 512)
+	for i := range values {
+		values[i] = int64(i%100 - 50)
+	}
+	for i := range x {
+		x[i] = int64(i % 7)
+	}
+
+	programs := []struct {
+		name string
+		run  func(ma *aem.Machine)
+	}{
+		{"permute-direct", func(ma *aem.Machine) {
+			permute.Direct(ma, aem.Load(ma, items), perm)
+		}},
+		{"scan-copy", func(ma *aem.Machine) {
+			v := aem.Load(ma, items)
+			out := aem.NewVector(ma, v.Len())
+			sc := v.NewScanner()
+			w := out.NewWriter()
+			for {
+				it, ok := sc.Next()
+				if !ok {
+					break
+				}
+				w.Append(it)
+			}
+			sc.Close()
+			w.Close()
+		}},
+		{"spmxv-naive", func(ma *aem.Machine) {
+			spmxv.Naive(ma, spmxv.NewMatrix(ma, conf, values), spmxv.LoadDense(ma, x))
+		}},
+	}
+
+	for _, p := range programs {
+		t.Run(p.name, func(t *testing.T) {
+			type acct struct {
+				stats              aem.Stats
+				cost               int64
+				memPeak, numBlocks int
+				trace              []aem.TraceOp
+			}
+			run := func(store aem.Storage) acct {
+				ma := aem.NewWithStorage(cfg, store)
+				ma.StartTrace()
+				p.run(ma)
+				return acct{ma.Stats(), ma.Cost(), ma.MemPeak(), ma.NumBlocks(), ma.StopTrace()}
+			}
+			got, want := run(countingBackend{aem.NewSliceStorage()}), run(aem.NewSliceStorage())
+			if got.stats != want.stats || got.cost != want.cost ||
+				got.memPeak != want.memPeak || got.numBlocks != want.numBlocks {
+				t.Errorf("counting: %+v %d %d %d != slice reference %+v %d %d %d",
+					got.stats, got.cost, got.memPeak, got.numBlocks,
+					want.stats, want.cost, want.memPeak, want.numBlocks)
+			}
+			if !slices.Equal(got.trace, want.trace) {
+				t.Errorf("counting: trace of %d ops differs from the slice reference's %d", len(got.trace), len(want.trace))
+			}
+			if want.stats.Reads == 0 || want.stats.Writes == 0 {
+				t.Errorf("program did no I/O: %+v", want.stats)
+			}
+		})
+	}
 }

@@ -385,6 +385,113 @@ func TestVectorPipelineOnDataBackends(t *testing.T) {
 	}
 }
 
+// blankStorage is a data-free engine: it keeps each block's length on
+// the slice engine underneath but stores zero items, so a read returns
+// as many items as were written and none of their values. The cost model
+// counts blocks, not values, so a machine over it must account exactly
+// as one over the slice engine for any program whose I/O does not depend
+// on the data.
+type blankStorage struct{ Storage }
+
+func (s blankStorage) Write(a Addr, items []Item) {
+	s.Storage.Write(a, make([]Item, len(items)))
+}
+
+// backends enumerates the storage a machine runs on in these tests: the
+// slice engine and the data-free blankStorage over it.
+var backends = []struct {
+	name string
+	make func() Storage
+}{
+	{"slice", func() Storage { return NewSliceStorage() }},
+	{"blank", func() Storage { return blankStorage{NewSliceStorage()} }},
+}
+
+// TestMachineOnEveryBackend runs an identical costed I/O script on a
+// machine over each backend and demands identical Stats, Cost, phase
+// accounting and block counts: the cost model must be engine-independent.
+func TestMachineOnEveryBackend(t *testing.T) {
+	cfg := Config{M: 16, B: 4, Omega: 3}
+	script := func(ma *Machine) {
+		a := ma.Alloc(4)
+		ma.Poke(a, []Item{{1, 0}, {2, 0}})
+		buf := make([]Item, 0, cfg.B)
+		ma.SetPhase("copy")
+		for i := 0; i < 3; i++ {
+			got := ma.ReadInto(a, buf)
+			ma.Write(a+1+Addr(i), got)
+		}
+		ma.SetPhase("main")
+		ma.ReadInto(a+1, buf)
+	}
+
+	var ref *Machine
+	for _, eng := range backends {
+		ma := NewWithStorage(cfg, eng.make())
+		script(ma)
+		if ref == nil {
+			ref = ma
+			continue
+		}
+		if ma.Stats() != ref.Stats() {
+			t.Errorf("%s stats %+v differ from reference %+v", eng.name, ma.Stats(), ref.Stats())
+		}
+		if ma.Cost() != ref.Cost() {
+			t.Errorf("%s cost %d differs from reference %d", eng.name, ma.Cost(), ref.Cost())
+		}
+		if ma.Phases().Phase("copy") != ref.Phases().Phase("copy") {
+			t.Errorf("%s phase accounting differs", eng.name)
+		}
+		if ma.NumBlocks() != ref.NumBlocks() {
+			t.Errorf("%s allocated %d blocks, reference %d", eng.name, ma.NumBlocks(), ref.NumBlocks())
+		}
+	}
+	if want := (Stats{Reads: 4, Writes: 3}); ref.Stats() != want {
+		t.Errorf("script stats %+v, want %+v", ref.Stats(), want)
+	}
+}
+
+// TestVectorFastPathTraceIdentity pins the Scanner/Writer pipeline's
+// trace: on every backend, copying a vector records one read of each
+// source block followed by the write of the block it filled, op for op,
+// with the partial last block written on Close.
+func TestVectorFastPathTraceIdentity(t *testing.T) {
+	cfg := Config{M: 32, B: 4, Omega: 2}
+	const n = 27
+	run := func(s Storage) ([]TraceOp, Stats) {
+		ma := NewWithStorage(cfg, s)
+		v := Load(ma, make([]Item, n))
+		out := NewVector(ma, n)
+		ma.StartTrace()
+		sc := v.NewScanner()
+		w := out.NewWriter()
+		for {
+			it, ok := sc.Next()
+			if !ok {
+				break
+			}
+			w.Append(it)
+		}
+		sc.Close()
+		w.Close()
+		return ma.StopTrace(), ma.Stats()
+	}
+	nb := cfg.BlocksOf(n)
+	var want []TraceOp
+	for i := 0; i < nb; i++ {
+		want = append(want, TraceOp{OpRead, Addr(i)}, TraceOp{OpWrite, Addr(nb + i)})
+	}
+	for _, eng := range backends {
+		ops, st := run(eng.make())
+		if !slices.Equal(ops, want) {
+			t.Errorf("%s trace %v, want %v", eng.name, ops, want)
+		}
+		if wantSt := (Stats{Reads: int64(nb), Writes: int64(nb)}); st != wantSt {
+			t.Errorf("%s stats %+v, want %+v", eng.name, st, wantSt)
+		}
+	}
+}
+
 // TestSliceGrowthCopiesNothing: growing the slice engine from n to 2n
 // blocks allocates the new blocks' table entries and nothing else — no
 // copy of the blocks already held. n is a power of two, where the segment

@@ -6,6 +6,9 @@ import (
 	"strconv"
 	"strings"
 	"testing"
+
+	"repro/internal/aem"
+	"repro/internal/trace"
 )
 
 func TestByID(t *testing.T) {
@@ -23,6 +26,48 @@ func TestProofPipelineExperimentsReportPreserved(t *testing.T) {
 			if cell != "preserved" {
 				t.Errorf("%s: placement %q", id, cell)
 			}
+		}
+	}
+}
+
+// TestReplayMatchesPerOpSchedule replays each EXP-R2 trace op for op on a
+// fresh machine and demands the traced run's Stats and Cost: a recorded
+// trace is the algorithm's whole I/O schedule, so the Q column that
+// EXP-R2 reads off it with trace.Convert is the algorithm's measured cost.
+func TestReplayMatchesPerOpSchedule(t *testing.T) {
+	cfg := aem.Config{M: 64, B: 8, Omega: 8} // EXP-R2's machine
+	spec := specR2()
+	tbl := mustTable(t, spec)
+	qs, omegas := column(t, tbl, "Q"), column(t, tbl, "omega")
+	for i, v := range spec.Axes[0].Values {
+		c := v.(r2Case)
+		ma := aem.New(cfg)
+		ma.StartTrace()
+		c.run(ma, c.n)
+		ops := ma.StopTrace()
+
+		re := aem.New(cfg)
+		re.Alloc(ma.NumBlocks())
+		buf, blk := make([]aem.Item, 0, cfg.B), make([]aem.Item, cfg.B)
+		for _, op := range ops {
+			if op.Kind == aem.OpRead {
+				re.ReadInto(op.Addr, buf)
+			} else {
+				re.Write(op.Addr, blk)
+			}
+		}
+		if re.Stats() != ma.Stats() || re.Cost() != ma.Cost() {
+			t.Errorf("%s: replayed %+v (cost %d), traced run %+v (cost %d)",
+				c.name, re.Stats(), re.Cost(), ma.Stats(), ma.Cost())
+		}
+		if q := trace.Convert(ops, cfg).Original; q != ma.Cost() {
+			t.Errorf("%s: trace cost %d, traced run %d", c.name, q, ma.Cost())
+		}
+		if want := strconv.Itoa(cfg.Omega); omegas[i] != want {
+			t.Fatalf("%s: EXP-R2 runs at omega %s, this replay at %s", c.name, omegas[i], want)
+		}
+		if want := strconv.FormatInt(ma.Cost(), 10); qs[i] != want {
+			t.Errorf("%s: EXP-R2 reports Q = %s, measured cost %s", c.name, qs[i], want)
 		}
 	}
 }

@@ -9,6 +9,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/aem"
 	"repro/internal/rng"
 )
 
@@ -255,6 +256,69 @@ func TestRunRandomizedParByteIdentity(t *testing.T) {
 			if fail != wantFail {
 				t.Fatalf("withPanic=%v par=%d: failure %q != par=1 failure %q", withPanic, par, fail, wantFail)
 			}
+		}
+	}
+}
+
+// scanCopyRow loads n items onto ma, copies them with a Scanner and a
+// Writer, and returns the accounting row a spec would.
+func scanCopyRow(ma *aem.Machine, n int) Row {
+	items := make([]aem.Item, n)
+	for i := range items {
+		items[i] = aem.Item{Key: int64(n - i), Aux: int64(i)}
+	}
+	v := aem.Load(ma, items)
+	out := aem.NewVector(ma, n)
+	sc := v.NewScanner()
+	w := out.NewWriter()
+	for {
+		it, ok := sc.Next()
+		if !ok {
+			break
+		}
+		w.Append(it)
+	}
+	sc.Close()
+	w.Close()
+	st := ma.Stats()
+	return Row{st.Reads, st.Writes, ma.Cost(), ma.MemPeak(), ma.NumBlocks()}
+}
+
+// TestRunPooledParByteIdentity extends the scheduler's byte-identity
+// property test to grid points that each run a machine on a LocalPool
+// worker: the emitted bytes must be identical at every parallelism
+// level.
+func TestRunPooledParByteIdentity(t *testing.T) {
+	mkSpec := func() *Spec {
+		return &Spec{
+			ID:    "POOLGRID",
+			Title: "machines on pool workers",
+			Axes: []Axis{
+				{Name: "omega", Values: Ints(1, 4, 9)},
+				{Name: "B", Values: Ints(4, 8, 16)},
+				{Name: "n", Values: Ints(64, 100, 200)},
+			},
+			Columns: Cols("omega", "B", "n", "reads", "writes", "cost", "mem peak", "blocks"),
+			Point: func(p Point) Row {
+				ma := aem.New(aem.Config{M: 64, B: p.Int("B"), Omega: p.Int("omega")})
+				row := scanCopyRow(ma, p.Int("n"))
+				return append(Row{p.Int("omega"), p.Int("B"), p.Int("n")}, row...)
+			},
+		}
+	}
+	want, failure := runQuiet([]*Spec{mkSpec()}, 1)
+	if failure != "" {
+		t.Fatalf("serial run failed: %s", failure)
+	}
+	r := rng.New(7)
+	for trial := 0; trial < 8; trial++ {
+		par := 2 + int(r.Intn(15))
+		got, failure := runQuiet([]*Spec{mkSpec()}, par)
+		if failure != "" {
+			t.Fatalf("par=%d run failed: %s", par, failure)
+		}
+		if !bytes.Equal(got, want) {
+			t.Fatalf("par=%d: output differs from par=1", par)
 		}
 	}
 }

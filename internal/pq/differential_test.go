@@ -49,7 +49,10 @@ func runDifferential(t *testing.T, q minQueue, ma *aem.Machine, ops []workload.P
 	q.Close()
 }
 
-func TestDifferentialStreams(t *testing.T) {
+// TestDifferentialStreamsAllEngines runs every stream through both queues
+// on every configuration and every storage engine. Each case's last name
+// element is the engine; the slice engine is the one aem has.
+func TestDifferentialStreamsAllEngines(t *testing.T) {
 	const n = 20000
 	queues := map[string]func(*aem.Machine) minQueue{
 		"sequence": func(ma *aem.Machine) minQueue { return New(ma) },
@@ -68,7 +71,7 @@ func TestDifferentialStreams(t *testing.T) {
 	for _, cfg := range differentialConfigs {
 		for sname, ops := range streams {
 			for qname, mk := range queues {
-				t.Run(fmt.Sprintf("%s/%s/M%dB%dw%d", qname, sname, cfg.M, cfg.B, cfg.Omega), func(t *testing.T) {
+				t.Run(fmt.Sprintf("%s/%s/M%dB%dw%d/slice", qname, sname, cfg.M, cfg.B, cfg.Omega), func(t *testing.T) {
 					ma := aem.New(cfg)
 					runDifferential(t, mk(ma), ma, ops)
 					if ma.MemInUse() != 0 {
